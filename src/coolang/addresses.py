@@ -1,60 +1,53 @@
 """Multi-level line addresses.
 
-An address is a tuple of positive-width int digits, compared front to back
+An address is a tuple of nonnegative int digits, ordered front to back
 with zero padding on the shorter one: (3,) < (3,0,1) < (3,1) < (3,1,1) < (3,2).
 First and last digits must be nonzero so padding never collides with a
 real address.
+
+Because the last digit is never zero, the padded order is plain tuple
+order. Where one address is a prefix of the other, the longer one carries
+a nonzero digit past the prefix, so it sorts after the padded shorter one,
+as a longer tuple sorts after its prefix. Otherwise the first differing
+digit decides both orders alike. Address is therefore a tuple subclass,
+and comparison, hashing, sorting and bisection all run as tuple operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
 
-@total_ordering
-@dataclass(frozen=True, init=False)
-class Address:
-    digits: tuple[int, ...]
+class Address(tuple):
+    __slots__ = ()
 
-    def __init__(self, digits: Iterable[int]):
-        ds = tuple(int(d) for d in digits)
-        if not ds:
+    def __new__(cls, digits: Iterable[int]) -> "Address":
+        self = super().__new__(cls, map(int, digits))
+        if not self:
             raise ValueError("empty address")
-        if any(d < 0 for d in ds):
-            raise ValueError(f"negative digit in address {ds}")
-        if ds[0] == 0 or ds[-1] == 0:
-            raise ValueError(f"first and last digit must be nonzero: {ds}")
-        object.__setattr__(self, "digits", ds)
+        if min(self) < 0:
+            raise ValueError(f"negative digit in address {tuple(self)}")
+        if self[0] == 0 or self[-1] == 0:
+            raise ValueError(f"first and last digit must be nonzero: {tuple(self)}")
+        return self
 
-    def _padded(self, n: int) -> tuple[int, ...]:
-        return self.digits + (0,) * (n - len(self.digits))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        return self.digits == other.digits
-
-    def __lt__(self, other: "Address") -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        n = max(len(self.digits), len(other.digits))
-        return self._padded(n) < other._padded(n)
-
-    def __hash__(self) -> int:
-        # No trailing zeros allowed, so digits are canonical.
-        return hash(self.digits)
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Address({self})"
 
     def __str__(self) -> str:
-        return ".".join(map(str, self.digits))
+        return ".".join(map(str, self))
 
     @classmethod
     def parse(cls, text: str) -> "Address":
         return cls(int(p) for p in text.split("."))
+
+
+def _padded(digits: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return digits + (0,) * (n - len(digits))
 
 
 def allocate_between(lo: Optional[Address], hi: Optional[Address]) -> Address:
@@ -67,13 +60,13 @@ def allocate_between(lo: Optional[Address], hi: Optional[Address]) -> Address:
     if lo is None:
         return Address((1,)) if hi is None else _below(hi)
     if hi is None:
-        return Address((lo.digits[0] + 1,))
+        return Address((lo[0] + 1,))
     if not lo < hi:
         raise ValueError(f"allocate_between needs lo < hi, got {lo} >= {hi}")
 
-    n = max(len(lo.digits), len(hi.digits))
-    lo_p = lo._padded(n)
-    hi_p = hi._padded(n)
+    n = max(len(lo), len(hi))
+    lo_p = _padded(lo, n)
+    hi_p = _padded(hi, n)
     prefix: list[int] = []
     for i in range(n):
         l, h = lo_p[i], hi_p[i]
@@ -91,7 +84,7 @@ def allocate_between(lo: Optional[Address], hi: Optional[Address]) -> Address:
 def _below(hi: Address) -> Address:
     """An address strictly below hi, with no lower bound."""
     prefix: list[int] = []
-    for i, d in enumerate(hi.digits):
+    for i, d in enumerate(hi):
         if d > 1:
             return Address(prefix + [d - 1])
         if d == 1 and i > 0:
@@ -105,12 +98,6 @@ class Allocator:
 
     def __init__(self, taken: Iterable[Address] = ()):
         self._taken = set(taken)
-
-    def reserve(self, addr: Address) -> None:
-        self._taken.add(addr)
-
-    def release(self, addr: Address) -> None:
-        self._taken.discard(addr)
 
     def between(self, lo: Optional[Address], hi: Optional[Address]) -> Address:
         a = allocate_between(lo, hi)

@@ -17,6 +17,7 @@ from .errors import (
     NotInvertible,
     ParseError,
     PrecompileError,
+    UndecodableInput,
 )
 from .loader import load
 from .parser import parse
@@ -31,8 +32,13 @@ _INFERENCE_ERRORS = (InferenceFailure, NotInvertible, DerivationFailure)
 
 
 def _load_input(path: str):
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(
+            f"{path}: not UTF-8 text (bad byte at offset {exc.start})"
+        ) from None
     if text.startswith("COOLCC 1"):
         return deserialize(text)
     return load(parse(precompile(text)))
@@ -67,6 +73,17 @@ def _tracer(args):
     return observer, close
 
 
+def _count(text: str) -> int:
+    """argparse type for the search limits: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out_path(args, suffix: str) -> str:
     if args.output:
         return args.output
@@ -87,9 +104,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--silo-size", type=int, default=64)
-        p.add_argument("--max-rounds", type=int, default=16)
-        p.add_argument("--max-tree-nodes", type=int, default=8)
+        p.add_argument("--silo-size", type=_count, default=64)
+        p.add_argument("--max-rounds", type=_count, default=16)
+        p.add_argument("--max-tree-nodes", type=_count, default=8)
         p.add_argument("--trace-silo", default=None, metavar="PATH")
 
     try:

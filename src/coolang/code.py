@@ -133,10 +133,6 @@ class CodeLine:
     right: Operand = _EMPTY
     result: Operand = _EMPTY
 
-    @property
-    def quaternion(self) -> tuple[Operand, Operand, Operand, Operand]:
-        return (self.op, self.left, self.right, self.result)
-
 
 # Slot indices into the quaternion flag arrays.
 SLOT_OP, SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT = range(4)
@@ -168,10 +164,6 @@ class ExtendedLine:
     def set_slot(self, i: int, val: Operand) -> None:
         attr = ("op", "left", "right", "result")[i]
         setattr(self, attr, val)
-
-    @property
-    def type_flags(self) -> tuple[OperandKind, ...]:
-        return tuple(o.kind for o in (self.op, self.left, self.right, self.result))
 
     @property
     def is_user_bound(self) -> bool:
@@ -293,6 +285,13 @@ class CodeTable:
     def addresses(self) -> list[Address]:
         return list(self._keys)
 
+    def between(self, lo: Address, hi: Address) -> list[ExtendedLine]:
+        """Lines with lo < address < hi, ascending."""
+        keys = self._keys
+        i = bisect.bisect_right(keys, lo)
+        j = bisect.bisect_left(keys, hi, i)
+        return [self._map[k] for k in keys[i:j]]
+
     def lines(self) -> Iterator[ExtendedLine]:
         for k in self._keys:
             yield self._map[k]
@@ -306,9 +305,6 @@ class Tables:
     classes: dict[Address, ClassInfo] = field(default_factory=dict)
     preexecuted: bool = False
 
-    def scope_of(self, line: ExtendedLine) -> Optional[ScopeInfo]:
-        return self.scopes.get(line.scope) if line.scope is not None else None
-
     def scope_chain(self, scope_addr: Optional[Address]) -> list[Address]:
         """Scope start addresses from the given scope outward (global excluded)."""
         chain = []
@@ -318,17 +314,11 @@ class Tables:
             cur = self.scopes[cur].parent
         return chain
 
-    def function_at(self, func_op: Address) -> FunctionInfo:
-        return self.functions[func_op]
-
     def function_by_decl(self, decl_scope: Address) -> Optional[FunctionInfo]:
         for fn in self.functions.values():
             if fn.decl_scope == decl_scope:
                 return fn
         return None
-
-    def class_of_scope(self, scope_addr: Address) -> Optional[ClassInfo]:
-        return self.classes.get(scope_addr)
 
     def expression_run(self, addr: Address) -> list[ExtendedLine]:
         """The longest expression containing the EXPR line at addr.

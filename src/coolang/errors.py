@@ -26,6 +26,10 @@ class UnterminatedString(PrecompileError):
     pass
 
 
+class UndecodableInput(PrecompileError):
+    """The input file is not UTF-8 text."""
+
+
 class ParseError(CoolError):
     """Syntax error; carries a 1-based source position when known."""
 

@@ -32,10 +32,9 @@ from .code import (
 )
 from .errors import DerivationFailure, InferenceFailure, MergeFailure, NotInvertible
 from .matching import BindContext
-from .segments import Segment
+from .segments import Segment, staging_address
 from .search import Observer, SearchOptions, search_segment
 
-_STAGING_BASE = 10**9
 _PLACEHOLDER_BASE = 2 * 10**9
 
 
@@ -405,7 +404,7 @@ class _Merger:
 
     def fresh_addr(self) -> Address:
         self.staging += 1
-        return Address((_STAGING_BASE + self.staging,))
+        return staging_address(self.staging)
 
     def merge(self) -> Segment:
         root_block = self.by_seq[self.root_seq]

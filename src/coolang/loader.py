@@ -195,20 +195,15 @@ def _assign_exec_flags(
             el.exec_flag = ExecFlag.TRUE
 
 
-def _span(tables_or_ext: list[ExtendedLine], rows: dict[Address, ScopeInfo], start: Address):
+def _span(tables: Tables, start: Address) -> list[ExtendedLine]:
     """Extended lines strictly inside a scope, boundary lines excluded."""
-    info = rows[start]
-    out = []
-    for el in tables_or_ext:
-        if info.start < el.address < info.end:
-            out.append(el)
-    return out
+    info = tables.scopes[start]
+    return tables.code.between(info.start, info.end)
 
 
 def _build_functions(
     tables: Tables, ext: list[ExtendedLine], rows: dict[Address, ScopeInfo]
 ) -> None:
-    by_addr = {el.address: el for el in ext}
     derive_targets = {
         el.right.addr for el in ext if el.ctype is CodeType.DERIVE_FUNC
     }
@@ -224,7 +219,7 @@ def _build_functions(
                 f"function declared at {decl_start} has no body and no derivation"
             )
         decl_lines = [
-            x for x in _span(ext, rows, decl_start) if x.ctype is CodeType.EXPR
+            x for x in _span(tables, decl_start) if x.ctype is CodeType.EXPR
         ]
         if not decl_lines:
             raise LoadError(f"empty declaration scope at {decl_start}")
@@ -245,7 +240,7 @@ def _build_functions(
         returns: list[Address] = []
         if body_start is not None:
             rows[body_start].param_query = decl_start
-            for x in _span(ext, rows, body_start):
+            for x in _span(tables, body_start):
                 if x.ctype is CodeType.RETURN and _nearest_body(rows, x.scope) == body_start:
                     returns.append(x.address)
         tables.functions[el.address] = FunctionInfo(
@@ -315,12 +310,7 @@ def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:
 
 def _decl_digest(tables: Tables, fn: FunctionInfo) -> tuple:
     """Structural shape of a declaration pattern, for duplicate detection."""
-    info = tables.scopes[fn.decl_scope]
-    run = [
-        el
-        for el in tables.code.lines()
-        if info.start < el.address < info.end and el.ctype is CodeType.EXPR
-    ]
+    run = [el for el in _span(tables, fn.decl_scope) if el.ctype is CodeType.EXPR]
     index = {el.address: i for i, el in enumerate(run)}
     shape = []
     for el in run:

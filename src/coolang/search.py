@@ -91,8 +91,13 @@ def accessible_functions(
 
 
 def candidate_functions(
-    tables: Tables, ctx: BindContext, line: ExtendedLine, stmt_addr: Address
+    tables: Tables,
+    ctx: BindContext,
+    line: ExtendedLine,
+    reachable: list[FunctionInfo],
 ) -> list[FunctionInfo]:
+    """Declarations that may bind the line: the receiver's class members for
+    a member call, otherwise `reachable`, the statement's accessible ones."""
     op = line.op.text
     if not op:
         return []
@@ -102,7 +107,7 @@ def candidate_functions(
         if cls is None:
             return []
         return member_functions(tables, cls)
-    return accessible_functions(tables, ctx.stmt_scope, stmt_addr)
+    return reachable
 
 
 def apply_value_match(segment: Segment, match: Match) -> None:
@@ -124,19 +129,14 @@ def apply_exp_rewrite(
     fn = match.fn
     ret_line = tables.code[fn.returns[0]]
     body = tables.scopes[fn.body_scope]
-    body_addrs = [
-        a
-        for a in tables.code.addresses()
-        if body.start < a < ret_line.address
-        and tables.code[a].ctype is CodeType.EXPR
-    ]
 
     mapping: dict[Address, Address] = {}
     new_addrs: list[Address] = []
-    for a in body_addrs:
-        src = tables.code[a]
+    for src in tables.code.between(body.start, ret_line.address):
+        if src.ctype is not CodeType.EXPR:
+            continue
         staged = segment.fresh_address()
-        mapping[a] = staged
+        mapping[src.address] = staged
         cp = src.copy()
         cp.address = staged
         cp.bound = None
@@ -216,6 +216,7 @@ def search_segment(
 
     silo = Silo(opts.silo_size)
     silo.offer(0.0, seg0.digest(), seg0)
+    reachable = accessible_functions(tables, ctx.stmt_scope, stmt_addr)
 
     rnd = 0
     for rnd in range(1, opts.max_rounds + 1):
@@ -224,7 +225,7 @@ def search_segment(
             branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
             for branch in branches:
                 line = seg[branch]
-                for fn in candidate_functions(tables, ctx, line, stmt_addr):
+                for fn in candidate_functions(tables, ctx, line, reachable):
                     m = match_branch(seg, branch, fn, ctx)
                     if m is None:
                         continue

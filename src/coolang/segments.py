@@ -29,7 +29,13 @@ PREBIND_OPS = frozenset(
     {"+", "-", "*", "/", "^", "==", "<", ">", "<=", ">=", "=", "-->", "neg"}
 )
 
+# working copies number their new lines from here, far above any table address
 _STAGING_BASE = 10**9
+
+
+def staging_address(seq: int) -> Address:
+    """The seq-th fresh address of a working copy."""
+    return Address((_STAGING_BASE + seq,))
 
 
 class Segment:
@@ -79,7 +85,7 @@ class Segment:
 
     def fresh_address(self) -> Address:
         self._staging_seq += 1
-        return Address((_STAGING_BASE + self._staging_seq,))
+        return staging_address(self._staging_seq)
 
     # --- structure ---
 
@@ -293,31 +299,43 @@ class Segment:
     # --- canonical digests ---
 
     def digest(self, include_bindings: bool = True) -> tuple:
-        order = self.order()
+        """Canonical structure: equal exactly for segments that differ only
+        in the addresses of their lines.
+
+        Rows hold strings, numbers and addresses but no Enum members, whose
+        hash runs in Python, so hashing a digest in the silo stays in C.
+        """
+        lines = self.lines
+        order = sorted(lines)
         index = {a: i for i, a in enumerate(order)}
         rows = []
         for a in order:
-            ln = self.lines[a]
+            ln = lines[a]
+            pend = ln.pending
             slots = []
-            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-                o = ln.slot(s)
-                if o.kind is OperandKind.ADDRESS:
-                    if o.addr == a:
-                        slots.append(("self", ln.pending[s].value))
-                    elif o.addr in index:
-                        slots.append(("ref", index[o.addr], ln.pending[s].value))
+            for o, p in (
+                (ln.left, pend[SLOT_LEFT]),
+                (ln.right, pend[SLOT_RIGHT]),
+                (ln.result, pend[SLOT_RESULT]),
+            ):
+                p = p._value_
+                kind = o.kind
+                if kind is OperandKind.ADDRESS:
+                    t = o.addr
+                    if t == a:
+                        slots.append(("self", p))
+                    elif t in index:
+                        slots.append(("ref", index[t], p))
                     else:
-                        slots.append(("ext", str(o.addr), ln.pending[s].value))
+                        slots.append(("ext", t, p))
+                elif kind is OperandKind.NUMBER:
+                    slots.append(("n", o.num, p))
                 else:
-                    slots.append((o.kind.value, o.payload(), ln.pending[s].value))
-            row = (ln.ctype.value, ln.op.text, tuple(slots))
+                    slots.append((kind._value_, o.text, p))
+            row = (ln.ctype._value_, ln.op.text, tuple(slots))
             if include_bindings:
-                bound = (
-                    "-"
-                    if ln.bound is None
-                    else (BUILTIN if ln.bound == BUILTIN else str(ln.bound))
-                )
-                row = row + (bound, ln.root)
+                bound = ln.bound
+                row = row + ("-" if bound is None else bound, ln.root)
             rows.append(row)
         rows.append(("root", index.get(self.root, -1)))
         return tuple(rows)

@@ -65,3 +65,31 @@ def test_trace_environment_switch_writes_to_stderr(tmp_path, capsys, monkeypatch
     assert main(["run", src]) == 0
     err = capsys.readouterr().err
     assert "round 1 weight" in err
+
+
+def _rejects_option(tmp_path, capsys, option, value):
+    src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
+    assert main(["run", src, option, value]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coolc run")
+    assert f"argument {option}: must be at least 1, got {value}" in err
+
+
+def test_silo_size_below_one_is_a_usage_error(tmp_path, capsys):
+    _rejects_option(tmp_path, capsys, "--silo-size", "0")
+
+
+def test_max_rounds_below_one_is_a_usage_error(tmp_path, capsys):
+    _rejects_option(tmp_path, capsys, "--max-rounds", "-1")
+
+
+def test_max_tree_nodes_below_one_is_a_usage_error(tmp_path, capsys):
+    _rejects_option(tmp_path, capsys, "--max-tree-nodes", "0")
+
+
+def test_non_utf8_input_is_a_compile_error_naming_the_file(tmp_path, capsys):
+    src = tmp_path / "latin.cool"
+    src.write_bytes(b"\xff\xfe" + corpus.QUADRATIC_CONSTRAINT.encode())
+    assert main(["run", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "UndecodableInput" in err and str(src) in err

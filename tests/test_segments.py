@@ -1,11 +1,16 @@
+import functools
 import random
 
+import corpus
 import pytest
 
-from coolang import build
+from coolang import build, preexecute
 from coolang.addresses import Address
 from coolang.code import (
     BUILTIN,
+    SLOT_LEFT,
+    SLOT_RESULT,
+    SLOT_RIGHT,
     CodeType,
     ExecFlag,
     ExtendedLine,
@@ -260,3 +265,99 @@ def test_evaluate_rejects_non_builtin_operators():
     seg = segment([line(1, "sin", num(1.0), Operand.empty())], root=1)
     with pytest.raises(ValueError):
         evaluate(seg, dict().__getitem__)
+
+
+# --- digest partition against a reference implementation ----------------
+
+
+def _reference_digest(segment, include_bindings=True):
+    """Segment.digest in its plainest form: slot() tuples, Enum values, str(addr)."""
+    order = segment.order()
+    index = {a: i for i, a in enumerate(order)}
+    rows = []
+    for a in order:
+        ln = segment[a]
+        slots = []
+        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+            o = ln.slot(s)
+            if o.kind is OperandKind.ADDRESS:
+                if o.addr == a:
+                    slots.append(("self", ln.pending[s].value))
+                elif o.addr in index:
+                    slots.append(("ref", index[o.addr], ln.pending[s].value))
+                else:
+                    slots.append(("ext", str(o.addr), ln.pending[s].value))
+            else:
+                slots.append((o.kind.value, o.payload(), ln.pending[s].value))
+        row = (ln.ctype.value, ln.op.text, tuple(slots))
+        if include_bindings:
+            bound = "-" if ln.bound is None else (BUILTIN if ln.bound == BUILTIN else str(ln.bound))
+            row = row + (bound, ln.root)
+        rows.append(row)
+    rows.append(("root", index.get(segment.root, -1)))
+    return tuple(rows)
+
+
+@functools.cache
+def _search_candidates():
+    """Every candidate the searches over the corpus generate."""
+    pool = []
+    for src in corpus.ALL_PROGRAMS.values():
+        tables = build(src)
+        preexecute(tables, observer=lambda rnd, w, seg: pool.append(seg.copy()))
+    return pool
+
+
+def _same_partition(segments):
+    """The two digests split the segments into the same equality classes."""
+    for bindings in (True, False):
+        ref = [_reference_digest(seg, bindings) for seg in segments]
+        new = [seg.digest(bindings) for seg in segments]
+        if not len(set(ref)) == len(set(new)) == len(set(zip(ref, new))):
+            return False
+    return True
+
+
+def test_digest_partitions_search_candidates_like_the_reference():
+    assert _same_partition(_search_candidates())
+
+
+_OPERANDS = (
+    Operand.number(1),
+    Operand.number(2),
+    Operand.ident("x"),
+    Operand.ident("y"),
+    Operand.string("x"),
+    Operand.empty(),
+    Operand.address(Address((7,))),
+    Operand.address(Address((7, 1))),
+)
+
+
+def _variants(seg, addr, slot):
+    """Copies of seg with one slot, pending flag, binding or root changed."""
+
+    def changed(edit):
+        cp = seg.copy()
+        edit(cp[addr])
+        return cp
+
+    out = [seg]
+    targets = list(_OPERANDS) + [Operand.address(a) for a in seg.order()]
+    for o in targets:
+        out.append(changed(lambda ln: ln.set_slot(slot, o)))
+    for flag in PendFlag:
+        out.append(changed(lambda ln: ln.pending.__setitem__(slot, flag)))
+    for bound in (None, BUILTIN, Address((5,)), Address((6,))):
+        out.append(changed(lambda ln: setattr(ln, "bound", bound)))
+    out.append(changed(lambda ln: setattr(ln, "root", not ln.root)))
+    return out
+
+
+def test_digest_tells_apart_what_the_reference_tells_apart():
+    distinct = {_reference_digest(seg): seg for seg in _search_candidates()}
+    assert len(distinct) >= 50
+    for seg in distinct.values():
+        for addr in seg.order():
+            for slot in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+                assert _same_partition(_variants(seg, addr, slot)), (seg, addr, slot)
