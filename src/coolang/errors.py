@@ -106,6 +106,10 @@ class ReverseUnsatisfied(CoolRuntimeError):
     """A reverse call finished without determining a pending argument."""
 
 
+class CallDepthExceeded(CoolRuntimeError):
+    """Calls nested past the depth the interpreter can follow."""
+
+
 # ----------------------------------------------------------- serialization
 
 

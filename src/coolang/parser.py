@@ -784,4 +784,9 @@ class Parser:
 
 def parse(text: str) -> list[CodeLine]:
     """Parse precompiled text into the raw line stream."""
-    return Parser(text).parse_program()
+    parser = Parser(text)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        # the parser recurses once per nesting level of the source
+        raise ParseError("nesting too deep to parse", parser._peek().pos) from None

@@ -1,6 +1,9 @@
 """Active-record execution of preexecuted code.
 
-Each region (the file, a scope, a function body) runs against one record.
+`lower` turns the bound tables into a `Program` once per interpreter: one
+instruction per code line, indexed by integer program counter, with jump
+targets, scope ranges and operand lookups resolved up front. Each region
+(the file, a scope, a function body) then runs against one record.
 Expression runs evaluate in two passes: forward for builtins and forward
 functions, then backward for reverse functions, so a solver always finds
 its required value already written by the lines above it.
@@ -9,6 +12,7 @@ its required value already written by the lines above it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 from .addresses import Address
@@ -16,9 +20,11 @@ from .code import (
     BUILTIN,
     SLOT_LEFT,
     SLOT_RIGHT,
+    CodeTable,
     CodeType,
     ExecFlag,
     ExtendedLine,
+    FunctionInfo,
     Operand,
     OperandKind,
     PendFlag,
@@ -26,10 +32,245 @@ from .code import (
     Tables,
     split_markers,
 )
-from .errors import CoolRuntimeError, ReverseUnsatisfied, UnresolvedIdentifier
+from .errors import (
+    CallDepthExceeded,
+    CoolRuntimeError,
+    FormatError,
+    ReverseUnsatisfied,
+    UnresolvedIdentifier,
+)
 from .records import Path, Record
 
 _SKIPPED_KINDS = (ScopeKind.DECL, ScopeKind.BODY, ScopeKind.CLASS)
+
+# Instruction opcodes; an instruction is a tuple headed by one of these.
+#   (_NOP,)
+#   (_SKIP, after)                     scope never entered
+#   (_SCOPE, scope, end, after)        run [pc + 1, end) in a child record
+#   (_EXPR, forward, reverse, after)   one longest expression
+#   (_DECLARE, name, class_name | None)
+#   (_RETURN, operand)
+#   (_JUMP, operand, target)
+_NOP, _SKIP, _SCOPE, _EXPR, _DECLARE, _RETURN, _JUMP = range(7)
+
+# Operand tags; an operand is a tuple headed by one of these.
+#   (_CONST, value)                    number or text
+#   (_NAME, bare, out)                 resolved by name through the records
+#   (_TEMP, address)                   expression temporary in the record
+#   (_MEMBER, bare, out, levels)       member access, levels innermost first,
+#                                      each (member name, shown base)
+#   (_EMPTY,)
+_CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
+_EMPTY_OPERAND = (_EMPTY,)
+
+
+class CallSite:
+    """A call-bound root line, with its alignment plan memoized on first call.
+
+    The plan lists (bare formal, actual operand, pending) in the order the
+    declaration tree pairs formals with the call's operands; a _CONST actual
+    becomes a local of the body rather than a reference.
+    """
+
+    __slots__ = ("line", "address", "fn", "start", "end", "receiver", "plan")
+
+    def __init__(self, line: ExtendedLine, fn: FunctionInfo, start: int, end: int):
+        self.line = line
+        self.address = line.address
+        self.fn = fn
+        self.start = start  # body region [start, end) in program counters
+        self.end = end
+        self.receiver: Optional[tuple[str, bool, tuple[str, ...]]] = None
+        dotted = line.op.text
+        if "." in dotted:
+            parts = dotted.split(".")[:-1]
+            bare, _, _, out = split_markers(parts[0])
+            self.receiver = (bare, out, tuple(parts[1:]))
+        self.plan: Optional[list[tuple[str, tuple, bool]]] = None
+
+
+@dataclass
+class Program:
+    """The bound table lowered for execution, indexed by program counter."""
+
+    code: list[tuple]
+    classes: dict[Address, tuple[int, int, tuple[Address, ...]]]  # (start, end, parents)
+    class_scopes: dict[str, Address]  # class name -> class scope
+
+
+def lower(tables: Tables) -> Program:
+    """Resolve every static fact the interpreter needs, once.
+
+    Raises FormatError for a reference that names nothing in the tables.
+    """
+    lines = list(tables.code.lines())
+    pc_of = {ln.address: pc for pc, ln in enumerate(lines)}
+
+    def pc(addr: Optional[Address], what: str) -> int:
+        found = pc_of.get(addr)
+        if found is None:
+            raise FormatError(f"{what} {addr} is not in the code table")
+        return found
+
+    def scope_range(start: Address, what: str) -> tuple[int, int]:
+        info = tables.scopes.get(start)
+        if info is None:
+            raise FormatError(f"{what} {start} has no scope row")
+        first = pc(start, what)
+        end = pc(info.end, f"end of {what}")
+        if end < first:
+            raise FormatError(f"{what} {start} ends before it starts")
+        return first, end
+
+    bodies: dict[Address, tuple[int, int]] = {}  # function -> body region
+
+    def call_site(ln: ExtendedLine) -> CallSite:
+        fn = tables.functions.get(ln.bound)
+        if fn is None:
+            raise FormatError(f"line {ln.address} is bound to no function")
+        body = bodies.get(ln.bound)
+        if body is None:
+            if fn.body_scope is None:
+                raise FormatError(f"line {ln.address} is bound to a function without a body")
+            pc(fn.decl_root, "declaration root")
+            first, end = scope_range(fn.body_scope, "function body")
+            body = bodies[ln.bound] = (first + 1, end)
+        return CallSite(ln, fn, *body)
+
+    code: list[tuple] = []
+    n = len(lines)
+    i = 0
+    while i < n:
+        ln = lines[i]
+        t = ln.ctype
+        if t is CodeType.EXPR:
+            j = i
+            while j < n and lines[j].ctype is CodeType.EXPR:
+                j += 1
+            ins = _lower_run(lines[i:j], tables.code, call_site, j)
+            code.extend([ins] * (j - i))
+            i = j
+            continue
+        if t is CodeType.SCOPE_START:
+            _, end = scope_range(ln.address, "scope")
+            info = tables.scopes[ln.address]
+            if ln.exec_flag is ExecFlag.FALSE or info.kind in _SKIPPED_KINDS:
+                ins = (_SKIP, end + 1)
+            else:
+                ins = (_SCOPE, ln.address, end, end + 1)
+        elif t is CodeType.VAR_DECL:
+            name = split_markers(ln.result.text)[0]
+            cls = ln.left.text if ln.left.kind is OperandKind.IDENT and ln.left.text else None
+            ins = (_DECLARE, name, cls)
+        elif t is CodeType.RETURN:
+            ins = (_RETURN, _operand(ln.left, tables.code))
+        elif t is CodeType.JUMP:
+            if ln.right.kind is not OperandKind.ADDRESS:
+                raise FormatError(f"jump at {ln.address} has no target address")
+            target = ln.right.addr
+            # a jump past the last line (the end of a trailing if-chain) ends
+            # every region it runs in
+            to = n if target > lines[-1].address else pc(target, "jump target")
+            ins = (_JUMP, _operand(ln.left, tables.code), to)
+        else:
+            # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END,
+            # SCOPE_END: nothing to do at the top level
+            ins = (_NOP,)
+        code.append(ins)
+        i += 1
+
+    classes = {}
+    class_scopes: dict[str, Address] = {}
+    for scope, info in tables.classes.items():
+        first, end = scope_range(scope, "class")
+        for p in info.parents:
+            if p not in tables.classes:
+                raise FormatError(f"class {info.name!r} inherits the unknown class {p}")
+        classes[scope] = (first + 1, end, tuple(info.parents))
+        class_scopes.setdefault(info.name, scope)
+    return Program(code=code, classes=classes, class_scopes=class_scopes)
+
+
+def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site, after: int) -> tuple:
+    """One longest expression as (_EXPR, forward steps, reverse roots, after).
+
+    Forward steps follow a depth-first walk, children before their
+    consumer, since spliced lines may sit after the line that reads them;
+    each step is a CallSite or a builtin (op, left, right, result, address).
+    Reverse roots wait and run last, in descending address order.
+    """
+    by_addr = {ln.address: ln for ln in run}
+    waiting = [ln for ln in reversed(run) if ln.is_user_bound and ln.root and ln.bound_reverse]
+    done = {ln.address for ln in waiting}  # never entered by the forward walk
+    forward: list = []
+    for top in run:
+        if top.address in done:
+            continue
+        done.add(top.address)
+        stack = [[top, 0]]
+        while stack:
+            frame = stack[-1]
+            ln, slot = frame
+            if slot < 2:
+                frame[1] += 1
+                o = ln.left if slot == 0 else ln.right
+                if o.kind is OperandKind.ADDRESS:
+                    child = by_addr.get(o.addr)
+                    if child is not None and child.address not in done:
+                        done.add(child.address)
+                        stack.append([child, 0])
+                continue
+            stack.pop()
+            if ln.bound is BUILTIN:
+                forward.append(
+                    (
+                        ln.op.text,
+                        _operand(ln.left, table),
+                        _operand(ln.right, table),
+                        _operand(ln.result, table),
+                        ln.address,
+                    )
+                )
+            elif ln.root and ln.is_user_bound:
+                forward.append(call_site(ln))
+    reverse = tuple(call_site(ln) for ln in waiting)
+    return (_EXPR, tuple(forward), reverse, after)
+
+
+def _operand(o: Operand, table: CodeTable) -> tuple:
+    k = o.kind
+    if k is OperandKind.NUMBER:
+        return (_CONST, o.num)
+    if k is OperandKind.TEXT:
+        return (_CONST, o.text)
+    if k is OperandKind.IDENT:
+        bare, _, _, out = split_markers(o.text)
+        return (_NAME, bare, out)
+    if k is OperandKind.ADDRESS:
+        target = table.get(o.addr)
+        if target is not None and target.ctype is CodeType.ACCESS_MEMBER:
+            return _member(o.addr, table)
+        return (_TEMP, o.addr)
+    return _EMPTY_OPERAND
+
+
+def _member(addr: Address, table: CodeTable) -> tuple:
+    """Flatten a chain of ACCESS_MEMBER lines down to the name it starts at."""
+    levels = []
+    seen: set[Address] = set()
+    while True:
+        ln = table.get(addr)
+        if ln is None or addr in seen:
+            raise FormatError(f"member access {addr} does not lead to a name")
+        seen.add(addr)
+        levels.append((ln.right.text, ln.left.payload()))
+        base = ln.left
+        if base.kind is OperandKind.IDENT:
+            bare, _, _, out = split_markers(base.text)
+            return (_MEMBER, bare, out, tuple(reversed(levels)))
+        if base.kind is not OperandKind.ADDRESS:
+            raise FormatError(f"member access {addr} does not lead to a name")
+        addr = base.addr
 
 
 def _truthy(v) -> bool:
@@ -55,128 +296,100 @@ class Interpreter:
         if not tables.preexecuted:
             raise CoolRuntimeError("code must be preexecuted before it can run")
         self.tables = tables
+        self.program = lower(tables)
         self.output: list[str] = []
         self.call_log: list[Address] = []
         self.global_record = Record(scope=None)
         self._ret_value = None
 
     def run(self) -> Record:
-        first = self.tables.code.first_address()
-        if first is not None:
-            self._execute(self.global_record, first, None)
+        try:
+            self._execute(self.global_record, 0, len(self.program.code))
+        except RecursionError:
+            raise CallDepthExceeded(
+                "calls nest deeper than the interpreter's recursion limit"
+            ) from None
         return self.global_record
 
     # --- region execution ---
 
-    def _execute(self, record: Record, start: Optional[Address], end: Optional[Address]) -> bool:
-        """Run [start, end); True means a return unwound through here."""
-        code = self.tables.code
-        ip = start
-        while ip is not None and ip in code and (end is None or ip < end):
-            ln = code[ip]
-            t = ln.ctype
-            if t is CodeType.SCOPE_START:
-                info = self.tables.scopes[ip]
-                if ln.exec_flag is ExecFlag.FALSE or info.kind in _SKIPPED_KINDS:
-                    ip = code.next_after(info.end)
-                    continue
-                child = Record(scope=ip, parent=record)
+    def _execute(self, record: Record, pc: int, end: int) -> bool:
+        """Run instructions [pc, end); True means a return unwound through here."""
+        code = self.program.code
+        while pc < end:
+            ins = code[pc]
+            op = ins[0]
+            if op == _EXPR:
+                self._eval_longest(record, ins[1], ins[2])
+                pc = ins[3]
+            elif op == _NOP:
+                pc += 1
+            elif op == _JUMP:
+                if _truthy(self._value(record, ins[1])):
+                    pc = ins[2]
+                else:
+                    pc += 1
+            elif op == _SCOPE:
+                child = Record(scope=ins[1], parent=record)
                 try:
-                    returned = self._execute(child, code.next_after(ip), info.end)
+                    returned = self._execute(child, pc + 1, ins[2])
                 finally:
                     child.destroy()
                 if returned:
                     return True
-                ip = code.next_after(info.end)
-                continue
-            if t is CodeType.EXPR:
-                run = self.tables.expression_run(ip)
-                self._eval_longest(record, run)
-                ip = code.next_after(run[-1].address)
-                continue
-            if t is CodeType.VAR_DECL:
-                self._declare(record, ln)
-            elif t is CodeType.RETURN:
-                self._ret_value = self._value(record, ln, SLOT_LEFT)
+                pc = ins[3]
+            elif op == _SKIP:
+                pc = ins[1]
+            elif op == _DECLARE:
+                self._declare(record, ins[1], ins[2])
+                pc += 1
+            else:  # _RETURN
+                self._ret_value = self._value(record, ins[1])
                 return True
-            elif t is CodeType.JUMP:
-                if _truthy(self._value(record, ln, SLOT_LEFT)):
-                    ip = ln.right.addr
-                    continue
-            # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END,
-            # SCOPE_END: nothing to do at the top level
-            ip = code.next_after(ip)
         return False
 
-    def _declare(self, record: Record, ln: ExtendedLine) -> None:
-        name = split_markers(ln.result.text)[0]
-        if ln.left.kind is OperandKind.IDENT and ln.left.text:
-            cscope = self._class_scope_named(ln.left.text)
-            record.declare(name, self._instantiate(cscope))
-        else:
+    def _declare(self, record: Record, name: str, class_name: Optional[str]) -> None:
+        if class_name is None:
             record.declare(name)
-
-    def _class_scope_named(self, name: str) -> Address:
-        for scope, info in self.tables.classes.items():
-            if info.name == name:
-                return scope
-        raise CoolRuntimeError(f"no class named {name!r}")
+            return
+        cscope = self.program.class_scopes.get(class_name)
+        if cscope is None:
+            raise CoolRuntimeError(f"no class named {class_name!r}")
+        record.declare(name, self._instantiate(cscope))
 
     def _instantiate(self, cscope: Address) -> Record:
-        info = self.tables.scopes[cscope]
+        start, end, parents = self.program.classes[cscope]
         rec = Record(scope=cscope, parent=self.global_record)
-        for p in self.tables.classes[cscope].parents:
+        for p in parents:
             rec.param_query_links.append(self._instantiate(p))
-        self._execute(rec, self.tables.code.next_after(cscope), info.end)
+        self._execute(rec, start, end)
         return rec
 
     # --- expression evaluation ---
 
-    def _eval_longest(self, record: Record, run: list[ExtendedLine]) -> None:
-        by_addr = {ln.address: ln for ln in run}
-        done: set[Address] = set()
+    def _eval_longest(self, record: Record, forward: tuple, reverse: tuple) -> None:
+        for step in forward:
+            if step.__class__ is CallSite:
+                self._call(record, step, None)
+            else:
+                self._exec_builtin(record, step)
+        for site in reverse:
+            ans = record.data.get(site.address)
+            self._call(record, site, 0.0 if ans is None else ans)
 
-        def visit(ln: ExtendedLine) -> None:
-            # children first: spliced lines may sit after their consumer
-            if ln.address in done:
-                return
-            done.add(ln.address)
-            if ln.is_user_bound and ln.root and ln.bound_reverse:
-                return  # solve targets wait for the descending pass
-            for slot in (SLOT_LEFT, SLOT_RIGHT):
-                o = ln.slot(slot)
-                if o.kind is OperandKind.ADDRESS and o.addr in by_addr:
-                    visit(by_addr[o.addr])
-            if ln.bound is BUILTIN:
-                self._exec_builtin(record, ln)
-            elif ln.is_user_bound and ln.root and not ln.bound_reverse:
-                self._call(record, ln, ans=None)
-
-        for ln in run:
-            visit(ln)
-        for ln in reversed(run):
-            if ln.is_user_bound and ln.root and ln.bound_reverse:
-                ans = record.data.get(ln.address)
-                self._call(record, ln, ans=0.0 if ans is None else ans)
-
-    def _value(self, record: Record, ln: ExtendedLine, slot: int):
-        o = ln.slot(slot)
-        if o.kind is OperandKind.NUMBER:
-            return o.num
-        if o.kind is OperandKind.TEXT:
-            return o.text
-        if o.kind is OperandKind.IDENT:
-            bare, _, _, out = split_markers(o.text)
-            v = self._name_path(record, bare, out).read()
-            return 0.0 if v is None else v
-        if o.kind is OperandKind.ADDRESS:
-            target = self.tables.code.get(o.addr)
-            if target is not None and target.ctype is CodeType.ACCESS_MEMBER:
-                v = self._member_path(record, o.addr).read()
-                return 0.0 if v is None else v
-            v = record.data.get(o.addr)
-            return 0.0 if v is None else v
-        return None
+    def _value(self, record: Record, o: tuple):
+        tag = o[0]
+        if tag == _NAME:
+            v = self._name_path(record, o[1], o[2]).read()
+        elif tag == _TEMP:
+            v = record.data.get(o[1])
+        elif tag == _CONST:
+            return o[1]
+        elif tag == _MEMBER:
+            v = self._member_path(record, o).read()
+        else:
+            return None
+        return 0.0 if v is None else v
 
     def _name_path(self, record: Record, bare: str, skip_current: bool) -> Path:
         p = record.resolve(bare, skip_current=skip_current)
@@ -185,121 +398,114 @@ class Interpreter:
             p = record.declare(bare)
         return p
 
-    def _member_path(self, record: Record, am_addr: Address) -> Path:
-        ln = self.tables.code[am_addr]
-        base = ln.left
-        if base.kind is OperandKind.IDENT:
-            bare, _, _, out = split_markers(base.text)
-            holder_path = record.resolve(bare, skip_current=out)
-            if holder_path is None:
-                raise UnresolvedIdentifier(f"{bare!r} names no instance")
-            holder = holder_path.read()
-        else:
-            holder = self._member_path(record, base.addr).read()
-        if not isinstance(holder, Record):
-            raise CoolRuntimeError(f"{ln.left.payload()!r} is not an instance")
-        member = holder.resolve_member(ln.right.text)
-        if member is None:
-            raise UnresolvedIdentifier(
-                f"instance has no member {ln.right.text!r}"
-            )
-        return member
+    def _member_path(self, record: Record, o: tuple) -> Path:
+        _, bare, out, levels = o
+        path = record.resolve(bare, skip_current=out)
+        if path is None:
+            raise UnresolvedIdentifier(f"{bare!r} names no instance")
+        for member, shown in levels:
+            holder = path.read()
+            if not isinstance(holder, Record):
+                raise CoolRuntimeError(f"{shown!r} is not an instance")
+            path = holder.resolve_member(member)
+            if path is None:
+                raise UnresolvedIdentifier(f"instance has no member {member!r}")
+        return path
 
     # --- builtins ---
 
-    def _exec_builtin(self, record: Record, ln: ExtendedLine) -> None:
-        op = ln.op.text
+    def _exec_builtin(self, record: Record, step: tuple) -> None:
+        op, left, right, result, address = step
         if op == "=":
-            v = self._value(record, ln, SLOT_LEFT)
-            self._write_target(record, ln.result, v)
+            self._write_target(record, result, self._value(record, left))
             return
         if op == "-->":
-            self.output.append(_format_value(self._value(record, ln, SLOT_LEFT)))
+            self.output.append(_format_value(self._value(record, left)))
             return
         if op == "neg":
-            v = self._num(self._value(record, ln, SLOT_LEFT), ln)
-            record.data[ln.address] = self._finite(-v, ln)
+            v = self._num(self._value(record, left), op, address)
+            record.data[address] = self._finite(-v, op, address)
             return
-        a = self._value(record, ln, SLOT_LEFT)
-        b = self._value(record, ln, SLOT_RIGHT)
-        record.data[ln.address] = self._apply(op, a, b, ln)
+        a = self._value(record, left)
+        b = self._value(record, right)
+        record.data[address] = self._apply(op, a, b, address)
 
-    def _write_target(self, record: Record, target: Operand, v) -> None:
-        if target.kind is OperandKind.IDENT:
-            bare, _, _, out = split_markers(target.text)
-            self._name_path(record, bare, out).write(v)
-            return
-        if target.kind is OperandKind.ADDRESS:
-            tl = self.tables.code.get(target.addr)
-            if tl is not None and tl.ctype is CodeType.ACCESS_MEMBER:
-                self._member_path(record, target.addr).write(v)
-            else:
-                record.data[target.addr] = v
-            return
-        raise CoolRuntimeError("assignment needs a place to write")
+    def _write_target(self, record: Record, target: tuple, v) -> None:
+        tag = target[0]
+        if tag == _NAME:
+            self._name_path(record, target[1], target[2]).write(v)
+        elif tag == _TEMP:
+            record.data[target[1]] = v
+        elif tag == _MEMBER:
+            self._member_path(record, target).write(v)
+        else:
+            raise CoolRuntimeError("assignment needs a place to write")
 
-    def _num(self, v, ln: ExtendedLine) -> float:
+    def _num(self, v, op: str, address: Address) -> float:
         if isinstance(v, float):
             return v
         raise CoolRuntimeError(
-            f"{ln.op.text!r} needs numbers, got {type(v).__name__} at {ln.address}"
+            f"{op!r} needs numbers, got {type(v).__name__} at {address}"
         )
 
-    def _finite(self, v: float, ln: ExtendedLine) -> float:
+    def _finite(self, v: float, op: str, address: Address) -> float:
         if isinstance(v, complex) or not math.isfinite(v):
-            raise CoolRuntimeError(f"{ln.op.text!r} left the number range at {ln.address}")
+            raise CoolRuntimeError(f"{op!r} left the number range at {address}")
         return v
 
-    def _apply(self, op: str, a, b, ln: ExtendedLine):
+    def _apply(self, op: str, a, b, address: Address):
         if op == "==":
             return 1.0 if a == b else 0.0
         if op in ("<", ">", "<=", ">="):
-            x, y = self._num(a, ln), self._num(b, ln)
+            x, y = self._num(a, op, address), self._num(b, op, address)
             return 1.0 if eval_compare(op, x, y) else 0.0
         if op == "+" and isinstance(a, str) and isinstance(b, str):
             return a + b
-        x, y = self._num(a, ln), self._num(b, ln)
+        x, y = self._num(a, op, address), self._num(b, op, address)
         if op == "+":
-            return self._finite(x + y, ln)
+            return self._finite(x + y, op, address)
         if op == "-":
-            return self._finite(x - y, ln)
+            return self._finite(x - y, op, address)
         if op == "*":
-            return self._finite(x * y, ln)
+            return self._finite(x * y, op, address)
         if op == "/":
             if y == 0.0:
-                raise CoolRuntimeError(f"division by zero at {ln.address}")
-            return self._finite(x / y, ln)
+                raise CoolRuntimeError(f"division by zero at {address}")
+            return self._finite(x / y, op, address)
         if op == "^":
             if x < 0.0 and y != math.floor(y):
                 raise CoolRuntimeError(
-                    f"fractional power of a negative number at {ln.address}"
+                    f"fractional power of a negative number at {address}"
                 )
             if x == 0.0 and y < 0.0:
-                raise CoolRuntimeError(f"zero to a negative power at {ln.address}")
-            return self._finite(x**y, ln)
+                raise CoolRuntimeError(f"zero to a negative power at {address}")
+            return self._finite(x**y, op, address)
         raise CoolRuntimeError(f"no builtin evaluation for {op!r}")
 
     # --- function calls ---
 
-    def _call(self, record: Record, call_root: ExtendedLine, ans) -> None:
-        fn = self.tables.functions[call_root.bound]
+    def _call(self, record: Record, site: CallSite, ans) -> None:
+        plan = site.plan
+        if plan is None:
+            plan = site.plan = self._align(site)
         formals: dict[str, Path] = {}
         locals_: dict[str, object] = {}
         pending: list[tuple[str, Path]] = []
-        self._align(
-            record,
-            self.tables.code[fn.decl_root],
-            call_root,
-            formals,
-            locals_,
-            pending,
-        )
+        for bare, actual, is_pending in plan:
+            if actual[0] == _CONST:
+                locals_[bare] = actual[1]
+                continue
+            path = self._actual_path(record, actual)
+            formals[bare] = path
+            if is_pending:
+                pending.append((bare, path))
 
+        fn = site.fn
         parent = self.global_record
         if fn.class_scope is not None:
             start = record
-            if "." in call_root.op.text:
-                start = self._receiver(record, call_root.op.text)
+            if site.receiver is not None:
+                start = self._receiver(record, site.receiver, site.line.op.text)
             found = self._find_class_record(start, fn.class_scope)
             if found is None:
                 raise CoolRuntimeError(
@@ -308,20 +514,18 @@ class Interpreter:
             parent = found
 
         body = Record(scope=fn.body_scope, parent=parent, return_to=record)
-        body.return_address = call_root.address
-        for bare, path in formals.items():
-            body.cross_ref[bare] = path
+        body.return_address = site.address
+        body.cross_ref.update(formals)
         for bare, v in locals_.items():
             body.declare(bare, v)
         if ans is not None:
             body.declare("ans", ans)
 
         self._ret_value = None
-        info = self.tables.scopes[fn.body_scope]
-        returned = self._execute(body, self.tables.code.next_after(fn.body_scope), info.end)
+        returned = self._execute(body, site.start, site.end)
         body.destroy()
         if returned:
-            record.data[call_root.address] = self._ret_value
+            record.data[site.address] = self._ret_value
 
         if ans is not None:
             for bare, path in pending:
@@ -330,7 +534,7 @@ class Interpreter:
                     raise ReverseUnsatisfied(
                         f"{bare!r} was never solved by the reverse call"
                     )
-        self.call_log.append(call_root.address)
+        self.call_log.append(site.address)
 
     def _find_class_record(self, rec: Optional[Record], cscope: Address) -> Optional[Record]:
         """The nearest record of one class, inherited-class links included."""
@@ -353,14 +557,13 @@ class Interpreter:
             rec = rec.parent
         return None
 
-    def _receiver(self, record: Record, dotted: str) -> Record:
-        parts = dotted.split(".")[:-1]
-        bare, _, _, out = split_markers(parts[0])
+    def _receiver(self, record: Record, receiver: tuple, dotted: str) -> Record:
+        bare, out, comps = receiver
         path = record.resolve(bare, skip_current=out)
         if path is None:
             raise UnresolvedIdentifier(f"{bare!r} names no instance")
         holder = path.read()
-        for comp in parts[1:]:
+        for comp in comps:
             if not isinstance(holder, Record):
                 raise CoolRuntimeError(f"{bare!r} is not an instance")
             nxt = holder.resolve_member(comp)
@@ -371,47 +574,46 @@ class Interpreter:
             raise CoolRuntimeError(f"{dotted!r} does not name an instance")
         return holder
 
-    def _align(
-        self,
-        record: Record,
-        decl_ln: ExtendedLine,
-        seg_ln: ExtendedLine,
-        formals: dict[str, Path],
-        locals_: dict[str, object],
-        pending: list[tuple[str, Path]],
-    ) -> None:
-        """Pair declaration formals with caller storage, tree against tree."""
-        for s in (SLOT_LEFT, SLOT_RIGHT):
-            d = decl_ln.slot(s)
-            if d.kind is OperandKind.ADDRESS:
-                child_d = self.tables.code[d.addr]
-                child_s = self.tables.code[seg_ln.slot(s).addr]
-                self._align(record, child_d, child_s, formals, locals_, pending)
-                continue
-            if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
-                continue
-            bare = split_markers(d.text)[0]
-            if not bare or bare in formals or bare in locals_:
-                continue
-            actual = seg_ln.slot(s)
-            if actual.kind in (OperandKind.NUMBER, OperandKind.TEXT):
-                locals_[bare] = actual.payload()
-                continue
-            path = self._actual_path(record, seg_ln, s)
-            formals[bare] = path
-            if decl_ln.pending[s] is PendFlag.TRUE:
-                pending.append((bare, path))
+    def _align(self, site: CallSite) -> list[tuple[str, tuple, bool]]:
+        """Pair declaration formals with the call's operands, tree against tree."""
+        code = self.tables.code
+        plan: list[tuple[str, tuple, bool]] = []
+        seen: set[str] = set()
 
-    def _actual_path(self, record: Record, seg_ln: ExtendedLine, slot: int) -> Path:
-        o = seg_ln.slot(slot)
-        if o.kind is OperandKind.IDENT:
-            bare, _, _, out = split_markers(o.text)
-            return self._name_path(record, bare, out)
-        if o.kind is OperandKind.ADDRESS:
-            target = self.tables.code.get(o.addr)
-            if target is not None and target.ctype is CodeType.ACCESS_MEMBER:
-                return self._member_path(record, o.addr)
-            return Path(record, o.addr)
+        def walk(decl_ln: ExtendedLine, seg_ln: ExtendedLine) -> None:
+            for s in (SLOT_LEFT, SLOT_RIGHT):
+                d = decl_ln.slot(s)
+                actual = seg_ln.slot(s)
+                if d.kind is OperandKind.ADDRESS:
+                    child_d = code.get(d.addr)
+                    child_s = code.get(actual.addr)
+                    if child_d is None or child_s is None:
+                        raise FormatError(
+                            f"call at {site.address} does not follow its declaration's shape"
+                        )
+                    walk(child_d, child_s)
+                    continue
+                if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
+                    continue
+                bare = split_markers(d.text)[0]
+                if not bare or bare in seen:
+                    continue
+                seen.add(bare)
+                plan.append(
+                    (bare, _operand(actual, code), decl_ln.pending[s] is PendFlag.TRUE)
+                )
+
+        walk(code[site.fn.decl_root], site.line)
+        return plan
+
+    def _actual_path(self, record: Record, o: tuple) -> Path:
+        tag = o[0]
+        if tag == _NAME:
+            return self._name_path(record, o[1], o[2])
+        if tag == _MEMBER:
+            return self._member_path(record, o)
+        if tag == _TEMP:
+            return Path(record, o[1])
         raise CoolRuntimeError("a formal matched nothing that can hold a value")
 
 

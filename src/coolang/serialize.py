@@ -96,6 +96,8 @@ def _dec_line(row: str) -> ExtendedLine:
     kinds = cols[8].split(",")
     if len(kinds) != 4:
         raise FormatError("operand kinds must cover all four slots")
+    if len(cols[9]) != 4 or len(cols[10]) != 4:
+        raise FormatError("pending and formal flags must cover all four slots")
     if cols[11] == "-":
         bound = None
     elif cols[11] == "B":
@@ -116,6 +118,64 @@ def _dec_line(row: str) -> ExtendedLine:
         bound=bound,
         root=cols[12] == "T",
     )
+
+
+def _read_code_row(tables: Tables, row: str) -> None:
+    ln = _dec_line(row)
+    if ln.address in tables.code:
+        raise FormatError(f"address {ln.address} appears twice")
+    tables.code.insert(ln)
+
+
+def _read_scope_row(tables: Tables, row: str) -> None:
+    cols = row.split("\t")
+    if len(cols) != 6:
+        raise FormatError("scope row needs 6 columns")
+    tables.scopes[Address.parse(cols[0])] = ScopeInfo(
+        kind=ScopeKind(cols[1]),
+        start=Address.parse(cols[2]),
+        end=Address.parse(cols[3]),
+        param_query=_dec_addr(cols[4]),
+        parent=_dec_addr(cols[5]),
+    )
+
+
+def _read_function_row(tables: Tables, row: str) -> None:
+    cols = row.split("\t")
+    if len(cols) != 10:
+        raise FormatError("function row needs 10 columns")
+    fop = Address.parse(cols[0])
+    tables.functions[fop] = FunctionInfo(
+        decl_scope=Address.parse(cols[2]),
+        decl_root=Address.parse(cols[3]),
+        body_scope=_dec_addr(cols[4]),
+        returns=[] if cols[5] == "-" else [Address.parse(r) for r in cols[5].split(",")],
+        is_exp=cols[6] == "T",
+        is_reverse=cols[7] == "T",
+        weight=float(cols[8]),
+        func_op=fop,
+        name=unquote(cols[1]) or None,
+        class_scope=_dec_addr(cols[9]),
+    )
+
+
+def _read_class_row(tables: Tables, row: str) -> None:
+    cols = row.split("\t")
+    if len(cols) != 3:
+        raise FormatError("class row needs 3 columns")
+    tables.classes[Address.parse(cols[0])] = ClassInfo(
+        scope=Address.parse(cols[0]),
+        name=unquote(cols[1]),
+        parents=[] if cols[2] == "-" else [Address.parse(p) for p in cols[2].split(",")],
+    )
+
+
+_SECTIONS = (
+    ("code", _read_code_row),
+    ("scope", _read_scope_row),
+    ("function", _read_function_row),
+    ("class", _read_class_row),
+)
 
 
 def serialize(tables: Tables) -> str:
@@ -179,55 +239,23 @@ def deserialize(text: str) -> Tables:
     if header not in ("", "preexec"):
         raise FormatError(f"unknown header flags {header!r}")
 
-    sections: list[list[str]] = [[]]
-    for row in lines[1:]:
+    sections: list[list[tuple[int, str]]] = [[]]
+    for lineno, row in enumerate(lines[1:], 2):
         if row == _SEP:
             sections.append([])
         else:
-            sections[-1].append(row)
+            sections[-1].append((lineno, row))
     if len(sections) != 4:
         raise FormatError(f"wanted 4 sections, found {len(sections)}")
 
     tables = Tables(preexecuted=header == "preexec")
-    for row in sections[0]:
-        tables.code.insert(_dec_line(row))
-    for row in sections[1]:
-        cols = row.split("\t")
-        if len(cols) != 6:
-            raise FormatError("scope row needs 6 columns")
-        tables.scopes[Address.parse(cols[0])] = ScopeInfo(
-            kind=ScopeKind(cols[1]),
-            start=Address.parse(cols[2]),
-            end=Address.parse(cols[3]),
-            param_query=_dec_addr(cols[4]),
-            parent=_dec_addr(cols[5]),
-        )
-    for row in sections[2]:
-        cols = row.split("\t")
-        if len(cols) != 10:
-            raise FormatError("function row needs 10 columns")
-        fop = Address.parse(cols[0])
-        tables.functions[fop] = FunctionInfo(
-            decl_scope=Address.parse(cols[2]),
-            decl_root=Address.parse(cols[3]),
-            body_scope=_dec_addr(cols[4]),
-            returns=[] if cols[5] == "-" else [Address.parse(r) for r in cols[5].split(",")],
-            is_exp=cols[6] == "T",
-            is_reverse=cols[7] == "T",
-            weight=float(cols[8]),
-            func_op=fop,
-            name=unquote(cols[1]) or None,
-            class_scope=_dec_addr(cols[9]),
-        )
-    for row in sections[3]:
-        cols = row.split("\t")
-        if len(cols) != 3:
-            raise FormatError("class row needs 3 columns")
-        tables.classes[Address.parse(cols[0])] = ClassInfo(
-            scope=Address.parse(cols[0]),
-            name=unquote(cols[1]),
-            parents=[] if cols[2] == "-" else [Address.parse(p) for p in cols[2].split(",")],
-        )
+    for (name, read), rows in zip(_SECTIONS, sections):
+        for lineno, row in rows:
+            try:
+                read(tables, row)
+            except ValueError as exc:
+                # bad addresses, flags, kinds and numbers
+                raise FormatError(f"line {lineno}, {name} row: {exc}") from None
 
     # binding direction is a property of the bound function, not stored
     for ln in tables.code.lines():

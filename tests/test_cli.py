@@ -93,3 +93,9 @@ def test_non_utf8_input_is_a_compile_error_naming_the_file(tmp_path, capsys):
     assert main(["run", str(src)]) == 1
     err = capsys.readouterr().err
     assert "UndecodableInput" in err and str(src) in err
+
+
+def test_unbounded_recursion_is_a_runtime_error(tmp_path, capsys):
+    src = write(tmp_path, "rec.cool", "@f(n){ return: f(n); }\nnew: a = 0;\na = f(1);\n")
+    assert main(["run", src]) == 3
+    assert "CallDepthExceeded" in capsys.readouterr().err

@@ -279,3 +279,9 @@ def test_return_of_bare_variable():
     lines = compile_lines("@id(a){ return: a; }")
     ret = [ln for ln in lines if ln.ctype is CodeType.RETURN][0]
     assert ret.left.kind is OperandKind.IDENT and ret.left.text == "a"
+
+
+def test_nesting_too_deep_to_parse_is_a_parse_error():
+    depth = 3000
+    with pytest.raises(ParseError, match="nesting too deep"):
+        compile_lines("new: a = " + "(" * depth + "1" + ")" * depth + ";")

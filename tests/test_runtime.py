@@ -1,9 +1,13 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from coolang import build, execute, preexecute
 from coolang import records
-from coolang.code import CodeType
+from coolang.code import CodeTable, CodeType, Tables
 from coolang.errors import CoolRuntimeError, ReverseUnsatisfied
 from coolang.runtime import Interpreter, run_program
 
@@ -115,3 +119,46 @@ def test_instances_outlive_the_calls_that_touch_them():
     run_program(t)
     # the global record plus m and its two inherited instances stay live
     assert records.created_count == records.destroyed_count + 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 9),
+    k=st.integers(0, 99),
+    n=st.integers(0, 12),
+)
+def test_while_loops_match_a_closed_form(m, k, n):
+    # the benchmark's loop shape: per pass one reverse-bound constraint
+    # (three reverse calls) and one forward call
+    src = (
+        "@(10){ $a * b }{ a = ans / b; }\n"
+        "@(10){ $a + b }{ a = ans - b; }\n"
+        "@(10){ $a == b; }{ a = b; }\n"
+        "@acc(a, b){ b = b + a; }\n"
+        "new: i = 0;\nnew: x = 0;\nnew: total = 0;\n"
+        f"while (i < {n}) {{\n"
+        f"  $x * {m} + {k} == i;\n"
+        "  acc(x, total);\n"
+        "  i = i + 1;\n"
+        "}\n"
+        "total --> 0;\ni --> 0;\n"
+    )
+    interp = execute(src)
+    total, count = (float(v) for v in interp.output)
+    assert math.isclose(total, (n * (n - 1) / 2 - n * k) / m, rel_tol=1e-9, abs_tol=1e-9)
+    assert count == n
+    assert len(interp.call_log) == 4 * n
+
+
+def test_running_walks_the_lowered_program_not_the_table(monkeypatch):
+    t = build(corpus.LOOP_AND_BRANCH)
+    preexecute(t)
+    interp = Interpreter(t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was walked at run time")
+
+    monkeypatch.setattr(CodeTable, "next_after", refuse)
+    monkeypatch.setattr(Tables, "expression_run", refuse)
+    interp.run()
+    assert interp.output == corpus.LOOP_AND_BRANCH_OUTPUT
