@@ -87,22 +87,30 @@ class Record:
         """
         if skip_current:
             return self.parent.resolve(name) if self.parent else None
-        found = self._resolve_local(name, set())
+        found = self._resolve_local(name)
         if found is not None:
             return found
         if self.parent is not None:
             return self.parent.resolve(name)
         return None
 
-    def _resolve_local(self, name: str, seen: set[int]) -> Optional[Path]:
-        if self.id in seen:
-            return None
-        seen.add(self.id)
+    def _resolve_local(
+        self, name: str, seen: Optional[set[int]] = None
+    ) -> Optional[Path]:
         if name in self.data:
             return Path(self, name)
-        if name in self.cross_ref:
-            return self.cross_ref[name]
+        found = self.cross_ref.get(name)
+        if found is not None:
+            return found
+        if not self.param_query_links:
+            return None
+        # link cycles are cut by record id; most lookups never get here
+        if seen is None:
+            seen = {self.id}
         for link in self.param_query_links:
+            if link.id in seen:
+                continue
+            seen.add(link.id)
             found = link._resolve_local(name, seen)
             if found is not None:
                 return found
@@ -110,7 +118,7 @@ class Record:
 
     def resolve_member(self, name: str) -> Optional[Path]:
         """Resolve inside this record only: members, never enclosing scopes."""
-        return self._resolve_local(name, set())
+        return self._resolve_local(name)
 
     def declare(self, name: str, value=None) -> Path:
         self.data[name] = value

@@ -113,9 +113,10 @@ def candidate_functions(
 def apply_value_match(segment: Segment, match: Match) -> None:
     for a in match.matched:
         # claiming a previously prebound line also revokes its root flag
-        segment[a].bound = match.fn.func_op
-        segment[a].bound_reverse = match.fn.is_reverse
-        segment[a].root = a == match.root
+        ln = segment.own(a)
+        ln.bound = match.fn.func_op
+        ln.bound_reverse = match.fn.is_reverse
+        ln.root = a == match.root
 
 
 def apply_exp_rewrite(
@@ -159,7 +160,7 @@ def apply_exp_rewrite(
                         )
                     else:
                         cp.pending[s] = PendFlag.FALSE
-        segment.lines[staged] = cp
+        segment.add_line(cp)
         new_addrs.append(staged)
 
     # what the rule's return stands for
@@ -176,27 +177,9 @@ def apply_exp_rewrite(
     else:
         root_operand = ro
 
-    old_root = match.root
-    if old_root == segment.root:
-        if (
-            root_operand.kind is not OperandKind.ADDRESS
-            or root_operand.addr not in segment.lines
-        ):
-            return None  # a bare value cannot replace the statement
-        segment.root = root_operand.addr
-    else:
-        for ln in segment.lines.values():
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                o = ln.slot(s)
-                if o.kind is OperandKind.ADDRESS and o.addr == old_root:
-                    ln.set_slot(s, root_operand)
-                    if root_operand.kind is OperandKind.IDENT:
-                        ln.pending[s] = (
-                            PendFlag.TRUE if root_pending else PendFlag.FALSE
-                        )
-
-    segment.repair_detached()
-    segment.expand_rings()
+    if match.root == segment.root and segment.child_addr(root_operand) is None:
+        return None  # a bare value cannot replace the statement
+    segment.replace_branch(match.root, root_operand, root_pending, new_addrs)
     segment.prebind_builtins(sorted(a for a in new_addrs if a in segment.lines))
     return new_addrs
 
@@ -242,7 +225,9 @@ def search_segment(
                         observer(rnd, w2, cand)
                     if cand.fully_bound():
                         return BindOutcome(weight=w2, rounds=rnd, segment=cand)
-                    nxt.offer(w2, cand.digest(), cand)
+                    # what the weight floor refuses needs no digest (see Silo)
+                    if nxt.admits(w2):
+                        nxt.offer(w2, cand.digest(), cand)
         if not nxt:
             raise InferenceFailure(
                 "no declaration binds the expression",

@@ -1,9 +1,13 @@
 """Working copies of longest expressions during pre-execution.
 
-A segment owns private copies of one expression's lines, keyed by address.
+A segment holds working copies of one expression's lines, keyed by address.
 Binding work happens on segments; a finished segment is spliced back into
 the code table, either in place or through fresh addresses allocated
 between its neighbors.
+
+Search candidates are copy-on-write: a copy shares every line with its
+parent and copies a line only when it first mutates it, through own().
+A shared line is never mutated, so siblings cannot see each other's moves.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class Segment:
         self.prev_addr = prev_addr
         self.terminator = terminator
         self._staging_seq = staging_seq
+        # lines this segment may mutate; the rest are shared with its parent
+        self._owned = set(lines)
+        # whether replace_branch may repair the replaced branch alone
+        self._tree = self._check_tree()
 
     # --- construction ---
 
@@ -74,14 +82,36 @@ class Segment:
         return seg
 
     def copy(self) -> "Segment":
-        return Segment(
-            lines={a: el.copy() for a, el in self.lines.items()},
-            root=self.root,
-            original=list(self.original),
-            prev_addr=self.prev_addr,
-            terminator=self.terminator,
-            staging_seq=self._staging_seq,
-        )
+        """A candidate sharing every line with this segment until own()."""
+        cp = Segment.__new__(Segment)
+        cp.lines = dict(self.lines)
+        cp.root = self.root
+        cp.original = self.original
+        cp.prev_addr = self.prev_addr
+        cp.terminator = self.terminator
+        cp._staging_seq = self._staging_seq
+        cp._owned = set()
+        cp._tree = self._tree
+        return cp
+
+    def own(self, addr: Address) -> ExtendedLine:
+        """The line at addr, made private to this segment before a write."""
+        if addr in self._owned:
+            return self.lines[addr]
+        ln = self.lines[addr].copy()
+        self.lines[addr] = ln
+        self._owned.add(addr)
+        return ln
+
+    def add_line(self, ln: ExtendedLine) -> None:
+        """Insert a line this segment created; it is owned from birth."""
+        self.lines[ln.address] = ln
+        self._owned.add(ln.address)
+
+    def _drop(self, addrs) -> None:
+        for a in addrs:
+            del self.lines[a]
+            self._owned.discard(a)
 
     def fresh_address(self) -> Address:
         self._staging_seq += 1
@@ -107,11 +137,13 @@ class Segment:
         # result slots carry children too: an assignment rooted over a chain
         # reaches the chain only through its target
         out = []
-        ln = self.lines[addr]
-        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-            c = self.child_addr(ln.slot(s))
-            if c is not None and c != addr:
-                out.append(c)
+        lines = self.lines
+        ln = lines[addr]
+        for o in (ln.left, ln.right, ln.result):
+            if o.kind is OperandKind.ADDRESS:
+                c = o.addr
+                if c != addr and c in lines:
+                    out.append(c)
         return out
 
     def subtree(self, addr: Address) -> list[Address]:
@@ -227,6 +259,7 @@ class Segment:
                 ln, SLOT_RIGHT
             )
         if ok:
+            ln = self.own(addr)
             ln.bound = BUILTIN
             ln.root = True
         return ok
@@ -246,12 +279,12 @@ class Segment:
         """Drop lines unreachable from the root; returns what was removed."""
         keep = set(self.subtree(self.root))
         removed = [a for a in self.lines if a not in keep]
-        for a in removed:
-            del self.lines[a]
+        self._drop(removed)
         return removed
 
-    def expand_rings(self) -> None:
-        """Tree-ify shared branches: every extra reference gets its own copy."""
+    def expand_rings(self, start: Optional[Address] = None) -> None:
+        """Tree-ify shared branches under start, by default the root: every
+        extra reference gets its own copy."""
         seen: set[Address] = set()
 
         def walk(a: Address) -> None:
@@ -263,12 +296,88 @@ class Segment:
                     continue
                 if c in seen:
                     dup = self.copy_subtree(c)
+                    ln = self.own(a)
                     ln.set_slot(s, Operand.address(dup))
                     walk(dup)
                 else:
                     walk(c)
 
-        walk(self.root)
+        walk(self.root if start is None else start)
+
+    def replace_branch(
+        self, old: Address, new: Operand, pending: bool, added: list[Address]
+    ) -> None:
+        """Put new where the branch rooted at old stood, drop the lines that
+        came loose and expand the rings the new branch brought in.
+
+        added lists the lines just created for the new branch. While the
+        segment is a tree, old's subtree and the added lines are all that
+        can come loose and only the branch under new can hold a ring, so
+        the repair walks that branch alone; its result equals the repair
+        of the whole segment. Otherwise the whole segment is walked.
+        """
+        old_branch = self.subtree(old) if self._tree else None
+        if old == self.root:
+            self.root = new.addr
+        else:
+            parents = [
+                a
+                for a, ln in self.lines.items()
+                if (ln.left.kind is OperandKind.ADDRESS and ln.left.addr == old)
+                or (ln.right.kind is OperandKind.ADDRESS and ln.right.addr == old)
+            ]
+            for a in parents:
+                ln = self.own(a)
+                for s in (SLOT_LEFT, SLOT_RIGHT):
+                    o = ln.slot(s)
+                    if o.kind is OperandKind.ADDRESS and o.addr == old:
+                        ln.set_slot(s, new)
+                        if new.kind is OperandKind.IDENT:
+                            ln.pending[s] = (
+                                PendFlag.TRUE if pending else PendFlag.FALSE
+                            )
+
+        if old_branch is not None:
+            branch = self.subtree(new.addr) if self.child_addr(new) else []
+            loose = old_branch + added
+            keep = set(branch)
+            # a branch that reaches a line outside what it replaced is no
+            # longer a subtree: repair the whole segment instead
+            if keep.issubset(loose):
+                self._drop([a for a in loose if a not in keep])
+                self._tree = not any(self._result_child(a) for a in branch)
+                if branch:
+                    self.expand_rings(new.addr)
+                return
+        self.repair_detached()
+        self.expand_rings()
+        self._tree = self._check_tree()
+
+    def _result_child(self, addr: Address) -> bool:
+        """The line's result slot names another line of the segment."""
+        r = self.lines[addr].result
+        return (
+            r.kind is OperandKind.ADDRESS and r.addr != addr and r.addr in self.lines
+        )
+
+    def _check_tree(self) -> bool:
+        """Every line hangs from the root by exactly one left or right slot,
+        and no result slot names another line."""
+        lines = self.lines
+        if self.root not in lines:
+            return False
+        seen: set[Address] = set()
+        todo = [self.root]
+        while todo:
+            a = todo.pop()
+            if a in seen or self._result_child(a):
+                return False
+            seen.add(a)
+            ln = lines[a]
+            for o in (ln.left, ln.right):
+                if o.kind is OperandKind.ADDRESS and o.addr != a and o.addr in lines:
+                    todo.append(o.addr)
+        return len(seen) == len(lines)
 
     def copy_subtree(self, addr: Address) -> Address:
         """Deep copy a subtree into fresh staging addresses; returns new root."""
@@ -291,7 +400,7 @@ class Segment:
                 and src.result.addr == src.address
             ):
                 cp.result = Operand.address(new_addr)
-            self.lines[new_addr] = cp
+            self.add_line(cp)
             return new_addr
 
         return walk(addr)
@@ -351,6 +460,9 @@ class Segment:
         Returns the old-to-new address mapping for relocated lines.
         """
         order = self.order()
+        # the winner still shares lines with the candidates the search dropped
+        for a in order:
+            self.own(a)
         if set(order) == set(self.original):
             for a in order:
                 old = tables.code[a]

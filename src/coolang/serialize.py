@@ -33,6 +33,27 @@ _MAGIC = "COOLCC 1"
 _SEP = "---"
 
 
+class _Codes(dict):
+    """Column value to Enum member, for decoding without an Enum call.
+
+    An unknown value raises the same ValueError as calling the Enum.
+    """
+
+    def __init__(self, enum):
+        super().__init__((m.value, m) for m in enum)
+        self.enum = enum
+
+    def __missing__(self, value):
+        raise ValueError(f"{value!r} is not a valid {self.enum.__name__}")
+
+
+_CODE_TYPES = _Codes(CodeType)
+_EXEC_FLAGS = _Codes(ExecFlag)
+_OPERAND_KINDS = _Codes(OperandKind)
+_PEND_FLAGS = _Codes(PendFlag)
+_SCOPE_KINDS = _Codes(ScopeKind)
+
+
 def _enc_addr(a: Optional[Address]) -> str:
     return "-" if a is None else str(a)
 
@@ -52,7 +73,7 @@ def _enc_operand(o: Operand) -> str:
 
 
 def _dec_operand(kind: str, payload: str) -> Operand:
-    k = OperandKind(kind)
+    k = _OPERAND_KINDS[kind]
     if k is OperandKind.EMPTY:
         return Operand.empty()
     if k is OperandKind.NUMBER:
@@ -107,13 +128,13 @@ def _dec_line(row: str) -> ExtendedLine:
     return ExtendedLine(
         address=Address.parse(cols[0]),
         scope=_dec_addr(cols[1]),
-        exec_flag=ExecFlag(cols[2]),
-        ctype=CodeType(cols[3]),
+        exec_flag=_EXEC_FLAGS[cols[2]],
+        ctype=_CODE_TYPES[cols[3]],
         op=_dec_operand(kinds[0], cols[4]),
         left=_dec_operand(kinds[1], cols[5]),
         right=_dec_operand(kinds[2], cols[6]),
         result=_dec_operand(kinds[3], cols[7]),
-        pending=[PendFlag(c) for c in cols[9]],
+        pending=[_PEND_FLAGS[c] for c in cols[9]],
         formal=[c == "T" for c in cols[10]],
         bound=bound,
         root=cols[12] == "T",
@@ -132,7 +153,7 @@ def _read_scope_row(tables: Tables, row: str) -> None:
     if len(cols) != 6:
         raise FormatError("scope row needs 6 columns")
     tables.scopes[Address.parse(cols[0])] = ScopeInfo(
-        kind=ScopeKind(cols[1]),
+        kind=_SCOPE_KINDS[cols[1]],
         start=Address.parse(cols[2]),
         end=Address.parse(cols[3]),
         param_query=_dec_addr(cols[4]),

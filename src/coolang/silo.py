@@ -6,6 +6,11 @@ runs out: a full silo drops its head for a strictly heavier newcomer and
 rejects anything not heavier than the current minimum. An entry identical
 to one already offered this round (same weight, same digest) is suppressed
 for the silo's whole lifetime, eviction notwithstanding.
+
+A full silo stays full and its minimum never decreases, so an offer
+refused on weight would be refused again whether or not its digest was
+recorded as seen. Callers may therefore ask admits() first and skip both
+the digest and the offer; the entries come out the same.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ class Silo:
 
     def min_weight(self) -> Optional[float]:
         return self._weights[0] if self._weights else None
+
+    def admits(self, weight: float) -> bool:
+        """False when offer would refuse any digest at this weight."""
+        return len(self._items) < self.size or weight > self._weights[0]
 
     def offer(self, weight: float, digest, item) -> bool:
         key = (weight, digest)

@@ -1,11 +1,19 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
-from coolang import build, execute
+from coolang import build, execute, run_program
+from coolang import search
 from coolang.code import CodeType
 from coolang.errors import InferenceFailure
-from coolang.preexec import preexecute
+from coolang.matching import match_branch
+from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions, accessible_functions
+from coolang.segments import Segment, evaluate
+from coolang.silo import Silo
 
 
 def run_traced(src, options=None):
@@ -184,3 +192,111 @@ def test_accessible_declarations_keep_source_order_per_scope():
         False,
         True,
     ]
+
+
+_CHAIN_RULES = """\
+exp: @(-1){ #a + #b }{ return: b + a; }
+@(10){ $a + b }{ a = ans - b; }
+@(10){ $a == b; }{ a = b; }
+"""
+
+
+def preexecute_checked(t, options=None):
+    """Preexecute t and check that no candidate ever saw a sibling's move.
+
+    Candidates share unchanged lines with their parent, so a move that
+    wrote to a shared line would change another candidate's digest. Each
+    search's first segment and every admitted candidate must keep the
+    digest it had, and after every rewrite the full repairs must find
+    nothing left for them to do.
+    """
+    admitted, searched, rewrites = [], [], []
+    real_offer = Silo.offer
+    real_search = search.search_segment
+    real_rewrite = search.apply_exp_rewrite
+
+    def offer(silo, weight, digest, item):
+        ok = real_offer(silo, weight, digest, item)
+        if ok:
+            admitted.append((digest, item))
+        return ok
+
+    def search_segment(tables, seg0, *args, **kwargs):
+        before = seg0.digest()
+        try:
+            return real_search(tables, seg0, *args, **kwargs)
+        finally:
+            searched.append((before, seg0))
+
+    def apply_exp_rewrite(segment, match, tables):
+        added = real_rewrite(segment, match, tables)
+        if added is not None:
+            probe = segment.copy()
+            size = len(probe.lines)
+            rewrites.append((probe.repair_detached(), size, probe))
+            probe.expand_rings()
+        return added
+
+    try:
+        with mock.patch.object(Silo, "offer", offer), mock.patch.object(
+            search, "search_segment", search_segment
+        ), mock.patch.object(search, "apply_exp_rewrite", apply_exp_rewrite):
+            preexecute(t, options=options)
+    finally:
+        for before, seg0 in searched:
+            assert seg0.digest() == before
+        for digest, seg in admitted:
+            assert seg.digest() == digest
+        for removed, size, probe in rewrites:
+            assert removed == []
+            assert len(probe.lines) == size
+    return len(searched), len(admitted), len(rewrites)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ks=st.lists(st.integers(10, 99), min_size=2, max_size=7),
+    c=st.integers(1000, 9999),
+    silo_size=st.integers(1, 8),
+)
+def test_sum_chain_candidates_never_see_a_sibling_move(ks, c, silo_size):
+    terms = " + ".join(str(k) for k in ks)
+    t = build(f"{_CHAIN_RULES}new: y = 0;\n$y + {terms} == {c};\ny --> 0;\n")
+    searched, admitted, rewrites = preexecute_checked(
+        t, SearchOptions(silo_size=silo_size)
+    )
+    assert searched and admitted and rewrites
+    assert run_program(t).output == [repr(float(c - sum(ks)))]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ALL_PROGRAMS))
+def test_corpus_candidates_never_see_a_sibling_move(name):
+    # forward bindings, prebinds above them and derivation searches
+    preexecute_checked(build(corpus.ALL_PROGRAMS[name]))
+
+
+def test_a_duplicating_rewrite_expands_its_ring_in_place():
+    # a + a aliases the matched operand: the repair of the rewritten branch
+    # alone must give it a second copy, as a walk of the whole segment would
+    t = build(
+        "exp: @(-1){ 2 * #a }{ return: a + a; }\n"
+        "new: q = 4;\nnew: r = 0;\nr = 1 + 2 * (q + 5);\n"
+    )
+    stmt = [ln for ln in t.code.lines() if ln.op.text == "=" and ln.scope is None][-1]
+    seg = Segment.from_run(t, t.expression_run(stmt.address))
+    mul = [a for a in seg.lines if seg[a].op.text == "*"][0]
+    fn = [f for f in t.functions.values() if f.is_exp][0]
+    m = match_branch(seg, mul, fn, PreexecUniverse(t).context_for(None))
+    env = {"q": 4.0}.__getitem__
+    total = seg[seg.root].left.addr  # 1 + ..., the assigned value
+    before = evaluate(seg, env, total)
+    size = len(seg.lines)
+    assert search.apply_exp_rewrite(seg, m, t) is not None
+    # 2 * (...) gives way to the new sum and a second copy of q + 5
+    assert len(seg.lines) == size + 1
+    assert all(n <= 1 for n in seg.reference_counts().values())
+    probe = seg.copy()
+    assert probe.repair_detached() == []
+    probe.expand_rings()
+    assert len(probe.lines) == len(seg.lines)
+    assert evaluate(seg, env, total) == before == 19.0

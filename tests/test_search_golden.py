@@ -1,0 +1,71 @@
+"""Sum chains bind to the same winners as recorded.
+
+Each program is one chain `$y + k1 + ... + kd == c` under the commuting
+rule and the reverse `+` and `==` declarations, searched at depths 4 to 10.
+The pinned `(weight, rounds)` of every bound statement and the SHA-256 of
+the preexecuted .ccode fix which candidate won, in which round, and where
+the splice put its lines. An optimisation of the search must keep all of
+them. Update a value only for a deliberate change of search behaviour.
+"""
+
+import hashlib
+
+import pytest
+
+from coolang import build, preexecute, run_program, serialize
+
+DECLS = """\
+exp: @(-1){ #a + #b }{ return: b + a; }
+@(10){ $a + b }{ a = ans - b; }
+@(10){ $a == b; }{ a = b; }
+"""
+
+CONSTANTS = (17, 42, 8, 93, 25, 61, 34, 77, 50, 12)
+TOTAL = 2000
+
+
+def chain_source(depth):
+    terms = " + ".join(str(k) for k in CONSTANTS[:depth])
+    return f"{DECLS}new: y = 0;\n$y + {terms} == {TOTAL};\ny --> 0;\n"
+
+
+def _bound(weight, rounds):
+    # the declaration bodies, `new: y = 0`, the chain, `y --> 0`
+    return [(0.0, 0)] * 4 + [(weight, rounds), (0.0, 0)]
+
+
+# depth -> ([(weight, rounds) per bound statement], .ccode SHA-256)
+WINNERS = {
+    4: (
+        _bound(50.0, 5),
+        "8bb979d882b9a66179ce53ba06f4923748606f2b052e178860594fbc26e251dd",
+    ),
+    6: (
+        _bound(70.0, 7),
+        "b28f77de8d33e70fc51e009a2b67e10edc0a7835ba7c497fd03288ba5050d579",
+    ),
+    8: (
+        _bound(90.0, 9),
+        "522b42265d828f5d92464d237d8bf8be2bd1a29b722d52a89bc33c7136301026",
+    ),
+    10: (
+        _bound(110.0, 11),
+        "7364066e82b417b9df0575a2ed909410e26e410b02efca03cce158ffa95f5140",
+    ),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(WINNERS))
+def test_sum_chain_binds_to_the_recorded_winner(depth):
+    tables = build(chain_source(depth))
+    bound = []
+    preexecute(
+        tables, on_bound=lambda addr, out: bound.append((out.weight, out.rounds))
+    )
+    want_bound, want_sha = WINNERS[depth]
+    assert bound == want_bound
+    text = serialize(tables)
+    assert hashlib.sha256(text.encode()).hexdigest() == want_sha
+    assert run_program(tables).output == [
+        repr(float(TOTAL - sum(CONSTANTS[:depth])))
+    ]

@@ -163,6 +163,29 @@ def test_expand_rings_copies_shared_branches():
     assert evaluate(seg, {"x": 3.0}.__getitem__) == before
 
 
+def test_copy_shares_lines_until_it_owns_them():
+    a = line(1, "+", ident("x"), num(1.0))
+    b = line(2, "*", ref(1), num(3.0))
+    seg = segment([a, b], root=2)
+    cp = seg.copy()
+    assert cp[a.address] is a
+    mine = cp.own(a.address)
+    assert mine is not a and cp.own(a.address) is mine
+    mine.bound = BUILTIN
+    assert a.bound is None and seg[a.address] is a
+
+
+def test_expand_rings_on_a_copy_leaves_the_parent_alone():
+    shared = line(1, "+", ident("x"), num(1.0))
+    top = line(2, "*", ref(1), ref(1))
+    seg = segment([shared, top], root=2)
+    before = seg.digest()
+    cp = seg.copy()
+    cp.expand_rings()
+    assert len(cp.lines) == 3
+    assert len(seg.lines) == 2 and seg.digest() == before
+
+
 def test_copy_subtree_preserves_shape_under_fresh_addresses():
     _, seg = segment_for("new: r = 0; r = (1 + 2) * 3;", "*")
     mul = [a for a in seg.lines if seg[a].op.text == "*"][0]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coolang.silo import Silo
 
@@ -84,3 +86,35 @@ def test_capacity_one_keeps_only_the_heaviest():
     for i, w in enumerate([0.0, 10.0, 5.0, 11.0]):
         s.offer(w, ("d", i), w)
     assert weights(s) == [11.0]
+
+
+@given(
+    size=st.integers(1, 6),
+    offers=st.lists(
+        st.tuples(st.integers(-4, 4).map(float), st.integers(0, 5)), max_size=40
+    ),
+)
+def test_floor_rejected_offers_can_be_skipped(size, offers):
+    # every offer made, against only the offers the weight floor admits
+    full, floored = Silo(size), Silo(size)
+    for i, (w, digest) in enumerate(offers):
+        if full.admits(w):
+            full.offer(w, digest, i)
+        else:
+            before = list(full.entries())
+            assert not full.offer(w, digest, i)
+            assert list(full.entries()) == before
+        if floored.admits(w):
+            floored.offer(w, digest, i)
+        assert list(floored.entries()) == list(full.entries())
+
+
+def test_admits_is_the_weight_floor_of_a_full_silo():
+    s = Silo(2)
+    assert s.admits(-100.0)
+    s.offer(3.0, "a", "a")
+    assert s.admits(-100.0)
+    s.offer(5.0, "b", "b")
+    assert not s.admits(3.0)
+    assert not s.admits(2.0)
+    assert s.admits(3.5)
