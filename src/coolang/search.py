@@ -179,7 +179,7 @@ def apply_exp_rewrite(
 
     if match.root == segment.root and segment.child_addr(root_operand) is None:
         return None  # a bare value cannot replace the statement
-    segment.replace_branch(match.root, root_operand, root_pending, new_addrs)
+    segment.replace_branch(match.root, root_operand, root_pending)
     segment.prebind_builtins(sorted(a for a in new_addrs if a in segment.lines))
     return new_addrs
 

@@ -60,8 +60,6 @@ class Segment:
         self._staging_seq = staging_seq
         # lines this segment may mutate; the rest are shared with its parent
         self._owned = set(lines)
-        # whether replace_branch may repair the replaced branch alone
-        self._tree = self._check_tree()
 
     # --- construction ---
 
@@ -91,7 +89,6 @@ class Segment:
         cp.terminator = self.terminator
         cp._staging_seq = self._staging_seq
         cp._owned = set()
-        cp._tree = self._tree
         return cp
 
     def own(self, addr: Address) -> ExtendedLine:
@@ -282,9 +279,8 @@ class Segment:
         self._drop(removed)
         return removed
 
-    def expand_rings(self, start: Optional[Address] = None) -> None:
-        """Tree-ify shared branches under start, by default the root: every
-        extra reference gets its own copy."""
+    def expand_rings(self) -> None:
+        """Tree-ify shared branches: every extra reference gets its own copy."""
         seen: set[Address] = set()
 
         def walk(a: Address) -> None:
@@ -302,21 +298,11 @@ class Segment:
                 else:
                     walk(c)
 
-        walk(self.root if start is None else start)
+        walk(self.root)
 
-    def replace_branch(
-        self, old: Address, new: Operand, pending: bool, added: list[Address]
-    ) -> None:
+    def replace_branch(self, old: Address, new: Operand, pending: bool) -> None:
         """Put new where the branch rooted at old stood, drop the lines that
-        came loose and expand the rings the new branch brought in.
-
-        added lists the lines just created for the new branch. While the
-        segment is a tree, old's subtree and the added lines are all that
-        can come loose and only the branch under new can hold a ring, so
-        the repair walks that branch alone; its result equals the repair
-        of the whole segment. Otherwise the whole segment is walked.
-        """
-        old_branch = self.subtree(old) if self._tree else None
+        came loose and expand the rings the new branch brought in."""
         if old == self.root:
             self.root = new.addr
         else:
@@ -336,48 +322,8 @@ class Segment:
                             ln.pending[s] = (
                                 PendFlag.TRUE if pending else PendFlag.FALSE
                             )
-
-        if old_branch is not None:
-            branch = self.subtree(new.addr) if self.child_addr(new) else []
-            loose = old_branch + added
-            keep = set(branch)
-            # a branch that reaches a line outside what it replaced is no
-            # longer a subtree: repair the whole segment instead
-            if keep.issubset(loose):
-                self._drop([a for a in loose if a not in keep])
-                self._tree = not any(self._result_child(a) for a in branch)
-                if branch:
-                    self.expand_rings(new.addr)
-                return
         self.repair_detached()
         self.expand_rings()
-        self._tree = self._check_tree()
-
-    def _result_child(self, addr: Address) -> bool:
-        """The line's result slot names another line of the segment."""
-        r = self.lines[addr].result
-        return (
-            r.kind is OperandKind.ADDRESS and r.addr != addr and r.addr in self.lines
-        )
-
-    def _check_tree(self) -> bool:
-        """Every line hangs from the root by exactly one left or right slot,
-        and no result slot names another line."""
-        lines = self.lines
-        if self.root not in lines:
-            return False
-        seen: set[Address] = set()
-        todo = [self.root]
-        while todo:
-            a = todo.pop()
-            if a in seen or self._result_child(a):
-                return False
-            seen.add(a)
-            ln = lines[a]
-            for o in (ln.left, ln.right):
-                if o.kind is OperandKind.ADDRESS and o.addr != a and o.addr in lines:
-                    todo.append(o.addr)
-        return len(seen) == len(lines)
 
     def copy_subtree(self, addr: Address) -> Address:
         """Deep copy a subtree into fresh staging addresses; returns new root."""

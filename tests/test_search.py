@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import corpus
 from coolang import build, execute, run_program
-from coolang import search
+from coolang import inversion, search
 from coolang.code import CodeType
 from coolang.errors import InferenceFailure
 from coolang.matching import match_branch
@@ -208,9 +208,11 @@ def preexecute_checked(t, options=None):
     wrote to a shared line would change another candidate's digest. Each
     search's first segment and every admitted candidate must keep the
     digest it had, and after every rewrite the full repairs must find
-    nothing left for them to do.
+    nothing left for them to do. Returns the number of forward searches,
+    derivation searches, admitted candidates and rewrites.
     """
-    admitted, searched, rewrites = [], [], []
+    admitted, rewrites = [], []
+    searched = {"forward": [], "derivation": []}
     real_offer = Silo.offer
     real_search = search.search_segment
     real_rewrite = search.apply_exp_rewrite
@@ -221,12 +223,16 @@ def preexecute_checked(t, options=None):
             admitted.append((digest, item))
         return ok
 
-    def search_segment(tables, seg0, *args, **kwargs):
-        before = seg0.digest()
-        try:
-            return real_search(tables, seg0, *args, **kwargs)
-        finally:
-            searched.append((before, seg0))
+    def checked_search(kind):
+        # inversion imports search_segment by name, so each site is wrapped
+        def search_segment(tables, seg0, *args, **kwargs):
+            before = seg0.digest()
+            try:
+                return real_search(tables, seg0, *args, **kwargs)
+            finally:
+                searched[kind].append((before, seg0))
+
+        return search_segment
 
     def apply_exp_rewrite(segment, match, tables):
         added = real_rewrite(segment, match, tables)
@@ -239,18 +245,25 @@ def preexecute_checked(t, options=None):
 
     try:
         with mock.patch.object(Silo, "offer", offer), mock.patch.object(
-            search, "search_segment", search_segment
+            search, "search_segment", checked_search("forward")
+        ), mock.patch.object(
+            inversion, "search_segment", checked_search("derivation")
         ), mock.patch.object(search, "apply_exp_rewrite", apply_exp_rewrite):
             preexecute(t, options=options)
     finally:
-        for before, seg0 in searched:
+        for before, seg0 in searched["forward"] + searched["derivation"]:
             assert seg0.digest() == before
         for digest, seg in admitted:
             assert seg.digest() == digest
         for removed, size, probe in rewrites:
             assert removed == []
             assert len(probe.lines) == size
-    return len(searched), len(admitted), len(rewrites)
+    return (
+        len(searched["forward"]),
+        len(searched["derivation"]),
+        len(admitted),
+        len(rewrites),
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -262,7 +275,7 @@ def preexecute_checked(t, options=None):
 def test_sum_chain_candidates_never_see_a_sibling_move(ks, c, silo_size):
     terms = " + ".join(str(k) for k in ks)
     t = build(f"{_CHAIN_RULES}new: y = 0;\n$y + {terms} == {c};\ny --> 0;\n")
-    searched, admitted, rewrites = preexecute_checked(
+    searched, _, admitted, rewrites = preexecute_checked(
         t, SearchOptions(silo_size=silo_size)
     )
     assert searched and admitted and rewrites
@@ -272,12 +285,15 @@ def test_sum_chain_candidates_never_see_a_sibling_move(ks, c, silo_size):
 @pytest.mark.parametrize("name", sorted(corpus.ALL_PROGRAMS))
 def test_corpus_candidates_never_see_a_sibling_move(name):
     # forward bindings, prebinds above them and derivation searches
-    preexecute_checked(build(corpus.ALL_PROGRAMS[name]))
+    forward, derived, _, _ = preexecute_checked(build(corpus.ALL_PROGRAMS[name]))
+    assert forward
+    if name == "chained_derivation":
+        assert derived
 
 
 def test_a_duplicating_rewrite_expands_its_ring_in_place():
-    # a + a aliases the matched operand: the repair of the rewritten branch
-    # alone must give it a second copy, as a walk of the whole segment would
+    # a + a aliases the matched operand: the repair after the rewrite must
+    # give it a second copy without touching the lines the parent shares
     t = build(
         "exp: @(-1){ 2 * #a }{ return: a + a; }\n"
         "new: q = 4;\nnew: r = 0;\nr = 1 + 2 * (q + 5);\n"
