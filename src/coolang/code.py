@@ -271,9 +271,6 @@ class CodeTable:
     def first_address(self) -> Optional[Address]:
         return self._keys[0] if self._keys else None
 
-    def last_address(self) -> Optional[Address]:
-        return self._keys[-1] if self._keys else None
-
     def next_after(self, addr: Address) -> Optional[Address]:
         idx = bisect.bisect_right(self._keys, addr)
         return self._keys[idx] if idx < len(self._keys) else None

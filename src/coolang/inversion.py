@@ -3,9 +3,9 @@
 The forward body is disassembled into blocks (one per binding root, plus
 declarations and the return). Written names get single-assignment
 replacements so later reads cannot alias earlier values. Blocks touching
-a pending parameter form the dependent set; a dependency tree rooted at
-the return is chosen, merged into one expression, bound by the search,
-and assembled with the untouched blocks into the reverse body.
+a pending parameter form the dependent set; the dependence closure of the
+return (its backward slice) is merged into one expression, bound by the
+search, and assembled with the untouched blocks into the reverse body.
 """
 
 from __future__ import annotations
@@ -53,24 +53,12 @@ class Block:
 
 @dataclass
 class Disassembly:
-    blocks: list[Block]
+    blocks: list[Block]  # blocks[seq - 1] has that seq
     replacements: list[str]  # fresh names in creation order
     pending: list[str]  # pending formals under forward naming
     name_writer: dict[str, int] = field(default_factory=dict)
     temp_owner: dict[Address, int] = field(default_factory=dict)
     return_seq: Optional[int] = None
-    body_start: Optional[Address] = None
-    body_end: Optional[Address] = None
-
-
-@dataclass
-class TreeChoice:
-    members: frozenset[int]
-    necessary: int
-    root: int
-
-    def sort_key(self):
-        return (self.necessary, len(self.members), self.root, tuple(sorted(self.members)))
 
 
 def decl_formals(tables: Tables, fn: FunctionInfo) -> list[tuple[str, bool]]:
@@ -82,10 +70,7 @@ def decl_formals(tables: Tables, fn: FunctionInfo) -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
     seen: set[str] = set()
     start = fn.decl_scope
-    end = tables.scopes[start].end
-    a = tables.code.next_after(start)
-    while a is not None and a < end:
-        ln = tables.code[a]
+    for ln in tables.code.between(start, tables.scopes[start].end):
         if ln.ctype is CodeType.EXPR:
             for s in (SLOT_LEFT, SLOT_RIGHT):
                 o = ln.slot(s)
@@ -97,7 +82,6 @@ def decl_formals(tables: Tables, fn: FunctionInfo) -> list[tuple[str, bool]]:
                     elif bare not in seen:
                         seen.add(bare)
                         out.append((bare, pend))
-        a = tables.code.next_after(a)
     return out
 
 
@@ -162,11 +146,8 @@ class _Disassembler:
         consumed: set[Address] = set()
 
         self._add(Block(seq=0, kind="scope_start", lines=[self.tables.code[start].copy()]))
-        a = self.tables.code.next_after(start)
-        while a is not None and a < end:
-            ln = self.tables.code[a]
-            if a in consumed or ln.ctype is CodeType.EXPR_END:
-                a = self.tables.code.next_after(a)
+        for ln in self.tables.code.between(start, end):
+            if ln.address in consumed or ln.ctype is CodeType.EXPR_END:
                 continue
             if ln.ctype in (CodeType.SCOPE_START, CodeType.JUMP):
                 raise NotInvertible("control flow cannot appear in a derived body")
@@ -175,16 +156,14 @@ class _Disassembler:
             elif ln.ctype is CodeType.EXPR:
                 if not ln.root:
                     # children precede their root; pick the group up there
-                    a = self.tables.code.next_after(a)
                     continue
-                self._expr_block(ln, end, consumed)
+                self._expr_block(ln, consumed)
             elif ln.ctype is CodeType.RETURN:
                 self._return_block(ln)
             else:
                 raise NotInvertible(
                     f"cannot derive around a {ln.ctype.value} line in the body"
                 )
-            a = self.tables.code.next_after(a)
         self._add(Block(seq=0, kind="scope_end", lines=[self.tables.code[end].copy()]))
 
         return Disassembly(
@@ -194,8 +173,6 @@ class _Disassembler:
             name_writer=self.name_writer,
             temp_owner=self.temp_owner,
             return_seq=self.return_seq,
-            body_start=start,
-            body_end=end,
         )
 
     def _add(self, b: Block) -> Block:
@@ -214,7 +191,7 @@ class _Disassembler:
         self.locals.add(name)
         self._add(Block(seq=0, kind="decl", lines=[ln.copy()]))
 
-    def _group(self, root: ExtendedLine, end: Address) -> list[ExtendedLine]:
+    def _group(self, root: ExtendedLine) -> list[ExtendedLine]:
         """The binding group under a root: non-root lines it reaches."""
         body_lines: list[ExtendedLine] = []
 
@@ -240,8 +217,8 @@ class _Disassembler:
         out.sort(key=lambda l: l.address)
         return out
 
-    def _expr_block(self, root: ExtendedLine, end: Address, consumed: set[Address]) -> None:
-        lines = self._group(root, end)
+    def _expr_block(self, root: ExtendedLine, consumed: set[Address]) -> None:
+        lines = self._group(root)
         for ln in lines:
             consumed.add(ln.address)
         b = Block(seq=0, kind="expr", lines=lines, root=root.address)
@@ -344,51 +321,40 @@ def analyze_dependence(dis: Disassembly) -> None:
                 dep_temps.add(b.root)
 
 
-def _dep_inputs(dis: Disassembly, b: Block) -> set[tuple[str, object, int]]:
-    """Dependent carriers a block consumes, with their producing blocks."""
-    by_seq = {blk.seq: blk for blk in dis.blocks}
-    out: set[tuple[str, object, int]] = set()
+def _dep_inputs(dis: Disassembly, b: Block) -> set[int]:
+    """Dependent blocks whose values a block consumes."""
+    out: set[int] = set()
     for n in b.reads_names:
         w = dis.name_writer.get(n)
-        if w is not None and by_seq[w].dependent:
-            out.add(("name", n, w))
+        if w is not None and dis.blocks[w - 1].dependent:
+            out.add(w)
     for t in b.reads_temps:
         o = dis.temp_owner.get(t)
-        if o is not None and by_seq[o].dependent:
-            out.add(("temp", t, o))
+        if o is not None and dis.blocks[o - 1].dependent:
+            out.add(o)
     return out
 
 
-def enumerate_trees(
-    dis: Disassembly, root_seq: int, max_nodes: int, root_known: bool
-) -> list[TreeChoice]:
-    """Every dependency tree growable from the root, ordered by priority.
+def dependence_closure(
+    dis: Disassembly, root_seq: int, max_nodes: int
+) -> Optional[frozenset[int]]:
+    """The root with every dependent block it transitively consumes.
 
-    Priority: unmet dependent inputs first (plus one when the root's own
-    value is unknown), then node count, then the member set itself.
+    This backward slice is the smallest block set that contains the root
+    and leaves no dependent input unmet, so it is the best tree any
+    enumeration of dependency trees could pick. None when it has more
+    than max_nodes blocks.
     """
-    by_seq = {b.seq: b for b in dis.blocks}
-    results: dict[frozenset[int], TreeChoice] = {}
-
-    def frontier(members: frozenset[int]) -> set[tuple[str, object, int]]:
-        need: set[tuple[str, object, int]] = set()
-        for seq in members:
-            need |= _dep_inputs(dis, by_seq[seq])
-        return {item for item in need if item[2] not in members}
-
-    def grow(members: frozenset[int]) -> None:
-        if members in results:
-            return
-        unmet = frontier(members)
-        necessary = len({(k, key) for k, key, _ in unmet}) + (0 if root_known else 1)
-        results[members] = TreeChoice(members=members, necessary=necessary, root=root_seq)
-        if len(members) >= max_nodes:
-            return
-        for _, _, producer in unmet:
-            grow(members | {producer})
-
-    grow(frozenset({root_seq}))
-    return sorted(results.values(), key=TreeChoice.sort_key)
+    members = {root_seq}
+    todo = [root_seq]
+    while todo:
+        for producer in _dep_inputs(dis, dis.blocks[todo.pop() - 1]):
+            if producer not in members:
+                members.add(producer)
+                todo.append(producer)
+        if len(members) > max_nodes:
+            return None
+    return frozenset(members)
 
 
 class _Merger:
@@ -396,7 +362,6 @@ class _Merger:
         self.dis = dis
         self.members = members
         self.root_seq = root_seq
-        self.by_seq = {b.seq: b for b in dis.blocks}
         self.pending = set(dis.pending)
         self.lines: dict[Address, ExtendedLine] = {}
         self.staging = 0
@@ -407,7 +372,7 @@ class _Merger:
         return staging_address(self.staging)
 
     def merge(self) -> Segment:
-        root_block = self.by_seq[self.root_seq]
+        root_block = self.dis.blocks[self.root_seq - 1]
         if root_block.kind == "return":
             target = self._value_for_return(root_block)
             line = ExtendedLine(
@@ -457,8 +422,8 @@ class _Merger:
         if o.kind is OperandKind.IDENT:
             bare = split_markers(o.text)[0]
             w = self.dis.name_writer.get(bare)
-            if w in self.members and self.by_seq[w].dependent:
-                block = self.by_seq[w]
+            if w in self.members and self.dis.blocks[w - 1].dependent:
+                block = self.dis.blocks[w - 1]
                 if block.assign_name != bare:
                     raise MergeFailure(
                         f"{bare!r} is produced by solving, not assignment; "
@@ -475,7 +440,7 @@ class _Merger:
 
     def _instantiate(self, seq: int) -> tuple[list[Address], Operand]:
         """A private copy of one block with its tree inputs substituted."""
-        b = self.by_seq[seq]
+        b = self.dis.blocks[seq - 1]
         self.instantiated[seq] += 1
         local: dict[Address, Address] = {}
         copies: list[ExtendedLine] = []
@@ -675,15 +640,18 @@ def _find_forward(tables: Tables, derive_line: ExtendedLine) -> FunctionInfo:
 
 
 def _adopt_names(
-    tables: Tables, rev: FunctionInfo, fwd_formals: list[tuple[str, bool]]
+    tables: Tables,
+    rev: FunctionInfo,
+    fwd_formals: list[tuple[str, bool]],
+    rev_formals: list[tuple[str, bool]],
 ) -> None:
     """Give anonymous reverse formals their forward names, in pattern order."""
-    taken = {n for n, _ in decl_formals(tables, rev) if n}
+    taken = {n for n, _ in rev_formals if n}
     leftovers = [n for n, _ in fwd_formals if n not in taken]
-    start, end = rev.decl_scope, tables.scopes[rev.decl_scope].end
-    a = tables.code.next_after(start)
-    while a is not None and a < end and leftovers:
-        ln = tables.code[a]
+    start = rev.decl_scope
+    for ln in tables.code.between(start, tables.scopes[start].end):
+        if not leftovers:
+            break
         if ln.ctype is CodeType.EXPR:
             for s in (SLOT_LEFT, SLOT_RIGHT):
                 o = ln.slot(s)
@@ -691,7 +659,6 @@ def _adopt_names(
                     ln.set_slot(s, Operand.ident(leftovers.pop(0)))
                     if not leftovers:
                         break
-        a = tables.code.next_after(a)
 
 
 def derive_reverse_body(
@@ -715,7 +682,7 @@ def derive_reverse_body(
     pending = map_formals(fwd_formals, rev_formals)
     if not pending:
         raise NotInvertible("the reverse head marks nothing as pending")
-    _adopt_names(tables, rev, fwd_formals)
+    _adopt_names(tables, rev, fwd_formals, rev_formals)
 
     dis = disassemble(tables, fwd, pending)
     analyze_dependence(dis)
@@ -728,28 +695,15 @@ def derive_reverse_body(
             "the return value does not depend on the pending parameters"
         )
 
-    trees = enumerate_trees(dis, dis.return_seq, opts.max_tree_nodes, root_known=True)
-    best = trees[0] if trees else None
-    if best is None or best.necessary != 0:
+    members = dependence_closure(dis, dis.return_seq, opts.max_tree_nodes)
+    if members is None:
         raise DerivationFailure("the dependence cannot be resolved into one tree")
 
     # dependent blocks left out of the tree must be dead weight
-    leftover = [
-        b for b in dis.blocks if b.dependent and b.seq not in best.members
-    ]
-    for b in leftover:
-        consumers = [
-            x
-            for x in dis.blocks
-            if x.seq != b.seq
-            and (x.reads_names & b.writes or (b.root is not None and b.root in x.reads_temps))
-        ]
-        if consumers:
-            raise DerivationFailure(
-                "a dependent value is consumed outside the chosen tree"
-            )
+    if any(_dep_inputs(dis, x) - members - {x.seq} for x in dis.blocks):
+        raise DerivationFailure("a dependent value is consumed outside the chosen tree")
 
-    merged = merge_tree(dis, best.members, best.root)
+    merged = merge_tree(dis, members, dis.return_seq)
     ctx: BindContext = uni.context_for(derive_line.scope)
     try:
         outcome = search_segment(

@@ -39,11 +39,6 @@ from .errors import (
     UnbalancedScopes,
 )
 
-# operator texts that can never be user function names
-BUILTIN_OPS = frozenset(
-    {"+", "-", "*", "/", "^", "==", "<", ">", "<=", ">=", "=", "-->", "neg", "param", "jump"}
-)
-
 _VALUE_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
 
 

@@ -205,6 +205,26 @@ class Parser:
     def _next_index_operand(self) -> Operand:
         return Operand.address(Address((len(self.lines) + 1,)))
 
+    def _block(self, kind: str) -> int:
+        """Emit `{ items }` as a scope of the given kind; returns its start."""
+        start = self._emit(CodeType.SCOPE_START, left=Operand.ident(kind))
+        self._expect("op", "{")
+        while not self._accept("op", "}"):
+            if self._at("eof"):
+                raise ParseError("unterminated block", self._peek().pos)
+            self.parse_item()
+        self._emit(CodeType.SCOPE_END)
+        return start
+
+    def _weight(self) -> float:
+        """An optional `(w)` or `(-w)` declaration weight, 0 when absent."""
+        if not self._accept("op", "("):
+            return 0.0
+        sign = -1.0 if self._accept("op", "-") else 1.0
+        num = self._expect("number")
+        self._expect("op", ")")
+        return sign * float(num.text)
+
     # --- program / statements ---
 
     def parse_program(self) -> list[CodeLine]:
@@ -248,13 +268,7 @@ class Parser:
         elif t.kind == "ident" and t.text == "if":
             self.parse_if()
         elif t.kind == "op" and t.text == "{":
-            self._next()
-            self._emit(CodeType.SCOPE_START, left=Operand.ident("plain"))
-            while not self._accept("op", "}"):
-                if self._at("eof"):
-                    raise ParseError("unterminated block", self._peek().pos)
-                self.parse_item()
-            self._emit(CodeType.SCOPE_END)
+            self._block("plain")
         elif (
             t.kind == "ident"
             and t.text not in KEYWORDS
@@ -319,15 +333,7 @@ class Parser:
         exit_jump = self._emit(
             CodeType.JUMP, op=Operand.ident("jump"), left=self._addr_of(neg)
         )
-        self._emit(
-            CodeType.SCOPE_START, left=Operand.ident("cond")
-        )
-        self._expect("op", "{")
-        while not self._accept("op", "}"):
-            if self._at("eof"):
-                raise ParseError("unterminated block", self._peek().pos)
-            self.parse_item()
-        self._emit(CodeType.SCOPE_END)
+        self._block("cond")
         self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=Operand.number(1), right=cond_start)
         self.lines[exit_jump].right = self._next_index_operand()
 
@@ -354,13 +360,7 @@ class Parser:
             skip = self._emit(
                 CodeType.JUMP, op=Operand.ident("jump"), left=self._addr_of(neg)
             )
-            self._emit(CodeType.SCOPE_START, left=Operand.ident("cond"))
-            self._expect("op", "{")
-            while not self._accept("op", "}"):
-                if self._at("eof"):
-                    raise ParseError("unterminated block", self._peek().pos)
-                self.parse_item()
-            self._emit(CodeType.SCOPE_END)
+            self._block("cond")
             end_jumps.append(
                 self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=Operand.number(1))
             )
@@ -368,13 +368,7 @@ class Parser:
             if self._at("ident", "elseif"):
                 continue
             if self._accept("ident", "else"):
-                self._emit(CodeType.SCOPE_START, left=Operand.ident("cond"))
-                self._expect("op", "{")
-                while not self._accept("op", "}"):
-                    if self._at("eof"):
-                        raise ParseError("unterminated block", self._peek().pos)
-                    self.parse_item()
-                self._emit(CodeType.SCOPE_END)
+                self._block("cond")
             break
         target = self._next_index_operand()
         for j in end_jumps:
@@ -387,18 +381,12 @@ class Parser:
         if is_exp:
             self._exp_depth += 1
         try:
-            weight = 0.0
-            if self._at("op", "("):
-                self._next()
-                sign = -1.0 if self._accept("op", "-") else 1.0
-                num = self._expect("number")
-                weight = sign * float(num.text)
-                self._expect("op", ")")
+            weight = self._weight()
             func_idx = self._emit(CodeType.FUNC_OP)
             decl_start, head_name = self._emit_decl_scope()
             body_start: Optional[int] = None
             if self._at("op", "{"):
-                body_start = self._emit_body_scope()
+                body_start = self._block("body")
             line = self.lines[func_idx]
             line.op = Operand.ident("funcexp" if is_exp else "func")
             line.left = self._addr_of(decl_start)
@@ -408,13 +396,7 @@ class Parser:
 
             if self._accept("op", "=>"):
                 self._expect("op", "@")
-                rev_weight = 0.0
-                if self._at("op", "("):
-                    self._next()
-                    sign = -1.0 if self._accept("op", "-") else 1.0
-                    num = self._expect("number")
-                    rev_weight = sign * float(num.text)
-                    self._expect("op", ")")
+                rev_weight = self._weight()
                 rev_func_idx = self._emit(CodeType.FUNC_OP)
                 rev_decl_start, _ = self._emit_decl_scope()
                 self._expect("op", ";")
@@ -463,16 +445,6 @@ class Parser:
         head_name = root_line.op.text
         return start, head_name
 
-    def _emit_body_scope(self) -> int:
-        start = self._emit(CodeType.SCOPE_START, left=Operand.ident("body"))
-        self._expect("op", "{")
-        while not self._accept("op", "}"):
-            if self._at("eof"):
-                raise ParseError("unterminated block", self._peek().pos)
-            self.parse_item()
-        self._emit(CodeType.SCOPE_END)
-        return start
-
     def parse_class(self) -> None:
         self._expect("ident", "system")
         self._expect("op", ":")
@@ -492,13 +464,7 @@ class Parser:
                 left=Operand.ident(name.text),
                 right=Operand.ident(p),
             )
-        start = self._emit(CodeType.SCOPE_START, left=Operand.ident("class"))
-        self._expect("op", "{")
-        while not self._accept("op", "}"):
-            if self._at("eof"):
-                raise ParseError("unterminated block", self._peek().pos)
-            self.parse_item()
-        self._emit(CodeType.SCOPE_END)
+        start = self._block("class")
         self.lines[class_idx].right = self._addr_of(start)
 
     # --- expressions ---

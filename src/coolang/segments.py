@@ -306,15 +306,20 @@ class Segment:
         if old == self.root:
             self.root = new.addr
         else:
+            # a result slot is a parent link too (`ans = <chain>`), but a
+            # line's result naming itself is not
             parents = [
                 a
                 for a, ln in self.lines.items()
-                if (ln.left.kind is OperandKind.ADDRESS and ln.left.addr == old)
-                or (ln.right.kind is OperandKind.ADDRESS and ln.right.addr == old)
+                if a != old
+                and any(
+                    o.kind is OperandKind.ADDRESS and o.addr == old
+                    for o in (ln.left, ln.right, ln.result)
+                )
             ]
             for a in parents:
                 ln = self.own(a)
-                for s in (SLOT_LEFT, SLOT_RIGHT):
+                for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
                     o = ln.slot(s)
                     if o.kind is OperandKind.ADDRESS and o.addr == old:
                         ln.set_slot(s, new)

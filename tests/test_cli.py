@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 import corpus
 from coolang.cli import main
 
@@ -85,6 +87,20 @@ def test_max_rounds_below_one_is_a_usage_error(tmp_path, capsys):
 
 def test_max_tree_nodes_below_one_is_a_usage_error(tmp_path, capsys):
     _rejects_option(tmp_path, capsys, "--max-tree-nodes", "0")
+
+
+@pytest.mark.parametrize(
+    "name, fits, printed",
+    [("chained_derivation", 5, "36.10050506338833"), ("apple_price", 2, "5.0")],
+)
+def test_max_tree_nodes_refuses_a_dependence_one_block_too_large(
+    tmp_path, capsys, name, fits, printed
+):
+    src = write(tmp_path, f"{name}.cool", corpus.ALL_PROGRAMS[name])
+    assert main(["run", src, "--max-tree-nodes", str(fits - 1)]) == 2
+    assert "the dependence cannot be resolved into one tree" in capsys.readouterr().err
+    assert main(["run", src, "--max-tree-nodes", str(fits)]) == 0
+    assert capsys.readouterr().out.splitlines() == [printed]
 
 
 def test_non_utf8_input_is_a_compile_error_naming_the_file(tmp_path, capsys):

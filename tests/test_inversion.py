@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from coolang import build, preexecute
@@ -7,8 +11,8 @@ from coolang.errors import DerivationFailure, NotInvertible
 from coolang.inversion import (
     analyze_dependence,
     decl_formals,
+    dependence_closure,
     disassemble,
-    enumerate_trees,
     map_formals,
     merge_tree,
 )
@@ -117,34 +121,91 @@ def test_dependence_stops_at_reverse_solved_names():
     assert not by_seq[5].dependent
 
 
-def test_tree_enumeration_orders_by_unmet_inputs_then_size():
+def test_closure_of_an_inner_block_holds_its_transitive_producers():
     _, _, dis = chained_disassembly()
-    trees = enumerate_trees(dis, 12, 8, root_known=False)
-    assert [(sorted(tc.members), tc.necessary) for tc in trees] == [
-        ([3, 4, 11, 12], 1),
-        ([12], 2),
-        ([11, 12], 2),
-        ([4, 11, 12], 2),
-    ]
+    # 12 reads the value of 11, 11 reads __inv1 from 4, and 4 assigns 3;
+    # the __inv2 and __inv4 that 11 and 12 also read come from solves
+    # that do not depend on x
+    assert dependence_closure(dis, 12, 8) == {3, 4, 11, 12}
+    assert dependence_closure(dis, 4, 8) == {3, 4}
+    assert dependence_closure(dis, 3, 8) == {3}
 
 
 def test_return_rooted_tree_resolves_completely():
     _, _, dis = chained_disassembly()
-    best = enumerate_trees(dis, dis.return_seq, 8, root_known=True)[0]
-    assert sorted(best.members) == [3, 4, 11, 12, 13]
-    assert best.necessary == 0
+    assert dependence_closure(dis, dis.return_seq, 8) == {3, 4, 11, 12, 13}
 
 
 def test_node_budget_caps_tree_growth():
     _, _, dis = chained_disassembly()
-    trees = enumerate_trees(dis, 12, 1, root_known=False)
-    assert [(sorted(tc.members), tc.necessary) for tc in trees] == [([12], 2)]
+    assert dependence_closure(dis, dis.return_seq, 5) == {3, 4, 11, 12, 13}
+    assert dependence_closure(dis, dis.return_seq, 4) is None
+    assert dependence_closure(dis, 12, 1) is None
+
+
+def _smallest_resolved_tree(dis, root_seq, max_nodes):
+    """Brute force: the smallest set of dependent blocks that holds the root
+    and the producer of every dependent value its members read."""
+    blocks = {b.seq: b for b in dis.blocks}
+
+    def producers(b):
+        out = {dis.name_writer.get(n) for n in b.reads_names}
+        out |= {dis.temp_owner.get(t) for t in b.reads_temps}
+        return {p for p in out if p is not None and blocks[p].dependent}
+
+    others = [b.seq for b in dis.blocks if b.dependent and b.seq != root_seq]
+    for k in range(max_nodes):
+        for extra in combinations(others, k):
+            members = {root_seq, *extra}
+            if all(producers(blocks[m]) <= members for m in members):
+                return members
+    return None
+
+
+_TERMS = st.sampled_from(["a", "b", "2", "3"])
+_OPS = st.sampled_from(["+", "-", "*"])
+
+
+@st.composite
+def straight_line_bodies(draw):
+    """A forward body of new: locals over a, b, earlier locals and constants."""
+    names = ["a", "b"]
+    lines = []
+
+    def operand():
+        return draw(st.one_of(_TERMS, st.sampled_from(names)))
+
+    def expr():
+        e = operand()
+        for _ in range(draw(st.integers(0, 2))):
+            e = f"{e} {draw(_OPS)} {operand()}"
+        return e
+
+    for i in range(draw(st.integers(1, 5))):
+        lines.append(f"new: l{i} = {expr()};")
+        names.append(f"l{i}")
+    lines.append(f"return: {expr()};")
+    return "@f(a, b){\n    " + "\n    ".join(lines) + "\n}\nnew: q = 0;\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(straight_line_bodies())
+def test_closure_is_the_smallest_resolved_tree(src):
+    t = build(src)
+    preexecute(t)
+    fwd = [f for f in t.functions.values() if f.name == "f"][0]
+    dis = disassemble(t, fwd, ["a"])
+    analyze_dependence(dis)
+    for n in range(1, 9):
+        assert dependence_closure(dis, dis.return_seq, n) == _smallest_resolved_tree(
+            dis, dis.return_seq, n
+        )
 
 
 def test_merged_tree_binds_like_any_statement():
     t, uni, dis = chained_disassembly()
-    best = enumerate_trees(dis, dis.return_seq, 8, root_known=True)[0]
-    merged = merge_tree(dis, best.members, best.root)
+    members = dependence_closure(dis, dis.return_seq, 8)
+    merged = merge_tree(dis, members, dis.return_seq)
     # return rewrite plus the three additions of the substituted chain
     assert len(merged.lines) == 4
     assert not merged.fully_bound()
@@ -226,3 +287,32 @@ new: q = 0;
 """
     with pytest.raises(DerivationFailure, match="does not depend"):
         preexecute(build(src))
+
+
+def test_a_dependent_local_the_return_never_reads_fails_derivation():
+    src = """
+@p(x, y){
+    new: s = x + 1;
+    return: x + y;
+} => @p($x, y);
+new: q = 0;
+"""
+    with pytest.raises(DerivationFailure, match="consumed outside"):
+        preexecute(build(src))
+
+
+def test_a_commuted_return_derives_through_the_rewrite_of_its_chain():
+    # the merged root is `ans = y + $x`; only the commuting rewrite of the
+    # chain under it reaches the solving declaration
+    src = """
+exp: @(-1){ #a + #b }{ return: b + a; }
+@(10){ $a + b }{ a = ans - b; }
+@(10){ $a == b; }{ a = b; }
+@r(x, y){
+    return: y + x;
+} => @r($x, y);
+new: x = 0;
+r($x, 4) == 10;
+x --> 0;
+"""
+    assert corpus.outputs(src) == ["6.0"]

@@ -316,3 +316,20 @@ def test_a_duplicating_rewrite_expands_its_ring_in_place():
     probe.expand_rings()
     assert len(probe.lines) == len(seg.lines)
     assert evaluate(seg, env, total) == before == 19.0
+
+
+def test_no_rewrite_in_chained_derivation_keeps_its_matched_root():
+    # the merged root `ans = <chain>` reaches the chain through its result
+    # slot; a rewrite of the chain's top line must be repointed there too
+    real_rewrite = search.apply_exp_rewrite
+    kept = []
+
+    def apply_exp_rewrite(segment, match, tables):
+        added = real_rewrite(segment, match, tables)
+        if added is not None:
+            kept.append(match.root in segment.lines)
+        return added
+
+    with mock.patch.object(search, "apply_exp_rewrite", apply_exp_rewrite):
+        preexecute(build(corpus.CHAINED_DERIVATION))
+    assert kept and not any(kept)
