@@ -70,13 +70,28 @@ class InferenceFailure(CoolError):
     address: address of the expression's first line.
     rounds: number of search rounds completed before giving up.
     silo: final silo snapshot digests, for diagnostics.
+    left: candidates still in the silo when the search stopped.
+
+    With an address, the message ends with where the search stopped.
     """
 
-    def __init__(self, message: str, address=None, rounds: int = 0, silo=()):
+    def __init__(
+        self, message: str, address=None, rounds: int = 0, silo=(), left: int = 0
+    ):
+        if address is not None:
+            message += (
+                f" (statement {address}, {_plural(rounds, 'round')}, "
+                f"{_plural(left, 'candidate')})"
+            )
         super().__init__(message)
         self.address = address
         self.rounds = rounds
         self.silo = tuple(silo)
+        self.left = left
+
+
+def _plural(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
 class NotInvertible(CoolError):

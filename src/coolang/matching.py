@@ -43,7 +43,7 @@ class BindContext:
     instance_class: Callable[[str], Optional[Address]]
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundValue:
     operand: Operand
     pending: bool
@@ -51,7 +51,7 @@ class BoundValue:
     slot: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Match:
     fn: FunctionInfo
     root: Address
@@ -243,17 +243,34 @@ class _Matcher:
         return False
 
     def _subtree_digest(self, addr: Address):
-        ln = self.seg[addr]
-        slots = []
-        for s in (SLOT_LEFT, SLOT_RIGHT):
-            o = ln.slot(s)
-            if o.kind is OperandKind.ADDRESS and o.addr in self.seg.lines and o.addr != addr:
-                slots.append(self._subtree_digest(o.addr))
-            elif o.kind is OperandKind.IDENT:
-                slots.append(("var", split_markers(o.text)[0], ln.pending[s].value))
-            else:
-                slots.append((o.kind.value, o.payload()))
-        return (ln.op.text, tuple(slots))
+        """Operators and leaves of the subtree at addr, bottom-up."""
+        lines = self.seg.lines
+        done: dict[Address, tuple] = {}
+        stack = [addr]
+        while stack:
+            a = stack[-1]
+            ln = lines[a]
+            kids = [
+                o.addr
+                for o in (ln.left, ln.right)
+                if o.kind is OperandKind.ADDRESS and o.addr in lines and o.addr != a
+            ]
+            missing = [c for c in kids if c not in done]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            slots = []
+            for s in (SLOT_LEFT, SLOT_RIGHT):
+                o = ln.slot(s)
+                if o.kind is OperandKind.ADDRESS and o.addr in lines and o.addr != a:
+                    slots.append(done[o.addr])
+                elif o.kind is OperandKind.IDENT:
+                    slots.append(("var", split_markers(o.text)[0], ln.pending[s].value))
+                else:
+                    slots.append((o.kind.value, o.payload()))
+            done[a] = (ln.op.text, tuple(slots))
+        return done[addr]
 
 
 def match_branch(

@@ -119,68 +119,111 @@ def apply_value_match(segment: Segment, match: Match) -> None:
         ln.root = a == match.root
 
 
+# what fills a slot of a rule's instantiated line
+_SELF, _LINE, _FORMAL, _VALUE = range(4)
+
+RulePlan = tuple[list[tuple[ExtendedLine, tuple]], tuple]
+
+
+def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
+    """A rewrite rule's instantiation plan.
+
+    The body is the rule's expression lines up to the return, each with
+    what fills its slots: the line itself, the i-th body line before it, or
+    the actual bound to a formal. The return says which of these, or which
+    plain value, the rule's result stands for.
+    """
+    ret_line = tables.code[fn.returns[0]]
+    body = tables.scopes[fn.body_scope]
+    index: dict[Address, int] = {}
+    lines: list[tuple[ExtendedLine, tuple]] = []
+    for src in tables.code.between(body.start, ret_line.address):
+        if src.ctype is not CodeType.EXPR:
+            continue
+        fills = []
+        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+            o = src.slot(s)
+            if o.kind is OperandKind.ADDRESS:
+                if o.addr == src.address:
+                    fills.append((s, _SELF, None))
+                elif o.addr in index:
+                    fills.append((s, _LINE, index[o.addr]))
+            elif o.kind is OperandKind.IDENT:
+                fills.append((s, _FORMAL, split_markers(o.text)[0]))
+        index[src.address] = len(lines)
+        lines.append((src, tuple(fills)))
+    ro = ret_line.left
+    if ro.kind is OperandKind.ADDRESS:
+        ret = (_LINE, index[ro.addr])
+    elif ro.kind is OperandKind.IDENT:
+        ret = (_FORMAL, split_markers(ro.text)[0])
+    else:
+        ret = (_VALUE, ro)
+    return lines, ret
+
+
 def apply_exp_rewrite(
-    segment: Segment, match: Match, tables: Tables
+    segment: Segment,
+    match: Match,
+    tables: Tables,
+    plans: Optional[dict[Address, RulePlan]] = None,
 ) -> Optional[list[Address]]:
     """Replace the matched branch with the rule's instantiated result.
 
     Returns the staged addresses of the new lines, or None when the rewrite
     cannot stand in for the branch (the whole statement reduced to a leaf).
+    plans keeps each rule's plan for the rest of a search.
     """
     fn = match.fn
-    ret_line = tables.code[fn.returns[0]]
-    body = tables.scopes[fn.body_scope]
+    plan = plans.get(fn.func_op) if plans is not None else None
+    if plan is None:
+        plan = rule_plan(tables, fn)
+        if plans is not None:
+            plans[fn.func_op] = plan
+    body, (ret_kind, ret_arg) = plan
+    bindings = match.bindings
 
-    mapping: dict[Address, Address] = {}
     new_addrs: list[Address] = []
-    for src in tables.code.between(body.start, ret_line.address):
-        if src.ctype is not CodeType.EXPR:
-            continue
+    for src, fills in body:
         staged = segment.fresh_address()
-        mapping[src.address] = staged
         cp = src.copy()
         cp.address = staged
         cp.bound = None
         cp.root = False
-        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-            o = src.slot(s)
-            cp.formal[s] = False
-            if o.kind is OperandKind.ADDRESS:
-                if o.addr == src.address:
-                    cp.set_slot(s, Operand.address(staged))
-                elif o.addr in mapping:
-                    cp.set_slot(s, Operand.address(mapping[o.addr]))
-            elif o.kind is OperandKind.IDENT:
-                bv = match.bindings.get(split_markers(o.text)[0])
+        cp.formal[SLOT_LEFT] = cp.formal[SLOT_RIGHT] = cp.formal[SLOT_RESULT] = False
+        for s, kind, arg in fills:
+            if kind is _SELF:
+                cp.set_slot(s, Operand.address(staged))
+            elif kind is _LINE:
+                cp.set_slot(s, Operand.address(new_addrs[arg]))
+            else:
+                bv = bindings.get(arg)
                 if bv is not None:
                     cp.set_slot(s, bv.operand)
-                    if bv.operand.kind is OperandKind.IDENT:
-                        cp.pending[s] = (
-                            PendFlag.TRUE if bv.pending else PendFlag.FALSE
-                        )
-                    else:
-                        cp.pending[s] = PendFlag.FALSE
+                    pending = bv.pending and bv.operand.kind is OperandKind.IDENT
+                    cp.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
         segment.add_line(cp)
         new_addrs.append(staged)
 
     # what the rule's return stands for
-    ro = ret_line.left
     root_pending = False
-    if ro.kind is OperandKind.ADDRESS:
-        root_operand = Operand.address(mapping[ro.addr])
-    elif ro.kind is OperandKind.IDENT:
-        bv = match.bindings.get(split_markers(ro.text)[0])
+    if ret_kind is _LINE:
+        root_operand = Operand.address(new_addrs[ret_arg])
+    elif ret_kind is _FORMAL:
+        bv = bindings.get(ret_arg)
         if bv is None:
             return None
         root_operand = bv.operand
         root_pending = bv.pending and bv.operand.kind is OperandKind.IDENT
     else:
-        root_operand = ro
+        root_operand = ret_arg
 
     if match.root == segment.root and segment.child_addr(root_operand) is None:
         return None  # a bare value cannot replace the statement
-    segment.replace_branch(match.root, root_operand, root_pending)
-    segment.prebind_builtins(sorted(a for a in new_addrs if a in segment.lines))
+    segment.replace_branch(
+        match.root, match.matched, new_addrs, root_operand, root_pending
+    )
+    segment.prebind_builtins([a for a in new_addrs if a in segment.lines])
     return new_addrs
 
 
@@ -200,21 +243,28 @@ def search_segment(
     silo = Silo(opts.silo_size)
     silo.offer(0.0, seg0.digest(), seg0)
     reachable = accessible_functions(tables, ctx.stmt_scope, stmt_addr)
+    plans: dict[Address, RulePlan] = {}
 
     rnd = 0
     for rnd in range(1, opts.max_rounds + 1):
         nxt = Silo(opts.silo_size)
         for w, seg in silo.entries():
+            seg.freeze()
             branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
             for branch in branches:
                 line = seg[branch]
+                memo = seg.matches(branch)
                 for fn in candidate_functions(tables, ctx, line, reachable):
-                    m = match_branch(seg, branch, fn, ctx)
+                    key = fn.func_op
+                    if key in memo:
+                        m = memo[key]
+                    else:
+                        m = memo[key] = match_branch(seg, branch, fn, ctx)
                     if m is None:
                         continue
                     cand = seg.copy()
                     if fn.is_exp:
-                        if apply_exp_rewrite(cand, m, tables) is None:
+                        if apply_exp_rewrite(cand, m, tables, plans) is None:
                             continue
                     else:
                         apply_value_match(cand, m)
@@ -234,6 +284,7 @@ def search_segment(
                 address=stmt_addr,
                 rounds=rnd,
                 silo=tuple((w, s.digest()) for w, s in silo.entries()),
+                left=0,
             )
         silo = nxt
 
@@ -242,6 +293,7 @@ def search_segment(
         address=stmt_addr,
         rounds=rnd,
         silo=tuple((w, s.digest()) for w, s in silo.entries()),
+        left=len(silo),
     )
 
 

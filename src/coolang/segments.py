@@ -8,10 +8,20 @@ between its neighbors.
 Search candidates are copy-on-write: a copy shares every line with its
 parent and copies a line only when it first mutates it, through own().
 A shared line is never mutated, so siblings cannot see each other's moves.
+
+Each address also maps to a Version, which stands for the subtree rooted
+there. own() gives the written line and each ancestor the segment has not
+touched yet a fresh Version, and so does moving a subtree root under a new
+parent. An unchanged Version therefore means an unchanged subtree in every
+segment that holds it, and the facts a Version caches (pending state and
+the search's matches) hold in all of them. Facts are cached only on
+versions the segment has not touched; a silo entry is frozen, which makes
+every version it holds cacheable, because an entry is never written again.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Optional
 
 from .addresses import Address, Allocator
@@ -36,13 +46,49 @@ PREBIND_OPS = frozenset(
 # working copies number their new lines from here, far above any table address
 _STAGING_BASE = 10**9
 
+# child slots in walk order; a result slot is a parent link too (`ans = <chain>`)
+_CHILD_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
+
+# what a frozen segment owns and touches
+_NOTHING: frozenset = frozenset()
+
 
 def staging_address(seq: int) -> Address:
     """The seq-th fresh address of a working copy."""
     return Address((_STAGING_BASE + seq,))
 
 
+class Version:
+    """One line's subtree as it stands: its parent and the facts cached on it.
+
+    pending and raw_pending are None until computed; matches maps a
+    declaration's func_op to the search's match_branch result for the
+    subtree (a Match or None).
+    """
+
+    __slots__ = ("parent", "pending", "raw_pending", "matches")
+
+    def __init__(self, parent: Optional[Address]):
+        self.parent = parent
+        self.pending: Optional[bool] = None
+        self.raw_pending: Optional[bool] = None
+        self.matches: Optional[dict] = None
+
+
 class Segment:
+    __slots__ = (
+        "lines",
+        "versions",
+        "root",
+        "original",
+        "prev_addr",
+        "terminator",
+        "_staging_seq",
+        "_owned",
+        "_touched",
+        "_carry",
+    )
+
     def __init__(
         self,
         lines: dict[Address, ExtendedLine],
@@ -60,6 +106,17 @@ class Segment:
         self._staging_seq = staging_seq
         # lines this segment may mutate; the rest are shared with its parent
         self._owned = set(lines)
+        # addresses whose Version is this segment's own: the owned lines,
+        # their ancestors and the subtree roots it moved; always holds the
+        # parent of what it holds
+        self._touched = set(lines)
+        # parents the last prebind pass left behind a child it bound
+        self._carry: tuple[Address, ...] = ()
+        parent: dict[Address, Address] = {}
+        for a in lines:
+            for c in self.children(a):
+                parent[c] = a
+        self.versions = {a: Version(parent.get(a)) for a in lines}
 
     # --- construction ---
 
@@ -80,16 +137,27 @@ class Segment:
         return seg
 
     def copy(self) -> "Segment":
-        """A candidate sharing every line with this segment until own()."""
+        """A candidate sharing every line and version with this segment.
+
+        The copy caches facts on the versions it shares, so copy a segment
+        once its writes are done, as a silo entry's are.
+        """
         cp = Segment.__new__(Segment)
         cp.lines = dict(self.lines)
+        cp.versions = dict(self.versions)
         cp.root = self.root
         cp.original = self.original
         cp.prev_addr = self.prev_addr
         cp.terminator = self.terminator
         cp._staging_seq = self._staging_seq
         cp._owned = set()
+        cp._touched = set()
+        cp._carry = self._carry
         return cp
+
+    def freeze(self) -> None:
+        """Declare the segment written for good: it caches facts everywhere."""
+        self._owned = self._touched = _NOTHING
 
     def own(self, addr: Address) -> ExtendedLine:
         """The line at addr, made private to this segment before a write."""
@@ -98,17 +166,40 @@ class Segment:
         ln = self.lines[addr].copy()
         self.lines[addr] = ln
         self._owned.add(addr)
+        self._restamp(addr)
         return ln
 
-    def add_line(self, ln: ExtendedLine) -> None:
+    def _restamp(self, addr: Optional[Address]) -> None:
+        """Fresh versions for addr and every ancestor not yet touched."""
+        touched, versions = self._touched, self.versions
+        while addr is not None and addr not in touched:
+            v = versions[addr] = Version(versions[addr].parent)
+            touched.add(addr)
+            addr = v.parent
+
+    def _reparent(self, addr: Address, parent: Optional[Address]) -> None:
+        """Hang the subtree at addr under parent, with a version of its own."""
+        self._restamp(parent)
+        if addr in self._touched:
+            self.versions[addr].parent = parent
+        else:
+            self.versions[addr] = Version(parent)
+            self._touched.add(addr)
+
+    def add_line(self, ln: ExtendedLine, parent: Optional[Address] = None) -> None:
         """Insert a line this segment created; it is owned from birth."""
-        self.lines[ln.address] = ln
-        self._owned.add(ln.address)
+        a = ln.address
+        self.lines[a] = ln
+        self.versions[a] = Version(parent)
+        self._owned.add(a)
+        self._touched.add(a)
 
     def _drop(self, addrs) -> None:
         for a in addrs:
             del self.lines[a]
+            del self.versions[a]
             self._owned.discard(a)
+            self._touched.discard(a)
 
     def fresh_address(self) -> Address:
         self._staging_seq += 1
@@ -146,17 +237,18 @@ class Segment:
     def subtree(self, addr: Address) -> list[Address]:
         """Addresses reachable from addr, children first."""
         out: list[Address] = []
-        seen: set[Address] = set()
-
-        def walk(a: Address) -> None:
-            if a in seen:
-                return
-            seen.add(a)
-            for c in self.children(a):
-                walk(c)
-            out.append(a)
-
-        walk(addr)
+        seen = {addr}
+        stack = [(addr, iter(self.children(addr)))]
+        while stack:
+            a, kids = stack[-1]
+            for c in kids:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append((c, iter(self.children(c))))
+                    break
+            else:
+                stack.pop()
+                out.append(a)
         return out
 
     def reference_counts(self) -> dict[Address, int]:
@@ -174,7 +266,7 @@ class Segment:
         if o.kind is OperandKind.IDENT:
             return line.pending[slot] is PendFlag.TRUE
         if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
-            return self.subtree_pending(o.addr)
+            return self._facts(o.addr)[0]
         return False
 
     def slot_raw_pending(self, line: ExtendedLine, slot: int) -> bool:
@@ -183,7 +275,7 @@ class Segment:
         if o.kind is OperandKind.IDENT:
             return line.pending[slot] is PendFlag.TRUE
         if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
-            return self.subtree_raw_pending(o.addr)
+            return self._facts(o.addr)[1]
         return False
 
     def subtree_pending(self, addr: Address) -> bool:
@@ -192,37 +284,79 @@ class Segment:
         A forward binding computes its own value; a reverse binding solves
         itself only once a consumer supplies that value, so it stays pending.
         """
-        ln = self.lines[addr]
-        if ln.is_user_bound:
-            return ln.bound_reverse
-        return self._walk_pending(addr, self.subtree_pending)
+        return self._facts(addr)[0]
 
     def subtree_raw_pending(self, addr: Address) -> bool:
         """Like subtree_pending, but any user binding settles the subtree."""
-        ln = self.lines[addr]
-        if ln.is_user_bound:
-            return False
-        return self._walk_pending(addr, self.subtree_raw_pending)
+        return self._facts(addr)[1]
 
-    def _walk_pending(self, addr: Address, recurse) -> bool:
-        ln = self.lines[addr]
-        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-            o = ln.slot(s)
-            if o.kind is OperandKind.IDENT and ln.pending[s] is PendFlag.TRUE:
-                return True
-            if (
-                s is not SLOT_RESULT
-                and o.kind is OperandKind.ADDRESS
-                and o.addr in self.lines
-                and o.addr != addr
-                and recurse(o.addr)
+    def _facts(self, addr: Address, memo: Optional[dict] = None) -> tuple[bool, bool]:
+        """(subtree_pending, subtree_raw_pending) at addr, bottom-up.
+
+        A line's facts read its own slots and its left and right children's
+        facts. They are stored on untouched versions and, for touched ones,
+        in memo, which a caller may keep while no line changes.
+        """
+        versions, lines, touched = self.versions, self.lines, self._touched
+        v = versions[addr]
+        if v.pending is not None:
+            return v.pending, v.raw_pending
+        if memo is None:
+            memo = {}
+        elif addr in memo:
+            return memo[addr]
+        stack = [addr]
+        while stack:
+            a = stack[-1]
+            ln = lines[a]
+            pend = ln.pending
+            if ln.is_user_bound:
+                f = (ln.bound_reverse, False)
+            elif (
+                ln.left.kind is OperandKind.IDENT and pend[SLOT_LEFT] is PendFlag.TRUE
+                or ln.right.kind is OperandKind.IDENT and pend[SLOT_RIGHT] is PendFlag.TRUE
+                or ln.result.kind is OperandKind.IDENT and pend[SLOT_RESULT] is PendFlag.TRUE
             ):
-                return True
-        return False
+                f = (True, True)
+            else:
+                f = (False, False)
+                missing = []
+                for o in (ln.left, ln.right):
+                    c = o.addr
+                    if o.kind is not OperandKind.ADDRESS or c == a or c not in lines:
+                        continue
+                    cv = versions[c]
+                    k = (cv.pending, cv.raw_pending) if cv.pending is not None else memo.get(c)
+                    if k is None:
+                        missing.append(c)
+                    else:
+                        f = (f[0] or k[0], f[1] or k[1])
+                if missing:
+                    stack.extend(missing)
+                    continue
+            stack.pop()
+            if a in touched:
+                memo[a] = f
+            else:
+                versions[a].pending, versions[a].raw_pending = f
+        return memo[addr] if addr in memo else (v.pending, v.raw_pending)
+
+    def matches(self, addr: Address) -> dict:
+        """The match memo of the subtree at addr, by declaration func_op.
+
+        Only for a frozen segment: a match reads nothing but the subtree,
+        the declaration and the search's fixed context.
+        """
+        v = self.versions[addr]
+        if v.matches is None:
+            v.matches = {}
+        return v.matches
 
     # --- builtin prebinding ---
 
-    def _slot_determined(self, line: ExtendedLine, slot: int) -> bool:
+    def _slot_determined(
+        self, line: ExtendedLine, slot: int, memo: Optional[dict] = None
+    ) -> bool:
         o = line.slot(slot)
         if o.is_empty:
             return True
@@ -237,10 +371,10 @@ class Segment:
             if child.bound is None:
                 return False
             # a reverse-bound child is a solve target, not a readable value
-            return not self.subtree_pending(o.addr)
+            return not self._facts(o.addr, memo)[0]
         return True
 
-    def try_prebind(self, addr: Address) -> bool:
+    def try_prebind(self, addr: Address, memo: Optional[dict] = None) -> bool:
         ln = self.lines[addr]
         if ln.bound is not None or ln.ctype is not CodeType.EXPR:
             return False
@@ -248,12 +382,12 @@ class Segment:
         if op not in PREBIND_OPS:
             return False
         if op == "=":
-            ok = self._slot_determined(ln, SLOT_LEFT)
+            ok = self._slot_determined(ln, SLOT_LEFT, memo)
         elif op == "-->":
-            ok = self._slot_determined(ln, SLOT_LEFT)
+            ok = self._slot_determined(ln, SLOT_LEFT, memo)
         else:
-            ok = self._slot_determined(ln, SLOT_LEFT) and self._slot_determined(
-                ln, SLOT_RIGHT
+            ok = self._slot_determined(ln, SLOT_LEFT, memo) and self._slot_determined(
+                ln, SLOT_RIGHT, memo
             )
         if ok:
             ln = self.own(addr)
@@ -262,10 +396,41 @@ class Segment:
         return ok
 
     def prebind_builtins(self, addrs: Optional[list[Address]] = None) -> None:
-        """Bind builtin operators whose operands are determined, children first."""
-        todo = addrs if addrs is not None else self.order()
-        for a in sorted(todo):
-            self.try_prebind(a)
+        """Bind builtin operators whose operands are determined, in one
+        ascending pass; given addrs, the pass visits only those.
+
+        Otherwise the pass gives what one ascending pass over every line
+        would give, visiting only the touched lines and the carry. A line
+        the segment did not touch has the subtree it had when its own
+        segment's pass ended, and stayed unbound then, so it can change only
+        through a child bound after it was visited: in this pass, when the
+        child sorts before it (it joins the pass), or in the previous one,
+        when the child sorted after it (the carry). Binding a builtin
+        changes no pending fact, so those are kept for the whole pass.
+        """
+        memo: dict = {}
+        if addrs is not None:
+            for a in sorted(addrs):
+                self.try_prebind(a, memo)
+            return
+        lines, versions = self.lines, self.versions
+        todo = sorted(self._touched.union(self._carry))
+        carry = []
+        last = None
+        while todo:
+            a = heapq.heappop(todo)
+            if a == last or a not in lines:
+                continue
+            last = a
+            if self.try_prebind(a, memo):
+                p = versions[a].parent
+                if p is None:
+                    continue
+                if p < a:
+                    carry.append(p)
+                else:
+                    heapq.heappush(todo, p)
+        self._carry = tuple(carry)
 
     def fully_bound(self) -> bool:
         return all(ln.bound is not None for ln in self.lines.values())
@@ -281,80 +446,119 @@ class Segment:
 
     def expand_rings(self) -> None:
         """Tree-ify shared branches: every extra reference gets its own copy."""
-        seen: set[Address] = set()
+        self._walk_rings(self.root)
 
-        def walk(a: Address) -> None:
-            seen.add(a)
-            ln = self.lines[a]
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                c = self.child_addr(ln.slot(s))
-                if c is None or c == a:
-                    continue
-                if c in seen:
-                    dup = self.copy_subtree(c)
-                    ln = self.own(a)
-                    ln.set_slot(s, Operand.address(dup))
-                    walk(dup)
-                else:
-                    walk(c)
+    def _walk_rings(self, top: Address, inside: Optional[set] = None) -> set:
+        """Walk from top, children in slot order; a branch reached a second
+        time gets a copy, each branch hangs under the line that keeps it.
 
-        walk(self.root)
+        With inside, the walk enters only those lines. Returns what it
+        reached.
+        """
+        lines = self.lines
+        seen = {top}
+        stack = [[top, 0]]
+        while stack:
+            frame = stack[-1]
+            a, i = frame
+            if i == len(_CHILD_SLOTS):
+                stack.pop()
+                continue
+            frame[1] = i + 1
+            s = _CHILD_SLOTS[i]
+            o = lines[a].slot(s)
+            if o.kind is not OperandKind.ADDRESS or o.addr == a or o.addr not in lines:
+                continue
+            c = o.addr
+            if c in seen:
+                c = self.copy_subtree(c)
+                self.own(a).set_slot(s, Operand.address(c))
+            if self.versions[c].parent != a:
+                self._reparent(c, a)
+            seen.add(c)
+            if inside is None or c in inside:
+                stack.append([c, 0])
+        return seen
 
-    def replace_branch(self, old: Address, new: Operand, pending: bool) -> None:
+    def replace_branch(
+        self,
+        old: Address,
+        matched: list[Address],
+        added: list[Address],
+        new: Operand,
+        pending: bool,
+    ) -> None:
         """Put new where the branch rooted at old stood, drop the lines that
-        came loose and expand the rings the new branch brought in."""
-        if old == self.root:
+        came loose and copy the branches the new lines reach twice.
+
+        matched are the lines the rule consumed (old among them), added the
+        rule's new lines. In a tree nothing else can come loose or be
+        reached twice, so the repair walks only these and the roots hanging
+        off the matched lines; it gives what repair_detached and
+        expand_rings give over the whole segment.
+        """
+        parent = self.versions[old].parent
+        if parent is None:
             self.root = new.addr
         else:
-            # a result slot is a parent link too (`ans = <chain>`), but a
-            # line's result naming itself is not
-            parents = [
-                a
-                for a, ln in self.lines.items()
-                if a != old
-                and any(
-                    o.kind is OperandKind.ADDRESS and o.addr == old
-                    for o in (ln.left, ln.right, ln.result)
-                )
-            ]
-            for a in parents:
-                ln = self.own(a)
-                for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-                    o = ln.slot(s)
-                    if o.kind is OperandKind.ADDRESS and o.addr == old:
-                        ln.set_slot(s, new)
-                        if new.kind is OperandKind.IDENT:
-                            ln.pending[s] = (
-                                PendFlag.TRUE if pending else PendFlag.FALSE
-                            )
-        self.repair_detached()
-        self.expand_rings()
+            ln = self.own(parent)
+            for s in _CHILD_SLOTS:
+                o = ln.slot(s)
+                if o.kind is OperandKind.ADDRESS and o.addr == old:
+                    ln.set_slot(s, new)
+                    if new.kind is OperandKind.IDENT:
+                        ln.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
+
+        gone = set(matched)
+        hanging = [c for m in matched for c in self.children(m) if c not in gone]
+        fresh = set(added)
+        kept: set = set()
+        if new.kind is OperandKind.ADDRESS and new.addr in self.lines:
+            self._reparent(new.addr, parent)
+            kept = self._walk_rings(new.addr, fresh) if new.addr in fresh else {new.addr}
+        loose = matched + [a for a in added if a not in kept]
+        for h in hanging:
+            if h not in kept:
+                loose += self.subtree(h)
+        self._drop(loose)
 
     def copy_subtree(self, addr: Address) -> Address:
-        """Deep copy a subtree into fresh staging addresses; returns new root."""
+        """Deep copy a subtree into fresh staging addresses; returns new root.
+
+        Addresses are handed out parent first, children in slot order.
+        """
+        lines = self.lines
         mapping: dict[Address, Address] = {}
 
-        def walk(a: Address) -> Address:
-            if a in mapping:
-                return mapping[a]
-            new_addr = self.fresh_address()
-            mapping[a] = new_addr
-            src = self.lines[a]
-            cp = src.copy()
+        def start(a: Address, parent: Optional[Address]) -> list:
+            new_addr = mapping[a] = self.fresh_address()
+            cp = lines[a].copy()
             cp.address = new_addr
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                c = self.child_addr(src.slot(s))
-                if c is not None and c != a:
-                    cp.set_slot(s, Operand.address(walk(c)))
-            if (
-                src.result.kind is OperandKind.ADDRESS
-                and src.result.addr == src.address
-            ):
-                cp.result = Operand.address(new_addr)
-            self.add_line(cp)
-            return new_addr
+            self.add_line(cp, parent)
+            return [a, cp, 0]
 
-        return walk(addr)
+        stack = [start(addr, None)]
+        while stack:
+            frame = stack[-1]
+            a, cp, i = frame
+            if i == len(_CHILD_SLOTS):
+                stack.pop()
+                continue
+            frame[2] = i + 1
+            s = _CHILD_SLOTS[i]
+            o = lines[a].slot(s)
+            if o.kind is not OperandKind.ADDRESS:
+                continue
+            c = o.addr
+            if c == a:
+                if s == SLOT_RESULT:
+                    cp.result = Operand.address(cp.address)
+            elif c in mapping:
+                cp.set_slot(s, Operand.address(mapping[c]))
+            elif c in lines:
+                stack.append(start(c, cp.address))
+                cp.set_slot(s, Operand.address(mapping[c]))
+        return mapping[addr]
 
     # --- canonical digests ---
 
@@ -413,7 +617,8 @@ class Segment:
         order = self.order()
         # the winner still shares lines with the candidates the search dropped
         for a in order:
-            self.own(a)
+            if a not in self._owned:
+                self.lines[a] = self.lines[a].copy()
         if set(order) == set(self.original):
             for a in order:
                 old = tables.code[a]

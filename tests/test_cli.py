@@ -115,3 +115,32 @@ def test_unbounded_recursion_is_a_runtime_error(tmp_path, capsys):
     src = write(tmp_path, "rec.cool", "@f(n){ return: f(n); }\nnew: a = 0;\na = f(1);\n")
     assert main(["run", src]) == 3
     assert "CallDepthExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terms", [600, 900])
+def test_a_long_flat_sum_preexecutes_without_recursion(tmp_path, capsys, terms):
+    body = " + ".join(["1"] * terms)
+    src = write(tmp_path, "long.cool", f"new: y = 0;\ny = {body};\ny --> 0;\n")
+    assert main(["run", src]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{terms}.0"]
+
+
+@pytest.mark.parametrize(
+    "text, options, where",
+    [
+        ("foo(1);\n", [], "binds the expression (statement 1, 1 round, 0 candidates)"),
+        (
+            "exp: @(10){ #a + #b }{ return: b + a; }\n"
+            "exp: @(-1){ #a + 1 }{ return: 1 + a; }\n"
+            "f($q + 1);\n",
+            ["--silo-size", "1", "--max-rounds", "3"],
+            "fully bound (statement 21, 3 rounds, 1 candidate)",
+        ),
+    ],
+)
+def test_an_inference_failure_says_where_the_search_stopped(
+    tmp_path, capsys, text, options, where
+):
+    src = write(tmp_path, "stuck.cool", text)
+    assert main(["run", src, *options]) == 2
+    assert where in capsys.readouterr().err

@@ -5,14 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from test_segments import ident, line, num, ref
 from coolang import build, execute, run_program
 from coolang import inversion, search
-from coolang.code import CodeType
+from coolang.code import (
+    BUILTIN,
+    SLOT_LEFT,
+    SLOT_RESULT,
+    SLOT_RIGHT,
+    CodeType,
+    Operand,
+    OperandKind,
+    PendFlag,
+)
 from coolang.errors import InferenceFailure
 from coolang.matching import match_branch
 from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions, accessible_functions
-from coolang.segments import Segment, evaluate
+from coolang.segments import PREBIND_OPS, Segment, evaluate
 from coolang.silo import Silo
 
 
@@ -201,21 +211,87 @@ exp: @(-1){ #a + #b }{ return: b + a; }
 """
 
 
+def reference_pending(lines, addr, raw):
+    """Segment.subtree_pending (raw: subtree_raw_pending), uncached."""
+    ln = lines[addr]
+    if ln.is_user_bound:
+        return not raw and ln.bound_reverse
+    for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+        o = ln.slot(s)
+        if o.kind is OperandKind.IDENT and ln.pending[s] is PendFlag.TRUE:
+            return True
+        if (
+            s != SLOT_RESULT
+            and o.kind is OperandKind.ADDRESS
+            and o.addr in lines
+            and o.addr != addr
+            and reference_pending(lines, o.addr, raw)
+        ):
+            return True
+    return False
+
+
+def reference_prebind(lines):
+    """(bound, root) per line after one ascending pass over every line."""
+    lines = {a: ln.copy() for a, ln in lines.items()}
+
+    def determined(ln, s):
+        o = ln.slot(s)
+        if o.kind is OperandKind.IDENT:
+            return ln.pending[s] is not PendFlag.TRUE
+        if o.kind is OperandKind.ADDRESS and o.addr in lines and o.addr != ln.address:
+            child = lines[o.addr]
+            return child.bound is not None and not reference_pending(lines, o.addr, False)
+        return True
+
+    for a in sorted(lines):
+        ln = lines[a]
+        op = ln.op.text
+        if ln.bound is not None or ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS:
+            continue
+        slots = (SLOT_LEFT,) if op in ("=", "-->") else (SLOT_LEFT, SLOT_RIGHT)
+        if all(determined(ln, s) for s in slots):
+            ln.bound, ln.root = BUILTIN, True
+    return {a: (ln.bound, ln.root) for a, ln in lines.items()}
+
+
+def check_entry(tables, ctx, seg):
+    """Every parent link, cached pending fact and memoized match of a silo
+    entry equals a fresh computation."""
+    parents = {}
+    for a in seg.lines:
+        for c in seg.children(a):
+            parents[c] = a
+    # a segment that owns every line caches nothing
+    fresh = Segment(dict(seg.lines), seg.root, [], None, None)
+    for a, v in seg.versions.items():
+        assert v.parent == parents.get(a)
+        if v.pending is not None:
+            assert v.pending == reference_pending(seg.lines, a, False)
+            assert v.raw_pending == reference_pending(seg.lines, a, True)
+        for func_op, m in (v.matches or {}).items():
+            assert m == match_branch(fresh, a, tables.functions[func_op], ctx)
+
+
 def preexecute_checked(t, options=None):
-    """Preexecute t and check that no candidate ever saw a sibling's move.
+    """Preexecute t and check every candidate against references.
 
     Candidates share unchanged lines with their parent, so a move that
     wrote to a shared line would change another candidate's digest. Each
     search's first segment and every admitted candidate must keep the
     digest it had, and after every rewrite the full repairs must find
-    nothing left for them to do. Returns the number of forward searches,
-    derivation searches, admitted candidates and rewrites.
+    nothing left for them to do. Every prebind pass must bind what one
+    ascending pass over every line binds, and every admitted candidate
+    must pass check_entry once its search is over. Returns the number of
+    forward searches, derivation searches, admitted candidates and
+    rewrites.
     """
     admitted, rewrites = [], []
     searched = {"forward": [], "derivation": []}
     real_offer = Silo.offer
     real_search = search.search_segment
     real_rewrite = search.apply_exp_rewrite
+    real_prebind = Segment.prebind_builtins
 
     def offer(silo, weight, digest, item):
         ok = real_offer(silo, weight, digest, item)
@@ -225,17 +301,20 @@ def preexecute_checked(t, options=None):
 
     def checked_search(kind):
         # inversion imports search_segment by name, so each site is wrapped
-        def search_segment(tables, seg0, *args, **kwargs):
+        def search_segment(tables, seg0, ctx, *args, **kwargs):
             before = seg0.digest()
+            first = len(admitted)
             try:
-                return real_search(tables, seg0, *args, **kwargs)
+                return real_search(tables, seg0, ctx, *args, **kwargs)
             finally:
                 searched[kind].append((before, seg0))
+                for _, seg in admitted[first:]:
+                    check_entry(tables, ctx, seg)
 
         return search_segment
 
-    def apply_exp_rewrite(segment, match, tables):
-        added = real_rewrite(segment, match, tables)
+    def apply_exp_rewrite(segment, match, tables, *plans):
+        added = real_rewrite(segment, match, tables, *plans)
         if added is not None:
             probe = segment.copy()
             size = len(probe.lines)
@@ -243,12 +322,23 @@ def preexecute_checked(t, options=None):
             probe.expand_rings()
         return added
 
+    def prebind_builtins(seg, addrs=None):
+        if addrs is not None:
+            return real_prebind(seg, addrs)
+        want = reference_prebind(seg.lines)
+        real_prebind(seg)
+        assert {a: (ln.bound, ln.root) for a, ln in seg.lines.items()} == want
+
     try:
         with mock.patch.object(Silo, "offer", offer), mock.patch.object(
             search, "search_segment", checked_search("forward")
         ), mock.patch.object(
             inversion, "search_segment", checked_search("derivation")
-        ), mock.patch.object(search, "apply_exp_rewrite", apply_exp_rewrite):
+        ), mock.patch.object(
+            search, "apply_exp_rewrite", apply_exp_rewrite
+        ), mock.patch.object(
+            Segment, "prebind_builtins", prebind_builtins
+        ):
             preexecute(t, options=options)
     finally:
         for before, seg0 in searched["forward"] + searched["derivation"]:
@@ -318,14 +408,32 @@ def test_a_duplicating_rewrite_expands_its_ring_in_place():
     assert evaluate(seg, env, total) == before == 19.0
 
 
+def test_a_duplicating_rewrite_under_a_result_slot_expands_its_ring():
+    # `ans = 2 * (q + 5)` reaches the product through the assignment's
+    # result slot; the rewrite's second reference to q + 5 needs its own copy
+    # there as well, or one line would have two parents
+    t = build("exp: @(-1){ 2 * #a }{ return: a + a; }\n")
+    plus = line(1, "+", ident("q"), num(5.0))
+    mul = line(2, "*", num(2.0), ref(1))
+    assign = line(3, "=", ident("ans"), Operand.empty(), result=ref(2))
+    seg = Segment({ln.address: ln for ln in (plus, mul, assign)}, assign.address, [], None, None)
+    fn = [f for f in t.functions.values() if f.is_exp][0]
+    m = match_branch(seg, mul.address, fn, PreexecUniverse(t).context_for(None))
+    assert search.apply_exp_rewrite(seg, m, t) is not None
+    assert all(n <= 1 for n in seg.reference_counts().values())
+    assert len(seg.lines) == 4  # q + 5, its copy, the new sum and the assignment
+    env = {"q": 4.0}.__getitem__
+    assert evaluate(seg, env, seg[seg.root].result.addr) == 18.0
+
+
 def test_no_rewrite_in_chained_derivation_keeps_its_matched_root():
     # the merged root `ans = <chain>` reaches the chain through its result
     # slot; a rewrite of the chain's top line must be repointed there too
     real_rewrite = search.apply_exp_rewrite
     kept = []
 
-    def apply_exp_rewrite(segment, match, tables):
-        added = real_rewrite(segment, match, tables)
+    def apply_exp_rewrite(segment, match, tables, *plans):
+        added = real_rewrite(segment, match, tables, *plans)
         if added is not None:
             kept.append(match.root in segment.lines)
         return added

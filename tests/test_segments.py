@@ -108,6 +108,37 @@ def test_reverse_bound_child_blocks_prebind_above():
     assert seg[Address((2,))].bound is BUILTIN
 
 
+def test_a_parent_left_behind_is_bound_by_the_next_candidates_pass():
+    # 5 sorts after its parent 1, so the pass that binds 5 has already
+    # visited 1; the next candidate's pass must bind 1 although its own move
+    # (binding the call at 4) touches only 4 and the root, and then 2, which
+    # nothing touched, joins that pass once 1 is bound
+    call = line(6, "f", num(3.0), Operand.empty())
+    c = line(5, "+", ref(6), num(1.0))
+    q = line(1, "*", ref(5), num(2.0))
+    t = line(2, "*", ref(1), num(3.0))
+    other = line(4, "g", num(1.0), Operand.empty())
+    root = line(3, "+", ref(2), ref(4))
+    seg = segment([call, c, q, t, other, root], root=3)
+    seg.prebind_builtins()
+    assert not any(ln.bound for ln in seg.lines.values())
+    seg.freeze()
+
+    cand = seg.copy()
+    cand.own(call.address).bound = Address((99,))
+    cand.prebind_builtins()
+    bound = {a[0] for a, ln in cand.lines.items() if ln.bound is BUILTIN}
+    assert bound == {5}  # one ascending pass cannot reach 1 yet
+    cand.freeze()
+
+    nxt = cand.copy()
+    nxt.own(other.address).bound = Address((98,))
+    nxt.prebind_builtins()
+    assert nxt.fully_bound()
+    assert all(ln.bound is None for ln in seg.lines.values())
+    assert cand[q.address].bound is None
+
+
 def test_subtree_pending_vs_raw_pending_on_bound_subtrees():
     inner = line(1, "+", ident("x"), num(1.0), pending=[1])
     outer = line(2, "==", ref(1), num(5.0))
