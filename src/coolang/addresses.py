@@ -93,29 +93,19 @@ def _below(hi: Address) -> Address:
     raise ValueError(f"no room below {hi}")
 
 
-class Allocator:
-    """allocate_between with a taken-set so fresh addresses never collide."""
+def run_between(
+    lo: Optional[Address], hi: Optional[Address], count: int
+) -> list[Address]:
+    """count ascending addresses strictly inside (lo, hi).
 
-    def __init__(self, taken: Iterable[Address] = ()):
-        self._taken = set(taken)
-
-    def between(self, lo: Optional[Address], hi: Optional[Address]) -> Address:
-        a = allocate_between(lo, hi)
-        while a in self._taken:
-            a = allocate_between(a, hi)
-        self._taken.add(a)
-        return a
-
-    def run_between(
-        self, lo: Optional[Address], hi: Optional[Address], count: int
-    ) -> list[Address]:
-        """count fresh ascending addresses strictly inside (lo, hi)."""
-        out: list[Address] = []
-        cur = lo
-        for _ in range(count):
-            cur = self.between(cur, hi)
-            out.append(cur)
-        return out
+    Fresh only where the gap holds no address yet, as the gap a statement
+    leaves once its lines are removed does.
+    """
+    out: list[Address] = []
+    for _ in range(count):
+        lo = allocate_between(lo, hi)
+        out.append(lo)
+    return out
 
 
 def initial_addresses(count: int) -> Iterator[Address]:

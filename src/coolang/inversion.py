@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .addresses import Address, Allocator
+from .addresses import Address, run_between
 from .code import (
     SLOT_LEFT,
     SLOT_RESULT,
@@ -593,8 +593,9 @@ def assemble_body(
 
     decl_end = tables.scopes[rev.decl_scope].end
     mapping: dict[Address, Address] = {}
-    alloc = Allocator(tables.code.addresses())
-    new_addrs = alloc.run_between(decl_end, derive_line.address, len(items))
+    # the parser emits the derive line right after the declaration's scope,
+    # so the gap between them is empty
+    new_addrs = run_between(decl_end, derive_line.address, len(items))
     for ln, new in zip(items, new_addrs):
         mapping[ln.address] = new
     body_start = mapping[start_line.address]

@@ -63,16 +63,14 @@ def class_mro(tables: Tables, scope: Address) -> list[Address]:
     """Class scope plus ancestors, own first, parents leftmost-depth-first."""
     out: list[Address] = []
     seen: set[Address] = set()
-
-    def walk(s: Address) -> None:
+    stack = [scope]
+    while stack:
+        s = stack.pop()
         if s in seen:
-            return
+            continue
         seen.add(s)
         out.append(s)
-        for p in tables.classes[s].parents:
-            walk(p)
-
-    walk(scope)
+        stack.extend(reversed(tables.classes[s].parents))
     return out
 
 

@@ -223,7 +223,6 @@ def apply_exp_rewrite(
     segment.replace_branch(
         match.root, match.matched, new_addrs, root_operand, root_pending
     )
-    segment.prebind_builtins([a for a in new_addrs if a in segment.lines])
     return new_addrs
 
 

@@ -21,10 +21,9 @@ every version it holds cacheable, because an entry is never written again.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Optional
 
-from .addresses import Address, Allocator
+from .addresses import Address, run_between
 from .code import (
     BUILTIN,
     SLOT_LEFT,
@@ -86,7 +85,6 @@ class Segment:
         "_staging_seq",
         "_owned",
         "_touched",
-        "_carry",
     )
 
     def __init__(
@@ -110,8 +108,6 @@ class Segment:
         # their ancestors and the subtree roots it moved; always holds the
         # parent of what it holds
         self._touched = set(lines)
-        # parents the last prebind pass left behind a child it bound
-        self._carry: tuple[Address, ...] = ()
         parent: dict[Address, Address] = {}
         for a in lines:
             for c in self.children(a):
@@ -152,7 +148,6 @@ class Segment:
         cp._staging_seq = self._staging_seq
         cp._owned = set()
         cp._touched = set()
-        cp._carry = self._carry
         return cp
 
     def freeze(self) -> None:
@@ -395,42 +390,25 @@ class Segment:
             ln.root = True
         return ok
 
-    def prebind_builtins(self, addrs: Optional[list[Address]] = None) -> None:
-        """Bind builtin operators whose operands are determined, in one
-        ascending pass; given addrs, the pass visits only those.
+    def prebind_builtins(self) -> None:
+        """Bind builtin operators whose operands are determined, to a fixpoint.
 
-        Otherwise the pass gives what one ascending pass over every line
-        would give, visiting only the touched lines and the carry. A line
-        the segment did not touch has the subtree it had when its own
-        segment's pass ended, and stayed unbound then, so it can change only
-        through a child bound after it was visited: in this pass, when the
-        child sorts before it (it joins the pass), or in the previous one,
-        when the child sorted after it (the carry). Binding a builtin
-        changes no pending fact, so those are kept for the whole pass.
+        A worklist starts from the touched lines, and a line that binds
+        pushes its parent. A line the segment did not touch has the subtree
+        it had when its own segment's pass ended, and stayed unbound then,
+        so only a child bound here can free it. Binding is monotone and
+        changes no pending fact, so the pending facts hold for the whole
+        pass and every visit order gives the same result.
         """
         memo: dict = {}
-        if addrs is not None:
-            for a in sorted(addrs):
-                self.try_prebind(a, memo)
-            return
-        lines, versions = self.lines, self.versions
-        todo = sorted(self._touched.union(self._carry))
-        carry = []
-        last = None
+        versions = self.versions
+        todo = list(self._touched)
         while todo:
-            a = heapq.heappop(todo)
-            if a == last or a not in lines:
-                continue
-            last = a
+            a = todo.pop()
             if self.try_prebind(a, memo):
                 p = versions[a].parent
-                if p is None:
-                    continue
-                if p < a:
-                    carry.append(p)
-                else:
-                    heapq.heappush(todo, p)
-        self._carry = tuple(carry)
+                if p is not None:
+                    todo.append(p)
 
     def fully_bound(self) -> bool:
         return all(ln.bound is not None for ln in self.lines.values())
@@ -633,10 +611,7 @@ class Segment:
         scope, exec_flag = template.scope, template.exec_flag
         for a in self.original:
             tables.code.remove(a)
-        alloc = Allocator(tables.code.addresses())
-        lo = self.prev_addr
-        hi = self.terminator
-        new_addrs = alloc.run_between(lo, hi, len(order))
+        new_addrs = run_between(self.prev_addr, self.terminator, len(order))
         mapping = dict(zip(order, new_addrs))
 
         for a in order:
@@ -653,8 +628,9 @@ class Segment:
         # outside lines that referenced the old expression now take the new root
         new_root = mapping[self.root]
         stale = set(self.original)
+        fresh = set(new_addrs)
         for el in tables.code.lines():
-            if el.address in mapping.values():
+            if el.address in fresh:
                 continue
             for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
                 o = el.slot(s)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coolang.addresses import Address, Allocator, allocate_between, initial_addresses
+from coolang.addresses import Address, allocate_between, initial_addresses, run_between
 from coolang.code import CodeTable, CodeType, ExecFlag, ExtendedLine, Operand
 
 
@@ -69,9 +69,8 @@ def test_allocate_between_always_strictly_inside():
         assert lo < mid < hi
 
 
-def test_allocator_run_between_is_ordered_and_fresh():
-    alloc = Allocator([Address((1,)), Address((2,))])
-    run = alloc.run_between(Address((1,)), Address((2,)), 5)
+def test_run_between_is_ordered_and_fresh():
+    run = run_between(Address((1,)), Address((2,)), 5)
     assert len(run) == 5
     assert all(Address((1,)) < a < Address((2,)) for a in run)
     assert run == sorted(run)
@@ -156,11 +155,10 @@ def _line(addr: Address) -> ExtendedLine:
 def test_code_table_between_matches_a_full_scan(gaps, pick_lo, pick_hi):
     # grow a table the way splices do: fresh addresses inside existing gaps
     table = CodeTable(_line(a) for a in initial_addresses(3))
-    alloc = Allocator(table.addresses())
     for g in gaps:
         keys = [*table.addresses(), None]
         i = g % (len(keys) - 1)
-        table.insert(_line(alloc.between(keys[i], keys[i + 1])))
+        table.insert(_line(allocate_between(keys[i], keys[i + 1])))
 
     # bounds are table addresses or fresh ones between them
     keys = table.addresses()

@@ -125,6 +125,19 @@ def test_a_long_flat_sum_preexecutes_without_recursion(tmp_path, capsys, terms):
     assert capsys.readouterr().out.splitlines() == [f"{terms}.0"]
 
 
+def test_a_deep_inheritance_chain_ends_in_an_exit_code(tmp_path, capsys):
+    # C1500 << C1499 << ... << C0; the member call walks the whole chain
+    parts = ["system: C0 {\n  new: v = 1;\n  @inc(k){ v = v + k; }\n}\n"]
+    for k in range(1, 1501):
+        parts.append(f"system: C{k} << C{k - 1} {{\n  new: w{k} = 0;\n}}\n")
+    parts.append("C1500: m;\nm.inc(2);\nm.v --> 0;\n")
+    src = write(tmp_path, "deep.cool", "".join(parts))
+    code = main(["run", src])
+    assert code in range(5)
+    if code:
+        assert capsys.readouterr().err.startswith("coolc: ")
+
+
 @pytest.mark.parametrize(
     "text, options, where",
     [

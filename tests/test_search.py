@@ -5,24 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from test_segments import ident, line, num, ref
+from test_segments import ident, line, num, ref, reference_pending, reference_prebind
 from coolang import build, execute, run_program
 from coolang import inversion, search
-from coolang.code import (
-    BUILTIN,
-    SLOT_LEFT,
-    SLOT_RESULT,
-    SLOT_RIGHT,
-    CodeType,
-    Operand,
-    OperandKind,
-    PendFlag,
-)
+from coolang.code import CodeType, Operand
 from coolang.errors import InferenceFailure
 from coolang.matching import match_branch
 from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions, accessible_functions
-from coolang.segments import PREBIND_OPS, Segment, evaluate
+from coolang.segments import Segment, evaluate
 from coolang.silo import Silo
 
 
@@ -211,50 +202,6 @@ exp: @(-1){ #a + #b }{ return: b + a; }
 """
 
 
-def reference_pending(lines, addr, raw):
-    """Segment.subtree_pending (raw: subtree_raw_pending), uncached."""
-    ln = lines[addr]
-    if ln.is_user_bound:
-        return not raw and ln.bound_reverse
-    for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-        o = ln.slot(s)
-        if o.kind is OperandKind.IDENT and ln.pending[s] is PendFlag.TRUE:
-            return True
-        if (
-            s != SLOT_RESULT
-            and o.kind is OperandKind.ADDRESS
-            and o.addr in lines
-            and o.addr != addr
-            and reference_pending(lines, o.addr, raw)
-        ):
-            return True
-    return False
-
-
-def reference_prebind(lines):
-    """(bound, root) per line after one ascending pass over every line."""
-    lines = {a: ln.copy() for a, ln in lines.items()}
-
-    def determined(ln, s):
-        o = ln.slot(s)
-        if o.kind is OperandKind.IDENT:
-            return ln.pending[s] is not PendFlag.TRUE
-        if o.kind is OperandKind.ADDRESS and o.addr in lines and o.addr != ln.address:
-            child = lines[o.addr]
-            return child.bound is not None and not reference_pending(lines, o.addr, False)
-        return True
-
-    for a in sorted(lines):
-        ln = lines[a]
-        op = ln.op.text
-        if ln.bound is not None or ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS:
-            continue
-        slots = (SLOT_LEFT,) if op in ("=", "-->") else (SLOT_LEFT, SLOT_RIGHT)
-        if all(determined(ln, s) for s in slots):
-            ln.bound, ln.root = BUILTIN, True
-    return {a: (ln.bound, ln.root) for a, ln in lines.items()}
-
-
 def check_entry(tables, ctx, seg):
     """Every parent link, cached pending fact and memoized match of a silo
     entry equals a fresh computation."""
@@ -280,11 +227,11 @@ def preexecute_checked(t, options=None):
     wrote to a shared line would change another candidate's digest. Each
     search's first segment and every admitted candidate must keep the
     digest it had, and after every rewrite the full repairs must find
-    nothing left for them to do. Every prebind pass must bind what one
-    ascending pass over every line binds, and every admitted candidate
-    must pass check_entry once its search is over. Returns the number of
-    forward searches, derivation searches, admitted candidates and
-    rewrites.
+    nothing left for them to do. Every prebind pass must reach the
+    fixpoint that repeated ascending passes over every line reach, and
+    every admitted candidate must pass check_entry once its search is
+    over. Returns the number of forward searches, derivation searches,
+    admitted candidates and rewrites.
     """
     admitted, rewrites = [], []
     searched = {"forward": [], "derivation": []}
@@ -322,9 +269,7 @@ def preexecute_checked(t, options=None):
             probe.expand_rings()
         return added
 
-    def prebind_builtins(seg, addrs=None):
-        if addrs is not None:
-            return real_prebind(seg, addrs)
+    def prebind_builtins(seg):
         want = reference_prebind(seg.lines)
         real_prebind(seg)
         assert {a: (ln.bound, ln.root) for a, ln in seg.lines.items()} == want

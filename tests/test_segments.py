@@ -3,6 +3,8 @@ import random
 
 import corpus
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolang import build, preexecute
 from coolang.addresses import Address
@@ -67,6 +69,55 @@ def segment_for(src, op_text):
     return t, Segment.from_run(t, t.expression_run(target.address))
 
 
+def reference_pending(lines, addr, raw):
+    """Segment.subtree_pending (raw: subtree_raw_pending), uncached."""
+    ln = lines[addr]
+    if ln.is_user_bound:
+        return not raw and ln.bound_reverse
+    for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+        o = ln.slot(s)
+        if o.kind is OperandKind.IDENT and ln.pending[s] is PendFlag.TRUE:
+            return True
+        if (
+            s != SLOT_RESULT
+            and o.kind is OperandKind.ADDRESS
+            and o.addr in lines
+            and o.addr != addr
+            and reference_pending(lines, o.addr, raw)
+        ):
+            return True
+    return False
+
+
+def reference_prebind(lines):
+    """(bound, root) per line once ascending passes over every line, repeated
+    until one binds nothing, reach the fixpoint."""
+    lines = {a: ln.copy() for a, ln in lines.items()}
+
+    def determined(ln, s):
+        o = ln.slot(s)
+        if o.kind is OperandKind.IDENT:
+            return ln.pending[s] is not PendFlag.TRUE
+        if o.kind is OperandKind.ADDRESS and o.addr in lines and o.addr != ln.address:
+            child = lines[o.addr]
+            return child.bound is not None and not reference_pending(lines, o.addr, False)
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(lines):
+            ln = lines[a]
+            op = ln.op.text
+            if ln.bound is not None or ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS:
+                continue
+            slots = (SLOT_LEFT,) if op in ("=", "-->") else (SLOT_LEFT, SLOT_RIGHT)
+            if all(determined(ln, s) for s in slots):
+                ln.bound, ln.root = BUILTIN, True
+                changed = True
+    return {a: (ln.bound, ln.root) for a, ln in lines.items()}
+
+
 def test_prebind_binds_determined_builtin_chains():
     _, seg = segment_for("new: a = 1; a = 2 + 3 * 4;", "+")
     assert seg.fully_bound()
@@ -108,11 +159,10 @@ def test_reverse_bound_child_blocks_prebind_above():
     assert seg[Address((2,))].bound is BUILTIN
 
 
-def test_a_parent_left_behind_is_bound_by_the_next_candidates_pass():
-    # 5 sorts after its parent 1, so the pass that binds 5 has already
-    # visited 1; the next candidate's pass must bind 1 although its own move
-    # (binding the call at 4) touches only 4 and the root, and then 2, which
-    # nothing touched, joins that pass once 1 is bound
+def test_a_parent_sorting_before_its_bound_child_is_bound_in_the_same_pass():
+    # 5 sorts after its parent 1: binding the call at 6 frees 5, which
+    # frees 1 and then 2 in the same pass, whatever their order; only the
+    # root waits for the call at 4
     call = line(6, "f", num(3.0), Operand.empty())
     c = line(5, "+", ref(6), num(1.0))
     q = line(1, "*", ref(5), num(2.0))
@@ -128,7 +178,7 @@ def test_a_parent_left_behind_is_bound_by_the_next_candidates_pass():
     cand.own(call.address).bound = Address((99,))
     cand.prebind_builtins()
     bound = {a[0] for a, ln in cand.lines.items() if ln.bound is BUILTIN}
-    assert bound == {5}  # one ascending pass cannot reach 1 yet
+    assert bound == {5, 1, 2}
     cand.freeze()
 
     nxt = cand.copy()
@@ -136,7 +186,64 @@ def test_a_parent_left_behind_is_bound_by_the_next_candidates_pass():
     nxt.prebind_builtins()
     assert nxt.fully_bound()
     assert all(ln.bound is None for ln in seg.lines.values())
-    assert cand[q.address].bound is None
+    assert cand[root.address].bound is None
+
+
+# trees of builtin and call lines: None is a number operand, ("f", kid) a
+# call over kid, (op, left, right) a builtin
+_TREES = st.recursive(
+    st.none(),
+    lambda kids: st.one_of(
+        st.tuples(st.just("f"), kids),
+        st.tuples(st.sampled_from(["+", "*", "=="]), kids, kids),
+    ),
+    max_leaves=10,
+)
+
+
+def _size(tree):
+    return 0 if tree is None else 1 + sum(_size(t) for t in tree[1:])
+
+
+def _build(tree, addrs, out):
+    """Append tree's lines to out under addrs; returns the operand for tree."""
+    if tree is None:
+        return num(1.0)
+    a = next(addrs)
+    # a call has no right operand
+    left, right, *_ = [_build(t, addrs, out) for t in tree[1:]] + [Operand.empty()]
+    out.append(line(a, tree[0], left, right))
+    return ref(a)
+
+
+def _bindings(seg):
+    return {a: (ln.bound, ln.root) for a, ln in seg.lines.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.sampled_from(["+", "*"]), _TREES, _TREES), st.data())
+def test_a_candidates_prebind_reaches_the_fixpoint(tree, data):
+    # shuffled addresses, so parents may sort before their children
+    order = data.draw(st.permutations(range(1, _size(tree) + 1)))
+    lines = []
+    root = _build(tree, iter(order), lines)
+    seg = segment(lines, root.addr[0])
+    seg.prebind_builtins()
+    assert _bindings(seg) == reference_prebind(seg.lines)
+    seg.freeze()
+    before = _bindings(seg)
+
+    calls = [ln.address for ln in lines if ln.op.text == "f"]
+    picked = st.lists(st.sampled_from(calls), unique=True) if calls else st.just([])
+    cand = seg.copy()
+    for a in data.draw(picked):
+        ln = cand.own(a)
+        ln.bound = Address((99,))
+        ln.bound_reverse = data.draw(st.booleans())
+    want = reference_prebind(cand.lines)
+    cand.prebind_builtins()
+    assert _bindings(cand) == want
+    assert _bindings(seg) == before
 
 
 def test_subtree_pending_vs_raw_pending_on_bound_subtrees():
