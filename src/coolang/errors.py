@@ -61,6 +61,10 @@ class InheritanceOfUndeclaredClass(LoadError):
     pass
 
 
+class InheritanceCycle(LoadError):
+    """A class inherits from itself, directly or through other classes."""
+
+
 # --------------------------------------------------------------- inference
 
 

@@ -7,6 +7,7 @@ function/class table construction, duplicate detection.
 
 from __future__ import annotations
 
+import graphlib
 from typing import Optional
 
 from .addresses import Address
@@ -34,6 +35,7 @@ from .code import (
 from .errors import (
     DuplicateDeclaration,
     FunctionWithoutBody,
+    InheritanceCycle,
     InheritanceOfUndeclaredClass,
     LoadError,
     UnbalancedScopes,
@@ -266,6 +268,10 @@ def _build_classes(tables: Tables, ext: list[ExtendedLine]) -> None:
     for el in ext:
         if el.ctype is CodeType.CLASS_OP and el.op.text == "class":
             info = ClassInfo(scope=el.right.addr, name=el.left.text)
+            if info.name in by_name:
+                raise DuplicateDeclaration(
+                    f"class {info.name!r} declared twice", el.address.digits[0]
+                )
             tables.classes[info.scope] = info
             by_name[info.name] = info
     for el in ext:
@@ -277,6 +283,16 @@ def _build_classes(tables: Tables, ext: list[ExtendedLine]) -> None:
                     f"class {el.left.text} inherits undeclared {el.right.text}"
                 )
             child.parents.append(parent.scope)
+    graph = {
+        info.name: [tables.classes[p].name for p in info.parents]
+        for info in by_name.values()
+    }
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        # each class in the reported cycle is a parent of the next
+        cycle = " << ".join(reversed(exc.args[1]))
+        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}") from None
 
 
 def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:

@@ -8,8 +8,9 @@ stays one contiguous run of EXPR lines.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .addresses import Address
 from .code import (
@@ -23,68 +24,43 @@ from .code import (
 from .errors import ParseError
 from .precompile import KEYWORDS
 
-_TWO_CHAR = ("-->", "==", "<<", ">=", "<=", "=>")
-_SINGLE = set("(){};:,$#@.+-*/^=<>")
-_CMP_OPS = ("==", ">", "<", ">=", "<=")
+# each level left-associative; unary minus and ^ bind tighter than all of them
+_PREC = {"==": 1, ">": 1, "<": 1, ">=": 1, "<=": 1, "+": 2, "-": 2, "*": 3, "/": 3}
+
+_TOKEN = re.compile(
+    r'"((?:\\.|[^"\\])*)"'  # 1 string, quotes dropped
+    r"|(\d+(?:\.\d+)?|\.\d+)"  # 2 number
+    r"|([A-Za-z_]\w*)"  # 3 identifier
+    r"|(-->|==|<<|>=|<=|=>|[(){};:,$#@.+\-*/^=<>])"  # 4 operator, longest first
+    r"|(.)",  # 5 anything else
+    re.S | re.A,
+)
+_KINDS = (None, "string", "number", "ident", "op")
+_ESCAPE = re.compile(r"\\(.)", re.S)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | string | op | eof
     text: str
     pos: int
 
 
+def _unescape(m: re.Match) -> str:
+    return {"n": "\n", "t": "\t"}.get(m[1], m[1])
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j, buf = i + 1, []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", i)
-            toks.append(Token("string", "".join(buf), i))
-            i = j + 1
-        elif c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # member access after a name never follows a digit here
-                    if not (j + 1 < n and text[j + 1].isdigit()):
-                        break
-                    seen_dot = True
-                j += 1
-            toks.append(Token("number", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], i))
-            i = j
-        else:
-            for op in _TWO_CHAR:
-                if text.startswith(op, i):
-                    toks.append(Token("op", op, i))
-                    i += len(op)
-                    break
-            else:
-                if c in _SINGLE:
-                    toks.append(Token("op", c, i))
-                    i += 1
-                else:
-                    raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(Token("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k == 5:
+            if m[5] == '"':
+                raise ParseError("unterminated string", m.start())
+            raise ParseError(f"unexpected character {m[5]!r}", m.start())
+        value = _ESCAPE.sub(_unescape, m[1]) if k == 1 else m[k]
+        toks.append(Token(_KINDS[k], value, m.start()))
+    # the parser looks at most three tokens past the current one
+    toks += [Token("eof", "", len(text))] * 4
     return toks
 
 
@@ -144,6 +120,19 @@ class _Out:
     tail: Optional[object]
 
 
+def _left_spine(node: _Bin) -> tuple[object, list[_Bin]]:
+    """A chain's leftmost operand and its _Bin nodes, innermost first.
+
+    Walked in a loop so a flat chain of any length emits without recursion.
+    """
+    chain = []
+    while isinstance(node, _Bin):
+        chain.append(node)
+        node = node.l
+    chain.reverse()
+    return node, chain
+
+
 class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
@@ -155,8 +144,7 @@ class Parser:
     # --- token helpers ---
 
     def _peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + ahead]
 
     def _next(self) -> Token:
         t = self.toks[self.i]
@@ -259,9 +247,7 @@ class Parser:
             self._next()
             node = self.parse_expr()
             self._expect("op", ";")
-            self._hoist_access(node)
-            root = self._emit_expr(node)
-            self._emit(CodeType.RETURN, op=Operand.ident("return"), left=root)
+            self._emit(CodeType.RETURN, op=Operand.ident("return"), left=self._lower(node))
             self._emit(CodeType.EXPR_END)
         elif t.kind == "ident" and t.text == "while":
             self.parse_while()
@@ -288,6 +274,7 @@ class Parser:
         else:
             node = self.parse_expr()
             self._expect("op", ";")
+            # hoisted accesses alone are no expression: `a.b;` gets no EXPR_END
             self._hoist_access(node)
             before = len(self.lines)
             self._emit_expr(node)
@@ -302,74 +289,56 @@ class Parser:
         if self._accept("op", "="):
             value = self.parse_assign_rhs()
             self._expect("op", ";")
-            self._hoist_access(value)
-            v = self._emit_expr(value)
             self._emit(
                 CodeType.EXPR,
                 op=Operand.ident("="),
-                left=v,
+                left=self._lower(value),
                 result=Operand.ident(name.text),
             )
             self._emit(CodeType.EXPR_END)
         else:
             self._expect("op", ";")
 
-    def parse_while(self) -> None:
-        self._expect("ident", "while")
+    def _cond_jump(self) -> int:
+        """`(cond) {block}`: the test, a jump past the block, then the block.
+
+        Returns the jump's index; the caller sets its target.
+        """
         self._expect("op", "(")
         cond = self.parse_expr()
         self._expect("op", ")")
-        cond_start = self._next_index_operand()
-        self._hoist_access(cond)
-        c = self._emit_expr(cond)
         neg = self._emit(
             CodeType.EXPR,
             op=Operand.ident("=="),
-            left=c,
+            left=self._lower(cond),
             right=Operand.number(0),
             self_result=True,
         )
         self._emit(CodeType.EXPR_END)
-        exit_jump = self._emit(
-            CodeType.JUMP, op=Operand.ident("jump"), left=self._addr_of(neg)
-        )
+        skip = self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=self._addr_of(neg))
         self._block("cond")
+        return skip
+
+    def parse_while(self) -> None:
+        self._expect("ident", "while")
+        cond_start = self._next_index_operand()
+        exit_jump = self._cond_jump()
         self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=Operand.number(1), right=cond_start)
         self.lines[exit_jump].right = self._next_index_operand()
 
     def parse_if(self) -> None:
+        self._expect("ident", "if")
         end_jumps: list[int] = []
-        first = True
         while True:
-            kw = "if" if first else "elseif"
-            self._expect("ident", kw)
-            first = False
-            self._expect("op", "(")
-            cond = self.parse_expr()
-            self._expect("op", ")")
-            self._hoist_access(cond)
-            c = self._emit_expr(cond)
-            neg = self._emit(
-                CodeType.EXPR,
-                op=Operand.ident("=="),
-                left=c,
-                right=Operand.number(0),
-                self_result=True,
-            )
-            self._emit(CodeType.EXPR_END)
-            skip = self._emit(
-                CodeType.JUMP, op=Operand.ident("jump"), left=self._addr_of(neg)
-            )
-            self._block("cond")
+            skip = self._cond_jump()
             end_jumps.append(
                 self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=Operand.number(1))
             )
             self.lines[skip].right = self._next_index_operand()
-            if self._at("ident", "elseif"):
-                continue
-            if self._accept("ident", "else"):
-                self._block("cond")
-            break
+            if not self._accept("ident", "elseif"):
+                break
+        if self._accept("ident", "else"):
+            self._block("cond")
         target = self._next_index_operand()
         for j in end_jumps:
             self.lines[j].right = target
@@ -434,8 +403,7 @@ class Parser:
             t = self._peek()
             raise ParseError("declaration needs a name or a pattern", t.pos)
         start = self._emit(CodeType.SCOPE_START, left=Operand.ident("decl"))
-        self._hoist_access(pattern)
-        root = self._emit_expr(pattern)
+        root = self._lower(pattern)
         if root.kind.value not in ("a",):
             # single-operand pattern (bare identifier): not a usable declaration
             raise ParseError("declaration pattern has no operator", self._peek().pos)
@@ -470,9 +438,6 @@ class Parser:
     # --- expressions ---
 
     def parse_expr(self):
-        return self.parse_output()
-
-    def parse_output(self):
         v = self.parse_assign_rhs()
         if self._accept("op", "-->"):
             tail = None
@@ -499,7 +464,7 @@ class Parser:
         raise ParseError("expected a literal", t.pos)
 
     def parse_assign_rhs(self):
-        l = self.parse_compare()
+        l = self.parse_binary()
         if self._accept("op", "="):
             r = self.parse_assign_rhs()
             if not isinstance(l, (_Id, _Acc)):
@@ -507,38 +472,16 @@ class Parser:
             return _Asg(l, r)
         return l
 
-    def parse_compare(self):
-        l = self.parse_additive()
-        while True:
-            t = self._peek()
-            if t.kind == "op" and t.text in _CMP_OPS:
-                self._next()
-                r = self.parse_additive()
-                l = _Bin(t.text, l, r)
-            else:
-                return l
-
-    def parse_additive(self):
-        l = self.parse_multiplicative()
-        while True:
-            t = self._peek()
-            if t.kind == "op" and t.text in ("+", "-"):
-                self._next()
-                r = self.parse_multiplicative()
-                l = _Bin(t.text, l, r)
-            else:
-                return l
-
-    def parse_multiplicative(self):
+    def parse_binary(self, min_prec: int = 1):
+        """Precedence climbing over the _PREC operators binding at least min_prec."""
         l = self.parse_unary()
         while True:
-            t = self._peek()
-            if t.kind == "op" and t.text in ("*", "/"):
-                self._next()
-                r = self.parse_unary()
-                l = _Bin(t.text, l, r)
-            else:
+            t = self.toks[self.i]
+            prec = _PREC.get(t.text, 0) if t.kind == "op" else 0
+            if prec < min_prec:
                 return l
+            self.i += 1
+            l = _Bin(t.text, l, self.parse_binary(prec + 1))
 
     def parse_unary(self):
         if self._accept("op", "-"):
@@ -625,7 +568,7 @@ class Parser:
                 if self._out_mark:
                     raise ParseError("nested out: marker", t.pos)
                 self._out_mark = True
-                node = self.parse_compare()
+                node = self.parse_binary()
                 if self._out_mark:
                     raise ParseError("out: marker not attached to an identifier", t.pos)
                 return node
@@ -658,6 +601,11 @@ class Parser:
 
     # --- expression emission ---
 
+    def _lower(self, node) -> Operand:
+        """Hoist the member accesses, then emit the expression lines."""
+        self._hoist_access(node)
+        return self._emit_expr(node)
+
     def _hoist_access(self, node) -> None:
         """Emit ACCESS_MEMBER lines for every access path, evaluation order."""
         if isinstance(node, _Acc):
@@ -674,8 +622,10 @@ class Parser:
         elif isinstance(node, _Neg):
             self._hoist_access(node.x)
         elif isinstance(node, _Bin):
-            self._hoist_access(node.l)
-            self._hoist_access(node.r)
+            leaf, chain = _left_spine(node)
+            self._hoist_access(leaf)
+            for b in chain:
+                self._hoist_access(b.r)
         elif isinstance(node, _Call):
             for a in node.args:
                 self._hoist_access(a)
@@ -708,12 +658,15 @@ class Parser:
             )
             return self._addr_of(idx)
         if isinstance(node, _Bin):
-            l = self._emit_expr(node.l)
-            r = self._emit_expr(node.r)
-            idx = self._emit(
-                CodeType.EXPR, op=Operand.ident(node.op), left=l, right=r, self_result=True
-            )
-            return self._addr_of(idx)
+            leaf, chain = _left_spine(node)
+            acc = self._emit_expr(leaf)
+            for b in chain:
+                r = self._emit_expr(b.r)
+                idx = self._emit(
+                    CodeType.EXPR, op=Operand.ident(b.op), left=acc, right=r, self_result=True
+                )
+                acc = self._addr_of(idx)
+            return acc
         if isinstance(node, _Call):
             ops = [self._emit_expr(a) for a in node.args]
             while len(ops) > 2:

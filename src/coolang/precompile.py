@@ -1,7 +1,8 @@
 """Source normalization ahead of compilation.
 
-Comments are stripped, all units merged, insignificant whitespace removed,
-non-ASCII characters escaped, and multi-part function names fused:
+Comments and insignificant whitespace are removed and non-ASCII characters
+escaped in one pass per unit, the units merged, and multi-part function
+names fused:
 
     add (a) and (b) to (c)  ->  add_ARG_and_ARG_to(a,b,c)
 
@@ -10,8 +11,9 @@ String literal contents pass through untouched.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import PrecompileError, UnterminatedComment, UnterminatedString
 
@@ -36,79 +38,35 @@ def _ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
-def _strip_comments(unit: SourceUnit) -> str:
-    src = unit.content
-    out = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == '"':
-            j = _skip_string(src, i, unit.path)
-            out.append(src[i:j])
-            i = j
-        elif c == "/" and i + 1 < n and src[i + 1] == "/":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif c == "/" and i + 1 < n and src[i + 1] == "*":
-            end = src.find("*/", i + 2)
-            if end < 0:
-                raise UnterminatedComment(f"{unit.path}: unterminated comment at offset {i}")
-            # comment acts as whitespace; tokens on both sides stay apart
-            out.append(" ")
-            i = end + 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+_STRING = r'"(?:\\.|[^"\\])*"'
+_STRING_RE = re.compile(_STRING, re.S)
+# per unit: keep a string (1), drop a comment or whitespace, escape a
+# non-ASCII character (2); a quote (3) or comment opener (4) left over is
+# unterminated
+_NORMALIZE = re.compile(
+    rf'({_STRING})|//[^\n]*|/\*.*?\*/|\s+|([^\x00-\x7f])|(")|(/\*)', re.S
+)
 
 
-def _skip_string(src: str, start: int, path: str) -> int:
-    """Index just past the string literal opening at start."""
-    i = start + 1
-    n = len(src)
-    while i < n:
-        if src[i] == "\\" and i + 1 < n:
-            i += 2
-            continue
-        if src[i] == '"':
-            return i + 1
-        i += 1
-    raise UnterminatedString(f"{path}: unterminated string at offset {start}")
+def _normalize(unit: SourceUnit) -> str:
+    def replace(m: re.Match) -> str:
+        k = m.lastindex
+        if k is None:
+            return ""
+        if k == 1:
+            return m[1]
+        if k == 2:
+            return f"_u{ord(m[2]):X}_"
+        what = "string" if k == 3 else "comment"
+        error = UnterminatedString if k == 3 else UnterminatedComment
+        raise error(f"{unit.path}: unterminated {what} at offset {m.start()}")
+
+    return _NORMALIZE.sub(replace, unit.content)
 
 
-def _delete_whitespace(text: str) -> str:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = _skip_string(text, i, "<merged>")
-            out.append(text[i:j])
-            i = j
-        elif c.isspace():
-            i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _escape_non_ascii(text: str) -> str:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = _skip_string(text, i, "<merged>")
-            out.append(text[i:j])
-            i = j
-        elif ord(c) > 127:
-            out.append(f"_u{ord(c):X}_")
-            i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+def _skip_string(text: str, start: int) -> int:
+    """Index just past the string literal opening at start; text is normalized."""
+    return _STRING_RE.match(text, start).end()
 
 
 def _scan_group(text: str, start: int) -> int:
@@ -118,7 +76,7 @@ def _scan_group(text: str, start: int) -> int:
     while i < n:
         c = text[i]
         if c == '"':
-            i = _skip_string(text, i, "<merged>")
+            i = _skip_string(text, i)
             continue
         if c == "(":
             depth += 1
@@ -137,7 +95,7 @@ def _fuse_names(text: str) -> str:
     while i < n:
         c = text[i]
         if c == '"':
-            j = _skip_string(text, i, "<merged>")
+            j = _skip_string(text, i)
             out.append(text[i:j])
             i = j
             continue
@@ -197,13 +155,12 @@ def precompile(units: Union[str, Sequence[Union[SourceUnit, str]]]) -> str:
     """Merge and normalize source units into one compilable text."""
     if isinstance(units, str):
         units = [units]
-    normalized: list[SourceUnit] = []
-    for idx, u in enumerate(units):
-        if isinstance(u, str):
-            u = SourceUnit(path=f"<unit{idx}>", content=u)
-        normalized.append(u)
-    stripped = [_strip_comments(u) for u in normalized]
-    merged = "\n".join(stripped)
-    merged = _delete_whitespace(merged)
-    merged = _escape_non_ascii(merged)
-    return _fuse_names(merged)
+    merged = "".join(
+        _normalize(u if isinstance(u, SourceUnit) else SourceUnit(f"<unit{idx}>", u))
+        for idx, u in enumerate(units)
+    )
+    try:
+        return _fuse_names(merged)
+    except RecursionError:
+        # _fuse_names recurses once per nested call group
+        raise PrecompileError("nesting too deep to precompile") from None

@@ -24,12 +24,6 @@ created_count = 0
 destroyed_count = 0
 
 
-def reset_counters() -> None:
-    global created_count, destroyed_count
-    created_count = 0
-    destroyed_count = 0
-
-
 @dataclass
 class Path:
     """A resolved member access: read/write through to the owning record."""
@@ -52,7 +46,6 @@ class Record:
         self,
         scope: Optional[Address],
         parent: Optional["Record"] = None,
-        return_to: Optional["Record"] = None,
     ):
         global created_count
         created_count += 1
@@ -61,8 +54,6 @@ class Record:
         self.data: dict[Key, object] = {}
         self.cross_ref: dict[str, Path] = {}
         self.parent = parent  # lexical chain
-        self.return_to = return_to  # caller record
-        self.return_address: Optional[Address] = None
         self.param_query_links: list[Record] = []
         self.destroyed = False
 

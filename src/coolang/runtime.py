@@ -513,8 +513,7 @@ class Interpreter:
                 )
             parent = found
 
-        body = Record(scope=fn.body_scope, parent=parent, return_to=record)
-        body.return_address = site.address
+        body = Record(scope=fn.body_scope, parent=parent)
         body.cross_ref.update(formals)
         for bare, v in locals_.items():
             body.declare(bare, v)

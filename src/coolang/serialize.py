@@ -278,6 +278,12 @@ def deserialize(text: str) -> Tables:
                 # bad addresses, flags, kinds and numbers
                 raise FormatError(f"line {lineno}, {name} row: {exc}") from None
 
+    names: set[str] = set()
+    for info in tables.classes.values():
+        if info.name in names:
+            raise FormatError(f"class {info.name!r} declared twice")
+        names.add(info.name)
+
     # binding direction is a property of the bound function, not stored
     for ln in tables.code.lines():
         if ln.is_user_bound and ln.bound in tables.functions:

@@ -16,7 +16,7 @@ the digest and the offer; the entries come out the same.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class Silo:
@@ -33,9 +33,6 @@ class Silo:
 
     def __bool__(self) -> bool:
         return bool(self._items)
-
-    def min_weight(self) -> Optional[float]:
-        return self._weights[0] if self._weights else None
 
     def admits(self, weight: float) -> bool:
         """False when offer would refuse any digest at this weight."""

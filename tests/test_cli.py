@@ -117,7 +117,7 @@ def test_unbounded_recursion_is_a_runtime_error(tmp_path, capsys):
     assert "CallDepthExceeded" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("terms", [600, 900])
+@pytest.mark.parametrize("terms", [600, 900, 5000])
 def test_a_long_flat_sum_preexecutes_without_recursion(tmp_path, capsys, terms):
     body = " + ".join(["1"] * terms)
     src = write(tmp_path, "long.cool", f"new: y = 0;\ny = {body};\ny --> 0;\n")
@@ -136,6 +136,65 @@ def test_a_deep_inheritance_chain_ends_in_an_exit_code(tmp_path, capsys):
     assert code in range(5)
     if code:
         assert capsys.readouterr().err.startswith("coolc: ")
+
+
+def test_a_deep_chain_of_empty_classes_ends_in_an_exit_code(tmp_path, capsys):
+    parts = ["system: C0 { }\n"]
+    parts += [f"system: C{k} << C{k - 1} {{ }}\n" for k in range(1, 1501)]
+    src = write(tmp_path, "empty.cool", "".join(parts) + "C1500: m;\n")
+    code = main(["run", src])
+    assert code in range(5)
+    if code:
+        assert capsys.readouterr().err.startswith("coolc: ")
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        "system: A << B {\n  new: v = 1;\n}\nsystem: B << A {\n  new: w = 1;\n}\n",
+        "system: A << A {\n  new: v = 1;\n}\n",
+    ],
+)
+def test_an_inheritance_cycle_is_a_compile_error(tmp_path, capsys, classes):
+    src = write(tmp_path, "cycle.cool", classes + "A: m;\n")
+    assert main(["run", src]) == 1
+    assert "InheritanceCycle" in capsys.readouterr().err
+
+
+_TWO_CLASSES = """
+system: A {
+  new: v = 1;
+  @get(k){ return: v + k; }
+}
+system: %s {
+  new: w = 2;
+  @get(k){ return: w + k; }
+}
+"""
+
+
+def test_a_class_name_declared_twice_is_a_compile_error(tmp_path, capsys):
+    # one A would bind m.get and the other would run it
+    src = write(tmp_path, "dup.cool", _TWO_CLASSES % "A" + "A: m;\nm.get(1) --> 0;\n")
+    assert main(["run", src]) == 1
+    assert "DuplicateDeclaration: class 'A' declared twice" in capsys.readouterr().err
+
+
+def test_a_code_table_repeating_a_class_name_is_a_format_error(tmp_path, capsys):
+    src = write(tmp_path, "two.cool", _TWO_CLASSES % "Z")
+    assert main(["compile", src]) == 0
+    table = tmp_path / "two.ccode"
+    head, sep, classes = table.read_text().rpartition("---\n")
+    table.write_text(head + sep + classes.replace("\tZ\t", "\tA\t"))
+    assert main(["run", str(table)]) == 1
+    assert "FormatError: class 'A' declared twice" in capsys.readouterr().err
+
+
+def test_a_deeply_nested_call_is_a_compile_error(tmp_path, capsys):
+    nested = "f(" * 3000 + "1" + ")" * 3000
+    src = write(tmp_path, "nested.cool", f"@f(x){{ return: x; }}\nnew: y = {nested};\n")
+    assert main(["run", src]) == 1
+    assert "PrecompileError: nesting too deep" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -285,3 +285,23 @@ def test_nesting_too_deep_to_parse_is_a_parse_error():
     depth = 3000
     with pytest.raises(ParseError, match="nesting too deep"):
         compile_lines("new: a = " + "(" * depth + "1" + ")" * depth + ";")
+
+
+def test_a_bare_access_statement_ends_no_expression():
+    # hoisted accesses alone emit no expression line, so no EXPR_END follows
+    lines = compile_lines("a.b.c;")
+    assert kinds(lines) == [CodeType.ACCESS_MEMBER, CodeType.ACCESS_MEMBER]
+
+
+def test_string_escapes_decode_and_an_open_string_is_refused():
+    (out,) = [ln for ln in parse(r'"a\"b\n\t\\c\q"-->0;') if ln.op.text == "-->"]
+    assert out.left.text == 'a"b\n\t\\cq'
+    with pytest.raises(ParseError, match=r"unterminated string \(at offset 2\)"):
+        parse('x="open\\";')
+
+
+@pytest.mark.parametrize("text, pos", [("new:aé=1;", 5), ("x=²;", 2), ("x=1;٣;", 4)])
+def test_non_ascii_outside_strings_is_an_unexpected_character(text, pos):
+    with pytest.raises(ParseError, match=rf"unexpected character .* \(at offset {pos}\)"):
+        parse(text)
+    assert parse('x="é";')[0].left.text == "é"

@@ -102,23 +102,26 @@ def test_the_interpreter_refuses_raw_code():
         Interpreter(build(corpus.ADD_TO))
 
 
+def live_records_after(run):
+    """Records run() created and did not destroy."""
+    created, destroyed = records.created_count, records.destroyed_count
+    run()
+    return (records.created_count - created) - (records.destroyed_count - destroyed)
+
+
 def test_scope_records_are_destroyed_on_exit():
     for name in ("add_to", "out_scope", "loop_and_branch", "chained_derivation"):
         t = build(corpus.ALL_PROGRAMS[name])
         preexecute(t)
-        records.reset_counters()
-        run_program(t)
         # everything but the global record comes back down
-        assert records.created_count == records.destroyed_count + 1, name
+        assert live_records_after(lambda: run_program(t)) == 1, name
 
 
 def test_instances_outlive_the_calls_that_touch_them():
     t = build(corpus.CLASS_SOLVER)
     preexecute(t)
-    records.reset_counters()
-    run_program(t)
     # the global record plus m and its two inherited instances stay live
-    assert records.created_count == records.destroyed_count + 4
+    assert live_records_after(lambda: run_program(t)) == 4
 
 
 @settings(max_examples=25, deadline=None)

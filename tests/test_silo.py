@@ -13,6 +13,11 @@ def items(silo):
     return [it for _, it in silo.entries()]
 
 
+def min_weight(silo):
+    ws = weights(silo)
+    return ws[0] if ws else None
+
+
 def test_size_must_be_positive():
     with pytest.raises(ValueError):
         Silo(0)
@@ -25,7 +30,7 @@ def test_entries_stay_sorted_ascending():
     for i, w in enumerate([5.0, 1.0, 3.0, -2.0, 4.0]):
         s.offer(w, ("d", i), i)
     assert weights(s) == [-2.0, 1.0, 3.0, 4.0, 5.0]
-    assert s.min_weight() == -2.0
+    assert min_weight(s) == -2.0
 
 
 def test_full_silo_rejects_weight_not_above_minimum():
@@ -44,7 +49,7 @@ def test_full_silo_evicts_lightest_for_a_heavier_entry():
     assert s.offer(4.0, "c", "c")
     assert weights(s) == [4.0, 5.0]
     assert items(s) == ["c", "b"]
-    assert s.min_weight() == 4.0
+    assert min_weight(s) == 4.0
 
 
 def test_equal_weights_keep_insertion_order():
@@ -74,7 +79,7 @@ def test_suppression_survives_eviction():
 
 def test_empty_silo_reports_no_minimum():
     s = Silo(4)
-    assert s.min_weight() is None
+    assert min_weight(s) is None
     assert not s
     s.offer(0.0, "d", "d")
     assert s
