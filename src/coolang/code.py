@@ -8,6 +8,7 @@ by multi-level address and grouped into the four tables.
 from __future__ import annotations
 
 import bisect
+import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -235,6 +236,16 @@ class ClassInfo:
     parents: list[Address] = field(default_factory=list)
 
 
+def inheritance_cycle(classes: dict[Address, ClassInfo]) -> Optional[str]:
+    """A cycle among the classes' parent links, as `A << B << A`, or None."""
+    try:
+        graphlib.TopologicalSorter({s: c.parents for s, c in classes.items()}).prepare()
+    except graphlib.CycleError as exc:
+        # each class in the reported cycle is a parent of the next
+        return " << ".join(classes[s].name for s in reversed(exc.args[1]))
+    return None
+
+
 class CodeTable:
     """Extended code lines keyed ascending by address."""
 
@@ -310,12 +321,6 @@ class Tables:
             chain.append(cur)
             cur = self.scopes[cur].parent
         return chain
-
-    def function_by_decl(self, decl_scope: Address) -> Optional[FunctionInfo]:
-        for fn in self.functions.values():
-            if fn.decl_scope == decl_scope:
-                return fn
-        return None
 
     def expression_run(self, addr: Address) -> list[ExtendedLine]:
         """The longest expression containing the EXPR line at addr.

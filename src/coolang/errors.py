@@ -38,10 +38,6 @@ class ParseError(CoolError):
         self.pos = pos
 
 
-class DuplicateDeclaration(ParseError):
-    pass
-
-
 # ------------------------------------------------------------------ loader
 
 
@@ -55,6 +51,10 @@ class UnbalancedScopes(LoadError):
 
 class FunctionWithoutBody(LoadError):
     pass
+
+
+class DuplicateDeclaration(LoadError):
+    """A class, a variable in one scope, or a declaration in one scope twice."""
 
 
 class InheritanceOfUndeclaredClass(LoadError):

@@ -622,24 +622,6 @@ def assemble_body(
     return body_start
 
 
-def _find_forward(tables: Tables, derive_line: ExtendedLine) -> FunctionInfo:
-    name = derive_line.left.text
-    best: Optional[FunctionInfo] = None
-    for fn in tables.functions.values():
-        if (
-            fn.name == name
-            and not fn.is_exp
-            and not fn.is_reverse
-            and fn.body_scope is not None
-            and fn.func_op < derive_line.address
-        ):
-            if best is None or fn.func_op > best.func_op:
-                best = fn
-    if best is None:
-        raise DerivationFailure(f"no forward declaration named {name!r} to derive from")
-    return best
-
-
 def _adopt_names(
     tables: Tables,
     rev: FunctionInfo,
@@ -671,8 +653,11 @@ def derive_reverse_body(
 ) -> Address:
     """Build and install the reverse body named by one derivation marker."""
     opts = options or SearchOptions()
-    fwd = _find_forward(tables, derive_line)
-    rev = tables.function_by_decl(derive_line.right.addr)
+    name = derive_line.left.text
+    fwd = uni.declarations.forward(name, derive_line.address)
+    if fwd is None:
+        raise DerivationFailure(f"no forward declaration named {name!r} to derive from")
+    rev = uni.declarations.by_decl.get(derive_line.right.addr)
     if rev is None:
         raise DerivationFailure("the derivation marker names no declaration")
     if rev.body_scope is not None:

@@ -7,19 +7,16 @@ function/class table construction, duplicate detection.
 
 from __future__ import annotations
 
-import graphlib
 from typing import Optional
 
 from .addresses import Address
 from .code import (
-    BUILTIN,
     OUT_MARK,
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
     ClassInfo,
     CodeLine,
-    CodeTable,
     CodeType,
     ExecFlag,
     ExtendedLine,
@@ -30,6 +27,7 @@ from .code import (
     ScopeInfo,
     ScopeKind,
     Tables,
+    inheritance_cycle,
     split_markers,
 )
 from .errors import (
@@ -227,18 +225,11 @@ def _build_functions(
             for s in _VALUE_SLOTS
             if x.pending[s] is PendFlag.TRUE
         )
-        class_scope = None
-        cur = rows[decl_start].parent
-        while cur is not None:
-            if rows[cur].kind is ScopeKind.CLASS:
-                class_scope = cur
-                break
-            cur = rows[cur].parent
         returns: list[Address] = []
         if body_start is not None:
             rows[body_start].param_query = decl_start
             for x in _span(tables, body_start):
-                if x.ctype is CodeType.RETURN and _nearest_body(rows, x.scope) == body_start:
+                if x.ctype is CodeType.RETURN and _nearest(rows, x.scope, ScopeKind.BODY) == body_start:
                     returns.append(x.address)
         tables.functions[el.address] = FunctionInfo(
             decl_scope=decl_start,
@@ -250,14 +241,17 @@ def _build_functions(
             weight=el.result.num,
             func_op=el.address,
             name=root.op.text,
-            class_scope=class_scope,
+            class_scope=_nearest(rows, rows[decl_start].parent, ScopeKind.CLASS),
         )
 
 
-def _nearest_body(rows: dict[Address, ScopeInfo], scope: Optional[Address]) -> Optional[Address]:
+def _nearest(
+    rows: dict[Address, ScopeInfo], scope: Optional[Address], kind: ScopeKind
+) -> Optional[Address]:
+    """The innermost scope of a kind from scope outward, scope included."""
     cur = scope
     while cur is not None:
-        if rows[cur].kind is ScopeKind.BODY:
+        if rows[cur].kind is kind:
             return cur
         cur = rows[cur].parent
     return None
@@ -270,7 +264,7 @@ def _build_classes(tables: Tables, ext: list[ExtendedLine]) -> None:
             info = ClassInfo(scope=el.right.addr, name=el.left.text)
             if info.name in by_name:
                 raise DuplicateDeclaration(
-                    f"class {info.name!r} declared twice", el.address.digits[0]
+                    f"class {info.name!r} declared twice, again at code line {el.address}"
                 )
             tables.classes[info.scope] = info
             by_name[info.name] = info
@@ -283,16 +277,9 @@ def _build_classes(tables: Tables, ext: list[ExtendedLine]) -> None:
                     f"class {el.left.text} inherits undeclared {el.right.text}"
                 )
             child.parents.append(parent.scope)
-    graph = {
-        info.name: [tables.classes[p].name for p in info.parents]
-        for info in by_name.values()
-    }
-    try:
-        graphlib.TopologicalSorter(graph).prepare()
-    except graphlib.CycleError as exc:
-        # each class in the reported cycle is a parent of the next
-        cycle = " << ".join(reversed(exc.args[1]))
-        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}") from None
+    cycle = inheritance_cycle(tables.classes)
+    if cycle is not None:
+        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}")
 
 
 def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:
@@ -302,8 +289,8 @@ def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:
             key = (el.scope, el.result.text)
             if key in vars_seen:
                 raise DuplicateDeclaration(
-                    f"variable {el.result.text!r} declared twice in the same scope",
-                    el.address.digits[0],
+                    f"variable {el.result.text!r} declared twice in the same scope, "
+                    f"again at code line {el.address}"
                 )
             vars_seen.add(key)
 
@@ -313,8 +300,8 @@ def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:
         key = (fn_line.scope, _decl_digest(tables, fn), fn.is_exp)
         if key in fns_seen:
             raise DuplicateDeclaration(
-                f"duplicate declaration of {fn.name!r} in the same scope",
-                fn.func_op.digits[0],
+                f"duplicate declaration of {fn.name!r} in the same scope, "
+                f"again at code line {fn.func_op}"
             )
         fns_seen.add(key)
 

@@ -12,12 +12,13 @@ determined one needs a determined or unrelated formal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .addresses import Address
 from .code import (
-    OUT_MARK,
     SLOT_LEFT,
+    SLOT_OP,
+    SLOT_RESULT,
     SLOT_RIGHT,
     CodeType,
     ExtendedLine,
@@ -31,6 +32,9 @@ from .code import (
 from .records import Path
 from .segments import Segment
 
+if TYPE_CHECKING:
+    from .search import Declarations
+
 
 @dataclass
 class BindContext:
@@ -41,6 +45,7 @@ class BindContext:
     resolve: Callable[[Optional[Address], str, bool], Optional[Path]]
     resolve_path_line: Callable[[Address], Optional[Path]]
     instance_class: Callable[[str], Optional[Address]]
+    declarations: Declarations
 
 
 @dataclass(slots=True)
@@ -74,16 +79,6 @@ def class_mro(tables: Tables, scope: Address) -> list[Address]:
     return out
 
 
-def member_functions(tables: Tables, class_scope: Address) -> list[FunctionInfo]:
-    """Member functions, own before inherited, source order within a class."""
-    out: list[FunctionInfo] = []
-    for s in class_mro(tables, class_scope):
-        fns = [f for f in tables.functions.values() if f.class_scope == s]
-        fns.sort(key=lambda f: f.func_op)
-        out.extend(fns)
-    return out
-
-
 def _value_type(value) -> str:
     if value is None or isinstance(value, (int, float)):
         return "number"
@@ -103,16 +98,36 @@ class _Matcher:
         self.bindings: dict[str, BoundValue] = {}
 
     def match_line(self, seg_ln: ExtendedLine, decl_ln: ExtendedLine) -> bool:
-        # a builtin prebind is only a default and may be claimed by a pattern;
-        # a line already owned by another function may not
-        if seg_ln.is_user_bound or seg_ln.ctype is not CodeType.EXPR:
-            return False
-        if not self._op_matches(seg_ln.op.text, decl_ln.op.text):
-            return False
-        for s in (SLOT_LEFT, SLOT_RIGHT):
-            if not self._match_operand(seg_ln, s, decl_ln, s):
+        # an explicit stack, since patterns may nest deeper than Python's; a
+        # frame's slot is what its pair checks next: operator, left, right,
+        # then (SLOT_RESULT) recording the line, so matched is post-order
+        stack = [(seg_ln, decl_ln, SLOT_OP)]
+        while stack:
+            seg_ln, decl_ln, s = stack.pop()
+            if s == SLOT_RESULT:
+                self.matched.append(seg_ln.address)
+                continue
+            stack.append((seg_ln, decl_ln, s + 1))
+            if s == SLOT_OP:
+                # a builtin prebind is only a default and may be claimed by a
+                # pattern; a line already owned by another function may not
+                if seg_ln.is_user_bound or seg_ln.ctype is not CodeType.EXPR:
+                    return False
+                if not self._op_matches(seg_ln.op.text, decl_ln.op.text):
+                    return False
+                continue
+            d = decl_ln.slot(s)
+            o = seg_ln.slot(s)
+            if d.kind is OperandKind.ADDRESS and not o.is_empty:
+                # internal pattern operator: trees must keep aligning
+                child = self.tables.code.get(d.addr)
+                if child is None or child.ctype is not CodeType.EXPR:
+                    return False
+                if o.kind is not OperandKind.ADDRESS or o.addr not in self.seg.lines:
+                    return False
+                stack.append((self.seg[o.addr], child, SLOT_OP))
+            elif not self._match_leaf(seg_ln, decl_ln, s):
                 return False
-        self.matched.append(seg_ln.address)
         return True
 
     def _op_matches(self, seg_op: str, decl_op: str) -> bool:
@@ -128,30 +143,19 @@ class _Matcher:
             return self.fn.class_scope in class_mro(self.tables, cls)
         return False
 
-    def _match_operand(
-        self, seg_ln: ExtendedLine, sslot: int, decl_ln: ExtendedLine, dslot: int
-    ) -> bool:
-        d = decl_ln.slot(dslot)
-        s = seg_ln.slot(sslot)
+    def _match_leaf(self, seg_ln: ExtendedLine, decl_ln: ExtendedLine, slot: int) -> bool:
+        d = decl_ln.slot(slot)
+        s = seg_ln.slot(slot)
         if d.is_empty or s.is_empty:
             return d.is_empty and s.is_empty
 
-        if d.kind is OperandKind.ADDRESS:
-            # internal pattern operator: trees must keep aligning
-            child = self.tables.code.get(d.addr)
-            if child is None or child.ctype is not CodeType.EXPR:
-                return False
-            if s.kind is not OperandKind.ADDRESS or s.addr not in self.seg.lines:
-                return False
-            return self.match_line(self.seg[s.addr], child)
-
         # a pending slot must meet something solvable; a determined slot
         # must meet nothing that still carries an unbound pending leaf
-        seg_pending = self.seg.slot_pending(seg_ln, sslot)
-        dpend = decl_ln.pending[dslot]
+        seg_pending = self.seg.slot_pending(seg_ln, slot)
+        dpend = decl_ln.pending[slot]
         if dpend is PendFlag.TRUE and not seg_pending:
             return False
-        if dpend is PendFlag.FALSE and self.seg.slot_raw_pending(seg_ln, sslot):
+        if dpend is PendFlag.FALSE and self.seg.slot_raw_pending(seg_ln, slot):
             return False
 
         if d.kind in (OperandKind.NUMBER, OperandKind.TEXT):
@@ -160,14 +164,14 @@ class _Matcher:
 
         # declaration-side identifier
         bare_d = split_markers(d.text)[0]
-        if decl_ln.formal[dslot]:
-            if not self._type_compatible(seg_ln, sslot):
+        if decl_ln.formal[slot]:
+            if not self._type_compatible(seg_ln, slot):
                 return False
             bv = BoundValue(
                 operand=s,
                 pending=seg_pending,
                 line_addr=seg_ln.address,
-                slot=sslot,
+                slot=slot,
             )
             if bare_d:
                 prior = self.bindings.get(bare_d)
@@ -178,7 +182,7 @@ class _Matcher:
 
         # condition 4: out:-marked actual, same storage on both sides
         decl_path = self.ctx.resolve(self.decl_parent, bare_d, False)
-        seg_path = self._storage_of(seg_ln, sslot)
+        seg_path = self._storage_of(seg_ln, slot)
         if decl_path is None or seg_path is None:
             return False
         return decl_path.storage() == seg_path.storage()

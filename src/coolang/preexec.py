@@ -23,7 +23,7 @@ from .code import (
 )
 from .matching import BindContext
 from .records import Path, Record
-from .search import BindOutcome, Observer, SearchOptions, bind_expression
+from .search import BindOutcome, Declarations, Observer, SearchOptions, bind_expression
 
 
 class PreexecUniverse:
@@ -36,6 +36,7 @@ class PreexecUniverse:
         self._class_names: dict[str, Address] = {
             info.name: scope for scope, info in tables.classes.items()
         }
+        self.declarations = Declarations(tables)
 
     def record_for(self, scope: Optional[Address]) -> Record:
         """The scope's record, made on first use with those it links to.
@@ -136,6 +137,7 @@ class PreexecUniverse:
             resolve=self.resolve,
             resolve_path_line=lambda addr: self.path_of_access(addr, scope),
             instance_class=lambda recv: self.class_of_instance(recv, scope),
+            declarations=self.declarations,
         )
 
 

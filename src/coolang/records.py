@@ -10,7 +10,7 @@ the lexical parent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .addresses import Address

@@ -574,35 +574,35 @@ class Interpreter:
         return holder
 
     def _align(self, site: CallSite) -> list[tuple[str, tuple, bool]]:
-        """Pair declaration formals with the call's operands, tree against tree."""
+        """Pair declaration formals with the call's operands, tree against tree,
+        depth first and left before right, on a stack: patterns nest deep."""
         code = self.tables.code
         plan: list[tuple[str, tuple, bool]] = []
         seen: set[str] = set()
-
-        def walk(decl_ln: ExtendedLine, seg_ln: ExtendedLine) -> None:
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                d = decl_ln.slot(s)
-                actual = seg_ln.slot(s)
-                if d.kind is OperandKind.ADDRESS:
-                    child_d = code.get(d.addr)
-                    child_s = code.get(actual.addr)
-                    if child_d is None or child_s is None:
-                        raise FormatError(
-                            f"call at {site.address} does not follow its declaration's shape"
-                        )
-                    walk(child_d, child_s)
-                    continue
-                if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
-                    continue
-                bare = split_markers(d.text)[0]
-                if not bare or bare in seen:
-                    continue
-                seen.add(bare)
-                plan.append(
-                    (bare, _operand(actual, code), decl_ln.pending[s] is PendFlag.TRUE)
-                )
-
-        walk(code[site.fn.decl_root], site.line)
+        root = code[site.fn.decl_root]
+        stack = [(root, site.line, SLOT_RIGHT), (root, site.line, SLOT_LEFT)]
+        while stack:
+            decl_ln, seg_ln, s = stack.pop()
+            d = decl_ln.slot(s)
+            actual = seg_ln.slot(s)
+            if d.kind is OperandKind.ADDRESS:
+                child_d = code.get(d.addr)
+                child_s = code.get(actual.addr)
+                if child_d is None or child_s is None:
+                    raise FormatError(
+                        f"call at {site.address} does not follow its declaration's shape"
+                    )
+                stack += [(child_d, child_s, SLOT_RIGHT), (child_d, child_s, SLOT_LEFT)]
+                continue
+            if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
+                continue
+            bare = split_markers(d.text)[0]
+            if not bare or bare in seen:
+                continue
+            seen.add(bare)
+            plan.append(
+                (bare, _operand(actual, code), decl_ln.pending[s] is PendFlag.TRUE)
+            )
         return plan
 
     def _actual_path(self, record: Record, o: tuple) -> Path:

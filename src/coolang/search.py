@@ -1,11 +1,12 @@
 """Bounded weight-accumulating search that binds one longest expression.
 
 Candidates live in two silos: the current round's survivors and the next
-round's offers. Each survivor is expanded branch by branch against every
-reachable declaration; a value match stamps the matched lines with the
-function's address, a rewrite match replaces them with the rule's result
-expression. Weights add along the way and the first fully bound candidate
-wins. Empty silos or the round limit raise an inference failure.
+round's offers. Each survivor is expanded branch by branch against the
+reachable declarations with the branch's root operator; a value match
+stamps the matched lines with the function's address, a rewrite match
+replaces them with the rule's result expression. Weights add along the way
+and the first fully bound candidate wins. Empty silos or the round limit
+raise an inference failure.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .code import (
     Operand,
     OperandKind,
     PendFlag,
-    ScopeKind,
     Tables,
     split_markers,
 )
 from .errors import InferenceFailure
-from .matching import BindContext, Match, match_branch, member_functions
+from .matching import BindContext, Match, class_mro, match_branch
 from .segments import Segment
 from .silo import Silo
 
@@ -51,63 +51,68 @@ class BindOutcome:
     mapping: dict[Address, Address] = field(default_factory=dict)
 
 
-def functions_in_scope(tables: Tables, scope: Optional[Address]) -> list[FunctionInfo]:
-    fns = [
-        f
-        for f in tables.functions.values()
-        if tables.code[f.func_op].scope == scope
-    ]
-    fns.sort(key=lambda f: f.func_op)
-    return fns
+class Declarations:
+    """Every declaration, grouped once by the operator at its pattern root.
 
-
-def accessible_functions(
-    tables: Tables, stmt_scope: Optional[Address], stmt_addr: Address
-) -> list[FunctionInfo]:
-    """Declarations reachable from a statement, nearest scope first.
-
-    Only declarations that precede the statement count. Class scopes on the
-    chain contribute their members, own before inherited.
+    Declarations do not change during preexecute (derivation only fills in
+    a body), so one index built before the walk serves every search of it.
     """
-    out: list[FunctionInfo] = []
-    seen: set[Address] = set()
 
-    def add(fn: FunctionInfo) -> None:
-        if fn.func_op in seen or not fn.func_op < stmt_addr:
-            return
-        seen.add(fn.func_op)
-        out.append(fn)
+    def __init__(self, tables: Tables):
+        self.tables = tables
+        # scope -> root operator -> what the scope offers, in order: its own
+        # declarations, or for a class its members, own before inherited
+        self._groups: dict[Optional[Address], dict[str, list[FunctionInfo]]] = {}
+        self._named: dict[Optional[str], list[FunctionInfo]] = {}
+        self.by_decl: dict[Address, FunctionInfo] = {}
+        own: dict[Optional[Address], list[tuple[str, FunctionInfo]]] = {}
+        for fop in sorted(tables.functions):
+            fn = tables.functions[fop]
+            op = tables.code[fn.decl_root].op.text
+            self._groups.setdefault(tables.code[fop].scope, {}).setdefault(op, []).append(fn)
+            own.setdefault(fn.class_scope, []).append((op, fn))
+            self._named.setdefault(fn.name, []).append(fn)
+            self.by_decl.setdefault(fn.decl_scope, fn)
+        for cls in tables.classes:
+            groups = self._groups[cls] = {}
+            for s in class_mro(tables, cls):
+                for op, fn in own.get(s, ()):
+                    groups.setdefault(op, []).append(fn)
 
-    for s in tables.scope_chain(stmt_scope):
-        if tables.scopes[s].kind is ScopeKind.CLASS:
-            for fn in member_functions(tables, s):
-                add(fn)
-        else:
-            for fn in functions_in_scope(tables, s):
-                add(fn)
-    for fn in functions_in_scope(tables, None):
-        add(fn)
-    return out
-
-
-def candidate_functions(
-    tables: Tables,
-    ctx: BindContext,
-    line: ExtendedLine,
-    reachable: list[FunctionInfo],
-) -> list[FunctionInfo]:
-    """Declarations that may bind the line: the receiver's class members for
-    a member call, otherwise `reachable`, the statement's accessible ones."""
-    op = line.op.text
-    if not op:
-        return []
-    if "." in op:
-        # member call: only the receiver's class can supply the function
-        cls = ctx.instance_class(op.rsplit(".", 1)[0])
-        if cls is None:
+    def candidates(self, op: str, ctx: BindContext, before: Address) -> list[FunctionInfo]:
+        """What a branch with root operator op may align with: for a member
+        call `r.f`, the members `f` of r's class; otherwise the declarations
+        of op before the statement's address, nearest scope first."""
+        if not op:
             return []
-        return member_functions(tables, cls)
-    return reachable
+        if "." in op:
+            receiver, fname = op.rsplit(".", 1)
+            cls = ctx.instance_class(receiver)
+            if cls is None:
+                return []
+            groups = self._groups[cls]
+            if op in groups:  # members whose pattern root is the dotted call itself
+                mro = class_mro(self.tables, cls)
+                found = groups.get(fname, []) + groups[op]
+                return sorted(found, key=lambda fn: (mro.index(fn.class_scope), fn.func_op))
+            return groups.get(fname, [])
+        out: list[FunctionInfo] = []
+        seen: set[Address] = set()
+        for s in self.tables.scope_chain(ctx.stmt_scope) + [None]:
+            for fn in self._groups.get(s, {}).get(op, ()):
+                # a function declared in a method body is also a class member
+                if fn.func_op < before and fn.func_op not in seen:
+                    seen.add(fn.func_op)
+                    out.append(fn)
+        return out
+
+    def forward(self, name: str, before: Address) -> Optional[FunctionInfo]:
+        """The last forward declaration named name with a body before an address."""
+        for fn in reversed(self._named.get(name, ())):
+            forward = not (fn.is_exp or fn.is_reverse) and fn.body_scope is not None
+            if forward and fn.func_op < before:
+                return fn
+        return None
 
 
 def apply_value_match(segment: Segment, match: Match) -> None:
@@ -241,7 +246,7 @@ def search_segment(
 
     silo = Silo(opts.silo_size)
     silo.offer(0.0, seg0.digest(), seg0)
-    reachable = accessible_functions(tables, ctx.stmt_scope, stmt_addr)
+    groups: dict[str, list[FunctionInfo]] = {}
     plans: dict[Address, RulePlan] = {}
 
     rnd = 0
@@ -251,9 +256,11 @@ def search_segment(
             seg.freeze()
             branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
             for branch in branches:
-                line = seg[branch]
                 memo = seg.matches(branch)
-                for fn in candidate_functions(tables, ctx, line, reachable):
+                op = seg[branch].op.text
+                if op not in groups:
+                    groups[op] = ctx.declarations.candidates(op, ctx, stmt_addr)
+                for fn in groups[op]:
                     key = fn.func_op
                     if key in memo:
                         m = memo[key]

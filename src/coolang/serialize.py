@@ -26,6 +26,7 @@ from .code import (
     ScopeInfo,
     ScopeKind,
     Tables,
+    inheritance_cycle,
 )
 from .errors import FormatError
 
@@ -283,6 +284,11 @@ def deserialize(text: str) -> Tables:
         if info.name in names:
             raise FormatError(f"class {info.name!r} declared twice")
         names.add(info.name)
+        if any(p not in tables.classes for p in info.parents):
+            raise FormatError(f"class {info.name!r} inherits from a row that is no class")
+    cycle = inheritance_cycle(tables.classes)
+    if cycle is not None:
+        raise FormatError(f"classes inherit in a cycle: {cycle}")
 
     # binding direction is a property of the bound function, not stored
     for ln in tables.code.lines():

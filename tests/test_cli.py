@@ -190,6 +190,57 @@ def test_a_code_table_repeating_a_class_name_is_a_format_error(tmp_path, capsys)
     assert "FormatError: class 'A' declared twice" in capsys.readouterr().err
 
 
+def _edit_class_rows(table, edit):
+    head, sep, classes = table.read_text().rpartition("---\n")
+    rows = [row.split("\t") for row in classes.splitlines()]
+    edit(rows)
+    table.write_text(head + sep + "".join("\t".join(r) + "\n" for r in rows))
+
+
+def test_a_code_table_whose_classes_inherit_in_a_cycle_is_a_format_error(
+    tmp_path, capsys
+):
+    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B" + "A: m;\nm.get(1) --> 0;\n")
+    assert main(["compile", src]) == 0
+
+    def cycle(rows):
+        (a, _, _), (b, _, _) = rows
+        rows[0][2], rows[1][2] = b, a
+
+    _edit_class_rows(tmp_path / "two.ccode", cycle)
+    assert main(["run", str(tmp_path / "two.ccode")]) == 1
+    assert "FormatError: classes inherit in a cycle: A << B << A" in capsys.readouterr().err
+
+
+def test_a_code_table_inheriting_from_no_class_is_a_format_error(tmp_path, capsys):
+    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B")
+    assert main(["compile", src]) == 0
+
+    def dangle(rows):
+        rows[0][2] = "99"
+
+    _edit_class_rows(tmp_path / "two.ccode", dangle)
+    assert main(["run", str(tmp_path / "two.ccode")]) == 1
+    assert "FormatError: class 'A' inherits from a row that is no class" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_deep_declaration_pattern_binds_and_runs(tmp_path, capsys):
+    # pattern matching and call alignment both walk 1 200 levels
+    n = 1200
+    ones = " + 1" * n
+    src = write(
+        tmp_path,
+        "deep.cool",
+        f"@(10){{ $a{ones} }}{{ a = ans - {n}; }}\n"
+        "@(10){ $a == b; }{ a = b; }\n"
+        f"$y{ones} == {n + 5};\ny --> 0;\n",
+    )
+    assert main(["run", src]) == 0
+    assert capsys.readouterr().out == "5.0\n"
+
+
 def test_a_deeply_nested_call_is_a_compile_error(tmp_path, capsys):
     nested = "f(" * 3000 + "1" + ")" * 3000
     src = write(tmp_path, "nested.cool", f"@f(x){{ return: x; }}\nnew: y = {nested};\n")

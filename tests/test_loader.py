@@ -6,6 +6,7 @@ from coolang.errors import (
     DuplicateDeclaration,
     FunctionWithoutBody,
     InheritanceOfUndeclaredClass,
+    LoadError,
     UnbalancedScopes,
 )
 from coolang.loader import load
@@ -197,6 +198,14 @@ def test_duplicate_variable_in_scope():
 def test_duplicate_named_function_in_scope():
     with pytest.raises(DuplicateDeclaration):
         build("@f(a){ return: a; } @f(b){ return: b; }")
+
+
+def test_a_duplicate_names_the_code_line_of_its_second_declaration():
+    with pytest.raises(LoadError) as ei:
+        build("system: A { new: v = 1; }\nsystem: A { new: w = 2; }")
+    assert isinstance(ei.value, DuplicateDeclaration)
+    # the second class line is the seventh compiled line, not a text offset
+    assert str(ei.value) == "class 'A' declared twice, again at code line 7"
 
 
 def test_same_name_different_arity_allowed():

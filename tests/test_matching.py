@@ -1,7 +1,9 @@
 from coolang import build
 from coolang.addresses import Address
 from coolang.code import CodeType, ExecFlag, OperandKind
-from coolang.matching import class_mro, match_branch, member_functions
+import dataclasses
+
+from coolang.matching import class_mro, match_branch
 from coolang.preexec import PreexecUniverse
 from coolang.segments import Segment
 
@@ -210,7 +212,37 @@ def test_member_functions_put_own_members_before_inherited():
 
     t = build(corpus.CLASS_SOLVER)
     scopes = {info.name: scope for scope, info in t.classes.items()}
-    names = [f.name for f in member_functions(t, scopes["MainProcess"])]
-    assert names == ["constructor", "increase", "==", "-", "=="]
-    own = [f.name for f in member_functions(t, scopes["OperationLaw"])]
-    assert own == ["==", "-"]
+    names = {scope: info.name for scope, info in t.classes.items()}
+    ctx = PreexecUniverse(t).context_for(None)
+    last = t.code.addresses()[-1]
+
+    def members(cls):
+        """The class's members by root operator, through a member call."""
+        member_ctx = dataclasses.replace(ctx, instance_class=lambda recv: scopes[cls])
+        ops = {f.name for f in t.functions.values()}
+        return {
+            op: [
+                (f.name, names[f.class_scope])
+                for f in ctx.declarations.candidates("m." + op, member_ctx, last)
+            ]
+            for op in ops
+        }
+
+    def per_op(expected):
+        return {
+            op: [e for e in expected if e[0] == op]
+            for op in {f.name for f in t.functions.values()}
+        }
+
+    assert members("MainProcess") == per_op(
+        [
+            ("constructor", "MainProcess"),
+            ("increase", "MainProcess"),
+            ("==", "OperationLaw"),
+            ("-", "OperationLaw"),
+            ("==", "QuadraticEquation"),
+        ]
+    )
+    assert members("OperationLaw") == per_op(
+        [("==", "OperationLaw"), ("-", "OperationLaw")]
+    )

@@ -8,11 +8,11 @@ import corpus
 from test_segments import ident, line, num, ref, reference_pending, reference_prebind
 from coolang import build, execute, run_program
 from coolang import inversion, search
-from coolang.code import CodeType, Operand
+from coolang.code import CodeType, ExecFlag, Operand, ScopeKind
 from coolang.errors import InferenceFailure
-from coolang.matching import match_branch
+from coolang.matching import _Matcher, class_mro, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
-from coolang.search import SearchOptions, accessible_functions
+from coolang.search import SearchOptions
 from coolang.segments import Segment, evaluate
 from coolang.silo import Silo
 
@@ -173,7 +173,14 @@ def test_accessible_declarations_keep_source_order_per_scope():
         for el in t.code.lines()
         if el.ctype is CodeType.EXPR and el.op.text == "==" and el.right.num == 50.0
     ][0]
-    fns = accessible_functions(t, stmt.scope, stmt.address)
+    ctx = PreexecUniverse(t).context_for(stmt.scope)
+    groups = [
+        ctx.declarations.candidates(op, ctx, stmt.address)
+        for op in {f.name for f in t.functions.values()}
+    ]
+    for group in groups:
+        assert group == sorted(group, key=lambda f: f.func_op)
+    fns = sorted((f for g in groups for f in g), key=lambda f: f.func_op)
     assert [f.weight for f in fns] == [100.0, -1.0, -1.0, 10.0, 10.0, 0.0, 0.0]
     assert [f.is_exp for f in fns] == [
         False,
@@ -193,6 +200,186 @@ def test_accessible_declarations_keep_source_order_per_scope():
         False,
         True,
     ]
+
+
+def reference_members(tables, class_scope):
+    """Member functions, own before inherited, source order within a class."""
+    out = []
+    for s in class_mro(tables, class_scope):
+        fns = [f for f in tables.functions.values() if f.class_scope == s]
+        fns.sort(key=lambda f: f.func_op)
+        out.extend(fns)
+    return out
+
+
+def reference_accessible(tables, stmt_scope, stmt_addr):
+    """Declarations reachable from a statement, nearest scope first, found
+    by scanning the function table for every scope on the chain."""
+
+    def in_scope(scope):
+        fns = [
+            f
+            for f in tables.functions.values()
+            if tables.code[f.func_op].scope == scope
+        ]
+        return sorted(fns, key=lambda f: f.func_op)
+
+    out, seen = [], set()
+    for s in tables.scope_chain(stmt_scope) + [None]:
+        if s is not None and tables.scopes[s].kind is ScopeKind.CLASS:
+            fns = reference_members(tables, s)
+        else:
+            fns = in_scope(s)
+        for fn in fns:
+            if fn.func_op not in seen and fn.func_op < stmt_addr:
+                seen.add(fn.func_op)
+                out.append(fn)
+    return out
+
+
+def reference_candidates(tables, ctx, line, stmt_addr):
+    """What a branch may bind, by full scan, narrowed by the matcher's own
+    root-operator test."""
+    op = line.op.text
+    if not op:
+        return []
+    if "." in op:
+        cls = ctx.instance_class(op.rsplit(".", 1)[0])
+        fns = [] if cls is None else reference_members(tables, cls)
+    else:
+        fns = reference_accessible(tables, ctx.stmt_scope, stmt_addr)
+    return [
+        fn
+        for fn in fns
+        if _Matcher(None, fn, ctx)._op_matches(op, tables.code[fn.decl_root].op.text)
+    ]
+
+
+def assert_index_offers_what_the_scan_offered(t):
+    """Walk t as preexecute does, without binding, and compare the index's
+    candidates with the reference for every branch of every statement."""
+    uni = PreexecUniverse(t)
+    branches = 0
+    a = t.code.first_address()
+    while a is not None:
+        ln = t.code[a]
+        if ln.ctype is CodeType.SCOPE_START and ln.exec_flag is ExecFlag.FALSE:
+            a = t.code.next_after(t.scopes[a].end)
+            continue
+        if ln.ctype is CodeType.VAR_DECL:
+            uni.declare_from(ln)
+        if ln.ctype is CodeType.EXPR:
+            run = t.expression_run(a)
+            ctx = uni.context_for(ln.scope)
+            for br in run:
+                got = uni.declarations.candidates(br.op.text, ctx, run[0].address)
+                want = reference_candidates(t, ctx, br, run[0].address)
+                assert [f.func_op for f in got] == [f.func_op for f in want]
+                branches += 1
+            a = run[-1].address
+        a = t.code.next_after(a)
+    return branches
+
+
+_POOL = (
+    "@(1){ $a + b }{ a = ans - b; }",
+    "@(2){ $a * b }{ a = ans / b; }",
+    "@(3){ $a == b; }{ a = b; }",
+    "exp: @(-1){ #a + #b }{ return: b + a; }",
+    "@(4){ a - b }{ return: a; }",
+    "@g(x){ return: x; }",
+    "@h(x, y){ return: x + y; }",
+    "@put(n){ s = s + n; }",
+    "@(5){ o0.put(x) }{ return: x; }",
+)
+_STATEMENTS = ("$y + 1 == 3;", "y = g(2) * 3 - 1;", "h(1, y) == 4;", "y = y + 1;")
+_MEMBER_CALLS = (
+    "{o}.put(1);",
+    "y = {o}.g(2) + 1;",
+    "{o}.h(1, y) == 4;",
+    "{o}.m0(3);",
+    "{o}.s - 1;",
+)
+
+
+@st.composite
+def scoped_programs(draw):
+    """Nested blocks, classes with inheritance, members declared in method
+    bodies, instances at any depth and member calls on them."""
+    parts = ["new: y = 0;"]
+    n_classes = draw(st.integers(0, 3))
+    for i in range(n_classes):
+        parents = draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else []
+        head = f"system: C{i}" + (" << " + ", ".join(f"C{p}" for p in parents) if parents else "")
+        own = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3, unique=True))
+        inner = draw(st.lists(st.sampled_from(_POOL), max_size=2, unique=True))
+        stmts = draw(st.lists(st.sampled_from(_STATEMENTS), max_size=2))
+        method = f"@m{i}(n){{ {' '.join(inner + stmts)} s = s + n; }}"
+        parts.append(f"{head} {{ new: s = 0; {' '.join(own)} {method} }}")
+    instances = 0
+
+    def block(depth):
+        nonlocal instances
+        items, used = [], set()
+        for _ in range(draw(st.integers(0, 5))):
+            kind = draw(st.sampled_from(("decl", "stmt", "member", "block")))
+            if kind == "decl":
+                decl = draw(st.sampled_from(_POOL))
+                if decl not in used:
+                    used.add(decl)
+                    items.append(decl)
+            elif kind == "stmt":
+                items.append(draw(st.sampled_from(_STATEMENTS)))
+            elif kind == "member" and n_classes:
+                o = f"o{instances}"
+                instances += 1
+                items.append(f"C{draw(st.integers(0, n_classes - 1))}: {o};")
+                items.append(draw(st.sampled_from(_MEMBER_CALLS)).format(o=o))
+            elif kind == "block" and depth:
+                items.append("{ " + block(depth - 1) + " }")
+        return " ".join(items)
+
+    parts.append(block(2))
+    return "\n".join(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scoped_programs())
+def test_the_index_offers_what_a_full_scan_offered(src):
+    assert_index_offers_what_the_scan_offered(build(src))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ALL_PROGRAMS))
+def test_the_index_offers_what_a_full_scan_offered_on_the_corpus(name):
+    assert assert_index_offers_what_the_scan_offered(build(corpus.ALL_PROGRAMS[name]))
+
+
+def matches_to_bind_a_quadratic(unrelated):
+    """match_branch calls that bind one quadratic statement placed after
+    the given number of declarations no branch of it can use."""
+    decls = "".join(f"@u{i}(x){{ }}\n" for i in range(unrelated))
+    src = (
+        "@(100){ a * $x^2 + b * x + c }{ x = (-b + (b^2 - 4 * a * (c - ans))^0.5) / (2 * a); }\n"
+        "@(10){ $a == b; }{ a = b; }\n"
+        + decls
+        + "new: q = 0;\n1 * $q^2 + 5 * q + (-6) == 0;\nq --> 0;\n"
+    )
+    calls = [0]
+    real = search.match_branch
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    t = build(src)
+    with mock.patch.object(search, "match_branch", counted):
+        preexecute(t)
+    assert run_program(t).output == ["1.0"]
+    return calls[0]
+
+
+def test_unrelated_declarations_cost_a_statement_no_matches():
+    assert matches_to_bind_a_quadratic(2) == matches_to_bind_a_quadratic(40)
 
 
 _CHAIN_RULES = """\
