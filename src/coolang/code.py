@@ -120,6 +120,18 @@ def split_markers(name: str) -> tuple[str, bool, bool, bool]:
             return name, pending, unrelated, out
 
 
+# A member chain `a.b.c` as (bare root name, root out:-marked, member names
+# outward): ("a", False, ("b", "c")). records.follow walks it.
+Chain = tuple[str, bool, tuple[str, ...]]
+
+
+def dotted_chain(text: str) -> Chain:
+    """The chain a dotted receiver such as `out:m.part` names."""
+    root, *names = text.split(".")
+    bare, _, _, out = split_markers(root)
+    return bare, out, tuple(names)
+
+
 @dataclass
 class CodeLine:
     """Compiler output: code type plus the raw quaternion.
@@ -303,6 +315,29 @@ class CodeTable:
     def lines(self) -> Iterator[ExtendedLine]:
         for k in self._keys:
             yield self._map[k]
+
+    def member_chain(self, addr: Address) -> Optional[Chain]:
+        """The chain an ACCESS_MEMBER line names, down its bases to a name.
+
+        None unless every level is an ACCESS_MEMBER line and the last base
+        is an identifier.
+        """
+        names: list[str] = []
+        seen: set[Address] = set()
+        while addr not in seen:
+            seen.add(addr)
+            ln = self._map.get(addr)
+            if ln is None or ln.ctype is not CodeType.ACCESS_MEMBER:
+                return None
+            names.append(ln.right.text)
+            base = ln.left
+            if base.kind is OperandKind.IDENT:
+                bare, _, _, out = split_markers(base.text)
+                return bare, out, tuple(reversed(names))
+            if base.kind is not OperandKind.ADDRESS:
+                return None
+            addr = base.addr
+        return None
 
 
 @dataclass

@@ -358,48 +358,45 @@ def dependence_closure(
 
 
 class _Merger:
-    def __init__(self, dis: Disassembly, members: frozenset[int], root_seq: int):
+    """The return's dependence closure as one expression over fresh lines."""
+
+    def __init__(self, dis: Disassembly, members: frozenset[int]):
         self.dis = dis
         self.members = members
-        self.root_seq = root_seq
         self.pending = set(dis.pending)
         self.lines: dict[Address, ExtendedLine] = {}
         self.staging = 0
-        self.instantiated: dict[int, int] = {seq: 0 for seq in members}
+        self.copied: set[int] = set()
 
     def fresh_addr(self) -> Address:
         self.staging += 1
         return staging_address(self.staging)
 
     def merge(self) -> Segment:
-        root_block = self.dis.blocks[self.root_seq - 1]
-        if root_block.kind == "return":
-            target = self._value_for_return(root_block)
-            line = ExtendedLine(
-                address=self.fresh_addr(),
-                scope=None,
-                exec_flag=ExecFlag.COND,
-                ctype=CodeType.EXPR,
-                op=Operand.ident("="),
-                left=Operand.ident("ans"),
-                right=Operand.empty(),
-                result=target,
-            )
-            self.lines[line.address] = line
-            root_addr = line.address
-        else:
-            _, value = self._instantiate(self.root_seq)
-            if value.kind is not OperandKind.ADDRESS or value.addr not in self.lines:
-                raise MergeFailure("the dependency tree root reduced to a bare value")
-            root_addr = value.addr
-        for seq in self.members:
-            if seq != self.root_seq and self.instantiated[seq] == 0:
-                raise MergeFailure(
-                    f"block {seq} joined the tree but nothing consumed it"
-                )
+        """`ans = <the return value>`, every producer it reads plugged in."""
+        o = self.dis.blocks[self.dis.return_seq - 1].lines[0].left
+        target = self._substituted(o)
+        if target is None:
+            if o.kind is OperandKind.NUMBER or o.kind is OperandKind.TEXT:
+                raise DerivationFailure("the return value is a constant; nothing to solve")
+            target = o
+        line = ExtendedLine(
+            address=self.fresh_addr(),
+            scope=None,
+            exec_flag=ExecFlag.COND,
+            ctype=CodeType.EXPR,
+            op=Operand.ident("="),
+            left=Operand.ident("ans"),
+            right=Operand.empty(),
+            result=target,
+        )
+        self.lines[line.address] = line
+        unused = self.members - self.copied - {self.dis.return_seq}
+        if unused:
+            raise MergeFailure(f"block {min(unused)} joined the tree but nothing consumed it")
         seg = Segment(
             lines=self.lines,
-            root=root_addr,
+            root=line.address,
             original=[],
             prev_addr=None,
             terminator=None,
@@ -408,83 +405,94 @@ class _Merger:
         seg.prebind_builtins()
         return seg
 
-    def _value_for_return(self, b: Block) -> Operand:
-        o = b.lines[0].left
-        sub = self._substitute_operand(o)
-        if sub is not None:
-            return sub
-        if o.kind is OperandKind.NUMBER or o.kind is OperandKind.TEXT:
-            raise DerivationFailure("the return value is a constant; nothing to solve")
-        return o
-
-    def _substitute_operand(self, o: Operand) -> Optional[Operand]:
-        """Tree-internal replacement for an operand, if its producer joined."""
+    def _producer(self, o: Operand) -> Optional[int]:
+        """The tree block whose value replaces an operand, if one joined."""
         if o.kind is OperandKind.IDENT:
             bare = split_markers(o.text)[0]
             w = self.dis.name_writer.get(bare)
             if w in self.members and self.dis.blocks[w - 1].dependent:
-                block = self.dis.blocks[w - 1]
-                if block.assign_name != bare:
+                if self.dis.blocks[w - 1].assign_name != bare:
                     raise MergeFailure(
                         f"{bare!r} is produced by solving, not assignment; "
                         "the tree cannot absorb it"
                     )
-                _, value = self._instantiate(w)
-                return value
+                return w
         elif o.kind is OperandKind.ADDRESS:
             owner = self.dis.temp_owner.get(o.addr)
             if owner in self.members:
-                _, value = self._instantiate(owner)
-                return value
+                return owner
         return None
 
-    def _instantiate(self, seq: int) -> tuple[list[Address], Operand]:
-        """A private copy of one block with its tree inputs substituted."""
+    def _substituted(self, o: Operand) -> Optional[Operand]:
+        """The operand's replacement: a private copy of its producer, whose
+        own inputs get private copies in turn, one per occurrence.
+
+        On a stack, since producer chains run deep, but in the order of a
+        recursion: a block's lines first, then its producers depth first in
+        slot order. The search's digests read staging addresses in that order.
+        """
+        seq = self._producer(o)
+        if seq is None:
+            return None
+        # (assignment line, root line, slots still to fill, where the value goes)
+        stack = [(*self._copy(seq), None)]
+        while True:
+            eq, root, todo, into = stack[-1]
+            if todo:
+                cp, s = todo.pop()
+                w = self._producer(cp.slot(s))
+                if w is not None:
+                    stack.append((*self._copy(w), (cp, s)))
+                continue
+            stack.pop()
+            if eq is not None:
+                # `name = value` dissolves into the value it assigns
+                del self.lines[eq.address]
+                value = eq.left
+            else:
+                value = Operand.address(root)
+            if into is None:
+                return value
+            cp, s = into
+            cp.set_slot(s, value)
+            if value.kind is OperandKind.IDENT:
+                cp.pending[s] = PendFlag.FALSE
+
+    def _copy(self, seq: int) -> tuple:
+        """Fresh lines for one block with internal references renamed: its
+        assignment line or root's address, and the slots producers may fill,
+        last first."""
         b = self.dis.blocks[seq - 1]
-        self.instantiated[seq] += 1
+        self.copied.add(seq)
         local: dict[Address, Address] = {}
         copies: list[ExtendedLine] = []
         for ln in b.lines:
             cp = ln.copy()
-            local[ln.address] = self.fresh_addr()
-            cp.address = local[ln.address]
+            local[ln.address] = cp.address = self.fresh_addr()
             if b.dependent:
                 cp.bound = None
                 cp.bound_reverse = False
                 cp.root = False
             copies.append(cp)
+        todo = []
         for cp in copies:
             for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
                 o = cp.slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr in local:
                     cp.set_slot(s, Operand.address(local[o.addr]))
-                elif o.kind is OperandKind.IDENT:
-                    if split_markers(o.text)[0] in self.pending:
-                        cp.pending[s] = PendFlag.TRUE
-            self.lines[cp.address] = cp
-        # plug in producers, one private copy per occurrence
-        for cp in copies:
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                o = cp.slot(s)
-                if o.kind is OperandKind.ADDRESS and o.addr in local:
                     continue
-                sub = self._substitute_operand(o)
-                if sub is not None:
-                    cp.set_slot(s, sub)
-                    if sub.kind is OperandKind.IDENT:
-                        cp.pending[s] = PendFlag.FALSE
-        addrs = [cp.address for cp in copies]
-        if b.assign_name is not None:
-            eq = copies[-1]
-            value = eq.left
-            del self.lines[eq.address]
-            addrs.remove(eq.address)
-            return addrs, value
-        return addrs, Operand.address(local[b.root])
+                if o.kind is OperandKind.IDENT and split_markers(o.text)[0] in self.pending:
+                    cp.pending[s] = PendFlag.TRUE
+                if s != SLOT_RESULT:
+                    todo.append((cp, s))
+            self.lines[cp.address] = cp
+        todo.reverse()
+        eq = copies[-1] if b.assign_name is not None else None
+        return eq, local.get(b.root), todo
 
 
-def merge_tree(dis: Disassembly, members: frozenset[int], root_seq: int) -> Segment:
-    return _Merger(dis, members, root_seq).merge()
+def merge_tree(dis: Disassembly, members: frozenset[int]) -> Segment:
+    return _Merger(dis, members).merge()
 
 
 def _shares_later(
@@ -689,7 +697,7 @@ def derive_reverse_body(
     if any(_dep_inputs(dis, x) - members - {x.seq} for x in dis.blocks):
         raise DerivationFailure("a dependent value is consumed outside the chosen tree")
 
-    merged = merge_tree(dis, members, dis.return_seq)
+    merged = merge_tree(dis, members)
     ctx: BindContext = uni.context_for(derive_line.scope)
     try:
         outcome = search_segment(

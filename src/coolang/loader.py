@@ -231,12 +231,16 @@ def _build_functions(
             for x in _span(tables, body_start):
                 if x.ctype is CodeType.RETURN and _nearest(rows, x.scope, ScopeKind.BODY) == body_start:
                     returns.append(x.address)
+        is_exp = el.op.text == "funcexp"
+        if is_exp and not returns:
+            # a rewrite stands for its return value; without one it has no result
+            raise LoadError(f"rewrite rule at code line {el.address} has no return: statement")
         tables.functions[el.address] = FunctionInfo(
             decl_scope=decl_start,
             decl_root=root.address,
             body_scope=body_start,
             returns=returns,
-            is_exp=el.op.text == "funcexp",
+            is_exp=is_exp,
             is_reverse=is_reverse,
             weight=el.result.num,
             func_op=el.address,

@@ -193,35 +193,18 @@ class _Matcher:
             bare, _, _, out = split_markers(o.text)
             return self.ctx.resolve(self.ctx.stmt_scope, bare, out)
         if o.kind is OperandKind.ADDRESS and o.addr not in self.seg.lines:
-            ln = self.tables.code.get(o.addr)
-            if ln is not None and ln.ctype is CodeType.ACCESS_MEMBER:
-                # condition 5: resolve the member path, then compare storage
-                return self.ctx.resolve_path_line(o.addr)
+            # condition 5: a member chain's storage; None for other lines
+            return self.ctx.resolve_path_line(o.addr)
         return None
 
     def _type_compatible(self, seg_ln: ExtendedLine, slot: int) -> bool:
         """Formals are numeric; the branch side must not be provably otherwise."""
         o = seg_ln.slot(slot)
-        if o.kind is OperandKind.NUMBER:
-            return True
         if o.kind is OperandKind.TEXT:
             return False
-        if o.kind is OperandKind.IDENT:
-            path = self._storage_of(seg_ln, slot)
-            if path is None:
-                return True  # unresolved variables read as numbers
-            return _value_type(path.read()) == "number"
-        if o.kind is OperandKind.ADDRESS:
-            if o.addr in self.seg.lines:
-                return True  # computed subtree
-            ln = self.tables.code.get(o.addr)
-            if ln is not None and ln.ctype is CodeType.ACCESS_MEMBER:
-                path = self.ctx.resolve_path_line(o.addr)
-                if path is None:
-                    return True
-                return _value_type(path.read()) == "number"
-            return True
-        return False
+        # numbers, computed subtrees and unresolved variables read as numbers
+        path = self._storage_of(seg_ln, slot)
+        return path is None or _value_type(path.read()) == "number"
 
     def _same_actual(self, a: BoundValue, b: BoundValue) -> bool:
         """A repeated formal only matches the same actual again."""

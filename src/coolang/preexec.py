@@ -19,10 +19,12 @@ from .code import (
     ExtendedLine,
     OperandKind,
     Tables,
+    dotted_chain,
     split_markers,
 )
+from .errors import CoolRuntimeError
 from .matching import BindContext
-from .records import Path, Record
+from .records import Path, Record, follow
 from .search import BindOutcome, Declarations, Observer, SearchOptions, bind_expression
 
 
@@ -92,40 +94,21 @@ class PreexecUniverse:
     def path_of_access(
         self, addr: Address, scope: Optional[Address]
     ) -> Optional[Path]:
-        ln = self.tables.code.get(addr)
-        if ln is None or ln.ctype is not CodeType.ACCESS_MEMBER:
+        chain = self.tables.code.member_chain(addr)
+        if chain is None:
             return None
-        base = ln.left
-        if base.kind is OperandKind.IDENT:
-            bare, _, _, out = split_markers(base.text)
-            p = self.record_for(scope).resolve(bare, skip_current=out)
-        elif base.kind is OperandKind.ADDRESS:
-            p = self.path_of_access(base.addr, scope)
-        else:
+        try:
+            return follow(self.record_for(scope), *chain)
+        except CoolRuntimeError:
             return None
-        if p is None:
-            return None
-        holder = p.read()
-        if not isinstance(holder, Record):
-            return None
-        return holder.resolve_member(ln.right.text)
 
     def class_of_instance(
         self, receiver: str, scope: Optional[Address]
     ) -> Optional[Address]:
-        parts = receiver.split(".")
-        bare, _, _, out = split_markers(parts[0])
-        p = self.record_for(scope).resolve(bare, skip_current=out)
-        for comp in parts[1:]:
-            if p is None:
-                return None
-            holder = p.read()
-            if not isinstance(holder, Record):
-                return None
-            p = holder.resolve_member(comp)
-        if p is None:
+        try:
+            value = follow(self.record_for(scope), *dotted_chain(receiver)).read()
+        except CoolRuntimeError:
             return None
-        value = p.read()
         if isinstance(value, Record) and value.scope in self.tables.classes:
             return value.scope
         return None

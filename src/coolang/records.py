@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .addresses import Address
+from .errors import CoolRuntimeError, UnresolvedIdentifier
 
 Key = Union[str, Address]
 
@@ -71,8 +72,8 @@ class Record:
     def resolve(self, name: str, skip_current: bool = False) -> Optional[Path]:
         """Find the storage for a name.
 
-        Own data first, then cross references, then param query links
-        (leftmost first, recursively), then the lexical parent chain.
+        Own data first, then cross references, then the records the param
+        query links reach (see linked), then the lexical parent chain.
         skip_current starts at the parent: out:-marked names belong to an
         enclosing region, never to the record being searched.
         """
@@ -85,32 +86,61 @@ class Record:
             return self.parent.resolve(name)
         return None
 
-    def _resolve_local(
-        self, name: str, seen: Optional[set[int]] = None
-    ) -> Optional[Path]:
+    def _resolve_local(self, name: str) -> Optional[Path]:
+        """Resolve inside this record only: members, never enclosing scopes."""
         if name in self.data:
             return Path(self, name)
         found = self.cross_ref.get(name)
-        if found is not None:
+        if found is not None or not self.param_query_links:
             return found
-        if not self.param_query_links:
-            return None
-        # link cycles are cut by record id; most lookups never get here
-        if seen is None:
-            seen = {self.id}
-        for link in self.param_query_links:
-            if link.id in seen:
-                continue
-            seen.add(link.id)
-            found = link._resolve_local(name, seen)
+        # most lookups end above; the linked records come after this one
+        for rec in itertools.islice(self.linked(), 1, None):
+            if name in rec.data:
+                return Path(rec, name)
+            found = rec.cross_ref.get(name)
             if found is not None:
                 return found
         return None
 
-    def resolve_member(self, name: str) -> Optional[Path]:
-        """Resolve inside this record only: members, never enclosing scopes."""
-        return self._resolve_local(name)
+    def linked(self) -> Iterator["Record"]:
+        """This record, then those its param query links reach: leftmost
+        depth first, each record once, so link cycles end."""
+        seen: set[int] = set()
+        stack = [self]
+        while stack:
+            rec = stack.pop()
+            if rec.id in seen:
+                continue
+            seen.add(rec.id)
+            yield rec
+            stack.extend(reversed(rec.param_query_links))
 
     def declare(self, name: str, value=None) -> Path:
         self.data[name] = value
         return Path(self, name)
+
+
+def follow(record: Record, bare: str, out: bool, names: tuple[str, ...]) -> Path:
+    """The storage a member chain names, seen from record.
+
+    Raises UnresolvedIdentifier when a name is missing and CoolRuntimeError
+    when a prefix of the chain holds no instance; both name the prefix.
+    """
+    path = record.resolve(bare, skip_current=out)
+    if path is None:
+        raise UnresolvedIdentifier(f"{bare!r} names no instance")
+    shown = bare
+    for name in names:
+        path = instance_at(path, shown)._resolve_local(name)
+        if path is None:
+            raise UnresolvedIdentifier(f"{shown!r} has no member {name!r}")
+        shown = f"{shown}.{name}"
+    return path
+
+
+def instance_at(path: Path, shown: str) -> Record:
+    """The instance held at path, which the chain `shown` names."""
+    holder = path.read()
+    if not isinstance(holder, Record):
+        raise CoolRuntimeError(f"{shown!r} is not an instance")
+    return holder

@@ -30,6 +30,7 @@ from .code import (
     PendFlag,
     ScopeKind,
     Tables,
+    dotted_chain,
     split_markers,
 )
 from .errors import (
@@ -37,9 +38,8 @@ from .errors import (
     CoolRuntimeError,
     FormatError,
     ReverseUnsatisfied,
-    UnresolvedIdentifier,
 )
-from .records import Path, Record
+from .records import Path, Record, follow, instance_at
 
 _SKIPPED_KINDS = (ScopeKind.DECL, ScopeKind.BODY, ScopeKind.CLASS)
 
@@ -57,8 +57,7 @@ _NOP, _SKIP, _SCOPE, _EXPR, _DECLARE, _RETURN, _JUMP = range(7)
 #   (_CONST, value)                    number or text
 #   (_NAME, bare, out)                 resolved by name through the records
 #   (_TEMP, address)                   expression temporary in the record
-#   (_MEMBER, bare, out, levels)       member access, levels innermost first,
-#                                      each (member name, shown base)
+#   (_MEMBER, bare, out, names)        member chain, walked by records.follow
 #   (_EMPTY,)
 _CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
 _EMPTY_OPERAND = (_EMPTY,)
@@ -80,12 +79,8 @@ class CallSite:
         self.fn = fn
         self.start = start  # body region [start, end) in program counters
         self.end = end
-        self.receiver: Optional[tuple[str, bool, tuple[str, ...]]] = None
-        dotted = line.op.text
-        if "." in dotted:
-            parts = dotted.split(".")[:-1]
-            bare, _, _, out = split_markers(parts[0])
-            self.receiver = (bare, out, tuple(parts[1:]))
+        receiver, dot, _ = line.op.text.rpartition(".")
+        self.receiver = dotted_chain(receiver) if dot else None
         self.plan: Optional[list[tuple[str, tuple, bool]]] = None
 
 
@@ -197,12 +192,13 @@ def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site, after: int)
     Forward steps follow a depth-first walk, children before their
     consumer, since spliced lines may sit after the line that reads them;
     each step is a CallSite or a builtin (op, left, right, result, address).
-    Reverse roots wait and run last, in descending address order.
+    Reverse roots wait and run last, in the reverse of that walk: a
+    consumer solves first and leaves each producer the answer it needs.
     """
     by_addr = {ln.address: ln for ln in run}
-    waiting = [ln for ln in reversed(run) if ln.is_user_bound and ln.root and ln.bound_reverse]
-    done = {ln.address for ln in waiting}  # never entered by the forward walk
+    done: set[Address] = set()
     forward: list = []
+    reverse: list = []
     for top in run:
         if top.address in done:
             continue
@@ -232,9 +228,8 @@ def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site, after: int)
                     )
                 )
             elif ln.root and ln.is_user_bound:
-                forward.append(call_site(ln))
-    reverse = tuple(call_site(ln) for ln in waiting)
-    return (_EXPR, tuple(forward), reverse, after)
+                (reverse if ln.bound_reverse else forward).append(call_site(ln))
+    return (_EXPR, tuple(forward), tuple(reversed(reverse)), after)
 
 
 def _operand(o: Operand, table: CodeTable) -> tuple:
@@ -248,29 +243,13 @@ def _operand(o: Operand, table: CodeTable) -> tuple:
         return (_NAME, bare, out)
     if k is OperandKind.ADDRESS:
         target = table.get(o.addr)
-        if target is not None and target.ctype is CodeType.ACCESS_MEMBER:
-            return _member(o.addr, table)
-        return (_TEMP, o.addr)
+        if target is None or target.ctype is not CodeType.ACCESS_MEMBER:
+            return (_TEMP, o.addr)
+        chain = table.member_chain(o.addr)
+        if chain is None:
+            raise FormatError(f"member access {o.addr} does not lead to a name")
+        return (_MEMBER, *chain)
     return _EMPTY_OPERAND
-
-
-def _member(addr: Address, table: CodeTable) -> tuple:
-    """Flatten a chain of ACCESS_MEMBER lines down to the name it starts at."""
-    levels = []
-    seen: set[Address] = set()
-    while True:
-        ln = table.get(addr)
-        if ln is None or addr in seen:
-            raise FormatError(f"member access {addr} does not lead to a name")
-        seen.add(addr)
-        levels.append((ln.right.text, ln.left.payload()))
-        base = ln.left
-        if base.kind is OperandKind.IDENT:
-            bare, _, _, out = split_markers(base.text)
-            return (_MEMBER, bare, out, tuple(reversed(levels)))
-        if base.kind is not OperandKind.ADDRESS:
-            raise FormatError(f"member access {addr} does not lead to a name")
-        addr = base.addr
 
 
 def _truthy(v) -> bool:
@@ -358,12 +337,23 @@ class Interpreter:
         record.declare(name, self._instantiate(cscope))
 
     def _instantiate(self, cscope: Address) -> Record:
-        start, end, parents = self.program.classes[cscope]
-        rec = Record(scope=cscope, parent=self.global_record)
-        for p in parents:
-            rec.param_query_links.append(self._instantiate(p))
-        self._execute(rec, start, end)
-        return rec
+        """An instance, with one linked record per parent class. On a stack:
+        records are made in preorder, leftmost parent first, and each class
+        body runs after its parents' bodies."""
+        classes = self.program.classes
+        top = Record(scope=cscope, parent=self.global_record)
+        stack = [(top, 0)]
+        while stack:
+            rec, i = stack.pop()
+            start, end, parents = classes[rec.scope]
+            if i < len(parents):
+                stack.append((rec, i + 1))
+                link = Record(scope=parents[i], parent=self.global_record)
+                rec.param_query_links.append(link)
+                stack.append((link, 0))
+            else:
+                self._execute(rec, start, end)
+        return top
 
     # --- expression evaluation ---
 
@@ -386,7 +376,7 @@ class Interpreter:
         elif tag == _CONST:
             return o[1]
         elif tag == _MEMBER:
-            v = self._member_path(record, o).read()
+            v = follow(record, o[1], o[2], o[3]).read()
         else:
             return None
         return 0.0 if v is None else v
@@ -397,20 +387,6 @@ class Interpreter:
             # unresolved names spring into the current record as numbers
             p = record.declare(bare)
         return p
-
-    def _member_path(self, record: Record, o: tuple) -> Path:
-        _, bare, out, levels = o
-        path = record.resolve(bare, skip_current=out)
-        if path is None:
-            raise UnresolvedIdentifier(f"{bare!r} names no instance")
-        for member, shown in levels:
-            holder = path.read()
-            if not isinstance(holder, Record):
-                raise CoolRuntimeError(f"{shown!r} is not an instance")
-            path = holder.resolve_member(member)
-            if path is None:
-                raise UnresolvedIdentifier(f"instance has no member {member!r}")
-        return path
 
     # --- builtins ---
 
@@ -437,7 +413,7 @@ class Interpreter:
         elif tag == _TEMP:
             record.data[target[1]] = v
         elif tag == _MEMBER:
-            self._member_path(record, target).write(v)
+            follow(record, target[1], target[2], target[3]).write(v)
         else:
             raise CoolRuntimeError("assignment needs a place to write")
 
@@ -505,7 +481,10 @@ class Interpreter:
         if fn.class_scope is not None:
             start = record
             if site.receiver is not None:
-                start = self._receiver(record, site.receiver, site.line.op.text)
+                bare, out, names = site.receiver
+                start = instance_at(
+                    follow(record, bare, out, names), ".".join((bare, *names))
+                )
             found = self._find_class_record(start, fn.class_scope)
             if found is None:
                 raise CoolRuntimeError(
@@ -537,41 +516,12 @@ class Interpreter:
 
     def _find_class_record(self, rec: Optional[Record], cscope: Address) -> Optional[Record]:
         """The nearest record of one class, inherited-class links included."""
-
-        def through_links(r: Record, seen: set[int]) -> Optional[Record]:
-            if r.scope == cscope:
-                return r
-            for link in r.param_query_links:
-                if isinstance(link, Record) and id(link) not in seen:
-                    seen.add(id(link))
-                    found = through_links(link, seen)
-                    if found is not None:
-                        return found
-            return None
-
         while rec is not None:
-            found = through_links(rec, set())
-            if found is not None:
-                return found
+            for r in rec.linked():
+                if r.scope == cscope:
+                    return r
             rec = rec.parent
         return None
-
-    def _receiver(self, record: Record, receiver: tuple, dotted: str) -> Record:
-        bare, out, comps = receiver
-        path = record.resolve(bare, skip_current=out)
-        if path is None:
-            raise UnresolvedIdentifier(f"{bare!r} names no instance")
-        holder = path.read()
-        for comp in comps:
-            if not isinstance(holder, Record):
-                raise CoolRuntimeError(f"{bare!r} is not an instance")
-            nxt = holder.resolve_member(comp)
-            if nxt is None:
-                raise UnresolvedIdentifier(f"instance has no member {comp!r}")
-            holder = nxt.read()
-        if not isinstance(holder, Record):
-            raise CoolRuntimeError(f"{dotted!r} does not name an instance")
-        return holder
 
     def _align(self, site: CallSite) -> list[tuple[str, tuple, bool]]:
         """Pair declaration formals with the call's operands, tree against tree,
@@ -610,7 +560,7 @@ class Interpreter:
         if tag == _NAME:
             return self._name_path(record, o[1], o[2])
         if tag == _MEMBER:
-            return self._member_path(record, o)
+            return follow(record, o[1], o[2], o[3])
         if tag == _TEMP:
             return Path(record, o[1])
         raise CoolRuntimeError("a formal matched nothing that can hold a value")

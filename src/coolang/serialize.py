@@ -167,6 +167,8 @@ def _read_function_row(tables: Tables, row: str) -> None:
     if len(cols) != 10:
         raise FormatError("function row needs 10 columns")
     fop = Address.parse(cols[0])
+    if cols[6] == "T" and cols[5] == "-":
+        raise FormatError(f"rewrite rule at code line {fop} has no return: statement")
     tables.functions[fop] = FunctionInfo(
         decl_scope=Address.parse(cols[2]),
         decl_root=Address.parse(cols[3]),

@@ -267,3 +267,88 @@ def test_an_inference_failure_says_where_the_search_stopped(
     src = write(tmp_path, "stuck.cool", text)
     assert main(["run", src, *options]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_a_rewrite_rule_without_return_is_a_load_error(tmp_path, capsys):
+    src = write(tmp_path, "rule.cool", "exp: @add(a)to(b){ b = b + a; }\nadd(1)to(x);\nx --> 0;\n")
+    assert main(["run", src]) == 1
+    assert "LoadError: rewrite rule at code line 1 has no return: statement" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_code_table_rule_without_return_is_a_format_error(tmp_path, capsys):
+    src = write(tmp_path, "rule.cool", "exp: @(1){ #a + #b }{ return: b + a; }\nq + 1;\n")
+    assert main(["compile", src]) == 0
+    table = tmp_path / "rule.ccode"
+    head, sep, rows = table.read_text().partition("\n1\t%2B\t")
+    cols = rows.split("\t")
+    assert cols[3:5] == ["8", "T"]  # the rule's return line, its exp flag
+    cols[3] = "-"
+    table.write_text(head + sep + "\t".join(cols))
+    assert main(["run", str(table)]) == 1
+    assert "FormatError: rewrite rule at code line 1 has no return: statement" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_long_derivation_merges_without_recursion(tmp_path, capsys):
+    # the merged tree chains 1 000 producers; the search then gives up on it
+    ones = " + 1" * 1000
+    src = write(
+        tmp_path,
+        "long.cool",
+        "@(10){ $a + b }{ a = ans - b; }\n@(10){ $a == b; }{ a = b; }\n"
+        f"@f(x){{ return: x{ones}; }} => @g($x);\n"
+        "new: h = 0;\ng($h) == 1007;\nh --> 0;\n",
+    )
+    options = ["--max-tree-nodes", "5000", "--max-rounds", "2", "--silo-size", "2"]
+    assert main(["run", src, *options]) == 2
+    assert "DerivationFailure: the merged expression would not bind" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_member_read_through_a_long_inheritance_chain_runs(tmp_path, capsys):
+    # C1199 << ... << C0: instantiation, the member read and the call's
+    # class lookup each walk 1 200 linked records
+    parts = ["system: C0 {\n  new: v = 7;\n  @get(){ return: v; }\n}\n"]
+    for k in range(1, 1200):
+        parts.append(f"system: C{k} << C{k - 1} {{\n  new: w{k} = {k};\n}}\n")
+    parts.append("C1199: m;\nm.v --> 0;\nm.get() --> 0;\n")
+    src = write(tmp_path, "chain.cool", "".join(parts))
+    assert main(["run", src]) == 0
+    assert capsys.readouterr().out == "7.0\n7.0\n"
+
+
+_HOLDER = """
+system: P {
+  new: v = 3;
+  @get(){ return: v; }
+}
+system: H {
+  P: p;
+  new: w = 1;
+}
+H: h;
+"""
+
+
+@pytest.mark.parametrize(
+    "stmts, message",
+    [
+        ("h.p.v --> 0;\nh.p.get() --> 0;\n", None),
+        ("q.v --> 0;\n", "UnresolvedIdentifier: 'q' names no instance"),
+        ("h.w.v --> 0;\n", "CoolRuntimeError: 'h.w' is not an instance"),
+        ("h.p.x --> 0;\n", "UnresolvedIdentifier: 'h.p' has no member 'x'"),
+        ("h.p = 1;\nh.p.get() --> 0;\n", "CoolRuntimeError: 'h.p' is not an instance"),
+    ],
+)
+def test_a_member_chain_names_the_prefix_it_fails_at(tmp_path, capsys, stmts, message):
+    src = write(tmp_path, "members.cool", _HOLDER + stmts)
+    if message is None:
+        assert main(["run", src]) == 0
+        assert capsys.readouterr().out == "3.0\n3.0\n"
+    else:
+        assert main(["run", src]) == 3
+        assert capsys.readouterr().err == f"coolc: {message}\n"

@@ -205,7 +205,7 @@ def test_closure_is_the_smallest_resolved_tree(src):
 def test_merged_tree_binds_like_any_statement():
     t, uni, dis = chained_disassembly()
     members = dependence_closure(dis, dis.return_seq, 8)
-    merged = merge_tree(dis, members, dis.return_seq)
+    merged = merge_tree(dis, members)
     # return rewrite plus the three additions of the substituted chain
     assert len(merged.lines) == 4
     assert not merged.fully_bound()

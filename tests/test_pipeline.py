@@ -40,6 +40,7 @@ def preexecuted(text: str):
         max_size=4,
     ),
 )
+@example(name="add_to", splices=[(0, 0, "exp: ")])  # a rewrite rule without return:
 def test_a_mutated_program_binds_or_raises_a_cool_error(name, splices):
     text = corpus.ALL_PROGRAMS[name]
     for at, length, piece in splices:

@@ -8,7 +8,8 @@ import corpus
 from coolang import build, execute, preexecute
 from coolang import records
 from coolang.code import CodeTable, CodeType, Tables
-from coolang.errors import CoolRuntimeError, ReverseUnsatisfied
+from coolang.errors import CoolRuntimeError, ReverseUnsatisfied, UnresolvedIdentifier
+from coolang.matching import class_mro
 from coolang.runtime import Interpreter, run_program
 
 
@@ -61,6 +62,25 @@ $x5 - 0;
     assert len(t.expression_run(order[0])) == 5
     interp = run_program(t)
     assert [order.index(a) + 1 for a in interp.call_log] == [2, 3, 5, 4, 1]
+
+
+def test_a_consumer_solves_before_a_producer_a_rewrite_relocated():
+    # the commuting rule relocates `$y + 1` after the `==` that reads it;
+    # the reverse `==` must still hand its answer to the reverse `+` first
+    src = """
+exp: @(1){ #a + #b }{ return: b + a; }
+@(10){ $a + b }{ a = ans - b; }
+@(10){ $a == b; }{ a = b; }
+new: y = 0;
+1 + $y == 3;
+y --> 0;
+"""
+    t = build(src)
+    preexecute(t)
+    roots = [ln for ln in t.code.lines() if ln.root and ln.bound_reverse and ln.scope is None]
+    eq, plus = roots
+    assert eq.left.addr == plus.address  # the consumer sorts first
+    assert run_program(t).output == ["2.0"]
 
 
 def test_arguments_pass_by_reference():
@@ -165,3 +185,57 @@ def test_running_walks_the_lowered_program_not_the_table(monkeypatch):
     monkeypatch.setattr(Tables, "expression_run", refuse)
     interp.run()
     assert interp.output == corpus.LOOP_AND_BRANCH_OUTPUT
+
+
+def test_linked_records_come_leftmost_depth_first_each_once():
+    a, b, c = (records.Record(scope=None) for _ in range(3))
+    a.param_query_links += [b, c]
+    b.param_query_links += [c, a]
+    c.param_query_links.append(b)
+    assert list(a.linked()) == [a, b, c]
+    c.data["v"] = 1.0
+    assert a.resolve("v").record is c
+
+
+@st.composite
+def class_graphs(draw):
+    """Up to six classes, each inheriting from earlier ones, some declaring v."""
+    n = draw(st.integers(1, 6))
+    parents = [
+        draw(st.lists(st.integers(0, k - 1), unique=True, max_size=3)) if k else []
+        for k in range(n)
+    ]
+    declares = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return parents, declares
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=class_graphs())
+def test_an_instance_reads_members_in_class_mro_order(graph):
+    parents, declares = graph
+    top = len(parents) - 1
+    src = ""
+    for k, ps in enumerate(parents):
+        inherit = " << " + ", ".join(f"C{p}" for p in ps) if ps else ""
+        body = f"new: v = {k};" if declares[k] else f"new: u{k} = 0;"
+        src += f"system: C{k}{inherit} {{ {body} }}\n"
+    t = build(src + f"C{top}: m;\nm.v --> 0;\n")
+    uni = preexecute(t)
+    scope = {c.name: s for s, c in t.classes.items()}[f"C{top}"]
+    mro = class_mro(t, scope)
+    # the static record universe shares one record per class
+    assert [r.scope for r in uni.record_for(scope).linked()] == mro
+    interp = Interpreter(t)
+    owners = [k for k in (int(t.classes[s].name[1:]) for s in mro) if declares[k]]
+    if owners:
+        interp.run()
+        assert interp.output == [f"{owners[0]}.0"]
+    else:
+        with pytest.raises(UnresolvedIdentifier, match="'m' has no member 'v'"):
+            interp.run()
+    # a run makes one record per inheritance path; first occurrences keep the order
+    seen = []
+    for r in interp.global_record.data["m"].linked():
+        if r.scope not in seen:
+            seen.append(r.scope)
+    assert seen == mro
