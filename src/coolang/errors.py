@@ -126,7 +126,11 @@ class ReverseUnsatisfied(CoolRuntimeError):
 
 
 class CallDepthExceeded(CoolRuntimeError):
-    """Calls nested past the depth the interpreter can follow."""
+    """Calls or instantiations nested past the interpreter's call depth."""
+
+
+class StepBudgetExceeded(CoolRuntimeError):
+    """A run took more backward jumps and call entries than its step budget."""
 
 
 # ----------------------------------------------------------- serialization

@@ -77,13 +77,12 @@ class Record:
         skip_current starts at the parent: out:-marked names belong to an
         enclosing region, never to the record being searched.
         """
-        if skip_current:
-            return self.parent.resolve(name) if self.parent else None
-        found = self._resolve_local(name)
-        if found is not None:
-            return found
-        if self.parent is not None:
-            return self.parent.resolve(name)
+        rec = self.parent if skip_current else self
+        while rec is not None:
+            found = rec._resolve_local(name)
+            if found is not None:
+                return found
+            rec = rec.parent
         return None
 
     def _resolve_local(self, name: str) -> Optional[Path]:

@@ -1,18 +1,32 @@
 """Active-record execution of preexecuted code.
 
 `lower` turns the bound tables into a `Program` once per interpreter: one
-instruction per code line, indexed by integer program counter, with jump
-targets, scope ranges and operand lookups resolved up front. Each region
-(the file, a scope, a function body) then runs against one record.
-Expression runs evaluate in two passes: forward for builtins and forward
-functions, then backward for reverse functions, so a solver always finds
-its required value already written by the lines above it.
+flat instruction stream, indexed by integer program counter. Each longest
+expression is expanded in place into one instruction per builtin or
+forward call, children before their consumer, followed by one instruction
+per reverse call, consumer first, so a solver always finds its required
+value already written by the steps before it. Lines with nothing to do at
+run time emit no instruction, and every line of an expression maps to its
+first instruction. Jump targets, scope ranges, function bodies and class
+bodies are all program counters into the stream.
+
+`Interpreter.run` walks the stream in one loop. Each region (the file, a
+scope, a function body, a class body) runs against one record. Entering a
+scope, a call or a class body pushes a frame on an explicit stack, and
+reaching the region's end pops it, so a COOL recursion never recurses in
+Python. The loop bounds the call depth, and it counts a step at every
+backward jump and every call entry against a step budget, so every run
+ends. Names are read and written straight in the record dicts, in the
+order `Record.resolve` walks them; a `Path` is made only for a formal,
+which aliases its caller's storage.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 from .addresses import Address
@@ -38,20 +52,25 @@ from .errors import (
     CoolRuntimeError,
     FormatError,
     ReverseUnsatisfied,
+    StepBudgetExceeded,
 )
 from .records import Path, Record, follow, instance_at
 
 _SKIPPED_KINDS = (ScopeKind.DECL, ScopeKind.BODY, ScopeKind.CLASS)
 
 # Instruction opcodes; an instruction is a tuple headed by one of these.
-#   (_NOP,)
-#   (_SKIP, after)                     scope never entered
-#   (_SCOPE, scope, end, after)        run [pc + 1, end) in a child record
-#   (_EXPR, forward, reverse, after)   one longest expression
+#   (_BINARY, apply, left, right, address)  builtin a op b, into the temporary
+#   (_ASSIGN, source, target)           builtin =
+#   (_CALL, site)                       forward call
+#   (_RCALL, site)                      reverse call, fed the value at its line
+#   (_JUMP, operand, target)
+#   (_SCOPE, scope, end, after)         run [pc + 1, end) in a child record
+#   (_SKIP, after)                      scope never entered
 #   (_DECLARE, name, class_name | None)
 #   (_RETURN, operand)
-#   (_JUMP, operand, target)
-_NOP, _SKIP, _SCOPE, _EXPR, _DECLARE, _RETURN, _JUMP = range(7)
+#   (_PRINT, operand)                   builtin -->
+#   (_NEG, operand, address)            builtin neg, into the temporary
+_BINARY, _ASSIGN, _CALL, _RCALL, _JUMP, _SCOPE, _SKIP, _DECLARE, _RETURN, _PRINT, _NEG = range(11)
 
 # Operand tags; an operand is a tuple headed by one of these.
 #   (_CONST, value)                    number or text
@@ -62,16 +81,14 @@ _NOP, _SKIP, _SCOPE, _EXPR, _DECLARE, _RETURN, _JUMP = range(7)
 _CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
 _EMPTY_OPERAND = (_EMPTY,)
 
-
 class CallSite:
-    """A call-bound root line, with its alignment plan memoized on first call.
-
-    The plan lists (bare formal, actual operand, pending) in the order the
-    declaration tree pairs formals with the call's operands; a _CONST actual
-    becomes a local of the body rather than a reference.
+    """A call-bound root line. Its alignment with the declaration is made on
+    the first call and split in two: constants that become locals of the
+    body, and formals (bare, actual operand, pending) that alias the caller's
+    storage, in the order the declaration tree pairs them with the operands.
     """
 
-    __slots__ = ("line", "address", "fn", "start", "end", "receiver", "plan")
+    __slots__ = ("line", "address", "fn", "start", "end", "receiver", "consts", "formals")
 
     def __init__(self, line: ExtendedLine, fn: FunctionInfo, start: int, end: int):
         self.line = line
@@ -81,7 +98,20 @@ class CallSite:
         self.end = end
         receiver, dot, _ = line.op.text.rpartition(".")
         self.receiver = dotted_chain(receiver) if dot else None
-        self.plan: Optional[list[tuple[str, tuple, bool]]] = None
+        self.consts: Optional[dict[str, object]] = None
+        self.formals: tuple[tuple[str, tuple, bool], ...] = ()
+
+
+class _Instantiation:
+    """An instance under construction: its records are made in preorder,
+    leftmost parent first, and each class body runs after its parents'."""
+
+    __slots__ = ("top", "name", "work")
+
+    def __init__(self, top: Record, name: str):
+        self.top = top
+        self.name = name  # the variable that receives the instance
+        self.work = [(top, 0)]  # (record, parents linked so far)
 
 
 @dataclass
@@ -96,13 +126,17 @@ class Program:
 def lower(tables: Tables) -> Program:
     """Resolve every static fact the interpreter needs, once.
 
-    Raises FormatError for a reference that names nothing in the tables.
+    The first pass lowers each line with its targets as line indices and
+    counts the instructions each line emits; the second turns those indices
+    into program counters. Raises FormatError for a reference that names
+    nothing in the tables.
     """
     lines = list(tables.code.lines())
-    pc_of = {ln.address: pc for pc, ln in enumerate(lines)}
+    n = len(lines)
+    index_of = {ln.address: i for i, ln in enumerate(lines)}
 
-    def pc(addr: Optional[Address], what: str) -> int:
-        found = pc_of.get(addr)
+    def index(addr: Optional[Address], what: str) -> int:
+        found = index_of.get(addr)
         if found is None:
             raise FormatError(f"{what} {addr} is not in the code table")
         return found
@@ -111,13 +145,14 @@ def lower(tables: Tables) -> Program:
         info = tables.scopes.get(start)
         if info is None:
             raise FormatError(f"{what} {start} has no scope row")
-        first = pc(start, what)
-        end = pc(info.end, f"end of {what}")
+        first = index(start, what)
+        end = index(info.end, f"end of {what}")
         if end < first:
             raise FormatError(f"{what} {start} ends before it starts")
         return first, end
 
-    bodies: dict[Address, tuple[int, int]] = {}  # function -> body region
+    bodies: dict[Address, tuple[int, int]] = {}  # function -> body lines
+    sites: list[CallSite] = []
 
     def call_site(ln: ExtendedLine) -> CallSite:
         fn = tables.functions.get(ln.bound)
@@ -127,52 +162,66 @@ def lower(tables: Tables) -> Program:
         if body is None:
             if fn.body_scope is None:
                 raise FormatError(f"line {ln.address} is bound to a function without a body")
-            pc(fn.decl_root, "declaration root")
+            index(fn.decl_root, "declaration root")
             first, end = scope_range(fn.body_scope, "function body")
             body = bodies[ln.bound] = (first + 1, end)
-        return CallSite(ln, fn, *body)
+        site = CallSite(ln, fn, *body)
+        sites.append(site)
+        return site
 
-    code: list[tuple] = []
-    n = len(lines)
+    proto: list[tuple] = []  # instructions, targets still line indices
+    width = [0] * n  # instructions each line emits
     i = 0
     while i < n:
+        emitted = len(proto)
         ln = lines[i]
         t = ln.ctype
+        j = i + 1
         if t is CodeType.EXPR:
-            j = i
             while j < n and lines[j].ctype is CodeType.EXPR:
                 j += 1
-            ins = _lower_run(lines[i:j], tables.code, call_site, j)
-            code.extend([ins] * (j - i))
-            i = j
-            continue
-        if t is CodeType.SCOPE_START:
+            proto += _lower_run(lines[i:j], tables.code, call_site)
+        elif t is CodeType.SCOPE_START:
             _, end = scope_range(ln.address, "scope")
             info = tables.scopes[ln.address]
             if ln.exec_flag is ExecFlag.FALSE or info.kind in _SKIPPED_KINDS:
-                ins = (_SKIP, end + 1)
+                proto.append((_SKIP, end + 1))
             else:
-                ins = (_SCOPE, ln.address, end, end + 1)
+                proto.append((_SCOPE, ln.address, end, end + 1))
         elif t is CodeType.VAR_DECL:
             name = split_markers(ln.result.text)[0]
             cls = ln.left.text if ln.left.kind is OperandKind.IDENT and ln.left.text else None
-            ins = (_DECLARE, name, cls)
+            proto.append((_DECLARE, name, cls))
         elif t is CodeType.RETURN:
-            ins = (_RETURN, _operand(ln.left, tables.code))
+            proto.append((_RETURN, _operand(ln.left, tables.code)))
         elif t is CodeType.JUMP:
             if ln.right.kind is not OperandKind.ADDRESS:
                 raise FormatError(f"jump at {ln.address} has no target address")
             target = ln.right.addr
             # a jump past the last line (the end of a trailing if-chain) ends
             # every region it runs in
-            to = n if target > lines[-1].address else pc(target, "jump target")
-            ins = (_JUMP, _operand(ln.left, tables.code), to)
-        else:
-            # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END,
-            # SCOPE_END: nothing to do at the top level
-            ins = (_NOP,)
+            to = n if target > lines[-1].address else index(target, "jump target")
+            proto.append((_JUMP, _operand(ln.left, tables.code), to))
+        # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END and
+        # SCOPE_END do nothing at run time and emit nothing. The count goes
+        # on a run's last line, so every line of a run maps to its first
+        # instruction.
+        width[j - 1] = len(proto) - emitted
+        i = j
+
+    pc_of = list(itertools.accumulate(width, initial=0))  # line index -> pc
+    code: list[tuple] = []
+    for ins in proto:
+        op = ins[0]
+        if op == _SCOPE:
+            ins = (_SCOPE, ins[1], pc_of[ins[2]], pc_of[ins[3]])
+        elif op == _SKIP:
+            ins = (_SKIP, pc_of[ins[1]])
+        elif op == _JUMP:
+            ins = (_JUMP, ins[1], pc_of[ins[2]])
         code.append(ins)
-        i += 1
+    for site in sites:
+        site.start, site.end = pc_of[site.start], pc_of[site.end]
 
     classes = {}
     class_scopes: dict[str, Address] = {}
@@ -181,24 +230,24 @@ def lower(tables: Tables) -> Program:
         for p in info.parents:
             if p not in tables.classes:
                 raise FormatError(f"class {info.name!r} inherits the unknown class {p}")
-        classes[scope] = (first + 1, end, tuple(info.parents))
+        classes[scope] = (pc_of[first + 1], pc_of[end], tuple(info.parents))
         class_scopes.setdefault(info.name, scope)
     return Program(code=code, classes=classes, class_scopes=class_scopes)
 
 
-def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site, after: int) -> tuple:
-    """One longest expression as (_EXPR, forward steps, reverse roots, after).
+def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site) -> list[tuple]:
+    """One longest expression as its instructions, in the order they run.
 
     Forward steps follow a depth-first walk, children before their
     consumer, since spliced lines may sit after the line that reads them;
-    each step is a CallSite or a builtin (op, left, right, result, address).
-    Reverse roots wait and run last, in the reverse of that walk: a
-    consumer solves first and leaves each producer the answer it needs.
+    each is a builtin or a _CALL. Reverse roots wait and run last, as
+    _RCALLs in the reverse of that walk: a consumer solves first and leaves
+    each producer the answer it needs.
     """
     by_addr = {ln.address: ln for ln in run}
     done: set[Address] = set()
-    forward: list = []
-    reverse: list = []
+    forward: list[tuple] = []
+    reverse: list[tuple] = []
     for top in run:
         if top.address in done:
             continue
@@ -218,18 +267,29 @@ def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site, after: int)
                 continue
             stack.pop()
             if ln.bound is BUILTIN:
-                forward.append(
-                    (
-                        ln.op.text,
-                        _operand(ln.left, table),
-                        _operand(ln.right, table),
-                        _operand(ln.result, table),
-                        ln.address,
-                    )
-                )
+                forward.append(_builtin(ln, table))
             elif ln.root and ln.is_user_bound:
-                (reverse if ln.bound_reverse else forward).append(call_site(ln))
-    return (_EXPR, tuple(forward), tuple(reversed(reverse)), after)
+                if ln.bound_reverse:
+                    reverse.append((_RCALL, call_site(ln)))
+                else:
+                    forward.append((_CALL, call_site(ln)))
+    reverse.reverse()
+    return forward + reverse
+
+
+def _builtin(ln: ExtendedLine, table: CodeTable) -> tuple:
+    op = ln.op.text
+    left = _operand(ln.left, table)
+    if op == "=":
+        return (_ASSIGN, left, _operand(ln.result, table))
+    if op == "-->":
+        return (_PRINT, left)
+    if op == "neg":
+        return (_NEG, left, ln.address)
+    apply = _APPLY.get(op)
+    if apply is None:
+        apply = _no_builtin(op)
+    return (_BINARY, apply, left, _operand(ln.right, table), ln.address)
 
 
 def _operand(o: Operand, table: CodeTable) -> tuple:
@@ -252,6 +312,198 @@ def _operand(o: Operand, table: CodeTable) -> tuple:
     return _EMPTY_OPERAND
 
 
+# --- builtin evaluation ---
+#
+# Each binary builtin takes (a, b, address). Two floats with a finite
+# result take the fast path; anything else goes through _num and _finite,
+# which raise the runtime errors.
+
+
+def _num(v, op: str, address: Address) -> float:
+    if isinstance(v, float):
+        return v
+    raise CoolRuntimeError(f"{op!r} needs numbers, got {type(v).__name__} at {address}")
+
+
+def _finite(v: float, op: str, address: Address) -> float:
+    if isinstance(v, complex) or not isfinite(v):
+        raise CoolRuntimeError(f"{op!r} left the number range at {address}")
+    return v
+
+
+def _equal(a, b, address: Address) -> float:
+    return 1.0 if a == b else 0.0
+
+
+def _less(a, b, address: Address) -> float:
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = _num(a, "<", address), _num(b, "<", address)
+    return 1.0 if a < b else 0.0
+
+
+def _greater(a, b, address: Address) -> float:
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = _num(a, ">", address), _num(b, ">", address)
+    return 1.0 if a > b else 0.0
+
+
+def _at_most(a, b, address: Address) -> float:
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = _num(a, "<=", address), _num(b, "<=", address)
+    return 1.0 if a <= b else 0.0
+
+
+def _at_least(a, b, address: Address) -> float:
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = _num(a, ">=", address), _num(b, ">=", address)
+    return 1.0 if a >= b else 0.0
+
+
+def _add(a, b, address: Address):
+    if a.__class__ is float and b.__class__ is float:
+        v = a + b
+        if isfinite(v):
+            return v
+    elif isinstance(a, str) and isinstance(b, str):
+        return a + b
+    return _finite(_num(a, "+", address) + _num(b, "+", address), "+", address)
+
+
+def _subtract(a, b, address: Address) -> float:
+    if a.__class__ is float and b.__class__ is float:
+        v = a - b
+        if isfinite(v):
+            return v
+    return _finite(_num(a, "-", address) - _num(b, "-", address), "-", address)
+
+
+def _multiply(a, b, address: Address) -> float:
+    if a.__class__ is float and b.__class__ is float:
+        v = a * b
+        if isfinite(v):
+            return v
+    return _finite(_num(a, "*", address) * _num(b, "*", address), "*", address)
+
+
+def _divide(a, b, address: Address) -> float:
+    if a.__class__ is float and b.__class__ is float and b != 0.0:
+        v = a / b
+        if isfinite(v):
+            return v
+    x, y = _num(a, "/", address), _num(b, "/", address)
+    if y == 0.0:
+        raise CoolRuntimeError(f"division by zero at {address}")
+    return _finite(x / y, "/", address)
+
+
+def _power(a, b, address: Address) -> float:
+    x, y = _num(a, "^", address), _num(b, "^", address)
+    if x < 0.0 and y != math.floor(y):
+        raise CoolRuntimeError(f"fractional power of a negative number at {address}")
+    if x == 0.0 and y < 0.0:
+        raise CoolRuntimeError(f"zero to a negative power at {address}")
+    try:
+        v = x**y
+    except OverflowError:
+        v = math.inf
+    return _finite(v, "^", address)
+
+
+def _no_builtin(op: str):
+    def apply(a, b, address: Address):
+        _num(a, op, address), _num(b, op, address)
+        raise CoolRuntimeError(f"no builtin evaluation for {op!r}")
+
+    return apply
+
+
+_APPLY = {
+    "==": _equal,
+    "<": _less,
+    ">": _greater,
+    "<=": _at_most,
+    ">=": _at_least,
+    "+": _add,
+    "-": _subtract,
+    "*": _multiply,
+    "/": _divide,
+    "^": _power,
+}
+
+
+# --- name access ---
+
+
+def _read(record: Record, o: tuple):
+    """The value of an operand; a missing value reads as 0.0.
+
+    A name walks the records in Record.resolve's order: own data, cross
+    references, the records the param query links reach, then the parent.
+    """
+    tag = o[0]
+    if tag == _NAME:
+        name = o[1]
+        r = record.parent if o[2] else record
+        while r is not None:
+            data = r.data
+            if name in data:
+                v = data[name]
+                break
+            cross = r.cross_ref
+            if name in cross:
+                v = cross[name].read()
+                break
+            if r.param_query_links:
+                p = r._resolve_local(name)
+                if p is not None:
+                    v = p.read()
+                    break
+            r = r.parent
+        else:
+            # unresolved names spring into the current record as numbers
+            record.data[name] = None
+            return 0.0
+    elif tag == _TEMP:
+        v = record.data.get(o[1])
+    elif tag == _CONST:
+        return o[1]
+    elif tag == _MEMBER:
+        v = follow(record, o[1], o[2], o[3]).read()
+    else:
+        return None
+    return 0.0 if v is None else v
+
+
+def _write(record: Record, target: tuple, v) -> None:
+    """Store v where the operand names, a name found as _read finds it."""
+    tag = target[0]
+    if tag == _NAME:
+        name = target[1]
+        r = record.parent if target[2] else record
+        while r is not None:
+            data = r.data
+            if name in data:
+                data[name] = v
+                return
+            cross = r.cross_ref
+            if name in cross:
+                cross[name].write(v)
+                return
+            if r.param_query_links:
+                p = r._resolve_local(name)
+                if p is not None:
+                    p.write(v)
+                    return
+            r = r.parent
+        record.data[name] = v
+    elif tag == _TEMP:
+        record.data[target[1]] = v
+    elif tag == _MEMBER:
+        follow(record, target[1], target[2], target[3]).write(v)
+    else:
+        raise CoolRuntimeError("assignment needs a place to write")
+
+
 def _truthy(v) -> bool:
     if v is None:
         return False
@@ -270,208 +522,183 @@ def _format_value(v) -> str:
     return repr(v)
 
 
+# default run budgets: calls and instantiations nested, and steps counted
+# at backward jumps and call entries
+MAX_CALL_DEPTH = 10_000
+MAX_STEPS = 10_000_000
+
+
 class Interpreter:
-    def __init__(self, tables: Tables):
+    """Runs preexecuted tables. A run raises CallDepthExceeded when calls or
+    instantiations nest past max_call_depth, and StepBudgetExceeded when it
+    takes more than max_steps backward jumps and call entries together."""
+
+    def __init__(
+        self, tables: Tables, max_call_depth: int = MAX_CALL_DEPTH, max_steps: int = MAX_STEPS
+    ):
         if not tables.preexecuted:
             raise CoolRuntimeError("code must be preexecuted before it can run")
         self.tables = tables
         self.program = lower(tables)
+        self.max_call_depth = max_call_depth
+        self.max_steps = max_steps
         self.output: list[str] = []
         self.call_log: list[Address] = []
         self.global_record = Record(scope=None)
-        self._ret_value = None
 
     def run(self) -> Record:
-        try:
-            self._execute(self.global_record, 0, len(self.program.code))
-        except RecursionError:
-            raise CallDepthExceeded(
-                "calls nest deeper than the interpreter's recursion limit"
-            ) from None
-        return self.global_record
+        """Run the program on one loop and an explicit frame stack.
 
-    # --- region execution ---
-
-    def _execute(self, record: Record, pc: int, end: int) -> bool:
-        """Run instructions [pc, end); True means a return unwound through here."""
+        A frame is (caller record, return pc, caller's region end, child
+        record, site, pending, ans). The site is None for a scope, the
+        CallSite for a call, and the _Instantiation for a class body.
+        """
         code = self.program.code
-        while pc < end:
+        output, call_log = self.output, self.call_log
+        read, write = _read, _write
+        max_depth, max_steps = self.max_call_depth, self.max_steps
+        frames: list[tuple] = []
+        record = self.global_record
+        pc, end = 0, len(code)
+        depth = steps = 0
+        returned, ret = False, None
+        while True:
+            if pc >= end:
+                if not frames:
+                    return self.global_record
+                caller, pc, end, child, site, pending, ans = frames.pop()
+                if site.__class__ is CallSite:
+                    depth -= 1
+                    child.destroy()
+                    if returned:
+                        caller.data[site.address] = ret
+                        returned = False
+                    if ans is not None:
+                        _check_solved(pending)
+                    call_log.append(site.address)
+                elif site is None:
+                    child.destroy()
+                else:
+                    returned = False
+                    body = self._next_body(site)
+                    if body is not None:
+                        rec, start, stop = body
+                        frames.append((caller, pc, end, rec, site, None, None))
+                        record, pc, end = rec, start, stop
+                        continue
+                    depth -= 1
+                    caller.data[site.name] = site.top
+                record = caller
+                continue
+
             ins = code[pc]
             op = ins[0]
-            if op == _EXPR:
-                self._eval_longest(record, ins[1], ins[2])
-                pc = ins[3]
-            elif op == _NOP:
+            if op == _BINARY:
+                record.data[ins[4]] = ins[1](read(record, ins[2]), read(record, ins[3]), ins[4])
                 pc += 1
+            elif op == _ASSIGN:
+                write(record, ins[2], read(record, ins[1]))
+                pc += 1
+            elif op == _CALL or op == _RCALL:
+                site = ins[1]
+                if op == _RCALL:
+                    ans = record.data.get(site.address)
+                    if ans is None:
+                        ans = 0.0
+                else:
+                    ans = None
+                steps += 1
+                if steps > max_steps:
+                    raise StepBudgetExceeded(f"the run took more than {max_steps} steps")
+                if depth >= max_depth:
+                    raise CallDepthExceeded(f"calls nest deeper than {max_depth} levels")
+                body, pending = self._enter(record, site, ans)
+                frames.append((record, pc + 1, end, body, site, pending, ans))
+                depth += 1
+                record, pc, end = body, site.start, site.end
             elif op == _JUMP:
-                if _truthy(self._value(record, ins[1])):
-                    pc = ins[2]
+                if _truthy(read(record, ins[1])):
+                    target = ins[2]
+                    if target <= pc:  # a loop's back edge: count a step
+                        steps += 1
+                        if steps > max_steps:
+                            raise StepBudgetExceeded(f"the run took more than {max_steps} steps")
+                    pc = target
                 else:
                     pc += 1
             elif op == _SCOPE:
                 child = Record(scope=ins[1], parent=record)
-                try:
-                    returned = self._execute(child, pc + 1, ins[2])
-                finally:
-                    child.destroy()
-                if returned:
-                    return True
-                pc = ins[3]
+                frames.append((record, ins[3], end, child, None, None, None))
+                record, pc, end = child, pc + 1, ins[2]
             elif op == _SKIP:
                 pc = ins[1]
             elif op == _DECLARE:
-                self._declare(record, ins[1], ins[2])
+                if ins[2] is None:
+                    record.data[ins[1]] = None
+                    pc += 1
+                else:
+                    if depth >= max_depth:
+                        raise CallDepthExceeded(f"instances nest deeper than {max_depth} levels")
+                    site = self._instantiation(ins[1], ins[2])
+                    rec, start, stop = self._next_body(site)
+                    frames.append((record, pc + 1, end, rec, site, None, None))
+                    depth += 1
+                    record, pc, end = rec, start, stop
+            elif op == _RETURN:
+                ret = read(record, ins[1])
+                returned = True
+                # leave the scopes up to the call or class body
+                while frames and frames[-1][4] is None:
+                    caller, _, end, child, _, _, _ = frames.pop()
+                    child.destroy()
+                    record = caller
+                pc = end
+            elif op == _PRINT:
+                output.append(_format_value(read(record, ins[1])))
                 pc += 1
-            else:  # _RETURN
-                self._ret_value = self._value(record, ins[1])
-                return True
-        return False
+            else:  # _NEG
+                address = ins[2]
+                v = -_num(read(record, ins[1]), "neg", address)
+                record.data[address] = _finite(v, "neg", address)
+                pc += 1
 
-    def _declare(self, record: Record, name: str, class_name: Optional[str]) -> None:
-        if class_name is None:
-            record.declare(name)
-            return
+    # --- instances ---
+
+    def _instantiation(self, name: str, class_name: str) -> _Instantiation:
         cscope = self.program.class_scopes.get(class_name)
         if cscope is None:
             raise CoolRuntimeError(f"no class named {class_name!r}")
-        record.declare(name, self._instantiate(cscope))
+        return _Instantiation(Record(scope=cscope, parent=self.global_record), name)
 
-    def _instantiate(self, cscope: Address) -> Record:
-        """An instance, with one linked record per parent class. On a stack:
-        records are made in preorder, leftmost parent first, and each class
-        body runs after its parents' bodies."""
+    def _next_body(self, inst: _Instantiation) -> Optional[tuple[Record, int, int]]:
+        """The next class body to run, as (record, start, end), linking parent
+        records as the walk reaches them; None once every body has run."""
         classes = self.program.classes
-        top = Record(scope=cscope, parent=self.global_record)
-        stack = [(top, 0)]
-        while stack:
-            rec, i = stack.pop()
+        work = inst.work
+        while work:
+            rec, i = work.pop()
             start, end, parents = classes[rec.scope]
             if i < len(parents):
-                stack.append((rec, i + 1))
+                work.append((rec, i + 1))
                 link = Record(scope=parents[i], parent=self.global_record)
                 rec.param_query_links.append(link)
-                stack.append((link, 0))
+                work.append((link, 0))
             else:
-                self._execute(rec, start, end)
-        return top
-
-    # --- expression evaluation ---
-
-    def _eval_longest(self, record: Record, forward: tuple, reverse: tuple) -> None:
-        for step in forward:
-            if step.__class__ is CallSite:
-                self._call(record, step, None)
-            else:
-                self._exec_builtin(record, step)
-        for site in reverse:
-            ans = record.data.get(site.address)
-            self._call(record, site, 0.0 if ans is None else ans)
-
-    def _value(self, record: Record, o: tuple):
-        tag = o[0]
-        if tag == _NAME:
-            v = self._name_path(record, o[1], o[2]).read()
-        elif tag == _TEMP:
-            v = record.data.get(o[1])
-        elif tag == _CONST:
-            return o[1]
-        elif tag == _MEMBER:
-            v = follow(record, o[1], o[2], o[3]).read()
-        else:
-            return None
-        return 0.0 if v is None else v
-
-    def _name_path(self, record: Record, bare: str, skip_current: bool) -> Path:
-        p = record.resolve(bare, skip_current=skip_current)
-        if p is None:
-            # unresolved names spring into the current record as numbers
-            p = record.declare(bare)
-        return p
-
-    # --- builtins ---
-
-    def _exec_builtin(self, record: Record, step: tuple) -> None:
-        op, left, right, result, address = step
-        if op == "=":
-            self._write_target(record, result, self._value(record, left))
-            return
-        if op == "-->":
-            self.output.append(_format_value(self._value(record, left)))
-            return
-        if op == "neg":
-            v = self._num(self._value(record, left), op, address)
-            record.data[address] = self._finite(-v, op, address)
-            return
-        a = self._value(record, left)
-        b = self._value(record, right)
-        record.data[address] = self._apply(op, a, b, address)
-
-    def _write_target(self, record: Record, target: tuple, v) -> None:
-        tag = target[0]
-        if tag == _NAME:
-            self._name_path(record, target[1], target[2]).write(v)
-        elif tag == _TEMP:
-            record.data[target[1]] = v
-        elif tag == _MEMBER:
-            follow(record, target[1], target[2], target[3]).write(v)
-        else:
-            raise CoolRuntimeError("assignment needs a place to write")
-
-    def _num(self, v, op: str, address: Address) -> float:
-        if isinstance(v, float):
-            return v
-        raise CoolRuntimeError(
-            f"{op!r} needs numbers, got {type(v).__name__} at {address}"
-        )
-
-    def _finite(self, v: float, op: str, address: Address) -> float:
-        if isinstance(v, complex) or not math.isfinite(v):
-            raise CoolRuntimeError(f"{op!r} left the number range at {address}")
-        return v
-
-    def _apply(self, op: str, a, b, address: Address):
-        if op == "==":
-            return 1.0 if a == b else 0.0
-        if op in ("<", ">", "<=", ">="):
-            x, y = self._num(a, op, address), self._num(b, op, address)
-            return 1.0 if eval_compare(op, x, y) else 0.0
-        if op == "+" and isinstance(a, str) and isinstance(b, str):
-            return a + b
-        x, y = self._num(a, op, address), self._num(b, op, address)
-        if op == "+":
-            return self._finite(x + y, op, address)
-        if op == "-":
-            return self._finite(x - y, op, address)
-        if op == "*":
-            return self._finite(x * y, op, address)
-        if op == "/":
-            if y == 0.0:
-                raise CoolRuntimeError(f"division by zero at {address}")
-            return self._finite(x / y, op, address)
-        if op == "^":
-            if x < 0.0 and y != math.floor(y):
-                raise CoolRuntimeError(
-                    f"fractional power of a negative number at {address}"
-                )
-            if x == 0.0 and y < 0.0:
-                raise CoolRuntimeError(f"zero to a negative power at {address}")
-            return self._finite(x**y, op, address)
-        raise CoolRuntimeError(f"no builtin evaluation for {op!r}")
+                return rec, start, end
+        return None
 
     # --- function calls ---
 
-    def _call(self, record: Record, site: CallSite, ans) -> None:
-        plan = site.plan
-        if plan is None:
-            plan = site.plan = self._align(site)
+    def _enter(self, record: Record, site: CallSite, ans) -> tuple[Record, list]:
+        """The body record of one call, and its pending formals."""
+        consts = site.consts
+        if consts is None:
+            self._align(site)
+            consts = site.consts
         formals: dict[str, Path] = {}
-        locals_: dict[str, object] = {}
         pending: list[tuple[str, Path]] = []
-        for bare, actual, is_pending in plan:
-            if actual[0] == _CONST:
-                locals_[bare] = actual[1]
-                continue
-            path = self._actual_path(record, actual)
+        for bare, actual, is_pending in site.formals:
+            path = _actual_path(record, actual)
             formals[bare] = path
             if is_pending:
                 pending.append((bare, path))
@@ -482,10 +709,8 @@ class Interpreter:
             start = record
             if site.receiver is not None:
                 bare, out, names = site.receiver
-                start = instance_at(
-                    follow(record, bare, out, names), ".".join((bare, *names))
-                )
-            found = self._find_class_record(start, fn.class_scope)
+                start = instance_at(follow(record, bare, out, names), ".".join((bare, *names)))
+            found = _find_class_record(start, fn.class_scope)
             if found is None:
                 raise CoolRuntimeError(
                     f"no instance of the class owning {fn.name!r} is reachable"
@@ -493,41 +718,19 @@ class Interpreter:
             parent = found
 
         body = Record(scope=fn.body_scope, parent=parent)
-        body.cross_ref.update(formals)
-        for bare, v in locals_.items():
-            body.declare(bare, v)
+        body.cross_ref = formals
+        if consts:
+            body.data.update(consts)
         if ans is not None:
-            body.declare("ans", ans)
+            body.data["ans"] = ans
+        return body, pending
 
-        self._ret_value = None
-        returned = self._execute(body, site.start, site.end)
-        body.destroy()
-        if returned:
-            record.data[site.address] = self._ret_value
-
-        if ans is not None:
-            for bare, path in pending:
-                v = path.read()
-                if v is None or (isinstance(v, float) and not math.isfinite(v)):
-                    raise ReverseUnsatisfied(
-                        f"{bare!r} was never solved by the reverse call"
-                    )
-        self.call_log.append(site.address)
-
-    def _find_class_record(self, rec: Optional[Record], cscope: Address) -> Optional[Record]:
-        """The nearest record of one class, inherited-class links included."""
-        while rec is not None:
-            for r in rec.linked():
-                if r.scope == cscope:
-                    return r
-            rec = rec.parent
-        return None
-
-    def _align(self, site: CallSite) -> list[tuple[str, tuple, bool]]:
+    def _align(self, site: CallSite) -> None:
         """Pair declaration formals with the call's operands, tree against tree,
         depth first and left before right, on a stack: patterns nest deep."""
         code = self.tables.code
-        plan: list[tuple[str, tuple, bool]] = []
+        consts: dict[str, object] = {}
+        formals: list[tuple[str, tuple, bool]] = []
         seen: set[str] = set()
         root = code[site.fn.decl_root]
         stack = [(root, site.line, SLOT_RIGHT), (root, site.line, SLOT_LEFT)]
@@ -550,33 +753,47 @@ class Interpreter:
             if not bare or bare in seen:
                 continue
             seen.add(bare)
-            plan.append(
-                (bare, _operand(actual, code), decl_ln.pending[s] is PendFlag.TRUE)
-            )
-        return plan
-
-    def _actual_path(self, record: Record, o: tuple) -> Path:
-        tag = o[0]
-        if tag == _NAME:
-            return self._name_path(record, o[1], o[2])
-        if tag == _MEMBER:
-            return follow(record, o[1], o[2], o[3])
-        if tag == _TEMP:
-            return Path(record, o[1])
-        raise CoolRuntimeError("a formal matched nothing that can hold a value")
+            o = _operand(actual, code)
+            if o[0] == _CONST:
+                # a constant actual becomes a local of the body, not a reference
+                consts[bare] = o[1]
+            else:
+                formals.append((bare, o, decl_ln.pending[s] is PendFlag.TRUE))
+        site.consts, site.formals = consts, tuple(formals)
 
 
-def eval_compare(op: str, x: float, y: float) -> bool:
-    if op == "<":
-        return x < y
-    if op == ">":
-        return x > y
-    if op == "<=":
-        return x <= y
-    return x >= y
+def _check_solved(pending: list[tuple[str, Path]]) -> None:
+    for bare, path in pending:
+        v = path.read()
+        if v is None or (isinstance(v, float) and not isfinite(v)):
+            raise ReverseUnsatisfied(f"{bare!r} was never solved by the reverse call")
 
 
-def run_program(tables: Tables) -> Interpreter:
-    interp = Interpreter(tables)
+def _find_class_record(rec: Optional[Record], cscope: Address) -> Optional[Record]:
+    """The nearest record of one class, inherited-class links included."""
+    while rec is not None:
+        for r in rec.linked():
+            if r.scope == cscope:
+                return r
+        rec = rec.parent
+    return None
+
+
+def _actual_path(record: Record, o: tuple) -> Path:
+    """The storage a formal aliases."""
+    tag = o[0]
+    if tag == _NAME:
+        p = record.resolve(o[1], skip_current=o[2])
+        # unresolved names spring into the current record as numbers
+        return record.declare(o[1]) if p is None else p
+    if tag == _MEMBER:
+        return follow(record, o[1], o[2], o[3])
+    if tag == _TEMP:
+        return Path(record, o[1])
+    raise CoolRuntimeError("a formal matched nothing that can hold a value")
+
+
+def run_program(tables: Tables, **budgets) -> Interpreter:
+    interp = Interpreter(tables, **budgets)
     interp.run()
     return interp

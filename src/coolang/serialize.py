@@ -55,12 +55,23 @@ _PEND_FLAGS = _Codes(PendFlag)
 _SCOPE_KINDS = _Codes(ScopeKind)
 
 
+class _Addresses(dict):
+    """Address text to Address, each text parsed once per deserialize call.
+
+    A malformed text raises the ValueError of Address.parse and is not kept.
+    """
+
+    def __missing__(self, text: str) -> Address:
+        self[text] = addr = Address.parse(text)
+        return addr
+
+
 def _enc_addr(a: Optional[Address]) -> str:
     return "-" if a is None else str(a)
 
 
-def _dec_addr(s: str) -> Optional[Address]:
-    return None if s == "-" else Address.parse(s)
+def _dec_addr(s: str, addrs: _Addresses) -> Optional[Address]:
+    return None if s == "-" else addrs[s]
 
 
 def _enc_operand(o: Operand) -> str:
@@ -73,14 +84,14 @@ def _enc_operand(o: Operand) -> str:
     return quote(o.text, safe="")
 
 
-def _dec_operand(kind: str, payload: str) -> Operand:
+def _dec_operand(kind: str, payload: str, addrs: _Addresses) -> Operand:
     k = _OPERAND_KINDS[kind]
     if k is OperandKind.EMPTY:
         return Operand.empty()
     if k is OperandKind.NUMBER:
         return Operand.number(float(payload))
     if k is OperandKind.ADDRESS:
-        return Operand.address(Address.parse(payload))
+        return Operand.address(addrs[payload])
     if k is OperandKind.TEXT:
         return Operand.string(unquote(payload))
     return Operand.ident(unquote(payload))
@@ -111,7 +122,7 @@ def _enc_line(ln: ExtendedLine) -> str:
     return "\t".join(cols)
 
 
-def _dec_line(row: str) -> ExtendedLine:
+def _dec_line(row: str, addrs: _Addresses) -> ExtendedLine:
     cols = row.split("\t")
     if len(cols) != 13:
         raise FormatError(f"code row has {len(cols)} columns, wanted 13")
@@ -125,16 +136,16 @@ def _dec_line(row: str) -> ExtendedLine:
     elif cols[11] == "B":
         bound = BUILTIN
     else:
-        bound = Address.parse(cols[11])
+        bound = addrs[cols[11]]
     return ExtendedLine(
-        address=Address.parse(cols[0]),
-        scope=_dec_addr(cols[1]),
+        address=addrs[cols[0]],
+        scope=_dec_addr(cols[1], addrs),
         exec_flag=_EXEC_FLAGS[cols[2]],
         ctype=_CODE_TYPES[cols[3]],
-        op=_dec_operand(kinds[0], cols[4]),
-        left=_dec_operand(kinds[1], cols[5]),
-        right=_dec_operand(kinds[2], cols[6]),
-        result=_dec_operand(kinds[3], cols[7]),
+        op=_dec_operand(kinds[0], cols[4], addrs),
+        left=_dec_operand(kinds[1], cols[5], addrs),
+        right=_dec_operand(kinds[2], cols[6], addrs),
+        result=_dec_operand(kinds[3], cols[7], addrs),
         pending=[_PEND_FLAGS[c] for c in cols[9]],
         formal=[c == "T" for c in cols[10]],
         bound=bound,
@@ -142,55 +153,55 @@ def _dec_line(row: str) -> ExtendedLine:
     )
 
 
-def _read_code_row(tables: Tables, row: str) -> None:
-    ln = _dec_line(row)
+def _read_code_row(tables: Tables, row: str, addrs: _Addresses) -> None:
+    ln = _dec_line(row, addrs)
     if ln.address in tables.code:
         raise FormatError(f"address {ln.address} appears twice")
     tables.code.insert(ln)
 
 
-def _read_scope_row(tables: Tables, row: str) -> None:
+def _read_scope_row(tables: Tables, row: str, addrs: _Addresses) -> None:
     cols = row.split("\t")
     if len(cols) != 6:
         raise FormatError("scope row needs 6 columns")
-    tables.scopes[Address.parse(cols[0])] = ScopeInfo(
+    tables.scopes[addrs[cols[0]]] = ScopeInfo(
         kind=_SCOPE_KINDS[cols[1]],
-        start=Address.parse(cols[2]),
-        end=Address.parse(cols[3]),
-        param_query=_dec_addr(cols[4]),
-        parent=_dec_addr(cols[5]),
+        start=addrs[cols[2]],
+        end=addrs[cols[3]],
+        param_query=_dec_addr(cols[4], addrs),
+        parent=_dec_addr(cols[5], addrs),
     )
 
 
-def _read_function_row(tables: Tables, row: str) -> None:
+def _read_function_row(tables: Tables, row: str, addrs: _Addresses) -> None:
     cols = row.split("\t")
     if len(cols) != 10:
         raise FormatError("function row needs 10 columns")
-    fop = Address.parse(cols[0])
+    fop = addrs[cols[0]]
     if cols[6] == "T" and cols[5] == "-":
         raise FormatError(f"rewrite rule at code line {fop} has no return: statement")
     tables.functions[fop] = FunctionInfo(
-        decl_scope=Address.parse(cols[2]),
-        decl_root=Address.parse(cols[3]),
-        body_scope=_dec_addr(cols[4]),
-        returns=[] if cols[5] == "-" else [Address.parse(r) for r in cols[5].split(",")],
+        decl_scope=addrs[cols[2]],
+        decl_root=addrs[cols[3]],
+        body_scope=_dec_addr(cols[4], addrs),
+        returns=[] if cols[5] == "-" else [addrs[r] for r in cols[5].split(",")],
         is_exp=cols[6] == "T",
         is_reverse=cols[7] == "T",
         weight=float(cols[8]),
         func_op=fop,
         name=unquote(cols[1]) or None,
-        class_scope=_dec_addr(cols[9]),
+        class_scope=_dec_addr(cols[9], addrs),
     )
 
 
-def _read_class_row(tables: Tables, row: str) -> None:
+def _read_class_row(tables: Tables, row: str, addrs: _Addresses) -> None:
     cols = row.split("\t")
     if len(cols) != 3:
         raise FormatError("class row needs 3 columns")
-    tables.classes[Address.parse(cols[0])] = ClassInfo(
-        scope=Address.parse(cols[0]),
+    tables.classes[addrs[cols[0]]] = ClassInfo(
+        scope=addrs[cols[0]],
         name=unquote(cols[1]),
-        parents=[] if cols[2] == "-" else [Address.parse(p) for p in cols[2].split(",")],
+        parents=[] if cols[2] == "-" else [addrs[p] for p in cols[2].split(",")],
     )
 
 
@@ -273,10 +284,11 @@ def deserialize(text: str) -> Tables:
         raise FormatError(f"wanted 4 sections, found {len(sections)}")
 
     tables = Tables(preexecuted=header == "preexec")
+    addrs = _Addresses()
     for (name, read), rows in zip(_SECTIONS, sections):
         for lineno, row in rows:
             try:
-                read(tables, row)
+                read(tables, row, addrs)
             except ValueError as exc:
                 # bad addresses, flags, kinds and numbers
                 raise FormatError(f"line {lineno}, {name} row: {exc}") from None

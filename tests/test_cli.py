@@ -89,6 +89,16 @@ def test_max_tree_nodes_below_one_is_a_usage_error(tmp_path, capsys):
     _rejects_option(tmp_path, capsys, "--max-tree-nodes", "0")
 
 
+def test_max_steps_below_one_is_a_usage_error(tmp_path, capsys):
+    _rejects_option(tmp_path, capsys, "--max-steps", "0")
+
+
+def test_a_max_call_depth_that_is_no_integer_is_a_usage_error(tmp_path, capsys):
+    src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
+    assert main(["run", src, "--max-call-depth", "x"]) == 4
+    assert "argument --max-call-depth: not an integer: 'x'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, fits, printed",
     [("chained_derivation", 5, "36.10050506338833"), ("apple_price", 2, "5.0")],
@@ -115,6 +125,36 @@ def test_unbounded_recursion_is_a_runtime_error(tmp_path, capsys):
     src = write(tmp_path, "rec.cool", "@f(n){ return: f(n); }\nnew: a = 0;\na = f(1);\n")
     assert main(["run", src]) == 3
     assert "CallDepthExceeded" in capsys.readouterr().err
+
+
+COUNTDOWN = "@f(n){ if (n > 0) { return: f(n - 1) + 1; } return: 0; }\n"
+
+
+def test_a_terminating_recursion_runs_five_thousand_calls_deep(tmp_path, capsys):
+    src = write(tmp_path, "rec.cool", COUNTDOWN + "new: a = 0;\na = f(5000);\na --> 0;\n")
+    assert main(["run", src]) == 0
+    assert capsys.readouterr().out.splitlines() == ["5000.0"]
+
+
+def test_the_call_depth_budget_bounds_nested_calls(tmp_path, capsys):
+    # f(n) nests n + 1 calls
+    src = write(tmp_path, "rec.cool", COUNTDOWN + "new: a = 0;\na = f(49);\na --> 0;\n")
+    assert main(["run", src, "--max-call-depth", "50"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["49.0"]
+    assert main(["run", src, "--max-call-depth", "49"]) == 3
+    assert "CallDepthExceeded: calls nest deeper than 49 levels" in capsys.readouterr().err
+
+
+def test_a_class_that_instantiates_itself_is_a_runtime_error(tmp_path, capsys):
+    src = write(tmp_path, "self.cool", "system: A { A: inner; }\nA: m;\n")
+    assert main(["run", src]) == 3
+    assert "CallDepthExceeded" in capsys.readouterr().err
+
+
+def test_an_endless_while_loop_ends_at_the_step_budget(tmp_path, capsys):
+    src = write(tmp_path, "loop.cool", "new: i = 0;\nwhile (1 > 0) { i = i + 1; }\n")
+    assert main(["run", src, "--max-steps", "1000"]) == 3
+    assert "StepBudgetExceeded: the run took more than 1000 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("terms", [600, 900, 5000])

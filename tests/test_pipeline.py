@@ -1,8 +1,9 @@
 """Whole-pipeline properties over generated programs.
 
 Every input goes through precompile, parse, load and preexecute under small
-search limits. It must come out bound or raise a CoolError: a raw Python
-exception anywhere in the pipeline is a defect.
+search limits, and a bound program runs under small budgets. It must come
+out bound and run, or raise a CoolError: a raw Python exception anywhere in
+the pipeline is a defect.
 """
 
 from hypothesis import example, given, settings
@@ -47,7 +48,8 @@ def test_a_mutated_program_binds_or_raises_a_cool_error(name, splices):
         i = at % (len(text) + 1)
         text = text[:i] + piece + text[i + length :]
     try:
-        preexecuted(text)
+        # an endless loop or recursion ends at a budget
+        run_program(preexecuted(text), max_call_depth=50, max_steps=1000)
     except CoolError:
         pass
 

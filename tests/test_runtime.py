@@ -8,7 +8,13 @@ import corpus
 from coolang import build, execute, preexecute
 from coolang import records
 from coolang.code import CodeTable, CodeType, Tables
-from coolang.errors import CoolRuntimeError, ReverseUnsatisfied, UnresolvedIdentifier
+from coolang.errors import (
+    CallDepthExceeded,
+    CoolRuntimeError,
+    ReverseUnsatisfied,
+    StepBudgetExceeded,
+    UnresolvedIdentifier,
+)
 from coolang.matching import class_mro
 from coolang.runtime import Interpreter, run_program
 
@@ -115,6 +121,8 @@ def test_numeric_faults_stop_the_run():
         corpus.outputs("new: a = 1 / 0;\n")
     with pytest.raises(CoolRuntimeError, match="fractional power"):
         corpus.outputs("new: a = (0 - 2) ^ 0.5;\n")
+    with pytest.raises(CoolRuntimeError, match="'\\^' left the number range"):
+        corpus.outputs("new: a = 10 ^ 400;\n")
 
 
 def test_the_interpreter_refuses_raw_code():
@@ -129,12 +137,97 @@ def live_records_after(run):
     return (records.created_count - created) - (records.destroyed_count - destroyed)
 
 
+# what each corpus run prints, the calls it completes (as positions in the
+# code table, in completion order) and the records it creates and destroys,
+# pinned from the recursive interpreter this loop replaced
+CORPUS_RUNS = {
+    "add_to": (["1.0"], [10], 2, 1),
+    "out_scope": (["2.0"], [], 2, 1),
+    "quadratic_constraint": (["1.0"], [37, 36], 3, 2),
+    "apple_price": (["5.0"], [44, 35, 43], 4, 3),
+    "sin_approx": (["0.875"], [23, 30], 3, 2),
+    "sin_approx_exp": (["0.875"], [29], 2, 1),
+    "loop_and_branch": (["10.0", "ten"], [], 7, 6),
+    "chained_derivation": (
+        ["36.10050506338833"],
+        [128, 102, 101, 112, 111, 116, 115, 114, 127],
+        10,
+        9,
+    ),
+    "class_solver": (["8.198039027185569", "18.19803902718557"], [68, 87, 89], 7, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+def test_a_corpus_run_keeps_its_output_calls_and_records(name):
+    t = build(corpus.ALL_PROGRAMS[name])
+    preexecute(t)
+    position = {ln.address: i for i, ln in enumerate(t.code.lines())}
+    created, destroyed = records.created_count, records.destroyed_count
+    interp = run_program(t)
+    got = (
+        interp.output,
+        [position[a] for a in interp.call_log],
+        records.created_count - created,
+        records.destroyed_count - destroyed,
+    )
+    assert got == CORPUS_RUNS[name]
+
+
 def test_scope_records_are_destroyed_on_exit():
     for name in ("add_to", "out_scope", "loop_and_branch", "chained_derivation"):
         t = build(corpus.ALL_PROGRAMS[name])
         preexecute(t)
         # everything but the global record comes back down
         assert live_records_after(lambda: run_program(t)) == 1, name
+
+
+def test_a_return_inside_a_loop_leaves_every_scope_it_was_in():
+    src = """
+@first(n){
+  new: i = 0;
+  while (i < 10) {
+    if (i * i > n) { return: i; }
+    i = i + 1;
+  }
+  return: 0 - 1;
+}
+new: a = 0;
+new: b = 0;
+a = first(20);
+b = first(200);
+a --> 0;
+b --> 0;
+"""
+    t = build(src)
+    preexecute(t)
+    runs = []
+    assert live_records_after(lambda: runs.append(run_program(t))) == 1
+    assert runs[0].output == ["5.0", "-1.0"]
+
+
+def test_steps_count_backward_jumps_and_calls():
+    # ten passes jump back ten times; each pass makes one call
+    src = """
+@bump(a){ a = a + 1; }
+new: i = 0;
+while (i < 10) { bump(i); }
+i --> 0;
+"""
+    t = build(src)
+    preexecute(t)
+    assert run_program(t, max_steps=20).output == ["10.0"]
+    with pytest.raises(StepBudgetExceeded, match="more than 19 steps"):
+        run_program(t, max_steps=19)
+
+
+def test_the_call_depth_counts_calls_not_scopes():
+    src = "@f(n){ if (n > 0) { return: f(n - 1) + 1; } return: 0; }\nnew: a = f(3);\na --> 0;\n"
+    t = build(src)
+    preexecute(t)
+    assert run_program(t, max_call_depth=4).output == ["3.0"]
+    with pytest.raises(CallDepthExceeded):
+        run_program(t, max_call_depth=3)
 
 
 def test_instances_outlive_the_calls_that_touch_them():

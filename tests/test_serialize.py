@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import corpus
 from coolang import build, preexecute
+from coolang.addresses import Address
 from coolang.code import ScopeKind
 from coolang.errors import CoolError, FormatError
 from coolang.runtime import Interpreter, run_program
@@ -15,6 +16,21 @@ def test_equal_tables_serialize_to_identical_bytes():
         a = serialize(build(src))
         b = serialize(build(src))
         assert a == b, name
+
+
+def test_each_address_text_is_parsed_once_per_file(monkeypatch):
+    t = build(corpus.CHAINED_DERIVATION)
+    preexecute(t)
+    text = serialize(t)
+    parse = Address.parse
+    parsed = []
+    monkeypatch.setattr(Address, "parse", lambda s: parsed.append(s) or parse(s))
+    deserialize(text)
+    once = len(parsed)
+    assert once and once == len(set(parsed))
+    # nothing is kept from one file to the next
+    deserialize(text)
+    assert len(parsed) == 2 * once
 
 
 def test_round_trips_are_lossless():
