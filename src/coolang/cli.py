@@ -23,7 +23,7 @@ from .loader import load
 from .parser import parse
 from .precompile import precompile
 from .preexec import preexecute
-from .runtime import MAX_CALL_DEPTH, MAX_STEPS, Interpreter
+from .runtime import Interpreter
 from .search import SearchOptions
 from .serialize import deserialize, serialize, write_file
 
@@ -74,7 +74,7 @@ def _tracer(args):
 
 
 def _count(text: str) -> int:
-    """argparse type for the search limits and run budgets: an integer of at least 1."""
+    """argparse type for the search limits: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -108,9 +108,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--max-rounds", type=_count, default=16)
         p.add_argument("--max-tree-nodes", type=_count, default=8)
         p.add_argument("--trace-silo", default=None, metavar="PATH")
-        if name == "run":
-            p.add_argument("--max-call-depth", type=_count, default=MAX_CALL_DEPTH)
-            p.add_argument("--max-steps", type=_count, default=MAX_STEPS)
 
     try:
         args = parser.parse_args(argv)
@@ -128,9 +125,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "preexec":
             write_file(tables, _out_path(args, ".ccode"))
             return 0
-        interp = Interpreter(
-            tables, max_call_depth=args.max_call_depth, max_steps=args.max_steps
-        )
+        interp = Interpreter(tables)
         interp.run()
         for line in interp.output:
             print(line)

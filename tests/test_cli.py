@@ -1,9 +1,12 @@
+import functools
 import re
 
 import pytest
 
 import corpus
+from coolang import cli
 from coolang.cli import main
+from coolang.runtime import Interpreter
 
 
 def write(tmp_path, name, text):
@@ -89,16 +92,6 @@ def test_max_tree_nodes_below_one_is_a_usage_error(tmp_path, capsys):
     _rejects_option(tmp_path, capsys, "--max-tree-nodes", "0")
 
 
-def test_max_steps_below_one_is_a_usage_error(tmp_path, capsys):
-    _rejects_option(tmp_path, capsys, "--max-steps", "0")
-
-
-def test_a_max_call_depth_that_is_no_integer_is_a_usage_error(tmp_path, capsys):
-    src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
-    assert main(["run", src, "--max-call-depth", "x"]) == 4
-    assert "argument --max-call-depth: not an integer: 'x'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "name, fits, printed",
     [("chained_derivation", 5, "36.10050506338833"), ("apple_price", 2, "5.0")],
@@ -136,24 +129,17 @@ def test_a_terminating_recursion_runs_five_thousand_calls_deep(tmp_path, capsys)
     assert capsys.readouterr().out.splitlines() == ["5000.0"]
 
 
-def test_the_call_depth_budget_bounds_nested_calls(tmp_path, capsys):
-    # f(n) nests n + 1 calls
-    src = write(tmp_path, "rec.cool", COUNTDOWN + "new: a = 0;\na = f(49);\na --> 0;\n")
-    assert main(["run", src, "--max-call-depth", "50"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["49.0"]
-    assert main(["run", src, "--max-call-depth", "49"]) == 3
-    assert "CallDepthExceeded: calls nest deeper than 49 levels" in capsys.readouterr().err
-
-
 def test_a_class_that_instantiates_itself_is_a_runtime_error(tmp_path, capsys):
     src = write(tmp_path, "self.cool", "system: A { A: inner; }\nA: m;\n")
     assert main(["run", src]) == 3
     assert "CallDepthExceeded" in capsys.readouterr().err
 
 
-def test_an_endless_while_loop_ends_at_the_step_budget(tmp_path, capsys):
+def test_an_endless_while_loop_ends_at_the_step_budget(tmp_path, capsys, monkeypatch):
+    # the default budget takes seconds to run out; a small one shows the exit
+    monkeypatch.setattr(cli, "Interpreter", functools.partial(Interpreter, max_steps=1000))
     src = write(tmp_path, "loop.cool", "new: i = 0;\nwhile (1 > 0) { i = i + 1; }\n")
-    assert main(["run", src, "--max-steps", "1000"]) == 3
+    assert main(["run", src]) == 3
     assert "StepBudgetExceeded: the run took more than 1000 steps" in capsys.readouterr().err
 
 

@@ -206,6 +206,29 @@ b --> 0;
     assert runs[0].output == ["5.0", "-1.0"]
 
 
+def test_a_failed_run_leaves_the_scopes_it_was_in():
+    # the error stops the run inside a while inside an if inside a call:
+    # both scope records go, the call's body and the global record stay
+    src = """
+@f(n){
+  if (n > 0) {
+    while (n > 0) { n = n / 0; }
+  }
+  return: n;
+}
+new: a = 1;
+new: b = f(a);
+"""
+    t = build(src)
+    preexecute(t)
+
+    def run():
+        with pytest.raises(CoolRuntimeError, match="division by zero"):
+            run_program(t)
+
+    assert live_records_after(run) == 2
+
+
 def test_steps_count_backward_jumps_and_calls():
     # ten passes jump back ten times; each pass makes one call
     src = """
