@@ -11,9 +11,11 @@ import bisect
 import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .addresses import Address
+from .errors import DuplicateDeclaration, InheritanceCycle, InheritanceOfUndeclaredClass
 
 
 class CodeType(Enum):
@@ -246,16 +248,8 @@ class ClassInfo:
     scope: Address
     name: str
     parents: list[Address] = field(default_factory=list)
-
-
-def inheritance_cycle(classes: dict[Address, ClassInfo]) -> Optional[str]:
-    """A cycle among the classes' parent links, as `A << B << A`, or None."""
-    try:
-        graphlib.TopologicalSorter({s: c.parents for s, c in classes.items()}).prepare()
-    except graphlib.CycleError as exc:
-        # each class in the reported cycle is a parent of the next
-        return " << ".join(classes[s].name for s in reversed(exc.args[1]))
-    return None
+    # the class, then its ancestors: parents leftmost depth first, each once
+    order: tuple[Address, ...] = ()
 
 
 class CodeTable:
@@ -345,7 +339,8 @@ class Tables:
     code: CodeTable = field(default_factory=CodeTable)
     scopes: dict[Address, ScopeInfo] = field(default_factory=dict)
     functions: dict[Address, FunctionInfo] = field(default_factory=dict)
-    classes: dict[Address, ClassInfo] = field(default_factory=dict)
+    classes: dict[Address, ClassInfo] = field(default_factory=dict)  # parents first
+    class_scopes: dict[str, Address] = field(default_factory=dict)  # name -> scope
     preexecuted: bool = False
 
     def scope_chain(self, scope_addr: Optional[Address]) -> list[Address]:
@@ -383,3 +378,57 @@ class Tables:
             run.append(self.code[nxt])
             cur = nxt
         return run
+
+
+def link_classes(tables: Tables, lines: Iterable[ExtendedLine] = ()) -> None:
+    """Check the class graph and give every class its order, once.
+
+    A code file fills tables.classes, parents as scopes; the loader passes
+    its CLASS_OP lines instead (`class` declares, `inherit` names a parent).
+    Then tables.classes lists parents first and tables.class_scopes maps
+    names to scopes. Raises a LoadError for a class or a parent named twice,
+    a parent that is no class and classes that inherit in a cycle.
+    """
+    classes, scopes = tables.classes, tables.class_scopes
+    inherits = []
+    for ln in lines:
+        if ln.op.text == "inherit":
+            inherits.append(ln)
+        elif ln.left.text in scopes:
+            raise DuplicateDeclaration(
+                f"class {ln.left.text!r} declared twice, again at code line {ln.address}"
+            )
+        else:
+            scopes[ln.left.text] = ln.right.addr
+            classes[ln.right.addr] = ClassInfo(scope=ln.right.addr, name=ln.left.text)
+    for ln in inherits:
+        if ln.right.text not in scopes:
+            raise InheritanceOfUndeclaredClass(
+                f"class {ln.left.text} inherits undeclared {ln.right.text}"
+            )
+        classes[scopes[ln.left.text]].parents.append(scopes[ln.right.text])
+    for info in classes.values():
+        parents = info.parents
+        if scopes.setdefault(info.name, info.scope) != info.scope:
+            raise DuplicateDeclaration(f"class {info.name!r} declared twice")
+        if any(p not in classes for p in parents):
+            raise InheritanceOfUndeclaredClass(
+                f"class {info.name!r} inherits from a row that is no class"
+            )
+        if len(set(parents)) < len(parents):
+            twice = next(p for i, p in enumerate(parents) if p in parents[:i])
+            raise DuplicateDeclaration(
+                f"class {info.name!r} inherits {classes[twice].name!r} twice"
+            )
+    graph = graphlib.TopologicalSorter({s: c.parents for s, c in classes.items()})
+    try:
+        tables.classes = {s: classes[s] for s in graph.static_order()}
+    except graphlib.CycleError as exc:
+        # each class in the reported cycle is a parent of the next
+        cycle = " << ".join(classes[s].name for s in reversed(exc.args[1]))
+        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}") from None
+    for info in tables.classes.values():
+        # leftmost parent first; a class reached twice keeps its first place
+        orders = [classes[p].order for p in info.parents]
+        inherited = orders[0] if len(orders) == 1 else dict.fromkeys(chain(*orders))
+        info.order = (info.scope, *inherited)

@@ -54,7 +54,7 @@ class FunctionWithoutBody(LoadError):
 
 
 class DuplicateDeclaration(LoadError):
-    """A class, a variable in one scope, or a declaration in one scope twice."""
+    """A class, a parent of one class, or a variable or declaration in one scope twice."""
 
 
 class InheritanceOfUndeclaredClass(LoadError):

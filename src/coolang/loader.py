@@ -15,7 +15,6 @@ from .code import (
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
-    ClassInfo,
     CodeLine,
     CodeType,
     ExecFlag,
@@ -27,14 +26,12 @@ from .code import (
     ScopeInfo,
     ScopeKind,
     Tables,
-    inheritance_cycle,
+    link_classes,
     split_markers,
 )
 from .errors import (
     DuplicateDeclaration,
     FunctionWithoutBody,
-    InheritanceCycle,
-    InheritanceOfUndeclaredClass,
     LoadError,
     UnbalancedScopes,
 )
@@ -111,7 +108,7 @@ def load(lines: list[CodeLine]) -> Tables:
     tables.scopes = rows
 
     _build_functions(tables, ext, rows)
-    _build_classes(tables, ext)
+    link_classes(tables, [el for el in ext if el.ctype is CodeType.CLASS_OP])
     _check_duplicates(tables, ext)
     return tables
 
@@ -259,31 +256,6 @@ def _nearest(
             return cur
         cur = rows[cur].parent
     return None
-
-
-def _build_classes(tables: Tables, ext: list[ExtendedLine]) -> None:
-    by_name: dict[str, ClassInfo] = {}
-    for el in ext:
-        if el.ctype is CodeType.CLASS_OP and el.op.text == "class":
-            info = ClassInfo(scope=el.right.addr, name=el.left.text)
-            if info.name in by_name:
-                raise DuplicateDeclaration(
-                    f"class {info.name!r} declared twice, again at code line {el.address}"
-                )
-            tables.classes[info.scope] = info
-            by_name[info.name] = info
-    for el in ext:
-        if el.ctype is CodeType.CLASS_OP and el.op.text == "inherit":
-            child = by_name.get(el.left.text)
-            parent = by_name.get(el.right.text)
-            if parent is None:
-                raise InheritanceOfUndeclaredClass(
-                    f"class {el.left.text} inherits undeclared {el.right.text}"
-                )
-            child.parents.append(parent.scope)
-    cycle = inheritance_cycle(tables.classes)
-    if cycle is not None:
-        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}")
 
 
 def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:

@@ -64,21 +64,6 @@ class Match:
     bindings: dict[str, BoundValue] = field(default_factory=dict)
 
 
-def class_mro(tables: Tables, scope: Address) -> list[Address]:
-    """Class scope plus ancestors, own first, parents leftmost-depth-first."""
-    out: list[Address] = []
-    seen: set[Address] = set()
-    stack = [scope]
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        out.append(s)
-        stack.extend(reversed(tables.classes[s].parents))
-    return out
-
-
 def _value_type(value) -> str:
     if value is None or isinstance(value, (int, float)):
         return "number"
@@ -140,7 +125,7 @@ class _Matcher:
             cls = self.ctx.instance_class(receiver)
             if cls is None:
                 return False
-            return self.fn.class_scope in class_mro(self.tables, cls)
+            return self.fn.class_scope in self.tables.classes[cls].order
         return False
 
     def _match_leaf(self, seg_ln: ExtendedLine, decl_ln: ExtendedLine, slot: int) -> bool:

@@ -35,9 +35,6 @@ class PreexecUniverse:
         self.tables = tables
         self.global_record = Record(scope=None)
         self._by_scope: dict[Address, Record] = {}
-        self._class_names: dict[str, Address] = {
-            info.name: scope for scope, info in tables.classes.items()
-        }
         self.declarations = Declarations(tables)
 
     def record_for(self, scope: Optional[Address]) -> Record:
@@ -79,7 +76,7 @@ class PreexecUniverse:
         name = split_markers(line.result.text)[0]
         if line.left.kind is OperandKind.IDENT and line.left.text:
             # instance declaration: all instances share the class record here
-            cls = self._class_names.get(line.left.text)
+            cls = self.tables.class_scopes.get(line.left.text)
             rec.declare(name, self.record_for(cls) if cls is not None else None)
         else:
             rec.declare(name)

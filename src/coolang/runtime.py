@@ -121,7 +121,6 @@ class Program:
 
     code: list[tuple]
     classes: dict[Address, tuple[int, int, tuple[Address, ...]]]  # (start, end, parents)
-    class_scopes: dict[str, Address]  # class name -> class scope
 
 
 def lower(tables: Tables) -> Program:
@@ -225,15 +224,10 @@ def lower(tables: Tables) -> Program:
         site.start, site.end = pc_of[site.start], pc_of[site.end]
 
     classes = {}
-    class_scopes: dict[str, Address] = {}
     for scope, info in tables.classes.items():
         first, end = scope_range(scope, "class")
-        for p in info.parents:
-            if p not in tables.classes:
-                raise FormatError(f"class {info.name!r} inherits the unknown class {p}")
         classes[scope] = (pc_of[first + 1], pc_of[end], tuple(info.parents))
-        class_scopes.setdefault(info.name, scope)
-    return Program(code=code, classes=classes, class_scopes=class_scopes)
+    return Program(code=code, classes=classes)
 
 
 def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site) -> list[tuple]:
@@ -646,7 +640,7 @@ class Interpreter:
     # --- instances ---
 
     def _instantiation(self, name: str, class_name: str) -> _Instantiation:
-        cscope = self.program.class_scopes.get(class_name)
+        cscope = self.tables.class_scopes.get(class_name)
         if cscope is None:
             raise CoolRuntimeError(f"no class named {class_name!r}")
         return _Instantiation(Record(scope=cscope, parent=self.global_record), name)

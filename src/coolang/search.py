@@ -29,7 +29,7 @@ from .code import (
     split_markers,
 )
 from .errors import InferenceFailure
-from .matching import BindContext, Match, class_mro, match_branch
+from .matching import BindContext, Match, match_branch
 from .segments import Segment
 from .silo import Silo
 
@@ -65,19 +65,23 @@ class Declarations:
         self._groups: dict[Optional[Address], dict[str, list[FunctionInfo]]] = {}
         self._named: dict[Optional[str], list[FunctionInfo]] = {}
         self.by_decl: dict[Address, FunctionInfo] = {}
-        own: dict[Optional[Address], list[tuple[str, FunctionInfo]]] = {}
+        own: dict[Optional[Address], dict[str, list[FunctionInfo]]] = {}
         for fop in sorted(tables.functions):
             fn = tables.functions[fop]
             op = tables.code[fn.decl_root].op.text
             self._groups.setdefault(tables.code[fop].scope, {}).setdefault(op, []).append(fn)
-            own.setdefault(fn.class_scope, []).append((op, fn))
+            own.setdefault(fn.class_scope, {}).setdefault(op, []).append(fn)
             self._named.setdefault(fn.name, []).append(fn)
             self.by_decl.setdefault(fn.decl_scope, fn)
-        for cls in tables.classes:
-            groups = self._groups[cls] = {}
-            for s in class_mro(tables, cls):
-                for op, fn in own.get(s, ()):
-                    groups.setdefault(op, []).append(fn)
+        # tables.classes lists parents first, so their groups are done
+        for cls, info in tables.classes.items():
+            groups = self._groups[cls] = own.get(cls, {})
+            for p in info.parents:
+                for op, fns in self._groups[p].items():
+                    mine = groups.setdefault(op, [])
+                    # a member reached through two parents keeps its first place
+                    known = {fn.func_op for fn in mine}
+                    mine.extend(fn for fn in fns if fn.func_op not in known)
 
     def candidates(self, op: str, ctx: BindContext, before: Address) -> list[FunctionInfo]:
         """What a branch with root operator op may align with: for a member
@@ -92,9 +96,9 @@ class Declarations:
                 return []
             groups = self._groups[cls]
             if op in groups:  # members whose pattern root is the dotted call itself
-                mro = class_mro(self.tables, cls)
+                order = self.tables.classes[cls].order
                 found = groups.get(fname, []) + groups[op]
-                return sorted(found, key=lambda fn: (mro.index(fn.class_scope), fn.func_op))
+                return sorted(found, key=lambda fn: (order.index(fn.class_scope), fn.func_op))
             return groups.get(fname, [])
         out: list[FunctionInfo] = []
         seen: set[Address] = set()

@@ -21,7 +21,7 @@ every version it holds cacheable, because an entry is never written again.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .addresses import Address, run_between
 from .code import (
@@ -246,13 +246,6 @@ class Segment:
                 out.append(a)
         return out
 
-    def reference_counts(self) -> dict[Address, int]:
-        counts = {a: 0 for a in self.lines}
-        for a in self.lines:
-            for c in self.children(a):
-                counts[c] += 1
-        return counts
-
     # --- pending state ---
 
     def slot_pending(self, line: ExtendedLine, slot: int) -> bool:
@@ -413,19 +406,6 @@ class Segment:
     def fully_bound(self) -> bool:
         return all(ln.bound is not None for ln in self.lines.values())
 
-    # --- cleanup after rewrites ---
-
-    def repair_detached(self) -> list[Address]:
-        """Drop lines unreachable from the root; returns what was removed."""
-        keep = set(self.subtree(self.root))
-        removed = [a for a in self.lines if a not in keep]
-        self._drop(removed)
-        return removed
-
-    def expand_rings(self) -> None:
-        """Tree-ify shared branches: every extra reference gets its own copy."""
-        self._walk_rings(self.root)
-
     def _walk_rings(self, top: Address, inside: Optional[set] = None) -> set:
         """Walk from top, children in slot order; a branch reached a second
         time gets a copy, each branch hangs under the line that keeps it.
@@ -472,8 +452,8 @@ class Segment:
         matched are the lines the rule consumed (old among them), added the
         rule's new lines. In a tree nothing else can come loose or be
         reached twice, so the repair walks only these and the roots hanging
-        off the matched lines; it gives what repair_detached and
-        expand_rings give over the whole segment.
+        off the matched lines; it gives what dropping every unreachable line
+        and copying every branch reached twice give over the whole segment.
         """
         parent = self.versions[old].parent
         if parent is None:
@@ -638,50 +618,3 @@ class Segment:
                     el.set_slot(s, Operand.address(mapping.get(o.addr, new_root)))
         return mapping
 
-
-def evaluate(
-    segment: Segment,
-    env: Callable[[str], float],
-    addr: Optional[Address] = None,
-) -> float:
-    """Numeric value of a segment subtree over builtin operators.
-
-    Test aid for rewrite-equivalence checks; user-bound calls are out of scope.
-    """
-    a = addr if addr is not None else segment.root
-    ln = segment[a]
-
-    def val(slot: int) -> float:
-        o = ln.slot(slot)
-        if o.kind is OperandKind.NUMBER:
-            return o.num
-        if o.kind is OperandKind.IDENT:
-            return env(o.text)
-        if o.kind is OperandKind.ADDRESS and o.addr in segment.lines and o.addr != a:
-            return evaluate(segment, env, o.addr)
-        raise ValueError(f"cannot evaluate operand {o!r}")
-
-    op = ln.op.text
-    if op == "+":
-        return val(SLOT_LEFT) + val(SLOT_RIGHT)
-    if op == "-":
-        return val(SLOT_LEFT) - val(SLOT_RIGHT)
-    if op == "*":
-        return val(SLOT_LEFT) * val(SLOT_RIGHT)
-    if op == "/":
-        return val(SLOT_LEFT) / val(SLOT_RIGHT)
-    if op == "^":
-        return val(SLOT_LEFT) ** val(SLOT_RIGHT)
-    if op == "neg":
-        return -val(SLOT_LEFT)
-    if op == "==":
-        return 1.0 if val(SLOT_LEFT) == val(SLOT_RIGHT) else 0.0
-    if op == ">":
-        return 1.0 if val(SLOT_LEFT) > val(SLOT_RIGHT) else 0.0
-    if op == "<":
-        return 1.0 if val(SLOT_LEFT) < val(SLOT_RIGHT) else 0.0
-    if op == ">=":
-        return 1.0 if val(SLOT_LEFT) >= val(SLOT_RIGHT) else 0.0
-    if op == "<=":
-        return 1.0 if val(SLOT_LEFT) <= val(SLOT_RIGHT) else 0.0
-    raise ValueError(f"not a builtin computation: {op!r}")

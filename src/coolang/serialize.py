@@ -26,9 +26,9 @@ from .code import (
     ScopeInfo,
     ScopeKind,
     Tables,
-    inheritance_cycle,
+    link_classes,
 )
-from .errors import FormatError
+from .errors import FormatError, LoadError
 
 _MAGIC = "COOLCC 1"
 _SEP = "---"
@@ -293,16 +293,10 @@ def deserialize(text: str) -> Tables:
                 # bad addresses, flags, kinds and numbers
                 raise FormatError(f"line {lineno}, {name} row: {exc}") from None
 
-    names: set[str] = set()
-    for info in tables.classes.values():
-        if info.name in names:
-            raise FormatError(f"class {info.name!r} declared twice")
-        names.add(info.name)
-        if any(p not in tables.classes for p in info.parents):
-            raise FormatError(f"class {info.name!r} inherits from a row that is no class")
-    cycle = inheritance_cycle(tables.classes)
-    if cycle is not None:
-        raise FormatError(f"classes inherit in a cycle: {cycle}")
+    try:
+        link_classes(tables)
+    except LoadError as exc:
+        raise FormatError(str(exc)) from None
 
     # binding direction is a property of the bound function, not stored
     for ln in tables.code.lines():

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import corpus
+from reference import evaluate, reference_counts
 from coolang import build, execute, precompile, preexecute
 from coolang.cli import main as coolc
 from coolang.code import (
@@ -27,7 +28,7 @@ from coolang.matching import match_branch
 from coolang.preexec import PreexecUniverse
 from coolang.runtime import run_program
 from coolang.search import SearchOptions, apply_exp_rewrite
-from coolang.segments import Segment, evaluate
+from coolang.segments import Segment
 from coolang.serialize import deserialize, serialize
 from coolang.silo import Silo
 
@@ -198,7 +199,7 @@ def test_criterion_07_rewrites_preserve_value_and_tree_shape():
             after = evaluate(seg, env)
             assert math.isclose(before, after, **CLOSE), stmt
             # expanded rings leave a tree: nothing referenced twice
-            assert all(n <= 1 for n in seg.reference_counts().values()), stmt
+            assert all(n <= 1 for n in reference_counts(seg).values()), stmt
             # detached repair keeps exactly the reachable lines
             assert set(seg.subtree(seg.root)) == set(seg.lines), stmt
             checked += 1

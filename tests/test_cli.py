@@ -252,6 +252,32 @@ def test_a_code_table_inheriting_from_no_class_is_a_format_error(tmp_path, capsy
     )
 
 
+def test_a_class_naming_a_parent_twice_is_a_compile_error(tmp_path, capsys):
+    # B's body would run once per listed parent
+    src = write(
+        tmp_path,
+        "twice.cool",
+        "system: B {\n  new: v = 1;\n  v --> 0;\n}\nsystem: A << B, B { }\nA: m;\n",
+    )
+    assert main(["run", src]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DuplicateDeclaration: class 'A' inherits 'B' twice" in captured.err
+
+
+def test_a_code_table_naming_a_parent_twice_is_a_format_error(tmp_path, capsys):
+    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B")
+    assert main(["compile", src]) == 0
+
+    def twice(rows):
+        (a, _, _), _ = rows
+        rows[1][2] = f"{a},{a}"
+
+    _edit_class_rows(tmp_path / "two.ccode", twice)
+    assert main(["run", str(tmp_path / "two.ccode")]) == 1
+    assert "FormatError: class 'B' inherits 'A' twice" in capsys.readouterr().err
+
+
 def test_a_deep_declaration_pattern_binds_and_runs(tmp_path, capsys):
     # pattern matching and call alignment both walk 1 200 levels
     n = 1200

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from reference import class_mro
 from coolang import build, execute, preexecute
 from coolang import records
 from coolang.code import CodeTable, CodeType, Tables
@@ -15,7 +16,6 @@ from coolang.errors import (
     StepBudgetExceeded,
     UnresolvedIdentifier,
 )
-from coolang.matching import class_mro
 from coolang.runtime import Interpreter, run_program
 
 
@@ -339,6 +339,7 @@ def test_an_instance_reads_members_in_class_mro_order(graph):
     uni = preexecute(t)
     scope = {c.name: s for s, c in t.classes.items()}[f"C{top}"]
     mro = class_mro(t, scope)
+    assert list(t.classes[scope].order) == mro
     # the static record universe shares one record per class
     assert [r.scope for r in uni.record_for(scope).linked()] == mro
     interp = Interpreter(t)

@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from reference import class_mro, evaluate, expand_rings, reference_counts, repair_detached
 from test_segments import ident, line, num, ref, reference_pending, reference_prebind
 from coolang import build, execute, run_program
 from coolang import inversion, search
 from coolang.code import CodeType, ExecFlag, Operand, ScopeKind
 from coolang.errors import InferenceFailure
-from coolang.matching import _Matcher, class_mro, match_branch
+from coolang.matching import _Matcher, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions
-from coolang.segments import Segment, evaluate
+from coolang.segments import Segment
 from coolang.silo import Silo
 
 
@@ -204,8 +205,10 @@ def test_accessible_declarations_keep_source_order_per_scope():
 
 def reference_members(tables, class_scope):
     """Member functions, own before inherited, source order within a class."""
+    mro = class_mro(tables, class_scope)
+    assert list(tables.classes[class_scope].order) == mro
     out = []
-    for s in class_mro(tables, class_scope):
+    for s in mro:
         fns = [f for f in tables.functions.values() if f.class_scope == s]
         fns.sort(key=lambda f: f.func_op)
         out.extend(fns)
@@ -452,8 +455,8 @@ def preexecute_checked(t, options=None):
         if added is not None:
             probe = segment.copy()
             size = len(probe.lines)
-            rewrites.append((probe.repair_detached(), size, probe))
-            probe.expand_rings()
+            rewrites.append((repair_detached(probe), size, probe))
+            expand_rings(probe)
         return added
 
     def prebind_builtins(seg):
@@ -532,10 +535,10 @@ def test_a_duplicating_rewrite_expands_its_ring_in_place():
     assert search.apply_exp_rewrite(seg, m, t) is not None
     # 2 * (...) gives way to the new sum and a second copy of q + 5
     assert len(seg.lines) == size + 1
-    assert all(n <= 1 for n in seg.reference_counts().values())
+    assert all(n <= 1 for n in reference_counts(seg).values())
     probe = seg.copy()
-    assert probe.repair_detached() == []
-    probe.expand_rings()
+    assert repair_detached(probe) == []
+    expand_rings(probe)
     assert len(probe.lines) == len(seg.lines)
     assert evaluate(seg, env, total) == before == 19.0
 
@@ -552,7 +555,7 @@ def test_a_duplicating_rewrite_under_a_result_slot_expands_its_ring():
     fn = [f for f in t.functions.values() if f.is_exp][0]
     m = match_branch(seg, mul.address, fn, PreexecUniverse(t).context_for(None))
     assert search.apply_exp_rewrite(seg, m, t) is not None
-    assert all(n <= 1 for n in seg.reference_counts().values())
+    assert all(n <= 1 for n in reference_counts(seg).values())
     assert len(seg.lines) == 4  # q + 5, its copy, the new sum and the assignment
     env = {"q": 4.0}.__getitem__
     assert evaluate(seg, env, seg[seg.root].result.addr) == 18.0

