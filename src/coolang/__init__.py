@@ -25,7 +25,7 @@ from .precompile import precompile
 from .preexec import preexecute
 from .runtime import Interpreter, run_program
 from .search import SearchOptions
-from .serialize import deserialize, read_file, serialize, write_file
+from .serialize import deserialize, serialize, write_file
 
 __version__ = "0.1.0"
 

@@ -43,7 +43,7 @@ class Address(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Address":
-        return cls(int(p) for p in text.split("."))
+        return cls(text.split("."))
 
 
 def _padded(digits: tuple[int, ...], n: int) -> tuple[int, ...]:

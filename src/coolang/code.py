@@ -256,10 +256,13 @@ class CodeTable:
     """Extended code lines keyed ascending by address."""
 
     def __init__(self, lines: Iterable[ExtendedLine] = ()):
+        """All lines at once, in any order: one dict, then one sort."""
         self._map: dict[Address, ExtendedLine] = {}
-        self._keys: list[Address] = []
         for ln in lines:
-            self.insert(ln)
+            if ln.address in self._map:
+                raise KeyError(f"address {ln.address} already in code table")
+            self._map[ln.address] = ln
+        self._keys: list[Address] = sorted(self._map)
 
     def insert(self, line: ExtendedLine) -> None:
         if line.address in self._map:

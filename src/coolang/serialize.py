@@ -16,6 +16,7 @@ from .addresses import Address
 from .code import (
     BUILTIN,
     ClassInfo,
+    CodeTable,
     CodeType,
     ExecFlag,
     ExtendedLine,
@@ -55,22 +56,27 @@ _PEND_FLAGS = _Codes(PendFlag)
 _SCOPE_KINDS = _Codes(ScopeKind)
 
 
-class _Addresses(dict):
-    """Address text to Address, each text parsed once per deserialize call.
+class _Memo(dict):
+    """Cell text to decoded value, each text decoded once per deserialize call.
 
-    A malformed text raises the ValueError of Address.parse and is not kept.
+    A text that does not decode raises the ValueError of decode and is not
+    kept. Nothing outlives the call, so nothing carries from file to file.
     """
 
-    def __missing__(self, text: str) -> Address:
-        self[text] = addr = Address.parse(text)
-        return addr
+    def __init__(self, decode, known=()):
+        super().__init__(known)
+        self.decode = decode
+
+    def __missing__(self, text: str):
+        self[text] = value = self.decode(text)
+        return value
 
 
 def _enc_addr(a: Optional[Address]) -> str:
     return "-" if a is None else str(a)
 
 
-def _dec_addr(s: str, addrs: _Addresses) -> Optional[Address]:
+def _dec_addr(s: str, addrs: _Memo) -> Optional[Address]:
     return None if s == "-" else addrs[s]
 
 
@@ -84,7 +90,7 @@ def _enc_operand(o: Operand) -> str:
     return quote(o.text, safe="")
 
 
-def _dec_operand(kind: str, payload: str, addrs: _Addresses) -> Operand:
+def _dec_operand(kind: str, payload: str, addrs: _Memo) -> Operand:
     k = _OPERAND_KINDS[kind]
     if k is OperandKind.EMPTY:
         return Operand.empty()
@@ -122,45 +128,65 @@ def _enc_line(ln: ExtendedLine) -> str:
     return "\t".join(cols)
 
 
-def _dec_line(row: str, addrs: _Addresses) -> ExtendedLine:
-    cols = row.split("\t")
-    if len(cols) != 13:
-        raise FormatError(f"code row has {len(cols)} columns, wanted 13")
-    kinds = cols[8].split(",")
+def _split_kinds(text: str) -> list[str]:
+    kinds = text.split(",")
     if len(kinds) != 4:
         raise FormatError("operand kinds must cover all four slots")
-    if len(cols[9]) != 4 or len(cols[10]) != 4:
-        raise FormatError("pending and formal flags must cover all four slots")
-    if cols[11] == "-":
-        bound = None
-    elif cols[11] == "B":
-        bound = BUILTIN
-    else:
-        bound = addrs[cols[11]]
-    return ExtendedLine(
-        address=addrs[cols[0]],
-        scope=_dec_addr(cols[1], addrs),
-        exec_flag=_EXEC_FLAGS[cols[2]],
-        ctype=_CODE_TYPES[cols[3]],
-        op=_dec_operand(kinds[0], cols[4], addrs),
-        left=_dec_operand(kinds[1], cols[5], addrs),
-        right=_dec_operand(kinds[2], cols[6], addrs),
-        result=_dec_operand(kinds[3], cols[7], addrs),
-        pending=[_PEND_FLAGS[c] for c in cols[9]],
-        formal=[c == "T" for c in cols[10]],
-        bound=bound,
-        root=cols[12] == "T",
-    )
+    return kinds
 
 
-def _read_code_row(tables: Tables, row: str, addrs: _Addresses) -> None:
-    ln = _dec_line(row, addrs)
-    if ln.address in tables.code:
-        raise FormatError(f"address {ln.address} appears twice")
-    tables.code.insert(ln)
+def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
+    """The code section, rows from file line 2 on, decoded in one pass.
+
+    Equal cells share one decoded value: operands are frozen, and each
+    line still gets its own pending and formal lists. Cells are checked in
+    the order of the row-by-row reader in tests/reference.py (the bound
+    before the address, the pending flags after the operands), so a row
+    with several faults reports the same one.
+    """
+    scopes = _Memo(addrs.__getitem__, {"-": None})
+    bounds = _Memo(addrs.__getitem__, {"-": None, "B": BUILTIN})
+    kinds = _Memo(_split_kinds)
+    operands = _Memo(lambda cell: _dec_operand(*cell, addrs))
+    pendings = _Memo(lambda text: [_PEND_FLAGS[c] for c in text])
+    formals = _Memo(lambda text: [c == "T" for c in text])
+    code: dict[Address, ExtendedLine] = {}
+    try:
+        for lineno, row in enumerate(rows, 2):
+            cols = row.split("\t")
+            if len(cols) != 13:
+                raise FormatError(f"code row has {len(cols)} columns, wanted 13")
+            op, left, right, result = kinds[cols[8]]
+            if len(cols[9]) != 4 or len(cols[10]) != 4:
+                raise FormatError("pending and formal flags must cover all four slots")
+            bound = bounds[cols[11]]
+            address = addrs[cols[0]]
+            # positional: twelve keywords would add about a microsecond a row
+            ln = ExtendedLine(
+                address,
+                scopes[cols[1]],
+                _EXEC_FLAGS[cols[2]],
+                _CODE_TYPES[cols[3]],
+                operands[op, cols[4]],
+                operands[left, cols[5]],
+                operands[right, cols[6]],
+                operands[result, cols[7]],
+                formals[cols[10]].copy(),
+                pendings[cols[9]].copy(),
+                bound,
+                False,
+                cols[12] == "T",
+            )
+            if address in code:
+                raise FormatError(f"address {address} appears twice")
+            code[address] = ln
+    except ValueError as exc:
+        # bad addresses, flags, kinds and numbers
+        raise FormatError(f"line {lineno}, code row: {exc}") from None
+    return CodeTable(code.values())
 
 
-def _read_scope_row(tables: Tables, row: str, addrs: _Addresses) -> None:
+def _read_scope_row(tables: Tables, row: str, addrs: _Memo) -> None:
     cols = row.split("\t")
     if len(cols) != 6:
         raise FormatError("scope row needs 6 columns")
@@ -173,7 +199,7 @@ def _read_scope_row(tables: Tables, row: str, addrs: _Addresses) -> None:
     )
 
 
-def _read_function_row(tables: Tables, row: str, addrs: _Addresses) -> None:
+def _read_function_row(tables: Tables, row: str, addrs: _Memo) -> None:
     cols = row.split("\t")
     if len(cols) != 10:
         raise FormatError("function row needs 10 columns")
@@ -194,7 +220,7 @@ def _read_function_row(tables: Tables, row: str, addrs: _Addresses) -> None:
     )
 
 
-def _read_class_row(tables: Tables, row: str, addrs: _Addresses) -> None:
+def _read_class_row(tables: Tables, row: str, addrs: _Memo) -> None:
     cols = row.split("\t")
     if len(cols) != 3:
         raise FormatError("class row needs 3 columns")
@@ -206,7 +232,6 @@ def _read_class_row(tables: Tables, row: str, addrs: _Addresses) -> None:
 
 
 _SECTIONS = (
-    ("code", _read_code_row),
     ("scope", _read_scope_row),
     ("function", _read_function_row),
     ("class", _read_class_row),
@@ -274,19 +299,17 @@ def deserialize(text: str) -> Tables:
     if header not in ("", "preexec"):
         raise FormatError(f"unknown header flags {header!r}")
 
-    sections: list[list[tuple[int, str]]] = [[]]
-    for lineno, row in enumerate(lines[1:], 2):
-        if row == _SEP:
-            sections.append([])
-        else:
-            sections[-1].append((lineno, row))
-    if len(sections) != 4:
-        raise FormatError(f"wanted 4 sections, found {len(sections)}")
+    seps = [i for i, row in enumerate(lines) if row == _SEP]
+    if len(seps) != 3:
+        raise FormatError(f"wanted 4 sections, found {len(seps) + 1}")
 
-    tables = Tables(preexecuted=header == "preexec")
-    addrs = _Addresses()
-    for (name, read), rows in zip(_SECTIONS, sections):
-        for lineno, row in rows:
+    addrs = _Memo(Address.parse)
+    tables = Tables(
+        code=_read_code(lines[1 : seps[0]], addrs),
+        preexecuted=header == "preexec",
+    )
+    for (name, read), start, end in zip(_SECTIONS, seps, seps[1:] + [len(lines)]):
+        for lineno, row in enumerate(lines[start + 1 : end], start + 2):
             try:
                 read(tables, row, addrs)
             except ValueError as exc:
@@ -317,8 +340,3 @@ def write_file(tables: Tables, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def read_file(path: str) -> Tables:
-    with open(path) as f:
-        return deserialize(f.read())

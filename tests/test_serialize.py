@@ -1,14 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import reference
 from coolang import build, preexecute
 from coolang.addresses import Address
-from coolang.code import ScopeKind
+from coolang.code import PendFlag, ScopeKind
 from coolang.errors import CoolError, FormatError
 from coolang.runtime import Interpreter, run_program
-from coolang.serialize import deserialize, read_file, serialize, write_file
+from coolang.serialize import deserialize, serialize, write_file
 
 
 def test_equal_tables_serialize_to_identical_bytes():
@@ -86,7 +89,7 @@ def test_files_write_and_read_back(tmp_path):
     path = tmp_path / "apple.ccode"
     write_file(t, str(path))
     assert path.read_text().endswith("\n")
-    loaded = read_file(str(path))
+    loaded = deserialize(path.read_text(encoding="utf-8"))
     assert serialize(loaded) == serialize(t)
     assert run_program(loaded).output == corpus.APPLE_PRICE_OUTPUT
 
@@ -100,6 +103,9 @@ def _bound_text(src):
 BOUND_TEXTS = [_bound_text(corpus.ALL_PROGRAMS[name]) for name in ("loop_and_branch", "class_solver")]
 
 
+JUNK = st.text(alphabet="0123456789.-,TFBCUaeinsdx%\t", max_size=6)
+
+
 @st.composite
 def damaged_code_files(draw):
     """A bound code file with one cell replaced by short junk."""
@@ -107,7 +113,7 @@ def damaged_code_files(draw):
     i = draw(st.integers(0, len(rows) - 1))
     cells = rows[i].split("\t")
     j = draw(st.integers(0, len(cells) - 1))
-    cells[j] = draw(st.text(alphabet="0123456789.-,TFBCUaeinsdx%\t", max_size=6))
+    cells[j] = draw(JUNK)
     rows[i] = "\t".join(cells)
     return "\n".join(rows)
 
@@ -119,6 +125,82 @@ def test_any_text_loads_and_lowers_or_fails_as_a_cool_error(text):
         Interpreter(deserialize(text))
     except CoolError:
         pass
+
+
+@st.composite
+def rearranged_code_files(draw):
+    """A bound code file, its code rows shuffled and one of them damaged.
+
+    Up to four cells of that row turn to junk, and its undamaged form
+    may appear a second time anywhere.
+    """
+    rows = draw(st.sampled_from(BOUND_TEXTS)).split("\n")
+    end = rows.index("---")
+    code = draw(st.permutations(rows[1:end]))
+    i = draw(st.integers(0, len(code) - 1))
+    row, cells = code[i], code[i].split("\t")
+    for _ in range(draw(st.integers(0, 4))):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(JUNK)
+    code[i] = "\t".join(cells)
+    if draw(st.booleans()):
+        code.insert(draw(st.integers(0, len(code))), row)
+    return "\n".join(rows[:1] + code + rows[end:])
+
+
+def _decoded(decode, text):
+    try:
+        return serialize(decode(text))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(damaged_code_files(), rearranged_code_files()))
+def test_the_one_pass_reader_agrees_with_the_row_by_row_reference(text):
+    assert _decoded(deserialize, text) == _decoded(reference.deserialize, text)
+
+
+def test_a_row_with_two_bad_cells_fails_as_the_reference_fails():
+    rows = BOUND_TEXTS[1].split("\n")
+    cells = rows[9].split("\t")
+    for j, k in itertools.combinations(range(len(cells)), 2):
+        for junk in itertools.permutations(("x", "0", ""), 2):
+            bad = list(cells)
+            bad[j], bad[k] = junk
+            for again in ([], rows[9:10]):
+                text = "\n".join(rows[:9] + again + ["\t".join(bad)] + rows[10:])
+                expected = _decoded(reference.deserialize, text)
+                assert _decoded(deserialize, text) == expected, (j, k, junk, again)
+
+
+def test_code_rows_load_in_any_order_but_not_twice():
+    rows = BOUND_TEXTS[1].split("\n")
+    end = rows.index("---")
+    shuffled = rows[:1] + rows[end - 1 : 0 : -1] + rows[end:]
+    assert serialize(deserialize("\n".join(shuffled))) == BOUND_TEXTS[1]
+    twice = rows[:end] + [rows[3]] + rows[end:]
+    address = rows[3].split("\t")[0]
+    with pytest.raises(FormatError, match=rf"^address {address} appears twice$"):
+        deserialize("\n".join(twice))
+
+
+def test_decoded_lines_preexecute_alike_and_own_their_flag_lists():
+    for name, src in corpus.ALL_PROGRAMS.items():
+        direct = build(src)
+        preexecute(direct)
+        loaded = deserialize(serialize(build(src)))
+        preexecute(loaded)
+        assert serialize(loaded) == serialize(direct), name
+
+        lines = list(deserialize(serialize(direct)).code.lines())
+        before = [(list(ln.pending), list(ln.formal)) for ln in lines]
+        for i, ln in enumerate(lines):
+            pending, formal = before[i]
+            ln.pending[0] = PendFlag.TRUE if pending[0] is PendFlag.FALSE else PendFlag.FALSE
+            ln.formal[0] = not formal[0]
+            after = [(other.pending, other.formal) for other in lines]
+            assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :], name
+            ln.pending[:], ln.formal[:] = pending, formal
 
 
 def test_a_malformed_address_names_its_line():
