@@ -15,7 +15,7 @@ and comparison, hashing, sorting and bisection all run as tuple operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class Address(tuple):
@@ -106,9 +106,3 @@ def run_between(
         lo = allocate_between(lo, hi)
         out.append(lo)
     return out
-
-
-def initial_addresses(count: int) -> Iterator[Address]:
-    """Single-level addresses 1..count for freshly compiled lines."""
-    for i in range(1, count + 1):
-        yield Address((i,))

@@ -192,27 +192,25 @@ class _Disassembler:
         self._add(Block(seq=0, kind="decl", lines=[ln.copy()]))
 
     def _group(self, root: ExtendedLine) -> list[ExtendedLine]:
-        """The binding group under a root: non-root lines it reaches."""
-        body_lines: list[ExtendedLine] = []
+        """The binding group under a root: non-root lines it reaches.
 
-        def walk(ln: ExtendedLine) -> None:
-            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-                o = ln.slot(s)
-                if (
-                    o.kind is OperandKind.ADDRESS
-                    and o.addr != ln.address
-                    and o.addr in self.tables.code
-                ):
-                    child = self.tables.code[o.addr]
+        On a stack, since a group bound as one deep pattern runs deep.
+        """
+        code = self.tables.code
+        body_lines: list[ExtendedLine] = []
+        stack = [root]
+        while stack:
+            ln = stack.pop()
+            for o in (ln.left, ln.right, ln.result):
+                if o.kind is OperandKind.ADDRESS and o.addr != ln.address and o.addr in code:
+                    child = code[o.addr]
                     if (
                         child.ctype is CodeType.EXPR
                         and not child.root
                         and child.scope == ln.scope
                     ):
-                        walk(child)
                         body_lines.append(child)
-
-        walk(root)
+                        stack.append(child)
         out = [ln.copy() for ln in body_lines] + [root.copy()]
         out.sort(key=lambda l: l.address)
         return out
@@ -366,7 +364,6 @@ class _Merger:
         self.pending = set(dis.pending)
         self.lines: dict[Address, ExtendedLine] = {}
         self.staging = 0
-        self.copied: set[int] = set()
 
     def fresh_addr(self) -> Address:
         self.staging += 1
@@ -391,9 +388,6 @@ class _Merger:
             result=target,
         )
         self.lines[line.address] = line
-        unused = self.members - self.copied - {self.dis.return_seq}
-        if unused:
-            raise MergeFailure(f"block {min(unused)} joined the tree but nothing consumed it")
         seg = Segment(
             lines=self.lines,
             root=line.address,
@@ -463,7 +457,6 @@ class _Merger:
         assignment line or root's address, and the slots producers may fill,
         last first."""
         b = self.dis.blocks[seq - 1]
-        self.copied.add(seq)
         local: dict[Address, Address] = {}
         copies: list[ExtendedLine] = []
         for ln in b.lines:

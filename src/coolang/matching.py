@@ -30,7 +30,7 @@ from .code import (
     split_markers,
 )
 from .records import Path
-from .segments import Segment
+from .segments import OPEN, SETTLED, Segment
 
 if TYPE_CHECKING:
     from .search import Declarations
@@ -136,11 +136,11 @@ class _Matcher:
 
         # a pending slot must meet something solvable; a determined slot
         # must meet nothing that still carries an unbound pending leaf
-        seg_pending = self.seg.slot_pending(seg_ln, slot)
+        state = self.seg.slot_state(seg_ln, slot)
         dpend = decl_ln.pending[slot]
-        if dpend is PendFlag.TRUE and not seg_pending:
+        if dpend is PendFlag.TRUE and state == SETTLED:
             return False
-        if dpend is PendFlag.FALSE and self.seg.slot_raw_pending(seg_ln, slot):
+        if dpend is PendFlag.FALSE and state == OPEN:
             return False
 
         if d.kind in (OperandKind.NUMBER, OperandKind.TEXT):
@@ -154,7 +154,7 @@ class _Matcher:
                 return False
             bv = BoundValue(
                 operand=s,
-                pending=seg_pending,
+                pending=state != SETTLED,
                 line_addr=seg_ln.address,
                 slot=slot,
             )

@@ -51,6 +51,11 @@ _CHILD_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
 # what a frozen segment owns and touches
 _NOTHING: frozenset = frozenset()
 
+# a subtree's pending state, ordered so that a line takes the larger of its
+# children's: it holds no pending; a reverse binding in it waits for its
+# value from above; an unbound pending leaf remains
+SETTLED, AWAITING, OPEN = 0, 1, 2
+
 
 def staging_address(seq: int) -> Address:
     """The seq-th fresh address of a working copy."""
@@ -60,17 +65,16 @@ def staging_address(seq: int) -> Address:
 class Version:
     """One line's subtree as it stands: its parent and the facts cached on it.
 
-    pending and raw_pending are None until computed; matches maps a
-    declaration's func_op to the search's match_branch result for the
+    state is the subtree's pending state, None until computed; matches maps
+    a declaration's func_op to the search's match_branch result for the
     subtree (a Match or None).
     """
 
-    __slots__ = ("parent", "pending", "raw_pending", "matches")
+    __slots__ = ("parent", "state", "matches")
 
     def __init__(self, parent: Optional[Address]):
         self.parent = parent
-        self.pending: Optional[bool] = None
-        self.raw_pending: Optional[bool] = None
+        self.state: Optional[int] = None
         self.matches: Optional[dict] = None
 
 
@@ -248,47 +252,21 @@ class Segment:
 
     # --- pending state ---
 
-    def slot_pending(self, line: ExtendedLine, slot: int) -> bool:
-        """The slot waits to be solved by whoever consumes it."""
-        o = line.slot(slot)
-        if o.kind is OperandKind.IDENT:
-            return line.pending[slot] is PendFlag.TRUE
-        if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
-            return self._facts(o.addr)[0]
-        return False
+    def subtree_state(self, addr: Address, memo: Optional[dict] = None) -> int:
+        """The pending state of the subtree at addr, computed bottom-up.
 
-    def slot_raw_pending(self, line: ExtendedLine, slot: int) -> bool:
-        """The slot still holds an unbound pending leaf."""
-        o = line.slot(slot)
-        if o.kind is OperandKind.IDENT:
-            return line.pending[slot] is PendFlag.TRUE
-        if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
-            return self._facts(o.addr)[1]
-        return False
-
-    def subtree_pending(self, addr: Address) -> bool:
-        """A subtree is pending while it wants its value written from above.
-
-        A forward binding computes its own value; a reverse binding solves
-        itself only once a consumer supplies that value, so it stays pending.
-        """
-        return self._facts(addr)[0]
-
-    def subtree_raw_pending(self, addr: Address) -> bool:
-        """Like subtree_pending, but any user binding settles the subtree."""
-        return self._facts(addr)[1]
-
-    def _facts(self, addr: Address, memo: Optional[dict] = None) -> tuple[bool, bool]:
-        """(subtree_pending, subtree_raw_pending) at addr, bottom-up.
-
-        A line's facts read its own slots and its left and right children's
-        facts. They are stored on untouched versions and, for touched ones,
-        in memo, which a caller may keep while no line changes.
+        A user binding leaves its subtree AWAITING if it solves, since a
+        reverse binding solves itself only once a consumer supplies its
+        value, and SETTLED if it computes. A pending identifier in any slot
+        leaves the line OPEN. Otherwise a line takes the larger state of its
+        left and right children. States are stored on untouched versions
+        and, for touched ones, in memo, which a caller may keep while no
+        line changes.
         """
         versions, lines, touched = self.versions, self.lines, self._touched
         v = versions[addr]
-        if v.pending is not None:
-            return v.pending, v.raw_pending
+        if v.state is not None:
+            return v.state
         if memo is None:
             memo = {}
         elif addr in memo:
@@ -299,26 +277,27 @@ class Segment:
             ln = lines[a]
             pend = ln.pending
             if ln.is_user_bound:
-                f = (ln.bound_reverse, False)
+                f = AWAITING if ln.bound_reverse else SETTLED
             elif (
                 ln.left.kind is OperandKind.IDENT and pend[SLOT_LEFT] is PendFlag.TRUE
                 or ln.right.kind is OperandKind.IDENT and pend[SLOT_RIGHT] is PendFlag.TRUE
                 or ln.result.kind is OperandKind.IDENT and pend[SLOT_RESULT] is PendFlag.TRUE
             ):
-                f = (True, True)
+                f = OPEN
             else:
-                f = (False, False)
+                f = SETTLED
                 missing = []
                 for o in (ln.left, ln.right):
                     c = o.addr
                     if o.kind is not OperandKind.ADDRESS or c == a or c not in lines:
                         continue
-                    cv = versions[c]
-                    k = (cv.pending, cv.raw_pending) if cv.pending is not None else memo.get(c)
+                    k = versions[c].state
+                    if k is None:
+                        k = memo.get(c)
                     if k is None:
                         missing.append(c)
-                    else:
-                        f = (f[0] or k[0], f[1] or k[1])
+                    elif k > f:
+                        f = k
                 if missing:
                     stack.extend(missing)
                     continue
@@ -326,8 +305,19 @@ class Segment:
             if a in touched:
                 memo[a] = f
             else:
-                versions[a].pending, versions[a].raw_pending = f
-        return memo[addr] if addr in memo else (v.pending, v.raw_pending)
+                versions[a].state = f
+        return memo[addr] if addr in memo else v.state
+
+    def slot_state(self, line: ExtendedLine, slot: int, memo: Optional[dict] = None) -> int:
+        """The pending state of what fills a slot: an identifier's own flag,
+        or the subtree of a child inside the segment; anything else is
+        SETTLED."""
+        o = line.slot(slot)
+        if o.kind is OperandKind.IDENT:
+            return OPEN if line.pending[slot] is PendFlag.TRUE else SETTLED
+        if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
+            return self.subtree_state(o.addr, memo)
+        return SETTLED
 
     def matches(self, addr: Address) -> dict:
         """The match memo of the subtree at addr, by declaration func_op.
@@ -342,60 +332,49 @@ class Segment:
 
     # --- builtin prebinding ---
 
-    def _slot_determined(
-        self, line: ExtendedLine, slot: int, memo: Optional[dict] = None
-    ) -> bool:
-        o = line.slot(slot)
-        if o.is_empty:
-            return True
-        if o.kind in (OperandKind.NUMBER, OperandKind.TEXT):
-            return True
-        if o.kind is OperandKind.IDENT:
-            return line.pending[slot] is not PendFlag.TRUE
-        if o.kind is OperandKind.ADDRESS:
-            if o.addr not in self.lines or o.addr == line.address:
-                return True  # out-of-segment value
-            child = self.lines[o.addr]
-            if child.bound is None:
-                return False
-            # a reverse-bound child is a solve target, not a readable value
-            return not self._facts(o.addr, memo)[0]
-        return True
-
     def try_prebind(self, addr: Address, memo: Optional[dict] = None) -> bool:
-        ln = self.lines[addr]
+        """Bind a builtin whose value slots are SETTLED and whose children
+        inside the segment are bound; `=` and `-->` read only their left."""
+        lines = self.lines
+        ln = lines[addr]
         if ln.bound is not None or ln.ctype is not CodeType.EXPR:
             return False
         op = ln.op.text
         if op not in PREBIND_OPS:
             return False
-        if op == "=":
-            ok = self._slot_determined(ln, SLOT_LEFT, memo)
-        elif op == "-->":
-            ok = self._slot_determined(ln, SLOT_LEFT, memo)
-        else:
-            ok = self._slot_determined(ln, SLOT_LEFT, memo) and self._slot_determined(
-                ln, SLOT_RIGHT, memo
-            )
-        if ok:
-            ln = self.own(addr)
-            ln.bound = BUILTIN
-            ln.root = True
-        return ok
+        for s in (SLOT_LEFT,) if op == "=" or op == "-->" else (SLOT_LEFT, SLOT_RIGHT):
+            if self.slot_state(ln, s, memo) != SETTLED:
+                return False
+            o = ln.slot(s)
+            # a child with no pending still has no value until it is bound
+            if o.kind is OperandKind.ADDRESS and o.addr != addr and o.addr in lines:
+                if lines[o.addr].bound is None:
+                    return False
+        ln = self.own(addr)
+        ln.bound = BUILTIN
+        ln.root = True
+        return True
 
     def prebind_builtins(self) -> None:
         """Bind builtin operators whose operands are determined, to a fixpoint.
 
-        A worklist starts from the touched lines, and a line that binds
-        pushes its parent. A line the segment did not touch has the subtree
-        it had when its own segment's pass ended, and stayed unbound then,
-        so only a child bound here can free it. Binding is monotone and
-        changes no pending fact, so the pending facts hold for the whole
-        pass and every visit order gives the same result.
+        A worklist starts from the owned lines and their parents, and a line
+        that binds pushes its parent. That is exact: whether a line binds
+        reads its own row, whether each child is bound and, for a bound
+        child, its state. A bound child's state comes from its own row (a
+        user binding) or was SETTLED when it bound (a builtin), and a bound
+        subtree never returns to SETTLED, because user bindings are never
+        undone. So a line that stayed unbound when its own segment's pass
+        ended can bind here only if its row or a child's row changed, which
+        makes it an owned line or the parent of one, or a child bound in
+        this pass. Binding is monotone and changes no pending state, so the
+        states hold for the whole pass and every visit order gives the same
+        result.
         """
         memo: dict = {}
-        versions = self.versions
-        todo = list(self._touched)
+        versions, owned = self.versions, self._owned
+        todo = list(owned)
+        todo += [p for a in owned if (p := versions[a].parent) is not None and p not in owned]
         while todo:
             a = todo.pop()
             if self.try_prebind(a, memo):
@@ -520,7 +499,7 @@ class Segment:
 
     # --- canonical digests ---
 
-    def digest(self, include_bindings: bool = True) -> tuple:
+    def digest(self) -> tuple:
         """Canonical structure: equal exactly for segments that differ only
         in the addresses of their lines.
 
@@ -554,11 +533,8 @@ class Segment:
                     slots.append(("n", o.num, p))
                 else:
                     slots.append((kind._value_, o.text, p))
-            row = (ln.ctype._value_, ln.op.text, tuple(slots))
-            if include_bindings:
-                bound = ln.bound
-                row = row + ("-" if bound is None else bound, ln.root)
-            rows.append(row)
+            bound = "-" if ln.bound is None else ln.bound
+            rows.append((ln.ctype._value_, ln.op.text, tuple(slots), bound, ln.root))
         rows.append(("root", index.get(self.root, -1)))
         return tuple(rows)
 

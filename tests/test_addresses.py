@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coolang.addresses import Address, allocate_between, initial_addresses, run_between
+from coolang.addresses import Address, allocate_between, run_between
 from coolang.code import CodeTable, CodeType, ExecFlag, ExtendedLine, Operand
 
 
@@ -75,10 +75,6 @@ def test_run_between_is_ordered_and_fresh():
     assert all(Address((1,)) < a < Address((2,)) for a in run)
     assert run == sorted(run)
     assert len(set(run)) == 5
-
-
-def test_initial_addresses():
-    assert list(initial_addresses(3)) == [Address((1,)), Address((2,)), Address((3,))]
 
 
 # --- properties of the tuple-backed order --------------------------------
@@ -154,7 +150,7 @@ def _line(addr: Address) -> ExtendedLine:
 )
 def test_code_table_between_matches_a_full_scan(gaps, pick_lo, pick_hi):
     # grow a table the way splices do: fresh addresses inside existing gaps
-    table = CodeTable(_line(a) for a in initial_addresses(3))
+    table = CodeTable(_line(Address((i,))) for i in (1, 2, 3))
     for g in gaps:
         keys = [*table.addresses(), None]
         i = g % (len(keys) - 1)

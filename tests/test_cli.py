@@ -361,6 +361,26 @@ def test_a_long_derivation_merges_without_recursion(tmp_path, capsys):
     )
 
 
+def test_a_derivation_over_a_deep_bound_pattern_ends_in_an_exit_code(tmp_path, capsys):
+    # the body's constraint binds as one 1 200-term pattern, so the group the
+    # disassembler collects under its root is 1 200 lines deep
+    n = 1200
+    ones = " + 1" * n
+    src = write(
+        tmp_path,
+        "deep.cool",
+        f"@(10){{ $a{ones} == b }}{{ a = b - {n}; }}\n"
+        "@(10){ $a + b }{ a = ans - b; }\n@(10){ $a == b; }{ a = b; }\n"
+        f"@f(x){{ new: t = 0; $t{ones} == x; return: t + 1; }} => @g($x);\n"
+        "new: h = 0;\ng($h) == 7;\n",
+    )
+    assert main(["run", src]) == 2
+    assert (
+        "MergeFailure: '__inv2' is produced by solving, not assignment; "
+        "the tree cannot absorb it"
+    ) in capsys.readouterr().err
+
+
 def test_a_member_read_through_a_long_inheritance_chain_runs(tmp_path, capsys):
     # C1199 << ... << C0: instantiation, the member read and the call's
     # class lookup each walk 1 200 linked records

@@ -14,7 +14,7 @@ from coolang.errors import InferenceFailure
 from coolang.matching import _Matcher, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions
-from coolang.segments import Segment
+from coolang.segments import OPEN, SETTLED, Segment
 from coolang.silo import Silo
 
 
@@ -393,7 +393,7 @@ exp: @(-1){ #a + #b }{ return: b + a; }
 
 
 def check_entry(tables, ctx, seg):
-    """Every parent link, cached pending fact and memoized match of a silo
+    """Every parent link, cached pending state and memoized match of a silo
     entry equals a fresh computation."""
     parents = {}
     for a in seg.lines:
@@ -403,9 +403,9 @@ def check_entry(tables, ctx, seg):
     fresh = Segment(dict(seg.lines), seg.root, [], None, None)
     for a, v in seg.versions.items():
         assert v.parent == parents.get(a)
-        if v.pending is not None:
-            assert v.pending == reference_pending(seg.lines, a, False)
-            assert v.raw_pending == reference_pending(seg.lines, a, True)
+        if v.state is not None:
+            assert (v.state != SETTLED) == reference_pending(seg.lines, a, False)
+            assert (v.state == OPEN) == reference_pending(seg.lines, a, True)
         for func_op, m in (v.matches or {}).items():
             assert m == match_branch(fresh, a, tables.functions[func_op], ctx)
 

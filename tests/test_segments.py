@@ -21,7 +21,7 @@ from coolang.code import (
     OperandKind,
     PendFlag,
 )
-from coolang.segments import PREBIND_OPS, Segment
+from coolang.segments import AWAITING, OPEN, PREBIND_OPS, SETTLED, Segment
 
 
 def line(addr, op, left, right, result=None, ctype=CodeType.EXPR, pending=None):
@@ -71,7 +71,7 @@ def segment_for(src, op_text):
 
 
 def reference_pending(lines, addr, raw):
-    """Segment.subtree_pending (raw: subtree_raw_pending), uncached."""
+    """Whether Segment.subtree_state is not SETTLED (raw: is OPEN), uncached."""
     ln = lines[addr]
     if ln.is_user_bound:
         return not raw and ln.bound_reverse
@@ -190,10 +190,10 @@ def test_a_parent_sorting_before_its_bound_child_is_bound_in_the_same_pass():
     assert cand[root.address].bound is None
 
 
-# trees of builtin and call lines: None is a number operand, ("f", kid) a
-# call over kid, (op, left, right) a builtin
+# trees of builtin and call lines: None is a number operand, "$" a pending
+# identifier, ("f", kid) a call over kid, (op, left, right) a builtin
 _TREES = st.recursive(
-    st.none(),
+    st.sampled_from([None, None, None, "$"]),
     lambda kids: st.one_of(
         st.tuples(st.just("f"), kids),
         st.tuples(st.sampled_from(["+", "*", "=="]), kids, kids),
@@ -203,22 +203,35 @@ _TREES = st.recursive(
 
 
 def _size(tree):
-    return 0 if tree is None else 1 + sum(_size(t) for t in tree[1:])
+    return 1 + sum(_size(t) for t in tree[1:]) if isinstance(tree, tuple) else 0
 
 
 def _build(tree, addrs, out):
     """Append tree's lines to out under addrs; returns the operand for tree."""
     if tree is None:
         return num(1.0)
+    if tree == "$":
+        return ident("x")
     a = next(addrs)
     # a call has no right operand
     left, right, *_ = [_build(t, addrs, out) for t in tree[1:]] + [Operand.empty()]
-    out.append(line(a, tree[0], left, right))
+    pending = [
+        s for s, o in ((SLOT_LEFT, left), (SLOT_RIGHT, right)) if o.kind is OperandKind.IDENT
+    ]
+    out.append(line(a, tree[0], left, right, pending=pending))
     return ref(a)
 
 
 def _bindings(seg):
     return {a: (ln.bound, ln.root) for a, ln in seg.lines.items()}
+
+
+def _check_states(seg):
+    """Each line's pending state agrees with the uncached reference."""
+    for a in seg.lines:
+        state = seg.subtree_state(a)
+        assert (state != SETTLED) == reference_pending(seg.lines, a, False)
+        assert (state == OPEN) == reference_pending(seg.lines, a, True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,6 +245,9 @@ def test_a_candidates_prebind_reaches_the_fixpoint(tree, data):
     seg.prebind_builtins()
     assert _bindings(seg) == reference_prebind(seg.lines)
     seg.freeze()
+    # frozen, the segment caches each state on its versions, which the
+    # candidate below shares where it does not write
+    _check_states(seg)
     before = _bindings(seg)
 
     calls = [ln.address for ln in lines if ln.op.text == "f"]
@@ -244,6 +260,7 @@ def test_a_candidates_prebind_reaches_the_fixpoint(tree, data):
     want = reference_prebind(cand.lines)
     cand.prebind_builtins()
     assert _bindings(cand) == want
+    _check_states(cand)
     assert _bindings(seg) == before
 
 
@@ -251,15 +268,14 @@ def test_subtree_pending_vs_raw_pending_on_bound_subtrees():
     inner = line(1, "+", ident("x"), num(1.0), pending=[1])
     outer = line(2, "==", ref(1), num(5.0))
     seg = segment([inner, outer], root=2)
-    # unbound: both views see the pending leaf
-    assert seg.subtree_pending(inner.address)
-    assert seg.subtree_raw_pending(inner.address)
+    # unbound: the pending leaf is still open
+    assert seg.subtree_state(inner.address) == OPEN
     inner.bound = Address((9,))
     inner.bound_reverse = True
-    assert seg.subtree_pending(inner.address)  # still wants a value from above
-    assert not seg.subtree_raw_pending(inner.address)  # but no unbound leaf left
+    # still wants a value from above, but no unbound leaf left
+    assert seg.subtree_state(inner.address) == AWAITING
     inner.bound_reverse = False
-    assert not seg.subtree_pending(inner.address)
+    assert seg.subtree_state(inner.address) == SETTLED
 
 
 def test_children_follow_result_slot_references():
@@ -345,11 +361,9 @@ def test_digest_is_address_independent():
 def test_digest_sees_binding_changes():
     _, seg = segment_for("new: y = 3; $x + 1 == y;", "==")
     d0 = seg.digest()
-    d0_shape = seg.digest(include_bindings=False)
     plus = [a for a in seg.lines if seg[a].op.text == "+"][0]
     seg[plus].bound = Address((42,))
     assert seg.digest() != d0
-    assert seg.digest(include_bindings=False) == d0_shape
 
 
 def test_splice_in_place_keeps_addresses():
@@ -432,7 +446,7 @@ def test_evaluate_rejects_non_builtin_operators():
 # --- digest partition against a reference implementation ----------------
 
 
-def _reference_digest(segment, include_bindings=True):
+def _reference_digest(segment):
     """Segment.digest in its plainest form: slot() tuples, Enum values, str(addr)."""
     order = segment.order()
     index = {a: i for i, a in enumerate(order)}
@@ -451,11 +465,8 @@ def _reference_digest(segment, include_bindings=True):
                     slots.append(("ext", str(o.addr), ln.pending[s].value))
             else:
                 slots.append((o.kind.value, o.payload(), ln.pending[s].value))
-        row = (ln.ctype.value, ln.op.text, tuple(slots))
-        if include_bindings:
-            bound = "-" if ln.bound is None else (BUILTIN if ln.bound == BUILTIN else str(ln.bound))
-            row = row + (bound, ln.root)
-        rows.append(row)
+        bound = "-" if ln.bound is None else (BUILTIN if ln.bound == BUILTIN else str(ln.bound))
+        rows.append((ln.ctype.value, ln.op.text, tuple(slots), bound, ln.root))
     rows.append(("root", index.get(segment.root, -1)))
     return tuple(rows)
 
@@ -472,12 +483,9 @@ def _search_candidates():
 
 def _same_partition(segments):
     """The two digests split the segments into the same equality classes."""
-    for bindings in (True, False):
-        ref = [_reference_digest(seg, bindings) for seg in segments]
-        new = [seg.digest(bindings) for seg in segments]
-        if not len(set(ref)) == len(set(new)) == len(set(zip(ref, new))):
-            return False
-    return True
+    ref = [_reference_digest(seg) for seg in segments]
+    new = [seg.digest() for seg in segments]
+    return len(set(ref)) == len(set(new)) == len(set(zip(ref, new)))
 
 
 def test_digest_partitions_search_candidates_like_the_reference():
