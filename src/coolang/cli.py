@@ -55,7 +55,7 @@ def _options(args) -> SearchOptions:
 def _tracer(args):
     sink = None
     if args.trace_silo:
-        sink = open(args.trace_silo, "w")
+        sink = open(args.trace_silo, "w", encoding="utf-8")
     elif os.environ.get("COOLC_TRACE") == "1":
         sink = sys.stderr
 
@@ -114,8 +114,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 4 if exc.code not in (0, None) else 0
 
-    observer, close_trace = _tracer(args)
+    close_trace = None
     try:
+        observer, close_trace = _tracer(args)
         tables = _load_input(args.input)
         if args.command == "compile":
             write_file(tables, _out_path(args, ".ccode"))
@@ -143,7 +144,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"coolc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finally:
-        close_trace()
+        if close_trace is not None:
+            close_trace()
 
 
 if __name__ == "__main__":

@@ -7,6 +7,9 @@ stamps the matched lines with the function's address, a rewrite match
 replaces them with the rule's result expression. Weights add along the way
 and the first fully bound candidate wins. Empty silos or the round limit
 raise an inference failure.
+
+A move too light for the next silo is built only when it might finish the
+search (may_finish), since the silo would refuse it anyway.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def apply_value_match(segment: Segment, match: Match) -> None:
 # what fills a slot of a rule's instantiated line
 _SELF, _LINE, _FORMAL, _VALUE = range(4)
 
-RulePlan = tuple[list[tuple[ExtendedLine, tuple]], tuple]
+RulePlan = tuple[list[tuple[ExtendedLine, tuple]], tuple, frozenset[str]]
 
 
 def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
@@ -140,7 +143,9 @@ def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
     The body is the rule's expression lines up to the return, each with
     what fills its slots: the line itself, the i-th body line before it, or
     the actual bound to a formal. The return says which of these, or which
-    plain value, the rule's result stands for.
+    plain value, the rule's result stands for. Last come the formals the
+    result reaches through the body lines it keeps: a rewrite keeps their
+    actuals and drops the actuals of the other formals.
     """
     ret_line = tables.code[fn.returns[0]]
     body = tables.scopes[fn.body_scope]
@@ -168,7 +173,76 @@ def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
         ret = (_FORMAL, split_markers(ro.text)[0])
     else:
         ret = (_VALUE, ro)
-    return lines, ret
+    reached: set[str] = set()
+    if ret[0] is _FORMAL:
+        reached.add(ret[1])
+    elif ret[0] is _LINE:
+        # a body line reads only lines before it, so one backward pass
+        kept = {ret[1]}
+        for i in range(ret[1], -1, -1):
+            if i in kept:
+                for _, kind, arg in lines[i][1]:
+                    if kind is _LINE:
+                        kept.add(arg)
+                    elif kind is _FORMAL:
+                        reached.add(arg)
+    return lines, ret, frozenset(reached)
+
+
+def plan_for(tables: Tables, fn: FunctionInfo, plans: dict[Address, RulePlan]) -> RulePlan:
+    """fn's rule plan, made once per search and kept in plans."""
+    plan = plans.get(fn.func_op)
+    if plan is None:
+        plan = plans[fn.func_op] = rule_plan(tables, fn)
+    return plan
+
+
+def unbound_above(seg: Segment, walk: list[Address]) -> dict[Address, int]:
+    """For each line of walk, a children-first walk from the root, the
+    number of unbound lines on its path to the root, itself excluded."""
+    lines, versions = seg.lines, seg.versions
+    above: dict[Address, int] = {}
+    for a in reversed(walk):
+        p = versions[a].parent
+        above[a] = 0 if p is None else above[p] + (lines[p].bound is None)
+    return above
+
+
+def may_finish(
+    seg: Segment, m: Match, above: int, unbound: int, reached: Optional[frozenset[str]]
+) -> bool:
+    """False only when the move m on the entry seg cannot leave it fully bound.
+
+    above counts the unbound lines on the path from m's branch to the root,
+    the branch excluded, and unbound the unbound lines of seg. reached is
+    None for a value match and, for a rewrite, the formals its result
+    reaches (rule_plan).
+
+    Why False is safe: take an unbound line of seg that is not on that
+    path, not among the matched lines and not inside an operand the
+    rewrite drops. The move does not write that line and does not drop it.
+    The prebind never visits it either, because it starts from the lines
+    the move owns and their parents, and climbs only from lines that bind:
+    what it visits lies on the path, among the rule's new lines or among
+    the copies a rewrite makes of an operand it uses twice. So the line
+    stays unbound, whatever the entry's own prebind left undone. Hence a
+    move whose path and matched lines miss an unbound line cannot finish,
+    unless a rewrite drops an operand: that is a child hanging off the
+    matched lines that is not the actual of a formal the result reaches,
+    and then unbound lines may go with it.
+    """
+    lines = seg.lines
+    if above + sum(lines[a].bound is None for a in m.matched) == unbound:
+        return True
+    if reached is None:
+        return False
+    kept = {
+        bv.operand.addr
+        for f, bv in m.bindings.items()
+        if f in reached and bv.operand.kind is OperandKind.ADDRESS
+    }
+    gone = set(m.matched)
+    return any(c not in gone and c not in kept for a in m.matched for c in seg.children(a))
 
 
 def apply_exp_rewrite(
@@ -184,12 +258,8 @@ def apply_exp_rewrite(
     plans keeps each rule's plan for the rest of a search.
     """
     fn = match.fn
-    plan = plans.get(fn.func_op) if plans is not None else None
-    if plan is None:
-        plan = rule_plan(tables, fn)
-        if plans is not None:
-            plans[fn.func_op] = plan
-    body, (ret_kind, ret_arg) = plan
+    plan = rule_plan(tables, fn) if plans is None else plan_for(tables, fn, plans)
+    body, (ret_kind, ret_arg), _ = plan
     bindings = match.bindings
 
     new_addrs: list[Address] = []
@@ -258,7 +328,9 @@ def search_segment(
         nxt = Silo(opts.silo_size)
         for w, seg in silo.entries():
             seg.freeze()
-            branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
+            walk = seg.subtree(seg.root)
+            branches = [a for a in walk if seg[a].bound is None]
+            above = None  # made when the floor first refuses a move here
             for branch in branches:
                 memo = seg.matches(branch)
                 op = seg[branch].op.text
@@ -272,6 +344,15 @@ def search_segment(
                         m = memo[key] = match_branch(seg, branch, fn, ctx)
                     if m is None:
                         continue
+                    w2 = w + fn.weight
+                    # the next silo refuses this weight for the rest of the
+                    # round (see Silo), so such a move counts only if it ends it
+                    if not nxt.admits(w2):
+                        if above is None:
+                            above = unbound_above(seg, walk)
+                        reached = plan_for(tables, fn, plans)[2] if fn.is_exp else None
+                        if not may_finish(seg, m, above[branch], len(branches), reached):
+                            continue
                     cand = seg.copy()
                     if fn.is_exp:
                         if apply_exp_rewrite(cand, m, tables, plans) is None:
@@ -280,7 +361,6 @@ def search_segment(
                         apply_value_match(cand, m)
                     # subtrees this step settled may free builtins above them
                     cand.prebind_builtins()
-                    w2 = w + fn.weight
                     if observer is not None:
                         observer(rnd, w2, cand)
                     if cand.fully_bound():

@@ -10,7 +10,9 @@ for the silo's whole lifetime, eviction notwithstanding.
 A full silo stays full and its minimum never decreases, so an offer
 refused on weight would be refused again whether or not its digest was
 recorded as seen. Callers may therefore ask admits() first and skip both
-the digest and the offer; the entries come out the same.
+the digest and the offer; the entries come out the same. For the same
+reason a caller may skip building a candidate that admits() refuses, as
+long as the candidate cannot end the search either.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Each is the plain, slow form of a fact the toolchain computes another
 way: the class order as a depth-first walk, the whole-segment cleanups
-and arithmetic that the search's incremental repair must agree with, and
-a `.ccode` reader that decodes every cell of every code row afresh and
-inserts the rows one by one.
+and arithmetic that the search's incremental repair must agree with, a
+silo search that builds every move it matches, and a `.ccode` reader that
+decodes every cell of every code row afresh and inserts the rows one by
+one.
 """
 
 from __future__ import annotations
@@ -17,11 +18,22 @@ from coolang.code import (
     SLOT_LEFT,
     SLOT_RIGHT,
     ExtendedLine,
+    FunctionInfo,
     OperandKind,
     Tables,
     link_classes,
 )
-from coolang.errors import FormatError, LoadError
+from coolang.errors import FormatError, InferenceFailure, LoadError
+from coolang.matching import BindContext, match_branch
+from coolang.search import (
+    BindOutcome,
+    Observer,
+    RulePlan,
+    SearchOptions,
+    apply_exp_rewrite,
+    apply_value_match,
+    may_finish,
+)
 from coolang.segments import Segment
 from coolang.serialize import (
     _CODE_TYPES,
@@ -36,6 +48,7 @@ from coolang.serialize import (
     _read_function_row,
     _read_scope_row,
 )
+from coolang.silo import Silo
 
 
 def class_mro(tables: Tables, scope: Address) -> list[Address]:
@@ -120,6 +133,94 @@ def evaluate(
     if op == "<=":
         return 1.0 if val(SLOT_LEFT) <= val(SLOT_RIGHT) else 0.0
     raise ValueError(f"not a builtin computation: {op!r}")
+
+
+def _unbound_above(seg: Segment, addr: Address) -> int:
+    """Unbound lines on the path from addr to the root, addr excluded."""
+    n = 0
+    p = seg.versions[addr].parent
+    while p is not None:
+        n += seg[p].bound is None
+        p = seg.versions[p].parent
+    return n
+
+
+def search_segment(
+    tables: Tables,
+    seg0: Segment,
+    ctx: BindContext,
+    stmt_addr: Address,
+    options: Optional[SearchOptions] = None,
+    observer: Optional[Observer] = None,
+) -> BindOutcome:
+    """The silo search that builds every move before the silo weighs it.
+
+    Checks that the move that finishes passes search.may_finish.
+    """
+    opts = options or SearchOptions()
+    if seg0.fully_bound():
+        return BindOutcome(weight=0.0, rounds=0, segment=seg0)
+
+    silo = Silo(opts.silo_size)
+    silo.offer(0.0, seg0.digest(), seg0)
+    groups: dict[str, list[FunctionInfo]] = {}
+    plans: dict[Address, RulePlan] = {}
+
+    rnd = 0
+    for rnd in range(1, opts.max_rounds + 1):
+        nxt = Silo(opts.silo_size)
+        for w, seg in silo.entries():
+            seg.freeze()
+            branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
+            for branch in branches:
+                memo = seg.matches(branch)
+                op = seg[branch].op.text
+                if op not in groups:
+                    groups[op] = ctx.declarations.candidates(op, ctx, stmt_addr)
+                for fn in groups[op]:
+                    key = fn.func_op
+                    if key in memo:
+                        m = memo[key]
+                    else:
+                        m = memo[key] = match_branch(seg, branch, fn, ctx)
+                    if m is None:
+                        continue
+                    cand = seg.copy()
+                    if fn.is_exp:
+                        if apply_exp_rewrite(cand, m, tables, plans) is None:
+                            continue
+                    else:
+                        apply_value_match(cand, m)
+                    # subtrees this step settled may free builtins above them
+                    cand.prebind_builtins()
+                    w2 = w + fn.weight
+                    if observer is not None:
+                        observer(rnd, w2, cand)
+                    if cand.fully_bound():
+                        reached = plans[key][2] if fn.is_exp else None
+                        above = _unbound_above(seg, branch)
+                        assert may_finish(seg, m, above, len(branches), reached)
+                        return BindOutcome(weight=w2, rounds=rnd, segment=cand)
+                    # what the weight floor refuses needs no digest (see Silo)
+                    if nxt.admits(w2):
+                        nxt.offer(w2, cand.digest(), cand)
+        if not nxt:
+            raise InferenceFailure(
+                "no declaration binds the expression",
+                address=stmt_addr,
+                rounds=rnd,
+                silo=tuple((w, s.digest()) for w, s in silo.entries()),
+                left=0,
+            )
+        silo = nxt
+
+    raise InferenceFailure(
+        "round limit reached before the expression was fully bound",
+        address=stmt_addr,
+        rounds=rnd,
+        silo=tuple((w, s.digest()) for w, s in silo.entries()),
+        left=len(silo),
+    )
 
 
 def _dec_line(row: str, addrs: _Memo) -> ExtendedLine:

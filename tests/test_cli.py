@@ -64,6 +64,19 @@ def test_silo_trace_lists_every_admitted_candidate(tmp_path, capsys):
         assert re.fullmatch(r"round \d+ weight -?\d+(\.\d+)? [0-9a-f]{12}", line)
 
 
+def test_a_trace_path_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
+    trace = tmp_path / "no" / "such" / "trace.txt"
+    assert main(["run", src, "--trace-silo", str(trace)]) == 4
+    assert capsys.readouterr().err.startswith("coolc: ")
+
+
+def test_a_trace_path_that_is_a_directory_is_an_io_error(tmp_path, capsys):
+    src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
+    assert main(["run", src, "--trace-silo", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("coolc: ")
+
+
 def test_trace_environment_switch_writes_to_stderr(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
     monkeypatch.setenv("COOLC_TRACE", "1")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import reference
 from reference import class_mro, evaluate, expand_rings, reference_counts, repair_detached
 from test_segments import ident, line, num, ref, reference_pending, reference_prebind
 from coolang import build, execute, run_program
@@ -15,6 +16,7 @@ from coolang.matching import _Matcher, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions
 from coolang.segments import OPEN, SETTLED, Segment
+from coolang.serialize import serialize
 from coolang.silo import Silo
 
 
@@ -576,3 +578,105 @@ def test_no_rewrite_in_chained_derivation_keeps_its_matched_root():
     with mock.patch.object(search, "apply_exp_rewrite", apply_exp_rewrite):
         preexecute(build(corpus.CHAINED_DERIVATION))
     assert kept and not any(kept)
+
+
+# --- a move too light for the silo is built only if it might finish --------
+
+# the commuting rules, two rules that drop or pass on an operand, and the
+# reverse declarations, each with the weight slot left open
+_PRUNING_RULES = (
+    "exp: @({}){{ #a + #b }}{{ return: b + a; }}",
+    "exp: @({}){{ #a * #b }}{{ return: b * a; }}",
+    "exp: @({}){{ 0 * #a }}{{ return: 0; }}",
+    "exp: @({}){{ #a + 0 }}{{ return: a; }}",
+    "@({}){{ $a + b }}{{ a = ans - b; }}",
+    "@({}){{ $a * b }}{{ a = ans / b; }}",
+    "@({}){{ $a == b; }}{{ a = b; }}",
+)
+
+
+def bind_with(searcher, src, options):
+    """Preexecute src with searcher as the silo search: each statement's
+    (address, weight, rounds) and the `.ccode`, or where the search stopped."""
+    t = build(src)
+    bound = []
+    with mock.patch.object(search, "search_segment", searcher), mock.patch.object(
+        inversion, "search_segment", searcher
+    ):
+        try:
+            preexecute(
+                t,
+                options=options,
+                on_bound=lambda addr, o: bound.append((addr, o.weight, o.rounds)),
+            )
+        except InferenceFailure as exc:
+            return "failed", exc.rounds, exc.silo, exc.left
+    return "bound", bound, serialize(t)
+
+
+def assert_search_matches_the_reference(src, options):
+    got = bind_with(search.search_segment, src, options)
+    assert got == bind_with(reference.search_segment, src, options)
+    return got
+
+
+@st.composite
+def single_pending_constraints(draw):
+    """E($y) == c over + and *, with constants, a known x and further
+    occurrences of y, under some of the pruning rules."""
+
+    def term(depth, pending):
+        if depth == 0 or draw(st.booleans()):
+            if pending:
+                return "$y"
+            return draw(st.sampled_from(["0", "1", "2", "3", "x", "y"]))
+        left_pending = pending and draw(st.booleans())
+        left = term(depth - 1, left_pending)
+        right = term(depth - 1, pending and not left_pending)
+        return f"({left} {draw(st.sampled_from(['+', '*']))} {right})"
+
+    rules = draw(st.lists(st.sampled_from(_PRUNING_RULES), min_size=1, unique=True))
+    decls = [r.format(draw(st.integers(-3, 3)) if r.startswith("exp") else 10) for r in rules]
+    constraint = term(draw(st.integers(1, 4)), True)
+    c = draw(st.integers(0, 50))
+    return "\n".join(decls) + f"\nnew: x = 3;\nnew: y = 0;\n{constraint} == {c};\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    src=single_pending_constraints(),
+    silo_size=st.integers(1, 4),
+    max_rounds=st.integers(2, 7),
+)
+def test_pruned_search_binds_like_the_search_that_builds_every_move(
+    src, silo_size, max_rounds
+):
+    assert_search_matches_the_reference(src, SearchOptions(silo_size, max_rounds))
+
+
+def test_a_too_light_rewrite_that_drops_an_unbound_operand_is_built():
+    # `0 * (3 + y)` becomes 0 and drops `3 + y`, whose lines are neither on
+    # the move's path nor matched: counting those lines alone would skip
+    # the move that finishes the search
+    weights = (-1, 1, -2, None, 10, 10, 10)  # without `#a + 0`
+    rules = [r.format(w) for r, w in zip(_PRUNING_RULES, weights) if w is not None]
+    src = "\n".join(rules) + "\nnew: y = 0;\n0 * (3 + y) + 1 * $y == 40;\n"
+    got = assert_search_matches_the_reference(src, SearchOptions(silo_size=2, max_rounds=5))
+    assert got[0] == "bound"
+
+
+def test_a_long_statement_builds_a_few_candidates_before_the_round_limit():
+    # each round refuses most moves on weight, and none of them can finish
+    ones = " + ".join(["1"] * 300)
+    t = build(f"{_CHAIN_RULES}new: y = 0;\n$y + {ones} == 5000;\n")
+    built = []
+    with pytest.raises(
+        InferenceFailure,
+        match=r"^round limit reached .*\(statement 33, 3 rounds, 4 candidates\)$",
+    ):
+        preexecute(
+            t,
+            options=SearchOptions(silo_size=4, max_rounds=3),
+            observer=lambda rnd, w, seg: built.append(w),
+        )
+    assert len(built) <= 100

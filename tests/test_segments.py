@@ -509,7 +509,7 @@ def _variants(seg, addr, slot):
 
     def changed(edit):
         cp = seg.copy()
-        edit(cp[addr])
+        edit(cp.own(addr))
         return cp
 
     out = [seg]
