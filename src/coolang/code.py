@@ -11,10 +11,9 @@ import bisect
 import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .addresses import Address
+from .addresses import Address, run_between
 from .errors import DuplicateDeclaration, InheritanceCycle, InheritanceOfUndeclaredClass
 
 
@@ -248,8 +247,6 @@ class ClassInfo:
     scope: Address
     name: str
     parents: list[Address] = field(default_factory=list)
-    # the class, then its ancestors: parents leftmost depth first, each once
-    order: tuple[Address, ...] = ()
 
 
 class CodeTable:
@@ -269,6 +266,26 @@ class CodeTable:
             raise KeyError(f"address {line.address} already in code table")
         bisect.insort(self._keys, line.address)
         self._map[line.address] = line
+
+    def insert_run(
+        self, lines: list[ExtendedLine], lo: Optional[Address], hi: Optional[Address]
+    ) -> list[Address]:
+        """Insert lines, in order, at fresh addresses between lo and hi.
+
+        References among the lines follow them, keyed by their old
+        addresses, which must be distinct; other references stay. The gap
+        must hold no address yet. Returns the new addresses.
+        """
+        new = run_between(lo, hi, len(lines))
+        moved = {ln.address: a for ln, a in zip(lines, new)}
+        for ln, a in zip(lines, new):
+            ln.address = a
+            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+                o = ln.slot(s)
+                if o.kind is OperandKind.ADDRESS and o.addr in moved:
+                    ln.set_slot(s, Operand.address(moved[o.addr]))
+            self.insert(ln)
+        return new
 
     def remove(self, addr: Address) -> ExtendedLine:
         line = self._map.pop(addr)
@@ -345,6 +362,24 @@ class Tables:
     classes: dict[Address, ClassInfo] = field(default_factory=dict)  # parents first
     class_scopes: dict[str, Address] = field(default_factory=dict)  # name -> scope
     preexecuted: bool = False
+    # class scope -> its class_order, made on first use
+    _class_orders: dict[Address, tuple[Address, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def class_order(self, scope: Address) -> tuple[Address, ...]:
+        """The class, then its ancestors: parents leftmost depth first, each once."""
+        order = self._class_orders.get(scope)
+        if order is None:
+            seen: dict[Address, None] = {}
+            stack = [scope]
+            while stack:
+                s = stack.pop()
+                if s not in seen:
+                    seen[s] = None
+                    stack.extend(reversed(self.classes[s].parents))
+            order = self._class_orders[scope] = tuple(seen)
+        return order
 
     def scope_chain(self, scope_addr: Optional[Address]) -> list[Address]:
         """Scope start addresses from the given scope outward (global excluded)."""
@@ -384,7 +419,7 @@ class Tables:
 
 
 def link_classes(tables: Tables, lines: Iterable[ExtendedLine] = ()) -> None:
-    """Check the class graph and give every class its order, once.
+    """Check the class graph and list the classes parents first, once.
 
     A code file fills tables.classes, parents as scopes; the loader passes
     its CLASS_OP lines instead (`class` declares, `inherit` names a parent).
@@ -430,8 +465,3 @@ def link_classes(tables: Tables, lines: Iterable[ExtendedLine] = ()) -> None:
         # each class in the reported cycle is a parent of the next
         cycle = " << ".join(classes[s].name for s in reversed(exc.args[1]))
         raise InheritanceCycle(f"classes inherit in a cycle: {cycle}") from None
-    for info in tables.classes.values():
-        # leftmost parent first; a class reached twice keeps its first place
-        orders = [classes[p].order for p in info.parents]
-        inherited = orders[0] if len(orders) == 1 else dict.fromkeys(chain(*orders))
-        info.order = (info.scope, *inherited)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .addresses import Address, run_between
+from .addresses import Address
 from .code import (
     SLOT_LEFT,
     SLOT_RESULT,
@@ -34,8 +34,6 @@ from .errors import DerivationFailure, InferenceFailure, MergeFailure, NotInvert
 from .matching import BindContext
 from .segments import Segment, staging_address
 from .search import Observer, SearchOptions, search_segment
-
-_PLACEHOLDER_BASE = 2 * 10**9
 
 
 @dataclass
@@ -125,19 +123,14 @@ class _Disassembler:
     def __init__(self, tables: Tables, fn: FunctionInfo, pending: list[str]):
         self.tables = tables
         self.fn = fn
-        self.pending = pending
         self.formal_names = {n for n, _ in decl_formals(tables, fn)} - {""}
         self.vrt: dict[str, str] = {}
         self.locals: set[str] = set()
-        self.replacements: list[str] = []
-        self.blocks: list[Block] = []
-        self.name_writer: dict[str, int] = {}
-        self.temp_owner: dict[Address, int] = {}
-        self.return_seq: Optional[int] = None
+        self.dis = Disassembly(blocks=[], replacements=[], pending=list(pending))
 
     def fresh(self) -> str:
-        name = f"__inv{len(self.replacements) + 1}"
-        self.replacements.append(name)
+        name = f"__inv{len(self.dis.replacements) + 1}"
+        self.dis.replacements.append(name)
         return name
 
     def run(self) -> Disassembly:
@@ -165,23 +158,15 @@ class _Disassembler:
                     f"cannot derive around a {ln.ctype.value} line in the body"
                 )
         self._add(Block(seq=0, kind="scope_end", lines=[self.tables.code[end].copy()]))
-
-        return Disassembly(
-            blocks=self.blocks,
-            replacements=self.replacements,
-            pending=list(self.pending),
-            name_writer=self.name_writer,
-            temp_owner=self.temp_owner,
-            return_seq=self.return_seq,
-        )
+        return self.dis
 
     def _add(self, b: Block) -> Block:
-        b.seq = len(self.blocks) + 1
-        self.blocks.append(b)
+        b.seq = len(self.dis.blocks) + 1
+        self.dis.blocks.append(b)
         for w in b.writes:
-            self.name_writer[w] = b.seq
+            self.dis.name_writer[w] = b.seq
         if b.root is not None:
-            self.temp_owner[b.root] = b.seq
+            self.dis.temp_owner[b.root] = b.seq
         return b
 
     def _decl_block(self, ln: ExtendedLine) -> None:
@@ -268,7 +253,7 @@ class _Disassembler:
         self._add(b)
 
     def _return_block(self, ln: ExtendedLine) -> None:
-        if self.return_seq is not None:
+        if self.dis.return_seq is not None:
             raise NotInvertible("a derived body allows only one return")
         cp = ln.copy()
         o = cp.left
@@ -278,7 +263,7 @@ class _Disassembler:
                 cp.left = _rename_slot_text(o, self.vrt[bare])
         b = Block(seq=0, kind="return", lines=[cp])
         self._collect_reads(b, set())
-        self.return_seq = self._add(b).seq
+        self.dis.return_seq = self._add(b).seq
 
     def _collect_reads(self, b: Block, own: set[Address]) -> None:
         for ln in b.lines:
@@ -388,14 +373,7 @@ class _Merger:
             result=target,
         )
         self.lines[line.address] = line
-        seg = Segment(
-            lines=self.lines,
-            root=line.address,
-            original=[],
-            prev_addr=None,
-            terminator=None,
-            staging_seq=self.staging,
-        )
+        seg = Segment(self.lines, line.address, staging_seq=self.staging)
         seg.prebind_builtins()
         return seg
 
@@ -507,25 +485,17 @@ def assemble_body(
     merged: Segment,
 ) -> Address:
     """Write the derived body into the table between declaration and marker."""
-    ph = [_PLACEHOLDER_BASE]
 
-    def placeholder(ln: ExtendedLine) -> ExtendedLine:
-        ph[0] += 1
-        ln.address = Address((ph[0],))
-        return ln
-
-    def empty_line(ctype: CodeType, **slots) -> ExtendedLine:
-        return placeholder(
-            ExtendedLine(
-                address=Address((1,)),
-                scope=None,
-                exec_flag=ExecFlag.COND,
-                ctype=ctype,
-                op=slots.get("op", Operand.empty()),
-                left=slots.get("left", Operand.empty()),
-                right=slots.get("right", Operand.empty()),
-                result=slots.get("result", Operand.empty()),
-            )
+    def created(ctype: CodeType, result: Operand = Operand.empty()) -> ExtendedLine:
+        return ExtendedLine(
+            address=merged.fresh_address(),
+            scope=None,
+            exec_flag=ExecFlag.COND,
+            ctype=ctype,
+            op=Operand.empty(),
+            left=Operand.empty(),
+            right=Operand.empty(),
+            result=result,
         )
 
     merged_order = merged.subtree(merged.root)
@@ -537,10 +507,7 @@ def assemble_body(
         if ln.slot(s).kind is OperandKind.ADDRESS and ln.slot(s).addr not in merged.lines
     }
 
-    start_line = placeholder(dis.blocks[0].lines[0].copy())
-    end_line = placeholder(dis.blocks[-1].lines[0].copy())
-
-    items: list[ExtendedLine] = [start_line]
+    items: list[ExtendedLine] = [dis.blocks[0].lines[0].copy()]
     emit_blocks = [
         b
         for b in dis.blocks
@@ -555,66 +522,52 @@ def assemble_body(
         open_temps.add(b.root)
         later = [x for x in emit_blocks[i + 1 :] if x.kind == "expr"]
         if not _shares_later(open_temps, later, merged_reads):
-            items.append(empty_line(CodeType.EXPR_END))
+            items.append(created(CodeType.EXPR_END))
             open_temps = set()
     if open_temps:
-        items.append(empty_line(CodeType.EXPR_END))
+        items.append(created(CodeType.EXPR_END))
     items.extend(merged[a].copy() for a in merged_order)
-    items.append(empty_line(CodeType.EXPR_END))
-    items.append(end_line)
+    items.append(created(CodeType.EXPR_END))
+    items.append(dis.blocks[-1].lines[0].copy())
 
-    # declarations for the replacement names the body actually uses
+    # the replacement names the body uses, and the pending parameters it
+    # solves, which must be all of them
     used: set[str] = set()
+    solved: set[str] = set()
     for ln in items:
         for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
             o = ln.slot(s)
             if o.kind is OperandKind.IDENT:
-                used.add(split_markers(o.text)[0])
-    decls = [
-        empty_line(CodeType.VAR_DECL, result=Operand.ident(name))
+                bare = split_markers(o.text)[0]
+                used.add(bare)
+                if (
+                    s != SLOT_RESULT
+                    and ln.ctype is CodeType.EXPR
+                    and ln.pending[s] is PendFlag.TRUE
+                ):
+                    solved.add(bare)
+    for p in dis.pending:
+        if p not in solved:
+            raise DerivationFailure(f"pending parameter {p!r} is never solved")
+    items[1:1] = [
+        created(CodeType.VAR_DECL, Operand.ident(name))
         for name in dis.replacements
         if name in used
     ]
-    items[1:1] = decls
 
-    # the pending parameters must still be solvable somewhere in the body
-    for p in dis.pending:
-        found = any(
-            ln.ctype is CodeType.EXPR
-            and any(
-                ln.slot(s).kind is OperandKind.IDENT
-                and split_markers(ln.slot(s).text)[0] == p
-                and ln.pending[s] is PendFlag.TRUE
-                for s in (SLOT_LEFT, SLOT_RIGHT)
-            )
-            for ln in items
-        )
-        if not found:
-            raise DerivationFailure(f"pending parameter {p!r} is never solved")
-
-    decl_end = tables.scopes[rev.decl_scope].end
-    mapping: dict[Address, Address] = {}
     # the parser emits the derive line right after the declaration's scope,
     # so the gap between them is empty
-    new_addrs = run_between(decl_end, derive_line.address, len(items))
-    for ln, new in zip(items, new_addrs):
-        mapping[ln.address] = new
-    body_start = mapping[start_line.address]
-    body_end = mapping[end_line.address]
-    for ln, new in zip(items, new_addrs):
-        ln.address = new
+    decl_end = tables.scopes[rev.decl_scope].end
+    new_addrs = tables.code.insert_run(items, decl_end, derive_line.address)
+    body_start = new_addrs[0]
+    for ln in items:
         ln.scope = body_start
         ln.exec_flag = ExecFlag.COND
-        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-            o = ln.slot(s)
-            if o.kind is OperandKind.ADDRESS and o.addr in mapping:
-                ln.set_slot(s, Operand.address(mapping[o.addr]))
-        tables.code.insert(ln)
 
     tables.scopes[body_start] = ScopeInfo(
         kind=ScopeKind.BODY,
         start=body_start,
-        end=body_end,
+        end=new_addrs[-1],
         param_query=rev.decl_scope,
         parent=derive_line.scope,
     )

@@ -16,6 +16,7 @@ from .code import (
     SLOT_RESULT,
     SLOT_RIGHT,
     CodeLine,
+    CodeTable,
     CodeType,
     ExecFlag,
     ExtendedLine,
@@ -102,10 +103,7 @@ def load(lines: list[CodeLine]) -> Tables:
     }
     _assign_exec_flags(ext, rows, jump_targets)
 
-    tables = Tables()
-    for el in ext:
-        tables.code.insert(el)
-    tables.scopes = rows
+    tables = Tables(code=CodeTable(ext), scopes=rows)
 
     _build_functions(tables, ext, rows)
     link_classes(tables, [el for el in ext if el.ctype is CodeType.CLASS_OP])

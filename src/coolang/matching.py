@@ -125,7 +125,7 @@ class _Matcher:
             cls = self.ctx.instance_class(receiver)
             if cls is None:
                 return False
-            return self.fn.class_scope in self.tables.classes[cls].order
+            return self.fn.class_scope in self.tables.class_order(cls)
         return False
 
     def _match_leaf(self, seg_ln: ExtendedLine, decl_ln: ExtendedLine, slot: int) -> bool:

@@ -146,9 +146,9 @@ def preexecute(
             continue
         if ln.ctype is CodeType.EXPR:
             run = tables.expression_run(a)
-            last = run[-1].address
+            # a splice rewrites only the run's own gap, so what follows stays
+            a = tables.code.next_after(run[-1].address)
             if all(l.bound is not None for l in run):
-                a = tables.code.next_after(last)
                 continue
             if visits is not None:
                 visits[run[0].address] = visits.get(run[0].address, 0) + 1
@@ -157,10 +157,6 @@ def preexecute(
             )
             if on_bound is not None:
                 on_bound(run[0].address, outcome)
-            if outcome.mapping:
-                a = outcome.segment.terminator
-            else:
-                a = tables.code.next_after(last)
             continue
         if ln.ctype is CodeType.DERIVE_FUNC:
             derive_reverse_body(tables, uni, ln, opts, observer)

@@ -14,7 +14,7 @@ search (may_finish), since the silo would refuse it anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .addresses import Address
@@ -51,7 +51,6 @@ class BindOutcome:
     weight: float
     rounds: int
     segment: Segment
-    mapping: dict[Address, Address] = field(default_factory=dict)
 
 
 class Declarations:
@@ -99,7 +98,7 @@ class Declarations:
                 return []
             groups = self._groups[cls]
             if op in groups:  # members whose pattern root is the dotted call itself
-                order = self.tables.classes[cls].order
+                order = self.tables.class_order(cls)
                 found = groups.get(fname, []) + groups[op]
                 return sorted(found, key=lambda fn: (order.index(fn.class_scope), fn.func_op))
             return groups.get(fname, [])
@@ -399,5 +398,5 @@ def bind_expression(
     outcome = search_segment(
         tables, seg0, ctx, run[0].address, options=options, observer=observer
     )
-    outcome.mapping = outcome.segment.splice(tables)
+    outcome.segment.splice(tables, [el.address for el in run])
     return outcome

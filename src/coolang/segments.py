@@ -1,9 +1,11 @@
 """Working copies of longest expressions during pre-execution.
 
-A segment holds working copies of one expression's lines, keyed by address.
-Binding work happens on segments; a finished segment is spliced back into
-the code table, either in place or through fresh addresses allocated
-between its neighbors.
+A segment holds working copies of one expression's lines, keyed by address,
+and nothing about where they came from. Binding work happens on segments.
+The caller writes a finished segment back over the run it was made from:
+in place when it kept the run's address set, otherwise through
+CodeTable.insert_run, which gives its lines fresh addresses in the gap the
+run leaves, as it does for the bodies that derivation assembles.
 
 Search candidates are copy-on-write: a copy shares every line with its
 parent and copies a line only when it first mutates it, through own().
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .addresses import Address, run_between
+from .addresses import Address
 from .code import (
     BUILTIN,
     SLOT_LEFT,
@@ -83,9 +85,6 @@ class Segment:
         "lines",
         "versions",
         "root",
-        "original",
-        "prev_addr",
-        "terminator",
         "_staging_seq",
         "_owned",
         "_touched",
@@ -95,16 +94,10 @@ class Segment:
         self,
         lines: dict[Address, ExtendedLine],
         root: Address,
-        original: list[Address],
-        prev_addr: Optional[Address],
-        terminator: Optional[Address],
         staging_seq: int = 0,
     ):
         self.lines = lines
         self.root = root
-        self.original = original
-        self.prev_addr = prev_addr
-        self.terminator = terminator
         self._staging_seq = staging_seq
         # lines this segment may mutate; the rest are shared with its parent
         self._owned = set(lines)
@@ -122,17 +115,8 @@ class Segment:
 
     @classmethod
     def from_run(cls, tables: Tables, run: list[ExtendedLine]) -> "Segment":
-        lines = {el.address: el.copy() for el in run}
-        first, last = run[0].address, run[-1].address
-        prev_addr = tables.code.prev_before(first)
-        terminator = tables.code.next_after(last)
-        seg = cls(
-            lines=lines,
-            root=last,
-            original=[el.address for el in run],
-            prev_addr=prev_addr,
-            terminator=terminator,
-        )
+        """Working copies of a run of the table, its builtins prebound."""
+        seg = cls({el.address: el.copy() for el in run}, run[-1].address)
         seg.prebind_builtins()
         return seg
 
@@ -146,9 +130,6 @@ class Segment:
         cp.lines = dict(self.lines)
         cp.versions = dict(self.versions)
         cp.root = self.root
-        cp.original = self.original
-        cp.prev_addr = self.prev_addr
-        cp.terminator = self.terminator
         cp._staging_seq = self._staging_seq
         cp._owned = set()
         cp._touched = set()
@@ -540,12 +521,12 @@ class Segment:
 
     # --- write-back ---
 
-    def splice(self, tables: Tables) -> dict[Address, Address]:
-        """Write the segment back into the code table.
+    def splice(self, tables: Tables, original: list[Address]) -> dict[Address, Address]:
+        """Write the segment back over the run at the original addresses.
 
-        Same address set: flags copy in place. Otherwise the old lines are
-        removed, fresh addresses are allocated inside the original gap, and
-        outside references to removed lines are repointed at the new root.
+        Same address set: flags copy in place. Otherwise the run is
+        removed, the lines go into the gap it leaves, and outside
+        references to removed lines are repointed at the new root.
         Returns the old-to-new address mapping for relocated lines.
         """
         order = self.order()
@@ -553,7 +534,7 @@ class Segment:
         for a in order:
             if a not in self._owned:
                 self.lines[a] = self.lines[a].copy()
-        if set(order) == set(self.original):
+        if set(order) == set(original):
             for a in order:
                 old = tables.code[a]
                 staged = self.lines[a]
@@ -563,27 +544,21 @@ class Segment:
                 tables.code.insert(staged)
             return {}
 
-        template = tables.code[self.original[0]]
-        scope, exec_flag = template.scope, template.exec_flag
-        for a in self.original:
+        template = tables.code[original[0]]
+        lo = tables.code.prev_before(original[0])
+        hi = tables.code.next_after(original[-1])
+        for a in original:
             tables.code.remove(a)
-        new_addrs = run_between(self.prev_addr, self.terminator, len(order))
+        run = [self.lines[a] for a in order]
+        for ln in run:
+            ln.scope = template.scope
+            ln.exec_flag = template.exec_flag
+        new_addrs = tables.code.insert_run(run, lo, hi)
         mapping = dict(zip(order, new_addrs))
-
-        for a in order:
-            ln = self.lines[a]
-            ln.address = mapping[a]
-            ln.scope = scope
-            ln.exec_flag = exec_flag
-            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-                o = ln.slot(s)
-                if o.kind is OperandKind.ADDRESS and o.addr in mapping:
-                    ln.set_slot(s, Operand.address(mapping[o.addr]))
-            tables.code.insert(ln)
 
         # outside lines that referenced the old expression now take the new root
         new_root = mapping[self.root]
-        stale = set(self.original)
+        stale = set(original)
         fresh = set(new_addrs)
         for el in tables.code.lines():
             if el.address in fresh:
@@ -593,4 +568,3 @@ class Segment:
                 if o.kind is OperandKind.ADDRESS and o.addr in stale:
                     el.set_slot(s, Operand.address(mapping.get(o.addr, new_root)))
         return mapping
-

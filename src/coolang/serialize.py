@@ -240,8 +240,7 @@ _SECTIONS = (
 
 def serialize(tables: Tables) -> str:
     out = [_MAGIC + (" preexec" if tables.preexecuted else "")]
-    for a in sorted(tables.code.addresses()):
-        out.append(_enc_line(tables.code[a]))
+    out.extend(_enc_line(ln) for ln in tables.code.lines())
     out.append(_SEP)
     for start in sorted(tables.scopes):
         info = tables.scopes[start]

@@ -5,7 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coolang.addresses import Address, allocate_between, run_between
-from coolang.code import CodeTable, CodeType, ExecFlag, ExtendedLine, Operand
+from coolang.code import (
+    SLOT_LEFT,
+    SLOT_RESULT,
+    SLOT_RIGHT,
+    CodeTable,
+    CodeType,
+    ExecFlag,
+    ExtendedLine,
+    Operand,
+    OperandKind,
+)
 
 
 def test_parse_and_str_roundtrip():
@@ -167,3 +177,45 @@ def test_code_table_between_matches_a_full_scan(gaps, pick_lo, pick_hi):
         if _padded_lt(lo.digits, ln.address.digits) and _padded_lt(ln.address.digits, hi.digits)
     ]
     assert [ln.address for ln in table.between(lo, hi)] == scanned
+
+
+def _refs(ln: ExtendedLine) -> list:
+    return [
+        o.addr if o.kind is OperandKind.ADDRESS else None
+        for o in (ln.slot(s) for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT))
+    ]
+
+
+@given(st.data())
+def test_insert_run_moves_a_run_into_a_gap_with_its_own_references(data):
+    outside = [Address(d) for d in ((1,), (2,), (2, 1), (2, 1, 1), (3,), (5,))]
+    n = data.draw(st.integers(1, 30))
+    # distinct old addresses, as a segment's staged lines have
+    old = [Address((10**9 + k,)) for k in range(n)]
+    targets = st.none() | st.sampled_from(old + outside)
+
+    def pointing(a: Address) -> ExtendedLine:
+        ln = _line(a)
+        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+            t = data.draw(targets)
+            if t is not None:
+                ln.set_slot(s, Operand.address(t))
+        return ln
+
+    table = CodeTable(pointing(a) for a in outside)
+    run = [pointing(a) for a in old]
+    i = data.draw(st.integers(0, len(outside) - 2))
+    lo, hi = outside[i], outside[i + 1]
+    run_refs = [_refs(ln) for ln in run]
+    outside_refs = {ln.address: _refs(ln) for ln in table.lines()}
+
+    new = table.insert_run(run, lo, hi)
+
+    assert len(new) == n
+    assert all(x < y for x, y in zip([lo, *new], [*new, hi]))
+    assert [ln.address for ln in run] == new
+    moved = dict(zip(old, new))
+    for ln, refs in zip(run, run_refs):
+        assert _refs(ln) == [moved.get(r, r) for r in refs]
+    assert {a: _refs(table[a]) for a in outside} == outside_refs
+    assert table.between(lo, hi) == run

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from coolang.addresses import Address
@@ -237,3 +239,21 @@ def test_expression_run_boundaries():
     eq = [el for el in t.code.lines() if el.op.text == "=="][0]
     run = t.expression_run(eq.address)
     assert [el.op.text for el in run] == ["+", "=="]
+
+
+def test_a_long_inheritance_chain_loads_in_linear_memory():
+    # C2399 << ... << C0: a class keeps its parents, not its whole order,
+    # so the tables grow linearly with the chain
+    parts = ["system: C0 {\n  new: v = 7;\n  @get(){ return: v; }\n}\n"]
+    for k in range(1, 2400):
+        parts.append(f"system: C{k} << C{k - 1} {{\n  new: w{k} = {k};\n}}\n")
+    parts.append("C2399: m;\nm.v --> 0;\nm.get() --> 0;\n")
+    src = "".join(parts)
+    tracemalloc.start()
+    try:
+        tables = build(src)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tables.classes) == 2400
+    assert kept < 20 * 2**20

@@ -201,7 +201,7 @@ def test_mro_lists_own_class_then_parents_in_order():
     t = build(corpus.CLASS_SOLVER)
     scopes = {info.name: scope for scope, info in t.classes.items()}
     mro = class_mro(t, scopes["MainProcess"])
-    assert list(t.classes[scopes["MainProcess"]].order) == mro == [
+    assert list(t.class_order(scopes["MainProcess"])) == mro == [
         scopes["MainProcess"],
         scopes["OperationLaw"],
         scopes["QuadraticEquation"],

@@ -3,6 +3,7 @@ from coolang import build
 from coolang.code import CodeType, ScopeKind
 from coolang.preexec import preexecute
 from coolang.records import Record
+from coolang.segments import Segment
 
 
 def in_decl_scope(t, ln):
@@ -22,6 +23,31 @@ def test_every_statement_is_visited_at_most_once():
         preexecute(t, visits=visits)
         over = {a: n for a, n in visits.items() if n > 1}
         assert not over, f"{name}: revisited {over}"
+
+
+def test_a_relocated_statement_and_the_one_after_it_each_bind_once(monkeypatch):
+    # the sin rewrite gives `r = sin(pi/2 - 0.5)` lines of a new shape, so
+    # its splice relocates them; the walk then goes on at `r --> 0`
+    relocated = []
+    splice = Segment.splice
+
+    def recording(seg, tables, original):
+        mapping = splice(seg, tables, original)
+        if mapping:
+            relocated.append(original[0])
+        return mapping
+
+    monkeypatch.setattr(Segment, "splice", recording)
+    t = build(corpus.SIN_APPROX_EXP)
+    assign = next(ln for ln in t.code.lines() if ln.op.text == "=" and ln.result.text == "r")
+    show = next(ln for ln in t.code.lines() if ln.op.text == "-->")
+    first = t.expression_run(assign.address)[0].address
+    visits = {}
+    preexecute(t, visits=visits)
+    assert relocated == [first]
+    assert visits[first] == visits[show.address] == 1
+    assert all(n == 1 for n in visits.values())
+    assert t.code[show.address].bound is not None
 
 
 def test_every_live_expression_ends_up_bound():

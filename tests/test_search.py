@@ -208,7 +208,7 @@ def test_accessible_declarations_keep_source_order_per_scope():
 def reference_members(tables, class_scope):
     """Member functions, own before inherited, source order within a class."""
     mro = class_mro(tables, class_scope)
-    assert list(tables.classes[class_scope].order) == mro
+    assert list(tables.class_order(class_scope)) == mro
     out = []
     for s in mro:
         fns = [f for f in tables.functions.values() if f.class_scope == s]
@@ -402,7 +402,7 @@ def check_entry(tables, ctx, seg):
         for c in seg.children(a):
             parents[c] = a
     # a segment that owns every line caches nothing
-    fresh = Segment(dict(seg.lines), seg.root, [], None, None)
+    fresh = Segment(dict(seg.lines), seg.root)
     for a, v in seg.versions.items():
         assert v.parent == parents.get(a)
         if v.state is not None:
@@ -553,7 +553,7 @@ def test_a_duplicating_rewrite_under_a_result_slot_expands_its_ring():
     plus = line(1, "+", ident("q"), num(5.0))
     mul = line(2, "*", num(2.0), ref(1))
     assign = line(3, "=", ident("ans"), Operand.empty(), result=ref(2))
-    seg = Segment({ln.address: ln for ln in (plus, mul, assign)}, assign.address, [], None, None)
+    seg = Segment({ln.address: ln for ln in (plus, mul, assign)}, assign.address)
     fn = [f for f in t.functions.values() if f.is_exp][0]
     m = match_branch(seg, mul.address, fn, PreexecUniverse(t).context_for(None))
     assert search.apply_exp_rewrite(seg, m, t) is not None

@@ -54,13 +54,7 @@ def ident(name):
 
 
 def segment(lines, root):
-    return Segment(
-        lines={ln.address: ln for ln in lines},
-        root=Address((root,)),
-        original=[ln.address for ln in lines],
-        prev_addr=None,
-        terminator=None,
-    )
+    return Segment(lines={ln.address: ln for ln in lines}, root=Address((root,)))
 
 
 def segment_for(src, op_text):
@@ -371,7 +365,7 @@ def test_splice_in_place_keeps_addresses():
     for ln in seg.lines.values():
         ln.bound = BUILTIN
     before = t.code.addresses()
-    mapping = seg.splice(t)
+    mapping = seg.splice(t, sorted(seg.lines))
     assert mapping == {}
     assert t.code.addresses() == before
     eq = [el for el in t.code.lines() if el.op.text == "=="][0]
@@ -380,7 +374,8 @@ def test_splice_in_place_keeps_addresses():
 
 def test_splice_relocates_into_the_original_gap():
     t, seg = segment_for("new: y = 3; $x + 1 == y;", "==")
-    lo, hi = seg.prev_addr, seg.terminator
+    original = sorted(seg.lines)
+    lo, hi = t.code.prev_before(original[0]), t.code.next_after(original[-1])
     plus = [a for a in seg.lines if seg[a].op.text == "+"][0]
     extra_addr = seg.fresh_address()
     extra = seg[plus].copy()
@@ -388,7 +383,7 @@ def test_splice_relocates_into_the_original_gap():
     seg.lines[extra_addr] = extra
     eq = [a for a in seg.lines if seg[a].op.text == "=="][0]
     seg[eq].set_slot(2, Operand.address(extra_addr))
-    mapping = seg.splice(t)
+    mapping = seg.splice(t, original)
     assert set(mapping) == set(seg.lines)
     for new in mapping.values():
         assert lo < new < hi
@@ -411,7 +406,7 @@ def test_splice_repoints_outside_references_at_the_new_root():
     extra.address = extra_addr
     seg.lines[extra_addr] = extra
     before = len(t.code)
-    mapping = seg.splice(t)
+    mapping = seg.splice(t, [el.address for el in sub])
     assert len(t.code) == before + 1
     kept = t.code[assign.address]
     refs = [
