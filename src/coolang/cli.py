@@ -8,17 +8,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import (
-    CoolRuntimeError,
-    DerivationFailure,
-    FormatError,
-    InferenceFailure,
-    LoadError,
-    NotInvertible,
-    ParseError,
-    PrecompileError,
-    UndecodableInput,
-)
+from .errors import CoolError, UndecodableInput
 from .loader import load
 from .parser import parse
 from .precompile import precompile
@@ -26,9 +16,6 @@ from .preexec import preexecute
 from .runtime import Interpreter
 from .search import SearchOptions
 from .serialize import deserialize, serialize, write_file
-
-_COMPILE_ERRORS = (PrecompileError, ParseError, LoadError, FormatError)
-_INFERENCE_ERRORS = (InferenceFailure, NotInvertible, DerivationFailure)
 
 
 def _load_input(path: str):
@@ -96,6 +83,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="coolc", description="constraint and object oriented language toolchain"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SearchOptions()
     for name, help_ in (
         ("compile", "translate source into a code table file"),
         ("preexec", "bind expressions to declarations ahead of running"),
@@ -104,9 +92,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--silo-size", type=_count, default=64)
-        p.add_argument("--max-rounds", type=_count, default=16)
-        p.add_argument("--max-tree-nodes", type=_count, default=8)
+        p.add_argument("--silo-size", type=_count, default=defaults.silo_size)
+        p.add_argument("--max-rounds", type=_count, default=defaults.max_rounds)
+        p.add_argument("--max-tree-nodes", type=_count, default=defaults.max_tree_nodes)
         p.add_argument("--trace-silo", default=None, metavar="PATH")
 
     try:
@@ -134,15 +122,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"coolc: {exc}", file=sys.stderr)
         return 4
-    except _COMPILE_ERRORS as exc:
+    except CoolError as exc:
         print(f"coolc: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except _INFERENCE_ERRORS as exc:
-        print(f"coolc: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CoolRuntimeError as exc:
-        print(f"coolc: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     finally:
         if close_trace is not None:
             close_trace()

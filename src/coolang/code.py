@@ -366,6 +366,8 @@ class Tables:
     _class_orders: dict[Address, tuple[Address, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # exp rule func_op -> its search.rule_plan, made on first use
+    rule_plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def class_order(self, scope: Address) -> tuple[Address, ...]:
         """The class, then its ancestors: parents leftmost depth first, each once."""

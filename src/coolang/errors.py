@@ -1,7 +1,8 @@
 """Exception hierarchy for the toolchain.
 
-Every stage raises a subclass of CoolError so the CLI can map failures
-to exit codes without inspecting messages.
+Every stage raises a subclass of CoolError, and each stage's base class
+carries the CLI's exit code for its failures: 1 for the front end, the
+loader and `.ccode` reading, 2 for inference and derivation, 3 at run time.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 class CoolError(Exception):
     """Base class for all toolchain errors."""
 
+    exit_code: int
+
 
 # ---------------------------------------------------------------- frontend
 
 
 class PrecompileError(CoolError):
     """Source normalization failed."""
+
+    exit_code = 1
 
 
 class UnterminatedComment(PrecompileError):
@@ -33,6 +38,8 @@ class UndecodableInput(PrecompileError):
 class ParseError(CoolError):
     """Syntax error; carries a 1-based source position when known."""
 
+    exit_code = 1
+
     def __init__(self, message: str, pos: int | None = None):
         super().__init__(message if pos is None else f"{message} (at offset {pos})")
         self.pos = pos
@@ -43,6 +50,8 @@ class ParseError(CoolError):
 
 class LoadError(CoolError):
     """Table construction from parsed code failed."""
+
+    exit_code = 1
 
 
 class UnbalancedScopes(LoadError):
@@ -79,6 +88,8 @@ class InferenceFailure(CoolError):
     With an address, the message ends with where the search stopped.
     """
 
+    exit_code = 2
+
     def __init__(
         self, message: str, address=None, rounds: int = 0, silo=(), left: int = 0
     ):
@@ -101,6 +112,8 @@ def _plural(n: int, noun: str) -> str:
 class NotInvertible(CoolError):
     """A => declaration references a forward function that cannot be derived."""
 
+    exit_code = 2
+
 
 class MergeFailure(NotInvertible):
     """Dependency tree merge produced no substitution for some node."""
@@ -115,6 +128,8 @@ class DerivationFailure(NotInvertible):
 
 class CoolRuntimeError(CoolError):
     """Execution failed."""
+
+    exit_code = 3
 
 
 class UnresolvedIdentifier(CoolRuntimeError):
@@ -138,3 +153,5 @@ class StepBudgetExceeded(CoolRuntimeError):
 
 class FormatError(CoolError):
     """Compiled-code file is malformed."""
+
+    exit_code = 1

@@ -639,9 +639,12 @@ def derive_reverse_body(
     if members is None:
         raise DerivationFailure("the dependence cannot be resolved into one tree")
 
-    # dependent blocks left out of the tree must be dead weight
-    if any(_dep_inputs(dis, x) - members - {x.seq} for x in dis.blocks):
-        raise DerivationFailure("a dependent value is consumed outside the chosen tree")
+    # the body keeps no dependent block left out of the tree, which is sound
+    # while its effect dies with the body: a print or a call would be lost
+    for b in dis.blocks:
+        if b.dependent and b.seq not in members:
+            if any(ln.op.text == "-->" or ln.is_user_bound for ln in b.lines):
+                raise DerivationFailure("a dependent print or call lies outside the chosen tree")
 
     merged = merge_tree(dis, members)
     ctx: BindContext = uni.context_for(derive_line.scope)

@@ -15,7 +15,7 @@ search (may_finish), since the silo would refuse it anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .addresses import Address
 from .code import (
@@ -37,6 +37,8 @@ from .segments import Segment
 from .silo import Silo
 
 Observer = Callable[[int, float, Segment], None]
+
+_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
 
 
 @dataclass
@@ -130,69 +132,85 @@ def apply_value_match(segment: Segment, match: Match) -> None:
         ln.root = a == match.root
 
 
-# what fills a slot of a rule's instantiated line
-_SELF, _LINE, _FORMAL, _VALUE = range(4)
+class RulePlan(NamedTuple):
+    """What a rewrite rule's result is made of.
 
-RulePlan = tuple[list[tuple[ExtendedLine, tuple]], tuple, frozenset[str]]
+    lines are the body lines the result reaches, in body order, each with
+    its links, (slot, i) for a slot that names the i-th of these lines
+    (itself included), and the one of them that consumes it (None for the
+    top line). uses are the formal occurrences in these lines as (i, slot,
+    formal), in the order a walk from the result meets them: slots left,
+    right, result, depth first. result is the top line's index, or the
+    formal or the plain value the result stands for. reached holds the
+    formals the result reaches: a rewrite keeps their actuals and drops
+    the others.
+    """
+
+    lines: tuple[tuple[ExtendedLine, tuple[tuple[int, int], ...], Optional[int]], ...]
+    uses: tuple[tuple[int, int, str], ...]
+    result: int | str | Operand
+    reached: frozenset[str]
 
 
 def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
-    """A rewrite rule's instantiation plan.
+    """fn's rule plan, made on first use and kept in tables.rule_plans.
 
-    The body is the rule's expression lines up to the return, each with
-    what fills its slots: the line itself, the i-th body line before it, or
-    the actual bound to a formal. The return says which of these, or which
-    plain value, the rule's result stands for. Last come the formals the
-    result reaches through the body lines it keeps: a rewrite keeps their
-    actuals and drops the actuals of the other formals.
+    A plan is kept once the lines it copies are bound: preexecute binds a
+    rule's body before any statement after it and never binds a bound run
+    again. Until then (a rule applied inside its own body, or a table not
+    yet preexecuted) a binding may still rewrite the body, so the plan is
+    made afresh.
     """
+    plan = tables.rule_plans.get(fn.func_op)
+    if plan is not None:
+        return plan
     ret_line = tables.code[fn.returns[0]]
-    body = tables.scopes[fn.body_scope]
-    index: dict[Address, int] = {}
-    lines: list[tuple[ExtendedLine, tuple]] = []
-    for src in tables.code.between(body.start, ret_line.address):
-        if src.ctype is not CodeType.EXPR:
-            continue
-        fills = []
-        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
-            o = src.slot(s)
-            if o.kind is OperandKind.ADDRESS:
-                if o.addr == src.address:
-                    fills.append((s, _SELF, None))
-                elif o.addr in index:
-                    fills.append((s, _LINE, index[o.addr]))
-            elif o.kind is OperandKind.IDENT:
-                fills.append((s, _FORMAL, split_markers(o.text)[0]))
-        index[src.address] = len(lines)
-        lines.append((src, tuple(fills)))
+    body = {
+        ln.address: ln
+        for ln in tables.code.between(tables.scopes[fn.body_scope].start, ret_line.address)
+        if ln.ctype is CodeType.EXPR
+    }
     ro = ret_line.left
+    consumer: dict[Address, Optional[Address]] = {}
+    uses: list[tuple[Address, int, str]] = []
     if ro.kind is OperandKind.ADDRESS:
-        ret = (_LINE, index[ro.addr])
-    elif ro.kind is OperandKind.IDENT:
-        ret = (_FORMAL, split_markers(ro.text)[0])
+        # an expression is a tree, so each line the walk reaches has one
+        # consumer; a body bound by a rewrite may hold a line before the
+        # lines it reads
+        consumer[ro.addr] = None
+        stack = [(ro.addr, iter(_SLOTS))]
+        while stack:
+            a, slots = stack[-1]
+            for s in slots:
+                o = body[a].slot(s)
+                if o.kind is OperandKind.ADDRESS and o.addr in body and o.addr not in consumer:
+                    consumer[o.addr] = a
+                    stack.append((o.addr, iter(_SLOTS)))
+                    break
+                if o.kind is OperandKind.IDENT:
+                    uses.append((a, s, split_markers(o.text)[0]))
+            else:
+                stack.pop()
+    at = {a: i for i, a in enumerate(sorted(consumer))}
+    if ro.kind is OperandKind.ADDRESS:
+        result = at[ro.addr]
     else:
-        ret = (_VALUE, ro)
-    reached: set[str] = set()
-    if ret[0] is _FORMAL:
-        reached.add(ret[1])
-    elif ret[0] is _LINE:
-        # a body line reads only lines before it, so one backward pass
-        kept = {ret[1]}
-        for i in range(ret[1], -1, -1):
-            if i in kept:
-                for _, kind, arg in lines[i][1]:
-                    if kind is _LINE:
-                        kept.add(arg)
-                    elif kind is _FORMAL:
-                        reached.add(arg)
-    return lines, ret, frozenset(reached)
-
-
-def plan_for(tables: Tables, fn: FunctionInfo, plans: dict[Address, RulePlan]) -> RulePlan:
-    """fn's rule plan, made once per search and kept in plans."""
-    plan = plans.get(fn.func_op)
-    if plan is None:
-        plan = plans[fn.func_op] = rule_plan(tables, fn)
+        result = split_markers(ro.text)[0] if ro.kind is OperandKind.IDENT else ro
+    plan = RulePlan(
+        lines=tuple(
+            (
+                body[a],
+                tuple((s, at[t]) for s in _SLOTS if (t := body[a].slot(s).addr) in at),
+                None if consumer[a] is None else at[consumer[a]],
+            )
+            for a in at
+        ),
+        uses=tuple((at[a], s, f) for a, s, f in uses),
+        result=result,
+        reached=frozenset([result] if isinstance(result, str) else [f for *_, f in uses]),
+    )
+    if all(src.bound is not None for src, _, _ in plan.lines):
+        tables.rule_plans[fn.func_op] = plan
     return plan
 
 
@@ -244,63 +262,64 @@ def may_finish(
     return any(c not in gone and c not in kept for a in m.matched for c in seg.children(a))
 
 
-def apply_exp_rewrite(
-    segment: Segment,
-    match: Match,
-    tables: Tables,
-    plans: Optional[dict[Address, RulePlan]] = None,
-) -> Optional[list[Address]]:
+def apply_exp_rewrite(segment: Segment, match: Match, tables: Tables) -> Optional[list[Address]]:
     """Replace the matched branch with the rule's instantiated result.
 
-    Returns the staged addresses of the new lines, or None when the rewrite
-    cannot stand in for the branch (the whole statement reduced to a leaf).
-    plans keeps each rule's plan for the rest of a search.
+    Only the body lines the result reaches are made, each under the line
+    that consumes it. An actual hangs under its first use in the plan's
+    walk order, and each later use gets a copy of it. Returns the staged
+    addresses of the new lines, or None when the rewrite cannot stand in
+    for the branch (the whole statement reduced to a leaf).
     """
-    fn = match.fn
-    plan = rule_plan(tables, fn) if plans is None else plan_for(tables, fn, plans)
-    body, (ret_kind, ret_arg), _ = plan
+    plan = rule_plan(tables, match.fn)
     bindings = match.bindings
-
-    new_addrs: list[Address] = []
-    for src, fills in body:
-        staged = segment.fresh_address()
+    # the new lines take staging addresses in body order, the copies after them
+    new_addrs = [segment.fresh_address() for _ in plan.lines]
+    made: list[ExtendedLine] = []
+    for (src, links, consumer), staged in zip(plan.lines, new_addrs):
         cp = src.copy()
         cp.address = staged
         cp.bound = None
         cp.root = False
         cp.formal[SLOT_LEFT] = cp.formal[SLOT_RIGHT] = cp.formal[SLOT_RESULT] = False
-        for s, kind, arg in fills:
-            if kind is _SELF:
-                cp.set_slot(s, Operand.address(staged))
-            elif kind is _LINE:
-                cp.set_slot(s, Operand.address(new_addrs[arg]))
-            else:
-                bv = bindings.get(arg)
-                if bv is not None:
-                    cp.set_slot(s, bv.operand)
-                    pending = bv.pending and bv.operand.kind is OperandKind.IDENT
-                    cp.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
-        segment.add_line(cp)
-        new_addrs.append(staged)
+        for s, i in links:
+            cp.set_slot(s, Operand.address(new_addrs[i]))
+        segment.add_line(cp, None if consumer is None else new_addrs[consumer])
+        made.append(cp)
+    kept: set[Address] = set()
+    for i, s, formal in plan.uses:
+        bv = bindings.get(formal)
+        if bv is None:
+            continue
+        cp = made[i]
+        pending = bv.pending and bv.operand.kind is OperandKind.IDENT
+        cp.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
+        a = segment.child_addr(bv.operand)
+        if a in kept:
+            a = segment.copy_subtree(a)
+            cp.set_slot(s, Operand.address(a))
+        else:
+            cp.set_slot(s, bv.operand)
+            if a is None:
+                continue
+            kept.add(a)
+        segment.reparent(a, new_addrs[i])
 
     # what the rule's return stands for
-    root_pending = False
-    if ret_kind is _LINE:
-        root_operand = Operand.address(new_addrs[ret_arg])
-    elif ret_kind is _FORMAL:
-        bv = bindings.get(ret_arg)
+    pending = False
+    if isinstance(plan.result, int):
+        new = Operand.address(new_addrs[plan.result])
+    elif isinstance(plan.result, str):
+        bv = bindings.get(plan.result)
         if bv is None:
             return None
-        root_operand = bv.operand
-        root_pending = bv.pending and bv.operand.kind is OperandKind.IDENT
+        new = bv.operand
+        pending = bv.pending and new.kind is OperandKind.IDENT
     else:
-        root_operand = ret_arg
-
-    if match.root == segment.root and segment.child_addr(root_operand) is None:
+        new = plan.result
+    if match.root == segment.root and segment.child_addr(new) is None:
         return None  # a bare value cannot replace the statement
-    segment.replace_branch(
-        match.root, match.matched, new_addrs, root_operand, root_pending
-    )
+    segment.replace_branch(match.root, match.matched, new, pending, kept)
     return new_addrs
 
 
@@ -320,7 +339,6 @@ def search_segment(
     silo = Silo(opts.silo_size)
     silo.offer(0.0, seg0.digest(), seg0)
     groups: dict[str, list[FunctionInfo]] = {}
-    plans: dict[Address, RulePlan] = {}
 
     rnd = 0
     for rnd in range(1, opts.max_rounds + 1):
@@ -349,12 +367,12 @@ def search_segment(
                     if not nxt.admits(w2):
                         if above is None:
                             above = unbound_above(seg, walk)
-                        reached = plan_for(tables, fn, plans)[2] if fn.is_exp else None
+                        reached = rule_plan(tables, fn).reached if fn.is_exp else None
                         if not may_finish(seg, m, above[branch], len(branches), reached):
                             continue
                     cand = seg.copy()
                     if fn.is_exp:
-                        if apply_exp_rewrite(cand, m, tables, plans) is None:
+                        if apply_exp_rewrite(cand, m, tables) is None:
                             continue
                     else:
                         apply_value_match(cand, m)

@@ -157,7 +157,7 @@ class Segment:
             touched.add(addr)
             addr = v.parent
 
-    def _reparent(self, addr: Address, parent: Optional[Address]) -> None:
+    def reparent(self, addr: Address, parent: Optional[Address]) -> None:
         """Hang the subtree at addr under parent, with a version of its own."""
         self._restamp(parent)
         if addr in self._touched:
@@ -366,54 +366,17 @@ class Segment:
     def fully_bound(self) -> bool:
         return all(ln.bound is not None for ln in self.lines.values())
 
-    def _walk_rings(self, top: Address, inside: Optional[set] = None) -> set:
-        """Walk from top, children in slot order; a branch reached a second
-        time gets a copy, each branch hangs under the line that keeps it.
-
-        With inside, the walk enters only those lines. Returns what it
-        reached.
-        """
-        lines = self.lines
-        seen = {top}
-        stack = [[top, 0]]
-        while stack:
-            frame = stack[-1]
-            a, i = frame
-            if i == len(_CHILD_SLOTS):
-                stack.pop()
-                continue
-            frame[1] = i + 1
-            s = _CHILD_SLOTS[i]
-            o = lines[a].slot(s)
-            if o.kind is not OperandKind.ADDRESS or o.addr == a or o.addr not in lines:
-                continue
-            c = o.addr
-            if c in seen:
-                c = self.copy_subtree(c)
-                self.own(a).set_slot(s, Operand.address(c))
-            if self.versions[c].parent != a:
-                self._reparent(c, a)
-            seen.add(c)
-            if inside is None or c in inside:
-                stack.append([c, 0])
-        return seen
-
     def replace_branch(
         self,
         old: Address,
         matched: list[Address],
-        added: list[Address],
         new: Operand,
         pending: bool,
+        kept: set[Address],
     ) -> None:
-        """Put new where the branch rooted at old stood, drop the lines that
-        came loose and copy the branches the new lines reach twice.
-
-        matched are the lines the rule consumed (old among them), added the
-        rule's new lines. In a tree nothing else can come loose or be
-        reached twice, so the repair walks only these and the roots hanging
-        off the matched lines; it gives what dropping every unreachable line
-        and copying every branch reached twice give over the whole segment.
+        """Put new where the branch rooted at old stood, and drop the matched
+        lines (old among them) with the subtrees hanging off them, except
+        new itself and the actuals in kept that the rule's new lines hold.
         """
         parent = self.versions[old].parent
         if parent is None:
@@ -426,18 +389,15 @@ class Segment:
                     ln.set_slot(s, new)
                     if new.kind is OperandKind.IDENT:
                         ln.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
-
+        top = self.child_addr(new)
+        if top is not None:
+            self.reparent(top, parent)
         gone = set(matched)
-        hanging = [c for m in matched for c in self.children(m) if c not in gone]
-        fresh = set(added)
-        kept: set = set()
-        if new.kind is OperandKind.ADDRESS and new.addr in self.lines:
-            self._reparent(new.addr, parent)
-            kept = self._walk_rings(new.addr, fresh) if new.addr in fresh else {new.addr}
-        loose = matched + [a for a in added if a not in kept]
-        for h in hanging:
-            if h not in kept:
-                loose += self.subtree(h)
+        loose = list(matched)
+        for m in matched:
+            for c in self.children(m):
+                if c not in gone and c not in kept and c != top:
+                    loose += self.subtree(c)
         self._drop(loose)
 
     def copy_subtree(self, addr: Address) -> Address:

@@ -3,9 +3,10 @@
 Each is the plain, slow form of a fact the toolchain computes another
 way: the class order as a depth-first walk, the whole-segment cleanups
 and arithmetic that the search's incremental repair must agree with, a
-silo search that builds every move it matches, and a `.ccode` reader that
-decodes every cell of every code row afresh and inserts the rows one by
-one.
+rewrite that instantiates a rule's whole body and then runs those
+cleanups, a silo search that builds every move it matches, and a `.ccode`
+reader that decodes every cell of every code row afresh and inserts the
+rows one by one.
 """
 
 from __future__ import annotations
@@ -16,25 +17,29 @@ from coolang.addresses import Address
 from coolang.code import (
     BUILTIN,
     SLOT_LEFT,
+    SLOT_RESULT,
     SLOT_RIGHT,
+    CodeType,
     ExtendedLine,
     FunctionInfo,
+    Operand,
     OperandKind,
+    PendFlag,
     Tables,
     link_classes,
+    split_markers,
 )
 from coolang.errors import FormatError, InferenceFailure, LoadError
-from coolang.matching import BindContext, match_branch
+from coolang.matching import BindContext, Match, match_branch
+from coolang import search
 from coolang.search import (
     BindOutcome,
     Observer,
-    RulePlan,
     SearchOptions,
-    apply_exp_rewrite,
     apply_value_match,
     may_finish,
 )
-from coolang.segments import Segment
+from coolang.segments import _CHILD_SLOTS, Segment
 from coolang.serialize import (
     _CODE_TYPES,
     _EXEC_FLAGS,
@@ -83,8 +88,129 @@ def repair_detached(seg: Segment) -> list[Address]:
 
 
 def expand_rings(seg: Segment) -> None:
-    """Tree-ify shared branches: every extra reference gets its own copy."""
-    seg._walk_rings(seg.root)
+    """Tree-ify shared branches: a walk from the root, children in slot
+    order, gives a branch reached a second time a copy and hangs each
+    branch under the line that keeps it."""
+    lines = seg.lines
+    seen = {seg.root}
+    stack = [[seg.root, 0]]
+    while stack:
+        frame = stack[-1]
+        a, i = frame
+        if i == len(_CHILD_SLOTS):
+            stack.pop()
+            continue
+        frame[1] = i + 1
+        s = _CHILD_SLOTS[i]
+        o = lines[a].slot(s)
+        if o.kind is not OperandKind.ADDRESS or o.addr == a or o.addr not in lines:
+            continue
+        c = o.addr
+        if c in seen:
+            c = seg.copy_subtree(c)
+            seg.own(a).set_slot(s, Operand.address(c))
+        if seg.versions[c].parent != a:
+            seg.reparent(c, a)
+        seen.add(c)
+        stack.append([c, 0])
+
+
+def rule_plan(tables: Tables, fn: FunctionInfo) -> tuple[list, tuple, frozenset[str]]:
+    """Every expression line of a rule's body up to the return, each with
+    what fills its slots (the i-th body line, itself included, or a
+    formal's actual); what the result stands for; and the formals read by
+    the body lines the result reaches."""
+    ret_line = tables.code[fn.returns[0]]
+    body = tables.scopes[fn.body_scope]
+    srcs = [
+        ln for ln in tables.code.between(body.start, ret_line.address) if ln.ctype is CodeType.EXPR
+    ]
+    index = {src.address: i for i, src in enumerate(srcs)}
+    lines: list[tuple[ExtendedLine, tuple]] = []
+    for src in srcs:
+        fills = []
+        for s in _CHILD_SLOTS:
+            o = src.slot(s)
+            if o.kind is OperandKind.ADDRESS and o.addr in index:
+                fills.append((s, "line", index[o.addr]))
+            elif o.kind is OperandKind.IDENT:
+                fills.append((s, "formal", split_markers(o.text)[0]))
+        lines.append((src, tuple(fills)))
+    ro = ret_line.left
+    if ro.kind is OperandKind.ADDRESS:
+        ret = ("line", index[ro.addr])
+    elif ro.kind is OperandKind.IDENT:
+        ret = ("formal", split_markers(ro.text)[0])
+    else:
+        ret = ("value", ro)
+    reached: set[str] = set()
+    if ret[0] == "formal":
+        reached.add(ret[1])
+    elif ret[0] == "line":
+        kept = {ret[1]}
+        todo = [ret[1]]
+        while todo:
+            for _, kind, arg in lines[todo.pop()][1]:
+                if kind == "line" and arg not in kept:
+                    kept.add(arg)
+                    todo.append(arg)
+                elif kind == "formal":
+                    reached.add(arg)
+    return lines, ret, frozenset(reached)
+
+
+def apply_exp_rewrite(segment: Segment, match: Match, tables: Tables) -> Optional[list[Address]]:
+    """The rewrite that instantiates every body line, repoints the branch's
+    parent at the result, then drops whatever the root no longer reaches
+    and copies what it reaches twice, over the whole segment."""
+    body, (ret_kind, ret_arg), _ = rule_plan(tables, match.fn)
+    bindings = match.bindings
+    new_addrs = [segment.fresh_address() for _ in body]
+    for (src, fills), staged in zip(body, new_addrs):
+        cp = src.copy()
+        cp.address = staged
+        cp.bound = None
+        cp.root = False
+        cp.formal[SLOT_LEFT] = cp.formal[SLOT_RIGHT] = cp.formal[SLOT_RESULT] = False
+        for s, kind, arg in fills:
+            if kind == "line":
+                cp.set_slot(s, Operand.address(new_addrs[arg]))
+            else:
+                bv = bindings.get(arg)
+                if bv is not None:
+                    cp.set_slot(s, bv.operand)
+                    pending = bv.pending and bv.operand.kind is OperandKind.IDENT
+                    cp.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
+        segment.add_line(cp)
+
+    pending = False
+    if ret_kind == "line":
+        new = Operand.address(new_addrs[ret_arg])
+    elif ret_kind == "formal":
+        bv = bindings.get(ret_arg)
+        if bv is None:
+            return None
+        new = bv.operand
+        pending = bv.pending and new.kind is OperandKind.IDENT
+    else:
+        new = ret_arg
+    if match.root == segment.root and segment.child_addr(new) is None:
+        return None
+
+    parent = segment.versions[match.root].parent
+    if parent is None:
+        segment.root = new.addr
+    else:
+        ln = segment.own(parent)
+        for s in _CHILD_SLOTS:
+            o = ln.slot(s)
+            if o.kind is OperandKind.ADDRESS and o.addr == match.root:
+                ln.set_slot(s, new)
+                if new.kind is OperandKind.IDENT:
+                    ln.pending[s] = PendFlag.TRUE if pending else PendFlag.FALSE
+    repair_detached(segment)
+    expand_rings(segment)
+    return new_addrs
 
 
 def evaluate(
@@ -164,7 +290,6 @@ def search_segment(
     silo = Silo(opts.silo_size)
     silo.offer(0.0, seg0.digest(), seg0)
     groups: dict[str, list[FunctionInfo]] = {}
-    plans: dict[Address, RulePlan] = {}
 
     rnd = 0
     for rnd in range(1, opts.max_rounds + 1):
@@ -187,7 +312,7 @@ def search_segment(
                         continue
                     cand = seg.copy()
                     if fn.is_exp:
-                        if apply_exp_rewrite(cand, m, tables, plans) is None:
+                        if search.apply_exp_rewrite(cand, m, tables) is None:
                             continue
                     else:
                         apply_value_match(cand, m)
@@ -197,7 +322,7 @@ def search_segment(
                     if observer is not None:
                         observer(rnd, w2, cand)
                     if cand.fully_bound():
-                        reached = plans[key][2] if fn.is_exp else None
+                        reached = search.rule_plan(tables, fn).reached if fn.is_exp else None
                         above = _unbound_above(seg, branch)
                         assert may_finish(seg, m, above, len(branches), reached)
                         return BindOutcome(weight=w2, rounds=rnd, segment=cand)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 import corpus
-from coolang import cli
+from coolang import cli, errors
 from coolang.cli import main
 from coolang.runtime import Interpreter
 
@@ -52,6 +52,25 @@ def test_exit_codes_separate_the_failure_stages(tmp_path, capsys):
     assert main(["run", unbound]) == 2
     crash = write(tmp_path, "crash.cool", "new: a = 1 / 0;\n")
     assert main(["run", crash]) == 3
+
+
+def test_every_error_class_carries_its_stage_exit_code():
+    stages = {
+        errors.PrecompileError: 1,
+        errors.ParseError: 1,
+        errors.LoadError: 1,
+        errors.FormatError: 1,
+        errors.InferenceFailure: 2,
+        errors.NotInvertible: 2,
+        errors.CoolRuntimeError: 3,
+    }
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.CoolError) and c is not errors.CoolError
+    ]
+    for c in classes:
+        stage = next(b for b in c.__mro__ if b in stages)
+        assert c.exit_code == stages[stage], c
 
 
 def test_silo_trace_lists_every_admitted_candidate(tmp_path, capsys):

@@ -289,16 +289,35 @@ new: q = 0;
         preexecute(build(src))
 
 
-def test_a_dependent_local_the_return_never_reads_fails_derivation():
-    src = """
-@p(x, y){
-    new: s = x + 1;
-    return: x + y;
-} => @p($x, y);
-new: q = 0;
+_DEAD_BLOCK_HEAD = """
+@(10){ $a + b }{ a = ans - b; }
+@(10){ $a == b; }{ a = b; }
+@f(x){ return: x * 2; }
 """
-    with pytest.raises(DerivationFailure, match="consumed outside"):
-        preexecute(build(src))
+
+
+def test_a_dependent_local_the_return_never_reads_is_dropped():
+    # a pure dependent block outside the return's closure dies with the body
+    for dead in ("new: s = x + 1;", "new: s = x + 1; s = s * 2;", "x + 1;"):
+        src = _DEAD_BLOCK_HEAD + f"""
+@p(x, y){{ {dead} return: x + y; }} => @p($x, y);
+new: x = 0;
+p($x, 4) == 10;
+x --> 0;
+"""
+        assert corpus.outputs(src) == ["6.0"], dead
+
+
+def test_a_dependent_print_or_call_outside_the_closure_fails_derivation():
+    # the derived body would silently lose what the forward body does
+    for effect in ("x --> 0;", "f(x);", "new: s = x + 1; s --> 0;"):
+        src = _DEAD_BLOCK_HEAD + f"""
+@p(x, y){{ {effect} return: x + y; }} => @p($x, y);
+new: x = 0;
+p($x, 4) == 10;
+"""
+        with pytest.raises(DerivationFailure, match="print or call lies outside"):
+            preexecute(build(src))
 
 
 def test_a_commuted_return_derives_through_the_rewrite_of_its_chain():

@@ -387,6 +387,25 @@ def test_unrelated_declarations_cost_a_statement_no_matches():
     assert matches_to_bind_a_quadratic(2) == matches_to_bind_a_quadratic(40)
 
 
+def test_a_statement_needs_a_round_per_user_call():
+    # each round adds one user binding or rewrite to a candidate, while the
+    # builtin sums prebind for free
+    def calls(n):
+        terms = " + ".join(f"f({k})" for k in range(1, n + 1))
+        return build(f"@f(x){{ return: x + 1; }}\nnew: y = {terms};\ny --> 0;\n")
+
+    rounds = []
+    t = calls(16)
+    preexecute(t, on_bound=lambda addr, o: rounds.append(o.rounds))
+    assert max(rounds) == SearchOptions().max_rounds == 16
+    assert run_program(t).output == ["152.0"]
+    with pytest.raises(InferenceFailure, match=r"^round limit reached .*16 rounds"):
+        preexecute(calls(17))
+    t = calls(17)
+    preexecute(t, options=SearchOptions(max_rounds=17))
+    assert run_program(t).output == ["170.0"]
+
+
 _CHAIN_RULES = """\
 exp: @(-1){ #a + #b }{ return: b + a; }
 @(10){ $a + b }{ a = ans - b; }
@@ -452,8 +471,8 @@ def preexecute_checked(t, options=None):
 
         return search_segment
 
-    def apply_exp_rewrite(segment, match, tables, *plans):
-        added = real_rewrite(segment, match, tables, *plans)
+    def apply_exp_rewrite(segment, match, tables):
+        added = real_rewrite(segment, match, tables)
         if added is not None:
             probe = segment.copy()
             size = len(probe.lines)
@@ -569,8 +588,8 @@ def test_no_rewrite_in_chained_derivation_keeps_its_matched_root():
     real_rewrite = search.apply_exp_rewrite
     kept = []
 
-    def apply_exp_rewrite(segment, match, tables, *plans):
-        added = real_rewrite(segment, match, tables, *plans)
+    def apply_exp_rewrite(segment, match, tables):
+        added = real_rewrite(segment, match, tables)
         if added is not None:
             kept.append(match.root in segment.lines)
         return added
@@ -578,6 +597,102 @@ def test_no_rewrite_in_chained_derivation_keeps_its_matched_root():
     with mock.patch.object(search, "apply_exp_rewrite", apply_exp_rewrite):
         preexecute(build(corpus.CHAINED_DERIVATION))
     assert kept and not any(kept)
+
+
+# --- a rewrite built from its rule's plan ------------------------------------
+
+# rules that commute, duplicate, drop or pass on an operand, stand for a
+# constant, keep a body line their result never reaches, or reach three
+# operands, one of them twice
+_PLAN_RULES = (
+    "exp: @(-1){ #a + #b }{ return: b + a; }",
+    "exp: @(-1){ #a * #b }{ return: b * a; }",
+    "exp: @(-1){ 2 * #a }{ return: a + a; }",
+    "exp: @(-2){ 0 * #a }{ return: 0; }",
+    "exp: @(-1){ #a + 0 }{ return: a; }",
+    "exp: @(-1){ #a - #b }{ b * 7; return: a + (0 - b); }",
+    "exp: @(-1){ #a * (#b + #c) }{ return: a * b + a * c; }",
+)
+
+
+@st.composite
+def rewritable_statements(draw):
+    def term(depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(["0", "2", "3", "q", "$y"]))
+        op = draw(st.sampled_from(["+", "-", "*"]))
+        return f"({term(depth - 1)} {op} {term(depth - 1)})"
+
+    form = draw(st.sampled_from(["{} == 9;", "r = {};", "{};"]))
+    return form.format(term(draw(st.integers(1, 4))))
+
+
+def assert_parents_are_the_tree(seg):
+    parents = {c: a for a in seg.lines for c in seg.children(a)}
+    assert {a: v.parent for a, v in seg.versions.items()} == {
+        a: parents.get(a) for a in seg.lines
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(stmt=rewritable_statements(), rng=st.randoms(use_true_random=False))
+def test_a_rewrite_from_the_rule_plan_matches_instantiate_then_repair(stmt, rng):
+    # each step applies a random rule that matches at a random branch, to
+    # the plan's rewrite and to the reference, which makes every body line
+    # and then repairs the whole segment
+    t = build("\n".join(_PLAN_RULES) + f"\nnew: q = 4;\nnew: r = 0;\nnew: y = 0;\n{stmt}\n")
+    top = [ln for ln in t.code.lines() if ln.ctype is CodeType.EXPR and ln.scope is None][-1]
+    seg = Segment.from_run(t, t.expression_run(top.address))
+    ctx = PreexecUniverse(t).context_for(None)
+    rules = [fn for fn in t.functions.values() if fn.is_exp]
+    for fn in rules:
+        assert search.rule_plan(t, fn).reached == reference.rule_plan(t, fn)[2]
+    for _ in range(6):
+        moves = [(a, fn) for a in seg.subtree(seg.root) for fn in rules]
+        rng.shuffle(moves)
+        for a, fn in moves:
+            m = match_branch(seg, a, fn, ctx)
+            if m is None:
+                continue
+            before = seg.digest()
+            mine, ref = seg.copy(), seg.copy()
+            got = search.apply_exp_rewrite(mine, m, t)
+            want = reference.apply_exp_rewrite(ref, m, t)
+            assert seg.digest() == before
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert mine.digest() == ref.digest()
+                assert_parents_are_the_tree(mine)
+                seg = mine
+                break
+
+
+def test_a_rule_plan_is_made_once_per_table():
+    made = []
+    real_plan = search.rule_plan
+
+    def rule_plan(tables, fn):
+        if fn.func_op not in tables.rule_plans:
+            made.append(fn.func_op)
+        return real_plan(tables, fn)
+
+    with mock.patch.object(search, "rule_plan", rule_plan):
+        for src in (_CHAIN_RULES + "new: y = 0;\n$y + 3 + 4 + 5 == 40;\n", corpus.SIN_APPROX_EXP):
+            t = build(src)
+            preexecute(t)
+            assert made and len(made) == len(set(made))
+            made.clear()
+
+
+def test_a_rule_body_that_a_rewrite_relocated_is_instantiated_whole():
+    # binding the body `sin(pi/2 - a) * 2` rewrites its sin call, so the
+    # product now precedes the cos line it reads: the plan must take that
+    # line too, or the rewrite reads the rule's own body line
+    src = corpus.SIN_APPROX_EXP.replace("new: r = sin(pi/2 - 0.5);\nr --> 0;\n", "") + (
+        "exp: @(-1){ twice(#a) }{ return: sin(pi/2 - a) * 2; }\n"
+        "new: r = twice(0.5);\nr --> 0;\n"
+    )
+    assert corpus.outputs(src) == ["1.75"]
 
 
 # --- a move too light for the silo is built only if it might finish --------

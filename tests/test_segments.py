@@ -1,5 +1,6 @@
 import functools
 import random
+from unittest import mock
 
 import corpus
 import pytest
@@ -7,7 +8,7 @@ from reference import evaluate, expand_rings, reference_counts, repair_detached
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coolang import build, preexecute
+from coolang import build, preexecute, run_program
 from coolang.addresses import Address
 from coolang.code import (
     BUILTIN,
@@ -418,6 +419,50 @@ def test_splice_repoints_outside_references_at_the_new_root():
     for o in refs:
         assert o.addr == mapping[eq.address]
         assert o.addr in t.code
+
+
+def test_relocating_splices_repoint_jumps_and_returns_in_a_real_preexecute():
+    # the sin rewrite changes each statement's line set, so each splice
+    # relocates it: a loop condition (both jumps read it), a statement an
+    # `if` jumps to, and a function's return value
+    src = corpus.SIN_APPROX_EXP.replace("new: r = sin(pi/2 - 0.5);\nr --> 0;\n", "") + """
+new: i = 0;
+while (sin(pi/2 - i) > 0.5) { i = i + 0.25; }
+i --> 0;
+new: r = 0;
+if (i > 0) { r = 1; }
+r = sin(pi/2 - 0.5);
+r --> 0;
+@g(x){ return: sin(pi/2 - x); }
+new: s = g(0.5);
+s --> 0;
+"""
+    t = build(src)
+    real_splice = Segment.splice
+    relocated = []
+
+    def splice(seg, tables, original):
+        if set(seg.lines) != set(original):
+            stale = set(original)
+            relocated.append(
+                sum(
+                    ln.slot(s).addr in stale
+                    for ln in tables.code.lines()
+                    if ln.ctype in (CodeType.JUMP, CodeType.RETURN)
+                    for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
+                )
+            )
+        return real_splice(seg, tables, original)
+
+    with mock.patch.object(Segment, "splice", splice):
+        preexecute(t)
+    assert relocated == [2, 2, 1]
+    for ln in t.code.lines():
+        if ln.ctype in (CodeType.JUMP, CodeType.RETURN):
+            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+                o = ln.slot(s)
+                assert o.kind is not OperandKind.ADDRESS or o.addr in t.code
+    assert run_program(t).output == ["1.0", "0.875", "0.875"]
 
 
 def test_evaluate_builtins_against_python():
