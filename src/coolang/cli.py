@@ -15,7 +15,7 @@ from .precompile import precompile
 from .preexec import preexecute
 from .runtime import Interpreter
 from .search import SearchOptions
-from .serialize import deserialize, serialize, write_file
+from .serialize import _MAGIC, deserialize, serialize, write_file
 
 
 def _load_input(path: str):
@@ -26,7 +26,7 @@ def _load_input(path: str):
         raise UndecodableInput(
             f"{path}: not UTF-8 text (bad byte at offset {exc.start})"
         ) from None
-    if text.startswith("COOLCC 1"):
+    if text.startswith(_MAGIC):
         return deserialize(text)
     return load(parse(precompile(text)))
 

@@ -151,6 +151,10 @@ class CodeLine:
 # Slot indices into the quaternion flag arrays.
 SLOT_OP, SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT = range(4)
 
+# the slots that hold values, in walk order; a result slot is a parent link
+# too (`ans = <chain>`)
+VALUE_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
+
 BUILTIN = "builtin"
 
 
@@ -280,7 +284,7 @@ class CodeTable:
         moved = {ln.address: a for ln, a in zip(lines, new)}
         for ln, a in zip(lines, new):
             ln.address = a
-            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+            for s in VALUE_SLOTS:
                 o = ln.slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr in moved:
                     ln.set_slot(s, Operand.address(moved[o.addr]))

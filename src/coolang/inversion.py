@@ -18,6 +18,7 @@ from .code import (
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
+    VALUE_SLOTS,
     CodeType,
     ExecFlag,
     ExtendedLine,
@@ -447,7 +448,7 @@ class _Merger:
             copies.append(cp)
         todo = []
         for cp in copies:
-            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+            for s in VALUE_SLOTS:
                 o = cp.slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr in local:
                     cp.set_slot(s, Operand.address(local[o.addr]))
@@ -535,7 +536,7 @@ def assemble_body(
     used: set[str] = set()
     solved: set[str] = set()
     for ln in items:
-        for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+        for s in VALUE_SLOTS:
             o = ln.slot(s)
             if o.kind is OperandKind.IDENT:
                 bare = split_markers(o.text)[0]

@@ -12,9 +12,7 @@ from typing import Optional
 from .addresses import Address
 from .code import (
     OUT_MARK,
-    SLOT_LEFT,
-    SLOT_RESULT,
-    SLOT_RIGHT,
+    VALUE_SLOTS,
     CodeLine,
     CodeTable,
     CodeType,
@@ -36,8 +34,6 @@ from .errors import (
     LoadError,
     UnbalancedScopes,
 )
-
-_VALUE_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
 
 
 def load(lines: list[CodeLine]) -> Tables:
@@ -81,7 +77,7 @@ def load(lines: list[CodeLine]) -> Tables:
             right=ln.right,
             result=ln.result,
         )
-        for s in _VALUE_SLOTS:
+        for s in VALUE_SLOTS:
             o = el.slot(s)
             if o.kind is OperandKind.IDENT:
                 bare, pend, unrel, out = split_markers(o.text)
@@ -130,7 +126,7 @@ def _propagate_markers(ext: list[ExtendedLine]) -> None:
         pend: set[str] = set()
         unrel: set[str] = set()
         for el in run:
-            for s in _VALUE_SLOTS:
+            for s in VALUE_SLOTS:
                 o = el.slot(s)
                 if o.kind is OperandKind.IDENT and o.text:
                     bare = split_markers(o.text)[0]
@@ -143,7 +139,7 @@ def _propagate_markers(ext: list[ExtendedLine]) -> None:
         if not pend and not unrel:
             continue
         for el in run:
-            for s in _VALUE_SLOTS:
+            for s in VALUE_SLOTS:
                 o = el.slot(s)
                 if o.kind is OperandKind.IDENT and el.pending[s] is PendFlag.FALSE:
                     bare = split_markers(o.text)[0]
@@ -159,7 +155,7 @@ def _mark_formals(ext: list[ExtendedLine], rows: dict[Address, ScopeInfo]) -> No
             continue
         if el.ctype is not CodeType.EXPR:
             continue
-        for s in _VALUE_SLOTS:
+        for s in VALUE_SLOTS:
             o = el.slot(s)
             if o.kind is OperandKind.IDENT and not o.text.startswith(OUT_MARK):
                 el.formal[s] = True
@@ -217,7 +213,7 @@ def _build_functions(
         is_reverse = any(
             s
             for x in decl_lines
-            for s in _VALUE_SLOTS
+            for s in VALUE_SLOTS
             if x.pending[s] is PendFlag.TRUE
         )
         returns: list[Address] = []
@@ -287,7 +283,7 @@ def _decl_digest(tables: Tables, fn: FunctionInfo) -> tuple:
     shape = []
     for el in run:
         slots = []
-        for s in _VALUE_SLOTS:
+        for s in VALUE_SLOTS:
             o = el.slot(s)
             if o.kind is OperandKind.ADDRESS and o.addr in index:
                 slots.append(("ref", index[o.addr], el.pending[s].value))

@@ -33,42 +33,17 @@ class PreexecUniverse:
 
     def __init__(self, tables: Tables):
         self.tables = tables
-        self.global_record = Record(scope=None)
-        self._by_scope: dict[Address, Record] = {}
         self.declarations = Declarations(tables)
+        # a lexical parent starts before its children, so its record is made
+        # first; a derived body's scope, added later, lies behind the walk
+        self._by_scope: dict[Optional[Address], Record] = {None: Record(scope=None)}
+        for s in sorted(tables.scopes):
+            self._by_scope[s] = Record(scope=s, parent=self._by_scope[tables.scopes[s].parent])
+        for s, info in tables.classes.items():
+            self._by_scope[s].param_query_links.extend(self._by_scope[p] for p in info.parents)
 
     def record_for(self, scope: Optional[Address]) -> Record:
-        """The scope's record, made on first use with those it links to.
-
-        Depth first, as a recursion would go, without one: the lexical
-        parent's record comes first, then this one, then its class parents'
-        records, which it links once they all exist. A record is registered
-        as soon as it is made, so a link back to it finds it.
-        """
-        if scope is None:
-            return self.global_record
-        rec = self._by_scope.get(scope)
-        if rec is not None:
-            return rec
-        stack = [(scope, False)]
-        while stack:
-            s, link = stack.pop()
-            if link:
-                self._by_scope[s].param_query_links.extend(
-                    self._by_scope[p] for p in self.tables.classes[s].parents
-                )
-                continue
-            if s in self._by_scope:
-                continue
-            parent = self.tables.scopes[s].parent
-            if parent is not None and parent not in self._by_scope:
-                stack += [(s, False), (parent, False)]
-                continue
-            self._by_scope[s] = Record(scope=s, parent=self.record_for(parent))
-            info = self.tables.classes.get(s)
-            if info is not None:
-                stack.append((s, True))
-                stack.extend((p, False) for p in reversed(info.parents))
+        """The scope's record; None names the global record."""
         return self._by_scope[scope]
 
     def declare_from(self, line: ExtendedLine) -> None:

@@ -83,10 +83,11 @@ _CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
 _EMPTY_OPERAND = (_EMPTY,)
 
 class CallSite:
-    """A call-bound root line. Its alignment with the declaration is made on
-    the first call and split in two: constants that become locals of the
-    body, and formals (bare, actual operand, pending) that alias the caller's
-    storage, in the order the declaration tree pairs them with the operands.
+    """A call-bound root line. lower sets its alignment with the declaration
+    (_align), split in two: consts, the constants that become locals of the
+    body, and formals (bare, actual operand, pending) that alias the
+    caller's storage, in the order the declaration tree pairs them with the
+    operands.
     """
 
     __slots__ = ("line", "address", "fn", "start", "end", "receiver", "consts", "formals")
@@ -99,8 +100,6 @@ class CallSite:
         self.end = end
         receiver, dot, _ = line.op.text.rpartition(".")
         self.receiver = dotted_chain(receiver) if dot else None
-        self.consts: Optional[dict[str, object]] = None
-        self.formals: tuple[tuple[str, tuple, bool], ...] = ()
 
 
 class _Instantiation:
@@ -166,6 +165,7 @@ def lower(tables: Tables) -> Program:
             first, end = scope_range(fn.body_scope, "function body")
             body = bodies[ln.bound] = (first + 1, end)
         site = CallSite(ln, fn, *body)
+        site.consts, site.formals = _align(site, tables.code)
         sites.append(site)
         return site
 
@@ -666,10 +666,6 @@ class Interpreter:
 
     def _enter(self, record: Record, site: CallSite, ans) -> tuple[Record, list]:
         """The body record of one call, and its pending formals."""
-        consts = site.consts
-        if consts is None:
-            self._align(site)
-            consts = site.consts
         formals: dict[str, Path] = {}
         pending: list[tuple[str, Path]] = []
         for bare, actual, is_pending in site.formals:
@@ -694,47 +690,47 @@ class Interpreter:
 
         body = Record(scope=fn.body_scope, parent=parent)
         body.cross_ref = formals
-        if consts:
-            body.data.update(consts)
+        if site.consts:
+            body.data.update(site.consts)
         if ans is not None:
             body.data["ans"] = ans
         return body, pending
 
-    def _align(self, site: CallSite) -> None:
-        """Pair declaration formals with the call's operands, tree against tree,
-        depth first and left before right, on a stack: patterns nest deep."""
-        code = self.tables.code
-        consts: dict[str, object] = {}
-        formals: list[tuple[str, tuple, bool]] = []
-        seen: set[str] = set()
-        root = code[site.fn.decl_root]
-        stack = [(root, site.line, SLOT_RIGHT), (root, site.line, SLOT_LEFT)]
-        while stack:
-            decl_ln, seg_ln, s = stack.pop()
-            d = decl_ln.slot(s)
-            actual = seg_ln.slot(s)
-            if d.kind is OperandKind.ADDRESS:
-                child_d = code.get(d.addr)
-                child_s = code.get(actual.addr)
-                if child_d is None or child_s is None:
-                    raise FormatError(
-                        f"call at {site.address} does not follow its declaration's shape"
-                    )
-                stack += [(child_d, child_s, SLOT_RIGHT), (child_d, child_s, SLOT_LEFT)]
-                continue
-            if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
-                continue
-            bare = split_markers(d.text)[0]
-            if not bare or bare in seen:
-                continue
-            seen.add(bare)
-            o = _operand(actual, code)
-            if o[0] == _CONST:
-                # a constant actual becomes a local of the body, not a reference
-                consts[bare] = o[1]
-            else:
-                formals.append((bare, o, decl_ln.pending[s] is PendFlag.TRUE))
-        site.consts, site.formals = consts, tuple(formals)
+
+def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple]:
+    """Pair declaration formals with the call's operands, tree against tree,
+    depth first and left before right, on a stack: patterns nest deep."""
+    consts: dict[str, object] = {}
+    formals: list[tuple[str, tuple, bool]] = []
+    seen: set[str] = set()
+    root = code[site.fn.decl_root]
+    stack = [(root, site.line, SLOT_RIGHT), (root, site.line, SLOT_LEFT)]
+    while stack:
+        decl_ln, seg_ln, s = stack.pop()
+        d = decl_ln.slot(s)
+        actual = seg_ln.slot(s)
+        if d.kind is OperandKind.ADDRESS:
+            child_d = code.get(d.addr)
+            child_s = code.get(actual.addr)
+            if child_d is None or child_s is None:
+                raise FormatError(
+                    f"call at {site.address} does not follow its declaration's shape"
+                )
+            stack += [(child_d, child_s, SLOT_RIGHT), (child_d, child_s, SLOT_LEFT)]
+            continue
+        if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
+            continue
+        bare = split_markers(d.text)[0]
+        if not bare or bare in seen:
+            continue
+        seen.add(bare)
+        o = _operand(actual, code)
+        if o[0] == _CONST:
+            # a constant actual becomes a local of the body, not a reference
+            consts[bare] = o[1]
+        else:
+            formals.append((bare, o, decl_ln.pending[s] is PendFlag.TRUE))
+    return consts, tuple(formals)
 
 
 def _check_solved(pending: list[tuple[str, Path]]) -> None:

@@ -22,6 +22,7 @@ from .code import (
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
+    VALUE_SLOTS,
     CodeType,
     ExtendedLine,
     FunctionInfo,
@@ -37,8 +38,6 @@ from .segments import Segment
 from .silo import Silo
 
 Observer = Callable[[int, float, Segment], None]
-
-_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
 
 
 @dataclass
@@ -178,14 +177,14 @@ def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
         # consumer; a body bound by a rewrite may hold a line before the
         # lines it reads
         consumer[ro.addr] = None
-        stack = [(ro.addr, iter(_SLOTS))]
+        stack = [(ro.addr, iter(VALUE_SLOTS))]
         while stack:
             a, slots = stack[-1]
             for s in slots:
                 o = body[a].slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr in body and o.addr not in consumer:
                     consumer[o.addr] = a
-                    stack.append((o.addr, iter(_SLOTS)))
+                    stack.append((o.addr, iter(VALUE_SLOTS)))
                     break
                 if o.kind is OperandKind.IDENT:
                     uses.append((a, s, split_markers(o.text)[0]))
@@ -200,7 +199,7 @@ def rule_plan(tables: Tables, fn: FunctionInfo) -> RulePlan:
         lines=tuple(
             (
                 body[a],
-                tuple((s, at[t]) for s in _SLOTS if (t := body[a].slot(s).addr) in at),
+                tuple((s, at[t]) for s in VALUE_SLOTS if (t := body[a].slot(s).addr) in at),
                 None if consumer[a] is None else at[consumer[a]],
             )
             for a in at
@@ -344,7 +343,6 @@ def search_segment(
     for rnd in range(1, opts.max_rounds + 1):
         nxt = Silo(opts.silo_size)
         for w, seg in silo.entries():
-            seg.freeze()
             walk = seg.subtree(seg.root)
             branches = [a for a in walk if seg[a].bound is None]
             above = None  # made when the floor first refuses a move here

@@ -16,9 +16,13 @@ there. own() gives the written line and each ancestor the segment has not
 touched yet a fresh Version, and so does moving a subtree root under a new
 parent. An unchanged Version therefore means an unchanged subtree in every
 segment that holds it, and the facts a Version caches (pending state and
-the search's matches) hold in all of them. Facts are cached only on
-versions the segment has not touched; a silo entry is frozen, which makes
-every version it holds cacheable, because an entry is never written again.
+the search's matches) hold in all of them.
+
+One rule keeps those facts true: a segment computes a fact only once its
+move is written. That happens in two places. The prebind runs after the
+move, and its own writes bind builtins, which changes no pending state.
+The matcher runs on silo entries, which are never written again, and so
+reuses the states their prebind stored.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .code import (
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
+    VALUE_SLOTS,
     CodeType,
     ExtendedLine,
     Operand,
@@ -46,12 +51,6 @@ PREBIND_OPS = frozenset(
 
 # working copies number their new lines from here, far above any table address
 _STAGING_BASE = 10**9
-
-# child slots in walk order; a result slot is a parent link too (`ans = <chain>`)
-_CHILD_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
-
-# what a frozen segment owns and touches
-_NOTHING: frozenset = frozenset()
 
 # a subtree's pending state, ordered so that a line takes the larger of its
 # children's: it holds no pending; a reverse binding in it waits for its
@@ -135,10 +134,6 @@ class Segment:
         cp._touched = set()
         return cp
 
-    def freeze(self) -> None:
-        """Declare the segment written for good: it caches facts everywhere."""
-        self._owned = self._touched = _NOTHING
-
     def own(self, addr: Address) -> ExtendedLine:
         """The line at addr, made private to this segment before a write."""
         if addr in self._owned:
@@ -190,9 +185,6 @@ class Segment:
     def order(self) -> list[Address]:
         return sorted(self.lines)
 
-    def __contains__(self, addr: Address) -> bool:
-        return addr in self.lines
-
     def __getitem__(self, addr: Address) -> ExtendedLine:
         return self.lines[addr]
 
@@ -233,25 +225,21 @@ class Segment:
 
     # --- pending state ---
 
-    def subtree_state(self, addr: Address, memo: Optional[dict] = None) -> int:
+    def subtree_state(self, addr: Address) -> int:
         """The pending state of the subtree at addr, computed bottom-up.
 
         A user binding leaves its subtree AWAITING if it solves, since a
         reverse binding solves itself only once a consumer supplies its
         value, and SETTLED if it computes. A pending identifier in any slot
         leaves the line OPEN. Otherwise a line takes the larger state of its
-        left and right children. States are stored on untouched versions
-        and, for touched ones, in memo, which a caller may keep while no
-        line changes.
+        left and right children. Every state computed is stored on its
+        version, which is sound once the segment's move is written (see the
+        module docstring).
         """
-        versions, lines, touched = self.versions, self.lines, self._touched
+        versions, lines = self.versions, self.lines
         v = versions[addr]
         if v.state is not None:
             return v.state
-        if memo is None:
-            memo = {}
-        elif addr in memo:
-            return memo[addr]
         stack = [addr]
         while stack:
             a = stack[-1]
@@ -274,8 +262,6 @@ class Segment:
                         continue
                     k = versions[c].state
                     if k is None:
-                        k = memo.get(c)
-                    if k is None:
                         missing.append(c)
                     elif k > f:
                         f = k
@@ -283,13 +269,10 @@ class Segment:
                     stack.extend(missing)
                     continue
             stack.pop()
-            if a in touched:
-                memo[a] = f
-            else:
-                versions[a].state = f
-        return memo[addr] if addr in memo else v.state
+            versions[a].state = f
+        return v.state
 
-    def slot_state(self, line: ExtendedLine, slot: int, memo: Optional[dict] = None) -> int:
+    def slot_state(self, line: ExtendedLine, slot: int) -> int:
         """The pending state of what fills a slot: an identifier's own flag,
         or the subtree of a child inside the segment; anything else is
         SETTLED."""
@@ -297,14 +280,14 @@ class Segment:
         if o.kind is OperandKind.IDENT:
             return OPEN if line.pending[slot] is PendFlag.TRUE else SETTLED
         if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
-            return self.subtree_state(o.addr, memo)
+            return self.subtree_state(o.addr)
         return SETTLED
 
     def matches(self, addr: Address) -> dict:
         """The match memo of the subtree at addr, by declaration func_op.
 
-        Only for a frozen segment: a match reads nothing but the subtree,
-        the declaration and the search's fixed context.
+        Only for a silo entry: a match reads nothing but the subtree, the
+        declaration and the search's fixed context.
         """
         v = self.versions[addr]
         if v.matches is None:
@@ -313,7 +296,7 @@ class Segment:
 
     # --- builtin prebinding ---
 
-    def try_prebind(self, addr: Address, memo: Optional[dict] = None) -> bool:
+    def try_prebind(self, addr: Address) -> bool:
         """Bind a builtin whose value slots are SETTLED and whose children
         inside the segment are bound; `=` and `-->` read only their left."""
         lines = self.lines
@@ -324,7 +307,7 @@ class Segment:
         if op not in PREBIND_OPS:
             return False
         for s in (SLOT_LEFT,) if op == "=" or op == "-->" else (SLOT_LEFT, SLOT_RIGHT):
-            if self.slot_state(ln, s, memo) != SETTLED:
+            if self.slot_state(ln, s) != SETTLED:
                 return False
             o = ln.slot(s)
             # a child with no pending still has no value until it is bound
@@ -352,13 +335,12 @@ class Segment:
         states hold for the whole pass and every visit order gives the same
         result.
         """
-        memo: dict = {}
         versions, owned = self.versions, self._owned
         todo = list(owned)
         todo += [p for a in owned if (p := versions[a].parent) is not None and p not in owned]
         while todo:
             a = todo.pop()
-            if self.try_prebind(a, memo):
+            if self.try_prebind(a):
                 p = versions[a].parent
                 if p is not None:
                     todo.append(p)
@@ -383,7 +365,7 @@ class Segment:
             self.root = new.addr
         else:
             ln = self.own(parent)
-            for s in _CHILD_SLOTS:
+            for s in VALUE_SLOTS:
                 o = ln.slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr == old:
                     ln.set_slot(s, new)
@@ -419,11 +401,11 @@ class Segment:
         while stack:
             frame = stack[-1]
             a, cp, i = frame
-            if i == len(_CHILD_SLOTS):
+            if i == len(VALUE_SLOTS):
                 stack.pop()
                 continue
             frame[2] = i + 1
-            s = _CHILD_SLOTS[i]
+            s = VALUE_SLOTS[i]
             o = lines[a].slot(s)
             if o.kind is not OperandKind.ADDRESS:
                 continue
@@ -523,7 +505,7 @@ class Segment:
         for el in tables.code.lines():
             if el.address in fresh:
                 continue
-            for s in (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT):
+            for s in VALUE_SLOTS:
                 o = el.slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr in stale:
                     el.set_slot(s, Operand.address(mapping.get(o.addr, new_root)))

@@ -231,6 +231,25 @@ def _read_class_row(tables: Tables, row: str, addrs: _Memo) -> None:
     )
 
 
+def _check_links(tables: Tables) -> None:
+    """Refuse a row that names a missing row. A scope's parent must start
+    before it, since preexecute makes the scope records in address order."""
+    scopes, code = tables.scopes, tables.code
+    for s, info in scopes.items():
+        if info.parent is not None and not (info.parent < s and info.parent in scopes):
+            raise FormatError(f"scope row {s}: parent {info.parent} is no scope row before it")
+    for s in tables.classes:
+        if s not in scopes:
+            raise FormatError(f"class {s} has no scope row")
+    for fop, fn in tables.functions.items():
+        named = [("code line", a, code) for a in (fop, fn.decl_root, *fn.returns)]
+        named += [("scope row", a, scopes) for a in (fn.decl_scope, fn.body_scope)]
+        named.append(("class row", fn.class_scope, tables.classes))
+        for what, a, rows in named:
+            if a is not None and a not in rows:
+                raise FormatError(f"function row {fop}: {what} {a} is missing")
+
+
 _SECTIONS = (
     ("scope", _read_scope_row),
     ("function", _read_function_row),
@@ -319,6 +338,7 @@ def deserialize(text: str) -> Tables:
         link_classes(tables)
     except LoadError as exc:
         raise FormatError(str(exc)) from None
+    _check_links(tables)
 
     # binding direction is a property of the bound function, not stored
     for ln in tables.code.lines():

@@ -19,6 +19,7 @@ from coolang.code import (
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
+    VALUE_SLOTS,
     CodeType,
     ExtendedLine,
     FunctionInfo,
@@ -39,13 +40,14 @@ from coolang.search import (
     apply_value_match,
     may_finish,
 )
-from coolang.segments import _CHILD_SLOTS, Segment
+from coolang.segments import Segment
 from coolang.serialize import (
     _CODE_TYPES,
     _EXEC_FLAGS,
     _MAGIC,
     _PEND_FLAGS,
     _SEP,
+    _check_links,
     _dec_addr,
     _dec_operand,
     _Memo,
@@ -97,11 +99,11 @@ def expand_rings(seg: Segment) -> None:
     while stack:
         frame = stack[-1]
         a, i = frame
-        if i == len(_CHILD_SLOTS):
+        if i == len(VALUE_SLOTS):
             stack.pop()
             continue
         frame[1] = i + 1
-        s = _CHILD_SLOTS[i]
+        s = VALUE_SLOTS[i]
         o = lines[a].slot(s)
         if o.kind is not OperandKind.ADDRESS or o.addr == a or o.addr not in lines:
             continue
@@ -129,7 +131,7 @@ def rule_plan(tables: Tables, fn: FunctionInfo) -> tuple[list, tuple, frozenset[
     lines: list[tuple[ExtendedLine, tuple]] = []
     for src in srcs:
         fills = []
-        for s in _CHILD_SLOTS:
+        for s in VALUE_SLOTS:
             o = src.slot(s)
             if o.kind is OperandKind.ADDRESS and o.addr in index:
                 fills.append((s, "line", index[o.addr]))
@@ -202,7 +204,7 @@ def apply_exp_rewrite(segment: Segment, match: Match, tables: Tables) -> Optiona
         segment.root = new.addr
     else:
         ln = segment.own(parent)
-        for s in _CHILD_SLOTS:
+        for s in VALUE_SLOTS:
             o = ln.slot(s)
             if o.kind is OperandKind.ADDRESS and o.addr == match.root:
                 ln.set_slot(s, new)
@@ -295,7 +297,6 @@ def search_segment(
     for rnd in range(1, opts.max_rounds + 1):
         nxt = Silo(opts.silo_size)
         for w, seg in silo.entries():
-            seg.freeze()
             branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
             for branch in branches:
                 memo = seg.matches(branch)
@@ -426,6 +427,7 @@ def deserialize(text: str) -> Tables:
         link_classes(tables)
     except LoadError as exc:
         raise FormatError(str(exc)) from None
+    _check_links(tables)
 
     # binding direction is a property of the bound function, not stored
     for ln in tables.code.lines():

@@ -310,6 +310,50 @@ def test_a_code_table_naming_a_parent_twice_is_a_format_error(tmp_path, capsys):
     assert "FormatError: class 'B' inherits 'A' twice" in capsys.readouterr().err
 
 
+def _set(section, key, col, value):
+    """An edit of one cell of a `.ccode`: the row of section (1 scopes,
+    2 functions, 3 classes) whose first cell is key."""
+
+    def edit(sections):
+        next(row for row in sections[section] if row[0] == key)[col] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([_set(1, "8", 5, "99")], "scope row 8: parent 99 is no scope row before it"),
+        (
+            [_set(1, "2", 5, "4"), _set(1, "4", 5, "2")],
+            "scope row 2: parent 4 is no scope row before it",
+        ),
+        ([_set(2, "3", 3, "99")], "function row 3: code line 99 is missing"),
+        ([_set(2, "3", 2, "98")], "function row 3: scope row 98 is missing"),
+        ([_set(2, "59", 9, "96")], "function row 59: class row 96 is missing"),
+        ([lambda sections: sections[3].append(["90", "X", "-"])], "class 90 has no scope row"),
+    ],
+    ids=["scope-parent", "scope-cycle", "decl-root", "decl-scope", "member-class", "class-scope"],
+)
+def test_a_code_table_row_naming_a_missing_row_is_a_format_error(
+    tmp_path, capsys, edits, message
+):
+    src = write(tmp_path, "solver.cool", corpus.CLASS_SOLVER)
+    assert main(["compile", src]) == 0
+    table = tmp_path / "solver.ccode"
+    sections = [
+        [row.split("\t") for row in part.splitlines()]
+        for part in table.read_text().split("---\n")
+    ]
+    for edit in edits:
+        edit(sections)
+    table.write_text(
+        "---\n".join("".join("\t".join(row) + "\n" for row in part) for part in sections)
+    )
+    assert main(["run", str(table)]) == 1
+    assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
+
+
 def test_a_deep_declaration_pattern_binds_and_runs(tmp_path, capsys):
     # pattern matching and call alignment both walk 1 200 levels
     n = 1200

@@ -8,10 +8,11 @@ import corpus
 from reference import class_mro
 from coolang import build, execute, preexecute
 from coolang import records
-from coolang.code import CodeTable, CodeType, Tables
+from coolang.code import CodeTable, CodeType, Operand, OperandKind, Tables
 from coolang.errors import (
     CallDepthExceeded,
     CoolRuntimeError,
+    FormatError,
     ReverseUnsatisfied,
     StepBudgetExceeded,
     UnresolvedIdentifier,
@@ -301,6 +302,22 @@ def test_running_walks_the_lowered_program_not_the_table(monkeypatch):
     monkeypatch.setattr(Tables, "expression_run", refuse)
     interp.run()
     assert interp.output == corpus.LOOP_AND_BRANCH_OUTPUT
+
+
+def test_a_call_off_its_declarations_shape_fails_before_the_run():
+    t = build(corpus.QUADRATIC_CONSTRAINT)
+    preexecute(t)
+    # the call's left operand should hold a line, as its pattern's left does
+    call = next(
+        ln
+        for ln in t.code.lines()
+        if ln.is_user_bound
+        and ln.root
+        and t.code[t.functions[ln.bound].decl_root].left.kind is OperandKind.ADDRESS
+    )
+    call.left = Operand.number(1.0)
+    with pytest.raises(FormatError, match=r"^call at \S+ does not follow its declaration's shape$"):
+        Interpreter(t)
 
 
 def test_linked_records_come_leftmost_depth_first_each_once():

@@ -413,6 +413,14 @@ exp: @(-1){ #a + #b }{ return: b + a; }
 """
 
 
+def check_states(seg):
+    """Every pending state stored on seg's versions equals the reference."""
+    for a, v in seg.versions.items():
+        if v.state is not None:
+            assert (v.state != SETTLED) == reference_pending(seg.lines, a, False)
+            assert (v.state == OPEN) == reference_pending(seg.lines, a, True)
+
+
 def check_entry(tables, ctx, seg):
     """Every parent link, cached pending state and memoized match of a silo
     entry equals a fresh computation."""
@@ -420,13 +428,11 @@ def check_entry(tables, ctx, seg):
     for a in seg.lines:
         for c in seg.children(a):
             parents[c] = a
-    # a segment that owns every line caches nothing
+    check_states(seg)
+    # a new segment shares no version with seg, so it reuses no fact
     fresh = Segment(dict(seg.lines), seg.root)
     for a, v in seg.versions.items():
         assert v.parent == parents.get(a)
-        if v.state is not None:
-            assert (v.state != SETTLED) == reference_pending(seg.lines, a, False)
-            assert (v.state == OPEN) == reference_pending(seg.lines, a, True)
         for func_op, m in (v.matches or {}).items():
             assert m == match_branch(fresh, a, tables.functions[func_op], ctx)
 
@@ -439,10 +445,11 @@ def preexecute_checked(t, options=None):
     search's first segment and every admitted candidate must keep the
     digest it had, and after every rewrite the full repairs must find
     nothing left for them to do. Every prebind pass must reach the
-    fixpoint that repeated ascending passes over every line reach, and
-    every admitted candidate must pass check_entry once its search is
-    over. Returns the number of forward searches, derivation searches,
-    admitted candidates and rewrites.
+    fixpoint that repeated ascending passes over every line reach. The
+    states each candidate's prebind stored must match the reference as
+    soon as it ends, and every admitted candidate must pass check_entry
+    once its search is over. Returns the number of forward searches,
+    derivation searches, admitted candidates and rewrites.
     """
     admitted, rewrites = [], []
     searched = {"forward": [], "derivation": []}
@@ -495,7 +502,7 @@ def preexecute_checked(t, options=None):
         ), mock.patch.object(
             Segment, "prebind_builtins", prebind_builtins
         ):
-            preexecute(t, options=options)
+            preexecute(t, options=options, observer=lambda rnd, w, cand: check_states(cand))
     finally:
         for before, seg0 in searched["forward"] + searched["derivation"]:
             assert seg0.digest() == before

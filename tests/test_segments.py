@@ -145,14 +145,18 @@ def test_reverse_bound_child_blocks_prebind_above():
     inner = line(1, "+", ident("x"), num(1.0), pending=[1])
     outer = line(2, "==", ref(1), num(5.0))
     seg = segment([inner, outer], root=2)
-    inner.bound = Address((9,))
-    inner.bound_reverse = True
-    inner.root = True
     seg.prebind_builtins()
-    assert seg[Address((2,))].bound is None  # the child is a solve sink
-    inner.bound_reverse = False  # a forward binding is a readable value
-    seg.prebind_builtins()
-    assert seg[Address((2,))].bound is BUILTIN
+    rev = seg.copy()
+    ln = rev.own(inner.address)
+    ln.bound = Address((9,))
+    ln.bound_reverse = True
+    ln.root = True
+    rev.prebind_builtins()
+    assert rev[Address((2,))].bound is None  # the child is a solve sink
+    fwd = rev.copy()
+    fwd.own(inner.address).bound_reverse = False  # a forward binding is a readable value
+    fwd.prebind_builtins()
+    assert fwd[Address((2,))].bound is BUILTIN
 
 
 def test_a_parent_sorting_before_its_bound_child_is_bound_in_the_same_pass():
@@ -168,14 +172,12 @@ def test_a_parent_sorting_before_its_bound_child_is_bound_in_the_same_pass():
     seg = segment([call, c, q, t, other, root], root=3)
     seg.prebind_builtins()
     assert not any(ln.bound for ln in seg.lines.values())
-    seg.freeze()
 
     cand = seg.copy()
     cand.own(call.address).bound = Address((99,))
     cand.prebind_builtins()
     bound = {a[0] for a, ln in cand.lines.items() if ln.bound is BUILTIN}
     assert bound == {5, 1, 2}
-    cand.freeze()
 
     nxt = cand.copy()
     nxt.own(other.address).bound = Address((98,))
@@ -239,8 +241,7 @@ def test_a_candidates_prebind_reaches_the_fixpoint(tree, data):
     seg = segment(lines, root.addr[0])
     seg.prebind_builtins()
     assert _bindings(seg) == reference_prebind(seg.lines)
-    seg.freeze()
-    # frozen, the segment caches each state on its versions, which the
+    # this stores every state on the segment's versions, which the
     # candidate below shares where it does not write
     _check_states(seg)
     before = _bindings(seg)
@@ -265,12 +266,15 @@ def test_subtree_pending_vs_raw_pending_on_bound_subtrees():
     seg = segment([inner, outer], root=2)
     # unbound: the pending leaf is still open
     assert seg.subtree_state(inner.address) == OPEN
-    inner.bound = Address((9,))
-    inner.bound_reverse = True
+    rev = seg.copy()
+    ln = rev.own(inner.address)
+    ln.bound = Address((9,))
+    ln.bound_reverse = True
     # still wants a value from above, but no unbound leaf left
-    assert seg.subtree_state(inner.address) == AWAITING
-    inner.bound_reverse = False
-    assert seg.subtree_state(inner.address) == SETTLED
+    assert rev.subtree_state(inner.address) == AWAITING
+    fwd = rev.copy()
+    fwd.own(inner.address).bound_reverse = False
+    assert fwd.subtree_state(inner.address) == SETTLED
 
 
 def test_children_follow_result_slot_references():
