@@ -25,7 +25,7 @@ created_count = 0
 destroyed_count = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Path:
     """A resolved member access: read/write through to the owning record."""
 
@@ -43,17 +43,21 @@ class Path:
 
 
 class Record:
+    __slots__ = ("id", "scope", "data", "cross_ref", "parent", "param_query_links", "destroyed")
+
     def __init__(
         self,
         scope: Optional[Address],
         parent: Optional["Record"] = None,
+        data: Optional[dict[Key, object]] = None,
+        cross_ref: Optional[dict[str, Path]] = None,
     ):
         global created_count
         created_count += 1
         self.id = next(_record_ids)
         self.scope = scope  # scope start address this record instantiates
-        self.data: dict[Key, object] = {}
-        self.cross_ref: dict[str, Path] = {}
+        self.data: dict[Key, object] = {} if data is None else data
+        self.cross_ref: dict[str, Path] = {} if cross_ref is None else cross_ref
         self.parent = parent  # lexical chain
         self.param_query_links: list[Record] = []
         self.destroyed = False
@@ -79,7 +83,12 @@ class Record:
         """
         rec = self.parent if skip_current else self
         while rec is not None:
-            found = rec._resolve_local(name)
+            # _resolve_local's first two tests, inline: most lookups end there
+            if name in rec.data:
+                return Path(rec, name)
+            found = rec.cross_ref.get(name)
+            if found is None and rec.param_query_links:
+                found = rec._resolve_local(name)
             if found is not None:
                 return found
             rec = rec.parent

@@ -19,6 +19,12 @@ backward jump and every call entry against a step budget, so every run
 ends. Names are read and written straight in the record dicts, in the
 order `Record.resolve` walks them; a `Path` is made only for a formal,
 which aliases its caller's storage.
+
+Each call site carries a call plan that `lower` makes once (see
+`CallSite`). So a call builds its body record with its locals and cross
+references in place, looks for a class record only when its function
+belongs to a class, and on exit checks only the formals a reverse call
+solves.
 """
 
 from __future__ import annotations
@@ -83,14 +89,16 @@ _CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
 _EMPTY_OPERAND = (_EMPTY,)
 
 class CallSite:
-    """A call-bound root line. lower sets its alignment with the declaration
-    (_align), split in two: consts, the constants that become locals of the
-    body, and formals (bare, actual operand, pending) that alias the
-    caller's storage, in the order the declaration tree pairs them with the
-    operands.
+    """A call-bound root line. lower sets its call plan from the site's
+    alignment with its declaration (_align). consts are the constant
+    actuals, which become locals of the body. formals (bare, actual operand)
+    alias the caller's storage, in the order the declaration tree pairs
+    them: a temporary is bound to the caller's record directly, a name or
+    member chain is resolved at each call. solves lists a reverse call's
+    pending formals, which its body must leave holding a finite value.
     """
 
-    __slots__ = ("line", "address", "fn", "start", "end", "receiver", "consts", "formals")
+    __slots__ = ("line", "address", "fn", "start", "end", "receiver", "consts", "formals", "solves")
 
     def __init__(self, line: ExtendedLine, fn: FunctionInfo, start: int, end: int):
         self.line = line
@@ -165,7 +173,7 @@ def lower(tables: Tables) -> Program:
             first, end = scope_range(fn.body_scope, "function body")
             body = bodies[ln.bound] = (first + 1, end)
         site = CallSite(ln, fn, *body)
-        site.consts, site.formals = _align(site, tables.code)
+        site.consts, site.formals, site.solves = _align(site, tables.code)
         sites.append(site)
         return site
 
@@ -414,7 +422,8 @@ def _read(record: Record, o: tuple):
                 break
             cross = r.cross_ref
             if name in cross:
-                v = cross[name].read()
+                p = cross[name]
+                v = p.record.data.get(p.key)
                 break
             if r.param_query_links:
                 p = r._resolve_local(name)
@@ -450,7 +459,8 @@ def _write(record: Record, target: tuple, v) -> None:
                 return
             cross = r.cross_ref
             if name in cross:
-                cross[name].write(v)
+                p = cross[name]
+                p.record.data[p.key] = v
                 return
             if r.param_query_links:
                 p = r._resolve_local(name)
@@ -487,8 +497,8 @@ def _format_value(v) -> str:
 
 # Run budgets: calls and instantiations nested, and steps counted at
 # backward jumps and call entries. The loop_run workload takes 15 003 steps;
-# an endless loop takes 6 to 10 microseconds a step on a 2-core Xeon, so it
-# stops after 6 to 10 s.
+# the endless `while (1 > 0) { i = i + 1; }` takes 4.5 to 6.5 microseconds
+# a step on a 2-core Xeon under CPython 3.11, so it stops after 4.5 to 6.5 s.
 MAX_CALL_DEPTH = 10_000
 MAX_STEPS = 1_000_000
 
@@ -515,8 +525,8 @@ class Interpreter:
         """Run the program on one loop and an explicit frame stack.
 
         A frame is (caller record, return pc, caller's region end, child
-        record, site, pending, ans). The site is None for a scope, the
-        CallSite for a call, and the _Instantiation for a class body.
+        record, site). The site is None for a scope, the CallSite for a
+        call, and the _Instantiation for a class body.
         """
         frames: list[tuple] = []
         try:
@@ -541,15 +551,20 @@ class Interpreter:
             if pc >= end:
                 if not frames:
                     return self.global_record
-                caller, pc, end, child, site, pending, ans = frames.pop()
+                caller, pc, end, child, site = frames.pop()
                 if site.__class__ is CallSite:
                     depth -= 1
                     child.destroy()
                     if returned:
                         caller.data[site.address] = ret
                         returned = False
-                    if ans is not None:
-                        _check_solved(pending)
+                    for bare in site.solves:
+                        p = child.cross_ref[bare]
+                        v = p.record.data.get(p.key)
+                        if v is None or isinstance(v, float) and not isfinite(v):
+                            raise ReverseUnsatisfied(
+                                f"{bare!r} was never solved by the reverse call"
+                            )
                     call_log.append(site.address)
                 elif site is None:
                     child.destroy()
@@ -558,7 +573,7 @@ class Interpreter:
                     body = self._next_body(site)
                     if body is not None:
                         rec, start, stop = body
-                        frames.append((caller, pc, end, rec, site, None, None))
+                        frames.append((caller, pc, end, rec, site))
                         record, pc, end = rec, start, stop
                         continue
                     depth -= 1
@@ -587,8 +602,8 @@ class Interpreter:
                     raise StepBudgetExceeded(f"the run took more than {max_steps} steps")
                 if depth >= max_depth:
                     raise CallDepthExceeded(f"calls nest deeper than {max_depth} levels")
-                body, pending = self._enter(record, site, ans)
-                frames.append((record, pc + 1, end, body, site, pending, ans))
+                body = self._enter(record, site, ans)
+                frames.append((record, pc + 1, end, body, site))
                 depth += 1
                 record, pc, end = body, site.start, site.end
             elif op == _JUMP:
@@ -602,8 +617,8 @@ class Interpreter:
                 else:
                     pc += 1
             elif op == _SCOPE:
-                child = Record(scope=ins[1], parent=record)
-                frames.append((record, ins[3], end, child, None, None, None))
+                child = Record(ins[1], record)
+                frames.append((record, ins[3], end, child, None))
                 record, pc, end = child, pc + 1, ins[2]
             elif op == _SKIP:
                 pc = ins[1]
@@ -616,7 +631,7 @@ class Interpreter:
                         raise CallDepthExceeded(f"instances nest deeper than {max_depth} levels")
                     site = self._instantiation(ins[1], ins[2])
                     rec, start, stop = self._next_body(site)
-                    frames.append((record, pc + 1, end, rec, site, None, None))
+                    frames.append((record, pc + 1, end, rec, site))
                     depth += 1
                     record, pc, end = rec, start, stop
             elif op == _RETURN:
@@ -624,7 +639,7 @@ class Interpreter:
                 returned = True
                 # leave the scopes up to the call or class body
                 while frames and frames[-1][4] is None:
-                    caller, _, end, child, _, _, _ = frames.pop()
+                    caller, _, end, child, _ = frames.pop()
                     child.destroy()
                     record = caller
                 pc = end
@@ -664,15 +679,20 @@ class Interpreter:
 
     # --- function calls ---
 
-    def _enter(self, record: Record, site: CallSite, ans) -> tuple[Record, list]:
-        """The body record of one call, and its pending formals."""
+    def _enter(self, record: Record, site: CallSite, ans) -> Record:
+        """The body record of one call."""
         formals: dict[str, Path] = {}
-        pending: list[tuple[str, Path]] = []
-        for bare, actual, is_pending in site.formals:
-            path = _actual_path(record, actual)
-            formals[bare] = path
-            if is_pending:
-                pending.append((bare, path))
+        for bare, o in site.formals:
+            tag = o[0]
+            if tag == _TEMP:
+                formals[bare] = Path(record, o[1])
+            elif tag == _NAME:
+                # unresolved names spring into the current record as numbers
+                formals[bare] = record.resolve(o[1], o[2]) or record.declare(o[1])
+            elif tag == _MEMBER:
+                formals[bare] = follow(record, o[1], o[2], o[3])
+            else:
+                raise CoolRuntimeError("a formal matched nothing that can hold a value")
 
         fn = site.fn
         parent = self.global_record
@@ -688,22 +708,24 @@ class Interpreter:
                 )
             parent = found
 
-        body = Record(scope=fn.body_scope, parent=parent)
-        body.cross_ref = formals
-        if site.consts:
-            body.data.update(site.consts)
+        data = site.consts.copy() if site.consts else {}
         if ans is not None:
-            body.data["ans"] = ans
-        return body, pending
+            data["ans"] = ans
+        return Record(fn.body_scope, parent, data, formals)
 
 
-def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple]:
-    """Pair declaration formals with the call's operands, tree against tree,
-    depth first and left before right, on a stack: patterns nest deep."""
+def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, tuple]:
+    """The site's call plan: pair declaration formals with the call's
+    operands, tree against tree, depth first and left before right, on a
+    stack: patterns nest deep. A pair of lines met twice means an operand
+    cycle, which no tree has."""
     consts: dict[str, object] = {}
-    formals: list[tuple[str, tuple, bool]] = []
+    formals: list[tuple[str, tuple]] = []
+    solves: list[str] = []
+    reverse = site.line.bound_reverse
     seen: set[str] = set()
     root = code[site.fn.decl_root]
+    visited = {(root.address, site.address)}
     stack = [(root, site.line, SLOT_RIGHT), (root, site.line, SLOT_LEFT)]
     while stack:
         decl_ln, seg_ln, s = stack.pop()
@@ -712,10 +734,12 @@ def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple]:
         if d.kind is OperandKind.ADDRESS:
             child_d = code.get(d.addr)
             child_s = code.get(actual.addr)
-            if child_d is None or child_s is None:
+            pair = (d.addr, actual.addr)
+            if child_d is None or child_s is None or pair in visited:
                 raise FormatError(
                     f"call at {site.address} does not follow its declaration's shape"
                 )
+            visited.add(pair)
             stack += [(child_d, child_s, SLOT_RIGHT), (child_d, child_s, SLOT_LEFT)]
             continue
         if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
@@ -728,16 +752,11 @@ def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple]:
         if o[0] == _CONST:
             # a constant actual becomes a local of the body, not a reference
             consts[bare] = o[1]
-        else:
-            formals.append((bare, o, decl_ln.pending[s] is PendFlag.TRUE))
-    return consts, tuple(formals)
-
-
-def _check_solved(pending: list[tuple[str, Path]]) -> None:
-    for bare, path in pending:
-        v = path.read()
-        if v is None or (isinstance(v, float) and not isfinite(v)):
-            raise ReverseUnsatisfied(f"{bare!r} was never solved by the reverse call")
+            continue
+        formals.append((bare, o))
+        if reverse and decl_ln.pending[s] is PendFlag.TRUE:
+            solves.append(bare)
+    return consts, tuple(formals), tuple(solves)
 
 
 def _find_class_record(rec: Optional[Record], cscope: Address) -> Optional[Record]:
@@ -748,20 +767,6 @@ def _find_class_record(rec: Optional[Record], cscope: Address) -> Optional[Recor
                 return r
         rec = rec.parent
     return None
-
-
-def _actual_path(record: Record, o: tuple) -> Path:
-    """The storage a formal aliases."""
-    tag = o[0]
-    if tag == _NAME:
-        p = record.resolve(o[1], skip_current=o[2])
-        # unresolved names spring into the current record as numbers
-        return record.declare(o[1]) if p is None else p
-    if tag == _MEMBER:
-        return follow(record, o[1], o[2], o[3])
-    if tag == _TEMP:
-        return Path(record, o[1])
-    raise CoolRuntimeError("a formal matched nothing that can hold a value")
 
 
 def run_program(tables: Tables, **budgets) -> Interpreter:

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ import corpus
 from reference import class_mro
 from coolang import build, execute, preexecute
 from coolang import records
+from coolang.cli import main
 from coolang.code import CodeTable, CodeType, Operand, OperandKind, Tables
 from coolang.errors import (
     CallDepthExceeded,
@@ -18,6 +23,7 @@ from coolang.errors import (
     UnresolvedIdentifier,
 )
 from coolang.runtime import Interpreter, run_program
+from coolang.serialize import serialize
 
 
 def test_corpus_programs_print_their_expected_outputs():
@@ -175,6 +181,82 @@ def test_a_corpus_run_keeps_its_output_calls_and_records(name):
     assert got == CORPUS_RUNS[name]
 
 
+def _load_workloads():
+    """The benchmark's program generators, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+# per generated workload: the calls a run completes, the records it creates
+# and destroys, and per seed 1-5 the first 16 hex digits of the sha256 of
+# its printed lines, joined by newlines; pinned before calls had per-site
+# plans
+WORKLOAD_RUNS = {
+    "deep_bind": (
+        21,
+        22,
+        21,
+        (
+            "1308edc668139670",
+            "20e893ef4fb34cb3",
+            "6c06d6ebed049418",
+            "fa1fb1187d2a363c",
+            "089cdf9317399385",
+        ),
+    ),
+    "wide_program": (
+        180,
+        201,
+        180,
+        (
+            "53dbdf8b9ce04e85",
+            "e6e48ad502d2d6ae",
+            "b54862a4c54e1444",
+            "039e6c42f1294db3",
+            "94044b9981fb2a36",
+        ),
+    ),
+    "loop_run": (
+        12003,
+        15004,
+        15003,
+        (
+            "a67023f88ff5dbe5",
+            "72b5f13aa70f40db",
+            "c75a490856e56023",
+            "c7011f5f75652207",
+            "89091411d8c8a2f5",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_RUNS))
+def test_a_workload_run_keeps_its_output_calls_and_records(workload, seed):
+    program = workloads.generate(workload, seed)
+    t = build(program.source)
+    preexecute(t)
+    created, destroyed = records.created_count, records.destroyed_count
+    interp = run_program(t)
+    assert workloads.output_matches(interp.output, program.expected)
+    calls, made, gone, digests = WORKLOAD_RUNS[workload]
+    printed = hashlib.sha256("\n".join(interp.output).encode()).hexdigest()[:16]
+    got = (
+        printed,
+        len(interp.call_log),
+        records.created_count - created,
+        records.destroyed_count - destroyed,
+    )
+    assert got == (digests[seed - 1], calls, made, gone)
+
+
 def test_scope_records_are_destroyed_on_exit():
     for name in ("add_to", "out_scope", "loop_and_branch", "chained_derivation"):
         t = build(corpus.ALL_PROGRAMS[name])
@@ -254,6 +336,37 @@ def test_the_call_depth_counts_calls_not_scopes():
         run_program(t, max_call_depth=3)
 
 
+def test_reverse_calls_count_against_both_budgets():
+    # the benchmark's loop shape for three passes, then a derived reverse
+    # whose body makes a reverse call of its own. Each pass jumps back once
+    # and makes three reverse calls and one forward call (15 steps); the
+    # constraint after the loop makes three more calls, two of them nested
+    src = (
+        "@(10){ $a * b }{ a = ans / b; }\n"
+        "@(10){ $a + b }{ a = ans - b; }\n"
+        "@(10){ $a == b; }{ a = b; }\n"
+        "@acc(a, b){ b = b + a; }\n"
+        "new: i = 0;\nnew: x = 0;\nnew: total = 0;\n"
+        "while (i < 3) {\n"
+        "  $x * 4 + 17 == i;\n"
+        "  acc(x, total);\n"
+        "  i = i + 1;\n"
+        "}\n"
+        "total --> 0;\ni --> 0;\n"
+        "@ shift (a) by (b){ return: a + b; } => @ unshift ($a) by (b);\n"
+        "new: h = 0;\nunshift ($h) by (42) == 797;\nh --> 0;\n"
+    )
+    t = build(src)
+    preexecute(t)
+    want = ["-12.0", "3.0", "755.0"]
+    assert run_program(t, max_steps=18).output == want
+    with pytest.raises(StepBudgetExceeded, match="more than 17 steps"):
+        run_program(t, max_steps=17)
+    assert run_program(t, max_call_depth=2).output == want
+    with pytest.raises(CallDepthExceeded, match="deeper than 1 levels"):
+        run_program(t, max_call_depth=1)
+
+
 def test_instances_outlive_the_calls_that_touch_them():
     t = build(corpus.CLASS_SOLVER)
     preexecute(t)
@@ -318,6 +431,29 @@ def test_a_call_off_its_declarations_shape_fails_before_the_run():
     call.left = Operand.number(1.0)
     with pytest.raises(FormatError, match=r"^call at \S+ does not follow its declaration's shape$"):
         Interpreter(t)
+
+
+def test_a_call_whose_operands_name_their_own_lines_fails_before_the_run(tmp_path, capsys):
+    t = build(corpus.QUADRATIC_CONSTRAINT)
+    preexecute(t)
+    call = next(
+        ln
+        for ln in t.code.lines()
+        if ln.is_user_bound
+        and ln.root
+        and t.code[t.functions[ln.bound].decl_root].left.kind is OperandKind.ADDRESS
+    )
+    root = t.code[t.functions[call.bound].decl_root]
+    # both trees loop back to their roots: the alignment must not walk on
+    call.left = Operand.address(call.address)
+    root.left = Operand.address(root.address)
+    message = f"call at {call.address} does not follow its declaration's shape"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        Interpreter(t)
+    table = tmp_path / "cycle.ccode"
+    table.write_text(serialize(t))
+    assert main(["run", str(table)]) == 1
+    assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 
 
 def test_linked_records_come_leftmost_depth_first_each_once():
