@@ -175,6 +175,9 @@ class ExtendedLine:
     bound: object = None  # None | BUILTIN | Address of the bound function
     bound_reverse: bool = False  # bound function solves rather than computes
     root: bool = False
+    # not a field: the line's digest row, which segments.Segment.digest
+    # keeps once the line is shared and never written again; copy() drops it
+    digest_row = None
 
     def slot(self, i: int) -> Operand:
         return (self.op, self.left, self.right, self.result)[i]

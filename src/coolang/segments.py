@@ -9,7 +9,17 @@ run leaves, as it does for the bodies that derivation assembles.
 
 Search candidates are copy-on-write: a copy shares every line with its
 parent and copies a line only when it first mutates it, through own().
-A shared line is never mutated, so siblings cannot see each other's moves.
+Taking a copy also ends the parent's right to write its lines in place, so
+a shared line is never mutated and siblings cannot see each other's moves.
+
+That makes a line object's digest row a fact of the object. A segment
+keeps the row on each line it shares and does not own, and every segment
+that holds the object reuses it; it rebuilds the rows of the lines it owns
+on each digest. The row names its children by address, and the digest
+turns each address into the line's place in address order. A move that
+keeps the address set (a value match, a prebind) keeps that order, so its
+candidate starts from the rows of the digest it was copied after and
+rebuilds only its owned rows.
 
 Each address also maps to a Version, which stands for the subtree rooted
 there. own() gives the written line and each ancestor the segment has not
@@ -63,6 +73,37 @@ def staging_address(seq: int) -> Address:
     return Address((_STAGING_BASE + seq,))
 
 
+def _template(ln: ExtendedLine) -> tuple[tuple, tuple[Address, ...]]:
+    """A line's digest row before its addresses are placed: the row, with
+    kind, payload and pending flag for each value slot and None for the
+    payload of an address, and the addresses in slot order."""
+    pend = ln.pending
+    row = [ln.ctype._value_, ln.op.text]
+    refs = []
+    for o, p in (
+        (ln.left, pend[SLOT_LEFT]),
+        (ln.right, pend[SLOT_RIGHT]),
+        (ln.result, pend[SLOT_RESULT]),
+    ):
+        kind = o.kind
+        if kind is OperandKind.ADDRESS:
+            refs.append(o.addr)
+            row += ("a", None, p._value_)
+        elif kind is OperandKind.NUMBER:
+            row += ("n", o.num, p._value_)
+        else:
+            row += (kind._value_, o.text, p._value_)
+    row += ("-" if ln.bound is None else ln.bound, ln.root)
+    return tuple(row), tuple(refs)
+
+
+def _place(made: tuple[tuple, tuple[Address, ...]], index: dict[Address, int]):
+    """A digest row: the template, then for each address the line's place
+    in index or, for a line outside the segment, the address itself."""
+    tpl, refs = made
+    return (tpl, *map(index.get, refs, refs)) if refs else tpl
+
+
 class Version:
     """One line's subtree as it stands: its parent and the facts cached on it.
 
@@ -86,7 +127,10 @@ class Segment:
         "root",
         "_staging_seq",
         "_owned",
+        "_private",
         "_touched",
+        "_base",
+        "_exact",
     )
 
     def __init__(
@@ -98,8 +142,15 @@ class Segment:
         self.lines = lines
         self.root = root
         self._staging_seq = staging_seq
-        # lines this segment may mutate; the rest are shared with its parent
+        # lines this segment copied or made; the rest are its parent's
         self._owned = set(lines)
+        # owned lines no copy shares yet: the only ones written in place
+        self._private = set(lines)
+        # the address index and rows of the last digest this segment took or
+        # was copied after, right for every line it does not own; _exact
+        # when nothing was written since, so that a copy may start from it
+        self._base: Optional[tuple[dict[Address, int], tuple]] = None
+        self._exact = False
         # addresses whose Version is this segment's own: the owned lines,
         # their ancestors and the subtree roots it moved; always holds the
         # parent of what it holds
@@ -123,7 +174,9 @@ class Segment:
         """A candidate sharing every line and version with this segment.
 
         The copy caches facts on the versions it shares, so copy a segment
-        once its writes are done, as a silo entry's are.
+        once its writes are done, as a silo entry's are. Its lines are
+        shared from now on: this segment copies a line again before it
+        writes it.
         """
         cp = Segment.__new__(Segment)
         cp.lines = dict(self.lines)
@@ -131,15 +184,22 @@ class Segment:
         cp.root = self.root
         cp._staging_seq = self._staging_seq
         cp._owned = set()
+        cp._private = set()
         cp._touched = set()
+        # rows digested before a later write would be stale for the copy
+        cp._base = self._base if self._exact else None
+        cp._exact = True
+        self._private = set()
         return cp
 
     def own(self, addr: Address) -> ExtendedLine:
         """The line at addr, made private to this segment before a write."""
-        if addr in self._owned:
+        self._exact = False
+        if addr in self._private:
             return self.lines[addr]
         ln = self.lines[addr].copy()
         self.lines[addr] = ln
+        self._private.add(addr)
         self._owned.add(addr)
         self._restamp(addr)
         return ln
@@ -167,14 +227,18 @@ class Segment:
         self.lines[a] = ln
         self.versions[a] = Version(parent)
         self._owned.add(a)
+        self._private.add(a)
         self._touched.add(a)
+        self._base = None  # a new address renumbers the rows
 
     def _drop(self, addrs) -> None:
         for a in addrs:
             del self.lines[a]
             del self.versions[a]
             self._owned.discard(a)
+            self._private.discard(a)
             self._touched.discard(a)
+        self._base = None
 
     def fresh_address(self) -> Address:
         self._staging_seq += 1
@@ -426,40 +490,36 @@ class Segment:
         """Canonical structure: equal exactly for segments that differ only
         in the addresses of their lines.
 
-        Rows hold strings, numbers and addresses but no Enum members, whose
-        hash runs in Python, so hashing a digest in the silo stays in C.
+        One row per line in address order (_template, _place), then the
+        root's place. Rows hold strings, numbers and addresses but no Enum
+        members, whose hash runs in Python, so hashing a digest in the silo
+        stays in C.
         """
-        lines = self.lines
-        order = sorted(lines)
-        index = {a: i for i, a in enumerate(order)}
-        rows = []
-        for a in order:
-            ln = lines[a]
-            pend = ln.pending
-            slots = []
-            for o, p in (
-                (ln.left, pend[SLOT_LEFT]),
-                (ln.right, pend[SLOT_RIGHT]),
-                (ln.result, pend[SLOT_RESULT]),
-            ):
-                p = p._value_
-                kind = o.kind
-                if kind is OperandKind.ADDRESS:
-                    t = o.addr
-                    if t == a:
-                        slots.append(("self", p))
-                    elif t in index:
-                        slots.append(("ref", index[t], p))
-                    else:
-                        slots.append(("ext", t, p))
-                elif kind is OperandKind.NUMBER:
-                    slots.append(("n", o.num, p))
+        lines, owned = self.lines, self._owned
+        if self._base is not None:
+            index, rows = self._base
+            if owned:
+                rows = list(rows)
+                for a in owned:
+                    rows[index[a]] = _place(_template(lines[a]), index)
+                rows = tuple(rows)
+        else:
+            order = sorted(lines)
+            index = {a: i for i, a in enumerate(order)}
+            rows = []
+            for a in order:
+                ln = lines[a]
+                if a in owned:
+                    made = _template(ln)
                 else:
-                    slots.append((kind._value_, o.text, p))
-            bound = "-" if ln.bound is None else ln.bound
-            rows.append((ln.ctype._value_, ln.op.text, tuple(slots), bound, ln.root))
-        rows.append(("root", index.get(self.root, -1)))
-        return tuple(rows)
+                    made = ln.digest_row
+                    if made is None:
+                        made = ln.digest_row = _template(ln)
+                rows.append(_place(made, index))
+            rows = tuple(rows)
+        self._base = (index, rows)
+        self._exact = True
+        return rows, index.get(self.root, -1)
 
     # --- write-back ---
 
@@ -474,7 +534,7 @@ class Segment:
         order = self.order()
         # the winner still shares lines with the candidates the search dropped
         for a in order:
-            if a not in self._owned:
+            if a not in self._private:
                 self.lines[a] = self.lines[a].copy()
         if set(order) == set(original):
             for a in order:

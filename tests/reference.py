@@ -3,6 +3,7 @@
 Each is the plain, slow form of a fact the toolchain computes another
 way: the class order as a depth-first walk, the whole-segment cleanups
 and arithmetic that the search's incremental repair must agree with, a
+segment digest that rebuilds every row on every call, a
 rewrite that instantiates a rule's whole body and then runs those
 cleanups, a silo search that builds every move it matches, and a `.ccode`
 reader that decodes every cell of every code row afresh and inserts the
@@ -115,6 +116,43 @@ def expand_rings(seg: Segment) -> None:
             seg.reparent(c, a)
         seen.add(c)
         stack.append([c, 0])
+
+
+def digest(seg: Segment) -> tuple:
+    """Segment.digest as one pass over every line, with no row kept between
+    calls: equal exactly for segments that differ only in the addresses of
+    their lines."""
+    lines = seg.lines
+    order = sorted(lines)
+    index = {a: i for i, a in enumerate(order)}
+    rows = []
+    for a in order:
+        ln = lines[a]
+        pend = ln.pending
+        slots = []
+        for o, p in (
+            (ln.left, pend[SLOT_LEFT]),
+            (ln.right, pend[SLOT_RIGHT]),
+            (ln.result, pend[SLOT_RESULT]),
+        ):
+            p = p._value_
+            kind = o.kind
+            if kind is OperandKind.ADDRESS:
+                t = o.addr
+                if t == a:
+                    slots.append(("self", p))
+                elif t in index:
+                    slots.append(("ref", index[t], p))
+                else:
+                    slots.append(("ext", t, p))
+            elif kind is OperandKind.NUMBER:
+                slots.append(("n", o.num, p))
+            else:
+                slots.append((kind._value_, o.text, p))
+        bound = "-" if ln.bound is None else ln.bound
+        rows.append((ln.ctype._value_, ln.op.text, tuple(slots), bound, ln.root))
+    rows.append(("root", index.get(seg.root, -1)))
+    return tuple(rows)
 
 
 def rule_plan(tables: Tables, fn: FunctionInfo) -> tuple[list, tuple, frozenset[str]]:

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import corpus
+import reference
 from coolang import cli, errors
 from coolang.cli import main
 from coolang.runtime import Interpreter
@@ -73,14 +74,31 @@ def test_every_error_class_carries_its_stage_exit_code():
         assert c.exit_code == stages[stage], c
 
 
-def test_silo_trace_lists_every_admitted_candidate(tmp_path, capsys):
-    src = write(tmp_path, "quad.cool", corpus.QUADRATIC_CONSTRAINT)
+def test_silo_trace_lists_every_built_candidate(tmp_path, capsys, monkeypatch):
+    # one line per built candidate (README: 120 lines for 87 admissions),
+    # and two lines share a digest exactly when their candidates are equal
+    real_tracer = cli._tracer
+    refs = []
+
+    def tracer(args):
+        observer, close = real_tracer(args)
+
+        def traced(rnd, weight, segment):
+            refs.append(reference.digest(segment))
+            observer(rnd, weight, segment)
+
+        return traced, close
+
+    monkeypatch.setattr(cli, "_tracer", tracer)
+    src = write(tmp_path, "chained.cool", corpus.CHAINED_DERIVATION)
     trace = tmp_path / "trace.txt"
     assert main(["run", src, "--trace-silo", str(trace)]) == 0
     lines = trace.read_text().splitlines()
-    assert lines
+    assert len(lines) == len(refs) == 120
     for line in lines:
         assert re.fullmatch(r"round \d+ weight -?\d+(\.\d+)? [0-9a-f]{12}", line)
+    hexes = [line.split()[-1] for line in lines]
+    assert len(set(hexes)) == len(set(refs)) == len(set(zip(hexes, refs)))
 
 
 def test_a_trace_path_in_a_missing_directory_is_an_io_error(tmp_path, capsys):

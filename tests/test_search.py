@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 import corpus
 import reference
 from reference import class_mro, evaluate, expand_rings, reference_counts, repair_detached
-from test_segments import ident, line, num, ref, reference_pending, reference_prebind
+from test_segments import (
+    _reference_digest,
+    ident,
+    line,
+    num,
+    ref,
+    reference_pending,
+    reference_prebind,
+)
 from coolang import build, execute, run_program
 from coolang import inversion, search
 from coolang.code import CodeType, ExecFlag, Operand, ScopeKind
@@ -437,21 +445,30 @@ def check_entry(tables, ctx, seg):
             assert m == match_branch(fresh, a, tables.functions[func_op], ctx)
 
 
+def same_classes(segments):
+    """Segment.digest and the reference split segments into the same classes."""
+    ref = [reference.digest(seg) for seg in segments]
+    new = [seg.digest() for seg in segments]
+    return len(set(ref)) == len(set(new)) == len(set(zip(ref, new)))
+
+
 def preexecute_checked(t, options=None):
     """Preexecute t and check every candidate against references.
 
     Candidates share unchanged lines with their parent, so a move that
-    wrote to a shared line would change another candidate's digest. Each
-    search's first segment and every admitted candidate must keep the
-    digest it had, and after every rewrite the full repairs must find
-    nothing left for them to do. Every prebind pass must reach the
-    fixpoint that repeated ascending passes over every line reach. The
-    states each candidate's prebind stored must match the reference as
-    soon as it ends, and every admitted candidate must pass check_entry
-    once its search is over. Returns the number of forward searches,
+    wrote to a shared line would change another candidate. Each search's
+    first segment and every admitted candidate must keep the reference
+    digest it had: Segment.digest keeps the rows of shared lines, so it
+    would not see such a write itself. For each search, Segment.digest and
+    the reference must split the candidates it built into the same classes.
+    After every rewrite the full repairs must find nothing left for them to
+    do. Every prebind pass must reach the fixpoint that repeated ascending
+    passes over every line reach. The states each candidate's prebind
+    stored must match the reference as soon as it ends, and every admitted
+    candidate must pass check_entry once its search is over. Returns the number of forward searches,
     derivation searches, admitted candidates and rewrites.
     """
-    admitted, rewrites = [], []
+    admitted, rewrites, built = [], [], []
     searched = {"forward": [], "derivation": []}
     real_offer = Silo.offer
     real_search = search.search_segment
@@ -461,20 +478,21 @@ def preexecute_checked(t, options=None):
     def offer(silo, weight, digest, item):
         ok = real_offer(silo, weight, digest, item)
         if ok:
-            admitted.append((digest, item))
+            admitted.append((reference.digest(item), item))
         return ok
 
     def checked_search(kind):
         # inversion imports search_segment by name, so each site is wrapped
         def search_segment(tables, seg0, ctx, *args, **kwargs):
-            before = seg0.digest()
-            first = len(admitted)
+            before = reference.digest(seg0)
+            first, first_built = len(admitted), len(built)
             try:
                 return real_search(tables, seg0, ctx, *args, **kwargs)
             finally:
                 searched[kind].append((before, seg0))
                 for _, seg in admitted[first:]:
                     check_entry(tables, ctx, seg)
+                assert same_classes(built[first_built:])
 
         return search_segment
 
@@ -486,6 +504,10 @@ def preexecute_checked(t, options=None):
             rewrites.append((repair_detached(probe), size, probe))
             expand_rings(probe)
         return added
+
+    def observe(rnd, weight, cand):
+        check_states(cand)
+        built.append(cand)
 
     def prebind_builtins(seg):
         want = reference_prebind(seg.lines)
@@ -502,12 +524,12 @@ def preexecute_checked(t, options=None):
         ), mock.patch.object(
             Segment, "prebind_builtins", prebind_builtins
         ):
-            preexecute(t, options=options, observer=lambda rnd, w, cand: check_states(cand))
+            preexecute(t, options=options, observer=observe)
     finally:
         for before, seg0 in searched["forward"] + searched["derivation"]:
-            assert seg0.digest() == before
+            assert reference.digest(seg0) == before
         for digest, seg in admitted:
-            assert seg.digest() == digest
+            assert reference.digest(seg) == digest
         for removed, size, probe in rewrites:
             assert removed == []
             assert len(probe.lines) == size
@@ -672,6 +694,80 @@ def test_a_rewrite_from_the_rule_plan_matches_instantiate_then_repair(stmt, rng)
                 assert_parents_are_the_tree(mine)
                 seg = mine
                 break
+
+
+# reverse declarations, so that a move sequence has value matches too
+_VALUE_RULES = (
+    "@(10){ $a + b }{ a = ans - b; }",
+    "@(10){ $a * b }{ a = ans / b; }",
+    "@(10){ $a == b; }{ a = b; }",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stmt=rewritable_statements(), rng=st.randoms(use_true_random=False))
+def test_copies_taken_anywhere_in_a_move_sequence_digest_like_the_reference(stmt, rng):
+    # each step copies the segment and applies a random value match or
+    # rewrite to the copy. The candidate may be digested before its
+    # prebind, and copies are taken between the move and its prebind, after
+    # the prebind, and of earlier copies; some are digested as they come,
+    # and at the end all are, in random order
+    rules = "\n".join(_PLAN_RULES + _VALUE_RULES)
+    t = build(f"{rules}\nnew: q = 4;\nnew: r = 0;\nnew: y = 0;\n{stmt}\n")
+    top = [ln for ln in t.code.lines() if ln.ctype is CodeType.EXPR and ln.scope is None][-1]
+    seg = Segment.from_run(t, t.expression_run(top.address))
+    ctx = PreexecUniverse(t).context_for(None)
+    fns = list(t.functions.values())
+    pool = [seg]
+    seen = []  # (segment, digest, reference digest) when each was taken
+
+    def take(s):
+        seen.append((s, s.digest(), _reference_digest(s)))
+
+    def maybe_take():
+        while rng.random() < 0.4:
+            take(rng.choice(pool))
+
+    for _ in range(8):
+        moves = [(a, fn) for a in seg.subtree(seg.root) if seg[a].bound is None for fn in fns]
+        rng.shuffle(moves)
+        for a, fn in moves:
+            m = match_branch(seg, a, fn, ctx)
+            if m is None:
+                continue
+            cand = seg.copy()
+            if fn.is_exp:
+                if search.apply_exp_rewrite(cand, m, t) is None:
+                    continue
+            else:
+                search.apply_value_match(cand, m)
+            if rng.random() < 0.3:
+                # its prebind still writes, so this digest is not checked again
+                seen.append((None, cand.digest(), _reference_digest(cand)))
+            if rng.random() < 0.5:
+                pool.append(cand.copy())
+            maybe_take()
+            cand.prebind_builtins()
+            if rng.random() < 0.5:
+                pool.append(cand.copy())
+            if rng.random() < 0.5:
+                pool.append(rng.choice(pool).copy())
+            pool.append(cand)
+            maybe_take()
+            seg = cand
+            break
+        else:
+            break
+    rng.shuffle(pool)
+    for s in pool:
+        take(s)
+    # nothing is written once it is in the pool
+    for s, d, r in seen:
+        if s is not None:
+            assert s.digest() == d and _reference_digest(s) == r
+    new = [d for _, d, _ in seen]
+    ref = [r for _, _, r in seen]
+    assert len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
 
 
 def test_a_rule_plan_is_made_once_per_table():

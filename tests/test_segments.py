@@ -365,6 +365,21 @@ def test_digest_sees_binding_changes():
     assert seg.digest() != d0
 
 
+def test_a_copy_that_adds_or_drops_a_line_digests_like_a_new_segment():
+    # the copy starts from its parent's digest, whose rows are numbered for
+    # the parent's address set
+    _, seg = segment_for("new: y = 3; $x + 1 == y;", "==")
+    seg.digest()
+    plus = [a for a in seg.lines if seg[a].op.text == "+"][0]
+    added, dropped = seg.copy(), seg.copy()
+    extra = seg[plus].copy()
+    extra.address = added.fresh_address()
+    added.add_line(extra)
+    dropped._drop([plus])
+    for cp in (added, dropped):
+        assert cp.digest() == Segment(dict(cp.lines), cp.root).digest()
+
+
 def test_splice_in_place_keeps_addresses():
     t, seg = segment_for("new: y = 3; $x + 1 == y;", "==")
     for ln in seg.lines.values():
