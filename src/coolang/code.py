@@ -157,6 +157,9 @@ VALUE_SLOTS = (SLOT_LEFT, SLOT_RIGHT, SLOT_RESULT)
 
 BUILTIN = "builtin"
 
+# the only row types that read an expression from outside its run
+CONTROL_TYPES = (CodeType.JUMP, CodeType.RETURN)
+
 
 @dataclass
 class ExtendedLine:
@@ -267,12 +270,16 @@ class CodeTable:
                 raise KeyError(f"address {ln.address} already in code table")
             self._map[ln.address] = ln
         self._keys: list[Address] = sorted(self._map)
+        # the jump and return rows by address, kept exact by insert and remove
+        self.control = {a: ln for a, ln in self._map.items() if ln.ctype in CONTROL_TYPES}
 
     def insert(self, line: ExtendedLine) -> None:
         if line.address in self._map:
             raise KeyError(f"address {line.address} already in code table")
         bisect.insort(self._keys, line.address)
         self._map[line.address] = line
+        if line.ctype in CONTROL_TYPES:
+            self.control[line.address] = line
 
     def insert_run(
         self, lines: list[ExtendedLine], lo: Optional[Address], hi: Optional[Address]
@@ -298,6 +305,7 @@ class CodeTable:
         line = self._map.pop(addr)
         idx = bisect.bisect_left(self._keys, addr)
         del self._keys[idx]
+        self.control.pop(addr, None)
         return line
 
     def get(self, addr: Address) -> Optional[ExtendedLine]:

@@ -92,14 +92,13 @@ def load(lines: list[CodeLine]) -> Tables:
 
     _propagate_markers(ext)
     _mark_formals(ext, rows)
+    tables = Tables(code=CodeTable(ext), scopes=rows)
     jump_targets = {
         el.right.addr
-        for el in ext
+        for el in tables.code.control.values()
         if el.ctype is CodeType.JUMP and el.right.kind is OperandKind.ADDRESS
     }
     _assign_exec_flags(ext, rows, jump_targets)
-
-    tables = Tables(code=CodeTable(ext), scopes=rows)
 
     _build_functions(tables, ext, rows)
     link_classes(tables, [el for el in ext if el.ctype is CodeType.CLASS_OP])

@@ -216,20 +216,8 @@ class _Matcher:
         """Operators and leaves of the subtree at addr, bottom-up."""
         lines = self.seg.lines
         done: dict[Address, tuple] = {}
-        stack = [addr]
-        while stack:
-            a = stack[-1]
+        for a in self.seg.subtree(addr):
             ln = lines[a]
-            kids = [
-                o.addr
-                for o in (ln.left, ln.right)
-                if o.kind is OperandKind.ADDRESS and o.addr in lines and o.addr != a
-            ]
-            missing = [c for c in kids if c not in done]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
             slots = []
             for s in (SLOT_LEFT, SLOT_RIGHT):
                 o = ln.slot(s)

@@ -111,15 +111,17 @@ class CallSite:
 
 
 class _Instantiation:
-    """An instance under construction: its records are made in preorder,
-    leftmost parent first, and each class body runs after its parents'."""
+    """An instance under construction: one record per class of its class
+    order, made in preorder, leftmost parent first; each class body runs
+    once, after its parents'."""
 
-    __slots__ = ("top", "name", "work")
+    __slots__ = ("top", "name", "work", "records")
 
     def __init__(self, top: Record, name: str):
         self.top = top
         self.name = name  # the variable that receives the instance
         self.work = [(top, 0)]  # (record, parents linked so far)
+        self.records = {top.scope: top}  # class scope -> its record
 
 
 @dataclass
@@ -670,9 +672,11 @@ class Interpreter:
             start, end, parents = classes[rec.scope]
             if i < len(parents):
                 work.append((rec, i + 1))
-                link = Record(scope=parents[i], parent=self.global_record)
+                link = inst.records.get(parents[i])
+                if link is None:
+                    link = inst.records[parents[i]] = Record(parents[i], self.global_record)
+                    work.append((link, 0))
                 rec.param_query_links.append(link)
-                work.append((link, 0))
             else:
                 return rec, start, end
         return None

@@ -527,8 +527,9 @@ class Segment:
         """Write the segment back over the run at the original addresses.
 
         Same address set: flags copy in place. Otherwise the run is
-        removed, the lines go into the gap it leaves, and outside
-        references to removed lines are repointed at the new root.
+        removed, the lines go into the gap it leaves, and the readers of
+        removed lines take the new root: the table's jump and return rows,
+        and the rest of the run if the segment was cut from part of one.
         Returns the old-to-new address mapping for relocated lines.
         """
         order = self.order()
@@ -558,13 +559,11 @@ class Segment:
         new_addrs = tables.code.insert_run(run, lo, hi)
         mapping = dict(zip(order, new_addrs))
 
-        # outside lines that referenced the old expression now take the new root
         new_root = mapping[self.root]
         stale = set(original)
-        fresh = set(new_addrs)
-        for el in tables.code.lines():
-            if el.address in fresh:
-                continue
+        first, last = new_addrs[0], new_addrs[-1]
+        rest = [el for el in tables.expression_run(first) if not first <= el.address <= last]
+        for el in (*tables.code.control.values(), *rest):
             for s in VALUE_SLOTS:
                 o = el.slot(s)
                 if o.kind is OperandKind.ADDRESS and o.addr in stale:

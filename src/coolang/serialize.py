@@ -233,8 +233,14 @@ def _read_class_row(tables: Tables, row: str, addrs: _Memo) -> None:
 
 def _check_links(tables: Tables) -> None:
     """Refuse a row that names a missing row. A scope's parent must start
-    before it, since preexecute makes the scope records in address order."""
+    before it, since preexecute makes the scope records in address order.
+    A jump's test and a return's value are expressions of the row's scope."""
     scopes, code = tables.scopes, tables.code
+    for a, ln in code.control.items():
+        if ln.left.kind is OperandKind.ADDRESS:
+            read = code.get(ln.left.addr)
+            if read is None or read.scope != ln.scope:
+                raise FormatError(f"code line {a} reads {ln.left.addr}, no row of its scope")
     for s, info in scopes.items():
         if info.parent is not None and not (info.parent < s and info.parent in scopes):
             raise FormatError(f"scope row {s}: parent {info.parent} is no scope row before it")

@@ -2,8 +2,12 @@
 
 Each constant is one complete source text; names describe what the
 program exercises. Expected outputs sit next to the programs that have
-stable ones.
+stable ones. The benchmark's workload generators are loaded here too.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from coolang import build, execute
 
@@ -148,6 +152,20 @@ def outputs(src):
     return execute(src).output
 
 
+def _load_workloads():
+    """The benchmark's program generators, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's seeded workload generators: workloads.generate(name, seed)
+workloads = _load_workloads()
+
+
 __all__ = [
     "ADD_TO",
     "ADD_TO_OUTPUT",
@@ -169,4 +187,5 @@ __all__ = [
     "build",
     "execute",
     "outputs",
+    "workloads",
 ]

@@ -3,7 +3,8 @@
 Each is the plain, slow form of a fact the toolchain computes another
 way: the class order as a depth-first walk, the whole-segment cleanups
 and arithmetic that the search's incremental repair must agree with, a
-segment digest that rebuilds every row on every call, a
+segment digest that rebuilds every row on every call, a splice that
+walks the whole table for the rows that read a relocated run, a
 rewrite that instantiates a rule's whole body and then runs those
 cleanups, a silo search that builds every move it matches, and a `.ccode`
 reader that decodes every cell of every code row afresh and inserts the
@@ -153,6 +154,48 @@ def digest(seg: Segment) -> tuple:
         rows.append((ln.ctype._value_, ln.op.text, tuple(slots), bound, ln.root))
     rows.append(("root", index.get(seg.root, -1)))
     return tuple(rows)
+
+
+def splice(seg: Segment, tables: Tables, original: list[Address]) -> dict[Address, Address]:
+    """Segment.splice with a relocated run's readers found by walking every
+    value slot of every row outside the run's new lines."""
+    order = seg.order()
+    for a in order:
+        if a not in seg._private:
+            seg.lines[a] = seg.lines[a].copy()
+    if set(order) == set(original):
+        for a in order:
+            old = tables.code[a]
+            staged = seg.lines[a]
+            staged.scope = old.scope
+            staged.exec_flag = old.exec_flag
+            tables.code.remove(a)
+            tables.code.insert(staged)
+        return {}
+
+    template = tables.code[original[0]]
+    lo = tables.code.prev_before(original[0])
+    hi = tables.code.next_after(original[-1])
+    for a in original:
+        tables.code.remove(a)
+    run = [seg.lines[a] for a in order]
+    for ln in run:
+        ln.scope = template.scope
+        ln.exec_flag = template.exec_flag
+    new_addrs = tables.code.insert_run(run, lo, hi)
+    mapping = dict(zip(order, new_addrs))
+
+    new_root = mapping[seg.root]
+    stale = set(original)
+    fresh = set(new_addrs)
+    for el in tables.code.lines():
+        if el.address in fresh:
+            continue
+        for s in VALUE_SLOTS:
+            o = el.slot(s)
+            if o.kind is OperandKind.ADDRESS and o.addr in stale:
+                el.set_slot(s, Operand.address(mapping.get(o.addr, new_root)))
+    return mapping
 
 
 def rule_plan(tables: Tables, fn: FunctionInfo) -> tuple[list, tuple, frozenset[str]]:

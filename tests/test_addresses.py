@@ -9,6 +9,7 @@ from coolang.code import (
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
+    CONTROL_TYPES,
     CodeTable,
     CodeType,
     ExecFlag,
@@ -219,3 +220,31 @@ def test_insert_run_moves_a_run_into_a_gap_with_its_own_references(data):
         assert _refs(ln) == [moved.get(r, r) for r in refs]
     assert {a: _refs(table[a]) for a in outside} == outside_refs
     assert table.between(lo, hi) == run
+
+
+@given(st.data())
+def test_the_code_table_keeps_its_jump_and_return_rows(data):
+    kinds = st.sampled_from([CodeType.EXPR, CodeType.JUMP, CodeType.RETURN, CodeType.EXPR_END])
+
+    def line(addr: Address) -> ExtendedLine:
+        ln = _line(addr)
+        ln.ctype = data.draw(kinds)
+        return ln
+
+    table = CodeTable(line(Address((i,))) for i in range(1, data.draw(st.integers(1, 8)) + 1))
+    for _ in range(data.draw(st.integers(0, 20))):
+        keys = table.addresses()
+        op = data.draw(st.sampled_from(["insert", "remove", "insert_run"]))
+        if op == "remove" and keys:
+            table.remove(data.draw(st.sampled_from(keys)))
+            continue
+        # a gap after a row, or the empty table: no address fits below 1
+        i = data.draw(st.integers(0, len(keys) - 1)) if keys else 0
+        lo, hi = ([*keys, None][i], [*keys[1:], None][i])
+        if op == "insert":
+            table.insert(line(allocate_between(lo, hi)))
+        else:
+            run = [line(Address((10**9 + k,))) for k in range(data.draw(st.integers(1, 3)))]
+            table.insert_run(run, lo, hi)
+        scanned = {ln.address: ln for ln in table.lines() if ln.ctype in CONTROL_TYPES}
+        assert table.control == scanned

@@ -372,6 +372,37 @@ def test_a_code_table_row_naming_a_missing_row_is_a_format_error(
     assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "name, row, kind, reads, to",
+    [
+        ("sin_approx", "13", "ret", "12", "30"),
+        ("sin_approx", "25", "ret", "24", "30"),
+        ("sin_approx_exp", "13", "ret", "12", "30"),
+        ("sin_approx_exp", "25", "ret", "24", "30"),
+        ("loop_and_branch", "10", "jump", "8", "15"),
+    ],
+    ids=["cos", "sin", "exp-cos", "exp-rule", "while-test"],
+)
+def test_a_code_table_control_row_reading_another_scope_is_a_format_error(
+    tmp_path, capsys, name, row, kind, reads, to
+):
+    # rows 13 and 25 are the returns of cos and sin (a rewrite rule in
+    # sin_approx_exp), 30 is top-level; row 10 is the while loop's exit
+    # jump, and 15 lies inside the loop's block
+    src = write(tmp_path, f"{name}.cool", corpus.ALL_PROGRAMS[name])
+    assert main(["compile", src]) == 0
+    table = tmp_path / f"{name}.ccode"
+    rows = [r.split("\t") for r in table.read_text().split("\n")]
+    control = next(r for r in rows if r[0] == row)
+    assert (control[3], control[5]) == (kind, reads)
+    control[5] = to
+    table.write_text("\n".join("\t".join(r) for r in rows))
+    assert main(["run", str(table)]) == 1
+    assert capsys.readouterr().err == (
+        f"coolc: FormatError: code line {row} reads {to}, no row of its scope\n"
+    )
+
+
 def test_a_deep_declaration_pattern_binds_and_runs(tmp_path, capsys):
     # pattern matching and call alignment both walk 1 200 levels
     n = 1200

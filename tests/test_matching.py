@@ -100,32 +100,28 @@ def test_repeated_formal_wants_the_same_variable():
 
 
 def test_repeated_formal_compares_whole_subtrees():
-    base = "@(1){ a + a }{ return: 2 * a; }\nnew: q = 0;\n"
-    t = build(base + "(q + 1) + (q + 1) == 8;")
-    uni = universe(t)
-    outer = [
-        el
-        for el in t.code.lines()
-        if el.ctype is CodeType.EXPR
-        and el.op.text == "+"
-        and el.left.kind is OperandKind.ADDRESS
-    ][-1]
-    seg = Segment.from_run(t, t.expression_run(outer.address))
-    fn = [f for f in t.functions.values() if f.name == "+"][0]
-    assert match_branch(seg, outer.address, fn, uni.context_for(outer.scope))
-
-    t = build(base + "(q + 1) + (q + 2) == 8;")
-    uni = universe(t)
-    outer = [
-        el
-        for el in t.code.lines()
-        if el.ctype is CodeType.EXPR
-        and el.op.text == "+"
-        and el.left.kind is OperandKind.ADDRESS
-    ][-1]
-    seg = Segment.from_run(t, t.expression_run(outer.address))
-    fn = [f for f in t.functions.values() if f.name == "+"][0]
-    assert match_branch(seg, outer.address, fn, uni.context_for(outer.scope)) is None
+    cases = [
+        ("(q + 1) + (q + 1) == 8;", True),
+        ("(q + 1) + (q + 2) == 8;", False),
+        # the repeated actuals are two rows deep: their whole subtrees compare
+        ("((q + 1) * 2) + ((q + 1) * 2) == 8;", True),
+        ("((q + 1) * 2) + ((q + 2) * 2) == 8;", False),
+    ]
+    for stmt, matches in cases:
+        t = build("@(1){ a + a }{ return: 2 * a; }\nnew: q = 0;\n" + stmt)
+        uni = universe(t)
+        outer = [
+            el
+            for el in t.code.lines()
+            if el.ctype is CodeType.EXPR
+            and el.op.text == "+"
+            and el.left.kind is OperandKind.ADDRESS
+            and el.right.kind is OperandKind.ADDRESS
+        ][-1]
+        seg = Segment.from_run(t, t.expression_run(outer.address))
+        fn = [f for f in t.functions.values() if f.name == "+"][0]
+        found = match_branch(seg, outer.address, fn, uni.context_for(outer.scope))
+        assert (found is not None) == matches, stmt
 
 
 def test_pattern_with_internal_operator_claims_prebound_lines():

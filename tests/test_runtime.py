@@ -1,14 +1,12 @@
 import hashlib
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from corpus import workloads
 from reference import class_mro
 from coolang import build, execute, preexecute
 from coolang import records
@@ -180,18 +178,6 @@ def test_a_corpus_run_keeps_its_output_calls_and_records(name):
     )
     assert got == CORPUS_RUNS[name]
 
-
-def _load_workloads():
-    """The benchmark's program generators, loaded from their file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
 
 # per generated workload: the calls a run completes, the records it creates
 # and destroys, and per seed 1-5 the first 16 hex digits of the sha256 of
@@ -504,9 +490,48 @@ def test_an_instance_reads_members_in_class_mro_order(graph):
     else:
         with pytest.raises(UnresolvedIdentifier, match="'m' has no member 'v'"):
             interp.run()
-    # a run makes one record per inheritance path; first occurrences keep the order
+    # a run makes one record per class, as preexecute does, linked in mro order
     seen = []
     for r in interp.global_record.data["m"].linked():
         if r.scope not in seen:
             seen.append(r.scope)
     assert seen == mro
+
+
+DIAMOND = """
+system: D { new: x = 1; x --> 0; }
+system: B << D { @getb(){ return: x; } }
+system: C << D { @getc(){ return: x; } }
+system: A << B, C { new: a = 0; }
+A: m;
+m.x = 7;
+m.getb() --> 0;
+m.getc() --> 0;
+"""
+
+
+def test_a_diamond_base_runs_its_body_once_and_is_shared():
+    # both paths from A reach the one D record: its body prints once, and
+    # the methods of B and C read the x that m.x wrote
+    assert execute(DIAMOND).output == ["1.0", "7.0", "7.0"]
+
+
+def test_an_instance_of_a_diamond_lattice_makes_one_record_per_class():
+    k = 12
+    src = "system: D0 { new: x = 1; }\n"
+    for j in range(k):
+        src += (
+            f"system: B{j} << D{j} {{ new: b{j} = 0; }}\n"
+            f"system: C{j} << D{j} {{ new: c{j} = 0; }}\n"
+            f"system: D{j + 1} << B{j}, C{j} {{ new: d{j + 1} = 0; }}\n"
+        )
+    t = build(src + f"D{k}: m;\nm.x --> 0;\n")
+    preexecute(t)
+    interp = Interpreter(t)
+    created = records.created_count
+    interp.run()
+    assert interp.output == ["1.0"]
+    order = t.class_order(t.class_scopes[f"D{k}"])
+    assert len(order) == 3 * k + 1
+    assert records.created_count - created == len(order)
+    assert [r.scope for r in interp.global_record.data["m"].linked()] == list(order)

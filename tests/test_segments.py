@@ -4,17 +4,19 @@ from unittest import mock
 
 import corpus
 import pytest
+import reference
 from reference import evaluate, expand_rings, reference_counts, repair_detached
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coolang import build, preexecute, run_program
+from coolang import build, deserialize, preexecute, run_program, serialize
 from coolang.addresses import Address
 from coolang.code import (
     BUILTIN,
     SLOT_LEFT,
     SLOT_RESULT,
     SLOT_RIGHT,
+    CodeTable,
     CodeType,
     ExecFlag,
     ExtendedLine,
@@ -440,11 +442,35 @@ def test_splice_repoints_outside_references_at_the_new_root():
         assert o.addr in t.code
 
 
+def test_a_splice_repoints_the_rest_of_the_run_a_segment_was_cut_from():
+    # the segment holds `$x + 1 == y` but not the assignment that reads it;
+    # moving the + line to a fresh address makes the == line sort first,
+    # so the new root takes the + line's old address
+    texts = []
+    for splice in (Segment.splice, reference.splice):
+        t = build("new: y = 3; new: r = 0; r = $x + 1 == y;")
+        eq = [el for el in t.code.lines() if el.op.text == "=="][0]
+        sub = t.expression_run(eq.address)[:-1]
+        seg = Segment.from_run(t, sub)
+        plus = eq.left.addr
+        seg.own(eq.address).left = Operand.address(seg.copy_subtree(plus))
+        seg._drop([plus])
+        mapping = splice(seg, t, [el.address for el in sub])
+        assert mapping[eq.address] == plus
+        assign = [el for el in t.code.lines() if el.op.text == "="][-1]
+        assert assign.left == Operand.address(plus)
+        texts.append(serialize(t))
+    assert texts[0] == texts[1]
+
+
+SIN_DECLARATIONS = corpus.SIN_APPROX_EXP.replace("new: r = sin(pi/2 - 0.5);\nr --> 0;\n", "")
+
+
 def test_relocating_splices_repoint_jumps_and_returns_in_a_real_preexecute():
     # the sin rewrite changes each statement's line set, so each splice
     # relocates it: a loop condition (both jumps read it), a statement an
     # `if` jumps to, and a function's return value
-    src = corpus.SIN_APPROX_EXP.replace("new: r = sin(pi/2 - 0.5);\nr --> 0;\n", "") + """
+    src = SIN_DECLARATIONS + """
 new: i = 0;
 while (sin(pi/2 - i) > 0.5) { i = i + 0.25; }
 i --> 0;
@@ -482,6 +508,145 @@ s --> 0;
                 o = ln.slot(s)
                 assert o.kind is not OperandKind.ADDRESS or o.addr in t.code
     assert run_program(t).output == ["1.0", "0.875", "0.875"]
+
+
+# each statement holding sin(...) relocates, since the sin rewrite changes
+# its line set: a while condition, an if condition, the statement after the
+# if (both of its jumps land there), a return: value, a printed value, a
+# call actual and an assignment
+RELOCATION_SHAPES = SIN_DECLARATIONS + """
+new: i = 0;
+while (sin(pi/2 - i) > 0.5) { i = i + 0.25; }
+new: r = 0;
+if (sin(pi/2 - i) < 0.5) { r = 1; }
+r = sin(pi/2 - 0.5) + r;
+@g(x){ return: sin(pi/2 - x); }
+@h(y){ return: y * 2; }
+sin(pi/2 - 0.25) --> 0;
+new: s = h(sin(pi/2 - 0.5));
+s = s + g(0.5) * sin(pi/2 - 1);
+i --> 0;
+r --> 0;
+s --> 0;
+"""
+RELOCATION_SHAPES_OUTPUT = ["0.96875", "1.0", "0.875", "2.1875"]
+
+
+def sin_statements(n):
+    """n relocating statements under the sin rewrite."""
+    stmts = "".join(f"new: r{k} = sin(pi/2 - 0.5);\n" for k in range(n))
+    return SIN_DECLARATIONS + stmts + f"r{n - 1} --> 0;\n"
+
+
+def preexecuted_with(src, splice):
+    """The .ccode text of src preexecuted with splice as Segment.splice,
+    and the addresses of the runs it relocated."""
+    t = build(src)
+    relocated = []
+
+    def recording(seg, tables, original):
+        mapping = splice(seg, tables, original)
+        if mapping:
+            relocated.append(original[0])
+        return mapping
+
+    with mock.patch.object(Segment, "splice", recording):
+        preexecute(t)
+    text = serialize(t)
+    assert serialize(deserialize(text)) == text
+    return text, relocated
+
+
+def without_table_walks(splice):
+    """splice, with CodeTable.lines raising while it runs."""
+
+    def guarded(seg, tables, original):
+        walk = AssertionError("a splice walked the code table")
+        with mock.patch.object(CodeTable, "lines", side_effect=walk):
+            return splice(seg, tables, original)
+
+    return guarded
+
+
+@pytest.mark.parametrize(
+    "src, moves, output",
+    [(sin_statements(50), 50, ["0.875"]), (RELOCATION_SHAPES, 7, RELOCATION_SHAPES_OUTPUT)],
+    ids=["sin_statements", "shapes"],
+)
+def test_no_splice_walks_the_table(src, moves, output):
+    text, relocated = preexecuted_with(src, without_table_walks(Segment.splice))
+    assert len(relocated) == moves
+    t = deserialize(text)
+    for ln in t.code.lines():
+        if ln.ctype is CodeType.EXPR and ln.exec_flag is not ExecFlag.FALSE:
+            assert ln.bound is not None, ln
+    assert run_program(t).output == output
+
+
+def _reference_cases():
+    for name, src in corpus.ALL_PROGRAMS.items():
+        yield pytest.param(src, id=name)
+    for name in ("deep_bind", "wide_program", "loop_run"):
+        for seed in range(1, 6):
+            yield pytest.param(corpus.workloads.generate(name, seed).source, id=f"{name}-{seed}")
+    yield pytest.param(RELOCATION_SHAPES, id="shapes")
+
+
+@pytest.mark.parametrize("src", _reference_cases())
+def test_the_splice_writes_what_the_table_walk_writes(src):
+    assert preexecuted_with(src, Segment.splice) == preexecuted_with(src, reference.splice)
+
+
+@st.composite
+def relocating_programs(draw):
+    """Statements over v0..v2 and sin(...) in every place a splice can
+    move: conditions, the statement after an if, return values, printed
+    values, call actuals and assignments, nested up to three deep."""
+    const = st.sampled_from(["0", "0.25", "0.5", "1"])
+    var = st.sampled_from(["v0", "v1", "v2"])
+
+    def value():
+        return draw(st.sampled_from([
+            f"sin(pi/2 - {draw(const)})",
+            f"sin(pi/2 - {draw(var)})",
+            f"g({draw(const)})",
+            f"h(sin(pi/2 - {draw(const)}))",
+            draw(var),
+        ]))
+
+    def block(depth):
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["assign", "print", "if", "while", "block"]))
+            if kind == "assign":
+                out.append(f"{draw(var)} = {value()} + {value()};")
+            elif kind == "print":
+                out.append(f"{value()} --> 0;")
+            elif depth >= 3:
+                out.append(f"{draw(var)} = {value()};")
+            elif kind == "if":
+                text = f"if ({value()} < {draw(const)}) {{ {block(depth + 1)} }}"
+                if draw(st.booleans()):
+                    text += f" else {{ {block(depth + 1)} }}"
+                out.append(text)
+            elif kind == "while":
+                v = draw(var)
+                out.append(f"while ({value()} > {v}) {{ {v} = {v} + 1; {block(depth + 1)} }}")
+            else:
+                out.append(f"{{ {block(depth + 1)} }}")
+        return " ".join(out)
+
+    return SIN_DECLARATIONS + (
+        "@g(x){ return: sin(pi/2 - x); }\n@h(y){ return: y * 2; }\n"
+        "new: v0 = 0;\nnew: v1 = 0;\nnew: v2 = 0;\n" + block(0) + "\n"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(relocating_programs())
+def test_generated_relocations_write_what_the_table_walk_writes(src):
+    guarded = without_table_walks(Segment.splice)
+    assert preexecuted_with(src, guarded) == preexecuted_with(src, reference.splice)
 
 
 def test_evaluate_builtins_against_python():
