@@ -349,12 +349,11 @@ class CodeTable:
         """The chain an ACCESS_MEMBER line names, down its bases to a name.
 
         None unless every level is an ACCESS_MEMBER line and the last base
-        is an identifier.
+        is an identifier. A loaded table's member accesses read earlier
+        ones (serialize._check_links), so the walk ends.
         """
         names: list[str] = []
-        seen: set[Address] = set()
-        while addr not in seen:
-            seen.add(addr)
+        while True:
             ln = self._map.get(addr)
             if ln is None or ln.ctype is not CodeType.ACCESS_MEMBER:
                 return None
@@ -366,7 +365,6 @@ class CodeTable:
             if base.kind is not OperandKind.ADDRESS:
                 return None
             addr = base.addr
-        return None
 
 
 @dataclass

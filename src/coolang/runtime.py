@@ -137,42 +137,24 @@ def lower(tables: Tables) -> Program:
 
     The first pass lowers each line with its targets as line indices and
     counts the instructions each line emits; the second turns those indices
-    into program counters. Raises FormatError for a reference that names
-    nothing in the tables.
+    into program counters. The links of a loaded table were checked once
+    by serialize._check_links, so every row and scope named here exists.
     """
     lines = list(tables.code.lines())
     n = len(lines)
     index_of = {ln.address: i for i, ln in enumerate(lines)}
 
-    def index(addr: Optional[Address], what: str) -> int:
-        found = index_of.get(addr)
-        if found is None:
-            raise FormatError(f"{what} {addr} is not in the code table")
-        return found
-
-    def scope_range(start: Address, what: str) -> tuple[int, int]:
-        info = tables.scopes.get(start)
-        if info is None:
-            raise FormatError(f"{what} {start} has no scope row")
-        first = index(start, what)
-        end = index(info.end, f"end of {what}")
-        if end < first:
-            raise FormatError(f"{what} {start} ends before it starts")
-        return first, end
+    def scope_range(start: Address) -> tuple[int, int]:
+        return index_of[start], index_of[tables.scopes[start].end]
 
     bodies: dict[Address, tuple[int, int]] = {}  # function -> body lines
     sites: list[CallSite] = []
 
     def call_site(ln: ExtendedLine) -> CallSite:
-        fn = tables.functions.get(ln.bound)
-        if fn is None:
-            raise FormatError(f"line {ln.address} is bound to no function")
+        fn = tables.functions[ln.bound]
         body = bodies.get(ln.bound)
         if body is None:
-            if fn.body_scope is None:
-                raise FormatError(f"line {ln.address} is bound to a function without a body")
-            index(fn.decl_root, "declaration root")
-            first, end = scope_range(fn.body_scope, "function body")
+            first, end = scope_range(fn.body_scope)
             body = bodies[ln.bound] = (first + 1, end)
         site = CallSite(ln, fn, *body)
         site.consts, site.formals, site.solves = _align(site, tables.code)
@@ -192,7 +174,7 @@ def lower(tables: Tables) -> Program:
                 j += 1
             proto += _lower_run(lines[i:j], tables.code, call_site)
         elif t is CodeType.SCOPE_START:
-            _, end = scope_range(ln.address, "scope")
+            _, end = scope_range(ln.address)
             info = tables.scopes[ln.address]
             if ln.exec_flag is ExecFlag.FALSE or info.kind in _SKIPPED_KINDS:
                 proto.append((_SKIP, end + 1))
@@ -205,12 +187,9 @@ def lower(tables: Tables) -> Program:
         elif t is CodeType.RETURN:
             proto.append((_RETURN, _operand(ln.left, tables.code)))
         elif t is CodeType.JUMP:
-            if ln.right.kind is not OperandKind.ADDRESS:
-                raise FormatError(f"jump at {ln.address} has no target address")
-            target = ln.right.addr
             # a jump past the last line (the end of a trailing if-chain) ends
             # every region it runs in
-            to = n if target > lines[-1].address else index(target, "jump target")
+            to = index_of.get(ln.right.addr, n)
             proto.append((_JUMP, _operand(ln.left, tables.code), to))
         # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END and
         # SCOPE_END do nothing at run time and emit nothing. The count goes
@@ -235,7 +214,7 @@ def lower(tables: Tables) -> Program:
 
     classes = {}
     for scope, info in tables.classes.items():
-        first, end = scope_range(scope, "class")
+        first, end = scope_range(scope)
         classes[scope] = (pc_of[first + 1], pc_of[end], tuple(info.parents))
     return Program(code=code, classes=classes)
 
@@ -310,10 +289,7 @@ def _operand(o: Operand, table: CodeTable) -> tuple:
         target = table.get(o.addr)
         if target is None or target.ctype is not CodeType.ACCESS_MEMBER:
             return (_TEMP, o.addr)
-        chain = table.member_chain(o.addr)
-        if chain is None:
-            raise FormatError(f"member access {o.addr} does not lead to a name")
-        return (_MEMBER, *chain)
+        return (_MEMBER, *table.member_chain(o.addr))
     return _EMPTY_OPERAND
 
 
@@ -721,7 +697,7 @@ class Interpreter:
 def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, tuple]:
     """The site's call plan: pair declaration formals with the call's
     operands, tree against tree, depth first and left before right, on a
-    stack: patterns nest deep. A pair of lines met twice means an operand
+    stack: patterns nest deep. A call line met twice means an operand
     cycle, which no tree has."""
     consts: dict[str, object] = {}
     formals: list[tuple[str, tuple]] = []
@@ -729,7 +705,7 @@ def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, t
     reverse = site.line.bound_reverse
     seen: set[str] = set()
     root = code[site.fn.decl_root]
-    visited = {(root.address, site.address)}
+    met = {site.address}  # the call's lines
     stack = [(root, site.line, SLOT_RIGHT), (root, site.line, SLOT_LEFT)]
     while stack:
         decl_ln, seg_ln, s = stack.pop()
@@ -738,12 +714,11 @@ def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, t
         if d.kind is OperandKind.ADDRESS:
             child_d = code.get(d.addr)
             child_s = code.get(actual.addr)
-            pair = (d.addr, actual.addr)
-            if child_d is None or child_s is None or pair in visited:
+            if child_d is None or child_s is None or child_s.address in met:
                 raise FormatError(
                     f"call at {site.address} does not follow its declaration's shape"
                 )
-            visited.add(pair)
+            met.add(child_s.address)
             stack += [(child_d, child_s, SLOT_RIGHT), (child_d, child_s, SLOT_LEFT)]
             continue
         if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:

@@ -232,28 +232,112 @@ def _read_class_row(tables: Tables, row: str, addrs: _Memo) -> None:
 
 
 def _check_links(tables: Tables) -> None:
-    """Refuse a row that names a missing row. A scope's parent must start
-    before it, since preexecute makes the scope records in address order.
-    A jump's test and a return's value are expressions of the row's scope."""
-    scopes, code = tables.scopes, tables.code
-    for a, ln in code.control.items():
-        if ln.left.kind is OperandKind.ADDRESS:
-            read = code.get(ln.left.addr)
-            if read is None or read.scope != ln.scope:
-                raise FormatError(f"code line {a} reads {ln.left.addr}, no row of its scope")
+    """The one check of what a row may name, made once at load so that
+    lowering and preexecute trust every link (the README lists the rules
+    per row type). One pass over the code rows in address order; it sets
+    each bound expression's bound_reverse from its function."""
+    scopes, code, functions = tables.scopes, tables.code, tables.functions
+    get = code.get
+    # Enum members bound once: reading one off its class costs a lookup each row
+    expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
+    derive = CodeType.DERIVE_FUNC
     for s, info in scopes.items():
         if info.parent is not None and not (info.parent < s and info.parent in scopes):
             raise FormatError(f"scope row {s}: parent {info.parent} is no scope row before it")
+        if s not in code or info.end not in code or info.end < s:
+            raise FormatError(f"scope row {s}: end of scope {info.end} is no code row after {s}")
     for s in tables.classes:
         if s not in scopes:
             raise FormatError(f"class {s} has no scope row")
-    for fop, fn in tables.functions.items():
+    for fop, fn in functions.items():
         named = [("code line", a, code) for a in (fop, fn.decl_root, *fn.returns)]
         named += [("scope row", a, scopes) for a in (fn.decl_scope, fn.body_scope)]
         named.append(("class row", fn.class_scope, tables.classes))
         for what, a, rows in named:
             if a is not None and a not in rows:
                 raise FormatError(f"function row {fop}: {what} {a} is missing")
+        if fn.body_scope is None:
+            after = code.next_after(scopes[fn.decl_scope].end)
+            marker = get(after)
+            if marker is None or (marker.ctype, marker.right.addr) != (derive, fn.decl_scope):
+                raise FormatError(f"function row {fop}: no body, code line {after} derives none")
+
+    first = last = None  # the current expression run's first and last rows
+    later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
+    for ln in code.lines():
+        a, t, r = ln.address, ln.ctype, ln.result.addr
+        if r is not None and r != a and (t is not expr or ln.op.text != "="):
+            raise FormatError(f"code line {a} writes its result to {r}, not to its own row")
+        if t is expr:
+            first, last = first or a, a
+            b = ln.bound
+            if b is not None and b is not BUILTIN:
+                fn = functions.get(b)
+                if fn is None or ln.root and fn.body_scope is None:
+                    raise FormatError(f"code line {a} is bound to {b}, no function with a body")
+                ln.bound_reverse = fn.is_reverse
+            for r in (ln.left.addr, ln.right.addr, None if r == a else r):
+                if r is None:
+                    continue
+                if r >= a:
+                    later.append((ln, r))
+                elif r < first or r not in code:
+                    _read_outside(a, r, get)
+            continue
+        if later:
+            _check_later(later, first, last, get, scopes)
+            later = []
+        first = None
+        r = ln.left.addr
+        if t is member:
+            base = get(r) if r is not None and r < a else None
+            if ln.left.kind is not OperandKind.IDENT and (base is None or base.ctype is not member):
+                raise FormatError(f"member access {a} reads no name and no earlier member access")
+        elif t is jump or t is ret:
+            read = get(r)
+            if r is not None and (read is None or read.scope != ln.scope):
+                raise FormatError(f"code line {a} reads {r}, no row of its scope")
+            if read is not None and read.ctype is not expr and read.ctype is not member:
+                raise FormatError(f"code line {a} reads {r}, no expression or member access")
+            to = ln.right.addr
+            if t is jump and (to is None or to not in code and code.next_after(to)):
+                raise FormatError(f"jump at {a} has no target row")
+        elif t is CodeType.SCOPE_START and a not in scopes:
+            raise FormatError(f"scope start {a} has no scope row")
+    if later:
+        _check_later(later, first, last, get, scopes)
+
+
+def _read_outside(a: Address, r: Address, get) -> None:
+    """A read out of its expression run must name a member access."""
+    read = get(r)
+    if read is None or read.ctype is not CodeType.ACCESS_MEMBER:
+        raise FormatError(f"code line {a} reads {r}, no row of its expression or member access")
+
+
+def _check_later(later: list, first: Address, last: Address, get, scopes) -> None:
+    """The reads of run [first, last] that name a row at or after the reader.
+    Every cycle of reads has one, so only these start a walk for a cycle
+    through a row that is not user-bound. runtime._align refuses the rest."""
+    for ln, r in later:
+        read = get(r)
+        if r > last or read is None:
+            _read_outside(ln.address, r, get)
+            continue
+        info = scopes.get(ln.scope)
+        if info is not None and info.kind is ScopeKind.DECL:
+            continue
+        # (row, path holds a row not user-bound); a result naming its own row is seen
+        stack, seen = [(read, not (ln.is_user_bound and read.is_user_bound))], set()
+        while stack:
+            x, other = stack.pop()
+            if x is ln and other:
+                raise FormatError(f"code line {ln.address} reads {r}, which reads back to it")
+            if (x.address, other) not in seen:
+                seen.add((x.address, other))
+                for y in map(get, (x.left.addr, x.right.addr, x.result.addr)):
+                    if y is not None and first <= y.address <= last:
+                        stack.append((y, other or not y.is_user_bound))
 
 
 _SECTIONS = (
@@ -345,11 +429,6 @@ def deserialize(text: str) -> Tables:
     except LoadError as exc:
         raise FormatError(str(exc)) from None
     _check_links(tables)
-
-    # binding direction is a property of the bound function, not stored
-    for ln in tables.code.lines():
-        if ln.is_user_bound and ln.bound in tables.functions:
-            ln.bound_reverse = tables.functions[ln.bound].is_reverse
     return tables
 
 

@@ -147,6 +147,56 @@ ALL_PROGRAMS = {
     "class_solver": CLASS_SOLVER,
 }
 
+# the sin_approx_exp declarations alone: under them each statement holding
+# sin(...) relocates when preexecuted, since the rewrite changes its line set
+SIN_DECLARATIONS = SIN_APPROX_EXP.replace("new: r = sin(pi/2 - 0.5);\nr --> 0;\n", "")
+
+# each statement holding sin(...) relocates, since the sin rewrite changes
+# its line set: a while condition, an if condition, the statement after the
+# if (both of its jumps land there), a return: value, a printed value, a
+# call actual and an assignment
+RELOCATION_SHAPES = SIN_DECLARATIONS + """
+new: i = 0;
+while (sin(pi/2 - i) > 0.5) { i = i + 0.25; }
+new: r = 0;
+if (sin(pi/2 - i) < 0.5) { r = 1; }
+r = sin(pi/2 - 0.5) + r;
+@g(x){ return: sin(pi/2 - x); }
+@h(y){ return: y * 2; }
+sin(pi/2 - 0.25) --> 0;
+new: s = h(sin(pi/2 - 0.5));
+s = s + g(0.5) * sin(pi/2 - 1);
+i --> 0;
+r --> 0;
+s --> 0;
+"""
+
+# a member access as the whole of a return: value (in a function and in a
+# method), of an if test and of a while test: the return and the tests read
+# the access row itself, with no expression row between
+MEMBER_READS = """
+system: Box {
+  new: v = 3;
+}
+Box: q;
+system: Reader {
+  @read(){ return: q.v; }
+}
+Reader: p;
+@f(){ return: q.v; }
+new: k = f() + p.read();
+if (q.v) { k = k + 1; }
+new: i = 0;
+while (q.v) {
+  q.v = q.v - 1;
+  i = i + 1;
+}
+k --> 0;
+i --> 0;
+q.v --> 0;
+"""
+MEMBER_READS_OUTPUT = ["7.0", "3.0", "0.0"]
+
 
 def outputs(src):
     return execute(src).output
@@ -184,6 +234,10 @@ __all__ = [
     "CLASS_SOLVER",
     "CLASS_SOLVER_OUTPUT",
     "ALL_PROGRAMS",
+    "SIN_DECLARATIONS",
+    "RELOCATION_SHAPES",
+    "MEMBER_READS",
+    "MEMBER_READS_OUTPUT",
     "build",
     "execute",
     "outputs",

@@ -509,9 +509,4 @@ def deserialize(text: str) -> Tables:
     except LoadError as exc:
         raise FormatError(str(exc)) from None
     _check_links(tables)
-
-    # binding direction is a property of the bound function, not stored
-    for ln in tables.code.lines():
-        if ln.is_user_bound and ln.bound in tables.functions:
-            ln.bound_reverse = tables.functions[ln.bound].is_reverse
     return tables

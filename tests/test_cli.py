@@ -44,6 +44,18 @@ def test_preexec_saves_the_bound_table_for_later_runs(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == corpus.APPLE_PRICE_OUTPUT
 
 
+@pytest.mark.parametrize("command", ["compile", "preexec"])
+def test_a_code_table_whose_returns_and_tests_read_member_accesses_runs(
+    tmp_path, capsys, command
+):
+    # return: q.v; and if (q.v) name the access row itself, not an expression
+    src = write(tmp_path, "members.cool", corpus.MEMBER_READS)
+    table = str(tmp_path / "members.ccode")
+    assert main([command, src, "-o", table]) == 0
+    assert main(["run", table]) == 0
+    assert capsys.readouterr().out.splitlines() == corpus.MEMBER_READS_OUTPUT
+
+
 def test_exit_codes_separate_the_failure_stages(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cool")]) == 4
     assert main([]) == 4
@@ -368,6 +380,71 @@ def test_a_code_table_row_naming_a_missing_row_is_a_format_error(
     table.write_text(
         "---\n".join("".join("\t".join(row) + "\n" for row in part) for part in sections)
     )
+    assert main(["run", str(table)]) == 1
+    assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
+
+
+SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
+
+
+@pytest.mark.parametrize(
+    "source, command, row, col, was, to, message",
+    [
+        (SEVEN, "preexec", "6", 5, "5", "6", "code line 6 reads 6, which reads back to it"),
+        (SEVEN, "preexec", "6", 5, "5", "7", "code line 6 reads 7, which reads back to it"),
+        (
+            corpus.QUADRATIC_CONSTRAINT,
+            "compile",
+            "16",
+            6,
+            "15",
+            "18",
+            "code line 16 reads 18, which reads back to it",
+        ),
+        (
+            corpus.CLASS_SOLVER,
+            "compile",
+            "11",
+            5,
+            "10",
+            "8",
+            "code line 11 reads 8, no expression or member access",
+        ),
+        (
+            corpus.SIN_APPROX_EXP,
+            "compile",
+            "31",
+            7,
+            "31",
+            "32",
+            "code line 31 writes its result to 32, not to its own row",
+        ),
+        (
+            corpus.APPLE_PRICE,
+            "compile",
+            "35",
+            6,
+            "31",
+            "2",
+            "function row 30: no body, code line 35 derives none",
+        ),
+    ],
+    ids=["reads-itself", "two-row-cycle", "body-cycle", "return-reads-scope", "result", "derive"],
+)
+def test_a_code_table_row_reading_a_row_it_may_not_is_a_format_error(
+    tmp_path, capsys, source, command, row, col, was, to, message
+):
+    # at the parent these ran to exit 0 printing 1.0 and 0.0, looped in
+    # Segment.subtree_state, raised a KeyError in search.rule_plan and in
+    # Segment.splice, and failed only when lower met the unbound call
+    src = write(tmp_path, "prog.cool", source)
+    table = tmp_path / "prog.ccode"
+    assert main([command, src, "-o", str(table)]) == 0
+    rows = [r.split("\t") for r in table.read_text().split("\n")]
+    cells = next(r for r in rows if r[0] == row)
+    assert cells[col] == was
+    cells[col] = to
+    table.write_text("\n".join("\t".join(r) for r in rows))
     assert main(["run", str(table)]) == 1
     assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 

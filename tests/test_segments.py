@@ -3,6 +3,7 @@ import random
 from unittest import mock
 
 import corpus
+from corpus import RELOCATION_SHAPES, SIN_DECLARATIONS
 import pytest
 import reference
 from reference import evaluate, expand_rings, reference_counts, repair_detached
@@ -463,9 +464,6 @@ def test_a_splice_repoints_the_rest_of_the_run_a_segment_was_cut_from():
     assert texts[0] == texts[1]
 
 
-SIN_DECLARATIONS = corpus.SIN_APPROX_EXP.replace("new: r = sin(pi/2 - 0.5);\nr --> 0;\n", "")
-
-
 def test_relocating_splices_repoint_jumps_and_returns_in_a_real_preexecute():
     # the sin rewrite changes each statement's line set, so each splice
     # relocates it: a loop condition (both jumps read it), a statement an
@@ -510,25 +508,7 @@ s --> 0;
     assert run_program(t).output == ["1.0", "0.875", "0.875"]
 
 
-# each statement holding sin(...) relocates, since the sin rewrite changes
-# its line set: a while condition, an if condition, the statement after the
-# if (both of its jumps land there), a return: value, a printed value, a
-# call actual and an assignment
-RELOCATION_SHAPES = SIN_DECLARATIONS + """
-new: i = 0;
-while (sin(pi/2 - i) > 0.5) { i = i + 0.25; }
-new: r = 0;
-if (sin(pi/2 - i) < 0.5) { r = 1; }
-r = sin(pi/2 - 0.5) + r;
-@g(x){ return: sin(pi/2 - x); }
-@h(y){ return: y * 2; }
-sin(pi/2 - 0.25) --> 0;
-new: s = h(sin(pi/2 - 0.5));
-s = s + g(0.5) * sin(pi/2 - 1);
-i --> 0;
-r --> 0;
-s --> 0;
-"""
+# what corpus.RELOCATION_SHAPES prints
 RELOCATION_SHAPES_OUTPUT = ["0.96875", "1.0", "0.875", "2.1875"]
 
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -217,3 +219,76 @@ def test_a_dangling_scope_end_fails_when_the_program_is_lowered():
     t.code.remove(cond.end)
     with pytest.raises(FormatError, match="end of scope"):
         Interpreter(deserialize(serialize(t)))
+
+
+# every program the writers are checked on: the corpus, each workload for
+# seeds 1-5, a program whose splices relocate runs of every shape and one
+# whose return: values and tests are bare member accesses
+WRITTEN = {
+    **corpus.ALL_PROGRAMS,
+    **{
+        f"{workload}-{seed}": corpus.workloads.generate(workload, seed).source
+        for workload in sorted(corpus.workloads.GENERATORS)
+        for seed in range(1, 6)
+    },
+    "relocation_shapes": corpus.RELOCATION_SHAPES,
+    "member_reads": corpus.MEMBER_READS,
+}
+
+
+@functools.cache
+def _compiled_and_preexecuted(name):
+    """The .ccode texts of WRITTEN[name], compiled and preexecuted."""
+    t = build(WRITTEN[name])
+    compiled = serialize(t)
+    preexecute(t)
+    return compiled, serialize(t)
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_every_code_file_the_writers_make_passes_the_load_check(name):
+    # the load rules are read off the writers: the parser and loader, the
+    # splice, insert_run and derived bodies
+    for text in _compiled_and_preexecuted(name):
+        assert serialize(deserialize(text)) == text
+
+
+@st.composite
+def retargeted_code_files(draw):
+    """A corpus or member_reads code file, compiled or preexecuted, with
+    one or two address operands of its code rows pointed at a row of the
+    file or one past its last row. The other sections stay as written."""
+    name = draw(st.sampled_from([*sorted(corpus.ALL_PROGRAMS), "member_reads"]))
+    text = draw(st.sampled_from(_compiled_and_preexecuted(name)))
+    rows = [row.split("\t") for row in text.split("\n")]
+    code = rows[1 : rows.index(["---"])]
+    targets = [row[0] for row in code] + [str(int(code[-1][0].split(".")[0]) + 1)]
+    cells = [(row, 4 + i) for row in code for i, k in enumerate(row[8].split(",")) if k == "a"]
+    for row, col in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)):
+        row[col] = draw(st.sampled_from(targets))
+    return "\n".join("\t".join(row) for row in rows)
+
+
+class _Overtime(Exception):
+    """A damaged file still loading or running after its time bound."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime
+
+
+@settings(max_examples=400, deadline=None)
+@given(retargeted_code_files())
+def test_a_retargeted_code_file_runs_or_fails_as_a_cool_error_in_time(text):
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        tables = deserialize(text)
+        if not tables.preexecuted:
+            preexecute(tables)
+        Interpreter(tables, max_steps=20_000, max_call_depth=200).run()
+    except CoolError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
