@@ -2,7 +2,8 @@
 
 Responsibilities: address assignment, scope structure, exec flags,
 marker stripping with per-expression propagation, formal-parameter flags,
-function/class table construction, duplicate detection.
+function/class table construction, duplicate detection. One pass over the
+stream makes the lines and gathers the rows the table builders read.
 """
 
 from __future__ import annotations
@@ -37,127 +38,83 @@ from .errors import (
 
 
 def load(lines: list[CodeLine]) -> Tables:
-    n = len(lines)
-    addrs = [Address((i + 1,)) for i in range(n)]
-
-    # scope structure
-    scope_of: list[Optional[Address]] = [None] * n
     rows: dict[Address, ScopeInfo] = {}
-    order: list[Address] = []  # scope starts in source order
     stack: list[Address] = []
-    for i, ln in enumerate(lines):
-        if ln.ctype is CodeType.SCOPE_START:
-            kind = ScopeKind(ln.left.text)
-            parent = stack[-1] if stack else None
-            rows[addrs[i]] = ScopeInfo(kind=kind, start=addrs[i], end=addrs[i], parent=parent)
-            order.append(addrs[i])
-            scope_of[i] = addrs[i]
-            stack.append(addrs[i])
-        elif ln.ctype is CodeType.SCOPE_END:
-            if not stack:
-                raise UnbalancedScopes(f"scope end without start at line {i + 1}")
-            s = stack.pop()
-            rows[s].end = addrs[i]
-            scope_of[i] = s
-        else:
-            scope_of[i] = stack[-1] if stack else None
-    if stack:
-        raise UnbalancedScopes(f"unclosed scope starting at line {stack[-1]}")
-
-    # extended lines with markers stripped into flags
     ext: list[ExtendedLine] = []
-    for i, ln in enumerate(lines):
-        el = ExtendedLine(
-            address=addrs[i],
-            scope=scope_of[i],
-            exec_flag=ExecFlag.TRUE,
-            ctype=ln.ctype,
-            op=ln.op,
-            left=ln.left,
-            right=ln.right,
-            result=ln.result,
-        )
+    # the rows the table builders read after the pass, by code type
+    gathered: dict[CodeType, list[ExtendedLine]] = {
+        t: [] for t in (CodeType.JUMP, CodeType.FUNC_OP, CodeType.DERIVE_FUNC,
+                        CodeType.CLASS_OP, CodeType.VAR_DECL)
+    }
+    # the open expression's identifier slots: (line, slot, bare name)
+    run: list[tuple[ExtendedLine, int, str]] = []
+    for i, ln in enumerate(lines, 1):
+        addr = Address((i,))
+        ctype = ln.ctype
+        scope = stack[-1] if stack else None
+        if ctype is CodeType.SCOPE_START:
+            rows[addr] = ScopeInfo(kind=ScopeKind(ln.left.text), start=addr, end=addr, parent=scope)
+            scope = addr
+            stack.append(addr)
+        elif ctype is CodeType.SCOPE_END:
+            if not stack:
+                raise UnbalancedScopes(f"scope end without start at line {i}")
+            stack.pop()
+            rows[scope].end = addr
+        el = ExtendedLine(addr, scope, ExecFlag.TRUE, ctype, ln.op, ln.left, ln.right, ln.result)
+        ext.append(el)
+        is_expr = ctype is CodeType.EXPR
+        formal = is_expr and scope is not None and rows[scope].kind is ScopeKind.DECL
         for s in VALUE_SLOTS:
             o = el.slot(s)
-            if o.kind is OperandKind.IDENT:
-                bare, pend, unrel, out = split_markers(o.text)
-                kept = OUT_MARK + bare if out else bare
-                if kept != o.text:
-                    el.set_slot(s, Operand.ident(kept))
-                if pend:
-                    el.pending[s] = PendFlag.TRUE
-                elif unrel:
-                    el.pending[s] = PendFlag.UNRELATED
-        ext.append(el)
+            if o.kind is not OperandKind.IDENT:
+                continue
+            bare, pend, unrel, out = split_markers(o.text)
+            kept = OUT_MARK + bare if out else bare
+            if kept != o.text:
+                el.set_slot(s, Operand.ident(kept))
+            if pend:
+                el.pending[s] = PendFlag.TRUE
+            elif unrel:
+                el.pending[s] = PendFlag.UNRELATED
+            if formal and not out:
+                el.formal[s] = True
+            if is_expr and bare:
+                run.append((el, s, bare))
+        if not is_expr:
+            if run:
+                _propagate_markers(run)
+                run = []
+            if ctype in gathered:
+                gathered[ctype].append(el)
+    if stack:
+        raise UnbalancedScopes(f"unclosed scope starting at line {stack[-1]}")
+    _propagate_markers(run)
 
-    _propagate_markers(ext)
-    _mark_formals(ext, rows)
-    tables = Tables(code=CodeTable(ext), scopes=rows)
     jump_targets = {
-        el.right.addr
-        for el in tables.code.control.values()
-        if el.ctype is CodeType.JUMP and el.right.kind is OperandKind.ADDRESS
+        el.right.addr for el in gathered[CodeType.JUMP] if el.right.kind is OperandKind.ADDRESS
     }
     _assign_exec_flags(ext, rows, jump_targets)
-
-    _build_functions(tables, ext, rows)
-    link_classes(tables, [el for el in ext if el.ctype is CodeType.CLASS_OP])
-    _check_duplicates(tables, ext)
+    tables = Tables(code=CodeTable(ext), scopes=rows)
+    derive_targets = {el.right.addr for el in gathered[CodeType.DERIVE_FUNC]}
+    _build_functions(tables, gathered[CodeType.FUNC_OP], derive_targets)
+    link_classes(tables, gathered[CodeType.CLASS_OP])
+    _check_duplicates(tables, gathered[CodeType.VAR_DECL])
     return tables
 
 
-def _expr_runs(ext: list[ExtendedLine]):
-    i, n = 0, len(ext)
-    while i < n:
-        if ext[i].ctype is CodeType.EXPR:
-            j = i
-            while j < n and ext[j].ctype is CodeType.EXPR:
-                j += 1
-            yield ext[i:j]
-            i = j
-        else:
-            i += 1
-
-
-def _propagate_markers(ext: list[ExtendedLine]) -> None:
+def _propagate_markers(run: list[tuple[ExtendedLine, int, str]]) -> None:
     """$ and # marks spread to every same-name occurrence in their longest expression."""
-    for run in _expr_runs(ext):
-        pend: set[str] = set()
-        unrel: set[str] = set()
-        for el in run:
-            for s in VALUE_SLOTS:
-                o = el.slot(s)
-                if o.kind is OperandKind.IDENT and o.text:
-                    bare = split_markers(o.text)[0]
-                    if not bare:
-                        continue
-                    if el.pending[s] is PendFlag.TRUE:
-                        pend.add(bare)
-                    elif el.pending[s] is PendFlag.UNRELATED:
-                        unrel.add(bare)
-        if not pend and not unrel:
-            continue
-        for el in run:
-            for s in VALUE_SLOTS:
-                o = el.slot(s)
-                if o.kind is OperandKind.IDENT and el.pending[s] is PendFlag.FALSE:
-                    bare = split_markers(o.text)[0]
-                    if bare in pend:
-                        el.pending[s] = PendFlag.TRUE
-                    elif bare in unrel:
-                        el.pending[s] = PendFlag.UNRELATED
-
-
-def _mark_formals(ext: list[ExtendedLine], rows: dict[Address, ScopeInfo]) -> None:
-    for el in ext:
-        if el.scope is None or rows[el.scope].kind is not ScopeKind.DECL:
-            continue
-        if el.ctype is not CodeType.EXPR:
-            continue
-        for s in VALUE_SLOTS:
-            o = el.slot(s)
-            if o.kind is OperandKind.IDENT and not o.text.startswith(OUT_MARK):
-                el.formal[s] = True
+    pend = {bare for el, s, bare in run if el.pending[s] is PendFlag.TRUE}
+    unrel = {bare for el, s, bare in run if el.pending[s] is PendFlag.UNRELATED}
+    if not pend and not unrel:
+        return
+    for el, s, bare in run:
+        if el.pending[s] is PendFlag.FALSE:
+            if bare in pend:
+                el.pending[s] = PendFlag.TRUE
+            elif bare in unrel:
+                el.pending[s] = PendFlag.UNRELATED
 
 
 def _assign_exec_flags(
@@ -165,19 +122,17 @@ def _assign_exec_flags(
     rows: dict[Address, ScopeInfo],
     jump_targets: set[Address],
 ) -> None:
+    """Rows start TRUE; declarations never run, bodies, classes and jumped-to conditions may."""
     for el in ext:
         if el.scope is None:
-            el.exec_flag = ExecFlag.TRUE
             continue
         kind = rows[el.scope].kind
         if kind is ScopeKind.DECL:
             el.exec_flag = ExecFlag.FALSE
-        elif kind in (ScopeKind.BODY, ScopeKind.CLASS):
+        elif kind in (ScopeKind.BODY, ScopeKind.CLASS) or (
+            kind is ScopeKind.COND and el.scope in jump_targets
+        ):
             el.exec_flag = ExecFlag.COND
-        elif kind is ScopeKind.COND and el.scope in jump_targets:
-            el.exec_flag = ExecFlag.COND
-        else:
-            el.exec_flag = ExecFlag.TRUE
 
 
 def _span(tables: Tables, start: Address) -> list[ExtendedLine]:
@@ -187,14 +142,10 @@ def _span(tables: Tables, start: Address) -> list[ExtendedLine]:
 
 
 def _build_functions(
-    tables: Tables, ext: list[ExtendedLine], rows: dict[Address, ScopeInfo]
+    tables: Tables, funcs: list[ExtendedLine], derive_targets: set[Address]
 ) -> None:
-    derive_targets = {
-        el.right.addr for el in ext if el.ctype is CodeType.DERIVE_FUNC
-    }
-    for el in ext:
-        if el.ctype is not CodeType.FUNC_OP:
-            continue
+    rows = tables.scopes
+    for el in funcs:
         decl_start = el.left.addr
         if decl_start is None or decl_start not in rows:
             raise LoadError(f"function at {el.address} has no declaration scope")
@@ -251,17 +202,16 @@ def _nearest(
     return None
 
 
-def _check_duplicates(tables: Tables, ext: list[ExtendedLine]) -> None:
+def _check_duplicates(tables: Tables, var_decls: list[ExtendedLine]) -> None:
     vars_seen: set[tuple[Optional[Address], str]] = set()
-    for el in ext:
-        if el.ctype is CodeType.VAR_DECL:
-            key = (el.scope, el.result.text)
-            if key in vars_seen:
-                raise DuplicateDeclaration(
-                    f"variable {el.result.text!r} declared twice in the same scope, "
-                    f"again at code line {el.address}"
-                )
-            vars_seen.add(key)
+    for el in var_decls:
+        key = (el.scope, el.result.text)
+        if key in vars_seen:
+            raise DuplicateDeclaration(
+                f"variable {el.result.text!r} declared twice in the same scope, "
+                f"again at code line {el.address}"
+            )
+        vars_seen.add(key)
 
     fns_seen: set = set()
     for fn in tables.functions.values():

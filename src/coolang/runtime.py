@@ -71,8 +71,9 @@ _SKIPPED_KINDS = (ScopeKind.DECL, ScopeKind.BODY, ScopeKind.CLASS)
 #   (_CALL, site)                       forward call
 #   (_RCALL, site)                      reverse call, fed the value at its line
 #   (_JUMP, operand, target)
-#   (_SCOPE, scope, end, after)         run [pc + 1, end) in a child record
-#   (_SKIP, after)                      scope never entered
+#   (_SCOPE, scope, end)                run [pc + 1, end) in a child record, then go
+#                                       on at end (a scope's end row emits nothing)
+#   (_SKIP, end)                        scope never entered: go on at end
 #   (_DECLARE, name, class_name | None)
 #   (_RETURN, operand)
 #   (_PRINT, operand)                   builtin -->
@@ -177,9 +178,9 @@ def lower(tables: Tables) -> Program:
             _, end = scope_range(ln.address)
             info = tables.scopes[ln.address]
             if ln.exec_flag is ExecFlag.FALSE or info.kind in _SKIPPED_KINDS:
-                proto.append((_SKIP, end + 1))
+                proto.append((_SKIP, end))
             else:
-                proto.append((_SCOPE, ln.address, end, end + 1))
+                proto.append((_SCOPE, ln.address, end))
         elif t is CodeType.VAR_DECL:
             name = split_markers(ln.result.text)[0]
             cls = ln.left.text if ln.left.kind is OperandKind.IDENT and ln.left.text else None
@@ -203,7 +204,7 @@ def lower(tables: Tables) -> Program:
     for ins in proto:
         op = ins[0]
         if op == _SCOPE:
-            ins = (_SCOPE, ins[1], pc_of[ins[2]], pc_of[ins[3]])
+            ins = (_SCOPE, ins[1], pc_of[ins[2]])
         elif op == _SKIP:
             ins = (_SKIP, pc_of[ins[1]])
         elif op == _JUMP:
@@ -596,7 +597,7 @@ class Interpreter:
                     pc += 1
             elif op == _SCOPE:
                 child = Record(ins[1], record)
-                frames.append((record, ins[3], end, child, None))
+                frames.append((record, ins[2], end, child, None))
                 record, pc, end = child, pc + 1, ins[2]
             elif op == _SKIP:
                 pc = ins[1]

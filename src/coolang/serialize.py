@@ -264,8 +264,11 @@ def _check_links(tables: Tables) -> None:
 
     first = last = None  # the current expression run's first and last rows
     later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
+    compiled = not tables.preexecuted  # only preexecute binds
     for ln in code.lines():
         a, t, r = ln.address, ln.ctype, ln.result.addr
+        if compiled and (ln.bound is not None or ln.root):
+            raise FormatError(f"code line {a} is bound in a file that is not preexecuted")
         if r is not None and r != a and (t is not expr or ln.op.text != "="):
             raise FormatError(f"code line {a} writes its result to {r}, not to its own row")
         if t is expr:

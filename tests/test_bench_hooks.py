@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import corpus
 import coolang
 import coolang.cli
 import coolang.records
@@ -36,6 +37,29 @@ def test_every_patched_entry_point_resolves(layers):
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr, span)
+
+
+def _counting(calls, key, fn):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_every_patched_entry_point_is_called_through_its_patched_name(layers, monkeypatch):
+    # a call that bypasses the patched name, such as one through a name
+    # bound by a top-level `from .inversion import ...`, reads 0 in the benchmark
+    calls = {}
+    for module_name, attr, _ in layers.PATCHES:
+        owner = importlib.import_module(module_name)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        calls[module_name, attr] = 0
+        monkeypatch.setattr(owner, name, _counting(calls, (module_name, attr), getattr(owner, name)))
+    coolang.preexecute(coolang.build(corpus.APPLE_PRICE))
+    assert all(calls.values()), calls
 
 
 def test_every_toolchain_name_the_runner_reads_exists():

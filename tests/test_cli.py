@@ -428,8 +428,25 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             "2",
             "function row 30: no body, code line 35 derives none",
         ),
+        (
+            corpus.APPLE_PRICE,
+            "compile",
+            "40",
+            11,
+            "-",
+            "B",
+            "code line 40 is bound in a file that is not preexecuted",
+        ),
     ],
-    ids=["reads-itself", "two-row-cycle", "body-cycle", "return-reads-scope", "result", "derive"],
+    ids=[
+        "reads-itself",
+        "two-row-cycle",
+        "body-cycle",
+        "return-reads-scope",
+        "result",
+        "derive",
+        "compiled-binding",
+    ],
 )
 def test_a_code_table_row_reading_a_row_it_may_not_is_a_format_error(
     tmp_path, capsys, source, command, row, col, was, to, message

@@ -108,6 +108,22 @@ def test_propagation_covers_repeated_occurrences():
                 assert el.pending[s] is PendFlag.TRUE
 
 
+def test_an_unrelated_marker_spreads_over_its_pattern_only():
+    t = build("exp: @(1){ #a * (a + 1) }{ return: a; }")
+    decl = t.scopes[list(t.functions.values())[0].decl_scope]
+    a_slots = [
+        (el, s)
+        for el in t.code.between(decl.start, decl.end)
+        for s in (1, 2, 3)
+        if el.slot(s).kind.value == "i" and el.slot(s).text == "a"
+    ]
+    assert len(a_slots) == 2
+    for el, s in a_slots:
+        assert el.pending[s] is PendFlag.UNRELATED and el.formal[s]
+    unrelated = {el.address for el in t.code.lines() if PendFlag.UNRELATED in el.pending}
+    assert unrelated == {el.address for el, _ in a_slots}
+
+
 def test_formal_flags_only_inside_declarations():
     t = build("@add(a, b){ return: a + b; }")
     fn = list(t.functions.values())[0]

@@ -254,6 +254,30 @@ def test_every_code_file_the_writers_make_passes_the_load_check(name):
 
 
 @st.composite
+def bound_compiled_code_files(draw):
+    """A compiled corpus code file with one code row's bound cell set to
+    `B`, a function row or another code row, or its root cell to `T`."""
+    name = draw(st.sampled_from(sorted(corpus.ALL_PROGRAMS)))
+    rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].split("\n")]
+    seps = [i for i, row in enumerate(rows) if row == ["---"]]
+    code, functions = rows[1 : seps[0]], rows[seps[1] + 1 : seps[2]]
+    cells = draw(st.sampled_from(code))
+    if draw(st.booleans()):
+        cells[12] = "T"
+    else:
+        cells[11] = draw(st.sampled_from(["B", *(row[0] for row in functions + code)]))
+    return "\n".join("\t".join(row) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_compiled_code_files())
+def test_a_compiled_code_file_with_a_binding_is_a_format_error(text):
+    # only preexecute binds; without this rule such a file ran as another program
+    with pytest.raises(FormatError):
+        deserialize(text)
+
+
+@st.composite
 def retargeted_code_files(draw):
     """A corpus or member_reads code file, compiled or preexecuted, with
     one or two address operands of its code rows pointed at a row of the
