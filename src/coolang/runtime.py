@@ -139,7 +139,8 @@ def lower(tables: Tables) -> Program:
     The first pass lowers each line with its targets as line indices and
     counts the instructions each line emits; the second turns those indices
     into program counters. The links of a loaded table were checked once
-    by serialize._check_links, so every row and scope named here exists.
+    by serialize._check_links, so every row and scope named here exists
+    and each scope ends on a scope end row past its start.
     """
     lines = list(tables.code.lines())
     n = len(lines)

@@ -244,8 +244,10 @@ def _check_links(tables: Tables) -> None:
     for s, info in scopes.items():
         if info.parent is not None and not (info.parent < s and info.parent in scopes):
             raise FormatError(f"scope row {s}: parent {info.parent} is no scope row before it")
-        if s not in code or info.end not in code or info.end < s:
-            raise FormatError(f"scope row {s}: end of scope {info.end} is no code row after {s}")
+        # lowering resumes at the end row, so it must emit nothing and lie past the start
+        end = get(info.end)
+        if s not in code or end is None or end.ctype is not CodeType.SCOPE_END or info.end <= s:
+            raise FormatError(f"scope row {s}: end of scope {info.end} is no scope end row after {s}")
     for s in tables.classes:
         if s not in scopes:
             raise FormatError(f"class {s} has no scope row")

@@ -221,6 +221,24 @@ def test_a_dangling_scope_end_fails_when_the_program_is_lowered():
         Interpreter(deserialize(serialize(t)))
 
 
+@pytest.mark.parametrize("at", ["start", "expr"])
+@pytest.mark.parametrize(
+    "name, kind", [("loop_and_branch", "cond"), ("apple_price", "decl"), ("apple_price", "body")]
+)
+def test_a_scope_ending_on_no_scope_end_row_is_a_format_error(name, kind, at):
+    # a scope's run resumes at its end row, so that row must emit nothing:
+    # ending on its own start it jumped back there and looped without a
+    # step, and ending on an expression it ran that row in the outer record
+    rows = [row.split("\t") for row in serialize(build(corpus.ALL_PROGRAMS[name])).split("\n")]
+    code, scopes = rows[1 : rows.index(["---"])], rows[rows.index(["---"]) + 1 :]
+    scope = next(row for row in scopes if row[1] == kind)
+    start, end = int(scope[2]), int(scope[3])
+    inside = [row[0] for row in code if start < int(row[0]) < end and row[3] == "expr"]
+    scope[3] = scope[2] if at == "start" else inside[-1]
+    with pytest.raises(FormatError, match=f"scope row {start}: end of scope {scope[3]} is no"):
+        deserialize("\n".join("\t".join(row) for row in rows))
+
+
 # every program the writers are checked on: the corpus, each workload for
 # seeds 1-5, a program whose splices relocate runs of every shape and one
 # whose return: values and tests are bare member accesses
