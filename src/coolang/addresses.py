@@ -43,7 +43,16 @@ class Address(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Address":
-        return cls(text.split("."))
+        """Address(text.split(".")), with the same errors, built in one call
+        when the text is well formed."""
+        if text.isdigit():  # a row number; int() raises on `²` as the constructor does
+            n = int(text)
+            if n > 0:
+                return tuple.__new__(cls, (n,))
+        self = tuple.__new__(cls, map(int, text.split(".")))
+        if self[0] > 0 and self[-1] > 0 and min(self) >= 0:
+            return self
+        return cls(self)  # raises the constructor's error
 
 
 def _padded(digits: tuple[int, ...], n: int) -> tuple[int, ...]:

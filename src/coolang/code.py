@@ -459,6 +459,10 @@ def link_classes(tables: Tables, lines: Iterable[ExtendedLine] = ()) -> None:
             raise InheritanceOfUndeclaredClass(
                 f"class {ln.left.text} inherits undeclared {ln.right.text}"
             )
+        if ln.left.text not in scopes:
+            raise InheritanceOfUndeclaredClass(
+                f"undeclared class {ln.left.text} inherits at code line {ln.address}"
+            )
         classes[scopes[ln.left.text]].parents.append(scopes[ln.right.text])
     for info in classes.values():
         parents = info.parents

@@ -37,6 +37,9 @@ from .errors import (
 )
 
 
+_SCOPE_KINDS = {k.value: k for k in ScopeKind}
+
+
 def load(lines: list[CodeLine]) -> Tables:
     rows: dict[Address, ScopeInfo] = {}
     stack: list[Address] = []
@@ -53,7 +56,12 @@ def load(lines: list[CodeLine]) -> Tables:
         ctype = ln.ctype
         scope = stack[-1] if stack else None
         if ctype is CodeType.SCOPE_START:
-            rows[addr] = ScopeInfo(kind=ScopeKind(ln.left.text), start=addr, end=addr, parent=scope)
+            kind = _SCOPE_KINDS.get(ln.left.text)
+            if kind is None:
+                raise LoadError(
+                    f"scope start at code line {addr} names unknown scope kind {ln.left.text!r}"
+                )
+            rows[addr] = ScopeInfo(kind=kind, start=addr, end=addr, parent=scope)
             scope = addr
             stack.append(addr)
         elif ctype is CodeType.SCOPE_END:
@@ -150,6 +158,8 @@ def _build_functions(
         if decl_start is None or decl_start not in rows:
             raise LoadError(f"function at {el.address} has no declaration scope")
         body_start = el.right.addr if el.right.kind is OperandKind.ADDRESS else None
+        if body_start is not None and body_start not in rows:
+            raise LoadError(f"function at {el.address} has no body scope at {body_start}")
         if body_start is None and decl_start not in derive_targets:
             raise FunctionWithoutBody(
                 f"function declared at {decl_start} has no body and no derivation"

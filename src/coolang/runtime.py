@@ -89,6 +89,26 @@ _BINARY, _ASSIGN, _CALL, _RCALL, _JUMP, _SCOPE, _SKIP, _DECLARE, _RETURN, _PRINT
 _CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
 _EMPTY_OPERAND = (_EMPTY,)
 
+# Enum members that lowering compares against, bound once: reading one off
+# its class costs a lookup each row and operand
+_EXPR_ROW, _SCOPE_ROW, _DECL_ROW = CodeType.EXPR, CodeType.SCOPE_START, CodeType.VAR_DECL
+_RETURN_ROW, _JUMP_ROW, _MEMBER_ROW = CodeType.RETURN, CodeType.JUMP, CodeType.ACCESS_MEMBER
+_NUMBER, _TEXT, _IDENT, _ADDRESS = (
+    OperandKind.NUMBER, OperandKind.TEXT, OperandKind.IDENT, OperandKind.ADDRESS
+)
+_NOT_RUN, _PENDING = ExecFlag.FALSE, PendFlag.TRUE
+
+
+class _Names(dict):
+    """Identifier text to its operand (_NAME, bare, out), each text's
+    markers split once per lower call."""
+
+    def __missing__(self, text: str) -> tuple:
+        bare, _, _, out = split_markers(text)
+        self[text] = name = (_NAME, bare, out)
+        return name
+
+
 class CallSite:
     """A call-bound root line. lower sets its call plan from the site's
     alignment with its declaration (_align). consts are the constant
@@ -144,6 +164,7 @@ def lower(tables: Tables) -> Program:
     """
     lines = list(tables.code.lines())
     n = len(lines)
+    names = _Names()
     index_of = {ln.address: i for i, ln in enumerate(lines)}
 
     def scope_range(start: Address) -> tuple[int, int]:
@@ -159,7 +180,7 @@ def lower(tables: Tables) -> Program:
             first, end = scope_range(fn.body_scope)
             body = bodies[ln.bound] = (first + 1, end)
         site = CallSite(ln, fn, *body)
-        site.consts, site.formals, site.solves = _align(site, tables.code)
+        site.consts, site.formals, site.solves = _align(site, tables.code, names)
         sites.append(site)
         return site
 
@@ -171,28 +192,28 @@ def lower(tables: Tables) -> Program:
         ln = lines[i]
         t = ln.ctype
         j = i + 1
-        if t is CodeType.EXPR:
-            while j < n and lines[j].ctype is CodeType.EXPR:
+        if t is _EXPR_ROW:
+            while j < n and lines[j].ctype is _EXPR_ROW:
                 j += 1
-            proto += _lower_run(lines[i:j], tables.code, call_site)
-        elif t is CodeType.SCOPE_START:
+            proto += _lower_run(lines[i:j], tables.code, names, call_site)
+        elif t is _SCOPE_ROW:
             _, end = scope_range(ln.address)
             info = tables.scopes[ln.address]
-            if ln.exec_flag is ExecFlag.FALSE or info.kind in _SKIPPED_KINDS:
+            if ln.exec_flag is _NOT_RUN or info.kind in _SKIPPED_KINDS:
                 proto.append((_SKIP, end))
             else:
                 proto.append((_SCOPE, ln.address, end))
-        elif t is CodeType.VAR_DECL:
-            name = split_markers(ln.result.text)[0]
-            cls = ln.left.text if ln.left.kind is OperandKind.IDENT and ln.left.text else None
+        elif t is _DECL_ROW:
+            name = names[ln.result.text][1]
+            cls = ln.left.text if ln.left.kind is _IDENT and ln.left.text else None
             proto.append((_DECLARE, name, cls))
-        elif t is CodeType.RETURN:
-            proto.append((_RETURN, _operand(ln.left, tables.code)))
-        elif t is CodeType.JUMP:
+        elif t is _RETURN_ROW:
+            proto.append((_RETURN, _operand(ln.left, tables.code, names)))
+        elif t is _JUMP_ROW:
             # a jump past the last line (the end of a trailing if-chain) ends
             # every region it runs in
             to = index_of.get(ln.right.addr, n)
-            proto.append((_JUMP, _operand(ln.left, tables.code), to))
+            proto.append((_JUMP, _operand(ln.left, tables.code, names), to))
         # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END and
         # SCOPE_END do nothing at run time and emit nothing. The count goes
         # on a run's last line, so every line of a run maps to its first
@@ -221,7 +242,9 @@ def lower(tables: Tables) -> Program:
     return Program(code=code, classes=classes)
 
 
-def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site) -> list[tuple]:
+def _lower_run(
+    run: list[ExtendedLine], table: CodeTable, names: _Names, call_site
+) -> list[tuple]:
     """One longest expression as its instructions, in the order they run.
 
     Forward steps follow a depth-first walk, children before their
@@ -245,7 +268,7 @@ def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site) -> list[tup
             if slot < 2:
                 frame[1] += 1
                 o = ln.left if slot == 0 else ln.right
-                if o.kind is OperandKind.ADDRESS:
+                if o.kind is _ADDRESS:
                     child = by_addr.get(o.addr)
                     if child is not None and child.address not in done:
                         done.add(child.address)
@@ -253,7 +276,7 @@ def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site) -> list[tup
                 continue
             stack.pop()
             if ln.bound is BUILTIN:
-                forward.append(_builtin(ln, table))
+                forward.append(_builtin(ln, table, names))
             elif ln.root and ln.is_user_bound:
                 if ln.bound_reverse:
                     reverse.append((_RCALL, call_site(ln)))
@@ -263,11 +286,11 @@ def _lower_run(run: list[ExtendedLine], table: CodeTable, call_site) -> list[tup
     return forward + reverse
 
 
-def _builtin(ln: ExtendedLine, table: CodeTable) -> tuple:
+def _builtin(ln: ExtendedLine, table: CodeTable, names: _Names) -> tuple:
     op = ln.op.text
-    left = _operand(ln.left, table)
+    left = _operand(ln.left, table, names)
     if op == "=":
-        return (_ASSIGN, left, _operand(ln.result, table))
+        return (_ASSIGN, left, _operand(ln.result, table, names))
     if op == "-->":
         return (_PRINT, left)
     if op == "neg":
@@ -275,23 +298,22 @@ def _builtin(ln: ExtendedLine, table: CodeTable) -> tuple:
     apply = _APPLY.get(op)
     if apply is None:
         apply = _no_builtin(op)
-    return (_BINARY, apply, left, _operand(ln.right, table), ln.address)
+    return (_BINARY, apply, left, _operand(ln.right, table, names), ln.address)
 
 
-def _operand(o: Operand, table: CodeTable) -> tuple:
+def _operand(o: Operand, table: CodeTable, names: _Names) -> tuple:
     k = o.kind
-    if k is OperandKind.NUMBER:
-        return (_CONST, o.num)
-    if k is OperandKind.TEXT:
-        return (_CONST, o.text)
-    if k is OperandKind.IDENT:
-        bare, _, _, out = split_markers(o.text)
-        return (_NAME, bare, out)
-    if k is OperandKind.ADDRESS:
+    if k is _IDENT:
+        return names[o.text]
+    if k is _ADDRESS:
         target = table.get(o.addr)
-        if target is None or target.ctype is not CodeType.ACCESS_MEMBER:
+        if target is None or target.ctype is not _MEMBER_ROW:
             return (_TEMP, o.addr)
         return (_MEMBER, *table.member_chain(o.addr))
+    if k is _NUMBER:
+        return (_CONST, o.num)
+    if k is _TEXT:
+        return (_CONST, o.text)
     return _EMPTY_OPERAND
 
 
@@ -696,7 +718,9 @@ class Interpreter:
         return Record(fn.body_scope, parent, data, formals)
 
 
-def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, tuple]:
+def _align(
+    site: CallSite, code: CodeTable, names: _Names
+) -> tuple[dict[str, object], tuple, tuple]:
     """The site's call plan: pair declaration formals with the call's
     operands, tree against tree, depth first and left before right, on a
     stack: patterns nest deep. A call line met twice means an operand
@@ -713,7 +737,7 @@ def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, t
         decl_ln, seg_ln, s = stack.pop()
         d = decl_ln.slot(s)
         actual = seg_ln.slot(s)
-        if d.kind is OperandKind.ADDRESS:
+        if d.kind is _ADDRESS:
             child_d = code.get(d.addr)
             child_s = code.get(actual.addr)
             if child_d is None or child_s is None or child_s.address in met:
@@ -723,19 +747,19 @@ def _align(site: CallSite, code: CodeTable) -> tuple[dict[str, object], tuple, t
             met.add(child_s.address)
             stack += [(child_d, child_s, SLOT_RIGHT), (child_d, child_s, SLOT_LEFT)]
             continue
-        if d.kind is not OperandKind.IDENT or not decl_ln.formal[s]:
+        if d.kind is not _IDENT or not decl_ln.formal[s]:
             continue
-        bare = split_markers(d.text)[0]
+        bare = names[d.text][1]
         if not bare or bare in seen:
             continue
         seen.add(bare)
-        o = _operand(actual, code)
+        o = _operand(actual, code, names)
         if o[0] == _CONST:
             # a constant actual becomes a local of the body, not a reference
             consts[bare] = o[1]
             continue
         formals.append((bare, o))
-        if reverse and decl_ln.pending[s] is PendFlag.TRUE:
+        if reverse and decl_ln.pending[s] is _PENDING:
             solves.append(bare)
     return consts, tuple(formals), tuple(solves)
 

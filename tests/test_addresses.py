@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coolang.addresses import Address, allocate_between, run_between
@@ -147,6 +147,37 @@ def test_malformed_digits_are_rejected(digits, negative, data):
     i = data.draw(st.integers(0, len(digits) - 1))
     with pytest.raises(ValueError):
         Address(digits[:i] + (negative,) + digits[i + 1:])
+
+
+# digits, signs, spaces and underscores int() reads, empty segments, leading
+# zeros and digits int() reads (Arabic-Indic three and zero) or refuses (²)
+_segments = st.integers(-3, 12).map(str) | st.sampled_from(
+    ["", "00", "07", "٣", "٠", "²", " 1", "1_0", "+2", "-0", "x"]
+)
+address_texts = st.text(alphabet="0123456789.-+ _٣٠²", max_size=10) | st.lists(
+    _segments, min_size=1, max_size=4
+).map(".".join)
+
+
+@settings(max_examples=1000)
+@given(address_texts)
+@example("1.-1.1")
+@example("٠")
+@example("٣")
+@example("²")
+@example("")
+@example("03.0")
+def test_parse_agrees_with_the_constructor_on_any_text(text):
+    # serialize copies these messages into its FormatError texts
+    try:
+        expected = Address(text.split("."))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as parsed:
+            Address.parse(text)
+        assert str(parsed.value) == str(exc)
+    else:
+        a = Address.parse(text)
+        assert a == expected and type(a) is Address
 
 
 def _line(addr: Address) -> ExtendedLine:

@@ -1,10 +1,13 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolang.addresses import Address
 from coolang.code import CodeLine, CodeType, ExecFlag, Operand, PendFlag, ScopeKind
 from coolang.errors import (
+    CoolError,
     DuplicateDeclaration,
     FunctionWithoutBody,
     InheritanceOfUndeclaredClass,
@@ -206,6 +209,92 @@ def test_class_tables_and_inheritance():
 def test_inheritance_of_undeclared_class():
     with pytest.raises(InheritanceOfUndeclaredClass):
         build("system: A << Missing { new: x = 1; }")
+
+
+def _scope(kind):
+    return [
+        CodeLine(CodeType.SCOPE_START, left=Operand.ident(kind)),
+        CodeLine(CodeType.SCOPE_END),
+    ]
+
+
+def _function(body):
+    """A function row at line 1 over the declaration scope at line 2, whose
+    body operand is `body`."""
+    return [
+        CodeLine(CodeType.FUNC_OP, Operand.ident("func"), Operand.address(Address((2,))),
+                 body, Operand.number(0)),
+        CodeLine(CodeType.SCOPE_START, left=Operand.ident("decl")),
+        CodeLine(CodeType.EXPR, Operand.ident("f"), Operand.ident("a"),
+                 result=Operand.address(Address((3,)))),
+        CodeLine(CodeType.SCOPE_END),
+    ]
+
+
+def test_a_scope_row_of_unknown_kind_is_a_load_error():
+    with pytest.raises(LoadError, match="code line 3 names unknown scope kind 'loop'"):
+        load(_scope("body") + _scope("loop"))
+
+
+def test_a_function_whose_body_starts_no_scope_is_a_load_error():
+    # line 3 is the declaration's expression, not a scope start
+    with pytest.raises(LoadError, match="function at 1 has no body scope at 3"):
+        load(_function(Operand.address(Address((3,)))))
+    load(_function(Operand.address(Address((5,)))) + _scope("body"))
+
+
+def test_inheritance_by_an_undeclared_class_is_a_load_error():
+    inherit = CodeLine(CodeType.CLASS_OP, Operand.ident("inherit"), Operand.ident("B"),
+                       Operand.ident("A"))
+    declare_a = CodeLine(CodeType.CLASS_OP, Operand.ident("class"), Operand.ident("A"),
+                         Operand.address(Address((3,))))
+    undeclared = "undeclared class B inherits at code line 2"
+    with pytest.raises(InheritanceOfUndeclaredClass, match=undeclared):
+        load([declare_a, inherit] + _scope("class"))
+
+
+_NAMES = ["a", "$a", "#a", "out:a", "b", "$b", "out:$b", "A", "B", ""]
+_OPS = ["+", "==", "=", "func", "funcexp", "class", "inherit", "=>", "jump", "return", "."]
+_KINDS = [k.value for k in ScopeKind] + ["", "loop"]
+
+
+@st.composite
+def code_line_streams(draw):
+    """Hand-written line streams the parser never writes: any code type with
+    operands drawn from marked names, numbers, scope kinds and addresses of
+    any row or one past the last. Most are balanced, so that the table
+    builders run."""
+    n = draw(st.integers(1, 24))
+    balanced = draw(st.integers(0, 9)) > 0
+    depth = 0
+    operand = st.one_of(
+        st.just(Operand.empty()),
+        st.sampled_from(_NAMES + _KINDS).map(Operand.ident),
+        st.integers(0, 3).map(Operand.number),
+        st.integers(1, n + 1).map(lambda i: Operand.address(Address((i,)))),
+    )
+    lines = []
+    for _ in range(n):
+        ctype = draw(st.sampled_from(list(CodeType)))
+        if ctype is CodeType.SCOPE_END and balanced and not depth:
+            ctype = CodeType.SCOPE_START
+        depth += {CodeType.SCOPE_START: 1, CodeType.SCOPE_END: -1}.get(ctype, 0)
+        if ctype is CodeType.SCOPE_START:
+            left = Operand.ident(draw(st.sampled_from(_KINDS)))
+        else:
+            left = draw(operand)
+        op = Operand.ident(draw(st.sampled_from(_OPS)))
+        lines.append(CodeLine(ctype, op, left, draw(operand), draw(operand)))
+    return lines + [CodeLine(CodeType.SCOPE_END)] * (depth if balanced else 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(code_line_streams())
+def test_a_hand_written_line_stream_loads_or_fails_as_a_cool_error(lines):
+    try:
+        load(lines)
+    except CoolError:
+        pass
 
 
 def test_duplicate_variable_in_scope():

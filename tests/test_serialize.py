@@ -12,7 +12,7 @@ from coolang import build, preexecute
 from coolang.addresses import Address
 from coolang.code import PendFlag, ScopeKind
 from coolang.errors import CoolError, FormatError
-from coolang.runtime import Interpreter, run_program
+from coolang.runtime import CallSite, Interpreter, lower, run_program
 from coolang.serialize import deserialize, serialize, write_file
 
 
@@ -269,6 +269,28 @@ def test_every_code_file_the_writers_make_passes_the_load_check(name):
     # splice, insert_run and derived bodies
     for text in _compiled_and_preexecuted(name):
         assert serialize(deserialize(text)) == text
+
+
+def _instructions(program):
+    """A lowered program as plain values: each call site becomes
+    (address, start, end, consts, formals, solves)."""
+    return [
+        tuple(
+            (x.address, x.start, x.end, x.consts, x.formals, x.solves)
+            if isinstance(x, CallSite) else x
+            for x in ins
+        )
+        for ins in program.code
+    ], program.classes
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_a_decoded_table_lowers_as_the_table_it_was_written_from(name):
+    # the loader makes an operand per slot, the decoder shares equal cells;
+    # lowering splits each identifier text once, whoever holds it
+    t = build(WRITTEN[name])
+    preexecute(t)
+    assert _instructions(lower(deserialize(serialize(t)))) == _instructions(lower(t))
 
 
 @st.composite
