@@ -7,6 +7,19 @@ actual sharing storage with the branch variable, or a member path that
 resolves and then passes one of the above. Pending states must agree at
 every leaf: a pending branch node needs a pending or unrelated formal, a
 determined one needs a determined or unrelated formal.
+
+What a match reads, which the search's match memo keys on (search.MatchMemo).
+The declaration and the BindContext are fixed within one search. Beyond
+them, a match at a branch reads:
+- the branch's line: operator, code type, binding, operands, pending flags;
+- for its left and right slots, what fills them: an identifier's own flag,
+  or the pending state of a child subtree (Segment.slot_state);
+- a child's whole subtree, but only where the pattern goes into that slot
+  (an internal pattern line) or repeats a formal there (_same_actual
+  compares subtrees); pattern_reads says which slots these are.
+A new guard that reads more of the branch must extend the memo's key too.
+match_branch refuses a branch with fewer lines than the pattern before the
+walk; that only skips a walk that would fail, so it adds nothing to the key.
 """
 
 from __future__ import annotations
@@ -231,10 +244,45 @@ class _Matcher:
         return done[addr]
 
 
+def pattern_reads(tables: Tables, fn: FunctionInfo) -> tuple[int, bool, bool]:
+    """The pattern's line count, and for its root's left and right slots
+    whether a match reads the whole subtree there: the slot holds an
+    internal pattern line, or a formal the pattern names again."""
+    code = tables.code
+    root = code[fn.decl_root]
+    seen = {root.address}
+    stack = [root]
+    names: list[str] = []
+    while stack:
+        ln = stack.pop()
+        for s in (SLOT_LEFT, SLOT_RIGHT):
+            d = ln.slot(s)
+            if d.kind is OperandKind.ADDRESS:
+                child = code.get(d.addr)
+                # counted once even if named twice, so the count never
+                # exceeds the lines a match aligns with
+                if child is not None and child.address not in seen:
+                    seen.add(child.address)
+                    stack.append(child)
+            elif ln.formal[s]:
+                names.append(split_markers(d.text)[0])
+    whole = []
+    for s in (SLOT_LEFT, SLOT_RIGHT):
+        d = root.slot(s)
+        bare = split_markers(d.text)[0] if root.formal[s] else ""
+        whole.append(d.kind is OperandKind.ADDRESS or bool(bare) and names.count(bare) > 1)
+    return len(seen), whole[0], whole[1]
+
+
 def match_branch(
     segment: Segment, branch: Address, fn: FunctionInfo, ctx: BindContext
 ) -> Optional[Match]:
     """Align a declaration pattern with the branch rooted at an unbound line."""
+    # each pattern line aligns with its own line of the branch, which is a
+    # tree, so a branch with fewer lines cannot match
+    size = ctx.declarations.pattern(fn)[0]
+    if size > 1 and segment.subtree_size(branch) < size:
+        return None
     decl_root = ctx.tables.code[fn.decl_root]
     m = _Matcher(segment, fn, ctx)
     if not m.match_line(segment[branch], decl_root):

@@ -9,7 +9,8 @@ and the first fully bound candidate wins. Empty silos or the round limit
 raise an inference failure.
 
 A move too light for the next silo is built only when it might finish the
-search (may_finish), since the silo would refuse it anyway.
+search (may_finish), since the silo would refuse it anyway. Match results
+are kept for the whole search, keyed by what a match reads (MatchMemo).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .code import (
     split_markers,
 )
 from .errors import InferenceFailure
-from .matching import BindContext, Match, match_branch
+from .matching import BindContext, Match, match_branch, pattern_reads
 from .segments import Segment
 from .silo import Silo
 
@@ -68,6 +69,7 @@ class Declarations:
         self._groups: dict[Optional[Address], dict[str, list[FunctionInfo]]] = {}
         self._named: dict[Optional[str], list[FunctionInfo]] = {}
         self.by_decl: dict[Address, FunctionInfo] = {}
+        self._patterns: dict[Address, tuple[int, bool, bool]] = {}
         own: dict[Optional[Address], dict[str, list[FunctionInfo]]] = {}
         for fop in sorted(tables.functions):
             fn = tables.functions[fop]
@@ -113,6 +115,26 @@ class Declarations:
                     out.append(fn)
         return out
 
+    def pattern(self, fn: FunctionInfo) -> tuple[int, bool, bool]:
+        """fn's matching.pattern_reads, made on first use; preexecute never
+        binds a declaration's pattern, so it holds for the whole walk."""
+        found = self._patterns.get(fn.func_op)
+        if found is None:
+            found = self._patterns[fn.func_op] = pattern_reads(self.tables, fn)
+        return found
+
+    def group(
+        self, op: str, ctx: BindContext, before: Address
+    ) -> tuple[list[FunctionInfo], tuple[bool, bool]]:
+        """The candidates for op, and per value slot whether one of them
+        reads the whole subtree there (matching.pattern_reads)."""
+        fns = self.candidates(op, ctx, before)
+        left = right = False
+        for fn in fns:
+            _, reads_left, reads_right = self.pattern(fn)
+            left, right = left or reads_left, right or reads_right
+        return fns, (left, right)
+
     def forward(self, name: str, before: Address) -> Optional[FunctionInfo]:
         """The last forward declaration named name with a body before an address."""
         for fn in reversed(self._named.get(name, ())):
@@ -120,6 +142,46 @@ class Declarations:
             if forward and fn.func_op < before:
                 return fn
         return None
+
+
+def _fact(seg: Segment, ln: ExtendedLine, o: Operand, whole: bool):
+    """What a match reads of the value slot of ln that holds o: None when
+    the line alone fills it, else the child's Version if whole, or else the
+    child's pending state."""
+    c = o.addr
+    if o.kind is not OperandKind.ADDRESS or c == ln.address or c not in seg.lines:
+        return None
+    v = seg.versions[c]
+    if whole:
+        return v
+    return seg.subtree_state(c) if v.state is None else v.state
+
+
+class MatchMemo:
+    """One search's match results, keyed by what a match reads (see matching).
+
+    Copy-on-write makes an unchanged line object an unchanged row, and an
+    unchanged Version an unchanged subtree. So the key is the branch
+    line's id and, per value slot, the child's pending state or, where a
+    declaration of the group reads the whole subtree there, its Version
+    (None where the line alone fills the slot). An entry holds its line,
+    so no other object takes that id while the memo lives.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, tuple[ExtendedLine, dict]] = {}
+
+    def entry(self, seg: Segment, ln: ExtendedLine, whole: tuple[bool, bool]) -> dict:
+        """The results at the branch whose line is ln, by the declaration's
+        func_op (a Match or None); whole says, per value slot, whether a
+        declaration that may ask reads the whole subtree there."""
+        key = (id(ln), _fact(seg, ln, ln.left, whole[0]), _fact(seg, ln, ln.right, whole[1]))
+        hit = self._entries.get(key)
+        if hit is None or hit[0] is not ln:
+            hit = self._entries[key] = (ln, {})
+        return hit[1]
 
 
 def apply_value_match(segment: Segment, match: Match) -> None:
@@ -337,26 +399,35 @@ def search_segment(
 
     silo = Silo(opts.silo_size)
     silo.offer(0.0, seg0.digest(), seg0)
-    groups: dict[str, list[FunctionInfo]] = {}
+    # root operator -> its declarations, and per value slot whether one of
+    # them reads the whole subtree there
+    groups: dict[str, tuple[list[FunctionInfo], tuple[bool, bool]]] = {}
+    memo = MatchMemo()
 
     rnd = 0
     for rnd in range(1, opts.max_rounds + 1):
         nxt = Silo(opts.silo_size)
         for w, seg in silo.entries():
             walk = seg.subtree(seg.root)
-            branches = [a for a in walk if seg[a].bound is None]
+            lines = seg.lines
+            branches = [a for a in walk if lines[a].bound is None]
             above = None  # made when the floor first refuses a move here
             for branch in branches:
-                memo = seg.matches(branch)
-                op = seg[branch].op.text
-                if op not in groups:
-                    groups[op] = ctx.declarations.candidates(op, ctx, stmt_addr)
-                for fn in groups[op]:
+                ln = lines[branch]
+                op = ln.op.text
+                group = groups.get(op)
+                if group is None:
+                    group = groups[op] = ctx.declarations.group(op, ctx, stmt_addr)
+                fns, whole = group
+                if not fns:
+                    continue
+                found = memo.entry(seg, ln, whole)
+                for fn in fns:
                     key = fn.func_op
-                    if key in memo:
-                        m = memo[key]
+                    if key in found:
+                        m = found[key]
                     else:
-                        m = memo[key] = match_branch(seg, branch, fn, ctx)
+                        m = found[key] = match_branch(seg, branch, fn, ctx)
                     if m is None:
                         continue
                     w2 = w + fn.weight

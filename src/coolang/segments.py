@@ -26,7 +26,8 @@ there. own() gives the written line and each ancestor the segment has not
 touched yet a fresh Version, and so does moving a subtree root under a new
 parent. An unchanged Version therefore means an unchanged subtree in every
 segment that holds it, and the facts a Version caches (pending state and
-the search's matches) hold in all of them.
+line count) hold in all of them. The search's match memo keys on line
+objects and Versions for the same reason (search.MatchMemo).
 
 One rule keeps those facts true: a segment computes a fact only once its
 move is written. That happens in two places. The prebind runs after the
@@ -107,17 +108,18 @@ def _place(made: tuple[tuple, tuple[Address, ...]], index: dict[Address, int]):
 class Version:
     """One line's subtree as it stands: its parent and the facts cached on it.
 
-    state is the subtree's pending state, None until computed; matches maps
-    a declaration's func_op to the search's match_branch result for the
-    subtree (a Match or None).
+    state is the subtree's pending state and size the number of its lines
+    reached through left and right slots, both None until computed in one
+    walk (Segment.subtree_state). The object itself stands for the subtree
+    in the search's match memo.
     """
 
-    __slots__ = ("parent", "state", "matches")
+    __slots__ = ("parent", "state", "size")
 
     def __init__(self, parent: Optional[Address]):
         self.parent = parent
         self.state: Optional[int] = None
-        self.matches: Optional[dict] = None
+        self.size: Optional[int] = None
 
 
 class Segment:
@@ -296,7 +298,8 @@ class Segment:
         reverse binding solves itself only once a consumer supplies its
         value, and SETTLED if it computes. A pending identifier in any slot
         leaves the line OPEN. Otherwise a line takes the larger state of its
-        left and right children. Every state computed is stored on its
+        left and right children. The same walk counts the subtree's lines
+        through left and right slots. Every fact computed is stored on its
         version, which is sound once the segment's move is written (see the
         module docstring).
         """
@@ -308,6 +311,23 @@ class Segment:
         while stack:
             a = stack[-1]
             ln = lines[a]
+            f, n = SETTLED, 1
+            missing = []
+            for o in (ln.left, ln.right):
+                c = o.addr
+                if o.kind is not OperandKind.ADDRESS or c == a or c not in lines:
+                    continue
+                cv = versions[c]
+                if cv.state is None:
+                    missing.append(c)
+                else:
+                    n += cv.size
+                    if cv.state > f:
+                        f = cv.state
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
             pend = ln.pending
             if ln.is_user_bound:
                 f = AWAITING if ln.bound_reverse else SETTLED
@@ -317,24 +337,17 @@ class Segment:
                 or ln.result.kind is OperandKind.IDENT and pend[SLOT_RESULT] is PendFlag.TRUE
             ):
                 f = OPEN
-            else:
-                f = SETTLED
-                missing = []
-                for o in (ln.left, ln.right):
-                    c = o.addr
-                    if o.kind is not OperandKind.ADDRESS or c == a or c not in lines:
-                        continue
-                    k = versions[c].state
-                    if k is None:
-                        missing.append(c)
-                    elif k > f:
-                        f = k
-                if missing:
-                    stack.extend(missing)
-                    continue
-            stack.pop()
-            versions[a].state = f
+            done = versions[a]
+            done.state, done.size = f, n
         return v.state
+
+    def subtree_size(self, addr: Address) -> int:
+        """The number of lines in the subtree at addr, through left and
+        right slots; computed with its pending state."""
+        v = self.versions[addr]
+        if v.size is None:
+            self.subtree_state(addr)
+        return v.size
 
     def slot_state(self, line: ExtendedLine, slot: int) -> int:
         """The pending state of what fills a slot: an identifier's own flag,
@@ -346,17 +359,6 @@ class Segment:
         if o.kind is OperandKind.ADDRESS and o.addr in self.lines and o.addr != line.address:
             return self.subtree_state(o.addr)
         return SETTLED
-
-    def matches(self, addr: Address) -> dict:
-        """The match memo of the subtree at addr, by declaration func_op.
-
-        Only for a silo entry: a match reads nothing but the subtree, the
-        declaration and the search's fixed context.
-        """
-        v = self.versions[addr]
-        if v.matches is None:
-            v.matches = {}
-        return v.matches
 
     # --- builtin prebinding ---
 

@@ -438,14 +438,19 @@ def deserialize(text: str) -> Tables:
 
 
 def write_file(tables: Tables, path: str) -> None:
+    """Write the table to path through a temporary file beside it; an
+    OSError names path, not the temporary file."""
     data = serialize(tables)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".coolcc-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".coolcc-")
         with os.fdopen(fd, "w") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise

@@ -380,16 +380,11 @@ def search_segment(
         for w, seg in silo.entries():
             branches = [a for a in seg.subtree(seg.root) if seg[a].bound is None]
             for branch in branches:
-                memo = seg.matches(branch)
                 op = seg[branch].op.text
                 if op not in groups:
                     groups[op] = ctx.declarations.candidates(op, ctx, stmt_addr)
                 for fn in groups[op]:
-                    key = fn.func_op
-                    if key in memo:
-                        m = memo[key]
-                    else:
-                        m = memo[key] = match_branch(seg, branch, fn, ctx)
+                    m = match_branch(seg, branch, fn, ctx)
                     if m is None:
                         continue
                     cand = seg.copy()

@@ -67,6 +67,17 @@ def test_exit_codes_separate_the_failure_stages(tmp_path, capsys):
     assert main(["run", crash]) == 3
 
 
+@pytest.mark.parametrize("command", ["compile", "preexec"])
+def test_an_unwritable_output_names_the_file_asked_for(tmp_path, capsys, command):
+    src = write(tmp_path, "x.cool", corpus.ADD_TO)
+    out = tmp_path / "missing" / "x.ccode"
+    assert main([command, src, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("coolc: [Errno 2] ") and f"'{out}'" in err
+    assert ".coolcc-" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_every_error_class_carries_its_stage_exit_code():
     stages = {
         errors.PrecompileError: 1,

@@ -3,8 +3,13 @@ from coolang.addresses import Address
 from coolang.code import CodeType, ExecFlag, OperandKind
 import dataclasses
 
-from coolang.matching import match_branch
-from coolang.preexec import PreexecUniverse
+from unittest import mock
+
+import pytest
+
+from coolang import run_program
+from coolang.matching import _Matcher, match_branch, pattern_reads
+from coolang.preexec import PreexecUniverse, preexecute
 from coolang.segments import Segment
 from reference import class_mro
 
@@ -243,3 +248,49 @@ def test_member_functions_put_own_members_before_inherited():
     assert members("OperationLaw") == per_op(
         [("==", "OperationLaw"), ("-", "OperationLaw")]
     )
+
+
+@pytest.mark.parametrize(
+    "pattern, reads",
+    [
+        ("#a + #b", (1, False, False)),
+        ("2 * #a", (1, False, False)),
+        ("#a - #a", (1, True, True)),
+        ("#a * (#b + #c)", (2, False, True)),
+        ("#a * (#b + #a)", (2, True, True)),
+        ("$a + 1 + 1", (2, True, False)),
+    ],
+)
+def test_pattern_reads_counts_lines_and_names_the_slots_read_whole(pattern, reads):
+    t = build(f"exp: @(-1){{ {pattern} }}{{ return: 0; }}\n")
+    (fn,) = t.functions.values()
+    assert pattern_reads(t, fn) == reads
+
+
+def test_a_deep_pattern_walks_only_a_branch_as_large_as_itself():
+    # 1 200 `+` branches share the pattern's root operator, but only the
+    # top one has as many lines as the 1 200-line pattern
+    n = 1200
+    ones = " + 1" * n
+    t = build(
+        f"@(10){{ $a{ones} }}{{ a = ans - {n}; }}\n"
+        "@(10){ $a == b; }{ a = b; }\n"
+        f"$y{ones} == {n + 5};\ny --> 0;\n"
+    )
+    walks = []  # per match_line walk, the line pairs it aligned
+    real_walk, real_op = _Matcher.match_line, _Matcher._op_matches
+
+    def match_line(self, seg_ln, decl_ln):
+        walks.append(0)
+        return real_walk(self, seg_ln, decl_ln)
+
+    def op_matches(self, seg_op, decl_op):
+        walks[-1] += 1
+        return real_op(self, seg_op, decl_op)
+
+    with mock.patch.object(_Matcher, "match_line", match_line), mock.patch.object(
+        _Matcher, "_op_matches", op_matches
+    ):
+        preexecute(t)
+    assert 1 <= sum(n > 1 for n in walks) <= 3
+    assert run_program(t).output == ["5.0"]

@@ -18,7 +18,7 @@ from test_segments import (
 )
 from coolang import build, execute, run_program
 from coolang import inversion, search
-from coolang.code import CodeType, ExecFlag, Operand, ScopeKind
+from coolang.code import CodeType, ExecFlag, Operand, OperandKind, ScopeKind
 from coolang.errors import InferenceFailure
 from coolang.matching import _Matcher, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
@@ -421,28 +421,69 @@ exp: @(-1){ #a + #b }{ return: b + a; }
 """
 
 
+def reference_size(lines, a):
+    """The lines of the subtree at a, through left and right slots."""
+    ln = lines[a]
+    return 1 + sum(
+        reference_size(lines, o.addr)
+        for o in (ln.left, ln.right)
+        if o.kind is OperandKind.ADDRESS and o.addr != a and o.addr in lines
+    )
+
+
 def check_states(seg):
-    """Every pending state stored on seg's versions equals the reference."""
+    """Every pending state and line count stored on seg's versions equals
+    the reference."""
     for a, v in seg.versions.items():
         if v.state is not None:
             assert (v.state != SETTLED) == reference_pending(seg.lines, a, False)
             assert (v.state == OPEN) == reference_pending(seg.lines, a, True)
+            assert v.size == reference_size(seg.lines, a)
 
 
-def check_entry(tables, ctx, seg):
-    """Every parent link, cached pending state and memoized match of a silo
-    entry equals a fresh computation."""
+def check_entry(tables, ctx, seg, found):
+    """Every parent link and cached fact of a silo entry equals a fresh
+    computation, and so does every match result that the search's memo
+    answered for it: found holds (line, results by func_op) per branch
+    the search looked up in seg."""
     parents = {}
     for a in seg.lines:
         for c in seg.children(a):
             parents[c] = a
     check_states(seg)
-    # a new segment shares no version with seg, so it reuses no fact
-    fresh = Segment(dict(seg.lines), seg.root)
     for a, v in seg.versions.items():
         assert v.parent == parents.get(a)
-        for func_op, m in (v.matches or {}).items():
-            assert m == match_branch(fresh, a, tables.functions[func_op], ctx)
+    # a new segment shares no version with seg, so it reuses no fact
+    fresh = Segment(dict(seg.lines), seg.root)
+    for ln, results in found:
+        assert seg[ln.address] is ln
+        for func_op, m in results.items():
+            assert m == match_branch(fresh, ln.address, tables.functions[func_op], ctx)
+
+
+class RecordingMemo(search.MatchMemo):
+    """A match memo that lists every lookup: (segment, line, results)."""
+
+    def __init__(self, looked_up):
+        super().__init__()
+        self.looked_up = looked_up
+
+    def entry(self, seg, ln, whole):
+        results = super().entry(seg, ln, whole)
+        self.looked_up.append((seg, ln, results))
+        return results
+
+
+def check_lookups(tables, ctx, looked_up, entries):
+    """check_entry on every segment of looked_up and of entries, with the
+    results the memo answered for it."""
+    by_seg = {}
+    for seg, ln, results in looked_up:
+        by_seg.setdefault(id(seg), (seg, []))[1].append((ln, results))
+    for seg in entries:
+        by_seg.setdefault(id(seg), (seg, []))
+    for seg, found in by_seg.values():
+        check_entry(tables, ctx, seg, found)
 
 
 def same_classes(segments):
@@ -465,10 +506,11 @@ def preexecute_checked(t, options=None):
     do. Every prebind pass must reach the fixpoint that repeated ascending
     passes over every line reach. The states each candidate's prebind
     stored must match the reference as soon as it ends, and every admitted
-    candidate must pass check_entry once its search is over. Returns the number of forward searches,
-    derivation searches, admitted candidates and rewrites.
+    candidate and every segment the search asked its match memo about must
+    pass check_entry once its search is over. Returns the number of forward
+    searches, derivation searches, admitted candidates and rewrites.
     """
-    admitted, rewrites, built = [], [], []
+    admitted, rewrites, built, looked_up = [], [], [], []
     searched = {"forward": [], "derivation": []}
     real_offer = Silo.offer
     real_search = search.search_segment
@@ -485,13 +527,13 @@ def preexecute_checked(t, options=None):
         # inversion imports search_segment by name, so each site is wrapped
         def search_segment(tables, seg0, ctx, *args, **kwargs):
             before = reference.digest(seg0)
-            first, first_built = len(admitted), len(built)
+            first, first_built, first_lookup = len(admitted), len(built), len(looked_up)
             try:
                 return real_search(tables, seg0, ctx, *args, **kwargs)
             finally:
                 searched[kind].append((before, seg0))
-                for _, seg in admitted[first:]:
-                    check_entry(tables, ctx, seg)
+                entries = [seg for _, seg in admitted[first:]]
+                check_lookups(tables, ctx, looked_up[first_lookup:], entries)
                 assert same_classes(built[first_built:])
 
         return search_segment
@@ -523,6 +565,8 @@ def preexecute_checked(t, options=None):
             search, "apply_exp_rewrite", apply_exp_rewrite
         ), mock.patch.object(
             Segment, "prebind_builtins", prebind_builtins
+        ), mock.patch.object(
+            search, "MatchMemo", lambda: RecordingMemo(looked_up)
         ):
             preexecute(t, options=options, observer=observe)
     finally:
@@ -632,7 +676,10 @@ def test_no_rewrite_in_chained_derivation_keeps_its_matched_root():
 
 # rules that commute, duplicate, drop or pass on an operand, stand for a
 # constant, keep a body line their result never reaches, or reach three
-# operands, one of them twice
+# operands, one of them twice; a repeated formal and a depth-two pattern
+# make the match memo key those slots by the child's whole subtree (the
+# loader takes `#a - #a` for a duplicate of `#a - #b`, so the repeated
+# formal sits under `/`)
 _PLAN_RULES = (
     "exp: @(-1){ #a + #b }{ return: b + a; }",
     "exp: @(-1){ #a * #b }{ return: b * a; }",
@@ -641,7 +688,16 @@ _PLAN_RULES = (
     "exp: @(-1){ #a + 0 }{ return: a; }",
     "exp: @(-1){ #a - #b }{ b * 7; return: a + (0 - b); }",
     "exp: @(-1){ #a * (#b + #c) }{ return: a * b + a * c; }",
+    "exp: @(-1){ #a / #a }{ return: 1; }",
 )
+
+
+def memo_agrees(memo, ctx, stmt, seg, a, fn, m):
+    """Ask memo about branch a as the search would: what it holds for fn
+    there must be m, the result of a fresh match; else it keeps m."""
+    fns, whole = ctx.declarations.group(seg[a].op.text, ctx, stmt)
+    if fn in fns:
+        assert memo.entry(seg, seg[a], whole).setdefault(fn.func_op, m) == m
 
 
 @st.composite
@@ -649,7 +705,7 @@ def rewritable_statements(draw):
     def term(depth):
         if depth == 0 or draw(st.booleans()):
             return draw(st.sampled_from(["0", "2", "3", "q", "$y"]))
-        op = draw(st.sampled_from(["+", "-", "*"]))
+        op = draw(st.sampled_from(["+", "-", "*", "/"]))
         return f"({term(depth - 1)} {op} {term(depth - 1)})"
 
     form = draw(st.sampled_from(["{} == 9;", "r = {};", "{};"]))
@@ -676,11 +732,16 @@ def test_a_rewrite_from_the_rule_plan_matches_instantiate_then_repair(stmt, rng)
     rules = [fn for fn in t.functions.values() if fn.is_exp]
     for fn in rules:
         assert search.rule_plan(t, fn).reached == reference.rule_plan(t, fn)[2]
+    memo = search.MatchMemo()
     for _ in range(6):
         moves = [(a, fn) for a in seg.subtree(seg.root) for fn in rules]
         rng.shuffle(moves)
         for a, fn in moves:
             m = match_branch(seg, a, fn, ctx)
+            # refusing a branch smaller than the pattern refuses no match
+            walked = _Matcher(seg, fn, ctx).match_line(seg[a], t.code[fn.decl_root])
+            assert (m is not None) == walked
+            memo_agrees(memo, ctx, top.address, seg, a, fn, m)
             if m is None:
                 continue
             before = seg.digest()
@@ -720,6 +781,7 @@ def test_copies_taken_anywhere_in_a_move_sequence_digest_like_the_reference(stmt
     fns = list(t.functions.values())
     pool = [seg]
     seen = []  # (segment, digest, reference digest) when each was taken
+    memo = search.MatchMemo()
 
     def take(s):
         seen.append((s, s.digest(), _reference_digest(s)))
@@ -733,6 +795,7 @@ def test_copies_taken_anywhere_in_a_move_sequence_digest_like_the_reference(stmt
         rng.shuffle(moves)
         for a, fn in moves:
             m = match_branch(seg, a, fn, ctx)
+            memo_agrees(memo, ctx, top.address, seg, a, fn, m)
             if m is None:
                 continue
             cand = seg.copy()
@@ -768,6 +831,36 @@ def test_copies_taken_anywhere_in_a_move_sequence_digest_like_the_reference(stmt
     new = [d for _, d, _ in seen]
     ref = [r for _, _, r in seen]
     assert len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
+
+
+@pytest.mark.parametrize(
+    "rule, stmt",
+    [
+        ("exp: @(-1){ #a * (#b + #c) }{ return: a * b + a * c; }", "r = 2 * ((q + 0) + 3);"),
+        ("exp: @(-1){ #a / #a }{ return: 1; }", "r = ((q + 0) * 2) / ((q + 0) * 2);"),
+    ],
+)
+def test_the_match_memo_sees_a_rewrite_two_levels_below_a_branch(rule, stmt):
+    # rewriting q + 0 writes its parent but not the branch above that, so
+    # the branch keeps its line object and only its child's version changes
+    t = build(f"{rule}\nexp: @(-1){{ #a + 0 }}{{ return: a; }}\nnew: q = 4;\nnew: r = 0;\n{stmt}\n")
+    top = [ln for ln in t.code.lines() if ln.ctype is CodeType.EXPR and ln.scope is None][-1]
+    seg = Segment.from_run(t, t.expression_run(top.address))
+    ctx = PreexecUniverse(t).context_for(None)
+    fn, drop_zero = sorted(t.functions.values(), key=lambda f: f.func_op)
+    op = t.code[fn.decl_root].op.text
+    branch = next(a for a in seg.lines if seg[a].op.text == op)
+    memo = search.MatchMemo()
+    before = match_branch(seg, branch, fn, ctx)
+    assert before is not None
+    memo_agrees(memo, ctx, top.address, seg, branch, fn, before)
+    inner = next(a for a in seg.lines if match_branch(seg, a, drop_zero, ctx) is not None)
+    cand = seg.copy()
+    assert search.apply_exp_rewrite(cand, match_branch(seg, inner, drop_zero, ctx), t) is not None
+    assert cand[branch] is seg[branch]
+    after = match_branch(cand, branch, fn, ctx)
+    assert after != before
+    memo_agrees(memo, ctx, top.address, cand, branch, fn, after)
 
 
 def test_a_rule_plan_is_made_once_per_table():
