@@ -236,9 +236,14 @@ def _check_duplicates(tables: Tables, var_decls: list[ExtendedLine]) -> None:
 
 
 def _decl_digest(tables: Tables, fn: FunctionInfo) -> tuple:
-    """Structural shape of a declaration pattern, for duplicate detection."""
+    """Structural shape of a declaration pattern, for duplicate detection.
+
+    An identifier counts by the order of its name's first occurrence, so
+    `#a - #a` differs from `#a - #b` and `#b - #a` equals `#a - #b`.
+    """
     run = [el for el in _span(tables, fn.decl_scope) if el.ctype is CodeType.EXPR]
     index = {el.address: i for i, el in enumerate(run)}
+    names: dict[str, int] = {}
     shape = []
     for el in run:
         slots = []
@@ -247,7 +252,8 @@ def _decl_digest(tables: Tables, fn: FunctionInfo) -> tuple:
             if o.kind is OperandKind.ADDRESS and o.addr in index:
                 slots.append(("ref", index[o.addr], el.pending[s].value))
             elif o.kind is OperandKind.IDENT:
-                slots.append(("var", el.formal[s], el.pending[s].value))
+                name = names.setdefault(o.text, len(names))
+                slots.append(("var", el.formal[s], name, el.pending[s].value))
             else:
                 slots.append((o.kind.value, o.payload(), el.pending[s].value))
         shape.append((el.op.text, tuple(slots)))

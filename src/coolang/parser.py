@@ -1,15 +1,18 @@
 """Compiler front end: precompiled text to a quaternion line stream.
 
-Expressions compile post-order, one line per operator, with each line's
-result slot holding its own address. Member accesses are hoisted in front
-of the expression lines of their statement so every longest expression
-stays one contiguous run of EXPR lines.
+Each expression compiles while it is parsed: a parse method emits the
+lines of its production as it reduces, post-order, one line per operator
+with its result slot holding its own address, and returns the operand
+that stands for its value. Member paths stay unread until something uses
+them, so a path before `(` becomes a dotted method call. At the end of
+each statement its member accesses move in front of its expression lines,
+so that every longest expression stays one contiguous run of EXPR lines.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .addresses import Address
@@ -20,6 +23,7 @@ from .code import (
     CodeLine,
     CodeType,
     Operand,
+    OperandKind,
 )
 from .errors import ParseError
 from .precompile import KEYWORDS
@@ -64,73 +68,20 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-# expression tree, folded straight into line emission
-
-
 @dataclass
-class _Num:
-    value: float
+class _Path:
+    """A variable and the member names read off it, not yet emitted.
 
-
-@dataclass
-class _Str:
-    value: str
-
-
-@dataclass
-class _Id:
-    name: str  # marker prefixes included
-    pos: int = 0
-
-
-@dataclass
-class _Neg:
-    x: object
-
-
-@dataclass
-class _Bin:
-    op: str
-    l: object
-    r: object
-
-
-@dataclass
-class _Call:
-    name: str  # dotted for member calls
-    args: list = field(default_factory=list)
-    pos: int = 0
-
-
-@dataclass
-class _Acc:
-    base: object
-    comp: str
-
-
-@dataclass
-class _Asg:
-    target: object
-    value: object
-
-
-@dataclass
-class _Out:
-    value: object
-    tail: Optional[object]
-
-
-def _left_spine(node: _Bin) -> tuple[object, list[_Bin]]:
-    """A chain's leftmost operand and its _Bin nodes, innermost first.
-
-    Walked in a loop so a flat chain of any length emits without recursion.
+    Left unread so that `a.b.f(x)` and `(a.b).f(x)` still become the dotted
+    call `a.b.f` with no access lines; `Parser._value` emits the accesses
+    once an operator, argument, target or statement uses the path.
     """
-    chain = []
-    while isinstance(node, _Bin):
-        chain.append(node)
-        node = node.l
-    chain.reverse()
-    return node, chain
+
+    root: str  # marker prefixes included
+    names: tuple[str, ...] = ()
+
+
+_MARKS = (PENDING_MARK, UNRELATED_MARK, OUT_MARK)
 
 
 class Parser:
@@ -176,16 +127,16 @@ class Parser:
         op: Operand = Operand.empty(),
         left: Operand = Operand.empty(),
         right: Operand = Operand.empty(),
-        result: Optional[Operand] = None,
-        self_result: bool = False,
+        result: Operand = Operand.empty(),
     ) -> int:
-        idx = len(self.lines)
-        if self_result:
-            result = Operand.address(Address((idx + 1,)))
-        self.lines.append(
-            CodeLine(ctype, op, left, right, result if result is not None else Operand.empty())
-        )
-        return idx
+        self.lines.append(CodeLine(ctype, op, left, right, result))
+        return len(self.lines) - 1
+
+    def _line(self, ctype: CodeType, op: str, left: Operand, right=Operand.empty()) -> Operand:
+        """Emit a line whose result is its own address; return that address."""
+        addr = self._next_index_operand()
+        self.lines.append(CodeLine(ctype, Operand.ident(op), left, right, addr))
+        return addr
 
     def _addr_of(self, idx: int) -> Operand:
         return Operand.address(Address((idx + 1,)))
@@ -245,9 +196,10 @@ class Parser:
         elif t.kind == "ident" and t.text == "return" and self._at("op", ":", 1):
             self._next()
             self._next()
-            node = self.parse_expr()
+            start = len(self.lines)
+            v = self._hoist(start, self.parse_expr())
             self._expect("op", ";")
-            self._emit(CodeType.RETURN, op=Operand.ident("return"), left=self._lower(node))
+            self._emit(CodeType.RETURN, op=Operand.ident("return"), left=v)
             self._emit(CodeType.EXPR_END)
         elif t.kind == "ident" and t.text == "while":
             self.parse_while()
@@ -272,13 +224,11 @@ class Parser:
                 result=Operand.ident(name),
             )
         else:
-            node = self.parse_expr()
+            start = len(self.lines)
+            self._hoist(start, self.parse_expr())
             self._expect("op", ";")
             # hoisted accesses alone are no expression: `a.b;` gets no EXPR_END
-            self._hoist_access(node)
-            before = len(self.lines)
-            self._emit_expr(node)
-            if len(self.lines) > before:
+            if len(self.lines) > start and self.lines[-1].ctype is not CodeType.ACCESS_MEMBER:
                 self._emit(CodeType.EXPR_END)
 
     def parse_var_decl(self) -> None:
@@ -287,13 +237,11 @@ class Parser:
             raise ParseError(f"{name.text!r} is reserved", name.pos)
         self._emit(CodeType.VAR_DECL, result=Operand.ident(name.text))
         if self._accept("op", "="):
-            value = self.parse_assign_rhs()
+            start = len(self.lines)
+            v = self._hoist(start, self.parse_assign_rhs())
             self._expect("op", ";")
             self._emit(
-                CodeType.EXPR,
-                op=Operand.ident("="),
-                left=self._lower(value),
-                result=Operand.ident(name.text),
+                CodeType.EXPR, op=Operand.ident("="), left=v, result=Operand.ident(name.text)
             )
             self._emit(CodeType.EXPR_END)
         else:
@@ -305,17 +253,12 @@ class Parser:
         Returns the jump's index; the caller sets its target.
         """
         self._expect("op", "(")
-        cond = self.parse_expr()
+        start = len(self.lines)
+        cond = self._hoist(start, self.parse_expr())
         self._expect("op", ")")
-        neg = self._emit(
-            CodeType.EXPR,
-            op=Operand.ident("=="),
-            left=self._lower(cond),
-            right=Operand.number(0),
-            self_result=True,
-        )
+        neg = self._line(CodeType.EXPR, "==", cond, Operand.number(0))
         self._emit(CodeType.EXPR_END)
-        skip = self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=self._addr_of(neg))
+        skip = self._emit(CodeType.JUMP, op=Operand.ident("jump"), left=neg)
         self._block("cond")
         return skip
 
@@ -387,9 +330,10 @@ class Parser:
 
     def _emit_decl_scope(self) -> tuple[int, str]:
         """Emit SCOPE_START(decl) pattern EXPR_END SCOPE_END; return (start, root op text)."""
-        if self._at("op", "{"):
-            self._next()
-            pattern = self.parse_expr()
+        scope = self._emit(CodeType.SCOPE_START, left=Operand.ident("decl"))
+        start = len(self.lines)
+        if self._accept("op", "{"):
+            root = self._hoist(start, self.parse_expr())
             self._accept("op", ";")
             self._expect("op", "}")
         elif self._at("ident"):
@@ -397,21 +341,16 @@ class Parser:
             if name.text in KEYWORDS:
                 raise ParseError(f"{name.text!r} is reserved", name.pos)
             self._expect("op", "(")
-            args = self._parse_args_until_close()
-            pattern = _Call(name.text, args, name.pos)
+            root = self._hoist(start, self._call(name.text))
         else:
             t = self._peek()
             raise ParseError("declaration needs a name or a pattern", t.pos)
-        start = self._emit(CodeType.SCOPE_START, left=Operand.ident("decl"))
-        root = self._lower(pattern)
-        if root.kind.value not in ("a",):
+        if root.kind is not OperandKind.ADDRESS:
             # single-operand pattern (bare identifier): not a usable declaration
             raise ParseError("declaration pattern has no operator", self._peek().pos)
         self._emit(CodeType.EXPR_END)
         self._emit(CodeType.SCOPE_END)
-        root_line = self.lines[root.addr.digits[0] - 1]
-        head_name = root_line.op.text
-        return start, head_name
+        return scope, self.lines[root.addr[0] - 1].op.text
 
     def parse_class(self) -> None:
         self._expect("ident", "system")
@@ -435,42 +374,79 @@ class Parser:
         start = self._block("class")
         self.lines[class_idx].right = self._addr_of(start)
 
-    # --- expressions ---
+    # --- expressions: each method emits its lines and returns its value ---
+
+    def _value(self, v) -> Operand:
+        """The operand for v, emitting the ACCESS_MEMBER lines of a member path."""
+        if type(v) is not _Path:
+            return v
+        base = Operand.ident(v.root)
+        for name in v.names:
+            base = self._line(CodeType.ACCESS_MEMBER, ".", base, Operand.ident(name))
+        return base
+
+    def _hoist(self, start: int, v) -> Operand:
+        """Move the accesses emitted since start in front of the other lines.
+
+        A stable partition: each group keeps its emission order. The
+        address operands of the moved lines are renumbered; returns the
+        operand for v, renumbered too.
+        """
+        v = self._value(v)
+        run = self.lines[start:]
+        accesses = [ln for ln in run if ln.ctype is CodeType.ACCESS_MEMBER]
+        if all(ln.ctype is CodeType.ACCESS_MEMBER for ln in run[: len(accesses)]):
+            return v  # already in place
+        order = accesses + [ln for ln in run if ln.ctype is not CodeType.ACCESS_MEMBER]
+        place = {id(ln): self._addr_of(start + k) for k, ln in enumerate(order)}
+        moved = {Address((start + k + 1,)): place[id(ln)] for k, ln in enumerate(run)}
+
+        def renumber(o: Operand) -> Operand:
+            return moved.get(o.addr, o) if o.kind is OperandKind.ADDRESS else o
+
+        for ln in order:
+            ln.left, ln.right, ln.result = renumber(ln.left), renumber(ln.right), renumber(ln.result)
+        self.lines[start:] = order
+        return renumber(v)
 
     def parse_expr(self):
         v = self.parse_assign_rhs()
-        if self._accept("op", "-->"):
-            tail = None
-            if not self._at("op", ";"):
-                tail = self.parse_primary_literal()
-            return _Out(v, tail)
-        return v
+        if not self._accept("op", "-->"):
+            return v
+        v = self._value(v)
+        tail = Operand.empty() if self._at("op", ";") else self.parse_primary_literal()
+        self._emit(CodeType.EXPR, op=Operand.ident("-->"), left=v, right=tail)
+        return Operand.empty()
 
-    def parse_primary_literal(self):
+    def parse_primary_literal(self) -> Operand:
         neg = self._accept("op", "-")
         t = self._peek()
         if t.kind == "number":
             self._next()
             v = float(t.text)
-            return _Num(-v if neg else v)
+            return Operand.number(-v if neg else v)
         if neg:
             raise ParseError("expected a number", t.pos)
         if t.kind == "string":
             self._next()
-            return _Str(t.text)
+            return Operand.string(t.text)
         if t.kind == "ident":
             self._next()
-            return _Id(t.text, t.pos)
+            return Operand.ident(t.text)
         raise ParseError("expected a literal", t.pos)
 
     def parse_assign_rhs(self):
         l = self.parse_binary()
-        if self._accept("op", "="):
-            r = self.parse_assign_rhs()
-            if not isinstance(l, (_Id, _Acc)):
-                raise ParseError("assignment target must be a variable", self._peek().pos)
-            return _Asg(l, r)
-        return l
+        if not self._accept("op", "="):
+            return l
+        # the target's accesses come before the value's; an assignment's
+        # value is its target operand, which no longer names a variable
+        target = self._value(l) if type(l) is _Path else None
+        v = self._value(self.parse_assign_rhs())
+        if target is None:
+            raise ParseError("assignment target must be a variable", self._peek().pos)
+        self._emit(CodeType.EXPR, op=Operand.ident("="), left=v, result=target)
+        return target
 
     def parse_binary(self, min_prec: int = 1):
         """Precedence climbing over the _PREC operators binding at least min_prec."""
@@ -481,68 +457,54 @@ class Parser:
             if prec < min_prec:
                 return l
             self.i += 1
-            l = _Bin(t.text, l, self.parse_binary(prec + 1))
+            l = self._value(l)
+            l = self._line(CodeType.EXPR, t.text, l, self._value(self.parse_binary(prec + 1)))
 
     def parse_unary(self):
         if self._accept("op", "-"):
             x = self.parse_unary()
-            if isinstance(x, _Num):
-                return _Num(-x.value)
-            return _Neg(x)
+            if type(x) is Operand and x.kind is OperandKind.NUMBER:
+                return Operand.number(-x.num)
+            return self._line(CodeType.EXPR, "neg", self._value(x))
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_postfix()
-        if self._accept("op", "^"):
-            exp = self.parse_unary()
-            return _Bin("^", base, exp)
-        return base
+        if not self._accept("op", "^"):
+            return base
+        base = self._value(base)
+        return self._line(CodeType.EXPR, "^", base, self._value(self.parse_unary()))
 
     def parse_postfix(self):
-        node = self.parse_primary()
-        while self._at("op", "."):
-            self._next()
+        v = self.parse_primary()
+        while self._accept("op", "."):
             comp = self._expect("ident")
             if comp.text in KEYWORDS:
                 raise ParseError(f"{comp.text!r} is reserved", comp.pos)
-            if self._at("op", "("):
-                path = self._flatten_path(node)
-                if path is None:
+            if self._accept("op", "("):
+                if type(v) is not _Path or v.root.startswith(_MARKS):
                     raise ParseError("method receiver must be a variable path", comp.pos)
-                self._next()
-                args = self._parse_args_until_close()
-                node = _Call(".".join(path + [comp.text]), args, comp.pos)
+                v = self._call(".".join((v.root, *v.names, comp.text)))
+            elif type(v) is not _Path:
+                raise ParseError("access path must start at a variable", comp.pos)
             else:
-                node = _Acc(node, comp.text)
-        return node
-
-    @staticmethod
-    def _flatten_path(node) -> Optional[list[str]]:
-        parts: list[str] = []
-        while isinstance(node, _Acc):
-            parts.insert(0, node.comp)
-            node = node.base
-        if isinstance(node, _Id):
-            bare = node.name
-            if bare.startswith((PENDING_MARK, UNRELATED_MARK)) or bare.startswith(OUT_MARK):
-                return None
-            parts.insert(0, bare)
-            return parts
-        return None
+                v = _Path(v.root, v.names + (comp.text,))
+        return v
 
     def parse_primary(self):
         t = self._peek()
         if t.kind == "number":
             self._next()
-            return _Num(float(t.text))
+            # not Operand.number: one call less where the nesting limit is counted
+            return Operand(OperandKind.NUMBER, num=float(t.text))
         if t.kind == "string":
             self._next()
-            return _Str(t.text)
+            return Operand.string(t.text)
         if t.kind == "op" and t.text == "(":
             self._next()
-            node = self.parse_expr()
+            v = self.parse_expr()
             self._expect("op", ")")
-            return node
+            return v
         if t.kind == "op" and t.text == "$":
             self._next()
             if self._at("ident"):
@@ -551,8 +513,8 @@ class Parser:
                     raise ParseError(f"{name.text!r} is reserved", name.pos)
                 if self._at("op", "("):
                     raise ParseError("pending marker cannot mark a call", name.pos)
-                return _Id(PENDING_MARK + name.text, t.pos)
-            return _Id(PENDING_MARK, t.pos)
+                return _Path(PENDING_MARK + name.text)
+            return _Path(PENDING_MARK)
         if t.kind == "op" and t.text == "#":
             if self._exp_depth == 0:
                 raise ParseError("unrelated marker is only valid in exp declarations", t.pos)
@@ -560,7 +522,7 @@ class Parser:
             name = self._expect("ident")
             if name.text in KEYWORDS:
                 raise ParseError(f"{name.text!r} is reserved", name.pos)
-            return _Id(UNRELATED_MARK + name.text, t.pos)
+            return _Path(UNRELATED_MARK + name.text)
         if t.kind == "ident":
             if t.text == "out" and self._at("op", ":", 1):
                 self._next()
@@ -568,10 +530,10 @@ class Parser:
                 if self._out_mark:
                     raise ParseError("nested out: marker", t.pos)
                 self._out_mark = True
-                node = self.parse_binary()
+                v = self.parse_binary()
                 if self._out_mark:
                     raise ParseError("out: marker not attached to an identifier", t.pos)
-                return node
+                return v
             if t.text in KEYWORDS:
                 raise ParseError(f"{t.text!r} is reserved", t.pos)
             self._next()
@@ -583,122 +545,22 @@ class Parser:
                 if name.startswith(OUT_MARK):
                     raise ParseError("out: cannot mark a call", t.pos)
                 self._next()
-                args = self._parse_args_until_close()
-                return _Call(name, args, t.pos)
-            return _Id(name, t.pos)
+                return self._call(name)
+            return _Path(name)
         raise ParseError(f"unexpected {t.text or t.kind!r}", t.pos)
 
-    def _parse_args_until_close(self) -> list:
-        args: list = []
-        if self._accept("op", ")"):
-            return args
-        while True:
-            args.append(self.parse_expr())
-            if self._accept("op", ","):
-                continue
+    def _call(self, name: str) -> Operand:
+        """A call after its `(`: the arguments, their `param` folds, then the call line."""
+        ops: list[Operand] = []
+        if not self._accept("op", ")"):
+            ops.append(self._value(self.parse_expr()))
+            while self._accept("op", ","):
+                ops.append(self._value(self.parse_expr()))
             self._expect("op", ")")
-            return args
-
-    # --- expression emission ---
-
-    def _lower(self, node) -> Operand:
-        """Hoist the member accesses, then emit the expression lines."""
-        self._hoist_access(node)
-        return self._emit_expr(node)
-
-    def _hoist_access(self, node) -> None:
-        """Emit ACCESS_MEMBER lines for every access path, evaluation order."""
-        if isinstance(node, _Acc):
-            self._hoist_access(node.base)
-            base = self._leaf_operand(node.base)
-            idx = self._emit(
-                CodeType.ACCESS_MEMBER,
-                op=Operand.ident("."),
-                left=base,
-                right=Operand.ident(node.comp),
-                self_result=True,
-            )
-            node.operand = self._addr_of(idx)
-        elif isinstance(node, _Neg):
-            self._hoist_access(node.x)
-        elif isinstance(node, _Bin):
-            leaf, chain = _left_spine(node)
-            self._hoist_access(leaf)
-            for b in chain:
-                self._hoist_access(b.r)
-        elif isinstance(node, _Call):
-            for a in node.args:
-                self._hoist_access(a)
-        elif isinstance(node, _Asg):
-            self._hoist_access(node.target)
-            self._hoist_access(node.value)
-        elif isinstance(node, _Out):
-            self._hoist_access(node.value)
-
-    def _leaf_operand(self, node) -> Operand:
-        if isinstance(node, _Id):
-            return Operand.ident(node.name)
-        if isinstance(node, _Acc):
-            return node.operand
-        raise ParseError("access path must start at a variable", 0)
-
-    def _emit_expr(self, node) -> Operand:
-        if isinstance(node, _Num):
-            return Operand.number(node.value)
-        if isinstance(node, _Str):
-            return Operand.string(node.value)
-        if isinstance(node, _Id):
-            return Operand.ident(node.name)
-        if isinstance(node, _Acc):
-            return node.operand  # hoisted
-        if isinstance(node, _Neg):
-            x = self._emit_expr(node.x)
-            idx = self._emit(
-                CodeType.EXPR, op=Operand.ident("neg"), left=x, self_result=True
-            )
-            return self._addr_of(idx)
-        if isinstance(node, _Bin):
-            leaf, chain = _left_spine(node)
-            acc = self._emit_expr(leaf)
-            for b in chain:
-                r = self._emit_expr(b.r)
-                idx = self._emit(
-                    CodeType.EXPR, op=Operand.ident(b.op), left=acc, right=r, self_result=True
-                )
-                acc = self._addr_of(idx)
-            return acc
-        if isinstance(node, _Call):
-            ops = [self._emit_expr(a) for a in node.args]
-            while len(ops) > 2:
-                idx = self._emit(
-                    CodeType.EXPR,
-                    op=Operand.ident("param"),
-                    left=ops[0],
-                    right=ops[1],
-                    self_result=True,
-                )
-                ops[0:2] = [self._addr_of(idx)]
-            left = ops[0] if ops else Operand.empty()
-            right = ops[1] if len(ops) > 1 else Operand.empty()
-            idx = self._emit(
-                CodeType.EXPR,
-                op=Operand.ident(node.name),
-                left=left,
-                right=right,
-                self_result=True,
-            )
-            return self._addr_of(idx)
-        if isinstance(node, _Asg):
-            v = self._emit_expr(node.value)
-            t = self._leaf_operand(node.target)
-            self._emit(CodeType.EXPR, op=Operand.ident("="), left=v, result=t)
-            return t
-        if isinstance(node, _Out):
-            v = self._emit_expr(node.value)
-            tail = self._emit_expr(node.tail) if node.tail is not None else Operand.empty()
-            self._emit(CodeType.EXPR, op=Operand.ident("-->"), left=v, right=tail)
-            return Operand.empty()
-        raise AssertionError(f"unhandled node {node!r}")
+        while len(ops) > 2:
+            ops[0:2] = [self._line(CodeType.EXPR, "param", ops[0], ops[1])]
+        ops += [Operand.empty()] * (2 - len(ops))
+        return self._line(CodeType.EXPR, name, *ops)
 
 
 def parse(text: str) -> list[CodeLine]:

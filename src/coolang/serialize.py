@@ -242,6 +242,8 @@ def _check_links(tables: Tables) -> None:
     expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
     derive = CodeType.DERIVE_FUNC
     for s, info in scopes.items():
+        if info.start != s:
+            raise FormatError(f"scope row {s}: start {info.start} is not the row's own id")
         if info.parent is not None and not (info.parent < s and info.parent in scopes):
             raise FormatError(f"scope row {s}: parent {info.parent} is no scope row before it")
         # lowering resumes at the end row, so it must emit nothing and lie past the start

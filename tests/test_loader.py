@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coolang import execute
 from coolang.addresses import Address
 from coolang.code import CodeLine, CodeType, ExecFlag, Operand, PendFlag, ScopeKind
 from coolang.errors import (
@@ -330,6 +331,24 @@ def test_distinct_patterns_with_same_root_allowed():
         "exp: @(-1){ #a + #b }{ return: b + a; } @(10){ $a + b }{ a = ans - b; }"
     )
     assert len(t.functions) == 2
+
+
+def test_a_repeated_formal_rule_loads_beside_the_general_rule():
+    # a formal counts by its name's first occurrence in the pattern, so
+    # `#a - #a` (equal operands only) is no duplicate of `#a - #b`
+    src = (
+        "exp: @(-1){ #a - #b }{ return: a + (0 - b); }\n"
+        "exp: @(-2){ #a - #a }{ return: 0; }\n"
+        "new: q = 3; new: r = q - q; r --> 0;"
+    )
+    assert len(build(src).functions) == 2
+    assert execute(src).output == ["0.0"]
+
+
+@pytest.mark.parametrize("first, second", [("#a - #b", "#b - #a"), ("#a - #a", "#b - #b")])
+def test_a_renamed_formal_is_still_a_duplicate(first, second):
+    with pytest.raises(DuplicateDeclaration):
+        build(f"exp: @{{ {first} }}{{ return: a; }} exp: @{{ {second} }}{{ return: b; }}")
 
 
 def test_unbalanced_scopes_detected():

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coolang.code import CodeType, OperandKind
+from coolang.code import CodeType, Operand, OperandKind
+from coolang.addresses import Address
 from coolang.errors import ParseError
 from coolang.parser import parse
 from coolang.precompile import precompile
@@ -305,3 +308,87 @@ def test_non_ascii_outside_strings_is_an_unexpected_character(text, pos):
     with pytest.raises(ParseError, match=rf"unexpected character .* \(at offset {pos}\)"):
         parse(text)
     assert parse('x="é";')[0].left.text == "é"
+
+
+def test_a_parenthesised_assignment_is_no_assignment_target():
+    # an assignment's value is its target operand, not the variable
+    for src in ("(a = 3) = 4;", "(a.b = 3) = 4;", "(x --> 0) = 1;"):
+        with pytest.raises(ParseError, match="assignment target must be a variable"):
+            compile_lines(src)
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [("(a=3).c;", 6), ("f(x).c;", 5), ("(1).c;", 4), ("a.b(c).d;", 7)],
+)
+def test_an_access_off_a_value_names_the_component(text, pos):
+    with pytest.raises(ParseError, match=rf"access path must start at a variable \(at offset {pos}\)"):
+        parse(text)
+
+
+def test_a_parenthesised_path_still_becomes_a_dotted_call():
+    for src in ("a.b.f(x);", "(a.b).f(x);", "(a).b.f(x);"):
+        (call, _) = compile_lines(src)
+        assert call.ctype is CodeType.EXPR and call.op.text == "a.b.f"
+        assert call.left.text == "x"
+
+
+def test_assignment_hoists_the_target_access_before_the_value_access():
+    am1, am2, call, assign, _ = compile_lines("a.b = f(c.d);")
+    assert (am1.left.text, am1.right.text) == ("a", "b")
+    assert (am2.left.text, am2.right.text) == ("c", "d")
+    assert call.left == am2.result and assign.left == call.result
+    assert assign.result == am1.result
+
+
+_NAMES = st.sampled_from(["a", "b", "m", "x"])
+_PATHS = st.builds(
+    lambda root, comps: ".".join([root, *comps]),
+    _NAMES,
+    st.lists(st.sampled_from(["b", "v", "part"]), min_size=1, max_size=3),
+)
+_TARGETS = st.one_of(_NAMES, _PATHS, _PATHS.map("({})".format))
+
+
+def _compound(inner):
+    args = st.lists(inner, max_size=4).map(", ".join)
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "==", "<"]), inner).map(" ".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        st.tuples(inner, inner).map("{0[0]}^{0[1]}".format),
+        st.tuples(st.sampled_from(["f", "g"]), args).map("{0[0]}({0[1]})".format),
+        st.tuples(_PATHS, args).map("{0[0]}({0[1]})".format),
+        st.tuples(_TARGETS, inner).map("({0[0]} = {0[1]})".format),
+    )
+
+
+_EXPRS = st.recursive(
+    st.one_of(_NAMES, _PATHS, st.sampled_from(["0", "2", "3.5", '"s"', "$y"])),
+    _compound,
+    max_leaves=12,
+)
+_STATEMENTS = st.one_of(
+    _EXPRS.map("{};".format),
+    st.tuples(_TARGETS, _EXPRS).map("{0[0]} = {0[1]};".format),
+    _EXPRS.map("{} --> 0;".format),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STATEMENTS)
+def test_a_statement_hoists_its_accesses_and_addresses_only_earlier_lines(src):
+    lines = compile_lines(src)
+    body = lines[:-1] if lines and lines[-1].ctype is CodeType.EXPR_END else lines
+    types = kinds(body)
+    accesses = types.count(CodeType.ACCESS_MEMBER)
+    expressions = len(types) - accesses
+    assert types == [CodeType.ACCESS_MEMBER] * accesses + [CodeType.EXPR] * expressions
+    # an EXPR_END closes the statement exactly when it has an expression line
+    assert (len(body) < len(lines)) == (expressions > 0)
+    for row, ln in enumerate(body, 1):
+        if ln.op.text not in ("=", "-->"):
+            assert ln.result == Operand.address(Address((row,)))
+        for o in (ln.left, ln.right) + ((ln.result,) if ln.op.text == "=" else ()):
+            if o.kind is OperandKind.ADDRESS:
+                assert o.addr[0] < row

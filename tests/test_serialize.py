@@ -239,6 +239,17 @@ def test_a_scope_ending_on_no_scope_end_row_is_a_format_error(name, kind, at):
         deserialize("\n".join("\t".join(row) for row in rows))
 
 
+def test_a_scope_row_starting_off_its_own_id_is_a_format_error():
+    # both writers keep start == id; a start elsewhere made the search read
+    # the decl scope of a body scope from the wrong row (KeyError)
+    rows = [row.split("\t") for row in serialize(build(corpus.SIN_APPROX_EXP)).split("\n")]
+    scopes = rows[rows.index(["---"]) + 1 :]
+    scope = next(row for row in scopes if row[0] == "23")
+    scope[2] = "31"
+    with pytest.raises(FormatError, match="scope row 23: start 31 is not the row's own id"):
+        deserialize("\n".join("\t".join(row) for row in rows))
+
+
 # every program the writers are checked on: the corpus, each workload for
 # seeds 1-5, a program whose splices relocate runs of every shape and one
 # whose return: values and tests are bare member accesses
@@ -320,14 +331,18 @@ def test_a_compiled_code_file_with_a_binding_is_a_format_error(text):
 @st.composite
 def retargeted_code_files(draw):
     """A corpus or member_reads code file, compiled or preexecuted, with
-    one or two address operands of its code rows pointed at a row of the
-    file or one past its last row. The other sections stay as written."""
+    one or two address cells pointed at a row of the file or one past its
+    last row: the address operands of its code rows and the start, end,
+    query and parent cells of its scope rows. The other cells stay as
+    written."""
     name = draw(st.sampled_from([*sorted(corpus.ALL_PROGRAMS), "member_reads"]))
     text = draw(st.sampled_from(_compiled_and_preexecuted(name)))
     rows = [row.split("\t") for row in text.split("\n")]
-    code = rows[1 : rows.index(["---"])]
+    seps = [i for i, row in enumerate(rows) if row == ["---"]]
+    code, scopes = rows[1 : seps[0]], rows[seps[0] + 1 : seps[1]]
     targets = [row[0] for row in code] + [str(int(code[-1][0].split(".")[0]) + 1)]
     cells = [(row, 4 + i) for row in code for i, k in enumerate(row[8].split(",")) if k == "a"]
+    cells += [(row, col) for row in scopes for col in range(2, 6) if row[col] != "-"]
     for row, col in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)):
         row[col] = draw(st.sampled_from(targets))
     return "\n".join("\t".join(row) for row in rows)
