@@ -348,6 +348,11 @@ class Parser:
         if root.kind is not OperandKind.ADDRESS:
             # single-operand pattern (bare identifier): not a usable declaration
             raise ParseError("declaration pattern has no operator", self._peek().pos)
+        # a member access or an output can never match a statement's line
+        if self.lines[root.addr[0] - 1].ctype is not CodeType.EXPR:
+            raise ParseError("declaration pattern is not an operator expression", self._peek().pos)
+        if any(ln.op.text == "-->" for ln in self.lines[start:]):
+            raise ParseError("declaration pattern holds an output", self._peek().pos)
         self._emit(CodeType.EXPR_END)
         self._emit(CodeType.SCOPE_END)
         return scope, self.lines[root.addr[0] - 1].op.text

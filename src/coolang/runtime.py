@@ -8,7 +8,11 @@ per reverse call, consumer first, so a solver always finds its required
 value already written by the steps before it. Lines with nothing to do at
 run time emit no instruction, and every line of an expression maps to its
 first instruction. Jump targets, scope ranges, function bodies and class
-bodies are all program counters into the stream.
+bodies are all program counters into the stream. Two common sequences are
+fused as they are lowered: a builtin and the `=` that stores its result,
+and a `while` or `if` test's last builtin, its `== 0` and the jump on it.
+A fused instruction sits at the pc of its first part and runs the rest;
+the parts keep their slots, so the stream keeps its length and every pc.
 
 `Interpreter.run` walks the stream in one loop. Each region (the file, a
 scope, a function body, a class body) runs against one record. Entering a
@@ -18,13 +22,14 @@ Python. The loop bounds the call depth, and it counts a step at every
 backward jump and every call entry against a step budget, so every run
 ends. Names are read and written straight in the record dicts, in the
 order `Record.resolve` walks them; a `Path` is made only for a formal,
-which aliases its caller's storage.
+which aliases its caller's storage. A builtin reads a constant, and a
+temporary or name its record holds or references, in the loop itself.
 
 Each call site carries a call plan that `lower` makes once (see
-`CallSite`). So a call builds its body record with its locals and cross
-references in place, looks for a class record only when its function
-belongs to a class, and on exit checks only the formals a reverse call
-solves.
+`CallSite`). So a call builds its body record in the loop, with its
+locals and cross references in place, looks for a class record only when
+its function belongs to a class, and on exit checks only the formals a
+reverse call solves.
 """
 
 from __future__ import annotations
@@ -61,38 +66,50 @@ from .errors import (
     ReverseUnsatisfied,
     StepBudgetExceeded,
 )
+from . import records as _records
 from .records import Path, Record, follow, instance_at
 
 _SKIPPED_KINDS = (ScopeKind.DECL, ScopeKind.BODY, ScopeKind.CLASS)
 
 # Instruction opcodes; an instruction is a tuple headed by one of these.
+#   (_ASSIGN, None, source, target)     builtin =
+#   (_STORE, apply, left, right, address, target)
+#                                       a _BINARY fused with the _ASSIGN of its result
 #   (_BINARY, apply, left, right, address)  builtin a op b, into the temporary
-#   (_ASSIGN, source, target)           builtin =
-#   (_CALL, site)                       forward call
-#   (_RCALL, site)                      reverse call, fed the value at its line
+#   (_BRANCH, apply, left, right, address, test, value, target)
+#                                       a _BINARY fused with a test's `== value` of
+#                                       its result and the _JUMP on that test
 #   (_JUMP, operand, target)
 #   (_SCOPE, scope, end)                run [pc + 1, end) in a child record, then go
 #                                       on at end (a scope's end row emits nothing)
 #   (_SKIP, end)                        scope never entered: go on at end
+#   (_CALL, site)                       forward call
+#   (_RCALL, site)                      reverse call, fed the value at its line
 #   (_DECLARE, name, class_name | None)
 #   (_RETURN, operand)
 #   (_PRINT, operand)                   builtin -->
 #   (_NEG, operand, address)            builtin neg, into the temporary
-_BINARY, _ASSIGN, _CALL, _RCALL, _JUMP, _SCOPE, _SKIP, _DECLARE, _RETURN, _PRINT, _NEG = range(11)
+# A fused instruction runs the instructions after it that it absorbed and
+# goes on past them. They keep their slots, so every pc keeps its meaning.
+(_ASSIGN, _STORE, _BINARY, _BRANCH, _JUMP, _SCOPE, _SKIP, _CALL, _RCALL, _DECLARE, _RETURN,
+ _PRINT, _NEG) = range(13)
 
-# Operand tags; an operand is a tuple headed by one of these.
+# Operand tags; an operand is a tuple headed by one of these. The first three
+# are the ones the run loop reads in place.
 #   (_CONST, value)                    number or text
-#   (_NAME, bare, out)                 resolved by name through the records
 #   (_TEMP, address)                   expression temporary in the record
+#   (_NAME, bare, False)               resolved by name through the records
+#   (_OUTER, bare, True)               an out: name, resolved from the parent on
 #   (_MEMBER, bare, out, names)        member chain, walked by records.follow
 #   (_EMPTY,)
-_CONST, _NAME, _TEMP, _MEMBER, _EMPTY = range(5)
+_CONST, _TEMP, _NAME, _OUTER, _MEMBER, _EMPTY = range(6)
 _EMPTY_OPERAND = (_EMPTY,)
 
 # Enum members that lowering compares against, bound once: reading one off
 # its class costs a lookup each row and operand
 _EXPR_ROW, _SCOPE_ROW, _DECL_ROW = CodeType.EXPR, CodeType.SCOPE_START, CodeType.VAR_DECL
 _RETURN_ROW, _JUMP_ROW, _MEMBER_ROW = CodeType.RETURN, CodeType.JUMP, CodeType.ACCESS_MEMBER
+_EXPR_END_ROW = CodeType.EXPR_END
 _NUMBER, _TEXT, _IDENT, _ADDRESS = (
     OperandKind.NUMBER, OperandKind.TEXT, OperandKind.IDENT, OperandKind.ADDRESS
 )
@@ -105,7 +122,7 @@ class _Names(dict):
 
     def __missing__(self, text: str) -> tuple:
         bare, _, _, out = split_markers(text)
-        self[text] = name = (_NAME, bare, out)
+        self[text] = name = (_OUTER if out else _NAME, bare, out)
         return name
 
 
@@ -119,12 +136,15 @@ class CallSite:
     pending formals, which its body must leave holding a finite value.
     """
 
-    __slots__ = ("line", "address", "fn", "start", "end", "receiver", "consts", "formals", "solves")
+    __slots__ = ("line", "address", "fn", "scope", "class_scope", "start", "end", "receiver",
+                 "consts", "formals", "solves")
 
     def __init__(self, line: ExtendedLine, fn: FunctionInfo, start: int, end: int):
         self.line = line
         self.address = line.address
         self.fn = fn
+        self.scope = fn.body_scope
+        self.class_scope = fn.class_scope  # None: the body's parent is the global record
         self.start = start  # body region [start, end) in program counters
         self.end = end
         receiver, dot, _ = line.op.text.rpartition(".")
@@ -186,6 +206,7 @@ def lower(tables: Tables) -> Program:
 
     proto: list[tuple] = []  # instructions, targets still line indices
     width = [0] * n  # instructions each line emits
+    run_pc, run_stop = 0, -2  # the last expression run's first pc and the line after it
     i = 0
     while i < n:
         emitted = len(proto)
@@ -196,6 +217,7 @@ def lower(tables: Tables) -> Program:
             while j < n and lines[j].ctype is _EXPR_ROW:
                 j += 1
             proto += _lower_run(lines[i:j], tables.code, names, call_site)
+            run_pc, run_stop = emitted, j
         elif t is _SCOPE_ROW:
             _, end = scope_range(ln.address)
             info = tables.scopes[ln.address]
@@ -213,7 +235,14 @@ def lower(tables: Tables) -> Program:
             # a jump past the last line (the end of a trailing if-chain) ends
             # every region it runs in
             to = index_of.get(ln.right.addr, n)
-            proto.append((_JUMP, _operand(ln.left, tables.code, names), to))
+            jump = (_JUMP, _operand(ln.left, tables.code, names), to)
+            # a test's last two instructions, its EXPR_END row and this jump
+            # may fuse: no line maps to the second's pc and only those two
+            # rows to the jump's, so no region starts or ends among the parts
+            if i == run_stop + 1 and lines[run_stop].ctype is _EXPR_END_ROW:
+                if emitted - run_pc >= 2:
+                    proto[-2] = _branch(proto[-2], proto[-1], jump)
+            proto.append(jump)
         # FUNC_OP, DERIVE_FUNC, CLASS_OP, ACCESS_MEMBER, EXPR_END and
         # SCOPE_END do nothing at run time and emit nothing. The count goes
         # on a run's last line, so every line of a run maps to its first
@@ -222,16 +251,8 @@ def lower(tables: Tables) -> Program:
         i = j
 
     pc_of = list(itertools.accumulate(width, initial=0))  # line index -> pc
-    code: list[tuple] = []
-    for ins in proto:
-        op = ins[0]
-        if op == _SCOPE:
-            ins = (_SCOPE, ins[1], pc_of[ins[2]])
-        elif op == _SKIP:
-            ins = (_SKIP, pc_of[ins[1]])
-        elif op == _JUMP:
-            ins = (_JUMP, ins[1], pc_of[ins[2]])
-        code.append(ins)
+    # _BRANCH, _JUMP, _SCOPE and _SKIP end on their target
+    code = [(*ins[:-1], pc_of[ins[-1]]) if _BRANCH <= ins[0] <= _SKIP else ins for ins in proto]
     for site in sites:
         site.start, site.end = pc_of[site.start], pc_of[site.end]
 
@@ -258,25 +279,27 @@ def _lower_run(
     forward: list[tuple] = []
     reverse: list[tuple] = []
     for top in run:
-        if top.address in done:
-            continue
-        done.add(top.address)
-        stack = [[top, 0]]
+        stack = [(top, False)]  # (line, its children done)
         while stack:
-            frame = stack[-1]
-            ln, slot = frame
-            if slot < 2:
-                frame[1] += 1
-                o = ln.left if slot == 0 else ln.right
-                if o.kind is _ADDRESS:
-                    child = by_addr.get(o.addr)
-                    if child is not None and child.address not in done:
-                        done.add(child.address)
-                        stack.append([child, 0])
+            ln, ready = stack.pop()
+            if not ready:
+                if ln.address not in done:
+                    done.add(ln.address)
+                    stack.append((ln, True))
+                    # the left operand's subtree goes first
+                    o = ln.right
+                    if o.kind is _ADDRESS and o.addr in by_addr:
+                        stack.append((by_addr[o.addr], False))
+                    o = ln.left
+                    if o.kind is _ADDRESS and o.addr in by_addr:
+                        stack.append((by_addr[o.addr], False))
                 continue
-            stack.pop()
             if ln.bound is BUILTIN:
-                forward.append(_builtin(ln, table, names))
+                ins = _builtin(ln, table, names)
+                if ins[0] == _ASSIGN and forward and forward[-1][0] == _BINARY:
+                    if ins[2] == (_TEMP, forward[-1][4]):  # x = a op b
+                        forward[-1] = (_STORE, *forward[-1][1:], ins[3])
+                forward.append(ins)
             elif ln.root and ln.is_user_bound:
                 if ln.bound_reverse:
                     reverse.append((_RCALL, call_site(ln)))
@@ -290,7 +313,7 @@ def _builtin(ln: ExtendedLine, table: CodeTable, names: _Names) -> tuple:
     op = ln.op.text
     left = _operand(ln.left, table, names)
     if op == "=":
-        return (_ASSIGN, left, _operand(ln.result, table, names))
+        return (_ASSIGN, None, left, _operand(ln.result, table, names))
     if op == "-->":
         return (_PRINT, left)
     if op == "neg":
@@ -299,6 +322,15 @@ def _builtin(ln: ExtendedLine, table: CodeTable, names: _Names) -> tuple:
     if apply is None:
         apply = _no_builtin(op)
     return (_BINARY, apply, left, _operand(ln.right, table, names), ln.address)
+
+
+def _branch(first: tuple, test: tuple, jump: tuple) -> tuple:
+    """first as a _BRANCH when it is a builtin whose temporary the test
+    compares with a constant and the jump reads that comparison, else first."""
+    if first[0] == _BINARY and test[0] == _BINARY and test[1] is _equal:
+        if test[2] == (_TEMP, first[4]) and test[3][0] == _CONST and jump[1] == (_TEMP, test[4]):
+            return (_BRANCH, *first[1:], test[4], test[3][1], jump[2])
+    return first
 
 
 def _operand(o: Operand, table: CodeTable, names: _Names) -> tuple:
@@ -414,7 +446,7 @@ def _read(record: Record, o: tuple):
     references, the records the param query links reach, then the parent.
     """
     tag = o[0]
-    if tag == _NAME:
+    if tag == _NAME or tag == _OUTER:
         name = o[1]
         r = record.parent if o[2] else record
         while r is not None:
@@ -451,7 +483,7 @@ def _read(record: Record, o: tuple):
 def _write(record: Record, target: tuple, v) -> None:
     """Store v where the operand names, a name found as _read finds it."""
     tag = target[0]
-    if tag == _NAME:
+    if tag == _NAME or tag == _OUTER:
         name = target[1]
         r = record.parent if target[2] else record
         while r is not None:
@@ -499,8 +531,9 @@ def _format_value(v) -> str:
 
 # Run budgets: calls and instantiations nested, and steps counted at
 # backward jumps and call entries. The loop_run workload takes 15 003 steps;
-# the endless `while (1 > 0) { i = i + 1; }` takes 4.5 to 6.5 microseconds
-# a step on a 2-core Xeon under CPython 3.11, so it stops after 4.5 to 6.5 s.
+# the endless `while (1 > 0) { i = i + 1; }` takes 2.4 to 3 microseconds a
+# step on a 2-core Xeon under CPython 3.11 (CPU time, 1 000 000 steps, four
+# runs), so it stops after 2.4 to 3 s.
 MAX_CALL_DEPTH = 10_000
 MAX_STEPS = 1_000_000
 
@@ -545,32 +578,16 @@ class Interpreter:
         output, call_log = self.output, self.call_log
         read, write = _read, _write
         max_depth, max_steps = self.max_call_depth, self.max_steps
-        record = self.global_record
+        top = record = self.global_record
         pc, end = 0, len(code)
         depth = steps = 0
         returned, ret = False, None
         while True:
             if pc >= end:
                 if not frames:
-                    return self.global_record
+                    return top
                 caller, pc, end, child, site = frames.pop()
-                if site.__class__ is CallSite:
-                    depth -= 1
-                    child.destroy()
-                    if returned:
-                        caller.data[site.address] = ret
-                        returned = False
-                    for bare in site.solves:
-                        p = child.cross_ref[bare]
-                        v = p.record.data.get(p.key)
-                        if v is None or isinstance(v, float) and not isfinite(v):
-                            raise ReverseUnsatisfied(
-                                f"{bare!r} was never solved by the reverse call"
-                            )
-                    call_log.append(site.address)
-                elif site is None:
-                    child.destroy()
-                else:
+                if site.__class__ is _Instantiation:
                     returned = False
                     body = self._next_body(site)
                     if body is not None:
@@ -580,36 +597,125 @@ class Interpreter:
                         continue
                     depth -= 1
                     caller.data[site.name] = site.top
+                else:
+                    if not child.destroyed:  # child.destroy(), inline
+                        child.destroyed = True
+                        _records.destroyed_count += 1
+                    if site is not None:  # a call's end
+                        depth -= 1
+                        if returned:
+                            caller.data[site.address] = ret
+                            returned = False
+                        for bare in site.solves:
+                            p = child.cross_ref[bare]
+                            v = p.record.data.get(p.key)
+                            if v is None or isinstance(v, float) and not isfinite(v):
+                                raise ReverseUnsatisfied(
+                                    f"{bare!r} was never solved by the reverse call"
+                                )
+                        call_log.append(site.address)
                 record = caller
                 continue
 
             ins = code[pc]
             op = ins[0]
-            if op == _BINARY:
-                record.data[ins[4]] = ins[1](read(record, ins[2]), read(record, ins[3]), ins[4])
-                pc += 1
-            elif op == _ASSIGN:
-                write(record, ins[2], read(record, ins[1]))
-                pc += 1
+            if op <= _BRANCH:
+                # a constant, or a temporary or name this record holds or
+                # references, is read in place; any other goes through _read.
+                # A temporary's address is never a cross reference's key.
+                data, cross = record.data, record.cross_ref
+                o = ins[2]
+                if o[0] == _CONST:
+                    v = o[1]
+                elif o[0] <= _NAME and o[1] in data:
+                    v = data[o[1]]
+                    if v is None:
+                        v = 0.0
+                elif o[0] <= _NAME and o[1] in cross:
+                    p = cross[o[1]]
+                    v = p.record.data.get(p.key)
+                    if v is None:
+                        v = 0.0
+                else:
+                    v = read(record, o)
+                if op == _ASSIGN:
+                    pc += 1
+                else:
+                    o = ins[3]
+                    if o[0] == _CONST:
+                        b = o[1]
+                    elif o[0] <= _NAME and o[1] in data:
+                        b = data[o[1]]
+                        if b is None:
+                            b = 0.0
+                    elif o[0] <= _NAME and o[1] in cross:
+                        p = cross[o[1]]
+                        b = p.record.data.get(p.key)
+                        if b is None:
+                            b = 0.0
+                    else:
+                        b = read(record, o)
+                    v = data[ins[4]] = ins[1](v, b, ins[4])
+                    if op == _BINARY:
+                        pc += 1
+                        continue
+                    if op == _BRANCH:
+                        # the test's == at pc + 1 and the jump on it at pc + 2
+                        if v == ins[6]:
+                            data[ins[5]] = 1.0
+                            target = ins[7]
+                            if target <= pc + 2:  # a loop's back edge: count a step
+                                steps += 1
+                                if steps > max_steps:
+                                    raise StepBudgetExceeded(
+                                        f"the run took more than {max_steps} steps"
+                                    )
+                            pc = target
+                        else:
+                            data[ins[5]] = 0.0
+                            pc += 3
+                        continue
+                    pc += 2
+                o = ins[-1]
+                if _CONST < o[0] <= _NAME and o[1] in data:
+                    data[o[1]] = v
+                elif _CONST < o[0] <= _NAME and o[1] in cross:
+                    p = cross[o[1]]
+                    p.record.data[p.key] = v
+                else:
+                    write(record, o, v)
             elif op == _CALL or op == _RCALL:
                 site = ins[1]
-                if op == _RCALL:
-                    ans = record.data.get(site.address)
-                    if ans is None:
-                        ans = 0.0
-                else:
-                    ans = None
                 steps += 1
                 if steps > max_steps:
                     raise StepBudgetExceeded(f"the run took more than {max_steps} steps")
                 if depth >= max_depth:
                     raise CallDepthExceeded(f"calls nest deeper than {max_depth} levels")
-                body = self._enter(record, site, ans)
+                # the body record: formals alias the caller's storage
+                formals = {}
+                for bare, o in site.formals:
+                    if o[0] == _TEMP:
+                        formals[bare] = Path(record, o[1])
+                    elif o[0] == _NAME or o[0] == _OUTER:
+                        # unresolved names spring into the current record as numbers
+                        formals[bare] = record.resolve(o[1], o[2]) or record.declare(o[1])
+                    elif o[0] == _MEMBER:
+                        formals[bare] = follow(record, o[1], o[2], o[3])
+                    else:
+                        raise CoolRuntimeError("a formal matched nothing that can hold a value")
+                data = site.consts.copy() if site.consts else {}
+                if op == _RCALL:
+                    ans = record.data.get(site.address)
+                    data["ans"] = 0.0 if ans is None else ans
+                parent = top if site.class_scope is None else _class_record(record, site)
+                body = Record(site.scope, parent, data, formals)
                 frames.append((record, pc + 1, end, body, site))
                 depth += 1
                 record, pc, end = body, site.start, site.end
             elif op == _JUMP:
-                if _truthy(read(record, ins[1])):
+                o = ins[1]
+                v = o[1] if o[0] == _CONST else read(record, o)
+                if (v != 0.0) if v.__class__ is float else _truthy(v):
                     target = ins[2]
                     if target <= pc:  # a loop's back edge: count a step
                         steps += 1
@@ -681,43 +787,6 @@ class Interpreter:
                 return rec, start, end
         return None
 
-    # --- function calls ---
-
-    def _enter(self, record: Record, site: CallSite, ans) -> Record:
-        """The body record of one call."""
-        formals: dict[str, Path] = {}
-        for bare, o in site.formals:
-            tag = o[0]
-            if tag == _TEMP:
-                formals[bare] = Path(record, o[1])
-            elif tag == _NAME:
-                # unresolved names spring into the current record as numbers
-                formals[bare] = record.resolve(o[1], o[2]) or record.declare(o[1])
-            elif tag == _MEMBER:
-                formals[bare] = follow(record, o[1], o[2], o[3])
-            else:
-                raise CoolRuntimeError("a formal matched nothing that can hold a value")
-
-        fn = site.fn
-        parent = self.global_record
-        if fn.class_scope is not None:
-            start = record
-            if site.receiver is not None:
-                bare, out, names = site.receiver
-                start = instance_at(follow(record, bare, out, names), ".".join((bare, *names)))
-            found = _find_class_record(start, fn.class_scope)
-            if found is None:
-                raise CoolRuntimeError(
-                    f"no instance of the class owning {fn.name!r} is reachable"
-                )
-            parent = found
-
-        data = site.consts.copy() if site.consts else {}
-        if ans is not None:
-            data["ans"] = ans
-        return Record(fn.body_scope, parent, data, formals)
-
-
 def _align(
     site: CallSite, code: CodeTable, names: _Names
 ) -> tuple[dict[str, object], tuple, tuple]:
@@ -764,14 +833,20 @@ def _align(
     return consts, tuple(formals), tuple(solves)
 
 
-def _find_class_record(rec: Optional[Record], cscope: Address) -> Optional[Record]:
-    """The nearest record of one class, inherited-class links included."""
+def _class_record(record: Record, site: CallSite) -> Record:
+    """The record of the class owning site's function that the call reaches:
+    the nearest one, inherited-class links included, from the receiver's
+    instance or else from the calling record."""
+    rec = record
+    if site.receiver is not None:
+        bare, out, names = site.receiver
+        rec = instance_at(follow(record, bare, out, names), ".".join((bare, *names)))
     while rec is not None:
         for r in rec.linked():
-            if r.scope == cscope:
+            if r.scope == site.class_scope:
                 return r
         rec = rec.parent
-    return None
+    raise CoolRuntimeError(f"no instance of the class owning {site.fn.name!r} is reachable")
 
 
 def run_program(tables: Tables, **budgets) -> Interpreter:

@@ -260,6 +260,12 @@ def _check_links(tables: Tables) -> None:
         for what, a, rows in named:
             if a is not None and a not in rows:
                 raise FormatError(f"function row {fop}: {what} {a} is missing")
+        # a rule's plan reads its return value among the body's rows
+        for a in fn.returns:
+            body, x = scopes.get(fn.body_scope), code[a]
+            inside = body and body.start < a < body.end and x.scope and body.start <= x.scope < a
+            if x.ctype is not ret or not inside:
+                raise FormatError(f"function row {fop}: code line {a} is no return of its body")
         if fn.body_scope is None:
             after = code.next_after(scopes[fn.decl_scope].end)
             marker = get(after)
@@ -267,6 +273,7 @@ def _check_links(tables: Tables) -> None:
                 raise FormatError(f"function row {fop}: no body, code line {after} derives none")
 
     first = last = None  # the current expression run's first and last rows
+    held: list[ScopeInfo] = []  # scopes begun, latest last; ended ones leave at jumps
     later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
     compiled = not tables.preexecuted  # only preexecute binds
     for ln in code.lines():
@@ -292,7 +299,7 @@ def _check_links(tables: Tables) -> None:
                     _read_outside(a, r, get)
             continue
         if later:
-            _check_later(later, first, last, get, scopes)
+            _check_later(later, first, last, get, scopes, compiled)
             later = []
         first = None
         r = ln.left.addr
@@ -309,10 +316,22 @@ def _check_links(tables: Tables) -> None:
             to = ln.right.addr
             if t is jump and (to is None or to not in code and code.next_after(to)):
                 raise FormatError(f"jump at {a} has no target row")
-        elif t is CodeType.SCOPE_START and a not in scopes:
-            raise FormatError(f"scope start {a} has no scope row")
+            while held and held[-1].end < a:
+                held.pop()
+            # back to or before its scope's start row, a jump would open the
+            # scope again inside itself on every pass
+            if t is jump and held and to <= held[-1].start:
+                raise FormatError(f"jump at {a} leaves scope {held[-1].start} backward")
+        elif t is CodeType.SCOPE_START:
+            info = scopes.get(a)
+            if info is None:
+                raise FormatError(f"scope start {a} has no scope row")
+            # preexecute skips a declaration by its start row's flag alone
+            if ln.scope != a or (ln.exec_flag is ExecFlag.FALSE) != (info.kind is ScopeKind.DECL):
+                raise FormatError(f"scope start {a} does not open its own scope")
+            held.append(info)
     if later:
-        _check_later(later, first, last, get, scopes)
+        _check_later(later, first, last, get, scopes, compiled)
 
 
 def _read_outside(a: Address, r: Address, get) -> None:
@@ -322,10 +341,14 @@ def _read_outside(a: Address, r: Address, get) -> None:
         raise FormatError(f"code line {a} reads {r}, no row of its expression or member access")
 
 
-def _check_later(later: list, first: Address, last: Address, get, scopes) -> None:
+def _check_later(later: list, first: Address, last: Address, get, scopes, compiled: bool) -> None:
     """The reads of run [first, last] that name a row at or after the reader.
     Every cycle of reads has one, so only these start a walk for a cycle
-    through a row that is not user-bound. runtime._align refuses the rest."""
+    through a row that is not user-bound. runtime._align refuses the rest.
+    Outside declarations a compiled file has none: the parser writes a line
+    after the lines it reads, and preexecute takes a run's last line for
+    its root."""
+    ahead = None  # the first such read outside a declaration
     for ln, r in later:
         read = get(r)
         if r > last or read is None:
@@ -334,6 +357,7 @@ def _check_later(later: list, first: Address, last: Address, get, scopes) -> Non
         info = scopes.get(ln.scope)
         if info is not None and info.kind is ScopeKind.DECL:
             continue
+        ahead = ahead or (ln.address, r)
         # (row, path holds a row not user-bound); a result naming its own row is seen
         stack, seen = [(read, not (ln.is_user_bound and read.is_user_bound))], set()
         while stack:
@@ -345,6 +369,8 @@ def _check_later(later: list, first: Address, last: Address, get, scopes) -> Non
                 for y in map(get, (x.left.addr, x.right.addr, x.result.addr)):
                     if y is not None and first <= y.address <= last:
                         stack.append((y, other or not y.is_user_bound))
+    if compiled and ahead is not None:
+        raise FormatError(f"code line {ahead[0]} reads {ahead[1]}, no earlier row")
 
 
 _SECTIONS = (

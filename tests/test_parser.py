@@ -326,6 +326,21 @@ def test_an_access_off_a_value_names_the_component(text, pos):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "src, message, pos",
+    [
+        ("@{ a.b = c }{ return: 1; }", "is not an operator expression", 8),
+        ("@{ (x --> 0) + 1 }{ return: 1; }", "holds an output", 12),
+    ],
+)
+def test_a_pattern_that_can_never_bind_is_refused(src, message, pos):
+    # these used to load and run, though no statement line can match them
+    pattern = rf"declaration pattern {message} \(at offset {pos}\)"
+    with pytest.raises(ParseError, match=pattern) as err:
+        compile_lines(src)
+    assert err.value.exit_code == 1
+
+
 def test_a_parenthesised_path_still_becomes_a_dotted_call():
     for src in ("a.b.f(x);", "(a.b).f(x);", "(a).b.f(x);"):
         (call, _) = compile_lines(src)

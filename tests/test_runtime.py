@@ -20,7 +20,7 @@ from coolang.errors import (
     StepBudgetExceeded,
     UnresolvedIdentifier,
 )
-from coolang.runtime import Interpreter, run_program
+from coolang.runtime import _BINARY, _BRANCH, _JUMP, _STORE, Interpreter, run_program
 from coolang.serialize import serialize
 
 
@@ -311,6 +311,55 @@ i --> 0;
     assert run_program(t, max_steps=20).output == ["10.0"]
     with pytest.raises(StepBudgetExceeded, match="more than 19 steps"):
         run_program(t, max_steps=19)
+
+
+def test_the_benchmark_loop_takes_its_step_budget_exactly():
+    t = build(workloads.generate("loop_run", 1).source)
+    preexecute(t)
+    assert len(run_program(t, max_steps=15_003).output) == 3
+    with pytest.raises(StepBudgetExceeded, match="more than 15002 steps"):
+        run_program(t, max_steps=15_002)
+
+
+def _ops(interp):
+    return [ins[0] for ins in interp.program.code]
+
+
+def test_a_loop_test_and_an_update_each_lower_to_one_fused_instruction():
+    t = build("new: i = 0;\nnew: n = 5;\nwhile (i < n) { i = i + 1; }\ni --> 0;\n")
+    preexecute(t)
+    interp = Interpreter(t)
+    code, ops = interp.program.code, _ops(interp)
+    assert ops.count(_BRANCH) == 1 and ops.count(_STORE) == 1
+    # the absorbed instructions keep their slots after the fused one
+    b = ops.index(_BRANCH)
+    assert ops[b + 1 : b + 3] == [_BINARY, _JUMP] and code[b][-1] == code[b + 2][-1]
+    interp.run()
+    assert interp.output == ["5.0"]
+    # the last test still wrote both temporaries: i < n false, its == 0 true
+    data = interp.global_record.data
+    assert (data[code[b][4]], data[code[b][5]]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "start, want", [(2, ["3.0", "3.0"]), (-1, ["4.0", "3.0"]), (0, ["6.0", "3.0"])]
+)
+def test_an_if_chain_ending_on_a_loop_test_jumps_onto_the_fused_test(start, want):
+    src = (
+        f"new: i = {start};\nnew: s = 0;\n"
+        "if (i > 1) { s = 1; } elseif (i < 0) { s = 2; } else { s = 3; }\n"
+        "while (i < 3) { s = s + i; i = i + 1; }\n"
+        "s --> 0;\ni --> 0;\n"
+    )
+    t = build(src)
+    preexecute(t)
+    interp = Interpreter(t)
+    code, ops = interp.program.code, _ops(interp)
+    loop_test = max(pc for pc, op in enumerate(ops) if op == _BRANCH)
+    ends = [ins for ins in code[:loop_test] if ins[0] == _JUMP and ins[2] == loop_test]
+    assert len(ends) == 2  # the if and the elseif arm's jumps past the chain
+    interp.run()
+    assert interp.output == want
 
 
 def test_the_call_depth_counts_calls_not_scopes():

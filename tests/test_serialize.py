@@ -250,6 +250,18 @@ def test_a_scope_row_starting_off_its_own_id_is_a_format_error():
         deserialize("\n".join("\t".join(row) for row in rows))
 
 
+def test_a_jump_back_out_of_its_scope_is_a_format_error():
+    # the while loop's scope made to end past the loop's back edge: each
+    # pass opened the scope again inside itself, so every name lookup
+    # walked one record more and 20 000 steps took two minutes
+    rows = [row.split("\t") for row in serialize(build(corpus.LOOP_AND_BRANCH)).split("\n")]
+    scopes = rows[rows.index(["---"]) + 1 :]
+    scope = next(row for row in scopes if row[0] == "11")
+    scope[3] = "29"
+    with pytest.raises(FormatError, match="jump at 19 leaves scope 11 backward"):
+        deserialize("\n".join("\t".join(row) for row in rows))
+
+
 # every program the writers are checked on: the corpus, each workload for
 # seeds 1-5, a program whose splices relocate runs of every shape and one
 # whose return: values and tests are bare member accesses
@@ -348,6 +360,46 @@ def retargeted_code_files(draw):
     return "\n".join("\t".join(row) for row in rows)
 
 
+@st.composite
+def dropped_or_swapped_code_files(draw):
+    """A corpus or member_reads code file, compiled or preexecuted, with one
+    code row left out, or with the cells of two code rows swapped behind
+    their addresses. The other rows stay as written."""
+    name = draw(st.sampled_from([*sorted(corpus.ALL_PROGRAMS), "member_reads"]))
+    text = draw(st.sampled_from(_compiled_and_preexecuted(name)))
+    rows = [row.split("\t") for row in text.split("\n")]
+    end = rows.index(["---"])
+    i = draw(st.integers(1, end - 1))
+    if draw(st.booleans()):
+        del rows[i]
+    else:
+        j = draw(st.integers(1, end - 1).filter(lambda j: j != i))
+        rows[i][1:], rows[j][1:] = rows[j][1:], rows[i][1:]
+    return "\n".join("\t".join(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "name, i, j, message",
+    [
+        ("class_solver", 11, 74, "function row 3: code line 11 is no return of its body"),
+        ("chained_derivation", 31, 64, "function row 24: code line 31 is no return of its body"),
+        ("sin_approx_exp", 28, 32, "code line 28 reads 31, no earlier row"),
+        ("sin_approx_exp", 17, 23, "scope start 17 does not open its own scope"),
+    ],
+)
+def test_a_compiled_file_with_two_code_rows_swapped_is_a_format_error(name, i, j, message):
+    # each raised a KeyError in preexecute: in search.rule_plan (a function's
+    # return row held a function row), in Segment.children (a run whose
+    # last line is read by its first) and in match_branch (a declaration's
+    # start row with a body's flag, so preexecute bound the pattern)
+    rows = _compiled_and_preexecuted(name)[0].split("\n")
+    a, b = rows[i].split("\t"), rows[j].split("\t")
+    a[1:], b[1:] = b[1:], a[1:]
+    rows[i], rows[j] = "\t".join(a), "\t".join(b)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        deserialize("\n".join(rows))
+
+
 class _Overtime(Exception):
     """A damaged file still loading or running after its time bound."""
 
@@ -359,6 +411,18 @@ def _overtime(signum, frame):
 @settings(max_examples=400, deadline=None)
 @given(retargeted_code_files())
 def test_a_retargeted_code_file_runs_or_fails_as_a_cool_error_in_time(text):
+    _runs_or_fails_as_a_cool_error_in_time(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dropped_or_swapped_code_files())
+def test_a_code_file_missing_or_swapping_rows_runs_or_fails_as_a_cool_error_in_time(text):
+    # lowering fuses neighbouring instructions, and a damaged stream is
+    # where a fusion could meet neighbours the parser never writes
+    _runs_or_fails_as_a_cool_error_in_time(text)
+
+
+def _runs_or_fails_as_a_cool_error_in_time(text):
     previous = signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
