@@ -18,9 +18,8 @@ from .errors import CoolRuntimeError, UnresolvedIdentifier
 
 Key = Union[str, Address]
 
-_record_ids = itertools.count(1)
-
-# balance counters, the record-lifecycle test reads these
+# balance counters, the record-lifecycle test reads these; a record's id is
+# the created count it raised
 created_count = 0
 destroyed_count = 0
 
@@ -54,7 +53,7 @@ class Record:
     ):
         global created_count
         created_count += 1
-        self.id = next(_record_ids)
+        self.id = created_count
         self.scope = scope  # scope start address this record instantiates
         self.data: dict[Key, object] = {} if data is None else data
         self.cross_ref: dict[str, Path] = {} if cross_ref is None else cross_ref

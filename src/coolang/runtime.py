@@ -20,10 +20,10 @@ scope, a call or a class body pushes a frame on an explicit stack, and
 reaching the region's end pops it, so a COOL recursion never recurses in
 Python. The loop bounds the call depth, and it counts a step at every
 backward jump and every call entry against a step budget, so every run
-ends. Names are read and written straight in the record dicts, in the
-order `Record.resolve` walks them; a `Path` is made only for a formal,
-which aliases its caller's storage. A builtin reads a constant, and a
-temporary or name its record holds or references, in the loop itself.
+ends. Every operand is read through `_read` and every target written
+through `_write`, which walk names straight through the record dicts, in
+the order `Record.resolve` walks them; a `Path` is made only for a formal,
+which aliases its caller's storage.
 
 Each call site carries a call plan that `lower` makes once (see
 `CallSite`). So a call builds its body record in the loop, with its
@@ -48,7 +48,6 @@ from .code import (
     SLOT_RIGHT,
     CodeTable,
     CodeType,
-    ExecFlag,
     ExtendedLine,
     FunctionInfo,
     Operand,
@@ -94,15 +93,14 @@ _SKIPPED_KINDS = (ScopeKind.DECL, ScopeKind.BODY, ScopeKind.CLASS)
 (_ASSIGN, _STORE, _BINARY, _BRANCH, _JUMP, _SCOPE, _SKIP, _CALL, _RCALL, _DECLARE, _RETURN,
  _PRINT, _NEG) = range(13)
 
-# Operand tags; an operand is a tuple headed by one of these. The first three
-# are the ones the run loop reads in place.
+# Operand tags; an operand is a tuple headed by one of these.
 #   (_CONST, value)                    number or text
 #   (_TEMP, address)                   expression temporary in the record
-#   (_NAME, bare, False)               resolved by name through the records
-#   (_OUTER, bare, True)               an out: name, resolved from the parent on
+#   (_NAME, bare, out)                 resolved by name through the records; an
+#                                      out: name from the parent on
 #   (_MEMBER, bare, out, names)        member chain, walked by records.follow
 #   (_EMPTY,)
-_CONST, _TEMP, _NAME, _OUTER, _MEMBER, _EMPTY = range(6)
+_CONST, _TEMP, _NAME, _MEMBER, _EMPTY = range(5)
 _EMPTY_OPERAND = (_EMPTY,)
 
 # Enum members that lowering compares against, bound once: reading one off
@@ -113,7 +111,7 @@ _EXPR_END_ROW = CodeType.EXPR_END
 _NUMBER, _TEXT, _IDENT, _ADDRESS = (
     OperandKind.NUMBER, OperandKind.TEXT, OperandKind.IDENT, OperandKind.ADDRESS
 )
-_NOT_RUN, _PENDING = ExecFlag.FALSE, PendFlag.TRUE
+_PENDING = PendFlag.TRUE
 
 
 class _Names(dict):
@@ -122,7 +120,7 @@ class _Names(dict):
 
     def __missing__(self, text: str) -> tuple:
         bare, _, _, out = split_markers(text)
-        self[text] = name = (_OUTER if out else _NAME, bare, out)
+        self[text] = name = (_NAME, bare, out)
         return name
 
 
@@ -220,8 +218,7 @@ def lower(tables: Tables) -> Program:
             run_pc, run_stop = emitted, j
         elif t is _SCOPE_ROW:
             _, end = scope_range(ln.address)
-            info = tables.scopes[ln.address]
-            if ln.exec_flag is _NOT_RUN or info.kind in _SKIPPED_KINDS:
+            if tables.scopes[ln.address].kind in _SKIPPED_KINDS:
                 proto.append((_SKIP, end))
             else:
                 proto.append((_SCOPE, ln.address, end))
@@ -446,7 +443,7 @@ def _read(record: Record, o: tuple):
     references, the records the param query links reach, then the parent.
     """
     tag = o[0]
-    if tag == _NAME or tag == _OUTER:
+    if tag == _NAME:
         name = o[1]
         r = record.parent if o[2] else record
         while r is not None:
@@ -483,7 +480,7 @@ def _read(record: Record, o: tuple):
 def _write(record: Record, target: tuple, v) -> None:
     """Store v where the operand names, a name found as _read finds it."""
     tag = target[0]
-    if tag == _NAME or tag == _OUTER:
+    if tag == _NAME:
         name = target[1]
         r = record.parent if target[2] else record
         while r is not None:
@@ -519,21 +516,22 @@ def _truthy(v) -> bool:
     return bool(v)
 
 
-def _format_value(v) -> str:
+def _format_value(v, first_id: int) -> str:
+    """v as printed; an instance is numbered from its run's global record."""
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, str):
         return v
     if isinstance(v, Record):
-        return f"<instance {v.id}>"
+        return f"<instance {v.id - first_id}>"
     return repr(v)
 
 
 # Run budgets: calls and instantiations nested, and steps counted at
 # backward jumps and call entries. The loop_run workload takes 15 003 steps;
-# the endless `while (1 > 0) { i = i + 1; }` takes 2.4 to 3 microseconds a
-# step on a 2-core Xeon under CPython 3.11 (CPU time, 1 000 000 steps, four
-# runs), so it stops after 2.4 to 3 s.
+# the endless `while (1 > 0) { i = i + 1; }` takes 2.4 to 3.3 microseconds a
+# step on a shared 2-core Xeon under CPython 3.11 (CPU time, 1 000 000 steps,
+# 11 of 12 runs; one took 4.3), so it stops after 2.4 to 3.3 s.
 MAX_CALL_DEPTH = 10_000
 MAX_STEPS = 1_000_000
 
@@ -620,49 +618,18 @@ class Interpreter:
             ins = code[pc]
             op = ins[0]
             if op <= _BRANCH:
-                # a constant, or a temporary or name this record holds or
-                # references, is read in place; any other goes through _read.
-                # A temporary's address is never a cross reference's key.
-                data, cross = record.data, record.cross_ref
-                o = ins[2]
-                if o[0] == _CONST:
-                    v = o[1]
-                elif o[0] <= _NAME and o[1] in data:
-                    v = data[o[1]]
-                    if v is None:
-                        v = 0.0
-                elif o[0] <= _NAME and o[1] in cross:
-                    p = cross[o[1]]
-                    v = p.record.data.get(p.key)
-                    if v is None:
-                        v = 0.0
-                else:
-                    v = read(record, o)
+                v = read(record, ins[2])
                 if op == _ASSIGN:
                     pc += 1
                 else:
-                    o = ins[3]
-                    if o[0] == _CONST:
-                        b = o[1]
-                    elif o[0] <= _NAME and o[1] in data:
-                        b = data[o[1]]
-                        if b is None:
-                            b = 0.0
-                    elif o[0] <= _NAME and o[1] in cross:
-                        p = cross[o[1]]
-                        b = p.record.data.get(p.key)
-                        if b is None:
-                            b = 0.0
-                    else:
-                        b = read(record, o)
-                    v = data[ins[4]] = ins[1](v, b, ins[4])
+                    v = record.data[ins[4]] = ins[1](v, read(record, ins[3]), ins[4])
                     if op == _BINARY:
                         pc += 1
                         continue
                     if op == _BRANCH:
                         # the test's == at pc + 1 and the jump on it at pc + 2
                         if v == ins[6]:
-                            data[ins[5]] = 1.0
+                            record.data[ins[5]] = 1.0
                             target = ins[7]
                             if target <= pc + 2:  # a loop's back edge: count a step
                                 steps += 1
@@ -672,18 +639,11 @@ class Interpreter:
                                     )
                             pc = target
                         else:
-                            data[ins[5]] = 0.0
+                            record.data[ins[5]] = 0.0
                             pc += 3
                         continue
                     pc += 2
-                o = ins[-1]
-                if _CONST < o[0] <= _NAME and o[1] in data:
-                    data[o[1]] = v
-                elif _CONST < o[0] <= _NAME and o[1] in cross:
-                    p = cross[o[1]]
-                    p.record.data[p.key] = v
-                else:
-                    write(record, o, v)
+                write(record, ins[-1], v)
             elif op == _CALL or op == _RCALL:
                 site = ins[1]
                 steps += 1
@@ -696,7 +656,7 @@ class Interpreter:
                 for bare, o in site.formals:
                     if o[0] == _TEMP:
                         formals[bare] = Path(record, o[1])
-                    elif o[0] == _NAME or o[0] == _OUTER:
+                    elif o[0] == _NAME:
                         # unresolved names spring into the current record as numbers
                         formals[bare] = record.resolve(o[1], o[2]) or record.declare(o[1])
                     elif o[0] == _MEMBER:
@@ -752,7 +712,7 @@ class Interpreter:
                     record = caller
                 pc = end
             elif op == _PRINT:
-                output.append(_format_value(read(record, ins[1])))
+                output.append(_format_value(read(record, ins[1]), top.id))
                 pc += 1
             else:  # _NEG
                 address = ins[2]

@@ -273,11 +273,13 @@ def _check_links(tables: Tables) -> None:
                 raise FormatError(f"function row {fop}: no body, code line {after} derives none")
 
     first = last = None  # the current expression run's first and last rows
-    held: list[ScopeInfo] = []  # scopes begun, latest last; ended ones leave at jumps
+    held: list[ScopeInfo] = []  # the scope ranges that hold the row, innermost last
     later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
     compiled = not tables.preexecuted  # only preexecute binds
     for ln in code.lines():
         a, t, r = ln.address, ln.ctype, ln.result.addr
+        while held and held[-1].end < a:
+            held.pop()
         if compiled and (ln.bound is not None or ln.root):
             raise FormatError(f"code line {a} is bound in a file that is not preexecuted")
         if r is not None and r != a and (t is not expr or ln.op.text != "="):
@@ -297,11 +299,11 @@ def _check_links(tables: Tables) -> None:
                     later.append((ln, r))
                 elif r < first or r not in code:
                     _read_outside(a, r, get)
-            continue
-        if later:
-            _check_later(later, first, last, get, scopes, compiled)
-            later = []
-        first = None
+        else:
+            if later:
+                _check_later(later, first, last, get, scopes, compiled)
+                later = []
+            first = None
         r = ln.left.addr
         if t is member:
             base = get(r) if r is not None and r < a else None
@@ -316,8 +318,6 @@ def _check_links(tables: Tables) -> None:
             to = ln.right.addr
             if t is jump and (to is None or to not in code and code.next_after(to)):
                 raise FormatError(f"jump at {a} has no target row")
-            while held and held[-1].end < a:
-                held.pop()
             # back to or before its scope's start row, a jump would open the
             # scope again inside itself on every pass
             if t is jump and held and to <= held[-1].start:
@@ -327,9 +327,12 @@ def _check_links(tables: Tables) -> None:
             if info is None:
                 raise FormatError(f"scope start {a} has no scope row")
             # preexecute skips a declaration by its start row's flag alone
-            if ln.scope != a or (ln.exec_flag is ExecFlag.FALSE) != (info.kind is ScopeKind.DECL):
+            if (ln.exec_flag is ExecFlag.FALSE) != (info.kind is ScopeKind.DECL):
                 raise FormatError(f"scope start {a} does not open its own scope")
             held.append(info)
+        # a start row names its own scope, an end row the scope it closes
+        if ln.scope != (held[-1].start if held else None):
+            raise FormatError(f"code line {a} names scope {ln.scope}, not the scope that holds it")
     if later:
         _check_later(later, first, last, get, scopes, compiled)
 

@@ -5,7 +5,7 @@ import pytest
 
 import corpus
 import reference
-from coolang import cli, errors
+from coolang import cli, errors, execute
 from coolang.cli import main
 from coolang.runtime import Interpreter
 
@@ -32,6 +32,19 @@ def test_running_the_code_table_matches_running_the_source(tmp_path, capsys):
     assert main(["compile", src]) == 0
     assert main(["run", str(tmp_path / "quad.ccode")]) == 0
     assert capsys.readouterr().out == direct
+
+
+def test_an_instance_prints_the_same_number_on_every_run(tmp_path, capsys):
+    # numbered within its run, not by the records the process made before
+    text = "system: P { new: v = 1; } P: p; p --> 0;"
+    seen = [execute(text).output for _ in range(2)]
+    src = write(tmp_path, "p.cool", text)
+    bound = str(tmp_path / "p.ccode")
+    assert main(["run", src]) == 0
+    assert main(["preexec", src, "-o", bound]) == 0
+    assert main(["run", bound]) == 0
+    seen += [[line] for line in capsys.readouterr().out.splitlines()]
+    assert seen == [["<instance 1>"]] * 4
 
 
 def test_preexec_saves_the_bound_table_for_later_runs(tmp_path, capsys):

@@ -362,6 +362,38 @@ def test_an_if_chain_ending_on_a_loop_test_jumps_onto_the_fused_test(start, want
     assert interp.output == want
 
 
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("new: a = 1; { new: a = 7; out: a = a + 5; } a --> 0;", ["12.0"]),
+        ("new: a = 1; { new: a = 0; out: a = a + 5; a --> 0; } a --> 0;", ["0.0", "5.0"]),
+    ],
+)
+def test_an_out_name_is_written_in_the_enclosing_record(src, want):
+    assert execute(src).output == want
+
+
+def test_an_out_name_reads_and_writes_the_enclosing_record_in_fused_instructions():
+    # the loop test reads the outer n, the stored product writes the outer s
+    src = """new: n = 3; new: s = 0;
+{ new: n = 100; new: s = 50; new: i = 0;
+  while (i < out: n) { i = i + 1; }
+  out: s = i * out: n;
+  s = out: s + 1;
+  i --> 0; s --> 0; }
+s --> 0;
+"""
+    t = build(src)
+    preexecute(t)
+    interp = Interpreter(t)
+    fused = [ins for ins in interp.program.code if ins[0] in (_BRANCH, _STORE)]
+    assert [ins[0] for ins in fused] == [_BRANCH, _STORE, _STORE, _STORE]
+    assert fused[0][3][1:] == ("n", True)
+    assert fused[2][3][1:] == ("n", True) and fused[2][-1][1:] == ("s", True)
+    interp.run()
+    assert interp.output == ["3.0", "10.0", "9.0"]
+
+
 def test_the_call_depth_counts_calls_not_scopes():
     src = "@f(n){ if (n > 0) { return: f(n - 1) + 1; } return: 0; }\nnew: a = f(3);\na --> 0;\n"
     t = build(src)

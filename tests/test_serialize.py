@@ -11,6 +11,7 @@ import reference
 from coolang import build, preexecute
 from coolang.addresses import Address
 from coolang.code import PendFlag, ScopeKind
+from coolang.cli import main
 from coolang.errors import CoolError, FormatError
 from coolang.runtime import CallSite, Interpreter, lower, run_program
 from coolang.serialize import deserialize, serialize, write_file
@@ -259,6 +260,39 @@ def test_a_jump_back_out_of_its_scope_is_a_format_error():
     scope = next(row for row in scopes if row[0] == "11")
     scope[3] = "29"
     with pytest.raises(FormatError, match="jump at 19 leaves scope 11 backward"):
+        deserialize("\n".join("\t".join(row) for row in rows))
+
+
+LOOP_TEXT = serialize(build(corpus.LOOP_AND_BRANCH))
+
+
+def test_a_scope_stretched_over_rows_that_name_another_scope_is_a_format_error(
+    tmp_path, capsys
+):
+    # the while loop's scope made to end at 29 and its back edge dropped:
+    # rows 20-28 ran in the loop's record, and the file printed 0.0
+    rows = [row.split("\t") for row in LOOP_TEXT.split("\n")]
+    scopes = rows[rows.index(["---"]) + 1 :]
+    next(row for row in scopes if row[0] == "11")[3] = "29"
+    rows.remove(next(row for row in rows if row[0] == "19"))
+    text = "\n".join("\t".join(row) for row in rows)
+    message = "code line 20 names scope None, not the scope that holds it"
+    with pytest.raises(FormatError, match=message):
+        deserialize(text)
+    table = tmp_path / "stretched.ccode"
+    table.write_text(text)
+    assert main(["run", str(table)]) == 1
+    assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
+
+
+@pytest.mark.parametrize("i", range(1, LOOP_TEXT.split("\n").index("---")))
+def test_a_code_row_naming_a_scope_that_does_not_hold_it_is_a_format_error(i):
+    # each row once: one outside every scope names the first scope, one
+    # inside a scope (its start and end rows too) names none
+    rows = [row.split("\t") for row in LOOP_TEXT.split("\n")]
+    row = rows[i]
+    row[1] = "11" if row[1] == "-" else "-"
+    with pytest.raises(FormatError, match=f"^code line {row[0]} "):
         deserialize("\n".join("\t".join(row) for row in rows))
 
 
