@@ -8,10 +8,8 @@ import os
 import sys
 from typing import Optional
 
+from . import build
 from .errors import CoolError, UndecodableInput
-from .loader import load
-from .parser import parse
-from .precompile import precompile
 from .preexec import preexecute
 from .runtime import Interpreter
 from .search import SearchOptions
@@ -28,7 +26,7 @@ def _load_input(path: str):
         ) from None
     if text.startswith(_MAGIC):
         return deserialize(text)
-    return load(parse(precompile(text)))
+    return build(text)
 
 
 def _options(args) -> SearchOptions:

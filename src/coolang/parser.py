@@ -26,19 +26,11 @@ from .code import (
     OperandKind,
 )
 from .errors import ParseError
-from .precompile import KEYWORDS
+from .precompile import KEYWORDS, TOKEN
 
 # each level left-associative; unary minus and ^ bind tighter than all of them
 _PREC = {"==": 1, ">": 1, "<": 1, ">=": 1, "<=": 1, "+": 2, "-": 2, "*": 3, "/": 3}
 
-_TOKEN = re.compile(
-    r'"((?:\\.|[^"\\])*)"'  # 1 string, quotes dropped
-    r"|(\d+(?:\.\d+)?|\.\d+)"  # 2 number
-    r"|([A-Za-z_]\w*)"  # 3 identifier
-    r"|(-->|==|<<|>=|<=|=>|[(){};:,$#@.+\-*/^=<>])"  # 4 operator, longest first
-    r"|(.)",  # 5 anything else
-    re.S | re.A,
-)
 _KINDS = (None, "string", "number", "ident", "op")
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
@@ -55,13 +47,13 @@ def _unescape(m: re.Match) -> str:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
+    for m in TOKEN.finditer(text):
         k = m.lastindex
         if k == 5:
             if m[5] == '"':
                 raise ParseError("unterminated string", m.start())
             raise ParseError(f"unexpected character {m[5]!r}", m.start())
-        value = _ESCAPE.sub(_unescape, m[1]) if k == 1 else m[k]
+        value = _ESCAPE.sub(_unescape, m[1][1:-1]) if k == 1 else m[k]
         toks.append(Token(_KINDS[k], value, m.start()))
     # the parser looks at most three tokens past the current one
     toks += [Token("eof", "", len(text))] * 4
@@ -113,6 +105,15 @@ class Parser:
             want = text or kind
             raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.pos)
         return self._next()
+
+    def _name(self) -> Token:
+        """An identifier that is no reserved word."""
+        t = self.toks[self.i]  # read in place: every name in the source comes here
+        if t.kind != "ident" or t.text in KEYWORDS:
+            self._expect("ident")  # raises for a token that is no identifier
+            raise ParseError(f"{t.text!r} is reserved", t.pos)
+        self.i += 1
+        return t
 
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         if self._at(kind, text):
@@ -216,7 +217,7 @@ class Parser:
         ):
             cls = self._next().text
             self._next()
-            name = self._next().text
+            name = self._name().text
             self._next()
             self._emit(
                 CodeType.VAR_DECL,
@@ -232,9 +233,7 @@ class Parser:
                 self._emit(CodeType.EXPR_END)
 
     def parse_var_decl(self) -> None:
-        name = self._expect("ident")
-        if name.text in KEYWORDS:
-            raise ParseError(f"{name.text!r} is reserved", name.pos)
+        name = self._name()
         self._emit(CodeType.VAR_DECL, result=Operand.ident(name.text))
         if self._accept("op", "="):
             start = len(self.lines)
@@ -337,9 +336,7 @@ class Parser:
             self._accept("op", ";")
             self._expect("op", "}")
         elif self._at("ident"):
-            name = self._next()
-            if name.text in KEYWORDS:
-                raise ParseError(f"{name.text!r} is reserved", name.pos)
+            name = self._name()
             self._expect("op", "(")
             root = self._hoist(start, self._call(name.text))
         else:
@@ -360,12 +357,12 @@ class Parser:
     def parse_class(self) -> None:
         self._expect("ident", "system")
         self._expect("op", ":")
-        name = self._expect("ident")
+        name = self._name()
         parents: list[str] = []
         if self._accept("op", "<<"):
-            parents.append(self._expect("ident").text)
+            parents.append(self._name().text)
             while self._accept("op", ","):
-                parents.append(self._expect("ident").text)
+                parents.append(self._name().text)
         class_idx = self._emit(
             CodeType.CLASS_OP, op=Operand.ident("class"), left=Operand.ident(name.text)
         )
@@ -483,9 +480,7 @@ class Parser:
     def parse_postfix(self):
         v = self.parse_primary()
         while self._accept("op", "."):
-            comp = self._expect("ident")
-            if comp.text in KEYWORDS:
-                raise ParseError(f"{comp.text!r} is reserved", comp.pos)
+            comp = self._name()
             if self._accept("op", "("):
                 if type(v) is not _Path or v.root.startswith(_MARKS):
                     raise ParseError("method receiver must be a variable path", comp.pos)
@@ -513,9 +508,7 @@ class Parser:
         if t.kind == "op" and t.text == "$":
             self._next()
             if self._at("ident"):
-                name = self._next()
-                if name.text in KEYWORDS:
-                    raise ParseError(f"{name.text!r} is reserved", name.pos)
+                name = self._name()
                 if self._at("op", "("):
                     raise ParseError("pending marker cannot mark a call", name.pos)
                 return _Path(PENDING_MARK + name.text)
@@ -524,10 +517,7 @@ class Parser:
             if self._exp_depth == 0:
                 raise ParseError("unrelated marker is only valid in exp declarations", t.pos)
             self._next()
-            name = self._expect("ident")
-            if name.text in KEYWORDS:
-                raise ParseError(f"{name.text!r} is reserved", name.pos)
-            return _Path(UNRELATED_MARK + name.text)
+            return _Path(UNRELATED_MARK + self._name().text)
         if t.kind == "ident":
             if t.text == "out" and self._at("op", ":", 1):
                 self._next()
@@ -539,10 +529,7 @@ class Parser:
                 if self._out_mark:
                     raise ParseError("out: marker not attached to an identifier", t.pos)
                 return v
-            if t.text in KEYWORDS:
-                raise ParseError(f"{t.text!r} is reserved", t.pos)
-            self._next()
-            name = t.text
+            name = self._name().text
             if self._out_mark:
                 name = OUT_MARK + name
                 self._out_mark = False

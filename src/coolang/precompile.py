@@ -2,11 +2,12 @@
 
 Comments and insignificant whitespace are removed and non-ASCII characters
 escaped in one pass per unit, the units merged, and multi-part function
-names fused:
+names fused in one pass over the merged text's tokens, nested to any depth:
 
     add (a) and (b) to (c)  ->  add_ARG_and_ARG_to(a,b,c)
 
-String literal contents pass through untouched.
+String literal contents pass through untouched. The token grammar and the
+reserved words are defined here, and the parser reads them from here.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ class SourceUnit:
     content: str
 
 
-def _ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
 _STRING = r'"(?:\\.|[^"\\])*"'
-_STRING_RE = re.compile(_STRING, re.S)
+# the one token grammar: precompile fuses names over it, the parser reads it
+TOKEN = re.compile(
+    rf"({_STRING})"  # 1 string, quotes included
+    r"|(\d+(?:\.\d+)?|\.\d+)"  # 2 number
+    r"|([A-Za-z_]\w*)"  # 3 identifier
+    r"|(-->|==|<<|>=|<=|=>|[(){};:,$#@.+\-*/^=<>])"  # 4 operator, longest first
+    r"|(.)",  # 5 anything else
+    re.S | re.A,
+)
 # per unit: keep a string (1), drop a comment or whitespace, escape a
 # non-ASCII character (2); a quote (3) or comment opener (4) left over is
 # unterminated
@@ -64,90 +65,63 @@ def _normalize(unit: SourceUnit) -> str:
     return _NORMALIZE.sub(replace, unit.content)
 
 
-def _skip_string(text: str, start: int) -> int:
-    """Index just past the string literal opening at start; text is normalized."""
-    return _STRING_RE.match(text, start).end()
-
-
-def _scan_group(text: str, start: int) -> int:
-    """Index just past the balanced paren group opening at start."""
-    depth = 0
-    i, n = start, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            i = _skip_string(text, i)
-            continue
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    raise PrecompileError(f"unbalanced parentheses at offset {start}")
+def _write_chain(out: list[str], names: list[str], groups: list[str]) -> None:
+    """Append a name, or a fused chain and its groups as one call's arguments."""
+    if not groups:
+        out.append(names[0])
+        return
+    if len(names) > 1:
+        for nm in names:
+            if ARG_MARKER in nm:
+                raise PrecompileError(f"identifier {nm!r} contains reserved marker {ARG_MARKER}")
+    out.append(f"{ARG_MARKER.join(names)}({','.join(groups)})")
 
 
 def _fuse_names(text: str) -> str:
-    """Rewrite name1(p1)name2(p2)... chains into name1_ARG_name2(p1,p2)."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = _skip_string(text, i)
-            out.append(text[i:j])
-            i = j
-            continue
-        if not _ident_start(c):
-            out.append(c)
-            i += 1
-            continue
+    """Rewrite name1(p1)name2(p2)... chains into name1_ARG_name2(p1,p2).
 
-        j = i
-        while j < n and _ident_char(text[j]):
-            j += 1
-        first = text[i:j]
-        if first in KEYWORDS:
-            out.append(first)
-            i = j
-            continue
-
-        # collect the alternating name/group chain
-        names = [first]
-        groups: list[str] = []
-        k = j
-        while True:
-            if k < n and text[k] == "(" and len(groups) == len(names) - 1:
-                g = _scan_group(text, k)
-                groups.append(text[k + 1 : g - 1])
-                k = g
-            elif k < n and _ident_start(text[k]) and len(groups) == len(names):
-                m = k
-                while m < n and _ident_char(text[m]):
-                    m += 1
-                nm = text[k:m]
-                if nm in KEYWORDS:
-                    break
-                names.append(nm)
-                k = m
+    One pass over the tokens. A chain is a name that is no keyword, then
+    groups and names in turn. Each open `(` pushes the text list and open
+    chain of the level it opens in, with its offset: a chain's group
+    collects its text in a list of its own, a plain paren (offset None)
+    writes to its level's list.
+    """
+    out: list[str] = []  # the current level's text
+    names: list[str] = []  # the current level's open chain ...
+    groups: list[str] = []  # ... and its closed groups
+    stack: list[tuple[list[str], list[str], list[str], int | None]] = []
+    for m in TOKEN.finditer(text):
+        tok = m[0]
+        is_name = m.lastindex == 3 and tok not in KEYWORDS
+        if names:
+            if tok == "(" and len(groups) < len(names):
+                stack.append((out, names, groups, m.start()))
+                out, names, groups = [], [], []
+                continue
+            if is_name and len(groups) == len(names):
+                names.append(tok)
+                continue
+            _write_chain(out, names, groups)
+            names, groups = [], []
+        if is_name:
+            names, groups = [tok], []
+        elif tok == "(":
+            stack.append((out, names, groups, None))
+            out.append(tok)
+        elif tok == ")" and stack:
+            out_, names, groups, start = stack.pop()
+            if start is None:
+                out.append(tok)
             else:
-                break
-
-        if len(names) == 1 and not groups:
-            out.append(first)
-            i = j
-            continue
-        if len(names) > 1:
-            for nm in names:
-                if ARG_MARKER in nm:
-                    raise PrecompileError(
-                        f"identifier {nm!r} contains reserved marker {ARG_MARKER}"
-                    )
-        fused = ARG_MARKER.join(names)
-        args = ",".join(_fuse_names(g) for g in groups)
-        out.append(f"{fused}({args})")
-        i = k
+                groups.append("".join(out))
+                out = out_
+        else:
+            out.append(tok)
+    for _, _, _, start in stack:
+        if start is not None:
+            raise PrecompileError(f"unbalanced parentheses at offset {start}")
+    if names:
+        _write_chain(out, names, groups)
     return "".join(out)
 
 
@@ -159,8 +133,4 @@ def precompile(units: Union[str, Sequence[Union[SourceUnit, str]]]) -> str:
         _normalize(u if isinstance(u, SourceUnit) else SourceUnit(f"<unit{idx}>", u))
         for idx, u in enumerate(units)
     )
-    try:
-        return _fuse_names(merged)
-    except RecursionError:
-        # _fuse_names recurses once per nested call group
-        raise PrecompileError("nesting too deep to precompile") from None
+    return _fuse_names(merged)

@@ -260,6 +260,11 @@ def _check_links(tables: Tables) -> None:
         for what, a, rows in named:
             if a is not None and a not in rows:
                 raise FormatError(f"function row {fop}: {what} {a} is missing")
+        # derivation finds the function it gives a body by this scope
+        if code[fn.decl_root].scope != fn.decl_scope:
+            raise FormatError(
+                f"function row {fop}: code line {fn.decl_root} is not in scope {fn.decl_scope}"
+            )
         # a rule's plan reads its return value among the body's rows
         for a in fn.returns:
             body, x = scopes.get(fn.body_scope), code[a]

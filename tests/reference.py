@@ -6,13 +6,15 @@ and arithmetic that the search's incremental repair must agree with, a
 segment digest that rebuilds every row on every call, a splice that
 walks the whole table for the rows that read a relocated run, a
 rewrite that instantiates a rule's whole body and then runs those
-cleanups, a silo search that builds every move it matches, and a `.ccode`
+cleanups, a silo search that builds every move it matches, a `.ccode`
 reader that decodes every cell of every code row afresh and inserts the
-rows one by one.
+rows one by one, and a name fuser that scans characters and recurses into
+each group after scanning it for balance.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Optional
 
 from coolang.addresses import Address
@@ -32,8 +34,9 @@ from coolang.code import (
     link_classes,
     split_markers,
 )
-from coolang.errors import FormatError, InferenceFailure, LoadError
+from coolang.errors import FormatError, InferenceFailure, LoadError, PrecompileError
 from coolang.matching import BindContext, Match, match_branch
+from coolang.precompile import ARG_MARKER, KEYWORDS, SourceUnit, _normalize
 from coolang import search
 from coolang.search import (
     BindOutcome,
@@ -505,3 +508,107 @@ def deserialize(text: str) -> Tables:
         raise FormatError(str(exc)) from None
     _check_links(tables)
     return tables
+
+
+def precompile(text: str) -> str:
+    """coolang.precompile of one unit, its names fused by _fuse_names."""
+    return _fuse_names(_normalize(SourceUnit("<unit0>", text)))
+
+
+def _ident_start(c: str) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _ident_char(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+_STRING = r'"(?:\\.|[^"\\])*"'
+_STRING_RE = re.compile(_STRING, re.S)
+
+
+def _skip_string(text: str, start: int) -> int:
+    """Index just past the string literal opening at start; text is normalized."""
+    return _STRING_RE.match(text, start).end()
+
+
+def _scan_group(text: str, start: int) -> int:
+    """Index just past the balanced paren group opening at start."""
+    depth = 0
+    i, n = start, len(text)
+    while i < n:
+        c = text[i]
+        if c == '"':
+            i = _skip_string(text, i)
+            continue
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    raise PrecompileError(f"unbalanced parentheses at offset {start}")
+
+
+def _fuse_names(text: str) -> str:
+    """Rewrite name1(p1)name2(p2)... chains into name1_ARG_name2(p1,p2)."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == '"':
+            j = _skip_string(text, i)
+            out.append(text[i:j])
+            i = j
+            continue
+        if not _ident_start(c):
+            out.append(c)
+            i += 1
+            continue
+
+        j = i
+        while j < n and _ident_char(text[j]):
+            j += 1
+        first = text[i:j]
+        if first in KEYWORDS:
+            out.append(first)
+            i = j
+            continue
+
+        # collect the alternating name/group chain
+        names = [first]
+        groups: list[str] = []
+        k = j
+        while True:
+            if k < n and text[k] == "(" and len(groups) == len(names) - 1:
+                g = _scan_group(text, k)
+                groups.append(text[k + 1 : g - 1])
+                k = g
+            elif k < n and _ident_start(text[k]) and len(groups) == len(names):
+                m = k
+                while m < n and _ident_char(text[m]):
+                    m += 1
+                nm = text[k:m]
+                if nm in KEYWORDS:
+                    break
+                names.append(nm)
+                k = m
+            else:
+                break
+
+        if len(names) == 1 and not groups:
+            out.append(first)
+            i = j
+            continue
+        if len(names) > 1:
+            for nm in names:
+                if ARG_MARKER in nm:
+                    raise PrecompileError(
+                        f"identifier {nm!r} contains reserved marker {ARG_MARKER}"
+                    )
+        fused = ARG_MARKER.join(names)
+        args = ",".join(_fuse_names(g) for g in groups)
+        out.append(f"{fused}({args})")
+        i = k
+    return "".join(out)

@@ -540,7 +540,7 @@ def test_a_deeply_nested_call_is_a_compile_error(tmp_path, capsys):
     nested = "f(" * 3000 + "1" + ")" * 3000
     src = write(tmp_path, "nested.cool", f"@f(x){{ return: x; }}\nnew: y = {nested};\n")
     assert main(["run", src]) == 1
-    assert "PrecompileError: nesting too deep" in capsys.readouterr().err
+    assert "ParseError: nesting too deep to parse" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

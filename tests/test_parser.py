@@ -273,6 +273,22 @@ def test_keywords_cannot_be_identifiers():
         compile_lines("return = 1;")
 
 
+@pytest.mark.parametrize(
+    "src, word",
+    [
+        ("system: while { new: v = 1; }", "while"),
+        ("system: A << if { }", "if"),
+        ("system: A << B, new { }", "new"),
+        ("system: A { } A: while;", "while"),
+    ],
+)
+def test_a_class_its_parents_and_its_instances_cannot_take_a_reserved_name(src, word):
+    # `while: m;` parses as a while, so no statement could create the class,
+    # and no expression could read an instance named `while`
+    with pytest.raises(ParseError, match=f"^'{word}' is reserved"):
+        compile_lines(src)
+
+
 def test_missing_semicolon_rejected():
     with pytest.raises(ParseError):
         compile_lines("new: a = 1")

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from coolang.errors import PrecompileError, UnterminatedComment, UnterminatedString
-from coolang.precompile import SourceUnit, precompile
+from coolang.precompile import ARG_MARKER, SourceUnit, precompile
 
 
 def test_comments_and_whitespace_removed():
@@ -69,6 +72,7 @@ def test_single_part_calls_untouched():
 def test_keywords_never_fuse():
     assert precompile(["while (a > 0) { a = a - 1; }"]) == "while(a>0){a=a-1;}"
     assert precompile(["if (a == 0) { b = 1; }"]) == "if(a==0){b=1;}"
+    assert precompile(["f (a) while (b) g;"]) == "f(a)while(b)g;"
 
 
 def test_weight_parens_not_a_chain():
@@ -78,6 +82,14 @@ def test_weight_parens_not_a_chain():
 def test_reserved_marker_rejected_in_fused_names():
     with pytest.raises(PrecompileError):
         precompile(["bad_ARG_name (a) more (b);"])
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("f(a)g(1;", 5), ("(f(g(1);", 2), ('f("(")g((1);', 7)]
+)
+def test_an_unclosed_group_names_the_offset_of_the_outermost(text, offset):
+    with pytest.raises(PrecompileError, match=f"^unbalanced parentheses at offset {offset}$"):
+        precompile([text])
 
 
 def test_reserved_marker_allowed_when_not_fusing():
@@ -100,3 +112,58 @@ def test_idempotent_on_realistic_program():
     once = precompile([src])
     assert precompile([once]) == once
     assert "getresultfrom_ARG_and" in once
+
+
+def test_a_fused_chain_two_thousand_calls_deep():
+    text = "new:y=" + "f(a)g(" * 2000 + "1" + ")" * 2000 + ";"
+    assert precompile(text) == "new:y=" + "f_ARG_g(a," * 2000 + "1" + ")" * 2000 + ";"
+
+
+# no `/`, so no comment opens where two pieces meet, and only the marker
+# pieces hold `_`, so only they make a name that holds the marker. Names,
+# keywords and each paren are drawn as often as all the rest together.
+_PIECES = st.one_of(
+    st.sampled_from(["a", "b", "of", "and"]),
+    st.sampled_from(["while", "if", "new", "out", "return"]),
+    st.just("("),
+    st.just(")"),
+    st.sampled_from(
+        ["x_ARG_y", ARG_MARKER, ",", '"s(t"', '"\\"("', "1", "2.5", "$", "#"]
+        + ["+", "-", "*", "==", "-->", "=", ";", ":", ".", "{", "}", "@", "<<"]
+    ),
+)
+
+
+def _one_fault(pieces: list[str]) -> bool:
+    """No marker name, so only unclosed groups can fail, and the first is
+    the outermost; or one marker name and no unclosed group."""
+    markers = sum(ARG_MARKER in p for p in pieces)
+    depth = 0
+    for p in pieces:
+        if p == "(":
+            depth += 1
+        elif p == ")" and depth:
+            depth -= 1
+    return markers == 0 or markers == 1 and depth == 0
+
+
+def _fused(fuse, text: str):
+    try:
+        return fuse(text)
+    except PrecompileError as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PIECES, max_size=30))
+def test_fusing_agrees_with_the_recursive_fuser(pieces):
+    # with two faults the fusers may report different ones: the recursive
+    # one checks a chain before the groups inside it, the one pass after
+    text = "".join(pieces)
+    want, got = _fused(reference.precompile, text), _fused(precompile, text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert type(got) is type(want)
+        if _one_fault(pieces):
+            assert str(got) == str(want)

@@ -378,17 +378,20 @@ def test_a_compiled_code_file_with_a_binding_is_a_format_error(text):
 def retargeted_code_files(draw):
     """A corpus or member_reads code file, compiled or preexecuted, with
     one or two address cells pointed at a row of the file or one past its
-    last row: the address operands of its code rows and the start, end,
-    query and parent cells of its scope rows. The other cells stay as
-    written."""
+    last row: the address operands of its code rows, the start, end,
+    query and parent cells of its scope rows, and the function, declaration
+    scope and root, body, returns and class cells of its function rows.
+    The other cells stay as written."""
     name = draw(st.sampled_from([*sorted(corpus.ALL_PROGRAMS), "member_reads"]))
     text = draw(st.sampled_from(_compiled_and_preexecuted(name)))
     rows = [row.split("\t") for row in text.split("\n")]
     seps = [i for i, row in enumerate(rows) if row == ["---"]]
     code, scopes = rows[1 : seps[0]], rows[seps[0] + 1 : seps[1]]
+    functions = rows[seps[1] + 1 : seps[2]]
     targets = [row[0] for row in code] + [str(int(code[-1][0].split(".")[0]) + 1)]
     cells = [(row, 4 + i) for row in code for i, k in enumerate(row[8].split(",")) if k == "a"]
     cells += [(row, col) for row in scopes for col in range(2, 6) if row[col] != "-"]
+    cells += [(row, col) for row in functions for col in (0, 2, 3, 4, 5, 9) if row[col] != "-"]
     for row, col in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)):
         row[col] = draw(st.sampled_from(targets))
     return "\n".join("\t".join(row) for row in rows)
@@ -432,6 +435,32 @@ def test_a_compiled_file_with_two_code_rows_swapped_is_a_format_error(name, i, j
     rows[i], rows[j] = "\t".join(a), "\t".join(b)
     with pytest.raises(FormatError, match=f"^{message}$"):
         deserialize("\n".join(rows))
+
+
+@pytest.mark.parametrize(
+    "name, scope, fop",
+    [
+        *(("apple_price", "31", fop) for fop in ("1", "11", "20")),
+        *(("chained_derivation", "93", fop) for fop in ("1", "24", "34", "45", "55", "64")),
+        ("class_solver", "2", "3"),
+    ],
+)
+def test_a_function_row_naming_another_declarations_scope_is_a_format_error(
+    tmp_path, capsys, name, scope, fop
+):
+    # each that names a derivation target's scope ran into a KeyError in
+    # runtime.lower: derivation finds the function it gives a body by its
+    # declaration scope, so the target's own function kept none. The class
+    # scope that holds a member's declaration loaded and ran.
+    rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].split("\n")]
+    seps = [i for i, row in enumerate(rows) if row == ["---"]]
+    row = next(row for row in rows[seps[1] + 1 : seps[2]] if row[0] == fop)
+    row[2] = scope
+    table = tmp_path / "retargeted.ccode"
+    table.write_text("\n".join("\t".join(row) for row in rows))
+    assert main(["run", str(table)]) == 1
+    message = f"function row {fop}: code line {row[3]} is not in scope {scope}"
+    assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 
 
 class _Overtime(Exception):
