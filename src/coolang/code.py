@@ -8,13 +8,11 @@ by multi-level address and grouped into the four tables.
 from __future__ import annotations
 
 import bisect
-import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
 from .addresses import Address, run_between
-from .errors import DuplicateDeclaration, InheritanceCycle, InheritanceOfUndeclaredClass
 
 
 class CodeType(Enum):
@@ -234,7 +232,6 @@ class ScopeInfo:
     kind: ScopeKind
     start: Address
     end: Address
-    param_query: Optional[Address] = None  # body scopes: their decl scope
     parent: Optional[Address] = None  # enclosing scope's start address
 
 
@@ -432,55 +429,3 @@ class Tables:
             cur = nxt
         return run
 
-
-def link_classes(tables: Tables, lines: Iterable[ExtendedLine] = ()) -> None:
-    """Check the class graph and list the classes parents first, once.
-
-    A code file fills tables.classes, parents as scopes; the loader passes
-    its CLASS_OP lines instead (`class` declares, `inherit` names a parent).
-    Then tables.classes lists parents first and tables.class_scopes maps
-    names to scopes. Raises a LoadError for a class or a parent named twice,
-    a parent that is no class and classes that inherit in a cycle.
-    """
-    classes, scopes = tables.classes, tables.class_scopes
-    inherits = []
-    for ln in lines:
-        if ln.op.text == "inherit":
-            inherits.append(ln)
-        elif ln.left.text in scopes:
-            raise DuplicateDeclaration(
-                f"class {ln.left.text!r} declared twice, again at code line {ln.address}"
-            )
-        else:
-            scopes[ln.left.text] = ln.right.addr
-            classes[ln.right.addr] = ClassInfo(scope=ln.right.addr, name=ln.left.text)
-    for ln in inherits:
-        if ln.right.text not in scopes:
-            raise InheritanceOfUndeclaredClass(
-                f"class {ln.left.text} inherits undeclared {ln.right.text}"
-            )
-        if ln.left.text not in scopes:
-            raise InheritanceOfUndeclaredClass(
-                f"undeclared class {ln.left.text} inherits at code line {ln.address}"
-            )
-        classes[scopes[ln.left.text]].parents.append(scopes[ln.right.text])
-    for info in classes.values():
-        parents = info.parents
-        if scopes.setdefault(info.name, info.scope) != info.scope:
-            raise DuplicateDeclaration(f"class {info.name!r} declared twice")
-        if any(p not in classes for p in parents):
-            raise InheritanceOfUndeclaredClass(
-                f"class {info.name!r} inherits from a row that is no class"
-            )
-        if len(set(parents)) < len(parents):
-            twice = next(p for i, p in enumerate(parents) if p in parents[:i])
-            raise DuplicateDeclaration(
-                f"class {info.name!r} inherits {classes[twice].name!r} twice"
-            )
-    graph = graphlib.TopologicalSorter({s: c.parents for s, c in classes.items()})
-    try:
-        tables.classes = {s: classes[s] for s in graph.static_order()}
-    except graphlib.CycleError as exc:
-        # each class in the reported cycle is a parent of the next
-        cycle = " << ".join(classes[s].name for s in reversed(exc.args[1]))
-        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}") from None

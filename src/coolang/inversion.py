@@ -569,7 +569,6 @@ def assemble_body(
         kind=ScopeKind.BODY,
         start=body_start,
         end=new_addrs[-1],
-        param_query=rev.decl_scope,
         parent=derive_line.scope,
     )
     rev.body_scope = body_start

@@ -4,16 +4,23 @@ Responsibilities: address assignment, scope structure, exec flags,
 marker stripping with per-expression propagation, formal-parameter flags,
 function/class table construction, duplicate detection. One pass over the
 stream makes the lines and gathers the rows the table builders read.
+
+The scope, function and class tables index the code rows and are built
+from them alone: the loader opens and closes scopes in its pass and then
+calls build_functions and link_classes, and serialize.deserialize does the
+same over the rows of a `.ccode` file.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import graphlib
+from typing import Iterable, Optional
 
 from .addresses import Address
 from .code import (
     OUT_MARK,
     VALUE_SLOTS,
+    ClassInfo,
     CodeLine,
     CodeTable,
     CodeType,
@@ -26,12 +33,13 @@ from .code import (
     ScopeInfo,
     ScopeKind,
     Tables,
-    link_classes,
     split_markers,
 )
 from .errors import (
     DuplicateDeclaration,
     FunctionWithoutBody,
+    InheritanceCycle,
+    InheritanceOfUndeclaredClass,
     LoadError,
     UnbalancedScopes,
 )
@@ -46,8 +54,7 @@ def load(lines: list[CodeLine]) -> Tables:
     ext: list[ExtendedLine] = []
     # the rows the table builders read after the pass, by code type
     gathered: dict[CodeType, list[ExtendedLine]] = {
-        t: [] for t in (CodeType.JUMP, CodeType.FUNC_OP, CodeType.DERIVE_FUNC,
-                        CodeType.CLASS_OP, CodeType.VAR_DECL)
+        t: [] for t in (CodeType.JUMP, CodeType.FUNC_OP, CodeType.CLASS_OP, CodeType.VAR_DECL)
     }
     # the open expression's identifier slots: (line, slot, bare name)
     run: list[tuple[ExtendedLine, int, str]] = []
@@ -56,19 +63,11 @@ def load(lines: list[CodeLine]) -> Tables:
         ctype = ln.ctype
         scope = stack[-1] if stack else None
         if ctype is CodeType.SCOPE_START:
-            kind = _SCOPE_KINDS.get(ln.left.text)
-            if kind is None:
-                raise LoadError(
-                    f"scope start at code line {addr} names unknown scope kind {ln.left.text!r}"
-                )
-            rows[addr] = ScopeInfo(kind=kind, start=addr, end=addr, parent=scope)
+            open_scope(rows, addr, ln.left.text, scope)
             scope = addr
             stack.append(addr)
         elif ctype is CodeType.SCOPE_END:
-            if not stack:
-                raise UnbalancedScopes(f"scope end without start at line {i}")
-            stack.pop()
-            rows[scope].end = addr
+            close_scope(rows, stack, addr)
         el = ExtendedLine(addr, scope, ExecFlag.TRUE, ctype, ln.op, ln.left, ln.right, ln.result)
         ext.append(el)
         is_expr = ctype is CodeType.EXPR
@@ -96,7 +95,7 @@ def load(lines: list[CodeLine]) -> Tables:
             if ctype in gathered:
                 gathered[ctype].append(el)
     if stack:
-        raise UnbalancedScopes(f"unclosed scope starting at line {stack[-1]}")
+        raise UnbalancedScopes(f"unclosed scope starting at code line {stack[-1]}")
     _propagate_markers(run)
 
     jump_targets = {
@@ -104,8 +103,7 @@ def load(lines: list[CodeLine]) -> Tables:
     }
     _assign_exec_flags(ext, rows, jump_targets)
     tables = Tables(code=CodeTable(ext), scopes=rows)
-    derive_targets = {el.right.addr for el in gathered[CodeType.DERIVE_FUNC]}
-    _build_functions(tables, gathered[CodeType.FUNC_OP], derive_targets)
+    build_functions(tables, gathered[CodeType.FUNC_OP])
     link_classes(tables, gathered[CodeType.CLASS_OP])
     _check_duplicates(tables, gathered[CodeType.VAR_DECL])
     return tables
@@ -143,27 +141,57 @@ def _assign_exec_flags(
             el.exec_flag = ExecFlag.COND
 
 
+def open_scope(
+    scopes: dict[Address, ScopeInfo], addr: Address, kind: str, parent: Optional[Address]
+) -> ScopeInfo:
+    """Add the scope a start row opens inside parent; its end row closes it."""
+    known = _SCOPE_KINDS.get(kind)
+    if known is None:
+        raise LoadError(f"scope start at code line {addr} names unknown scope kind {kind!r}")
+    scopes[addr] = ScopeInfo(known, addr, addr, parent)
+    return scopes[addr]
+
+
+def close_scope(scopes: dict[Address, ScopeInfo], stack: list[Address], addr: Address) -> None:
+    """End the innermost open scope at its end row addr."""
+    if not stack:
+        raise UnbalancedScopes(f"scope end at code line {addr} closes no scope")
+    scopes[stack.pop()].end = addr
+
+
 def _span(tables: Tables, start: Address) -> list[ExtendedLine]:
     """Extended lines strictly inside a scope, boundary lines excluded."""
     info = tables.scopes[start]
     return tables.code.between(info.start, info.end)
 
 
-def _build_functions(
-    tables: Tables, funcs: list[ExtendedLine], derive_targets: set[Address]
-) -> None:
-    rows = tables.scopes
+def build_functions(tables: Tables, funcs: list[ExtendedLine]) -> None:
+    """The function table over its FUNC_OP rows, in address order, once the
+    scope table is whole. A row names a declaration scope of its own and a
+    body scope, or has the derive marker that names its declaration right
+    after that scope's end row: derivation writes the body into that gap."""
+    rows, code = tables.scopes, tables.code
+    decls: set[Address] = set()
     for el in funcs:
         decl_start = el.left.addr
-        if decl_start is None or decl_start not in rows:
-            raise LoadError(f"function at {el.address} has no declaration scope")
+        decl = rows.get(decl_start)
+        if decl is None or decl.kind is not ScopeKind.DECL or decl_start in decls:
+            raise LoadError(f"function at {el.address} has no declaration scope of its own")
+        decls.add(decl_start)
         body_start = el.right.addr if el.right.kind is OperandKind.ADDRESS else None
-        if body_start is not None and body_start not in rows:
+        if body_start is not None and (
+            body_start not in rows or rows[body_start].kind is not ScopeKind.BODY
+        ):
             raise LoadError(f"function at {el.address} has no body scope at {body_start}")
-        if body_start is None and decl_start not in derive_targets:
-            raise FunctionWithoutBody(
-                f"function declared at {decl_start} has no body and no derivation"
-            )
+        if body_start is None:
+            after = code.next_after(decl.end)
+            marker = code.get(after)
+            if marker is None or (marker.ctype, marker.right.addr) != (
+                CodeType.DERIVE_FUNC, decl_start
+            ):
+                raise FunctionWithoutBody(
+                    f"function at {el.address} has no body, and code line {after} derives none"
+                )
         decl_lines = [
             x for x in _span(tables, decl_start) if x.ctype is CodeType.EXPR
         ]
@@ -178,7 +206,6 @@ def _build_functions(
         )
         returns: list[Address] = []
         if body_start is not None:
-            rows[body_start].param_query = decl_start
             for x in _span(tables, body_start):
                 if x.ctype is CodeType.RETURN and _nearest(rows, x.scope, ScopeKind.BODY) == body_start:
                     returns.append(x.address)
@@ -196,8 +223,58 @@ def _build_functions(
             weight=el.result.num,
             func_op=el.address,
             name=root.op.text,
-            class_scope=_nearest(rows, rows[decl_start].parent, ScopeKind.CLASS),
+            class_scope=_nearest(rows, decl.parent, ScopeKind.CLASS),
         )
+
+
+def link_classes(tables: Tables, lines: Iterable[ExtendedLine]) -> None:
+    """The class table over its CLASS_OP rows, parents first, once the scope
+    table is whole: `class` names a class scope, `inherit` a parent by name.
+
+    Then tables.class_scopes maps names to scopes. Raises a LoadError for a
+    `class` row that names no class scope or one that another names, a
+    class or a parent of one class named twice, an `inherit` row that names
+    an undeclared class and classes that inherit in a cycle.
+    """
+    classes, scopes, rows = tables.classes, tables.class_scopes, tables.scopes
+    inherits = []
+    for ln in lines:
+        if ln.op.text == "inherit":
+            inherits.append(ln)
+            continue
+        scope = ln.right.addr
+        info = rows.get(scope)
+        if info is None or info.kind is not ScopeKind.CLASS or scope in classes:
+            raise LoadError(f"class at code line {ln.address} names no class scope of its own")
+        if ln.left.text in scopes:
+            raise DuplicateDeclaration(
+                f"class {ln.left.text!r} declared twice, again at code line {ln.address}"
+            )
+        scopes[ln.left.text] = scope
+        classes[scope] = ClassInfo(scope=scope, name=ln.left.text)
+    for ln in inherits:
+        if ln.right.text not in scopes:
+            raise InheritanceOfUndeclaredClass(
+                f"class {ln.left.text} inherits undeclared {ln.right.text}"
+            )
+        if ln.left.text not in scopes:
+            raise InheritanceOfUndeclaredClass(
+                f"undeclared class {ln.left.text} inherits at code line {ln.address}"
+            )
+        parents = classes[scopes[ln.left.text]].parents
+        parent = scopes[ln.right.text]
+        if parent in parents:
+            raise DuplicateDeclaration(
+                f"class {ln.left.text!r} inherits {ln.right.text!r} twice"
+            )
+        parents.append(parent)
+    graph = graphlib.TopologicalSorter({s: c.parents for s, c in classes.items()})
+    try:
+        tables.classes = {s: classes[s] for s in graph.static_order()}
+    except graphlib.CycleError as exc:
+        # each class in the reported cycle is a parent of the next
+        cycle = " << ".join(classes[s].name for s in reversed(exc.args[1]))
+        raise InheritanceCycle(f"classes inherit in a cycle: {cycle}") from None
 
 
 def _nearest(

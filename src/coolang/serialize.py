@@ -1,8 +1,11 @@
 """Flat text form of the code tables.
 
-One section per table, tab-separated rows sorted by address, so equal
-tables always serialize to identical bytes. Operand columns are typed by
-the KINDS column; text payloads are percent-escaped.
+A header line, then the code rows: tab-separated, sorted by address, so
+equal tables always serialize to identical bytes. Operand columns are
+typed by the KINDS column; text payloads are percent-escaped. The scope,
+function and class tables are indexes over the code rows, so the file
+holds none of them: reading a file builds them from its rows with the
+loader's builders, as loading source does.
 """
 
 from __future__ import annotations
@@ -15,24 +18,20 @@ from urllib.parse import quote, unquote
 from .addresses import Address
 from .code import (
     BUILTIN,
-    ClassInfo,
     CodeTable,
     CodeType,
     ExecFlag,
     ExtendedLine,
-    FunctionInfo,
     Operand,
     OperandKind,
     PendFlag,
-    ScopeInfo,
     ScopeKind,
     Tables,
-    link_classes,
 )
 from .errors import FormatError, LoadError
+from .loader import build_functions, close_scope, link_classes, open_scope
 
 _MAGIC = "COOLCC 1"
-_SEP = "---"
 
 
 class _Codes(dict):
@@ -53,7 +52,6 @@ _CODE_TYPES = _Codes(CodeType)
 _EXEC_FLAGS = _Codes(ExecFlag)
 _OPERAND_KINDS = _Codes(OperandKind)
 _PEND_FLAGS = _Codes(PendFlag)
-_SCOPE_KINDS = _Codes(ScopeKind)
 
 
 class _Memo(dict):
@@ -74,10 +72,6 @@ class _Memo(dict):
 
 def _enc_addr(a: Optional[Address]) -> str:
     return "-" if a is None else str(a)
-
-
-def _dec_addr(s: str, addrs: _Memo) -> Optional[Address]:
-    return None if s == "-" else addrs[s]
 
 
 def _enc_operand(o: Operand) -> str:
@@ -131,12 +125,12 @@ def _enc_line(ln: ExtendedLine) -> str:
 def _split_kinds(text: str) -> list[str]:
     kinds = text.split(",")
     if len(kinds) != 4:
-        raise FormatError("operand kinds must cover all four slots")
+        raise ValueError("operand kinds must cover all four slots")
     return kinds
 
 
 def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
-    """The code section, rows from file line 2 on, decoded in one pass.
+    """The code rows, from file line 2 on, decoded in one pass.
 
     Equal cells share one decoded value: operands are frozen, and each
     line still gets its own pending and formal lists. Cells are checked in
@@ -155,10 +149,10 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
         for lineno, row in enumerate(rows, 2):
             cols = row.split("\t")
             if len(cols) != 13:
-                raise FormatError(f"code row has {len(cols)} columns, wanted 13")
+                raise ValueError(f"{len(cols)} columns, wanted 13")
             op, left, right, result = kinds[cols[8]]
             if len(cols[9]) != 4 or len(cols[10]) != 4:
-                raise FormatError("pending and formal flags must cover all four slots")
+                raise ValueError("pending and formal flags must cover all four slots")
             bound = bounds[cols[11]]
             address = addrs[cols[0]]
             # positional: twelve keywords would add about a microsecond a row
@@ -181,110 +175,51 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
                 raise FormatError(f"address {address} appears twice")
             code[address] = ln
     except ValueError as exc:
-        # bad addresses, flags, kinds and numbers
+        # bad shapes, addresses, flags, kinds and numbers
         raise FormatError(f"line {lineno}, code row: {exc}") from None
     return CodeTable(code.values())
-
-
-def _read_scope_row(tables: Tables, row: str, addrs: _Memo) -> None:
-    cols = row.split("\t")
-    if len(cols) != 6:
-        raise FormatError("scope row needs 6 columns")
-    tables.scopes[addrs[cols[0]]] = ScopeInfo(
-        kind=_SCOPE_KINDS[cols[1]],
-        start=addrs[cols[2]],
-        end=addrs[cols[3]],
-        param_query=_dec_addr(cols[4], addrs),
-        parent=_dec_addr(cols[5], addrs),
-    )
-
-
-def _read_function_row(tables: Tables, row: str, addrs: _Memo) -> None:
-    cols = row.split("\t")
-    if len(cols) != 10:
-        raise FormatError("function row needs 10 columns")
-    fop = addrs[cols[0]]
-    if cols[6] == "T" and cols[5] == "-":
-        raise FormatError(f"rewrite rule at code line {fop} has no return: statement")
-    tables.functions[fop] = FunctionInfo(
-        decl_scope=addrs[cols[2]],
-        decl_root=addrs[cols[3]],
-        body_scope=_dec_addr(cols[4], addrs),
-        returns=[] if cols[5] == "-" else [addrs[r] for r in cols[5].split(",")],
-        is_exp=cols[6] == "T",
-        is_reverse=cols[7] == "T",
-        weight=float(cols[8]),
-        func_op=fop,
-        name=unquote(cols[1]) or None,
-        class_scope=_dec_addr(cols[9], addrs),
-    )
-
-
-def _read_class_row(tables: Tables, row: str, addrs: _Memo) -> None:
-    cols = row.split("\t")
-    if len(cols) != 3:
-        raise FormatError("class row needs 3 columns")
-    tables.classes[addrs[cols[0]]] = ClassInfo(
-        scope=addrs[cols[0]],
-        name=unquote(cols[1]),
-        parents=[] if cols[2] == "-" else [addrs[p] for p in cols[2].split(",")],
-    )
 
 
 def _check_links(tables: Tables) -> None:
     """The one check of what a row may name, made once at load so that
     lowering and preexecute trust every link (the README lists the rules
-    per row type). One pass over the code rows in address order; it sets
-    each bound expression's bound_reverse from its function."""
-    scopes, code, functions = tables.scopes, tables.code, tables.functions
+    per row type). It builds the scope table in its pass over the rows,
+    then the function and class tables with the loader's builders, and
+    sets each bound expression's bound_reverse from its function."""
+    try:
+        funcs, class_ops, bound = _check_rows(tables)
+        build_functions(tables, funcs)
+        link_classes(tables, class_ops)
+    except LoadError as exc:
+        raise FormatError(str(exc)) from None
+    functions = tables.functions
+    for ln in bound:
+        a, b = ln.address, ln.bound
+        fn = functions.get(b)
+        if fn is None or ln.root and fn.body_scope is None:
+            raise FormatError(f"code line {a} is bound to {b}, no function with a body")
+        ln.bound_reverse = fn.is_reverse
+
+
+def _check_rows(tables: Tables) -> tuple[list, list, list]:
+    """One pass over the code rows in address order: it checks each row,
+    fills the scope table, and returns the function rows, the class rows
+    and the rows bound to a function row, in address order."""
+    scopes, code = tables.scopes, tables.code
     get = code.get
     # Enum members bound once: reading one off its class costs a lookup each row
     expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
-    derive = CodeType.DERIVE_FUNC
-    for s, info in scopes.items():
-        if info.start != s:
-            raise FormatError(f"scope row {s}: start {info.start} is not the row's own id")
-        if info.parent is not None and not (info.parent < s and info.parent in scopes):
-            raise FormatError(f"scope row {s}: parent {info.parent} is no scope row before it")
-        # lowering resumes at the end row, so it must emit nothing and lie past the start
-        end = get(info.end)
-        if s not in code or end is None or end.ctype is not CodeType.SCOPE_END or info.end <= s:
-            raise FormatError(f"scope row {s}: end of scope {info.end} is no scope end row after {s}")
-    for s in tables.classes:
-        if s not in scopes:
-            raise FormatError(f"class {s} has no scope row")
-    for fop, fn in functions.items():
-        named = [("code line", a, code) for a in (fop, fn.decl_root, *fn.returns)]
-        named += [("scope row", a, scopes) for a in (fn.decl_scope, fn.body_scope)]
-        named.append(("class row", fn.class_scope, tables.classes))
-        for what, a, rows in named:
-            if a is not None and a not in rows:
-                raise FormatError(f"function row {fop}: {what} {a} is missing")
-        # derivation finds the function it gives a body by this scope
-        if code[fn.decl_root].scope != fn.decl_scope:
-            raise FormatError(
-                f"function row {fop}: code line {fn.decl_root} is not in scope {fn.decl_scope}"
-            )
-        # a rule's plan reads its return value among the body's rows
-        for a in fn.returns:
-            body, x = scopes.get(fn.body_scope), code[a]
-            inside = body and body.start < a < body.end and x.scope and body.start <= x.scope < a
-            if x.ctype is not ret or not inside:
-                raise FormatError(f"function row {fop}: code line {a} is no return of its body")
-        if fn.body_scope is None:
-            after = code.next_after(scopes[fn.decl_scope].end)
-            marker = get(after)
-            if marker is None or (marker.ctype, marker.right.addr) != (derive, fn.decl_scope):
-                raise FormatError(f"function row {fop}: no body, code line {after} derives none")
-
+    opens, closes = CodeType.SCOPE_START, CodeType.SCOPE_END
+    func, cls = CodeType.FUNC_OP, CodeType.CLASS_OP
+    funcs: list[ExtendedLine] = []
+    class_ops: list[ExtendedLine] = []
+    bound: list[ExtendedLine] = []
     first = last = None  # the current expression run's first and last rows
-    held: list[ScopeInfo] = []  # the scope ranges that hold the row, innermost last
+    held: list[Address] = []  # the scopes that hold the row, innermost last
     later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
     compiled = not tables.preexecuted  # only preexecute binds
     for ln in code.lines():
         a, t, r = ln.address, ln.ctype, ln.result.addr
-        while held and held[-1].end < a:
-            held.pop()
         if compiled and (ln.bound is not None or ln.root):
             raise FormatError(f"code line {a} is bound in a file that is not preexecuted")
         if r is not None and r != a and (t is not expr or ln.op.text != "="):
@@ -293,10 +228,7 @@ def _check_links(tables: Tables) -> None:
             first, last = first or a, a
             b = ln.bound
             if b is not None and b is not BUILTIN:
-                fn = functions.get(b)
-                if fn is None or ln.root and fn.body_scope is None:
-                    raise FormatError(f"code line {a} is bound to {b}, no function with a body")
-                ln.bound_reverse = fn.is_reverse
+                bound.append(ln)
             for r in (ln.left.addr, ln.right.addr, None if r == a else r):
                 if r is None:
                     continue
@@ -325,21 +257,28 @@ def _check_links(tables: Tables) -> None:
                 raise FormatError(f"jump at {a} has no target row")
             # back to or before its scope's start row, a jump would open the
             # scope again inside itself on every pass
-            if t is jump and held and to <= held[-1].start:
-                raise FormatError(f"jump at {a} leaves scope {held[-1].start} backward")
-        elif t is CodeType.SCOPE_START:
-            info = scopes.get(a)
-            if info is None:
-                raise FormatError(f"scope start {a} has no scope row")
+            if t is jump and held and to <= held[-1]:
+                raise FormatError(f"jump at {a} leaves scope {held[-1]} backward")
+        elif t is opens:
+            info = open_scope(scopes, a, ln.left.text, held[-1] if held else None)
             # preexecute skips a declaration by its start row's flag alone
             if (ln.exec_flag is ExecFlag.FALSE) != (info.kind is ScopeKind.DECL):
                 raise FormatError(f"scope start {a} does not open its own scope")
-            held.append(info)
+            held.append(a)
+        elif t is func:
+            funcs.append(ln)
+        elif t is cls:
+            class_ops.append(ln)
         # a start row names its own scope, an end row the scope it closes
-        if ln.scope != (held[-1].start if held else None):
+        if ln.scope != (held[-1] if held else None):
             raise FormatError(f"code line {a} names scope {ln.scope}, not the scope that holds it")
+        if t is closes:
+            close_scope(scopes, held, a)
     if later:
         _check_later(later, first, last, get, scopes, compiled)
+    if held:
+        raise FormatError(f"unclosed scope starting at code line {held[-1]}")
+    return funcs, class_ops, bound
 
 
 def _read_outside(a: Address, r: Address, get) -> None:
@@ -381,62 +320,9 @@ def _check_later(later: list, first: Address, last: Address, get, scopes, compil
         raise FormatError(f"code line {ahead[0]} reads {ahead[1]}, no earlier row")
 
 
-_SECTIONS = (
-    ("scope", _read_scope_row),
-    ("function", _read_function_row),
-    ("class", _read_class_row),
-)
-
-
 def serialize(tables: Tables) -> str:
     out = [_MAGIC + (" preexec" if tables.preexecuted else "")]
     out.extend(_enc_line(ln) for ln in tables.code.lines())
-    out.append(_SEP)
-    for start in sorted(tables.scopes):
-        info = tables.scopes[start]
-        out.append(
-            "\t".join(
-                [
-                    str(start),
-                    info.kind.value,
-                    str(info.start),
-                    str(info.end),
-                    _enc_addr(info.param_query),
-                    _enc_addr(info.parent),
-                ]
-            )
-        )
-    out.append(_SEP)
-    for fop in sorted(tables.functions):
-        fn = tables.functions[fop]
-        out.append(
-            "\t".join(
-                [
-                    str(fop),
-                    quote(fn.name or "", safe=""),
-                    str(fn.decl_scope),
-                    str(fn.decl_root),
-                    _enc_addr(fn.body_scope),
-                    ",".join(str(r) for r in fn.returns) or "-",
-                    "T" if fn.is_exp else "F",
-                    "T" if fn.is_reverse else "F",
-                    repr(fn.weight),
-                    _enc_addr(fn.class_scope),
-                ]
-            )
-        )
-    out.append(_SEP)
-    for scope in sorted(tables.classes):
-        info = tables.classes[scope]
-        out.append(
-            "\t".join(
-                [
-                    str(scope),
-                    quote(info.name, safe=""),
-                    ",".join(str(p) for p in info.parents) or "-",
-                ]
-            )
-        )
     return "\n".join(out) + "\n"
 
 
@@ -447,28 +333,10 @@ def deserialize(text: str) -> Tables:
     header = lines[0][len(_MAGIC) :].strip()
     if header not in ("", "preexec"):
         raise FormatError(f"unknown header flags {header!r}")
-
-    seps = [i for i, row in enumerate(lines) if row == _SEP]
-    if len(seps) != 3:
-        raise FormatError(f"wanted 4 sections, found {len(seps) + 1}")
-
-    addrs = _Memo(Address.parse)
     tables = Tables(
-        code=_read_code(lines[1 : seps[0]], addrs),
+        code=_read_code(lines[1:], _Memo(Address.parse)),
         preexecuted=header == "preexec",
     )
-    for (name, read), start, end in zip(_SECTIONS, seps, seps[1:] + [len(lines)]):
-        for lineno, row in enumerate(lines[start + 1 : end], start + 2):
-            try:
-                read(tables, row, addrs)
-            except ValueError as exc:
-                # bad addresses, flags, kinds and numbers
-                raise FormatError(f"line {lineno}, {name} row: {exc}") from None
-
-    try:
-        link_classes(tables)
-    except LoadError as exc:
-        raise FormatError(str(exc)) from None
     _check_links(tables)
     return tables
 

@@ -31,10 +31,9 @@ from coolang.code import (
     OperandKind,
     PendFlag,
     Tables,
-    link_classes,
     split_markers,
 )
-from coolang.errors import FormatError, InferenceFailure, LoadError, PrecompileError
+from coolang.errors import FormatError, InferenceFailure, PrecompileError
 from coolang.matching import BindContext, Match, match_branch
 from coolang.precompile import ARG_MARKER, KEYWORDS, SourceUnit, _normalize
 from coolang import search
@@ -51,14 +50,9 @@ from coolang.serialize import (
     _EXEC_FLAGS,
     _MAGIC,
     _PEND_FLAGS,
-    _SEP,
     _check_links,
-    _dec_addr,
     _dec_operand,
     _Memo,
-    _read_class_row,
-    _read_function_row,
-    _read_scope_row,
 )
 from coolang.silo import Silo
 
@@ -431,12 +425,12 @@ def search_segment(
 def _dec_line(row: str, addrs: _Memo) -> ExtendedLine:
     cols = row.split("\t")
     if len(cols) != 13:
-        raise FormatError(f"code row has {len(cols)} columns, wanted 13")
+        raise ValueError(f"{len(cols)} columns, wanted 13")
     kinds = cols[8].split(",")
     if len(kinds) != 4:
-        raise FormatError("operand kinds must cover all four slots")
+        raise ValueError("operand kinds must cover all four slots")
     if len(cols[9]) != 4 or len(cols[10]) != 4:
-        raise FormatError("pending and formal flags must cover all four slots")
+        raise ValueError("pending and formal flags must cover all four slots")
     if cols[11] == "-":
         bound = None
     elif cols[11] == "B":
@@ -445,7 +439,7 @@ def _dec_line(row: str, addrs: _Memo) -> ExtendedLine:
         bound = addrs[cols[11]]
     return ExtendedLine(
         address=addrs[cols[0]],
-        scope=_dec_addr(cols[1], addrs),
+        scope=None if cols[1] == "-" else addrs[cols[1]],
         exec_flag=_EXEC_FLAGS[cols[2]],
         ctype=_CODE_TYPES[cols[3]],
         op=_dec_operand(kinds[0], cols[4], addrs),
@@ -459,21 +453,6 @@ def _dec_line(row: str, addrs: _Memo) -> ExtendedLine:
     )
 
 
-def _read_code_row(tables: Tables, row: str, addrs: _Memo) -> None:
-    ln = _dec_line(row, addrs)
-    if ln.address in tables.code:
-        raise FormatError(f"address {ln.address} appears twice")
-    tables.code.insert(ln)
-
-
-_SECTIONS = (
-    ("code", _read_code_row),
-    ("scope", _read_scope_row),
-    ("function", _read_function_row),
-    ("class", _read_class_row),
-)
-
-
 def deserialize(text: str) -> Tables:
     """A `.ccode` text to tables, row by row and cell by cell."""
     lines = text.splitlines()
@@ -483,29 +462,17 @@ def deserialize(text: str) -> Tables:
     if header not in ("", "preexec"):
         raise FormatError(f"unknown header flags {header!r}")
 
-    sections: list[list[tuple[int, str]]] = [[]]
-    for lineno, row in enumerate(lines[1:], 2):
-        if row == _SEP:
-            sections.append([])
-        else:
-            sections[-1].append((lineno, row))
-    if len(sections) != 4:
-        raise FormatError(f"wanted 4 sections, found {len(sections)}")
-
     tables = Tables(preexecuted=header == "preexec")
     addrs = _Memo(Address.parse)
-    for (name, read), rows in zip(_SECTIONS, sections):
-        for lineno, row in rows:
-            try:
-                read(tables, row, addrs)
-            except ValueError as exc:
-                # bad addresses, flags, kinds and numbers
-                raise FormatError(f"line {lineno}, {name} row: {exc}") from None
-
-    try:
-        link_classes(tables)
-    except LoadError as exc:
-        raise FormatError(str(exc)) from None
+    for lineno, row in enumerate(lines[1:], 2):
+        try:
+            ln = _dec_line(row, addrs)
+        except ValueError as exc:
+            # bad shapes, addresses, flags, kinds and numbers
+            raise FormatError(f"line {lineno}, code row: {exc}") from None
+        if ln.address in tables.code:
+            raise FormatError(f"address {ln.address} appears twice")
+        tables.code.insert(ln)
     _check_links(tables)
     return tables
 

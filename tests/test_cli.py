@@ -47,6 +47,43 @@ def test_an_instance_prints_the_same_number_on_every_run(tmp_path, capsys):
     assert seen == [["<instance 1>"]] * 4
 
 
+# `@f(a){ return: a + 1; }  f(2) --> 0;` compiled by a writer that put the
+# scope, function and class tables after the code rows, a `---` row before
+# each; cells are tab-separated in the file
+_SECTIONED = """\
+1 - T func func 2 6 0.0 i,a,a,n FFFF FFFF - F
+2 2 F sstart - decl - - e,i,e,e FFFF FFFF - F
+3 2 F expr f a - 3 i,i,e,a FFFF FTFF - F
+4 2 F eend - - - - e,e,e,e FFFF FFFF - F
+5 2 F send - - - - e,e,e,e FFFF FFFF - F
+6 6 C sstart - body - - e,i,e,e FFFF FFFF - F
+7 6 C expr %2B a 1.0 7 i,i,n,a FFFF FFFF - F
+8 6 C ret return 7 - - i,a,e,e FFFF FFFF - F
+9 6 C eend - - - - e,e,e,e FFFF FFFF - F
+10 6 C send - - - - e,e,e,e FFFF FFFF - F
+11 - T expr f 2.0 - 11 i,n,e,a FFFF FFFF - F
+12 - T expr --%3E 11 0.0 - i,a,n,e FFFF FFFF - F
+13 - T eend - - - - e,e,e,e FFFF FFFF - F
+---
+2 decl 2 5 - -
+6 body 6 10 2 -
+---
+1 f 2 3 6 8 F F 0.0 -
+---
+"""
+
+
+def test_a_code_table_with_table_sections_is_a_format_error(tmp_path, capsys):
+    # a file holds the code rows alone, so the first `---` row, on line 15,
+    # is a code row of one column
+    table = tmp_path / "sectioned.ccode"
+    table.write_text("COOLCC 1\n" + _SECTIONED.replace(" ", "\t"))
+    assert main(["run", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coolc: FormatError: line 15, code row: 1 columns, wanted 13\n"
+
+
 def test_preexec_saves_the_bound_table_for_later_runs(tmp_path, capsys):
     src = write(tmp_path, "apple.cool", corpus.APPLE_PRICE)
     bound = str(tmp_path / "bound.ccode")
@@ -292,50 +329,57 @@ def test_a_class_name_declared_twice_is_a_compile_error(tmp_path, capsys):
     assert "DuplicateDeclaration: class 'A' declared twice" in capsys.readouterr().err
 
 
+def _edit_rows(table, edit):
+    """Apply edit to the code rows of a `.ccode`, each a list of cells."""
+    head, *rows = table.read_text().splitlines()
+    rows = [row.split("\t") for row in rows]
+    edit(rows)
+    table.write_text(head + "\n" + "".join("\t".join(row) + "\n" for row in rows))
+
+
+def _class_row(rows, op, name, nth=0):
+    """The nth `class` or `inherit` row that names the class name."""
+    return [row for row in rows if row[3:6] == ["class", op, name]][nth]
+
+
 def test_a_code_table_repeating_a_class_name_is_a_format_error(tmp_path, capsys):
     src = write(tmp_path, "two.cool", _TWO_CLASSES % "Z")
     assert main(["compile", src]) == 0
-    table = tmp_path / "two.ccode"
-    head, sep, classes = table.read_text().rpartition("---\n")
-    table.write_text(head + sep + classes.replace("\tZ\t", "\tA\t"))
-    assert main(["run", str(table)]) == 1
+
+    def rename(rows):
+        _class_row(rows, "class", "Z")[5] = "A"
+
+    _edit_rows(tmp_path / "two.ccode", rename)
+    assert main(["run", str(tmp_path / "two.ccode")]) == 1
     assert "FormatError: class 'A' declared twice" in capsys.readouterr().err
-
-
-def _edit_class_rows(table, edit):
-    head, sep, classes = table.read_text().rpartition("---\n")
-    rows = [row.split("\t") for row in classes.splitlines()]
-    edit(rows)
-    table.write_text(head + sep + "".join("\t".join(r) + "\n" for r in rows))
 
 
 def test_a_code_table_whose_classes_inherit_in_a_cycle_is_a_format_error(
     tmp_path, capsys
 ):
-    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B" + "A: m;\nm.get(1) --> 0;\n")
+    src = write(tmp_path, "three.cool", _TWO_CLASSES % "B << A" + "system: C << A { }\n")
     assert main(["compile", src]) == 0
 
     def cycle(rows):
-        (a, _, _), (b, _, _) = rows
-        rows[0][2], rows[1][2] = b, a
+        # C's inherit row made to say that A inherits B
+        row = _class_row(rows, "inherit", "C")
+        row[5], row[6] = "A", "B"
 
-    _edit_class_rows(tmp_path / "two.ccode", cycle)
-    assert main(["run", str(tmp_path / "two.ccode")]) == 1
+    _edit_rows(tmp_path / "three.ccode", cycle)
+    assert main(["run", str(tmp_path / "three.ccode")]) == 1
     assert "FormatError: classes inherit in a cycle: A << B << A" in capsys.readouterr().err
 
 
 def test_a_code_table_inheriting_from_no_class_is_a_format_error(tmp_path, capsys):
-    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B")
+    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B << A")
     assert main(["compile", src]) == 0
 
     def dangle(rows):
-        rows[0][2] = "99"
+        _class_row(rows, "inherit", "B")[6] = "Q"
 
-    _edit_class_rows(tmp_path / "two.ccode", dangle)
+    _edit_rows(tmp_path / "two.ccode", dangle)
     assert main(["run", str(tmp_path / "two.ccode")]) == 1
-    assert "FormatError: class 'A' inherits from a row that is no class" in (
-        capsys.readouterr().err
-    )
+    assert "FormatError: class B inherits undeclared Q" in capsys.readouterr().err
 
 
 def test_a_class_naming_a_parent_twice_is_a_compile_error(tmp_path, capsys):
@@ -352,58 +396,41 @@ def test_a_class_naming_a_parent_twice_is_a_compile_error(tmp_path, capsys):
 
 
 def test_a_code_table_naming_a_parent_twice_is_a_format_error(tmp_path, capsys):
-    src = write(tmp_path, "two.cool", _TWO_CLASSES % "B")
+    src = write(tmp_path, "three.cool", _TWO_CLASSES % "Z" + "system: B << A, Z { }\n")
     assert main(["compile", src]) == 0
 
     def twice(rows):
-        (a, _, _), _ = rows
-        rows[1][2] = f"{a},{a}"
+        _class_row(rows, "inherit", "B", 1)[6] = "A"
 
-    _edit_class_rows(tmp_path / "two.ccode", twice)
-    assert main(["run", str(tmp_path / "two.ccode")]) == 1
+    _edit_rows(tmp_path / "three.ccode", twice)
+    assert main(["run", str(tmp_path / "three.ccode")]) == 1
     assert "FormatError: class 'B' inherits 'A' twice" in capsys.readouterr().err
 
 
-def _set(section, key, col, value):
-    """An edit of one cell of a `.ccode`: the row of section (1 scopes,
-    2 functions, 3 classes) whose first cell is key."""
+def _set(address, col, value):
+    """An edit of one cell of the code row at address."""
 
-    def edit(sections):
-        next(row for row in sections[section] if row[0] == key)[col] = value
+    def edit(rows):
+        next(row for row in rows if row[0] == address)[col] = value
 
     return edit
 
 
 @pytest.mark.parametrize(
-    "edits, message",
+    "edit, message",
     [
-        ([_set(1, "8", 5, "99")], "scope row 8: parent 99 is no scope row before it"),
-        (
-            [_set(1, "2", 5, "4"), _set(1, "4", 5, "2")],
-            "scope row 2: parent 4 is no scope row before it",
-        ),
-        ([_set(2, "3", 3, "99")], "function row 3: code line 99 is missing"),
-        ([_set(2, "3", 2, "98")], "function row 3: scope row 98 is missing"),
-        ([_set(2, "59", 9, "96")], "function row 59: class row 96 is missing"),
-        ([lambda sections: sections[3].append(["90", "X", "-"])], "class 90 has no scope row"),
+        (_set("3", 5, "98"), "function at 3 has no declaration scope of its own"),
+        (_set("1", 6, "8"), "class at code line 1 names no class scope of its own"),
     ],
-    ids=["scope-parent", "scope-cycle", "decl-root", "decl-scope", "member-class", "class-scope"],
+    ids=["decl-scope", "class-scope"],
 )
 def test_a_code_table_row_naming_a_missing_row_is_a_format_error(
-    tmp_path, capsys, edits, message
+    tmp_path, capsys, edit, message
 ):
     src = write(tmp_path, "solver.cool", corpus.CLASS_SOLVER)
     assert main(["compile", src]) == 0
     table = tmp_path / "solver.ccode"
-    sections = [
-        [row.split("\t") for row in part.splitlines()]
-        for part in table.read_text().split("---\n")
-    ]
-    for edit in edits:
-        edit(sections)
-    table.write_text(
-        "---\n".join("".join("\t".join(row) + "\n" for row in part) for part in sections)
-    )
+    _edit_rows(table, edit)
     assert main(["run", str(table)]) == 1
     assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 
@@ -450,7 +477,7 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             6,
             "31",
             "2",
-            "function row 30: no body, code line 35 derives none",
+            "function at 30 has no body, and code line 35 derives none",
         ),
         (
             corpus.APPLE_PRICE,
@@ -575,13 +602,15 @@ def test_a_rewrite_rule_without_return_is_a_load_error(tmp_path, capsys):
 def test_a_code_table_rule_without_return_is_a_format_error(tmp_path, capsys):
     src = write(tmp_path, "rule.cool", "exp: @(1){ #a + #b }{ return: b + a; }\nq + 1;\n")
     assert main(["compile", src]) == 0
-    table = tmp_path / "rule.ccode"
-    head, sep, rows = table.read_text().partition("\n1\t%2B\t")
-    cols = rows.split("\t")
-    assert cols[3:5] == ["8", "T"]  # the rule's return line, its exp flag
-    cols[3] = "-"
-    table.write_text(head + sep + "\t".join(cols))
-    assert main(["run", str(table)]) == 1
+
+    def drop_return(rows):
+        # the rule's return line, retyped as the end of its expression
+        row = next(row for row in rows if row[3] == "ret")
+        assert row[0] == "8"
+        row[3] = "eend"
+
+    _edit_rows(tmp_path / "rule.ccode", drop_return)
+    assert main(["run", str(tmp_path / "rule.ccode")]) == 1
     assert "FormatError: rewrite rule at code line 1 has no return: statement" in (
         capsys.readouterr().err
     )

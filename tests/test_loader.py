@@ -55,7 +55,8 @@ def test_scope_table_structure():
     assert kinds == ["body", "decl"]
     body = [s for s in t.scopes.values() if s.kind is ScopeKind.BODY][0]
     decl = [s for s in t.scopes.values() if s.kind is ScopeKind.DECL][0]
-    assert body.param_query == decl.start
+    (fn,) = t.functions.values()
+    assert (fn.body_scope, fn.decl_scope) == (body.start, decl.start)
     assert body.parent is None and decl.parent is None
     assert t.code[decl.start].ctype is CodeType.SCOPE_START
     assert t.code[decl.end].ctype is CodeType.SCOPE_END
@@ -181,6 +182,22 @@ def test_reverse_flag_from_anonymous_pending():
 def test_function_without_body_and_without_derivation():
     with pytest.raises(FunctionWithoutBody):
         build("@f(a, b);")
+
+
+def test_a_derive_marker_apart_from_its_declaration_is_a_load_error():
+    # derivation writes the body between the declaration and its marker, so
+    # the marker must follow the declaration's end row; with a variable
+    # between them the body had nowhere to go, and preexecute found 0
+    # candidates for g
+    lines = parse(precompile(["@f(x){ return: x + 1; } => @g($x);\nnew: h = 0;\ng($h) == 3;\n"]))
+    i = next(i for i, ln in enumerate(lines) if ln.ctype is CodeType.DERIVE_FUNC)
+    assert lines[i + 1].ctype is CodeType.VAR_DECL
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    message = r"^function at 11 has no body, and code line 16 derives none$"
+    with pytest.raises(FunctionWithoutBody, match=message):
+        load(lines)
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    assert load(lines).functions
 
 
 def test_class_tables_and_inheritance():

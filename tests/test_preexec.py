@@ -102,7 +102,9 @@ def test_derivation_fills_the_reverse_body_in():
     assert not rev.returns
     body = t.scopes[rev.body_scope]
     assert body.kind is ScopeKind.BODY
-    assert body.param_query == rev.decl_scope
+    # the body follows its declaration, and the function row names both
+    assert t.scopes[rev.decl_scope].end < body.start
+    assert t.code[rev.func_op].right.addr == body.start
 
 
 def test_out_marked_reads_bind_without_search_weight():

@@ -79,11 +79,11 @@ def test_malformed_files_are_refused():
     with pytest.raises(FormatError, match="not a code table"):
         deserialize("NOPE\n")
     with pytest.raises(FormatError, match="header flags"):
-        deserialize("COOLCC 1 zip\n---\n---\n---\n")
-    with pytest.raises(FormatError, match="4 sections"):
-        deserialize("COOLCC 1\n---\n---\n")
-    with pytest.raises(FormatError, match="13"):
-        deserialize("COOLCC 1\n1\tx\n---\n---\n---\n")
+        deserialize("COOLCC 1 zip\n")
+    with pytest.raises(FormatError, match="^line 2, code row: 2 columns, wanted 13$"):
+        deserialize("COOLCC 1\n1\tx\n")
+    with pytest.raises(FormatError, match="^line 2, code row: 1 columns, wanted 13$"):
+        deserialize("COOLCC 1\n---\n")
 
 
 def test_files_write_and_read_back(tmp_path):
@@ -138,7 +138,7 @@ def rearranged_code_files(draw):
     may appear a second time anywhere.
     """
     rows = draw(st.sampled_from(BOUND_TEXTS)).split("\n")
-    end = rows.index("---")
+    end = len(rows) - 1  # the empty text after the last newline
     code = draw(st.permutations(rows[1:end]))
     i = draw(st.integers(0, len(code) - 1))
     row, cells = code[i], code[i].split("\t")
@@ -178,7 +178,7 @@ def test_a_row_with_two_bad_cells_fails_as_the_reference_fails():
 
 def test_code_rows_load_in_any_order_but_not_twice():
     rows = BOUND_TEXTS[1].split("\n")
-    end = rows.index("---")
+    end = len(rows) - 1
     shuffled = rows[:1] + rows[end - 1 : 0 : -1] + rows[end:]
     assert serialize(deserialize("\n".join(shuffled))) == BOUND_TEXTS[1]
     twice = rows[:end] + [rows[3]] + rows[end:]
@@ -218,8 +218,28 @@ def test_a_dangling_scope_end_fails_when_the_program_is_lowered():
     preexecute(t)
     cond = next(s for s in t.scopes.values() if s.kind is ScopeKind.COND)
     t.code.remove(cond.end)
-    with pytest.raises(FormatError, match="end of scope"):
+    with pytest.raises(FormatError, match="^jump at 19 leaves scope 11 backward$"):
         Interpreter(deserialize(serialize(t)))
+
+
+def _edited(text, edit):
+    """text with edit applied to its rows, each a list of cells."""
+    rows = [row.split("\t") for row in text.split("\n")]
+    edit(rows)
+    return "\n".join("\t".join(row) for row in rows)
+
+
+def _row(rows, address):
+    return next(row for row in rows if row[0] == address)
+
+
+# the fault each end row retyped as an expression is refused for; one
+# retyped as a start row opens a scope of no kind
+_NO_END = {
+    "cond": "jump at 19 leaves scope 11",
+    "decl": "code line 11 names scope None",
+    "body": "code line 11 names scope None",
+}
 
 
 @pytest.mark.parametrize("at", ["start", "expr"])
@@ -228,39 +248,34 @@ def test_a_dangling_scope_end_fails_when_the_program_is_lowered():
 )
 def test_a_scope_ending_on_no_scope_end_row_is_a_format_error(name, kind, at):
     # a scope's run resumes at its end row, so that row must emit nothing:
-    # ending on its own start it jumped back there and looped without a
-    # step, and ending on an expression it ran that row in the outer record
-    rows = [row.split("\t") for row in serialize(build(corpus.ALL_PROGRAMS[name])).split("\n")]
-    code, scopes = rows[1 : rows.index(["---"])], rows[rows.index(["---"]) + 1 :]
-    scope = next(row for row in scopes if row[1] == kind)
-    start, end = int(scope[2]), int(scope[3])
-    inside = [row[0] for row in code if start < int(row[0]) < end and row[3] == "expr"]
-    scope[3] = scope[2] if at == "start" else inside[-1]
-    with pytest.raises(FormatError, match=f"scope row {start}: end of scope {scope[3]} is no"):
-        deserialize("\n".join("\t".join(row) for row in rows))
+    # ending on a start row it jumped back there and looped without a step,
+    # and ending on an expression it ran that row in the outer record. The
+    # reader ends a scope at its end row only, so with that row retyped the
+    # scope ends nowhere and a row after it is refused
+    text = serialize(build(corpus.ALL_PROGRAMS[name]))
+    start = next(row for row in text.split("\n") if row.split("\t")[3:6] == ["sstart", "-", kind])
+    scope = start.split("\t")[0]
 
+    def retype(rows):
+        end = next(row for row in rows if row[1:2] == [scope] and row[3] == "send")
+        end[3] = "sstart" if at == "start" else "expr"
 
-def test_a_scope_row_starting_off_its_own_id_is_a_format_error():
-    # both writers keep start == id; a start elsewhere made the search read
-    # the decl scope of a body scope from the wrong row (KeyError)
-    rows = [row.split("\t") for row in serialize(build(corpus.SIN_APPROX_EXP)).split("\n")]
-    scopes = rows[rows.index(["---"]) + 1 :]
-    scope = next(row for row in scopes if row[0] == "23")
-    scope[2] = "31"
-    with pytest.raises(FormatError, match="scope row 23: start 31 is not the row's own id"):
-        deserialize("\n".join("\t".join(row) for row in rows))
+    message = _NO_END[kind] if at == "expr" else "unknown scope kind ''"
+    with pytest.raises(FormatError, match=message):
+        deserialize(_edited(text, retype))
 
 
 def test_a_jump_back_out_of_its_scope_is_a_format_error():
-    # the while loop's scope made to end past the loop's back edge: each
-    # pass opened the scope again inside itself, so every name lookup
-    # walked one record more and 20 000 steps took two minutes
-    rows = [row.split("\t") for row in serialize(build(corpus.LOOP_AND_BRANCH)).split("\n")]
-    scopes = rows[rows.index(["---"]) + 1 :]
-    scope = next(row for row in scopes if row[0] == "11")
-    scope[3] = "29"
-    with pytest.raises(FormatError, match="jump at 19 leaves scope 11 backward"):
-        deserialize("\n".join("\t".join(row) for row in rows))
+    # the while loop's end row swapped behind its back edge, so that the
+    # loop's scope holds the jump: each pass opened the scope again inside
+    # itself, so every name lookup walked one record more and 20 000 steps
+    # took two minutes
+    def swap(rows):
+        end, back = _row(rows, "18"), _row(rows, "19")
+        end[1:], back[1:] = back[1:], end[1:]
+
+    with pytest.raises(FormatError, match="^jump at 18 leaves scope 11 backward$"):
+        deserialize(_edited(LOOP_TEXT, swap))
 
 
 LOOP_TEXT = serialize(build(corpus.LOOP_AND_BRANCH))
@@ -269,13 +284,14 @@ LOOP_TEXT = serialize(build(corpus.LOOP_AND_BRANCH))
 def test_a_scope_stretched_over_rows_that_name_another_scope_is_a_format_error(
     tmp_path, capsys
 ):
-    # the while loop's scope made to end at 29 and its back edge dropped:
-    # rows 20-28 ran in the loop's record, and the file printed 0.0
-    rows = [row.split("\t") for row in LOOP_TEXT.split("\n")]
-    scopes = rows[rows.index(["---"]) + 1 :]
-    next(row for row in scopes if row[0] == "11")[3] = "29"
-    rows.remove(next(row for row in rows if row[0] == "19"))
-    text = "\n".join("\t".join(row) for row in rows)
+    # the while loop's end row and back edge dropped, so that its scope
+    # holds the rows after it: rows 20-28 ran in the loop's record, and the
+    # file printed 0.0
+    def drop(rows):
+        rows.remove(_row(rows, "18"))
+        rows.remove(_row(rows, "19"))
+
+    text = _edited(LOOP_TEXT, drop)
     message = "code line 20 names scope None, not the scope that holds it"
     with pytest.raises(FormatError, match=message):
         deserialize(text)
@@ -285,7 +301,7 @@ def test_a_scope_stretched_over_rows_that_name_another_scope_is_a_format_error(
     assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 
 
-@pytest.mark.parametrize("i", range(1, LOOP_TEXT.split("\n").index("---")))
+@pytest.mark.parametrize("i", range(1, len(LOOP_TEXT.splitlines())))
 def test_a_code_row_naming_a_scope_that_does_not_hold_it_is_a_format_error(i):
     # each row once: one outside every scope names the first scope, one
     # inside a scope (its start and end rows too) names none
@@ -328,6 +344,21 @@ def test_every_code_file_the_writers_make_passes_the_load_check(name):
         assert serialize(deserialize(text)) == text
 
 
+@pytest.mark.parametrize("name", WRITTEN)
+def test_a_decoded_file_rebuilds_the_tables_it_was_written_from(name):
+    # a file holds the code rows alone; the scope, function and class
+    # tables are built from them as the loader builds them from source
+    t = build(WRITTEN[name])
+    for stage in ("compiled", "preexecuted"):
+        if stage == "preexecuted":
+            preexecute(t)
+        loaded = deserialize(serialize(t))
+        assert loaded.scopes == t.scopes, stage
+        assert list(loaded.functions.items()) == list(t.functions.items()), stage
+        assert list(loaded.classes.items()) == list(t.classes.items()), stage
+        assert loaded.class_scopes == t.class_scopes, stage
+
+
 def _instructions(program):
     """A lowered program as plain values: each call site becomes
     (address, start, end, consts, formals, solves)."""
@@ -355,15 +386,14 @@ def bound_compiled_code_files(draw):
     """A compiled corpus code file with one code row's bound cell set to
     `B`, a function row or another code row, or its root cell to `T`."""
     name = draw(st.sampled_from(sorted(corpus.ALL_PROGRAMS)))
-    rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].split("\n")]
-    seps = [i for i, row in enumerate(rows) if row == ["---"]]
-    code, functions = rows[1 : seps[0]], rows[seps[1] + 1 : seps[2]]
+    rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].splitlines()]
+    code = rows[1:]
     cells = draw(st.sampled_from(code))
     if draw(st.booleans()):
         cells[12] = "T"
     else:
-        cells[11] = draw(st.sampled_from(["B", *(row[0] for row in functions + code)]))
-    return "\n".join("\t".join(row) for row in rows)
+        cells[11] = draw(st.sampled_from(["B", *(row[0] for row in code)]))
+    return "".join("\t".join(row) + "\n" for row in rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,24 +407,38 @@ def test_a_compiled_code_file_with_a_binding_is_a_format_error(text):
 @st.composite
 def retargeted_code_files(draw):
     """A corpus or member_reads code file, compiled or preexecuted, with
-    one or two address cells pointed at a row of the file or one past its
-    last row: the address operands of its code rows, the start, end,
-    query and parent cells of its scope rows, and the function, declaration
-    scope and root, body, returns and class cells of its function rows.
-    The other cells stay as written."""
+    one or two cells pointed at a row of the file or one past its last
+    row: the address operands of its code rows, and the cells the scope,
+    function and class tables are built from, which are the left, right
+    and weight cells of a function row (an empty right one becomes an
+    address), the class and parent name cells of a class row and the kind
+    cell of a scope start row. The other cells stay as written."""
     name = draw(st.sampled_from([*sorted(corpus.ALL_PROGRAMS), "member_reads"]))
     text = draw(st.sampled_from(_compiled_and_preexecuted(name)))
-    rows = [row.split("\t") for row in text.split("\n")]
-    seps = [i for i, row in enumerate(rows) if row == ["---"]]
-    code, scopes = rows[1 : seps[0]], rows[seps[0] + 1 : seps[1]]
-    functions = rows[seps[1] + 1 : seps[2]]
+    rows = [row.split("\t") for row in text.splitlines()]
+    code = rows[1:]
     targets = [row[0] for row in code] + [str(int(code[-1][0].split(".")[0]) + 1)]
-    cells = [(row, 4 + i) for row in code for i, k in enumerate(row[8].split(",")) if k == "a"]
-    cells += [(row, col) for row in scopes for col in range(2, 6) if row[col] != "-"]
-    cells += [(row, col) for row in functions for col in (0, 2, 3, 4, 5, 9) if row[col] != "-"]
-    for row, col in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)):
+    cells = {(i, col) for i, row in enumerate(code, 1) for col in _table_cells(row)}
+    for i, col in draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=2)):
+        row = rows[i]
         row[col] = draw(st.sampled_from(targets))
-    return "\n".join("\t".join(row) for row in rows)
+        kinds = row[8].split(",")
+        if kinds[col - 4] == "e":
+            kinds[col - 4] = "a"
+            row[8] = ",".join(kinds)
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+# the operand cells the scope, function and class tables are built from,
+# by code type: a function row's declaration, body and weight, a derive
+# marker's declaration, a class row's names and scope, a scope's kind
+_TABLE_CELLS = {"func": (5, 6, 7), "derive": (6,), "class": (5, 6), "sstart": (5,)}
+
+
+def _table_cells(row):
+    """The cells of a code row that retargeted_code_files may point elsewhere."""
+    addresses = [4 + i for i, k in enumerate(row[8].split(",")) if k == "a"]
+    return {*addresses, *_TABLE_CELLS.get(row[3], ())}
 
 
 @st.composite
@@ -404,24 +448,26 @@ def dropped_or_swapped_code_files(draw):
     their addresses. The other rows stay as written."""
     name = draw(st.sampled_from([*sorted(corpus.ALL_PROGRAMS), "member_reads"]))
     text = draw(st.sampled_from(_compiled_and_preexecuted(name)))
-    rows = [row.split("\t") for row in text.split("\n")]
-    end = rows.index(["---"])
-    i = draw(st.integers(1, end - 1))
+    rows = [row.split("\t") for row in text.splitlines()]
+    i = draw(st.integers(1, len(rows) - 1))
     if draw(st.booleans()):
         del rows[i]
     else:
-        j = draw(st.integers(1, end - 1).filter(lambda j: j != i))
+        j = draw(st.integers(1, len(rows) - 1).filter(lambda j: j != i))
         rows[i][1:], rows[j][1:] = rows[j][1:], rows[i][1:]
-    return "\n".join("\t".join(row) for row in rows)
+    return "".join("\t".join(row) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize(
     "name, i, j, message",
     [
-        ("class_solver", 11, 74, "function row 3: code line 11 is no return of its body"),
-        ("chained_derivation", 31, 64, "function row 24: code line 31 is no return of its body"),
+        ("class_solver", 11, 74, "code line 11 names scope 55, not the scope that holds it"),
+        (
+            "chained_derivation", 31, 64,
+            "code line 31 names scope None, not the scope that holds it",
+        ),
         ("sin_approx_exp", 28, 32, "code line 28 reads 31, no earlier row"),
-        ("sin_approx_exp", 17, 23, "scope start 17 does not open its own scope"),
+        ("sin_approx_exp", 17, 23, "code line 17 names scope 23, not the scope that holds it"),
     ],
 )
 def test_a_compiled_file_with_two_code_rows_swapped_is_a_format_error(name, i, j, message):
@@ -451,15 +497,16 @@ def test_a_function_row_naming_another_declarations_scope_is_a_format_error(
     # each that names a derivation target's scope ran into a KeyError in
     # runtime.lower: derivation finds the function it gives a body by its
     # declaration scope, so the target's own function kept none. The class
-    # scope that holds a member's declaration loaded and ran.
-    rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].split("\n")]
-    seps = [i for i, row in enumerate(rows) if row == ["---"]]
-    row = next(row for row in rows[seps[1] + 1 : seps[2]] if row[0] == fop)
-    row[2] = scope
+    # scope that holds a member's declaration loaded and ran. A declaration
+    # scope belongs to one function row, so the later of the two is refused
+    rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].splitlines()]
+    owner = [row[0] for row in rows if row[3:4] == ["func"] and row[5] == scope]
+    _row(rows, fop)[5] = scope
     table = tmp_path / "retargeted.ccode"
-    table.write_text("\n".join("\t".join(row) for row in rows))
+    table.write_text("".join("\t".join(row) + "\n" for row in rows))
     assert main(["run", str(table)]) == 1
-    message = f"function row {fop}: code line {row[3]} is not in scope {scope}"
+    later = max([fop, *owner], key=Address.parse)
+    message = f"function at {later} has no declaration scope of its own"
     assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
 
 
