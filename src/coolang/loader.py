@@ -105,7 +105,8 @@ def load(lines: list[CodeLine]) -> Tables:
     tables = Tables(code=CodeTable(ext), scopes=rows)
     build_functions(tables, gathered[CodeType.FUNC_OP])
     link_classes(tables, gathered[CodeType.CLASS_OP])
-    _check_duplicates(tables, gathered[CodeType.VAR_DECL])
+    check_variables(gathered[CodeType.VAR_DECL])
+    _check_patterns(tables)
     return tables
 
 
@@ -289,7 +290,8 @@ def _nearest(
     return None
 
 
-def _check_duplicates(tables: Tables, var_decls: list[ExtendedLine]) -> None:
+def check_variables(var_decls: list[ExtendedLine]) -> None:
+    """No variable is declared twice in one scope; source and file both."""
     vars_seen: set[tuple[Optional[Address], str]] = set()
     for el in var_decls:
         key = (el.scope, el.result.text)
@@ -300,6 +302,9 @@ def _check_duplicates(tables: Tables, var_decls: list[ExtendedLine]) -> None:
             )
         vars_seen.add(key)
 
+
+def _check_patterns(tables: Tables) -> None:
+    """No scope declares one pattern twice."""
     fns_seen: set = set()
     for fn in tables.functions.values():
         fn_line = tables.code[fn.func_op]

@@ -9,8 +9,13 @@ and the first fully bound candidate wins. Empty silos or the round limit
 raise an inference failure.
 
 A move too light for the next silo is built only when it might finish the
-search (may_finish), since the silo would refuse it anyway. Match results
-are kept for the whole search, keyed by what a match reads (MatchMemo).
+search (may_finish), since the silo would refuse it anyway. Known not to
+finish are: a move that leaves an unbound line it neither reaches nor
+drops, a rewrite that makes a line no prebind can bind (an operator
+outside PREBIND_OPS, or a pending actual in a slot the prebind reads),
+and a reverse match whose solved state climbs to an unbound line that
+cannot prebind over it. Match results are kept for the whole search,
+keyed by what a match reads (MatchMemo).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .code import (
 )
 from .errors import InferenceFailure
 from .matching import BindContext, Match, match_branch, pattern_reads
-from .segments import Segment
+from .segments import PREBIND_OPS, Segment
 from .silo import Silo
 
 Observer = Callable[[int, float, Segment], None]
@@ -286,15 +291,53 @@ def unbound_above(seg: Segment, walk: list[Address]) -> dict[Address, int]:
     return above
 
 
+def _prebind_reads(op: str) -> tuple[int, ...]:
+    """The value slots Segment.try_prebind reads on a line with operator op."""
+    return (SLOT_LEFT,) if op == "=" or op == "-->" else (SLOT_LEFT, SLOT_RIGHT)
+
+
+def _new_line_stays_unbound(plan: RulePlan, m: Match) -> bool:
+    """Whether a line the rewrite m makes with plan can never prebind."""
+    made = plan.lines
+    if any(src.op.text not in PREBIND_OPS for src, _, _ in made):
+        return True
+    for i, s, f in plan.uses:
+        bv = m.bindings.get(f)
+        if bv is not None and bv.pending and s in _prebind_reads(made[i][0].op.text):
+            return True
+    return False
+
+
+def _solved_root_stays_awaited(seg: Segment, root: Address) -> bool:
+    """Whether the AWAITING state of a reverse binding at root keeps the
+    nearest unbound line above it from prebinding."""
+    lines, versions = seg.lines, seg.versions
+    c, p = root, versions[root].parent
+    while p is not None:
+        ln = lines[p]
+        if ln.left.kind is OperandKind.ADDRESS and ln.left.addr == c:
+            s = SLOT_LEFT
+        elif ln.right.kind is OperandKind.ADDRESS and ln.right.addr == c:
+            s = SLOT_RIGHT
+        else:
+            return False  # a result slot passes no state up
+        if ln.bound is None:
+            op = ln.op.text
+            return ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS or s in _prebind_reads(op)
+        if ln.is_user_bound and not ln.bound_reverse:
+            return False  # a computing binding leaves its subtree SETTLED
+        c, p = p, versions[p].parent
+    return False
+
+
 def may_finish(
-    seg: Segment, m: Match, above: int, unbound: int, reached: Optional[frozenset[str]]
+    seg: Segment, m: Match, above: int, unbound: int, plan: Optional[RulePlan]
 ) -> bool:
     """False only when the move m on the entry seg cannot leave it fully bound.
 
     above counts the unbound lines on the path from m's branch to the root,
-    the branch excluded, and unbound the unbound lines of seg. reached is
-    None for a value match and, for a rewrite, the formals its result
-    reaches (rule_plan).
+    the branch excluded, and unbound the unbound lines of seg. plan is None
+    for a value match and, for a rewrite, its rule's plan (rule_plan).
 
     Why False is safe: take an unbound line of seg that is not on that
     path, not among the matched lines and not inside an operand the
@@ -308,16 +351,38 @@ def may_finish(
     unless a rewrite drops an operand: that is a child hanging off the
     matched lines that is not the actual of a formal the result reaches,
     and then unbound lines may go with it.
+
+    Two more refusals hold whatever the counts say, because the prebind
+    cannot bind a line the move leaves:
+    - A rewrite whose plan makes a line that cannot prebind. The new lines
+      start unbound, all stay under the result, and only the prebind can
+      bind them. It never binds an operator outside PREBIND_OPS, nor a
+      line where a slot it reads (left, and right unless the operator is
+      `=` or `-->`) holds a pending actual: an identifier keeps its TRUE
+      flag and a subtree keeps its state, since the rewrite moves or
+      copies the actual whole and binding changes no pending state.
+    - A reverse value match whose solved state stops the line above. The
+      solved root is AWAITING after the move, and a bound builtin or
+      reverse line takes the larger state of its left and right children,
+      so the state climbs each left or right edge until a forward binding,
+      which is SETTLED. The move writes nothing above its root. So when
+      the first unbound line of that climb is no prebind builtin, or reads
+      the climbed child through a slot the prebind reads, it stays unbound.
     """
+    if plan is None:
+        if m.fn.is_reverse and _solved_root_stays_awaited(seg, m.root):
+            return False
+    elif plan.lines and _new_line_stays_unbound(plan, m):
+        return False
     lines = seg.lines
     if above + sum(lines[a].bound is None for a in m.matched) == unbound:
         return True
-    if reached is None:
+    if plan is None:
         return False
     kept = {
         bv.operand.addr
         for f, bv in m.bindings.items()
-        if f in reached and bv.operand.kind is OperandKind.ADDRESS
+        if f in plan.reached and bv.operand.kind is OperandKind.ADDRESS
     }
     gone = set(m.matched)
     return any(c not in gone and c not in kept for a in m.matched for c in seg.children(a))
@@ -436,8 +501,8 @@ def search_segment(
                     if not nxt.admits(w2):
                         if above is None:
                             above = unbound_above(seg, walk)
-                        reached = rule_plan(tables, fn).reached if fn.is_exp else None
-                        if not may_finish(seg, m, above[branch], len(branches), reached):
+                        plan = rule_plan(tables, fn) if fn.is_exp else None
+                        if not may_finish(seg, m, above[branch], len(branches), plan):
                             continue
                     cand = seg.copy()
                     if fn.is_exp:

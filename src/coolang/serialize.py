@@ -29,7 +29,7 @@ from .code import (
     Tables,
 )
 from .errors import FormatError, LoadError
-from .loader import build_functions, close_scope, link_classes, open_scope
+from .loader import build_functions, check_variables, close_scope, link_classes, open_scope
 
 _MAGIC = "COOLCC 1"
 
@@ -184,12 +184,14 @@ def _check_links(tables: Tables) -> None:
     """The one check of what a row may name, made once at load so that
     lowering and preexecute trust every link (the README lists the rules
     per row type). It builds the scope table in its pass over the rows,
-    then the function and class tables with the loader's builders, and
-    sets each bound expression's bound_reverse from its function."""
+    then the function and class tables with the loader's builders, checks
+    that no variable is declared twice in one scope as the loader does,
+    and sets each bound expression's bound_reverse from its function."""
     try:
-        funcs, class_ops, bound = _check_rows(tables)
+        funcs, class_ops, var_decls, bound = _check_rows(tables)
         build_functions(tables, funcs)
         link_classes(tables, class_ops)
+        check_variables(var_decls)
     except LoadError as exc:
         raise FormatError(str(exc)) from None
     functions = tables.functions
@@ -201,18 +203,20 @@ def _check_links(tables: Tables) -> None:
         ln.bound_reverse = fn.is_reverse
 
 
-def _check_rows(tables: Tables) -> tuple[list, list, list]:
+def _check_rows(tables: Tables) -> tuple[list, list, list, list]:
     """One pass over the code rows in address order: it checks each row,
-    fills the scope table, and returns the function rows, the class rows
-    and the rows bound to a function row, in address order."""
+    fills the scope table, and returns the function rows, the class rows,
+    the variable declarations and the rows bound to a function row, in
+    address order."""
     scopes, code = tables.scopes, tables.code
     get = code.get
     # Enum members bound once: reading one off its class costs a lookup each row
     expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
     opens, closes = CodeType.SCOPE_START, CodeType.SCOPE_END
-    func, cls = CodeType.FUNC_OP, CodeType.CLASS_OP
+    func, cls, var = CodeType.FUNC_OP, CodeType.CLASS_OP, CodeType.VAR_DECL
     funcs: list[ExtendedLine] = []
     class_ops: list[ExtendedLine] = []
+    var_decls: list[ExtendedLine] = []
     bound: list[ExtendedLine] = []
     first = last = None  # the current expression run's first and last rows
     held: list[Address] = []  # the scopes that hold the row, innermost last
@@ -269,6 +273,8 @@ def _check_rows(tables: Tables) -> tuple[list, list, list]:
             funcs.append(ln)
         elif t is cls:
             class_ops.append(ln)
+        elif t is var:
+            var_decls.append(ln)
         # a start row names its own scope, an end row the scope it closes
         if ln.scope != (held[-1] if held else None):
             raise FormatError(f"code line {a} names scope {ln.scope}, not the scope that holds it")
@@ -278,7 +284,7 @@ def _check_rows(tables: Tables) -> tuple[list, list, list]:
         _check_later(later, first, last, get, scopes, compiled)
     if held:
         raise FormatError(f"unclosed scope starting at code line {held[-1]}")
-    return funcs, class_ops, bound
+    return funcs, class_ops, var_decls, bound
 
 
 def _read_outside(a: Address, r: Address, get) -> None:

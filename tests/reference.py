@@ -396,9 +396,9 @@ def search_segment(
                     if observer is not None:
                         observer(rnd, w2, cand)
                     if cand.fully_bound():
-                        reached = search.rule_plan(tables, fn).reached if fn.is_exp else None
+                        plan = search.rule_plan(tables, fn) if fn.is_exp else None
                         above = _unbound_above(seg, branch)
-                        assert may_finish(seg, m, above, len(branches), reached)
+                        assert may_finish(seg, m, above, len(branches), plan)
                         return BindOutcome(weight=w2, rounds=rnd, segment=cand)
                     # what the weight floor refuses needs no digest (see Silo)
                     if nxt.admits(w2):

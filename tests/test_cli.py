@@ -407,6 +407,23 @@ def test_a_code_table_naming_a_parent_twice_is_a_format_error(tmp_path, capsys):
     assert "FormatError: class 'B' inherits 'A' twice" in capsys.readouterr().err
 
 
+def test_a_code_table_declaring_a_variable_twice_in_one_scope_is_a_format_error(
+    tmp_path, capsys
+):
+    # as source the same program is a DuplicateDeclaration
+    src = write(tmp_path, "two.cool", "new: a = 1;\nnew: b = 2;\na --> 0;\nb --> 0;\n")
+    assert main(["compile", src]) == 0
+
+    def rename(rows):
+        [row for row in rows if row[3] == "var" and row[7] == "b"][0][7] = "a"
+
+    _edit_rows(tmp_path / "two.ccode", rename)
+    assert main(["run", str(tmp_path / "two.ccode")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FormatError: variable 'a' declared twice in the same scope" in captured.err
+
+
 def _set(address, col, value):
     """An edit of one cell of the code row at address."""
 

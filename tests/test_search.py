@@ -155,10 +155,11 @@ def test_one_slot_silo_keeps_only_the_heaviest_candidate():
         )
     assert "round limit" in str(ei.value)
     assert ei.value.rounds == 3
-    # both rules fire each round the pattern allows, but only the heavier
-    # candidate survives a one-slot silo; the lighter one flips the operands
-    # back and forth without ever being expanded
-    assert events == [(1, 10.0), (1, -1.0), (2, 20.0), (3, 30.0), (3, 19.0)]
+    # both rules match each round the pattern allows, but only the heavier
+    # candidate survives a one-slot silo; the lighter flip is not built,
+    # since it keeps the pending q under its new `+` line, which cannot
+    # prebind and so cannot finish the search
+    assert events == [(1, 10.0), (2, 20.0), (3, 30.0)]
 
 
 def test_unbindable_expression_fails_with_an_empty_silo():
@@ -974,6 +975,81 @@ def test_a_too_light_rewrite_that_drops_an_unbound_operand_is_built():
     src = "\n".join(rules) + "\nnew: y = 0;\n0 * (3 + y) + 1 * $y == 40;\n"
     got = assert_search_matches_the_reference(src, SearchOptions(silo_size=2, max_rounds=5))
     assert got[0] == "bound"
+
+
+# (weights of _PRUNING_RULES, None for a rule left out; the rest of the
+# program; silo sizes; round limit) for moves that may_finish reasons about
+_TOO_LIGHT_CASES = {
+    # `0 + $y` commutes to `$y + 0` and `#a + 0` hands y itself to `==`: a
+    # rule whose result is a bare formal makes no line that could stay
+    # unbound, even though the actual it passes on is pending
+    "bare-formal-result": ((0, 0, 0, 0, 10, 10, 10), "new: y = 0;\n(0 + $y) == 0;\n", (1,), 3),
+    # with four slots the reverse `+` binds `$y + 1 + 2`, g binds forward
+    # over the awaiting sum and `==` prebinds over g; the inner `$y + 1`
+    # then finishes, its solved state climbing a bound reverse line to g,
+    # which computes
+    "under-a-forward-call": (
+        (-1, None, None, None, 10, 10, 10),
+        "@g(x){ return: x * 2; }\nnew: y = 0;\ng($y + 1 + 2) == 10;\n",
+        (1, 4),
+        3,
+    ),
+    # the derived body `ans = <chain>` reaches the chain through its result
+    # slot, which the prebind does not read; with the commuting rule heavier
+    # than the reverse `+`, the reverse `+` that finishes is too light for
+    # one slot
+    "under-a-result-slot": (
+        (11, None, None, None, 10, 10, 10),
+        "@ shift (a) by (b){ return: a + b; } => @ unshift ($a) by (b);\n"
+        "new: h = 0;\nunshift ($h) by (7) == 20;\n",
+        (1, 2),
+        3,
+    ),
+    # `#a * 2` makes a `twice` line, which no prebind binds, while the
+    # reverse `*` path still binds
+    "result-line-is-a-user-call": (
+        (-1, 1, None, None, 10, 10, 10),
+        "@ twice (x){ return: x * 2; }\nexp: @(2){ #a * 2 }{ return: twice (a); }\n"
+        "new: y = 0;\n$y * 2 + 3 == 11;\n",
+        (2,),
+        4,
+    ),
+    # after the reverse `+` and `==`, the too-light rewrite of `twice (3)`
+    # to `3 * 2` finishes: its new line holds no pending, so it prebinds
+    "result-line-over-settled-actuals": (
+        (-1, None, None, None, 10, 10, 10),
+        "exp: @(-2){ twice (#a) }{ return: a * 2; }\nnew: y = 0;\n$y + twice (3) == 10;\n",
+        (2,),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOO_LIGHT_CASES))
+def test_a_too_light_move_binds_like_the_reference(case):
+    weights, program, silo_sizes, max_rounds = _TOO_LIGHT_CASES[case]
+    rules = [r.format(w) for r, w in zip(_PRUNING_RULES, weights) if w is not None]
+    src = "\n".join(rules) + "\n" + program
+    for silo_size in silo_sizes:
+        got = assert_search_matches_the_reference(src, SearchOptions(silo_size, max_rounds))
+        assert got[0] == "bound"
+
+
+def test_every_candidate_deep_bind_builds_is_offered_to_the_silo():
+    # on deep_bind every too-light move is a commuting rewrite that keeps a
+    # pending under its new `+` or a reverse match under an unbound `+` or
+    # `==`, and may_finish refuses all of them
+    t = build(corpus.workloads.generate("deep_bind", 1).source)
+    built, offered = [], []
+    real_offer = Silo.offer
+
+    def offer(silo, weight, digest, item):
+        offered.append(weight)
+        return real_offer(silo, weight, digest, item)
+
+    with mock.patch.object(Silo, "offer", offer):
+        preexecute(t, observer=lambda rnd, w, seg: built.append(w))
+    assert len(built) == len(offered) == 3783
 
 
 def test_a_long_statement_builds_a_few_candidates_before_the_round_limit():
