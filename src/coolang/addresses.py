@@ -55,6 +55,11 @@ class Address(tuple):
         return cls(self)  # raises the constructor's error
 
 
+def row_address(n: int) -> Address:
+    """Address((n,)) for an int n >= 1, which needs no check."""
+    return tuple.__new__(Address, (n,))
+
+
 def _padded(digits: tuple[int, ...], n: int) -> tuple[int, ...]:
     return digits + (0,) * (n - len(digits))
 

@@ -49,28 +49,40 @@ class ExecFlag(Enum):
     COND = "C"
 
 
-@dataclass(frozen=True)
 class Operand:
-    kind: OperandKind
-    num: float = 0.0
-    text: str = ""
-    addr: Optional[Address] = None
+    """One quaternion cell. Operands are shared between lines and tables
+    and never written after __init__, so equal cells may be one object;
+    equality and hash go by value."""
+
+    __slots__ = ("kind", "num", "text", "addr")
+
+    def __init__(self, kind: OperandKind, num=0.0, text="", addr: Optional[Address] = None):
+        self.kind, self.num, self.text, self.addr = kind, num, text, addr
+
+    def _value(self) -> tuple:
+        return self.kind, self.num, self.text, self.addr
+
+    def __eq__(self, other):
+        return self._value() == other._value() if other.__class__ is Operand else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     @staticmethod
     def number(value: float) -> "Operand":
-        return Operand(OperandKind.NUMBER, num=float(value))
+        return Operand(OperandKind.NUMBER, float(value))
 
     @staticmethod
     def string(value: str) -> "Operand":
-        return Operand(OperandKind.TEXT, text=value)
+        return Operand(OperandKind.TEXT, 0.0, value)
 
     @staticmethod
     def ident(name: str) -> "Operand":
-        return Operand(OperandKind.IDENT, text=name)
+        return Operand(OperandKind.IDENT, 0.0, name)
 
     @staticmethod
     def address(addr: Address) -> "Operand":
-        return Operand(OperandKind.ADDRESS, addr=addr)
+        return Operand(OperandKind.ADDRESS, 0.0, "", addr)
 
     @staticmethod
     def empty() -> "Operand":
@@ -159,7 +171,7 @@ BUILTIN = "builtin"
 CONTROL_TYPES = (CodeType.JUMP, CodeType.RETURN)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtendedLine:
     address: Address
     scope: Optional[Address]
@@ -176,9 +188,9 @@ class ExtendedLine:
     bound: object = None  # None | BUILTIN | Address of the bound function
     bound_reverse: bool = False  # bound function solves rather than computes
     root: bool = False
-    # not a field: the line's digest row, which segments.Segment.digest
-    # keeps once the line is shared and never written again; copy() drops it
-    digest_row = None
+    # the line's digest row, which segments.Segment.digest keeps once the
+    # line is shared and never written again; copy() drops it
+    digest_row: object = field(default=None, compare=False, repr=False)
 
     def slot(self, i: int) -> Operand:
         return (self.op, self.left, self.right, self.result)[i]
@@ -192,20 +204,12 @@ class ExtendedLine:
         return isinstance(self.bound, Address)
 
     def copy(self) -> "ExtendedLine":
+        # positional, as serialize._read_code builds lines: keywords would
+        # make a copy about twice as slow
         return ExtendedLine(
-            address=self.address,
-            scope=self.scope,
-            exec_flag=self.exec_flag,
-            ctype=self.ctype,
-            op=self.op,
-            left=self.left,
-            right=self.right,
-            result=self.result,
-            formal=list(self.formal),
-            pending=list(self.pending),
-            bound=self.bound,
-            bound_reverse=self.bound_reverse,
-            root=self.root,
+            self.address, self.scope, self.exec_flag, self.ctype,
+            self.op, self.left, self.right, self.result,
+            self.formal.copy(), self.pending.copy(), self.bound, self.bound_reverse, self.root,
         )
 
     def __repr__(self) -> str:

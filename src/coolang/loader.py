@@ -16,7 +16,7 @@ from __future__ import annotations
 import graphlib
 from typing import Iterable, Optional
 
-from .addresses import Address
+from .addresses import Address, row_address
 from .code import (
     OUT_MARK,
     VALUE_SLOTS,
@@ -59,7 +59,7 @@ def load(lines: list[CodeLine]) -> Tables:
     # the open expression's identifier slots: (line, slot, bare name)
     run: list[tuple[ExtendedLine, int, str]] = []
     for i, ln in enumerate(lines, 1):
-        addr = Address((i,))
+        addr = row_address(i)
         ctype = ln.ctype
         scope = stack[-1] if stack else None
         if ctype is CodeType.SCOPE_START:

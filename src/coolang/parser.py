@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .addresses import Address
+from .addresses import Address, row_address
 from .code import (
     OUT_MARK,
     PENDING_MARK,
@@ -140,10 +140,10 @@ class Parser:
         return addr
 
     def _addr_of(self, idx: int) -> Operand:
-        return Operand.address(Address((idx + 1,)))
+        return Operand.address(row_address(idx + 1))
 
     def _next_index_operand(self) -> Operand:
-        return Operand.address(Address((len(self.lines) + 1,)))
+        return Operand.address(row_address(len(self.lines) + 1))
 
     def _block(self, kind: str) -> int:
         """Emit `{ items }` as a scope of the given kind; returns its start."""

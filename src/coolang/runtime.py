@@ -393,6 +393,10 @@ def _arithmetic(op: str, fn):
 
 
 def _divide(a, b, address: Address) -> float:
+    if a.__class__ is float and b.__class__ is float and b:
+        v = a / b
+        if isfinite(v):
+            return v
     x, y = _num(a, "/", address), _num(b, "/", address)
     if y == 0.0:
         raise CoolRuntimeError(f"division by zero at {address}")
@@ -400,13 +404,15 @@ def _divide(a, b, address: Address) -> float:
 
 
 def _power(a, b, address: Address) -> float:
-    x, y = _num(a, "^", address), _num(b, "^", address)
-    if x < 0.0 and y != math.floor(y):
-        raise CoolRuntimeError(f"fractional power of a negative number at {address}")
-    if x == 0.0 and y < 0.0:
-        raise CoolRuntimeError(f"zero to a negative power at {address}")
+    # any power of a positive float is legal
+    if a.__class__ is not float or b.__class__ is not float or not a > 0.0:
+        a, b = _num(a, "^", address), _num(b, "^", address)
+        if a < 0.0 and b != math.floor(b):
+            raise CoolRuntimeError(f"fractional power of a negative number at {address}")
+        if a == 0.0 and b < 0.0:
+            raise CoolRuntimeError(f"zero to a negative power at {address}")
     try:
-        v = x**y
+        v = a**b
     except OverflowError:
         v = math.inf
     return _finite(v, "^", address)

@@ -40,7 +40,7 @@ from .code import (
 )
 from .errors import InferenceFailure
 from .matching import BindContext, Match, match_branch, pattern_reads
-from .segments import PREBIND_OPS, Segment
+from .segments import PREBIND_OPS, PREBIND_READS, Segment
 from .silo import Silo
 
 Observer = Callable[[int, float, Segment], None]
@@ -291,11 +291,6 @@ def unbound_above(seg: Segment, walk: list[Address]) -> dict[Address, int]:
     return above
 
 
-def _prebind_reads(op: str) -> tuple[int, ...]:
-    """The value slots Segment.try_prebind reads on a line with operator op."""
-    return (SLOT_LEFT,) if op == "=" or op == "-->" else (SLOT_LEFT, SLOT_RIGHT)
-
-
 def _new_line_stays_unbound(plan: RulePlan, m: Match) -> bool:
     """Whether a line the rewrite m makes with plan can never prebind."""
     made = plan.lines
@@ -303,7 +298,7 @@ def _new_line_stays_unbound(plan: RulePlan, m: Match) -> bool:
         return True
     for i, s, f in plan.uses:
         bv = m.bindings.get(f)
-        if bv is not None and bv.pending and s in _prebind_reads(made[i][0].op.text):
+        if bv is not None and bv.pending and s in PREBIND_READS[made[i][0].op.text]:
             return True
     return False
 
@@ -323,7 +318,7 @@ def _solved_root_stays_awaited(seg: Segment, root: Address) -> bool:
             return False  # a result slot passes no state up
         if ln.bound is None:
             op = ln.op.text
-            return ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS or s in _prebind_reads(op)
+            return ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS or s in PREBIND_READS[op]
         if ln.is_user_bound and not ln.bound_reverse:
             return False  # a computing binding leaves its subtree SETTLED
         c, p = p, versions[p].parent
@@ -357,10 +352,10 @@ def may_finish(
     - A rewrite whose plan makes a line that cannot prebind. The new lines
       start unbound, all stay under the result, and only the prebind can
       bind them. It never binds an operator outside PREBIND_OPS, nor a
-      line where a slot it reads (left, and right unless the operator is
-      `=` or `-->`) holds a pending actual: an identifier keeps its TRUE
-      flag and a subtree keeps its state, since the rewrite moves or
-      copies the actual whole and binding changes no pending state.
+      line where a slot it reads (PREBIND_READS) holds a pending actual:
+      an identifier keeps its TRUE flag and a subtree keeps its state,
+      since the rewrite moves or copies the actual whole and binding
+      changes no pending state.
     - A reverse value match whose solved state stops the line above. The
       solved root is AWAITING after the move, and a bound builtin or
       reverse line takes the larger state of its left and right children,

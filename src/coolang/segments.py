@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .addresses import Address
+from .addresses import Address, row_address
 from .code import (
     BUILTIN,
     SLOT_LEFT,
@@ -60,6 +60,12 @@ PREBIND_OPS = frozenset(
     {"+", "-", "*", "/", "^", "==", "<", ">", "<=", ">=", "=", "-->", "neg"}
 )
 
+# the value slots Segment.try_prebind reads on a line with each of them:
+# `=` and `-->` write their right, so only their left must be determined
+PREBIND_READS = {
+    op: (SLOT_LEFT,) if op in ("=", "-->") else (SLOT_LEFT, SLOT_RIGHT) for op in PREBIND_OPS
+}
+
 # working copies number their new lines from here, far above any table address
 _STAGING_BASE = 10**9
 
@@ -71,7 +77,7 @@ SETTLED, AWAITING, OPEN = 0, 1, 2
 
 def staging_address(seq: int) -> Address:
     """The seq-th fresh address of a working copy."""
-    return Address((_STAGING_BASE + seq,))
+    return row_address(_STAGING_BASE + seq)
 
 
 def _template(ln: ExtendedLine) -> tuple[tuple, tuple[Address, ...]]:
@@ -363,16 +369,16 @@ class Segment:
     # --- builtin prebinding ---
 
     def try_prebind(self, addr: Address) -> bool:
-        """Bind a builtin whose value slots are SETTLED and whose children
-        inside the segment are bound; `=` and `-->` read only their left."""
+        """Bind a builtin whose read slots (PREBIND_READS) are SETTLED and
+        name no unbound child inside the segment."""
         lines = self.lines
         ln = lines[addr]
         if ln.bound is not None or ln.ctype is not CodeType.EXPR:
             return False
-        op = ln.op.text
-        if op not in PREBIND_OPS:
+        reads = PREBIND_READS.get(ln.op.text)
+        if reads is None:
             return False
-        for s in (SLOT_LEFT,) if op == "=" or op == "-->" else (SLOT_LEFT, SLOT_RIGHT):
+        for s in reads:
             if self.slot_state(ln, s) != SETTLED:
                 return False
             o = ln.slot(s)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from functools import partial
 from typing import Optional
 from urllib.parse import quote, unquote
 
@@ -132,18 +133,22 @@ def _split_kinds(text: str) -> list[str]:
 def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
     """The code rows, from file line 2 on, decoded in one pass.
 
-    Equal cells share one decoded value: operands are frozen, and each
-    line still gets its own pending and formal lists. Cells are checked in
-    the order of the row-by-row reader in tests/reference.py (the bound
-    before the address, the pending flags after the operands), so a row
-    with several faults reports the same one.
+    Equal cells share one decoded value: operands are shared and never
+    written, and each line still gets its own pending and formal lists.
+    Cells are checked in the order of the row-by-row reader in
+    tests/reference.py (the bound before the address, the pending flags
+    after the operands), so a row with several faults reports the same one.
     """
     scopes = _Memo(addrs.__getitem__, {"-": None})
     bounds = _Memo(addrs.__getitem__, {"-": None, "B": BUILTIN})
     kinds = _Memo(_split_kinds)
-    operands = _Memo(lambda cell: _dec_operand(*cell, addrs))
+    # kind letter -> a memo of its cells; a bad letter raises at its slot's turn
+    operands = _Codes(OperandKind)
+    for k in operands:
+        operands[k] = _Memo(partial(_dec_operand, k, addrs=addrs))
     pendings = _Memo(lambda text: [_PEND_FLAGS[c] for c in text])
     formals = _Memo(lambda text: [c == "T" for c in text])
+    parse = addrs.decode
     code: dict[Address, ExtendedLine] = {}
     try:
         for lineno, row in enumerate(rows, 2):
@@ -154,17 +159,19 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
             if len(cols[9]) != 4 or len(cols[10]) != 4:
                 raise ValueError("pending and formal flags must cover all four slots")
             bound = bounds[cols[11]]
-            address = addrs[cols[0]]
+            address = addrs.get(cols[0])  # mostly new: parsed without the miss path
+            if address is None:
+                address = addrs[cols[0]] = parse(cols[0])
             # positional: twelve keywords would add about a microsecond a row
             ln = ExtendedLine(
                 address,
                 scopes[cols[1]],
                 _EXEC_FLAGS[cols[2]],
                 _CODE_TYPES[cols[3]],
-                operands[op, cols[4]],
-                operands[left, cols[5]],
-                operands[right, cols[6]],
-                operands[result, cols[7]],
+                operands[op][cols[4]],
+                operands[left][cols[5]],
+                operands[right][cols[6]],
+                operands[result][cols[7]],
                 formals[cols[10]].copy(),
                 pendings[cols[9]].copy(),
                 bound,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coolang.addresses import Address, allocate_between, run_between
+from coolang.addresses import Address, allocate_between, row_address, run_between
 from coolang.code import (
     SLOT_LEFT,
     SLOT_RESULT,
@@ -178,6 +178,15 @@ def test_parse_agrees_with_the_constructor_on_any_text(text):
     else:
         a = Address.parse(text)
         assert a == expected and type(a) is Address
+
+
+@given(st.integers(1, 10**12))
+@example(1)
+@example(10**9)
+def test_row_address_is_the_checked_one_digit_address(n):
+    a = row_address(n)
+    assert a == Address((n,)) and type(a) is Address
+    assert hash(a) == hash(Address((n,))) and str(a) == str(n)
 
 
 def _line(addr: Address) -> ExtendedLine:

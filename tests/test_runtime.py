@@ -130,6 +130,43 @@ def test_numeric_faults_stop_the_run():
         corpus.outputs("new: a = 10 ^ 400;\n")
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("new: a = 1 / 0;", "division by zero at 2"),
+        ("new: a = 1 / (0 - 0);", "division by zero at 3"),
+        ('new: a = "s" / 2;', "'/' needs numbers, got str at 2"),
+        ('new: a = 2 / "s";', "'/' needs numbers, got str at 2"),
+        ("new: a = 10 ^ 300 / (1 / 10 ^ 300);", "'/' left the number range at 5"),
+        ('new: a = "s" ^ 2;', "'^' needs numbers, got str at 2"),
+        ('new: a = 2 ^ "s";', "'^' needs numbers, got str at 2"),
+        ("new: a = 10 ^ 400;", "'^' left the number range at 2"),
+        ("new: a = (0 - 2) ^ 0.5;", "fractional power of a negative number at 3"),
+        ("new: a = 0 ^ (0 - 1);", "zero to a negative power at 3"),
+    ],
+)
+def test_division_and_power_faults_keep_their_text_and_address(src, message):
+    with pytest.raises(CoolRuntimeError) as exc:
+        corpus.outputs(src + "\n")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        ("7 / 2", 3.5),
+        ("(0 - 7) / 2", -3.5),
+        ("2 ^ 0.5", 2**0.5),
+        ("4 ^ (0 - 0.5)", 0.5),
+        ("(0 - 2) ^ 3", -8.0),
+        ("0 ^ 2", 0.0),
+        ("0 ^ 0", 1.0),
+    ],
+)
+def test_division_and_power_values(expr, value):
+    assert corpus.outputs(f"new: a = {expr};\na --> 0;\n") == [repr(value)]
+
+
 def test_the_interpreter_refuses_raw_code():
     with pytest.raises(CoolRuntimeError, match="preexecuted"):
         Interpreter(build(corpus.ADD_TO))

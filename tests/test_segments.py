@@ -25,7 +25,7 @@ from coolang.code import (
     OperandKind,
     PendFlag,
 )
-from coolang.segments import AWAITING, OPEN, PREBIND_OPS, SETTLED, Segment
+from coolang.segments import AWAITING, OPEN, PREBIND_OPS, PREBIND_READS, SETTLED, Segment
 
 
 def line(addr, op, left, right, result=None, ctype=CodeType.EXPR, pending=None):
@@ -110,8 +110,7 @@ def reference_prebind(lines):
             op = ln.op.text
             if ln.bound is not None or ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS:
                 continue
-            slots = (SLOT_LEFT,) if op in ("=", "-->") else (SLOT_LEFT, SLOT_RIGHT)
-            if all(determined(ln, s) for s in slots):
+            if all(determined(ln, s) for s in PREBIND_READS[op]):
                 ln.bound, ln.root = BUILTIN, True
                 changed = True
     return {a: (ln.bound, ln.root) for a, ln in lines.items()}
