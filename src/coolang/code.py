@@ -351,7 +351,7 @@ class CodeTable:
 
         None unless every level is an ACCESS_MEMBER line and the last base
         is an identifier. A loaded table's member accesses read earlier
-        ones (serialize._check_links), so the walk ends.
+        ones (loader.index), so the walk ends.
         """
         names: list[str] = []
         while True:

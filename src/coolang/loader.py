@@ -1,14 +1,14 @@
 """Table loader: raw compiler output to addressed, flagged tables.
 
-Responsibilities: address assignment, scope structure, exec flags,
-marker stripping with per-expression propagation, formal-parameter flags,
-function/class table construction, duplicate detection. One pass over the
-stream makes the lines and gathers the rows the table builders read.
+Responsibilities: address assignment, scope cells, exec flags, marker
+stripping with per-expression propagation and formal-parameter flags, in
+one pass over the stream; then index.
 
-The scope, function and class tables index the code rows and are built
-from them alone: the loader opens and closes scopes in its pass and then
-calls build_functions and link_classes, and serialize.deserialize does the
-same over the rows of a `.ccode` file.
+index is the one check and indexing pass over code rows, for loaded
+source and for a decoded `.ccode` file (serialize.deserialize) alike: it
+checks every link a row names, builds the scope, function and class
+tables from the rows, and refuses a scope that declares a variable or a
+pattern twice.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 
 from .addresses import Address, row_address
 from .code import (
+    BUILTIN,
     OUT_MARK,
     VALUE_SLOTS,
     ClassInfo,
@@ -46,32 +47,41 @@ from .errors import (
 
 
 _SCOPE_KINDS = {k.value: k for k in ScopeKind}
+_EXEC_FLAGS = {
+    ScopeKind.DECL: ExecFlag.FALSE,
+    ScopeKind.BODY: ExecFlag.COND,
+    ScopeKind.CLASS: ExecFlag.COND,
+}
 
 
 def load(lines: list[CodeLine]) -> Tables:
-    rows: dict[Address, ScopeInfo] = {}
-    stack: list[Address] = []
     ext: list[ExtendedLine] = []
-    # the rows the table builders read after the pass, by code type
-    gathered: dict[CodeType, list[ExtendedLine]] = {
-        t: [] for t in (CodeType.JUMP, CodeType.FUNC_OP, CodeType.CLASS_OP, CodeType.VAR_DECL)
-    }
+    # the open scopes' start rows and kinds, innermost last
+    stack: list[tuple[Address, Optional[ScopeKind]]] = []
+    # rows of condition scopes: they may run when a jump targets their scope
+    conds: list[ExtendedLine] = []
+    jump_targets: set[Optional[Address]] = set()
     # the open expression's identifier slots: (line, slot, bare name)
     run: list[tuple[ExtendedLine, int, str]] = []
     for i, ln in enumerate(lines, 1):
         addr = row_address(i)
         ctype = ln.ctype
-        scope = stack[-1] if stack else None
         if ctype is CodeType.SCOPE_START:
-            open_scope(rows, addr, ln.left.text, scope)
-            scope = addr
-            stack.append(addr)
-        elif ctype is CodeType.SCOPE_END:
-            close_scope(rows, stack, addr)
-        el = ExtendedLine(addr, scope, ExecFlag.TRUE, ctype, ln.op, ln.left, ln.right, ln.result)
+            stack.append((addr, _SCOPE_KINDS.get(ln.left.text)))
+        # a start row is in its own scope, an end row in the scope it closes
+        scope, kind = stack[-1] if stack else (None, None)
+        if ctype is CodeType.SCOPE_END and stack:
+            stack.pop()
+        elif ctype is CodeType.JUMP:
+            jump_targets.add(ln.right.addr)
+        # declarations never run; bodies, classes and jumped-to conditions may
+        flag = _EXEC_FLAGS.get(kind, ExecFlag.TRUE)
+        el = ExtendedLine(addr, scope, flag, ctype, ln.op, ln.left, ln.right, ln.result)
         ext.append(el)
+        if kind is ScopeKind.COND:
+            conds.append(el)
         is_expr = ctype is CodeType.EXPR
-        formal = is_expr and scope is not None and rows[scope].kind is ScopeKind.DECL
+        formal = is_expr and kind is ScopeKind.DECL
         for s in VALUE_SLOTS:
             o = el.slot(s)
             if o.kind is not OperandKind.IDENT:
@@ -88,25 +98,15 @@ def load(lines: list[CodeLine]) -> Tables:
                 el.formal[s] = True
             if is_expr and bare:
                 run.append((el, s, bare))
-        if not is_expr:
-            if run:
-                _propagate_markers(run)
-                run = []
-            if ctype in gathered:
-                gathered[ctype].append(el)
-    if stack:
-        raise UnbalancedScopes(f"unclosed scope starting at code line {stack[-1]}")
+        if not is_expr and run:
+            _propagate_markers(run)
+            run = []
     _propagate_markers(run)
-
-    jump_targets = {
-        el.right.addr for el in gathered[CodeType.JUMP] if el.right.kind is OperandKind.ADDRESS
-    }
-    _assign_exec_flags(ext, rows, jump_targets)
-    tables = Tables(code=CodeTable(ext), scopes=rows)
-    build_functions(tables, gathered[CodeType.FUNC_OP])
-    link_classes(tables, gathered[CodeType.CLASS_OP])
-    check_variables(gathered[CodeType.VAR_DECL])
-    _check_patterns(tables)
+    for el in conds:
+        if el.scope in jump_targets:
+            el.exec_flag = ExecFlag.COND
+    tables = Tables(code=CodeTable(ext))
+    index(tables)
     return tables
 
 
@@ -124,40 +124,155 @@ def _propagate_markers(run: list[tuple[ExtendedLine, int, str]]) -> None:
                 el.pending[s] = PendFlag.UNRELATED
 
 
-def _assign_exec_flags(
-    ext: list[ExtendedLine],
-    rows: dict[Address, ScopeInfo],
-    jump_targets: set[Address],
-) -> None:
-    """Rows start TRUE; declarations never run, bodies, classes and jumped-to conditions may."""
-    for el in ext:
-        if el.scope is None:
+def index(tables: Tables) -> None:
+    """The one check of what a row may name, and the tables that index the
+    rows: source and `.ccode` obey the same rules from here (the README
+    lists them per row type), so that lowering and preexecute trust every
+    link. One pass over the code rows in address order checks each row and
+    fills the scope table; then the function and class tables are built,
+    no scope may declare one variable or one pattern twice, and each bound
+    expression's bound_reverse is set from its function. Raises a LoadError."""
+    scopes, code = tables.scopes, tables.code
+    get = code.get
+    # Enum members bound once: reading one off its class costs a lookup each row
+    expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
+    opens, closes = CodeType.SCOPE_START, CodeType.SCOPE_END
+    func, cls, var = CodeType.FUNC_OP, CodeType.CLASS_OP, CodeType.VAR_DECL
+    funcs: list[ExtendedLine] = []
+    class_ops: list[ExtendedLine] = []
+    var_decls: list[ExtendedLine] = []
+    bound: list[ExtendedLine] = []
+    first = last = None  # the current expression run's first and last rows
+    held: list[Address] = []  # the scopes that hold the row, innermost last
+    later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
+    compiled = not tables.preexecuted  # only preexecute binds
+    for ln in code.lines():
+        a, t, r = ln.address, ln.ctype, ln.result.addr
+        if compiled and (ln.bound is not None or ln.root):
+            raise LoadError(f"code line {a} is bound in a file that is not preexecuted")
+        if r is not None and r != a and (t is not expr or ln.op.text != "="):
+            raise LoadError(f"code line {a} writes its result to {r}, not to its own row")
+        if t is expr:
+            first, last = first or a, a
+            b = ln.bound
+            if b is not None and b is not BUILTIN:
+                bound.append(ln)
+            for r in (ln.left.addr, ln.right.addr, None if r == a else r):
+                if r is None:
+                    continue
+                if r >= a:
+                    later.append((ln, r))
+                elif r < first or r not in code:
+                    _read_outside(a, r, get)
+        else:
+            if later:
+                _check_later(later, first, last, get, scopes, compiled)
+                later = []
+            first = None
+        r = ln.left.addr
+        if t is member:
+            base = get(r) if r is not None and r < a else None
+            if ln.left.kind is not OperandKind.IDENT and (base is None or base.ctype is not member):
+                raise LoadError(f"member access {a} reads no name and no earlier member access")
+        elif t is jump or t is ret:
+            read = get(r)
+            if r is not None and (read is None or read.scope != ln.scope):
+                raise LoadError(f"code line {a} reads {r}, no row of its scope")
+            if read is not None and read.ctype is not expr and read.ctype is not member:
+                raise LoadError(f"code line {a} reads {r}, no expression or member access")
+            to = ln.right.addr
+            if t is jump and (to is None or to not in code and code.next_after(to)):
+                raise LoadError(f"jump at {a} has no target row")
+            # back to or before its scope's start row, a jump would open the
+            # scope again inside itself on every pass
+            if t is jump and held and to <= held[-1]:
+                raise LoadError(f"jump at {a} leaves scope {held[-1]} backward")
+        elif t is opens:
+            kind = _SCOPE_KINDS.get(ln.left.text)
+            if kind is None:
+                raise LoadError(
+                    f"scope start at code line {a} names unknown scope kind {ln.left.text!r}"
+                )
+            scopes[a] = ScopeInfo(kind, a, a, held[-1] if held else None)
+            # preexecute skips a declaration by its start row's flag alone
+            if (ln.exec_flag is ExecFlag.FALSE) != (kind is ScopeKind.DECL):
+                raise LoadError(f"scope start {a} does not open its own scope")
+            held.append(a)
+        elif t is func:
+            funcs.append(ln)
+        elif t is cls:
+            class_ops.append(ln)
+        elif t is var:
+            var_decls.append(ln)
+        # a start row names its own scope, an end row the scope it closes
+        if ln.scope != (held[-1] if held else None):
+            raise LoadError(f"code line {a} names scope {ln.scope}, not the scope that holds it")
+        if t is closes:
+            if not held:
+                raise UnbalancedScopes(f"scope end at code line {a} closes no scope")
+            scopes[held.pop()].end = a
+    if later:
+        _check_later(later, first, last, get, scopes, compiled)
+    if held:
+        raise UnbalancedScopes(f"unclosed scope starting at code line {held[-1]}")
+    build_functions(tables, funcs)
+    link_classes(tables, class_ops)
+    variables: set[tuple[Optional[Address], str]] = set()
+    for ln in var_decls:
+        key = (ln.scope, ln.result.text)
+        if key in variables:
+            raise DuplicateDeclaration(
+                f"variable {ln.result.text!r} declared twice in the same scope, "
+                f"again at code line {ln.address}"
+            )
+        variables.add(key)
+    functions = tables.functions
+    for ln in bound:
+        a, b = ln.address, ln.bound
+        fn = functions.get(b)
+        if fn is None or ln.root and fn.body_scope is None:
+            raise LoadError(f"code line {a} is bound to {b}, no function with a body")
+        ln.bound_reverse = fn.is_reverse
+    _check_patterns(tables)
+
+
+def _read_outside(a: Address, r: Address, get) -> None:
+    """A read out of its expression run must name a member access."""
+    read = get(r)
+    if read is None or read.ctype is not CodeType.ACCESS_MEMBER:
+        raise LoadError(f"code line {a} reads {r}, no row of its expression or member access")
+
+
+def _check_later(later: list, first: Address, last: Address, get, scopes, compiled: bool) -> None:
+    """The reads of run [first, last] that name a row at or after the reader.
+    Every cycle of reads has one, so only these start a walk for a cycle
+    through a row that is not user-bound. runtime._align refuses the rest.
+    Outside declarations a compiled file has none: the parser writes a line
+    after the lines it reads, and preexecute takes a run's last line for
+    its root."""
+    ahead = None  # the first such read outside a declaration
+    for ln, r in later:
+        read = get(r)
+        if r > last or read is None:
+            _read_outside(ln.address, r, get)
             continue
-        kind = rows[el.scope].kind
-        if kind is ScopeKind.DECL:
-            el.exec_flag = ExecFlag.FALSE
-        elif kind in (ScopeKind.BODY, ScopeKind.CLASS) or (
-            kind is ScopeKind.COND and el.scope in jump_targets
-        ):
-            el.exec_flag = ExecFlag.COND
-
-
-def open_scope(
-    scopes: dict[Address, ScopeInfo], addr: Address, kind: str, parent: Optional[Address]
-) -> ScopeInfo:
-    """Add the scope a start row opens inside parent; its end row closes it."""
-    known = _SCOPE_KINDS.get(kind)
-    if known is None:
-        raise LoadError(f"scope start at code line {addr} names unknown scope kind {kind!r}")
-    scopes[addr] = ScopeInfo(known, addr, addr, parent)
-    return scopes[addr]
-
-
-def close_scope(scopes: dict[Address, ScopeInfo], stack: list[Address], addr: Address) -> None:
-    """End the innermost open scope at its end row addr."""
-    if not stack:
-        raise UnbalancedScopes(f"scope end at code line {addr} closes no scope")
-    scopes[stack.pop()].end = addr
+        info = scopes.get(ln.scope)
+        if info is not None and info.kind is ScopeKind.DECL:
+            continue
+        ahead = ahead or (ln.address, r)
+        # (row, path holds a row not user-bound); a result naming its own row is seen
+        stack, seen = [(read, not (ln.is_user_bound and read.is_user_bound))], set()
+        while stack:
+            x, other = stack.pop()
+            if x is ln and other:
+                raise LoadError(f"code line {ln.address} reads {r}, which reads back to it")
+            if (x.address, other) not in seen:
+                seen.add((x.address, other))
+                for y in map(get, (x.left.addr, x.right.addr, x.result.addr)):
+                    if y is not None and first <= y.address <= last:
+                        stack.append((y, other or not y.is_user_bound))
+    if compiled and ahead is not None:
+        raise LoadError(f"code line {ahead[0]} reads {ahead[1]}, no earlier row")
 
 
 def _span(tables: Tables, start: Address) -> list[ExtendedLine]:
@@ -290,31 +405,28 @@ def _nearest(
     return None
 
 
-def check_variables(var_decls: list[ExtendedLine]) -> None:
-    """No variable is declared twice in one scope; source and file both."""
-    vars_seen: set[tuple[Optional[Address], str]] = set()
-    for el in var_decls:
-        key = (el.scope, el.result.text)
-        if key in vars_seen:
-            raise DuplicateDeclaration(
-                f"variable {el.result.text!r} declared twice in the same scope, "
-                f"again at code line {el.address}"
-            )
-        vars_seen.add(key)
-
-
 def _check_patterns(tables: Tables) -> None:
-    """No scope declares one pattern twice."""
-    fns_seen: set = set()
+    """No scope declares one pattern twice. Equal patterns share their
+    scope, root operator and kind, so a function is digested only when an
+    earlier one shares those with it."""
+    code = tables.code
+    firsts: dict[tuple, Optional[FunctionInfo]] = {}  # None once digested
+    shapes: set[tuple] = set()
     for fn in tables.functions.values():
-        fn_line = tables.code[fn.func_op]
-        key = (fn_line.scope, _decl_digest(tables, fn), fn.is_exp)
-        if key in fns_seen:
+        key = (code[fn.func_op].scope, fn.name, fn.is_exp)
+        first = firsts.setdefault(key, fn)
+        if first is fn:
+            continue
+        if first is not None:
+            shapes.add((key, _decl_digest(tables, first)))
+            firsts[key] = None
+        shape = (key, _decl_digest(tables, fn))
+        if shape in shapes:
             raise DuplicateDeclaration(
                 f"duplicate declaration of {fn.name!r} in the same scope, "
                 f"again at code line {fn.func_op}"
             )
-        fns_seen.add(key)
+        shapes.add(shape)
 
 
 def _decl_digest(tables: Tables, fn: FunctionInfo) -> tuple:

@@ -4,8 +4,9 @@ A header line, then the code rows: tab-separated, sorted by address, so
 equal tables always serialize to identical bytes. Operand columns are
 typed by the KINDS column; text payloads are percent-escaped. The scope,
 function and class tables are indexes over the code rows, so the file
-holds none of them: reading a file builds them from its rows with the
-loader's builders, as loading source does.
+holds none of them. Reading a file decodes its rows and hands them to
+loader.index, the pass that also checks and indexes loaded source; a
+rule the rows break is a FormatError with the loader's text.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .code import (
     Operand,
     OperandKind,
     PendFlag,
-    ScopeKind,
     Tables,
 )
 from .errors import FormatError, LoadError
-from .loader import build_functions, check_variables, close_scope, link_classes, open_scope
+from .loader import index
 
 _MAGIC = "COOLCC 1"
 
@@ -187,152 +187,6 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
     return CodeTable(code.values())
 
 
-def _check_links(tables: Tables) -> None:
-    """The one check of what a row may name, made once at load so that
-    lowering and preexecute trust every link (the README lists the rules
-    per row type). It builds the scope table in its pass over the rows,
-    then the function and class tables with the loader's builders, checks
-    that no variable is declared twice in one scope as the loader does,
-    and sets each bound expression's bound_reverse from its function."""
-    try:
-        funcs, class_ops, var_decls, bound = _check_rows(tables)
-        build_functions(tables, funcs)
-        link_classes(tables, class_ops)
-        check_variables(var_decls)
-    except LoadError as exc:
-        raise FormatError(str(exc)) from None
-    functions = tables.functions
-    for ln in bound:
-        a, b = ln.address, ln.bound
-        fn = functions.get(b)
-        if fn is None or ln.root and fn.body_scope is None:
-            raise FormatError(f"code line {a} is bound to {b}, no function with a body")
-        ln.bound_reverse = fn.is_reverse
-
-
-def _check_rows(tables: Tables) -> tuple[list, list, list, list]:
-    """One pass over the code rows in address order: it checks each row,
-    fills the scope table, and returns the function rows, the class rows,
-    the variable declarations and the rows bound to a function row, in
-    address order."""
-    scopes, code = tables.scopes, tables.code
-    get = code.get
-    # Enum members bound once: reading one off its class costs a lookup each row
-    expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
-    opens, closes = CodeType.SCOPE_START, CodeType.SCOPE_END
-    func, cls, var = CodeType.FUNC_OP, CodeType.CLASS_OP, CodeType.VAR_DECL
-    funcs: list[ExtendedLine] = []
-    class_ops: list[ExtendedLine] = []
-    var_decls: list[ExtendedLine] = []
-    bound: list[ExtendedLine] = []
-    first = last = None  # the current expression run's first and last rows
-    held: list[Address] = []  # the scopes that hold the row, innermost last
-    later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
-    compiled = not tables.preexecuted  # only preexecute binds
-    for ln in code.lines():
-        a, t, r = ln.address, ln.ctype, ln.result.addr
-        if compiled and (ln.bound is not None or ln.root):
-            raise FormatError(f"code line {a} is bound in a file that is not preexecuted")
-        if r is not None and r != a and (t is not expr or ln.op.text != "="):
-            raise FormatError(f"code line {a} writes its result to {r}, not to its own row")
-        if t is expr:
-            first, last = first or a, a
-            b = ln.bound
-            if b is not None and b is not BUILTIN:
-                bound.append(ln)
-            for r in (ln.left.addr, ln.right.addr, None if r == a else r):
-                if r is None:
-                    continue
-                if r >= a:
-                    later.append((ln, r))
-                elif r < first or r not in code:
-                    _read_outside(a, r, get)
-        else:
-            if later:
-                _check_later(later, first, last, get, scopes, compiled)
-                later = []
-            first = None
-        r = ln.left.addr
-        if t is member:
-            base = get(r) if r is not None and r < a else None
-            if ln.left.kind is not OperandKind.IDENT and (base is None or base.ctype is not member):
-                raise FormatError(f"member access {a} reads no name and no earlier member access")
-        elif t is jump or t is ret:
-            read = get(r)
-            if r is not None and (read is None or read.scope != ln.scope):
-                raise FormatError(f"code line {a} reads {r}, no row of its scope")
-            if read is not None and read.ctype is not expr and read.ctype is not member:
-                raise FormatError(f"code line {a} reads {r}, no expression or member access")
-            to = ln.right.addr
-            if t is jump and (to is None or to not in code and code.next_after(to)):
-                raise FormatError(f"jump at {a} has no target row")
-            # back to or before its scope's start row, a jump would open the
-            # scope again inside itself on every pass
-            if t is jump and held and to <= held[-1]:
-                raise FormatError(f"jump at {a} leaves scope {held[-1]} backward")
-        elif t is opens:
-            info = open_scope(scopes, a, ln.left.text, held[-1] if held else None)
-            # preexecute skips a declaration by its start row's flag alone
-            if (ln.exec_flag is ExecFlag.FALSE) != (info.kind is ScopeKind.DECL):
-                raise FormatError(f"scope start {a} does not open its own scope")
-            held.append(a)
-        elif t is func:
-            funcs.append(ln)
-        elif t is cls:
-            class_ops.append(ln)
-        elif t is var:
-            var_decls.append(ln)
-        # a start row names its own scope, an end row the scope it closes
-        if ln.scope != (held[-1] if held else None):
-            raise FormatError(f"code line {a} names scope {ln.scope}, not the scope that holds it")
-        if t is closes:
-            close_scope(scopes, held, a)
-    if later:
-        _check_later(later, first, last, get, scopes, compiled)
-    if held:
-        raise FormatError(f"unclosed scope starting at code line {held[-1]}")
-    return funcs, class_ops, var_decls, bound
-
-
-def _read_outside(a: Address, r: Address, get) -> None:
-    """A read out of its expression run must name a member access."""
-    read = get(r)
-    if read is None or read.ctype is not CodeType.ACCESS_MEMBER:
-        raise FormatError(f"code line {a} reads {r}, no row of its expression or member access")
-
-
-def _check_later(later: list, first: Address, last: Address, get, scopes, compiled: bool) -> None:
-    """The reads of run [first, last] that name a row at or after the reader.
-    Every cycle of reads has one, so only these start a walk for a cycle
-    through a row that is not user-bound. runtime._align refuses the rest.
-    Outside declarations a compiled file has none: the parser writes a line
-    after the lines it reads, and preexecute takes a run's last line for
-    its root."""
-    ahead = None  # the first such read outside a declaration
-    for ln, r in later:
-        read = get(r)
-        if r > last or read is None:
-            _read_outside(ln.address, r, get)
-            continue
-        info = scopes.get(ln.scope)
-        if info is not None and info.kind is ScopeKind.DECL:
-            continue
-        ahead = ahead or (ln.address, r)
-        # (row, path holds a row not user-bound); a result naming its own row is seen
-        stack, seen = [(read, not (ln.is_user_bound and read.is_user_bound))], set()
-        while stack:
-            x, other = stack.pop()
-            if x is ln and other:
-                raise FormatError(f"code line {ln.address} reads {r}, which reads back to it")
-            if (x.address, other) not in seen:
-                seen.add((x.address, other))
-                for y in map(get, (x.left.addr, x.right.addr, x.result.addr)):
-                    if y is not None and first <= y.address <= last:
-                        stack.append((y, other or not y.is_user_bound))
-    if compiled and ahead is not None:
-        raise FormatError(f"code line {ahead[0]} reads {ahead[1]}, no earlier row")
-
-
 def serialize(tables: Tables) -> str:
     out = [_MAGIC + (" preexec" if tables.preexecuted else "")]
     out.extend(_enc_line(ln) for ln in tables.code.lines())
@@ -350,7 +204,10 @@ def deserialize(text: str) -> Tables:
         code=_read_code(lines[1:], _Memo(Address.parse)),
         preexecuted=header == "preexec",
     )
-    _check_links(tables)
+    try:
+        index(tables)
+    except LoadError as exc:
+        raise FormatError(str(exc)) from None
     return tables
 
 

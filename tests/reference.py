@@ -33,7 +33,8 @@ from coolang.code import (
     Tables,
     split_markers,
 )
-from coolang.errors import FormatError, InferenceFailure, PrecompileError
+from coolang.errors import FormatError, InferenceFailure, LoadError, PrecompileError
+from coolang.loader import index
 from coolang.matching import BindContext, Match, match_branch
 from coolang.precompile import ARG_MARKER, KEYWORDS, SourceUnit, _normalize
 from coolang import search
@@ -50,7 +51,6 @@ from coolang.serialize import (
     _EXEC_FLAGS,
     _MAGIC,
     _PEND_FLAGS,
-    _check_links,
     _dec_operand,
     _Memo,
 )
@@ -473,7 +473,10 @@ def deserialize(text: str) -> Tables:
         if ln.address in tables.code:
             raise FormatError(f"address {ln.address} appears twice")
         tables.code.insert(ln)
-    _check_links(tables)
+    try:
+        index(tables)
+    except LoadError as exc:
+        raise FormatError(str(exc)) from None
     return tables
 
 

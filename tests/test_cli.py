@@ -424,6 +424,33 @@ def test_a_code_table_declaring_a_variable_twice_in_one_scope_is_a_format_error(
     assert "FormatError: variable 'a' declared twice in the same scope" in captured.err
 
 
+def test_a_code_table_declaring_a_pattern_twice_in_one_scope_is_a_format_error(
+    tmp_path, capsys
+):
+    # as source the same program is a DuplicateDeclaration; unchecked, the file prints 2.0
+    src = write(
+        tmp_path,
+        "rules.cool",
+        "exp: @(1){ #a - #b }{ return: a; } exp: @(2){ #a + #b }{ return: b; } "
+        "new: x = 5 - 3; x --> 0;",
+    )
+    assert main(["compile", src]) == 0
+
+    def subtract(rows):
+        row = next(row for row in rows if row[0] == "12")
+        assert row[4] == "%2B"
+        row[4] = "-"
+
+    _edit_rows(tmp_path / "rules.ccode", subtract)
+    assert main(["run", str(tmp_path / "rules.ccode")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "coolc: FormatError: duplicate declaration of '-' in the same scope, "
+        "again at code line 10\n"
+    )
+
+
 def _set(address, col, value):
     """An edit of one cell of the code row at address."""
 

@@ -12,7 +12,17 @@ from coolang import build, preexecute
 from coolang.addresses import Address
 from coolang.code import PendFlag, ScopeKind
 from coolang.cli import main
-from coolang.errors import CoolError, FormatError
+from coolang.errors import (
+    CoolError,
+    DuplicateDeclaration,
+    FormatError,
+    InheritanceCycle,
+    LoadError,
+    UnbalancedScopes,
+)
+from coolang.loader import load
+from coolang.parser import parse
+from coolang.precompile import precompile
 from coolang.runtime import CallSite, Interpreter, lower, run_program
 from coolang.serialize import deserialize, serialize, write_file
 
@@ -456,6 +466,69 @@ def dropped_or_swapped_code_files(draw):
         j = draw(st.integers(1, len(rows) - 1).filter(lambda j: j != i))
         rows[i][1:], rows[j][1:] = rows[j][1:], rows[i][1:]
     return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def _rename(cells, col, to):
+    """An edit of cell col of the one code row whose cells from its type on
+    start with cells."""
+
+    def edit(rows):
+        [row] = [row for row in rows if row[3 : 3 + len(cells)] == cells]
+        row[col] = to
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "good, bad, error, edit",
+    [
+        # the parser closes every scope it opens, so the source loses its
+        # last row as the file does
+        ("system: A { new: v = 1; }", None, UnbalancedScopes, list.pop),
+        (
+            "new: a = 1;\nnew: b = 2;",
+            "new: a = 1;\nnew: a = 2;",
+            DuplicateDeclaration,
+            _rename(["var", "-", "-", "-", "b"], 7, "a"),
+        ),
+        (
+            "exp: @(1){ #a - #b }{ return: a; } exp: @(2){ #a + #b }{ return: b; }",
+            "exp: @(1){ #a - #b }{ return: a; } exp: @(2){ #a - #b }{ return: b; }",
+            DuplicateDeclaration,
+            _rename(["expr", "%2B"], 4, "-"),
+        ),
+        (
+            "system: A { }\nsystem: Z { }",
+            "system: A { }\nsystem: A { }",
+            DuplicateDeclaration,
+            _rename(["class", "class", "Z"], 5, "A"),
+        ),
+        (
+            "system: A { }\nsystem: B << A { }\nsystem: C << B { }",
+            "system: A << B { }\nsystem: B << A { }\nsystem: C { }",
+            InheritanceCycle,
+            # C's inherit row made to say that A inherits B
+            _rename(["class", "inherit", "C"], 5, "A"),
+        ),
+    ],
+    ids=["unclosed-scope", "variable-twice", "pattern-twice", "class-twice", "cycle"],
+)
+def test_a_rule_broken_in_source_or_file_gives_one_text(good, bad, error, edit):
+    lines = parse(precompile([good]))
+    head, *rows = serialize(load(lines)).splitlines()
+    rows = [row.split("\t") for row in rows]
+    edit(rows)
+    if bad is None:
+        edit(lines)
+    else:
+        lines = parse(precompile([bad]))
+    with pytest.raises(LoadError) as from_source:
+        load(lines)
+    assert type(from_source.value) is error
+    text = "\n".join([head, *("\t".join(row) for row in rows)]) + "\n"
+    with pytest.raises(FormatError) as from_file:
+        deserialize(text)
+    assert str(from_file.value) == str(from_source.value)
 
 
 @pytest.mark.parametrize(
