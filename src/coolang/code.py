@@ -251,6 +251,11 @@ class FunctionInfo:
     func_op: Optional[Address] = None  # address of the FUNC_OP line (table key)
     name: Optional[str] = None  # operator text of the decl root, for diagnostics
     class_scope: Optional[Address] = None  # owning class scope, if a member
+    # the EXPR rows inside the declaration scope in address order, decl_root
+    # last: the table's own objects, gathered by loader.index. No later stage
+    # replaces one: preexecute skips declarations, a splice rewrites statement
+    # runs, derivation writes a body after its declaration and renames in place
+    decl_rows: list[ExtendedLine] = field(default_factory=list, repr=False)
 
 
 @dataclass

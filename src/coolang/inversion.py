@@ -68,19 +68,15 @@ def decl_formals(tables: Tables, fn: FunctionInfo) -> list[tuple[str, bool]]:
     """
     out: list[tuple[str, bool]] = []
     seen: set[str] = set()
-    start = fn.decl_scope
-    for ln in tables.code.between(start, tables.scopes[start].end):
-        if ln.ctype is CodeType.EXPR:
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                o = ln.slot(s)
-                if o.kind is OperandKind.IDENT and ln.formal[s]:
-                    bare = split_markers(o.text)[0]
-                    pend = ln.pending[s] is PendFlag.TRUE
-                    if bare == "":
-                        out.append((bare, pend))
-                    elif bare not in seen:
-                        seen.add(bare)
-                        out.append((bare, pend))
+    for ln in fn.decl_rows:
+        for s in (SLOT_LEFT, SLOT_RIGHT):
+            o = ln.slot(s)
+            if o.kind is OperandKind.IDENT and ln.formal[s]:
+                bare = split_markers(o.text)[0]
+                pend = ln.pending[s] is PendFlag.TRUE
+                if bare == "" or bare not in seen:
+                    seen.add(bare)
+                    out.append((bare, pend))
     return out
 
 
@@ -121,10 +117,14 @@ def _rename_slot_text(operand: Operand, new_bare: str) -> Operand:
 
 
 class _Disassembler:
-    def __init__(self, tables: Tables, fn: FunctionInfo, pending: list[str]):
+    def __init__(
+        self, tables: Tables, fn: FunctionInfo, pending: list[str], formals: list[tuple[str, bool]]
+    ):
+        if fn.body_scope is None:
+            raise NotInvertible("the forward function has no body to derive from")
         self.tables = tables
         self.fn = fn
-        self.formal_names = {n for n, _ in decl_formals(tables, fn)} - {""}
+        self.formal_names = {n for n, _ in formals} - {""}
         self.vrt: dict[str, str] = {}
         self.locals: set[str] = set()
         self.dis = Disassembly(blocks=[], replacements=[], pending=list(pending))
@@ -282,9 +282,7 @@ class _Disassembler:
 
 
 def disassemble(tables: Tables, fn: FunctionInfo, pending: list[str]) -> Disassembly:
-    if fn.body_scope is None:
-        raise NotInvertible("the forward function has no body to derive from")
-    return _Disassembler(tables, fn, pending).run()
+    return _Disassembler(tables, fn, pending, decl_formals(tables, fn)).run()
 
 
 def analyze_dependence(dis: Disassembly) -> None:
@@ -577,7 +575,6 @@ def assemble_body(
 
 
 def _adopt_names(
-    tables: Tables,
     rev: FunctionInfo,
     fwd_formals: list[tuple[str, bool]],
     rev_formals: list[tuple[str, bool]],
@@ -585,17 +582,11 @@ def _adopt_names(
     """Give anonymous reverse formals their forward names, in pattern order."""
     taken = {n for n, _ in rev_formals if n}
     leftovers = [n for n, _ in fwd_formals if n not in taken]
-    start = rev.decl_scope
-    for ln in tables.code.between(start, tables.scopes[start].end):
-        if not leftovers:
-            break
-        if ln.ctype is CodeType.EXPR:
-            for s in (SLOT_LEFT, SLOT_RIGHT):
-                o = ln.slot(s)
-                if o.kind is OperandKind.IDENT and ln.formal[s] and o.text == "":
-                    ln.set_slot(s, Operand.ident(leftovers.pop(0)))
-                    if not leftovers:
-                        break
+    for ln in rev.decl_rows:
+        for s in (SLOT_LEFT, SLOT_RIGHT):
+            o = ln.slot(s)
+            if leftovers and o.kind is OperandKind.IDENT and ln.formal[s] and o.text == "":
+                ln.set_slot(s, Operand.ident(leftovers.pop(0)))
 
 
 def derive_reverse_body(
@@ -622,9 +613,9 @@ def derive_reverse_body(
     pending = map_formals(fwd_formals, rev_formals)
     if not pending:
         raise NotInvertible("the reverse head marks nothing as pending")
-    _adopt_names(tables, rev, fwd_formals, rev_formals)
+    _adopt_names(rev, fwd_formals, rev_formals)
 
-    dis = disassemble(tables, fwd, pending)
+    dis = _Disassembler(tables, fwd, pending, fwd_formals).run()
     analyze_dependence(dis)
 
     if dis.return_seq is None:

@@ -8,7 +8,8 @@ index is the one check and indexing pass over code rows, for loaded
 source and for a decoded `.ccode` file (serialize.deserialize) alike: it
 checks every link a row names, builds the scope, function and class
 tables from the rows, and refuses a scope that declares a variable or a
-pattern twice.
+pattern twice. It alone reads a declaration's pattern rows from the code
+table; later stages read them off the declaration's FunctionInfo.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def index(tables: Tables) -> None:
     """The one check of what a row may name, and the tables that index the
     rows: source and `.ccode` obey the same rules from here (the README
     lists them per row type), so that lowering and preexecute trust every
-    link. One pass over the code rows in address order checks each row and
-    fills the scope table; then the function and class tables are built,
-    no scope may declare one variable or one pattern twice, and each bound
-    expression's bound_reverse is set from its function. Raises a LoadError."""
+    link. One pass over the code rows in address order checks each row,
+    fills the scope table and gathers the rows each function reads; then
+    the function and class tables are built, no scope may declare one
+    variable or one pattern twice, and each bound expression's
+    bound_reverse is set from its function. Raises a LoadError."""
     scopes, code = tables.scopes, tables.code
     get = code.get
     # Enum members bound once: reading one off its class costs a lookup each row
@@ -142,6 +144,9 @@ def index(tables: Tables) -> None:
     class_ops: list[ExtendedLine] = []
     var_decls: list[ExtendedLine] = []
     bound: list[ExtendedLine] = []
+    decls: dict[Address, list[ExtendedLine]] = {}  # the EXPR rows inside each declaration
+    returns: dict[Address, list[Address]] = {}  # each body scope's return: rows
+    patterns: list[list[ExtendedLine]] = []  # the open declarations' rows, innermost last
     first = last = None  # the current expression run's first and last rows
     held: list[Address] = []  # the scopes that hold the row, innermost last
     later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
@@ -154,6 +159,8 @@ def index(tables: Tables) -> None:
             raise LoadError(f"code line {a} writes its result to {r}, not to its own row")
         if t is expr:
             first, last = first or a, a
+            for rows in patterns:
+                rows.append(ln)
             b = ln.bound
             if b is not None and b is not BUILTIN:
                 bound.append(ln)
@@ -187,6 +194,11 @@ def index(tables: Tables) -> None:
             # scope again inside itself on every pass
             if t is jump and held and to <= held[-1]:
                 raise LoadError(f"jump at {a} leaves scope {held[-1]} backward")
+            if t is ret:
+                # a return: belongs to the innermost body that holds it
+                body = next((s for s in reversed(held) if scopes[s].kind is ScopeKind.BODY), None)
+                if body is not None:
+                    returns.setdefault(body, []).append(a)
         elif t is opens:
             kind = _SCOPE_KINDS.get(ln.left.text)
             if kind is None:
@@ -197,6 +209,8 @@ def index(tables: Tables) -> None:
             # preexecute skips a declaration by its start row's flag alone
             if (ln.exec_flag is ExecFlag.FALSE) != (kind is ScopeKind.DECL):
                 raise LoadError(f"scope start {a} does not open its own scope")
+            if kind is ScopeKind.DECL:
+                patterns.append(decls.setdefault(a, []))
             held.append(a)
         elif t is func:
             funcs.append(ln)
@@ -210,12 +224,15 @@ def index(tables: Tables) -> None:
         if t is closes:
             if not held:
                 raise UnbalancedScopes(f"scope end at code line {a} closes no scope")
-            scopes[held.pop()].end = a
+            info = scopes[held.pop()]
+            info.end = a
+            if info.kind is ScopeKind.DECL:
+                patterns.pop()
     if later:
         _check_later(later, first, last, get, scopes, compiled)
     if held:
         raise UnbalancedScopes(f"unclosed scope starting at code line {held[-1]}")
-    build_functions(tables, funcs)
+    build_functions(tables, funcs, decls, returns)
     link_classes(tables, class_ops)
     variables: set[tuple[Optional[Address], str]] = set()
     for ln in var_decls:
@@ -275,25 +292,19 @@ def _check_later(later: list, first: Address, last: Address, get, scopes, compil
         raise LoadError(f"code line {ahead[0]} reads {ahead[1]}, no earlier row")
 
 
-def _span(tables: Tables, start: Address) -> list[ExtendedLine]:
-    """Extended lines strictly inside a scope, boundary lines excluded."""
-    info = tables.scopes[start]
-    return tables.code.between(info.start, info.end)
-
-
-def build_functions(tables: Tables, funcs: list[ExtendedLine]) -> None:
-    """The function table over its FUNC_OP rows, in address order, once the
-    scope table is whole. A row names a declaration scope of its own and a
-    body scope, or has the derive marker that names its declaration right
-    after that scope's end row: derivation writes the body into that gap."""
+def build_functions(tables: Tables, funcs: list[ExtendedLine], decls: dict, returns: dict) -> None:
+    """The function table over its FUNC_OP rows, in address order, from the
+    scope table and the declaration and `return:` rows index gathered. A
+    row names a declaration scope of its own and a body scope, or has the
+    derive marker that names its declaration right after that scope's end
+    row: derivation writes the body into that gap."""
     rows, code = tables.scopes, tables.code
-    decls: set[Address] = set()
     for el in funcs:
         decl_start = el.left.addr
-        decl = rows.get(decl_start)
-        if decl is None or decl.kind is not ScopeKind.DECL or decl_start in decls:
+        pattern = decls.pop(decl_start, None)
+        if pattern is None:
             raise LoadError(f"function at {el.address} has no declaration scope of its own")
-        decls.add(decl_start)
+        decl = rows[decl_start]
         body_start = el.right.addr if el.right.kind is OperandKind.ADDRESS else None
         if body_start is not None and (
             body_start not in rows or rows[body_start].kind is not ScopeKind.BODY
@@ -308,38 +319,27 @@ def build_functions(tables: Tables, funcs: list[ExtendedLine]) -> None:
                 raise FunctionWithoutBody(
                     f"function at {el.address} has no body, and code line {after} derives none"
                 )
-        decl_lines = [
-            x for x in _span(tables, decl_start) if x.ctype is CodeType.EXPR
-        ]
-        if not decl_lines:
+        if not pattern:
             raise LoadError(f"empty declaration scope at {decl_start}")
-        root = decl_lines[-1]
-        is_reverse = any(
-            s
-            for x in decl_lines
-            for s in VALUE_SLOTS
-            if x.pending[s] is PendFlag.TRUE
-        )
-        returns: list[Address] = []
-        if body_start is not None:
-            for x in _span(tables, body_start):
-                if x.ctype is CodeType.RETURN and _nearest(rows, x.scope, ScopeKind.BODY) == body_start:
-                    returns.append(x.address)
+        root = pattern[-1]
+        is_reverse = any(x.pending[s] is PendFlag.TRUE for x in pattern for s in VALUE_SLOTS)
+        own_returns = returns.get(body_start, [])
         is_exp = el.op.text == "funcexp"
-        if is_exp and not returns:
+        if is_exp and not own_returns:
             # a rewrite stands for its return value; without one it has no result
             raise LoadError(f"rewrite rule at code line {el.address} has no return: statement")
         tables.functions[el.address] = FunctionInfo(
             decl_scope=decl_start,
             decl_root=root.address,
             body_scope=body_start,
-            returns=returns,
+            returns=own_returns,
             is_exp=is_exp,
             is_reverse=is_reverse,
             weight=el.result.num,
             func_op=el.address,
             name=root.op.text,
             class_scope=_nearest(rows, decl.parent, ScopeKind.CLASS),
+            decl_rows=pattern,
         )
 
 
@@ -418,9 +418,9 @@ def _check_patterns(tables: Tables) -> None:
         if first is fn:
             continue
         if first is not None:
-            shapes.add((key, _decl_digest(tables, first)))
+            shapes.add((key, _decl_digest(first)))
             firsts[key] = None
-        shape = (key, _decl_digest(tables, fn))
+        shape = (key, _decl_digest(fn))
         if shape in shapes:
             raise DuplicateDeclaration(
                 f"duplicate declaration of {fn.name!r} in the same scope, "
@@ -429,17 +429,16 @@ def _check_patterns(tables: Tables) -> None:
         shapes.add(shape)
 
 
-def _decl_digest(tables: Tables, fn: FunctionInfo) -> tuple:
+def _decl_digest(fn: FunctionInfo) -> tuple:
     """Structural shape of a declaration pattern, for duplicate detection.
 
     An identifier counts by the order of its name's first occurrence, so
     `#a - #a` differs from `#a - #b` and `#b - #a` equals `#a - #b`.
     """
-    run = [el for el in _span(tables, fn.decl_scope) if el.ctype is CodeType.EXPR]
-    index = {el.address: i for i, el in enumerate(run)}
+    index = {el.address: i for i, el in enumerate(fn.decl_rows)}
     names: dict[str, int] = {}
     shape = []
-    for el in run:
+    for el in fn.decl_rows:
         slots = []
         for s in VALUE_SLOTS:
             o = el.slot(s)

@@ -283,8 +283,7 @@ def match_branch(
     size = ctx.declarations.pattern(fn)[0]
     if size > 1 and segment.subtree_size(branch) < size:
         return None
-    decl_root = ctx.tables.code[fn.decl_root]
     m = _Matcher(segment, fn, ctx)
-    if not m.match_line(segment[branch], decl_root):
+    if not m.match_line(segment[branch], fn.decl_rows[-1]):
         return None
     return Match(fn=fn, root=branch, matched=m.matched, bindings=m.bindings)

@@ -78,7 +78,7 @@ class Declarations:
         own: dict[Optional[Address], dict[str, list[FunctionInfo]]] = {}
         for fop in sorted(tables.functions):
             fn = tables.functions[fop]
-            op = tables.code[fn.decl_root].op.text
+            op = fn.name
             self._groups.setdefault(tables.code[fop].scope, {}).setdefault(op, []).append(fn)
             own.setdefault(fn.class_scope, {}).setdefault(op, []).append(fn)
             self._named.setdefault(fn.name, []).append(fn)

@@ -215,6 +215,20 @@ def _load_workloads():
 # the benchmark's seeded workload generators: workloads.generate(name, seed)
 workloads = _load_workloads()
 
+# every program the writers are checked on: the corpus, each workload for
+# seeds 1-5, a program whose splices relocate runs of every shape and one
+# whose return: values and tests are bare member accesses
+WRITTEN = {
+    **ALL_PROGRAMS,
+    **{
+        f"{workload}-{seed}": workloads.generate(workload, seed).source
+        for workload in sorted(workloads.GENERATORS)
+        for seed in range(1, 6)
+    },
+    "relocation_shapes": RELOCATION_SHAPES,
+    "member_reads": MEMBER_READS,
+}
+
 
 __all__ = [
     "ADD_TO",
@@ -242,4 +256,5 @@ __all__ = [
     "execute",
     "outputs",
     "workloads",
+    "WRITTEN",
 ]

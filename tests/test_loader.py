@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coolang import execute
+import corpus
+from coolang import execute, preexecute
 from coolang.addresses import Address
 from coolang.code import CodeLine, CodeType, ExecFlag, Operand, PendFlag, ScopeKind
 from coolang.errors import (
@@ -184,6 +185,31 @@ def test_function_without_body_and_without_derivation():
         build("@f(a, b);")
 
 
+@pytest.mark.parametrize("name", corpus.WRITTEN)
+def test_a_function_keeps_the_table_rows_of_its_declaration(name):
+    # index gathers each declaration's rows once; no later stage may
+    # replace one, or the function would read rows the table no longer holds
+    t = build(corpus.WRITTEN[name])
+    preexecute(t)
+    for fn in t.functions.values():
+        info = t.scopes[fn.decl_scope]
+        rows = [x for x in t.code.between(info.start, info.end) if x.ctype is CodeType.EXPR]
+        assert fn.decl_rows == rows
+        assert all(x is y for x, y in zip(fn.decl_rows, rows))
+        assert fn.decl_rows[-1].address == fn.decl_root
+
+
+def test_each_return_belongs_to_the_innermost_body_that_holds_it():
+    # f's return: in its if is f's; g's return: is g's alone
+    src = (
+        "@f(x){ if (x > 1) { return: x * 2; } @g(y){ return: y + 1; } return: g(x); }\n"
+        "f(3) --> 0;\nf(0) --> 0;\n"
+    )
+    returns = {fn.name: fn.returns for fn in build(src).functions.values()}
+    assert returns == {"f": [Address((13,)), Address((28,))], "g": [Address((24,))]}
+    assert execute(src).output == ["6.0", "1.0"]
+
+
 def test_a_derive_marker_apart_from_its_declaration_is_a_load_error():
     # derivation writes the body between the declaration and its marker, so
     # the marker must follow the declaration's end row; with a variable
@@ -247,6 +273,23 @@ def _function(body):
                  result=Operand.address(Address((3,)))),
         CodeLine(CodeType.SCOPE_END),
     ]
+
+
+def test_a_scope_inside_a_declaration_keeps_its_rows_in_the_pattern():
+    # the parser never nests a scope in a declaration, but a hand-written
+    # stream may: every EXPR row inside the declaration scope is a pattern
+    # row, the nested scope's included, and the last one is the root
+    inner = [
+        CodeLine(CodeType.SCOPE_START, left=Operand.ident("plain")),
+        CodeLine(CodeType.EXPR, Operand.ident("g"), Operand.ident("b"),
+                 result=Operand.address(Address((5,)))),
+        CodeLine(CodeType.SCOPE_END),
+    ]
+    lines = _function(Operand.address(Address((8,))))
+    t = load(lines[:3] + inner + lines[3:] + _scope("body"))
+    (fn,) = t.functions.values()
+    assert [x.address for x in fn.decl_rows] == [Address((3,)), Address((5,))]
+    assert (fn.decl_root, fn.name) == (Address((5,)), "g")
 
 
 def test_a_scope_row_of_unknown_kind_is_a_load_error():

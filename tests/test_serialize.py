@@ -322,19 +322,8 @@ def test_a_code_row_naming_a_scope_that_does_not_hold_it_is_a_format_error(i):
         deserialize("\n".join("\t".join(row) for row in rows))
 
 
-# every program the writers are checked on: the corpus, each workload for
-# seeds 1-5, a program whose splices relocate runs of every shape and one
-# whose return: values and tests are bare member accesses
-WRITTEN = {
-    **corpus.ALL_PROGRAMS,
-    **{
-        f"{workload}-{seed}": corpus.workloads.generate(workload, seed).source
-        for workload in sorted(corpus.workloads.GENERATORS)
-        for seed in range(1, 6)
-    },
-    "relocation_shapes": corpus.RELOCATION_SHAPES,
-    "member_reads": corpus.MEMBER_READS,
-}
+# every program the writers are checked on
+WRITTEN = corpus.WRITTEN
 
 
 @functools.cache
