@@ -16,12 +16,18 @@ outside PREBIND_OPS, or a pending actual in a slot the prebind reads),
 and a reverse match whose solved state climbs to an unbound line that
 cannot prebind over it. Match results are kept for the whole search,
 keyed by what a match reads (MatchMemo).
+
+Each silo entry carries its value history: the value matches that made it
+from the first segment, or None once a rewrite or a move outside the
+argument of value_history made it. Equal histories make equal candidates,
+so a value match whose history and weight this round has already met is
+not built: the round has already decided what that candidate does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .addresses import Address
 from .code import (
@@ -40,7 +46,7 @@ from .code import (
 )
 from .errors import InferenceFailure
 from .matching import BindContext, Match, match_branch, pattern_reads
-from .segments import PREBIND_OPS, PREBIND_READS, Segment
+from .segments import PREBIND_OPS, PREBIND_READS, SETTLED, Segment
 from .silo import Silo
 
 Observer = Callable[[int, float, Segment], None]
@@ -303,25 +309,32 @@ def _new_line_stays_unbound(plan: RulePlan, m: Match) -> bool:
     return False
 
 
-def _solved_root_stays_awaited(seg: Segment, root: Address) -> bool:
-    """Whether the AWAITING state of a reverse binding at root keeps the
-    nearest unbound line above it from prebinding."""
+def _climb(seg: Segment, root: Address) -> Iterator[tuple[ExtendedLine, int]]:
+    """The lines above root that the pending state of root's subtree
+    reaches, nearest first, each with the slot that holds the line below:
+    the climb stops under a result slot, which passes no state up."""
     lines, versions = seg.lines, seg.versions
     c, p = root, versions[root].parent
     while p is not None:
         ln = lines[p]
         if ln.left.kind is OperandKind.ADDRESS and ln.left.addr == c:
-            s = SLOT_LEFT
+            yield ln, SLOT_LEFT
         elif ln.right.kind is OperandKind.ADDRESS and ln.right.addr == c:
-            s = SLOT_RIGHT
+            yield ln, SLOT_RIGHT
         else:
-            return False  # a result slot passes no state up
+            return
+        c, p = p, versions[p].parent
+
+
+def _solved_root_stays_awaited(seg: Segment, root: Address) -> bool:
+    """Whether the AWAITING state of a reverse binding at root keeps the
+    nearest unbound line above it from prebinding."""
+    for ln, s in _climb(seg, root):
         if ln.bound is None:
             op = ln.op.text
             return ln.ctype is not CodeType.EXPR or op not in PREBIND_OPS or s in PREBIND_READS[op]
         if ln.is_user_bound and not ln.bound_reverse:
             return False  # a computing binding leaves its subtree SETTLED
-        c, p = p, versions[p].parent
     return False
 
 
@@ -381,6 +394,72 @@ def may_finish(
     }
     gone = set(m.matched)
     return any(c not in gone and c not in kept for a in m.matched for c in seg.children(a))
+
+
+# a value move: the function's func_op, the branch root and the matched lines
+Move = tuple[Address, Address, frozenset[Address]]
+
+
+def value_history(seg: Segment, history: frozenset[Move], m: Match) -> Optional[frozenset[Move]]:
+    """The value history of the candidate that the value match m makes from
+    the entry seg, whose value history is history; None when the argument
+    below does not cover the move, and then nothing is skipped after it.
+
+    Take an entry made from the search's first segment seg0 by the moves of
+    its history H, each of which passed the checks here. The entry is then
+    fixed by seg0 and H alone, addresses included, in whatever order the
+    moves came:
+    - A value match writes bound, bound_reverse and root on its matched
+      lines and nothing else, and it must find them unbound: it claims no
+      prebound line. So the moves of H stamp disjoint lines, and the stamps
+      are the same in any order. It makes no line, so no address moves.
+    - Segment.subtree_state reads user stamps, pending flags and structure,
+      not builtin bindings, and a value match changes no flag or structure.
+      So the stamps fix every state.
+    - The prebind asks of a state only whether it is SETTLED, and only of a
+      bound child. A matched line below the root feeds only its matched
+      parent, which the stamp binds. The root becomes SETTLED (forward) or
+      AWAITING (reverse). A reverse stamp on a root that was not SETTLED
+      changes no answer: _match_leaf refuses a pending formal on a SETTLED
+      left or right slot, and that state climbs left and right edges to the
+      root. Only a pattern that holds its pending formal in a result slot,
+      which the matcher does not read, binds in reverse over a SETTLED
+      root. Where the answer at the root does change (forward over a root
+      that was not SETTLED, reverse over one that was), it climbs through
+      unbound lines, which no prebind reads, to the first line bound before
+      the move (_climb). A user binding passes no state up. A builtin does,
+      also from a slot it does not read (the right of `=` and `-->`), so
+      such a move gets no history when that line is a builtin.
+    - Hence no line bound before the move reads a changed answer, and the
+      entry's builtins stay bindable under the new stamps. A line may newly
+      bind only if a child it reads changed: the root's parent, or the
+      parent of a line bound in this pass. The move's prebind visits
+      exactly those (prebind_builtins), so it ends at the least fixpoint
+      of the new stamps, as seg0's prebind, which visits every line, did.
+    Equal histories sum the same weights, but float addition in another
+    order may round otherwise, so the search keys a history with its
+    weight. Two moves of one round with the same key make the same
+    candidate at the same weight, and the earlier decision stands for the
+    later one:
+    - an offer put its key in the silo's seen set, so the later one would
+      be refused as a duplicate;
+    - a floor refusal repeats, because a full silo's minimum never falls;
+    - a candidate that did not finish, built or not, does not finish now;
+    - a candidate that finished has already returned.
+    """
+    lines = seg.lines
+    for a in m.matched:
+        if lines[a].bound is not None:
+            return None
+    root = m.root
+    state = seg.versions[root].state
+    if state is None:
+        state = seg.subtree_state(root)
+    if (state == SETTLED) == m.fn.is_reverse:
+        above = next((ln for ln, _ in _climb(seg, root) if ln.bound is not None), None)
+        if above is not None and not above.is_user_bound:
+            return None
+    return history | {(m.fn.func_op, root, frozenset(m.matched))}
 
 
 def apply_exp_rewrite(segment: Segment, match: Match, tables: Tables) -> Optional[list[Address]]:
@@ -457,8 +536,9 @@ def search_segment(
     if seg0.fully_bound():
         return BindOutcome(weight=0.0, rounds=0, segment=seg0)
 
+    # an entry is a segment and its value history (value_history)
     silo = Silo(opts.silo_size)
-    silo.offer(0.0, seg0.digest(), seg0)
+    silo.offer(0.0, seg0.digest(), (seg0, frozenset()))
     # root operator -> its declarations, and per value slot whether one of
     # them reads the whole subtree there
     groups: dict[str, tuple[list[FunctionInfo], tuple[bool, bool]]] = {}
@@ -467,7 +547,8 @@ def search_segment(
     rnd = 0
     for rnd in range(1, opts.max_rounds + 1):
         nxt = Silo(opts.silo_size)
-        for w, seg in silo.entries():
+        decided: set[tuple[frozenset[Move], float]] = set()
+        for w, (seg, history) in silo.entries():
             walk = seg.subtree(seg.root)
             lines = seg.lines
             branches = [a for a in walk if lines[a].bound is None]
@@ -491,6 +572,13 @@ def search_segment(
                     if m is None:
                         continue
                     w2 = w + fn.weight
+                    made = None
+                    if history is not None and not fn.is_exp:
+                        made = value_history(seg, history, m)
+                    if made is not None:
+                        if (made, w2) in decided:
+                            continue  # this round already decided that candidate
+                        decided.add((made, w2))
                     # the next silo refuses this weight for the rest of the
                     # round (see Silo), so such a move counts only if it ends it
                     if not nxt.admits(w2):
@@ -513,13 +601,13 @@ def search_segment(
                         return BindOutcome(weight=w2, rounds=rnd, segment=cand)
                     # what the weight floor refuses needs no digest (see Silo)
                     if nxt.admits(w2):
-                        nxt.offer(w2, cand.digest(), cand)
+                        nxt.offer(w2, cand.digest(), (cand, made))
         if not nxt:
             raise InferenceFailure(
                 "no declaration binds the expression",
                 address=stmt_addr,
                 rounds=rnd,
-                silo=tuple((w, s.digest()) for w, s in silo.entries()),
+                silo=tuple((w, s.digest()) for w, (s, _) in silo.entries()),
                 left=0,
             )
         silo = nxt
@@ -528,7 +616,7 @@ def search_segment(
         "round limit reached before the expression was fully bound",
         address=stmt_addr,
         rounds=rnd,
-        silo=tuple((w, s.digest()) for w, s in silo.entries()),
+        silo=tuple((w, s.digest()) for w, (s, _) in silo.entries()),
         left=len(silo),
     )
 

@@ -12,7 +12,12 @@ refused on weight would be refused again whether or not its digest was
 recorded as seen. Callers may therefore ask admits() first and skip both
 the digest and the offer; the entries come out the same. For the same
 reason a caller may skip building a candidate that admits() refuses, as
-long as the candidate cannot end the search either.
+long as the candidate cannot end the search either. And since a key stays
+seen, a caller may skip a candidate it knows to equal, at the same weight,
+one it already offered to this silo or whose weight admits() already
+refused: the offer would be refused as a duplicate or on weight. The
+search knows this of value matches made in another order
+(search.value_history).
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ def test_every_error_class_carries_its_stage_exit_code():
 
 
 def test_silo_trace_lists_every_built_candidate(tmp_path, capsys, monkeypatch):
-    # one line per built candidate (README: 120 lines for 87 admissions),
+    # one line per built candidate (README: 117 lines for 87 admissions),
     # and two lines share a digest exactly when their candidates are equal
     real_tracer = cli._tracer
     refs = []
@@ -167,7 +167,7 @@ def test_silo_trace_lists_every_built_candidate(tmp_path, capsys, monkeypatch):
     trace = tmp_path / "trace.txt"
     assert main(["run", src, "--trace-silo", str(trace)]) == 0
     lines = trace.read_text().splitlines()
-    assert len(lines) == len(refs) == 120
+    assert len(lines) == len(refs) == 117
     for line in lines:
         assert re.fullmatch(r"round \d+ weight -?\d+(\.\d+)? [0-9a-f]{12}", line)
     hexes = [line.split()[-1] for line in lines]

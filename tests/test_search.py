@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import corpus
 import reference
 from reference import class_mro, evaluate, expand_rings, reference_counts, repair_detached
+from test_search_golden import chain_source
 from test_segments import (
     _reference_digest,
     ident,
@@ -15,12 +16,14 @@ from test_segments import (
     ref,
     reference_pending,
     reference_prebind,
+    segment,
 )
 from coolang import build, execute, run_program
 from coolang import inversion, search
-from coolang.code import CodeType, ExecFlag, Operand, OperandKind, ScopeKind
+from coolang.addresses import Address
+from coolang.code import SLOT_LEFT, CodeType, ExecFlag, FunctionInfo, Operand, OperandKind, ScopeKind
 from coolang.errors import InferenceFailure
-from coolang.matching import _Matcher, match_branch
+from coolang.matching import Match, _Matcher, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
 from coolang.search import SearchOptions
 from coolang.segments import OPEN, SETTLED, Segment
@@ -521,7 +524,8 @@ def preexecute_checked(t, options=None):
     def offer(silo, weight, digest, item):
         ok = real_offer(silo, weight, digest, item)
         if ok:
-            admitted.append((reference.digest(item), item))
+            seg, _ = item  # the search's entries are (segment, value history)
+            admitted.append((reference.digest(seg), seg))
         return ok
 
     def checked_search(kind):
@@ -1038,7 +1042,8 @@ def test_a_too_light_move_binds_like_the_reference(case):
 def test_every_candidate_deep_bind_builds_is_offered_to_the_silo():
     # on deep_bind every too-light move is a commuting rewrite that keeps a
     # pending under its new `+` or a reverse match under an unbound `+` or
-    # `==`, and may_finish refuses all of them
+    # `==`, and may_finish refuses all of them; a value move whose candidate
+    # the round has already decided is not built (search.value_history)
     t = build(corpus.workloads.generate("deep_bind", 1).source)
     built, offered = [], []
     real_offer = Silo.offer
@@ -1049,7 +1054,7 @@ def test_every_candidate_deep_bind_builds_is_offered_to_the_silo():
 
     with mock.patch.object(Silo, "offer", offer):
         preexecute(t, observer=lambda rnd, w, seg: built.append(w))
-    assert len(built) == len(offered) == 3783
+    assert len(built) == len(offered) == 2279
 
 
 def test_a_long_statement_builds_a_few_candidates_before_the_round_limit():
@@ -1067,3 +1072,134 @@ def test_a_long_statement_builds_a_few_candidates_before_the_round_limit():
             observer=lambda rnd, w, seg: built.append(w),
         )
     assert len(built) <= 100
+
+
+# --- a value move whose candidate the round already decided is not built --
+
+
+def admissions(searcher, src, options):
+    """bind_with, after the (weight, digest) of every admission in order."""
+    admitted = []
+    real_offer = Silo.offer
+
+    def offer(silo, weight, digest, item):
+        ok = real_offer(silo, weight, digest, item)
+        if ok:
+            admitted.append((weight, digest))
+        return ok
+
+    with mock.patch.object(Silo, "offer", offer):
+        got = bind_with(searcher, src, options)
+    return admitted, got
+
+
+_DECIDED_PROGRAMS = [f"deep_bind-{seed}" for seed in (1, 2, 3)] + [
+    f"chain-{depth}" for depth in range(2, 11)
+]
+
+
+@pytest.mark.parametrize("silo_size", [1, 2, 3, 5, 8, 64])
+@pytest.mark.parametrize("program", _DECIDED_PROGRAMS)
+def test_a_search_that_skips_decided_moves_admits_like_the_reference(program, silo_size):
+    # the reference builds every move, so the admissions, their order and
+    # how each search ends (bound, or where and how it failed) must agree
+    kind, n = program.split("-")
+    if kind == "deep_bind":
+        src = corpus.workloads.generate("deep_bind", int(n)).source
+    else:
+        src = chain_source(int(n))
+    for max_rounds in (4, 16):
+        options = SearchOptions(silo_size, max_rounds)
+        assert admissions(search.search_segment, src, options) == admissions(
+            reference.search_segment, src, options
+        )
+
+
+def _fn(func_op, is_reverse):
+    return FunctionInfo(
+        decl_scope=Address((900 + func_op,)),
+        decl_root=Address((900 + func_op,)),
+        body_scope=None,
+        is_reverse=is_reverse,
+        weight=1.0,
+        func_op=Address((func_op,)),
+    )
+
+
+def _stamp(seg, addr, fn):
+    """A candidate of seg with fn bound at addr alone, prebound."""
+    cand = seg.copy()
+    m = Match(fn=fn, root=Address((addr,)), matched=[Address((addr,))])
+    search.apply_value_match(cand, m)
+    cand.prebind_builtins()
+    return cand, m
+
+
+def test_a_move_that_claims_a_prebound_line_gets_no_history():
+    # `2 + 3 == 5` prebinds its `==`, which the forward `a == b` may claim
+    t = build("@{ a == b }{ a = b; }\n2 + 3 == 5;\n")
+    top = [ln for ln in t.code.lines() if ln.ctype is CodeType.EXPR and ln.scope is None][-1]
+    seg = Segment.from_run(t, t.expression_run(top.address))
+    ctx = PreexecUniverse(t).context_for(None)
+    (fn,) = t.functions.values()
+    m = match_branch(seg, seg.root, fn, ctx)
+    assert m is not None and seg[seg.root].bound is not None
+    assert search.value_history(seg, frozenset(), m) is None
+
+
+def test_a_move_after_a_rewrite_gets_no_history():
+    # on a chain under the commuting rule, an entry carries a history
+    # exactly when no rewrite made it, which is when it keeps the first
+    # segment's addresses: a rewrite gives its new line a staging address
+    offered = []
+    real_offer = Silo.offer
+
+    def offer(silo, weight, digest, item):
+        offered.append(item)
+        return real_offer(silo, weight, digest, item)
+
+    with mock.patch.object(Silo, "offer", offer):
+        preexecute(build(chain_source(4)))
+    assert offered[0][1] == frozenset()
+    for seg, history in offered:
+        if history == frozenset():
+            seg0 = seg  # each search offers its first segment first
+        assert (history is None) == (set(seg.lines) != set(seg0.lines))
+    assert 1 < sum(history is not None for _, history in offered) < len(offered)
+
+
+@pytest.mark.parametrize(
+    "is_reverse, pending, above",
+    [
+        (False, True, "builtin"),  # forward over an OPEN root: it settles
+        (True, False, "builtin"),  # reverse over a SETTLED root: it unsettles
+        (False, True, "user"),
+        (True, False, "user"),
+        (False, False, "builtin"),  # the answer at the root stays SETTLED
+        (True, True, "builtin"),  # and here it stays not SETTLED
+    ],
+)
+def test_a_move_that_changes_what_a_builtin_passes_up_gets_no_history(
+    is_reverse, pending, above
+):
+    # 3: 2 + 4, where 2 is `=` over 1 through its right slot, which it does
+    # not read. Binding 1 and 4 in either order must give one candidate,
+    # unless the stamp at 1 moves the root across SETTLED under a builtin:
+    # then 3 sees the change only in one order, and 1 gets no history
+    one = line(1, "k", ident("y"), num(0), pending=[SLOT_LEFT] if pending else None)
+    two = line(2, "=" if above == "builtin" else "f", num(5), ref(1))
+    if above == "user":
+        two.bound = Address((95,))
+    seg0 = segment([one, two, line(3, "+", ref(2), ref(4)), line(4, "h", num(2), num(0))], 3)
+    seg0.prebind_builtins()
+    assert seg0[Address((2,))].bound is not None
+    first, second = _fn(91, is_reverse), _fn(94, False)
+    a, ma = _stamp(seg0, 1, first)
+    ab, _ = _stamp(a, 4, second)
+    b, mb = _stamp(seg0, 4, second)
+    ba, _ = _stamp(b, 1, first)
+    history = search.value_history(seg0, frozenset(), ma)
+    assert search.value_history(seg0, frozenset(), mb) is not None
+    changes = pending is not is_reverse and above == "builtin"
+    assert (history is None) == changes
+    assert (ab.digest() != ba.digest()) == changes
