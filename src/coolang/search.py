@@ -572,9 +572,7 @@ def search_segment(
                     if m is None:
                         continue
                     w2 = w + fn.weight
-                    made = None
-                    if history is not None and not fn.is_exp:
-                        made = value_history(seg, history, m)
+                    made = None if history is None or fn.is_exp else value_history(seg, history, m)
                     if made is not None:
                         if (made, w2) in decided:
                             continue  # this round already decided that candidate

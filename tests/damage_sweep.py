@@ -26,15 +26,12 @@ import collections
 import hashlib
 import signal
 import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+import corpus
 
-import corpus  # noqa: E402
-
-from coolang import preexecute, run_program, serialize  # noqa: E402
-from coolang.errors import CoolError  # noqa: E402
-from coolang.serialize import deserialize  # noqa: E402
+from coolang import build, preexecute, run_program, serialize
+from coolang.errors import CoolError
+from coolang.serialize import deserialize
 
 # code type -> the operand columns the tables are built from
 CELLS = {"func": (5, 6, 7), "derive": (6,), "class": (5, 6), "sstart": (5,)}
@@ -55,7 +52,7 @@ def _alarm(signum, frame):
 def files():
     """(name, stage, text) for the compiled and preexecuted file of each program."""
     for name, source in PROGRAMS.items():
-        t = corpus.build(source)
+        t = build(source)
         yield name, "compiled", serialize(t)
         preexecute(t)
         yield name, "preexecuted", serialize(t)

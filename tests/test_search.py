@@ -21,7 +21,15 @@ from test_segments import (
 from coolang import build, execute, run_program
 from coolang import inversion, search
 from coolang.addresses import Address
-from coolang.code import SLOT_LEFT, CodeType, ExecFlag, FunctionInfo, Operand, OperandKind, ScopeKind
+from coolang.code import (
+    SLOT_LEFT,
+    CodeType,
+    ExecFlag,
+    FunctionInfo,
+    Operand,
+    OperandKind,
+    ScopeKind,
+)
 from coolang.errors import InferenceFailure
 from coolang.matching import Match, _Matcher, match_branch
 from coolang.preexec import PreexecUniverse, preexecute
