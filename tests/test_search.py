@@ -1086,7 +1086,7 @@ def test_a_long_statement_builds_a_few_candidates_before_the_round_limit():
 
 
 def admissions(searcher, src, options):
-    """bind_with, after the (weight, digest) of every admission in order."""
+    """The (weight, digest) of every admission in order, and what bind_with returns."""
     admitted = []
     real_offer = Silo.offer
 
@@ -1208,6 +1208,6 @@ def test_a_move_that_changes_what_a_builtin_passes_up_gets_no_history(
     ba, _ = _stamp(b, 1, first)
     history = search.value_history(seg0, frozenset(), ma)
     assert search.value_history(seg0, frozenset(), mb) is not None
-    changes = pending is not is_reverse and above == "builtin"
+    changes = pending != is_reverse and above == "builtin"
     assert (history is None) == changes
     assert (ab.digest() != ba.digest()) == changes
