@@ -2,7 +2,9 @@
 
 A program is a sequence of quaternion lines. The compiler emits bare
 CodeLine records; the loader turns them into ExtendedLine records keyed
-by multi-level address and grouped into the four tables.
+by multi-level address and grouped into the four tables. A line's scope
+and formal flags follow from its place among the rows, so loader.index
+sets them on load, from source and from a `.ccode` file alike.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .addresses import Address, run_between
 
@@ -41,12 +43,6 @@ class PendFlag(Enum):
     TRUE = "T"
     FALSE = "F"
     UNRELATED = "U"
-
-
-class ExecFlag(Enum):
-    TRUE = "T"
-    FALSE = "F"
-    COND = "C"
 
 
 class Operand:
@@ -174,15 +170,14 @@ CONTROL_TYPES = (CodeType.JUMP, CodeType.RETURN)
 @dataclass(slots=True)
 class ExtendedLine:
     address: Address
-    scope: Optional[Address]
-    exec_flag: ExecFlag
+    scope: Optional[Address]  # the innermost scope's start row, None outside all
     ctype: CodeType
     op: Operand
     left: Operand
     right: Operand
     result: Operand
-    # formal-parameter meaning inside declaration scopes, local-scope-lookup
-    # meaning elsewhere (shared storage per the table layout)
+    # per slot: a declaration pattern's name that is a formal parameter,
+    # not one marked out:; False outside declaration scopes
     formal: list[bool] = field(default_factory=lambda: [False] * 4)
     pending: list[PendFlag] = field(default_factory=lambda: [PendFlag.FALSE] * 4)
     bound: object = None  # None | BUILTIN | Address of the bound function
@@ -207,7 +202,7 @@ class ExtendedLine:
         # positional, as serialize._read_code builds lines: keywords would
         # make a copy about twice as slow
         return ExtendedLine(
-            self.address, self.scope, self.exec_flag, self.ctype,
+            self.address, self.scope, self.ctype,
             self.op, self.left, self.right, self.result,
             self.formal.copy(), self.pending.copy(), self.bound, self.bound_reverse, self.root,
         )
@@ -268,13 +263,10 @@ class ClassInfo:
 class CodeTable:
     """Extended code lines keyed ascending by address."""
 
-    def __init__(self, lines: Iterable[ExtendedLine] = ()):
-        """All lines at once, in any order: one dict, then one sort."""
-        self._map: dict[Address, ExtendedLine] = {}
-        for ln in lines:
-            if ln.address in self._map:
-                raise KeyError(f"address {ln.address} already in code table")
-            self._map[ln.address] = ln
+    def __init__(self, lines: Optional[dict[Address, ExtendedLine]] = None):
+        """All lines at once, keyed by their addresses in any order: the
+        table keeps the dict and sorts its keys once."""
+        self._map: dict[Address, ExtendedLine] = {} if lines is None else lines
         self._keys: list[Address] = sorted(self._map)
         # the jump and return rows by address, kept exact by insert and remove
         self.control = {a: ln for a, ln in self._map.items() if ln.ctype in CONTROL_TYPES}

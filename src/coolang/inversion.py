@@ -20,7 +20,6 @@ from .code import (
     SLOT_RIGHT,
     VALUE_SLOTS,
     CodeType,
-    ExecFlag,
     ExtendedLine,
     FunctionInfo,
     Operand,
@@ -364,7 +363,6 @@ class _Merger:
         line = ExtendedLine(
             address=self.fresh_addr(),
             scope=None,
-            exec_flag=ExecFlag.COND,
             ctype=CodeType.EXPR,
             op=Operand.ident("="),
             left=Operand.ident("ans"),
@@ -489,7 +487,6 @@ def assemble_body(
         return ExtendedLine(
             address=merged.fresh_address(),
             scope=None,
-            exec_flag=ExecFlag.COND,
             ctype=ctype,
             op=Operand.empty(),
             left=Operand.empty(),
@@ -561,7 +558,6 @@ def assemble_body(
     body_start = new_addrs[0]
     for ln in items:
         ln.scope = body_start
-        ln.exec_flag = ExecFlag.COND
 
     tables.scopes[body_start] = ScopeInfo(
         kind=ScopeKind.BODY,

@@ -1,15 +1,16 @@
 """Table loader: raw compiler output to addressed, flagged tables.
 
-Responsibilities: address assignment, scope cells, exec flags, marker
-stripping with per-expression propagation and formal-parameter flags, in
-one pass over the stream; then index.
+load assigns row addresses and strips identifier markers into pending
+flags, spreading each mark over its longest expression; then index.
 
 index is the one check and indexing pass over code rows, for loaded
-source and for a decoded `.ccode` file (serialize.deserialize) alike: it
-checks every link a row names, builds the scope, function and class
-tables from the rows, and refuses a scope that declares a variable or a
-pattern twice. It alone reads a declaration's pattern rows from the code
-table; later stages read them off the declaration's FunctionInfo.
+source and for a decoded `.ccode` file (serialize.deserialize) alike. It
+gives each row its scope and, in a declaration, its formal flags, which
+the order of the rows fixes; checks every link a row names; builds the
+scope, function and class tables from the rows; and refuses a scope that
+declares a variable or a pattern twice. It alone reads a declaration's
+pattern rows from the code table; later stages read them off the
+declaration's FunctionInfo.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .code import (
     CodeLine,
     CodeTable,
     CodeType,
-    ExecFlag,
     ExtendedLine,
     FunctionInfo,
     Operand,
@@ -45,44 +45,21 @@ from .errors import (
     LoadError,
     UnbalancedScopes,
 )
+from .segments import PREBIND_OPS
 
 
 _SCOPE_KINDS = {k.value: k for k in ScopeKind}
-_EXEC_FLAGS = {
-    ScopeKind.DECL: ExecFlag.FALSE,
-    ScopeKind.BODY: ExecFlag.COND,
-    ScopeKind.CLASS: ExecFlag.COND,
-}
 
 
 def load(lines: list[CodeLine]) -> Tables:
-    ext: list[ExtendedLine] = []
-    # the open scopes' start rows and kinds, innermost last
-    stack: list[tuple[Address, Optional[ScopeKind]]] = []
-    # rows of condition scopes: they may run when a jump targets their scope
-    conds: list[ExtendedLine] = []
-    jump_targets: set[Optional[Address]] = set()
+    code: dict[Address, ExtendedLine] = {}
     # the open expression's identifier slots: (line, slot, bare name)
     run: list[tuple[ExtendedLine, int, str]] = []
     for i, ln in enumerate(lines, 1):
         addr = row_address(i)
         ctype = ln.ctype
-        if ctype is CodeType.SCOPE_START:
-            stack.append((addr, _SCOPE_KINDS.get(ln.left.text)))
-        # a start row is in its own scope, an end row in the scope it closes
-        scope, kind = stack[-1] if stack else (None, None)
-        if ctype is CodeType.SCOPE_END and stack:
-            stack.pop()
-        elif ctype is CodeType.JUMP:
-            jump_targets.add(ln.right.addr)
-        # declarations never run; bodies, classes and jumped-to conditions may
-        flag = _EXEC_FLAGS.get(kind, ExecFlag.TRUE)
-        el = ExtendedLine(addr, scope, flag, ctype, ln.op, ln.left, ln.right, ln.result)
-        ext.append(el)
-        if kind is ScopeKind.COND:
-            conds.append(el)
+        el = code[addr] = ExtendedLine(addr, None, ctype, ln.op, ln.left, ln.right, ln.result)
         is_expr = ctype is CodeType.EXPR
-        formal = is_expr and kind is ScopeKind.DECL
         for s in VALUE_SLOTS:
             o = el.slot(s)
             if o.kind is not OperandKind.IDENT:
@@ -95,18 +72,13 @@ def load(lines: list[CodeLine]) -> Tables:
                 el.pending[s] = PendFlag.TRUE
             elif unrel:
                 el.pending[s] = PendFlag.UNRELATED
-            if formal and not out:
-                el.formal[s] = True
             if is_expr and bare:
                 run.append((el, s, bare))
         if not is_expr and run:
             _propagate_markers(run)
             run = []
     _propagate_markers(run)
-    for el in conds:
-        if el.scope in jump_targets:
-            el.exec_flag = ExecFlag.COND
-    tables = Tables(code=CodeTable(ext))
+    tables = Tables(code=CodeTable(code))
     index(tables)
     return tables
 
@@ -129,16 +101,18 @@ def index(tables: Tables) -> None:
     """The one check of what a row may name, and the tables that index the
     rows: source and `.ccode` obey the same rules from here (the README
     lists them per row type), so that lowering and preexecute trust every
-    link. One pass over the code rows in address order checks each row,
-    fills the scope table and gathers the rows each function reads; then
-    the function and class tables are built, no scope may declare one
-    variable or one pattern twice, and each bound expression's
-    bound_reverse is set from its function. Raises a LoadError."""
+    link. One pass over the code rows in address order gives each row its
+    scope and formal flags, checks it, fills the scope table and gathers
+    the rows each function reads; then the function and class tables are
+    built, no scope may declare one variable or one pattern twice, and
+    each bound expression's bound_reverse is set from its function.
+    Raises a LoadError."""
     scopes, code = tables.scopes, tables.code
     get = code.get
     # Enum members bound once: reading one off its class costs a lookup each row
     expr, member, jump, ret = CodeType.EXPR, CodeType.ACCESS_MEMBER, CodeType.JUMP, CodeType.RETURN
     opens, closes = CodeType.SCOPE_START, CodeType.SCOPE_END
+    ident, address = OperandKind.IDENT, OperandKind.ADDRESS
     func, cls, var = CodeType.FUNC_OP, CodeType.CLASS_OP, CodeType.VAR_DECL
     funcs: list[ExtendedLine] = []
     class_ops: list[ExtendedLine] = []
@@ -149,10 +123,13 @@ def index(tables: Tables) -> None:
     patterns: list[list[ExtendedLine]] = []  # the open declarations' rows, innermost last
     first = last = None  # the current expression run's first and last rows
     held: list[Address] = []  # the scopes that hold the row, innermost last
+    in_decl = False  # the innermost of them is a declaration
     later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
     compiled = not tables.preexecuted  # only preexecute binds
     for ln in code.lines():
         a, t, r = ln.address, ln.ctype, ln.result.addr
+        # a start row's scope is itself, an end row's the scope it closes
+        ln.scope = a if t is opens else held[-1] if held else None
         if compiled and (ln.bound is not None or ln.root):
             raise LoadError(f"code line {a} is bound in a file that is not preexecuted")
         if r is not None and r != a and (t is not expr or ln.op.text != "="):
@@ -161,8 +138,25 @@ def index(tables: Tables) -> None:
             first, last = first or a, a
             for rows in patterns:
                 rows.append(ln)
+            if in_decl:
+                # an identifier in a pattern is a formal unless out: marks it
+                formal = ln.formal
+                for s in VALUE_SLOTS:
+                    o = ln.slot(s)
+                    if o.kind is ident and not o.text.startswith(OUT_MARK):
+                        formal[s] = True
+            op = ln.op.text
+            if ln.right.kind is address and (op == "=" or op == "-->"):
+                # neither reads its right slot (segments.PREBIND_READS)
+                raise LoadError(
+                    f"code line {a} names {ln.right.addr} in its right slot, "
+                    f"which {op!r} never reads"
+                )
             b = ln.bound
-            if b is not None and b is not BUILTIN:
+            if b is BUILTIN:
+                if op not in PREBIND_OPS:
+                    raise LoadError(f"code line {a} is bound to a builtin, but {op!r} is none")
+            elif b is not None:
                 bound.append(ln)
             for r in (ln.left.addr, ln.right.addr, None if r == a else r):
                 if r is None:
@@ -183,7 +177,8 @@ def index(tables: Tables) -> None:
                 raise LoadError(f"member access {a} reads no name and no earlier member access")
         elif t is jump or t is ret:
             read = get(r)
-            if r is not None and (read is None or read.scope != ln.scope):
+            # a row's scope is known once the pass reaches it
+            if r is not None and (read is None or r > a or read.scope != ln.scope):
                 raise LoadError(f"code line {a} reads {r}, no row of its scope")
             if read is not None and read.ctype is not expr and read.ctype is not member:
                 raise LoadError(f"code line {a} reads {r}, no expression or member access")
@@ -206,10 +201,8 @@ def index(tables: Tables) -> None:
                     f"scope start at code line {a} names unknown scope kind {ln.left.text!r}"
                 )
             scopes[a] = ScopeInfo(kind, a, a, held[-1] if held else None)
-            # preexecute skips a declaration by its start row's flag alone
-            if (ln.exec_flag is ExecFlag.FALSE) != (kind is ScopeKind.DECL):
-                raise LoadError(f"scope start {a} does not open its own scope")
-            if kind is ScopeKind.DECL:
+            in_decl = kind is ScopeKind.DECL
+            if in_decl:
                 patterns.append(decls.setdefault(a, []))
             held.append(a)
         elif t is func:
@@ -218,9 +211,6 @@ def index(tables: Tables) -> None:
             class_ops.append(ln)
         elif t is var:
             var_decls.append(ln)
-        # a start row names its own scope, an end row the scope it closes
-        if ln.scope != (held[-1] if held else None):
-            raise LoadError(f"code line {a} names scope {ln.scope}, not the scope that holds it")
         if t is closes:
             if not held:
                 raise UnbalancedScopes(f"scope end at code line {a} closes no scope")
@@ -228,6 +218,7 @@ def index(tables: Tables) -> None:
             info.end = a
             if info.kind is ScopeKind.DECL:
                 patterns.pop()
+            in_decl = bool(held) and scopes[held[-1]].kind is ScopeKind.DECL
     if later:
         _check_later(later, first, last, get, scopes, compiled)
     if held:

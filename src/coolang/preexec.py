@@ -15,9 +15,9 @@ from typing import Callable, Optional
 from .addresses import Address
 from .code import (
     CodeType,
-    ExecFlag,
     ExtendedLine,
     OperandKind,
+    ScopeKind,
     Tables,
     dotted_chain,
     split_markers,
@@ -112,7 +112,7 @@ def preexecute(
     a = tables.code.first_address()
     while a is not None:
         ln = tables.code[a]
-        if ln.ctype is CodeType.SCOPE_START and ln.exec_flag is ExecFlag.FALSE:
+        if ln.ctype is CodeType.SCOPE_START and tables.scopes[a].kind is ScopeKind.DECL:
             a = tables.code.next_after(tables.scopes[a].end)
             continue
         if ln.ctype is CodeType.VAR_DECL:

@@ -316,10 +316,8 @@ def _builtin(ln: ExtendedLine, table: CodeTable, names: _Names) -> tuple:
         return (_PRINT, left)
     if op == "neg":
         return (_NEG, left, ln.address)
-    apply = _APPLY.get(op)
-    if apply is None:
-        apply = _no_builtin(op)
-    return (_BINARY, apply, left, _operand(ln.right, table, names), ln.address)
+    # loader.index admits a builtin binding only on an operator of PREBIND_OPS
+    return (_BINARY, _APPLY[op], left, _operand(ln.right, table, names), ln.address)
 
 
 def _branch(first: tuple, test: tuple, jump: tuple) -> tuple:
@@ -416,14 +414,6 @@ def _power(a, b, address: Address) -> float:
     except OverflowError:
         v = math.inf
     return _finite(v, "^", address)
-
-
-def _no_builtin(op: str):
-    def apply(a, b, address: Address):
-        _num(a, op, address), _num(b, op, address)
-        raise CoolRuntimeError(f"no builtin evaluation for {op!r}")
-
-    return apply
 
 
 _APPLY = {

@@ -550,7 +550,6 @@ class Segment:
                 old = tables.code[a]
                 staged = self.lines[a]
                 staged.scope = old.scope
-                staged.exec_flag = old.exec_flag
                 tables.code.remove(a)
                 tables.code.insert(staged)
             return {}
@@ -563,7 +562,6 @@ class Segment:
         run = [self.lines[a] for a in order]
         for ln in run:
             ln.scope = template.scope
-            ln.exec_flag = template.exec_flag
         new_addrs = tables.code.insert_run(run, lo, hi)
         mapping = dict(zip(order, new_addrs))
 

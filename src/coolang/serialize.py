@@ -1,12 +1,15 @@
 """Flat text form of the code tables.
 
 A header line, then the code rows: tab-separated, sorted by address, so
-equal tables always serialize to identical bytes. Operand columns are
-typed by the KINDS column; text payloads are percent-escaped. The scope,
-function and class tables are indexes over the code rows, so the file
-holds none of them. Reading a file decodes its rows and hands them to
-loader.index, the pass that also checks and indexes loaded source; a
-rule the rows break is a FormatError with the loader's text.
+equal tables always serialize to identical bytes. A row holds ten cells:
+address, code type, the four operands, their kinds, the pending flags,
+the bound and the root flag. Operand columns are typed by the KINDS
+column; text payloads are percent-escaped. What the order of the rows
+fixes is not stored: a row's scope and formal flags, and the scope,
+function and class tables, which index the rows. Reading a file decodes
+its rows and hands them to loader.index, the pass that also derives
+those facts for loaded source and checks it; a rule the rows break is a
+FormatError with the loader's text.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import os
 import tempfile
 from functools import partial
-from typing import Optional
 from urllib.parse import quote, unquote
 
 from .addresses import Address
@@ -22,7 +24,6 @@ from .code import (
     BUILTIN,
     CodeTable,
     CodeType,
-    ExecFlag,
     ExtendedLine,
     Operand,
     OperandKind,
@@ -50,7 +51,6 @@ class _Codes(dict):
 
 
 _CODE_TYPES = _Codes(CodeType)
-_EXEC_FLAGS = _Codes(ExecFlag)
 _OPERAND_KINDS = _Codes(OperandKind)
 _PEND_FLAGS = _Codes(PendFlag)
 
@@ -69,10 +69,6 @@ class _Memo(dict):
     def __missing__(self, text: str):
         self[text] = value = self.decode(text)
         return value
-
-
-def _enc_addr(a: Optional[Address]) -> str:
-    return "-" if a is None else str(a)
 
 
 def _enc_operand(o: Operand) -> str:
@@ -107,8 +103,6 @@ def _enc_line(ln: ExtendedLine) -> str:
         bound = str(ln.bound)
     cols = [
         str(ln.address),
-        _enc_addr(ln.scope),
-        ln.exec_flag.value,
         ln.ctype.value,
         _enc_operand(ln.op),
         _enc_operand(ln.left),
@@ -116,7 +110,6 @@ def _enc_line(ln: ExtendedLine) -> str:
         _enc_operand(ln.result),
         ",".join(o.kind.value for o in (ln.op, ln.left, ln.right, ln.result)),
         "".join(p.value for p in ln.pending),
-        "".join("T" if f else "F" for f in ln.formal),
         bound,
         "T" if ln.root else "F",
     ]
@@ -139,7 +132,6 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
     tests/reference.py (the bound before the address, the pending flags
     after the operands), so a row with several faults reports the same one.
     """
-    scopes = _Memo(addrs.__getitem__, {"-": None})
     bounds = _Memo(addrs.__getitem__, {"-": None, "B": BUILTIN})
     kinds = _Memo(_split_kinds)
     # kind letter -> a memo of its cells; a bad letter raises at its slot's turn
@@ -147,36 +139,35 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
     for k in operands:
         operands[k] = _Memo(partial(_dec_operand, k, addrs=addrs))
     pendings = _Memo(lambda text: [_PEND_FLAGS[c] for c in text])
-    formals = _Memo(lambda text: [c == "T" for c in text])
     parse = addrs.decode
     code: dict[Address, ExtendedLine] = {}
     try:
         for lineno, row in enumerate(rows, 2):
             cols = row.split("\t")
-            if len(cols) != 13:
-                raise ValueError(f"{len(cols)} columns, wanted 13")
-            op, left, right, result = kinds[cols[8]]
-            if len(cols[9]) != 4 or len(cols[10]) != 4:
-                raise ValueError("pending and formal flags must cover all four slots")
-            bound = bounds[cols[11]]
+            if len(cols) != 10:
+                raise ValueError(f"{len(cols)} columns, wanted 10")
+            op, left, right, result = kinds[cols[6]]
+            if len(cols[7]) != 4:
+                raise ValueError("pending flags must cover all four slots")
+            bound = bounds[cols[8]]
             address = addrs.get(cols[0])  # mostly new: parsed without the miss path
             if address is None:
                 address = addrs[cols[0]] = parse(cols[0])
-            # positional: twelve keywords would add about a microsecond a row
+            # positional: keywords would add about a microsecond a row; the
+            # scope and formal flags are loader.index's to set
             ln = ExtendedLine(
                 address,
-                scopes[cols[1]],
-                _EXEC_FLAGS[cols[2]],
-                _CODE_TYPES[cols[3]],
-                operands[op][cols[4]],
-                operands[left][cols[5]],
-                operands[right][cols[6]],
-                operands[result][cols[7]],
-                formals[cols[10]].copy(),
-                pendings[cols[9]].copy(),
+                None,
+                _CODE_TYPES[cols[1]],
+                operands[op][cols[2]],
+                operands[left][cols[3]],
+                operands[right][cols[4]],
+                operands[result][cols[5]],
+                [False, False, False, False],
+                pendings[cols[7]].copy(),
                 bound,
                 False,
-                cols[12] == "T",
+                cols[9] == "T",
             )
             if address in code:
                 raise FormatError(f"address {address} appears twice")
@@ -184,7 +175,7 @@ def _read_code(rows: list[str], addrs: _Memo) -> CodeTable:
     except ValueError as exc:
         # bad shapes, addresses, flags, kinds and numbers
         raise FormatError(f"line {lineno}, code row: {exc}") from None
-    return CodeTable(code.values())
+    return CodeTable(code)
 
 
 def serialize(tables: Tables) -> str:

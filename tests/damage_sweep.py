@@ -34,8 +34,8 @@ from coolang.errors import CoolError
 from coolang.serialize import deserialize
 
 # code type -> the operand columns the tables are built from
-CELLS = {"func": (5, 6, 7), "derive": (6,), "class": (5, 6), "sstart": (5,)}
-KINDS_COLUMN = 8
+CELLS = {"func": (3, 4, 5), "derive": (4,), "class": (3, 4), "sstart": (3,)}
+KINDS_COLUMN = 6
 ALARM_S = 5
 
 PROGRAMS = {**corpus.ALL_PROGRAMS, "member_reads": corpus.MEMBER_READS}
@@ -63,14 +63,14 @@ def edits(text):
     rows = [row.split("\t") for row in text.splitlines()]
     targets = [row[0] for row in rows[1:]] + ["-"]
     for i, row in enumerate(rows[1:], 1):
-        for col in CELLS.get(row[3], ()):
+        for col in CELLS.get(row[1], ()):
             for value in targets:
                 damaged = [list(r) for r in rows]
                 cell = damaged[i]
                 cell[col] = value
                 kinds = cell[KINDS_COLUMN].split(",")
-                if kinds[col - 4] == "e":
-                    kinds[col - 4] = "a"
+                if kinds[col - 2] == "e":
+                    kinds[col - 2] = "a"
                     cell[KINDS_COLUMN] = ",".join(kinds)
                 yield "".join("\t".join(r) + "\n" for r in damaged)
 

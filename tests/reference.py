@@ -48,7 +48,6 @@ from coolang.search import (
 from coolang.segments import Segment
 from coolang.serialize import (
     _CODE_TYPES,
-    _EXEC_FLAGS,
     _MAGIC,
     _PEND_FLAGS,
     _dec_operand,
@@ -165,7 +164,6 @@ def splice(seg: Segment, tables: Tables, original: list[Address]) -> dict[Addres
             old = tables.code[a]
             staged = seg.lines[a]
             staged.scope = old.scope
-            staged.exec_flag = old.exec_flag
             tables.code.remove(a)
             tables.code.insert(staged)
         return {}
@@ -178,7 +176,6 @@ def splice(seg: Segment, tables: Tables, original: list[Address]) -> dict[Addres
     run = [seg.lines[a] for a in order]
     for ln in run:
         ln.scope = template.scope
-        ln.exec_flag = template.exec_flag
     new_addrs = tables.code.insert_run(run, lo, hi)
     mapping = dict(zip(order, new_addrs))
 
@@ -424,32 +421,30 @@ def search_segment(
 
 def _dec_line(row: str, addrs: _Memo) -> ExtendedLine:
     cols = row.split("\t")
-    if len(cols) != 13:
-        raise ValueError(f"{len(cols)} columns, wanted 13")
-    kinds = cols[8].split(",")
+    if len(cols) != 10:
+        raise ValueError(f"{len(cols)} columns, wanted 10")
+    kinds = cols[6].split(",")
     if len(kinds) != 4:
         raise ValueError("operand kinds must cover all four slots")
-    if len(cols[9]) != 4 or len(cols[10]) != 4:
-        raise ValueError("pending and formal flags must cover all four slots")
-    if cols[11] == "-":
+    if len(cols[7]) != 4:
+        raise ValueError("pending flags must cover all four slots")
+    if cols[8] == "-":
         bound = None
-    elif cols[11] == "B":
+    elif cols[8] == "B":
         bound = BUILTIN
     else:
-        bound = addrs[cols[11]]
+        bound = addrs[cols[8]]
     return ExtendedLine(
         address=addrs[cols[0]],
-        scope=None if cols[1] == "-" else addrs[cols[1]],
-        exec_flag=_EXEC_FLAGS[cols[2]],
-        ctype=_CODE_TYPES[cols[3]],
-        op=_dec_operand(kinds[0], cols[4], addrs),
-        left=_dec_operand(kinds[1], cols[5], addrs),
-        right=_dec_operand(kinds[2], cols[6], addrs),
-        result=_dec_operand(kinds[3], cols[7], addrs),
-        pending=[_PEND_FLAGS[c] for c in cols[9]],
-        formal=[c == "T" for c in cols[10]],
+        scope=None,
+        ctype=_CODE_TYPES[cols[1]],
+        op=_dec_operand(kinds[0], cols[2], addrs),
+        left=_dec_operand(kinds[1], cols[3], addrs),
+        right=_dec_operand(kinds[2], cols[4], addrs),
+        result=_dec_operand(kinds[3], cols[5], addrs),
+        pending=[_PEND_FLAGS[c] for c in cols[7]],
         bound=bound,
-        root=cols[12] == "T",
+        root=cols[9] == "T",
     )
 
 

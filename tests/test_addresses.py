@@ -12,7 +12,6 @@ from coolang.code import (
     CONTROL_TYPES,
     CodeTable,
     CodeType,
-    ExecFlag,
     ExtendedLine,
     Operand,
     OperandKind,
@@ -191,7 +190,7 @@ def test_row_address_is_the_checked_one_digit_address(n):
 
 def _line(addr: Address) -> ExtendedLine:
     empty = Operand.empty()
-    return ExtendedLine(addr, None, ExecFlag.TRUE, CodeType.EXPR, empty, empty, empty, empty)
+    return ExtendedLine(addr, None, CodeType.EXPR, empty, empty, empty, empty)
 
 
 @given(
@@ -201,7 +200,7 @@ def _line(addr: Address) -> ExtendedLine:
 )
 def test_code_table_between_matches_a_full_scan(gaps, pick_lo, pick_hi):
     # grow a table the way splices do: fresh addresses inside existing gaps
-    table = CodeTable(_line(Address((i,))) for i in (1, 2, 3))
+    table = CodeTable({Address((i,)): _line(Address((i,))) for i in (1, 2, 3)})
     for g in gaps:
         keys = [*table.addresses(), None]
         i = g % (len(keys) - 1)
@@ -243,7 +242,7 @@ def test_insert_run_moves_a_run_into_a_gap_with_its_own_references(data):
                 ln.set_slot(s, Operand.address(t))
         return ln
 
-    table = CodeTable(pointing(a) for a in outside)
+    table = CodeTable({a: pointing(a) for a in outside})
     run = [pointing(a) for a in old]
     i = data.draw(st.integers(0, len(outside) - 2))
     lo, hi = outside[i], outside[i + 1]
@@ -271,7 +270,8 @@ def test_the_code_table_keeps_its_jump_and_return_rows(data):
         ln.ctype = data.draw(kinds)
         return ln
 
-    table = CodeTable(line(Address((i,))) for i in range(1, data.draw(st.integers(1, 8)) + 1))
+    n = data.draw(st.integers(1, 8))
+    table = CodeTable({Address((i,)): line(Address((i,))) for i in range(1, n + 1)})
     for _ in range(data.draw(st.integers(0, 20))):
         keys = table.addresses()
         op = data.draw(st.sampled_from(["insert", "remove", "insert_run"]))

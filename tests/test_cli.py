@@ -51,19 +51,19 @@ def test_an_instance_prints_the_same_number_on_every_run(tmp_path, capsys):
 # scope, function and class tables after the code rows, a `---` row before
 # each; cells are tab-separated in the file
 _SECTIONED = """\
-1 - T func func 2 6 0.0 i,a,a,n FFFF FFFF - F
-2 2 F sstart - decl - - e,i,e,e FFFF FFFF - F
-3 2 F expr f a - 3 i,i,e,a FFFF FTFF - F
-4 2 F eend - - - - e,e,e,e FFFF FFFF - F
-5 2 F send - - - - e,e,e,e FFFF FFFF - F
-6 6 C sstart - body - - e,i,e,e FFFF FFFF - F
-7 6 C expr %2B a 1.0 7 i,i,n,a FFFF FFFF - F
-8 6 C ret return 7 - - i,a,e,e FFFF FFFF - F
-9 6 C eend - - - - e,e,e,e FFFF FFFF - F
-10 6 C send - - - - e,e,e,e FFFF FFFF - F
-11 - T expr f 2.0 - 11 i,n,e,a FFFF FFFF - F
-12 - T expr --%3E 11 0.0 - i,a,n,e FFFF FFFF - F
-13 - T eend - - - - e,e,e,e FFFF FFFF - F
+1 func func 2 6 0.0 i,a,a,n FFFF - F
+2 sstart - decl - - e,i,e,e FFFF - F
+3 expr f a - 3 i,i,e,a FFFF - F
+4 eend - - - - e,e,e,e FFFF - F
+5 send - - - - e,e,e,e FFFF - F
+6 sstart - body - - e,i,e,e FFFF - F
+7 expr %2B a 1.0 7 i,i,n,a FFFF - F
+8 ret return 7 - - i,a,e,e FFFF - F
+9 eend - - - - e,e,e,e FFFF - F
+10 send - - - - e,e,e,e FFFF - F
+11 expr f 2.0 - 11 i,n,e,a FFFF - F
+12 expr --%3E 11 0.0 - i,a,n,e FFFF - F
+13 eend - - - - e,e,e,e FFFF - F
 ---
 2 decl 2 5 - -
 6 body 6 10 2 -
@@ -81,7 +81,27 @@ def test_a_code_table_with_table_sections_is_a_format_error(tmp_path, capsys):
     assert main(["run", str(table)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "coolc: FormatError: line 15, code row: 1 columns, wanted 13\n"
+    assert captured.err == "coolc: FormatError: line 15, code row: 1 columns, wanted 10\n"
+
+
+# `new: a = 1; a --> 0;` as the earlier writer wrote it, each row with its
+# scope, exec flag and formal flags, which the order of the rows fixes
+_THIRTEEN_CELLS = """\
+1 - T var - - - a e,e,e,i FFFF FFFF - F
+2 - T expr %3D 1.0 - a i,n,e,i FFFF FFFF - F
+3 - T eend - - - - e,e,e,e FFFF FFFF - F
+4 - T expr --%3E a 0.0 - i,i,n,e FFFF FFFF - F
+5 - T eend - - - - e,e,e,e FFFF FFFF - F
+"""
+
+
+def test_a_code_table_of_thirteen_cell_rows_is_a_format_error(tmp_path, capsys):
+    table = tmp_path / "old.ccode"
+    table.write_text("COOLCC 1\n" + _THIRTEEN_CELLS.replace(" ", "\t"))
+    assert main(["run", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coolc: FormatError: line 2, code row: 13 columns, wanted 10\n"
 
 
 def test_preexec_saves_the_bound_table_for_later_runs(tmp_path, capsys):
@@ -339,7 +359,7 @@ def _edit_rows(table, edit):
 
 def _class_row(rows, op, name, nth=0):
     """The nth `class` or `inherit` row that names the class name."""
-    return [row for row in rows if row[3:6] == ["class", op, name]][nth]
+    return [row for row in rows if row[1:4] == ["class", op, name]][nth]
 
 
 def test_a_code_table_repeating_a_class_name_is_a_format_error(tmp_path, capsys):
@@ -347,7 +367,7 @@ def test_a_code_table_repeating_a_class_name_is_a_format_error(tmp_path, capsys)
     assert main(["compile", src]) == 0
 
     def rename(rows):
-        _class_row(rows, "class", "Z")[5] = "A"
+        _class_row(rows, "class", "Z")[3] = "A"
 
     _edit_rows(tmp_path / "two.ccode", rename)
     assert main(["run", str(tmp_path / "two.ccode")]) == 1
@@ -363,7 +383,7 @@ def test_a_code_table_whose_classes_inherit_in_a_cycle_is_a_format_error(
     def cycle(rows):
         # C's inherit row made to say that A inherits B
         row = _class_row(rows, "inherit", "C")
-        row[5], row[6] = "A", "B"
+        row[3], row[4] = "A", "B"
 
     _edit_rows(tmp_path / "three.ccode", cycle)
     assert main(["run", str(tmp_path / "three.ccode")]) == 1
@@ -375,7 +395,7 @@ def test_a_code_table_inheriting_from_no_class_is_a_format_error(tmp_path, capsy
     assert main(["compile", src]) == 0
 
     def dangle(rows):
-        _class_row(rows, "inherit", "B")[6] = "Q"
+        _class_row(rows, "inherit", "B")[4] = "Q"
 
     _edit_rows(tmp_path / "two.ccode", dangle)
     assert main(["run", str(tmp_path / "two.ccode")]) == 1
@@ -400,7 +420,7 @@ def test_a_code_table_naming_a_parent_twice_is_a_format_error(tmp_path, capsys):
     assert main(["compile", src]) == 0
 
     def twice(rows):
-        _class_row(rows, "inherit", "B", 1)[6] = "A"
+        _class_row(rows, "inherit", "B", 1)[4] = "A"
 
     _edit_rows(tmp_path / "three.ccode", twice)
     assert main(["run", str(tmp_path / "three.ccode")]) == 1
@@ -415,7 +435,7 @@ def test_a_code_table_declaring_a_variable_twice_in_one_scope_is_a_format_error(
     assert main(["compile", src]) == 0
 
     def rename(rows):
-        [row for row in rows if row[3] == "var" and row[7] == "b"][0][7] = "a"
+        [row for row in rows if row[1] == "var" and row[5] == "b"][0][5] = "a"
 
     _edit_rows(tmp_path / "two.ccode", rename)
     assert main(["run", str(tmp_path / "two.ccode")]) == 1
@@ -438,8 +458,8 @@ def test_a_code_table_declaring_a_pattern_twice_in_one_scope_is_a_format_error(
 
     def subtract(rows):
         row = next(row for row in rows if row[0] == "12")
-        assert row[4] == "%2B"
-        row[4] = "-"
+        assert row[2] == "%2B"
+        row[2] = "-"
 
     _edit_rows(tmp_path / "rules.ccode", subtract)
     assert main(["run", str(tmp_path / "rules.ccode")]) == 1
@@ -449,6 +469,57 @@ def test_a_code_table_declaring_a_pattern_twice_in_one_scope_is_a_format_error(
         "coolc: FormatError: duplicate declaration of '-' in the same scope, "
         "again at code line 10\n"
     )
+
+
+@pytest.mark.parametrize(
+    "source, command, row, col, was, to, message",
+    [
+        (
+            # `=` and `-->` read their left slot alone; unchecked, the file
+            # printed 7.0 and prebinding could stop short of its fixpoint
+            "new: a = 0; new: b = 0; b = 1 + 2; a = b + 4; a --> 0;",
+            "compile",
+            "8",
+            4,
+            "-",
+            "7",
+            "code line 8 names 7 in its right slot, which '=' never reads",
+        ),
+        (
+            # unchecked, the call ran as a builtin and exited 3 with
+            # "'f' needs numbers, got NoneType at 12"
+            "@f(x){ return: x + 1; } new: a = f(2); a --> 0;",
+            "preexec",
+            "12",
+            8,
+            "1",
+            "B",
+            "code line 12 is bound to a builtin, but 'f' is none",
+        ),
+    ],
+    ids=["assignment-right", "builtin-call"],
+)
+def test_a_code_table_row_breaking_an_operator_rule_is_a_format_error(
+    tmp_path, capsys, source, command, row, col, was, to, message
+):
+    src = write(tmp_path, "prog.cool", source)
+    table = tmp_path / "prog.ccode"
+    assert main([command, src, "-o", str(table)]) == 0
+
+    def edit(rows):
+        cells = next(r for r in rows if r[0] == row)
+        assert cells[col] == was
+        cells[col] = to
+        kinds = cells[6].split(",")
+        if col < 6 and kinds[col - 2] == "e":
+            kinds[col - 2] = "a"
+            cells[6] = ",".join(kinds)
+
+    _edit_rows(table, edit)
+    assert main(["run", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"coolc: FormatError: {message}\n"
 
 
 def _set(address, col, value):
@@ -463,8 +534,8 @@ def _set(address, col, value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_set("3", 5, "98"), "function at 3 has no declaration scope of its own"),
-        (_set("1", 6, "8"), "class at code line 1 names no class scope of its own"),
+        (_set("3", 3, "98"), "function at 3 has no declaration scope of its own"),
+        (_set("1", 4, "8"), "class at code line 1 names no class scope of its own"),
     ],
     ids=["decl-scope", "class-scope"],
 )
@@ -485,13 +556,13 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
 @pytest.mark.parametrize(
     "source, command, row, col, was, to, message",
     [
-        (SEVEN, "preexec", "6", 5, "5", "6", "code line 6 reads 6, which reads back to it"),
-        (SEVEN, "preexec", "6", 5, "5", "7", "code line 6 reads 7, which reads back to it"),
+        (SEVEN, "preexec", "6", 3, "5", "6", "code line 6 reads 6, which reads back to it"),
+        (SEVEN, "preexec", "6", 3, "5", "7", "code line 6 reads 7, which reads back to it"),
         (
             corpus.QUADRATIC_CONSTRAINT,
             "compile",
             "16",
-            6,
+            4,
             "15",
             "18",
             "code line 16 reads 18, which reads back to it",
@@ -500,7 +571,7 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             corpus.CLASS_SOLVER,
             "compile",
             "11",
-            5,
+            3,
             "10",
             "8",
             "code line 11 reads 8, no expression or member access",
@@ -509,7 +580,7 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             corpus.SIN_APPROX_EXP,
             "compile",
             "31",
-            7,
+            5,
             "31",
             "32",
             "code line 31 writes its result to 32, not to its own row",
@@ -518,7 +589,7 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             corpus.APPLE_PRICE,
             "compile",
             "35",
-            6,
+            4,
             "31",
             "2",
             "function at 30 has no body, and code line 35 derives none",
@@ -527,7 +598,7 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             corpus.APPLE_PRICE,
             "compile",
             "40",
-            11,
+            8,
             "-",
             "B",
             "code line 40 is bound in a file that is not preexecuted",
@@ -583,8 +654,8 @@ def test_a_code_table_control_row_reading_another_scope_is_a_format_error(
     table = tmp_path / f"{name}.ccode"
     rows = [r.split("\t") for r in table.read_text().split("\n")]
     control = next(r for r in rows if r[0] == row)
-    assert (control[3], control[5]) == (kind, reads)
-    control[5] = to
+    assert (control[1], control[3]) == (kind, reads)
+    control[3] = to
     table.write_text("\n".join("\t".join(r) for r in rows))
     assert main(["run", str(table)]) == 1
     assert capsys.readouterr().err == (
@@ -649,9 +720,9 @@ def test_a_code_table_rule_without_return_is_a_format_error(tmp_path, capsys):
 
     def drop_return(rows):
         # the rule's return line, retyped as the end of its expression
-        row = next(row for row in rows if row[3] == "ret")
+        row = next(row for row in rows if row[1] == "ret")
         assert row[0] == "8"
-        row[3] = "eend"
+        row[1] = "eend"
 
     _edit_rows(tmp_path / "rule.ccode", drop_return)
     assert main(["run", str(tmp_path / "rule.ccode")]) == 1

@@ -5,7 +5,7 @@ import pathlib
 
 import coolang
 from coolang.addresses import Address
-from coolang.code import CodeType, ExecFlag, ExtendedLine, Operand, OperandKind, PendFlag
+from coolang.code import CodeType, ExtendedLine, Operand, OperandKind, PendFlag
 
 # Operand's fields: operands are shared between lines and tables, so
 # nothing may write one after Operand.__init__
@@ -15,7 +15,7 @@ _OPERAND_FIELDS = {"kind", "num", "text", "addr"}
 def _line() -> ExtendedLine:
     empty = Operand.empty()
     return ExtendedLine(
-        Address((3,)), None, ExecFlag.TRUE, CodeType.EXPR,
+        Address((3,)), None, CodeType.EXPR,
         Operand.ident("+"), Operand.ident("a"), Operand.number(1), empty,
     )
 

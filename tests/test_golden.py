@@ -13,7 +13,10 @@ compiled form.
 Every pin moved once, when a `.ccode` file stopped storing the scope,
 function and class tables after its code rows: each was recomputed from
 the earlier writer's file cut before its first `---` row, so the pins
-still show that no code row changed.
+still show that no code row changed. Every pin moved again when a code
+row stopped storing its scope, exec flag and formal flags, which the
+order of the rows fixes: each was recomputed from the earlier writer's
+file with those three cells cut from every row.
 """
 
 import hashlib
@@ -24,31 +27,31 @@ import pytest
 from coolang import build, preexecute, serialize
 
 CCODE_SHA256 = {
-    "add_to": "d3dc0a10019ce8a8681e9600a852a4f9a843e5b73d1c30219b9d383d8a247c4d",
-    "out_scope": "30583e1f6ef8bc05cd3e3fe7cd12bdf839581b8deaf6b627788b3a747d7ff92d",
-    "quadratic_constraint": "a1d9afd4304ec21b20e3827a4c950981f2f32354458c9359e813e575849dd40d",
-    "apple_price": "ca61ed38aa6b99a224a40f68af8219a1cc3578cda592f927797e3502bbea8900",
-    "sin_approx": "ed2515d466591570734551d739e34c67100d6e68ee38b22086ac2280919f4a53",
-    "sin_approx_exp": "377d30ab733336776e431552a3298c83cd05012f4c0fee338157606030e5b068",
-    "loop_and_branch": "5bea22b48bd9b9673cbbcf1368c6ba86da26b2bd254be6bf41081959eea4b2ce",
-    "chained_derivation": "2c9f7252710410ec809caf6dfa2c00f7a1c8fbd9e4ec76bff4160b6f52914ad6",
-    "class_solver": "974616e4d48ebf90c7d45c6efed61f558fe91b5cfac7f04fbda50763d18ac593",
+    "add_to": "c79222a27d9a5e0d94ca956bac6e00467f162bfdf49b1887e49170cc332bfb61",
+    "out_scope": "906ce51e4862db5bb10b1b662504c5c653ef2223f641d449d936b011a10e9a50",
+    "quadratic_constraint": "de7958d822194a3dcf0751f506fb2ca716d87f6d1c32108a0459151673eb920b",
+    "apple_price": "f40d35555347c706ba86a13fdea05d3dc4aad7e0ccffef072df0f4b365c007a0",
+    "sin_approx": "6285852820058db7b5bfed1509b9eb15025cad5554e5bc58d1d848f71da687f0",
+    "sin_approx_exp": "8b771a6b7f7982cec565dd942467de9aa9e8f79587c63a0892388593e7a99f5d",
+    "loop_and_branch": "a65e5b0b16afe4113fc8b002865df5ee97863a3d278eb7da0fdca0011bae3f09",
+    "chained_derivation": "70084de14f6e483582387c513b77cc126c458cde403adb8f26fa1d8be3097eb2",
+    "class_solver": "3a99502d987d6613cd06ecd0283294f895fe18275b94d9bdbb91b07958af5f1d",
 }
 
 
 # the corpus programs plus the two shape programs, compiled only
 COMPILED_SHA256 = {
-    "add_to": "577378b9c5e52ba22504b9b49b5546884ddeb5bad8b791907e50da127149ff44",
-    "out_scope": "9fa13083b70792b0b97a31ed1737e0aff4a22ddb28af9b5e060faf8e08b3949f",
-    "quadratic_constraint": "adae074d125387daeaa92d62ac22bf35078deaf42b35796b1a678a1d4ab676b8",
-    "apple_price": "e6aff72b96383152c91116e19ee1f0bdf4b393b8a33ab2d5f872e37bafe1ac56",
-    "sin_approx": "c88bd8370c6b1159e69866aad312cf027aa15fc7912d8e6cb835a34dfeb523cb",
-    "sin_approx_exp": "aa8746f79a5044481c4e29d5e8d3843b1b8c36021197e0b25fec665ce5d064d3",
-    "loop_and_branch": "296c76f4fc7998e316fb3780851f0fafe172743c090db8265b17f64af3f73c71",
-    "chained_derivation": "837bc363cef77cdc8dbf6cb639ff48133a4cc9a91194aecd7a2030a0101b8331",
-    "class_solver": "a2757e70eff72099795dbd386ca2035158595c6c0ab939877d74e6d16290bb3a",
-    "relocation_shapes": "cd4de12e0bde78b907ba15a8ddd065864129419285d58423998932a34da73545",
-    "member_reads": "3d7a4136e3f9fb86b281915043de9f4a4dde151d69fabc52456d62d279359385",
+    "add_to": "2fd22dcdb6cb401b9535afd5b38bf85d317b7f85cc28f6348e92951c9d5ce1ec",
+    "out_scope": "da40748cb1ecd70c83d9d8ae5ff1a026745ca4d3756003b680985b59d5cdd1c7",
+    "quadratic_constraint": "f4a951c844deaf2f908e7905972f2801acfa411c7499f6f8c0590efad5ccc20d",
+    "apple_price": "f81f1481ce2350e5e247325ddb0c25f522451dc519f7cb09cc4babbefb3ec03a",
+    "sin_approx": "9d8c8d7213b4c3c51952276d913bab74d1af41b47106bf7c5db4454f6eb7ee46",
+    "sin_approx_exp": "c6f774d03433cbcbcc5d5dfd2befb81483b5779b1a224a338d79a8e60f31f2e4",
+    "loop_and_branch": "d1b5d536ac68d85fcabb4c4707976ed8b181a39863b3ea4315e3c21d29d6bd6c",
+    "chained_derivation": "76baeb3de00b9ada95c164966e6df93eb90418f3c48a7f51fe076320b394910e",
+    "class_solver": "97a9cd650d738589d7a301a7182a888365fdc87b3bcfb8ca10b36c97b76ffe43",
+    "relocation_shapes": "190ee5d6dfab20e0c9f876f62588cee99ac7494716d54b304909e4917c73f6ce",
+    "member_reads": "6ab2d27d6a72ae9f210fe249d5dc29e67ba557410b11949efdab6a82ce715010",
 }
 
 COMPILED_PROGRAMS = dict(
@@ -60,64 +63,64 @@ COMPILED_PROGRAMS = dict(
 # (workload, seed) -> (compiled, preexecuted) .ccode SHA-256
 WORKLOAD_SHA256 = {
     ("deep_bind", 1): (
-        "b6f684196c2fdf55c6423396668c6163e91d272a150f4644ee4b443b213e55d2",
-        "f173c51326c55b489f4b22325b10b985f19b9ff1871849030834960519abd7cf",
+        "71fd1e96e7d396c2d05c0f0bf989fcbd6ef8943888de9985a56f57ce9ae55dbf",
+        "ca1a20488800f5f5312fe4961efbd0ed94e53581088fddb2fd48eba32add6fda",
     ),
     ("deep_bind", 2): (
-        "551cbd3018a04db52825b335f364c77fa8952146f9cddbaf21c82aca862468f7",
-        "1d696827de12013f4630ea78dac66ba9b2684b61c5ff2d26a16ee9d616181e9b",
+        "f8f3ac574091d55d877fa2735091520a6abc6347b1480bb07094f507bb41dd83",
+        "7fd90bf86dfd863a5a3bd36ff68c2fd4e3104a72ab86bd691cc67811b031d9e4",
     ),
     ("deep_bind", 3): (
-        "3082e4685d54859d822e6c888578de07d086e0452748cc86d1045d1ccdf7a121",
-        "a9afae683b00be7d4d04fe85efbec9af0ffe13dcffd6f78caccd37655d29d9bb",
+        "c6a239fbe4fe8ed706e5b1ce17861cbe137ce39e9f26307a9236a6ad4f478b06",
+        "2c00ba0c1fb9a74c873b262bed5c2e3c1417a81288af94e6225cde72cc14b1da",
     ),
     ("deep_bind", 4): (
-        "0a32709aeaa2031792c8c713ffcec3eff7871b5a51ef1faaa3cfe3e743595793",
-        "450794d0dd050ce3a39e98f4446d4e40cea3cdee6e8bb258b159930ce25960af",
+        "73d7277a5c3c1aa94f2000ca152a4edb3f53c69a1af3f95197363a42e1e10879",
+        "3b8d9c4aed8cdb78fbc418512820ecbaba4d18ae948b1c5c37fbe6cfb4682bb8",
     ),
     ("deep_bind", 5): (
-        "579c07486240e6514514a192278ec743f31c781da1f69da66d7938bbdea96ef4",
-        "56765d3e77c96e08e3ab2ed25c6b48b50a9e311cf2e4180f32146e0ce213b150",
+        "fcb18dfed4ac0ee0b9f29e90337436ffcf2318ff1b91577f921e65fa584e0ecd",
+        "ff7eaf3d023a9ede081209c968b3a900ab38014add93d114b1238950c68ad5d3",
     ),
     ("loop_run", 1): (
-        "529b82392ed5e4d5b4271c23025f77322bd393b48149477982e3efdd8592815c",
-        "00515db3aac46003b750a8b02bcd1396c31cd11c3fba9efa3103b6116a6233be",
+        "23c8bcbc838fe8feec4a376fbe2a6f35f77cd1bcc58721df6460e473fa418c26",
+        "1c07afc505e71df33c7baa7cfaf6194c5d0ad8ee6fafe14cd76bdc2d0524a18d",
     ),
     ("loop_run", 2): (
-        "f1fb5e659d9b93062e7152d255578940dda2c3971af147031c3a31be96a44b25",
-        "5098934b26667529244b1d080cd17e601583f473d8233a5571206c357c7b3a71",
+        "47211d494220f4ece663e4b2aae4b7e05ca7a3335d41956949d92a829e9a2677",
+        "43ad0d5f71802614a9360ba1aa1809a1bc70b9e799e8bab41b12d5de2c4f658a",
     ),
     ("loop_run", 3): (
-        "493a2428783e91ca212a23bc3e76bdd9179fe6b3445ad72cb9a81ff98a56cb7a",
-        "1b06a37cc284128c6e1f8bc4c46e849f1539dde9b16ad1df563120d6f116af78",
+        "c8cdb9c99b7773757ab922db0e447685bac1d44b67265024e5b9a4ca2dc2b6ea",
+        "f895ca2bb756a94afc08174ff7a5bceb3ec503619a03b8d39fabe0805eb84cf8",
     ),
     ("loop_run", 4): (
-        "e5f97e67020a8f484350f4bc95f485c884ff94ead40bb18f57763eb66db832bb",
-        "e9d7c07fbe9287ae7782699d239b79a8c12ae6e318ee858aab66ce00cdf60fdc",
+        "8911c67a37fd86f05e3032e7dc758117efb844ad7828b2bf9080972fb70a1c32",
+        "50be2aab34e80bc43e3fd03bac43b90c2575c208c2fb88dfd2e673c5f5481cdc",
     ),
     ("loop_run", 5): (
-        "323045fc69fedec61900467ae9c65623db7d100fecda9941d90e19dfb5730f62",
-        "46b868fd823522752ec8fe59ed826510f9e710c5b225ce61ab022227780e7a0d",
+        "3f40268ee15b851ff2b0b259f804f7f2159cbaf975cf7675e9e98397c97ee87b",
+        "c62ca991faf246d25ad188f05679f0d37bd3da436136f5aeca39a357e0357da4",
     ),
     ("wide_program", 1): (
-        "92484107a2634623e9a9e26fd94565ac1eff5f86340c22bbf35e812d72d5c6c4",
-        "a41a57a6c3c3501a05e0ef52d5720349b22c4b151b84a8fd0fe2ad264066cef6",
+        "eb5827df57263495555d8f8c6008bb9cd35f43f19d24fe8c557b83dcadc60a4c",
+        "cf0df5a025e98e3fe4bbc5042535a8487c6624877a9a2820b5e52431432aace9",
     ),
     ("wide_program", 2): (
-        "435d2d504624ff5b6c362e3bd6b60a65ec6c7beff3584e149921b2ec39c1109c",
-        "a557badcb060ebf205b1490e9352a9399bfeccec87494cbdab982741308ef436",
+        "d17df22892ece615bf2b895aa7e6c6c371e98dbfb9aa02bdead1f66a9710d8dc",
+        "e17dd3e61fda627ecbab0f0dc9c1c85f1bd49a6bb2e1e2699e8c9775614db5c1",
     ),
     ("wide_program", 3): (
-        "6fc5df241dfb15448b3b756266b7716a5f46ce1429d11dbe61ca870df329b2a5",
-        "136b1db49235e8fb94ea50e412c556273c62a2a16b008e9622b55a6b6153351f",
+        "bb09614aa524567ad0017d346d5d565fb12058b1baa03d694f9f4ee6a7e67e54",
+        "480d01b976fbfe943b7843ddcd4854d56b8a631a04767946fbba0e1df2c16eed",
     ),
     ("wide_program", 4): (
-        "83aeb2f62287ec32b11bf3749b8a93f158370a6992ec24401a6489608e8e9e03",
-        "b85e3122c8dd8574db080c477bfa9d7ca1d0ab0ba64ff6a2be4d1d26d7437715",
+        "e1547d08ac3d5474d63811f7304cd01f732a04f2826216bf5afcbb7c146009a5",
+        "6d5ba5db8db4c3c9079d3a904ec40661e6b1862dd7295cafbb986460581aa306",
     ),
     ("wide_program", 5): (
-        "edf7292eab593cc01bf23e132d7dc18d7a3667e5efdb3ea1f7b389cc40557e4c",
-        "efe761e531eda45fef652ff4312a1fee6b58f1305a1eed263c6ef7e460c7491e",
+        "dcce038f9e785d06e9e22087e86109d3418cbbc87c7b198837f65a9b5d5e0cd7",
+        "988ef836b6ba2528558f40e6e7dbe64355ef7e3e7dc22b9fcd78b3f41f13cd86",
     ),
 }
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import corpus
 from coolang import execute, preexecute
 from coolang.addresses import Address
-from coolang.code import CodeLine, CodeType, ExecFlag, Operand, PendFlag, ScopeKind
+from coolang.code import CodeLine, CodeType, Operand, PendFlag, ScopeKind
 from coolang.errors import (
     CoolError,
     DuplicateDeclaration,
@@ -61,32 +61,6 @@ def test_scope_table_structure():
     assert body.parent is None and decl.parent is None
     assert t.code[decl.start].ctype is CodeType.SCOPE_START
     assert t.code[decl.end].ctype is CodeType.SCOPE_END
-
-
-def test_exec_flags_decl_body_global():
-    t = build("@add(a, b){ return: a + b; }\nnew: q = 1;")
-    decl = [s for s in t.scopes.values() if s.kind is ScopeKind.DECL][0]
-    body = [s for s in t.scopes.values() if s.kind is ScopeKind.BODY][0]
-    for el in t.code.lines():
-        if decl.start <= el.address <= decl.end:
-            assert el.exec_flag is ExecFlag.FALSE
-        elif body.start <= el.address <= body.end:
-            assert el.exec_flag is ExecFlag.COND
-        else:
-            assert el.exec_flag is ExecFlag.TRUE
-
-
-def test_exec_flags_loops_fall_through_but_else_is_jump_target():
-    t = build(
-        "new: a = 1;"
-        "while(a > 0){ a = a - 1; }"
-        "if(a > 0){ a = 1; } else { a = 2; }"
-    )
-    conds = [s for s in t.scopes.values() if s.kind is ScopeKind.COND]
-    assert len(conds) == 3
-    flags = sorted(t.code[s.start].exec_flag.value for s in conds)
-    # while body and if branch fall through (T); else branch is a jump target (C)
-    assert flags == ["C", "T", "T"]
 
 
 def test_pending_marker_strips_and_propagates_within_expression():
@@ -244,8 +218,6 @@ def test_class_tables_and_inheritance():
     assert parent_names == ["OperationLaw", "QuadraticEquation"]
     inc = [f for f in t.functions.values() if f.name == "increase"][0]
     assert inc.class_scope == main.scope
-    class_start = main.scope
-    assert t.code[class_start].exec_flag is ExecFlag.COND
     inst = [el for el in t.code.lines() if el.ctype is CodeType.VAR_DECL and el.left.text][0]
     assert inst.left.text == "MainProcess" and inst.result.text == "m"
 

@@ -1,6 +1,6 @@
 from coolang import build
 from coolang.addresses import Address
-from coolang.code import CodeType, ExecFlag, OperandKind
+from coolang.code import CodeType, OperandKind, ScopeKind
 import dataclasses
 
 from unittest import mock
@@ -20,7 +20,7 @@ def universe(t):
     a = t.code.first_address()
     while a is not None:
         ln = t.code[a]
-        if ln.ctype is CodeType.SCOPE_START and ln.exec_flag is ExecFlag.FALSE:
+        if ln.ctype is CodeType.SCOPE_START and t.scopes[a].kind is ScopeKind.DECL:
             a = t.code.next_after(t.scopes[a].end)
             continue
         if ln.ctype is CodeType.VAR_DECL:

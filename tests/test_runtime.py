@@ -21,7 +21,7 @@ from coolang.errors import (
     UnresolvedIdentifier,
 )
 from coolang.runtime import _BINARY, _BRANCH, _JUMP, _STORE, Interpreter, run_program
-from coolang.serialize import serialize
+from coolang.serialize import deserialize, serialize
 
 
 def test_corpus_programs_print_their_expected_outputs():
@@ -360,6 +360,34 @@ def test_the_benchmark_loop_takes_its_step_budget_exactly():
 
 def _ops(interp):
     return [ins[0] for ins in interp.program.code]
+
+
+def test_a_fused_tests_backward_jump_counts_a_step():
+    # the if's test, its == and its jump (row 7) lower to one _BRANCH; sent
+    # back to row 1, that jump loops on the top-level rows for ever
+    t = build("new: i = 0; if (1 > 2) { i --> 0; }")
+    preexecute(t)
+    rows = [row.split("\t") for row in serialize(t).splitlines()]
+    jump = next(row for row in rows if row[0] == "7")
+    assert jump[1:5] == ["jump", "jump", "5", "13"]
+    jump[4] = "1"
+    text = "".join("\t".join(row) + "\n" for row in rows)
+    interp = Interpreter(deserialize(text), max_steps=1000)
+    assert _BRANCH in _ops(interp)
+    with pytest.raises(StepBudgetExceeded, match="more than 1000 steps"):
+        interp.run()
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "@f(x){ return: x + 1; } system: P { new: v = 2; } P: p; f(p.v) --> 0;",
+        "@g(x){ x = x + 1; } system: P { new: v = 2; } P: p; g(p.v); p.v --> 0;",
+    ],
+    ids=["reads", "writes"],
+)
+def test_a_call_passes_a_member_chain_by_reference(src):
+    assert execute(src).output == ["3.0"]
 
 
 def test_a_loop_test_and_an_update_each_lower_to_one_fused_instruction():

@@ -24,7 +24,6 @@ from coolang.addresses import Address
 from coolang.code import (
     SLOT_LEFT,
     CodeType,
-    ExecFlag,
     FunctionInfo,
     Operand,
     OperandKind,
@@ -288,7 +287,7 @@ def assert_index_offers_what_the_scan_offered(t):
     a = t.code.first_address()
     while a is not None:
         ln = t.code[a]
-        if ln.ctype is CodeType.SCOPE_START and ln.exec_flag is ExecFlag.FALSE:
+        if ln.ctype is CodeType.SCOPE_START and t.scopes[a].kind is ScopeKind.DECL:
             a = t.code.next_after(t.scopes[a].end)
             continue
         if ln.ctype is CodeType.VAR_DECL:

@@ -19,11 +19,11 @@ from coolang.code import (
     SLOT_RIGHT,
     CodeTable,
     CodeType,
-    ExecFlag,
     ExtendedLine,
     Operand,
     OperandKind,
     PendFlag,
+    ScopeKind,
 )
 from coolang.segments import AWAITING, OPEN, PREBIND_OPS, PREBIND_READS, SETTLED, Segment
 
@@ -32,7 +32,6 @@ def line(addr, op, left, right, result=None, ctype=CodeType.EXPR, pending=None):
     ln = ExtendedLine(
         address=Address((addr,)),
         scope=None,
-        exec_flag=ExecFlag.TRUE,
         ctype=ctype,
         op=Operand.ident(op) if op else Operand.empty(),
         left=left,
@@ -557,7 +556,8 @@ def test_no_splice_walks_the_table(src, moves, output):
     assert len(relocated) == moves
     t = deserialize(text)
     for ln in t.code.lines():
-        if ln.ctype is CodeType.EXPR and ln.exec_flag is not ExecFlag.FALSE:
+        in_decl = ln.scope is not None and t.scopes[ln.scope].kind is ScopeKind.DECL
+        if ln.ctype is CodeType.EXPR and not in_decl:
             assert ln.bound is not None, ln
     assert run_program(t).output == output
 

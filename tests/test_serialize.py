@@ -10,7 +10,7 @@ import corpus
 import reference
 from coolang import build, preexecute
 from coolang.addresses import Address
-from coolang.code import PendFlag, ScopeKind
+from coolang.code import VALUE_SLOTS, CodeType, OperandKind, PendFlag, ScopeKind
 from coolang.cli import main
 from coolang.errors import (
     CoolError,
@@ -90,9 +90,9 @@ def test_malformed_files_are_refused():
         deserialize("NOPE\n")
     with pytest.raises(FormatError, match="header flags"):
         deserialize("COOLCC 1 zip\n")
-    with pytest.raises(FormatError, match="^line 2, code row: 2 columns, wanted 13$"):
+    with pytest.raises(FormatError, match="^line 2, code row: 2 columns, wanted 10$"):
         deserialize("COOLCC 1\n1\tx\n")
-    with pytest.raises(FormatError, match="^line 2, code row: 1 columns, wanted 13$"):
+    with pytest.raises(FormatError, match="^line 2, code row: 1 columns, wanted 10$"):
         deserialize("COOLCC 1\n---\n")
 
 
@@ -247,8 +247,8 @@ def _row(rows, address):
 # retyped as a start row opens a scope of no kind
 _NO_END = {
     "cond": "jump at 19 leaves scope 11",
-    "decl": "code line 11 names scope None",
-    "body": "code line 11 names scope None",
+    "decl": "unclosed scope starting at code line 2",
+    "body": "unclosed scope starting at code line 6",
 }
 
 
@@ -261,14 +261,15 @@ def test_a_scope_ending_on_no_scope_end_row_is_a_format_error(name, kind, at):
     # ending on a start row it jumped back there and looped without a step,
     # and ending on an expression it ran that row in the outer record. The
     # reader ends a scope at its end row only, so with that row retyped the
-    # scope ends nowhere and a row after it is refused
-    text = serialize(build(corpus.ALL_PROGRAMS[name]))
-    start = next(row for row in text.split("\n") if row.split("\t")[3:6] == ["sstart", "-", kind])
-    scope = start.split("\t")[0]
+    # scope ends nowhere: a row after it breaks a rule, or it stays unclosed
+    t = build(corpus.ALL_PROGRAMS[name])
+    text = serialize(t)
+    start = next(row for row in text.split("\n") if row.split("\t")[1:4] == ["sstart", "-", kind])
+    scope = Address.parse(start.split("\t")[0])
 
     def retype(rows):
-        end = next(row for row in rows if row[1:2] == [scope] and row[3] == "send")
-        end[3] = "sstart" if at == "start" else "expr"
+        end = _row(rows, str(t.scopes[scope].end))
+        end[1] = "sstart" if at == "start" else "expr"
 
     message = _NO_END[kind] if at == "expr" else "unknown scope kind ''"
     with pytest.raises(FormatError, match=message):
@@ -295,14 +296,14 @@ def test_a_scope_stretched_over_rows_that_name_another_scope_is_a_format_error(
     tmp_path, capsys
 ):
     # the while loop's end row and back edge dropped, so that its scope
-    # holds the rows after it: rows 20-28 ran in the loop's record, and the
-    # file printed 0.0
+    # holds the rows after it and never closes: rows 20-28 ran in the
+    # loop's record, and the file printed 0.0
     def drop(rows):
         rows.remove(_row(rows, "18"))
         rows.remove(_row(rows, "19"))
 
     text = _edited(LOOP_TEXT, drop)
-    message = "code line 20 names scope None, not the scope that holds it"
+    message = "unclosed scope starting at code line 11"
     with pytest.raises(FormatError, match=message):
         deserialize(text)
     table = tmp_path / "stretched.ccode"
@@ -313,12 +314,15 @@ def test_a_scope_stretched_over_rows_that_name_another_scope_is_a_format_error(
 
 @pytest.mark.parametrize("i", range(1, len(LOOP_TEXT.splitlines())))
 def test_a_code_row_naming_a_scope_that_does_not_hold_it_is_a_format_error(i):
-    # each row once: one outside every scope names the first scope, one
-    # inside a scope (its start and end rows too) names none
+    # each row once, a scope cell put back after its address: one outside
+    # every scope names the first scope, one inside a scope (its start and
+    # end rows too) names none. A row stores no scope, which its place
+    # fixes, so the row is refused for its column count
     rows = [row.split("\t") for row in LOOP_TEXT.split("\n")]
     row = rows[i]
-    row[1] = "11" if row[1] == "-" else "-"
-    with pytest.raises(FormatError, match=f"^code line {row[0]} "):
+    held = deserialize(LOOP_TEXT).code[Address.parse(row[0])].scope
+    row.insert(1, "11" if held is None else "-")
+    with pytest.raises(FormatError, match=f"^line {i + 1}, code row: 11 columns, wanted 10$"):
         deserialize("\n".join("\t".join(row) for row in rows))
 
 
@@ -358,6 +362,31 @@ def test_a_decoded_file_rebuilds_the_tables_it_was_written_from(name):
         assert loaded.class_scopes == t.class_scopes, stage
 
 
+@pytest.mark.parametrize("name", WRITTEN)
+def test_a_decoded_row_gets_the_scope_and_formal_flags_its_place_fixes(name):
+    # a row's scope is the innermost scope range that holds it; an
+    # expression row whose scope is a declaration marks each identifier
+    # without an out: mark as a formal
+    for text in _compiled_and_preexecuted(name):
+        t = deserialize(text)
+        ranges = sorted((s.start, s.end) for s in t.scopes.values())
+        for ln in t.code.lines():
+            a = ln.address
+            held = [start for start, end in ranges if start <= a <= end]
+            scope = held[-1] if held else None
+            assert ln.scope == scope, a
+            in_decl = scope is not None and t.scopes[scope].kind is ScopeKind.DECL
+            formal = [
+                in_decl
+                and ln.ctype is CodeType.EXPR
+                and s in VALUE_SLOTS
+                and ln.slot(s).kind is OperandKind.IDENT
+                and not ln.slot(s).text.startswith("out:")
+                for s in range(4)
+            ]
+            assert ln.formal == formal, a
+
+
 def _instructions(program):
     """A lowered program as plain values: each call site becomes
     (address, start, end, consts, formals, solves)."""
@@ -389,9 +418,9 @@ def bound_compiled_code_files(draw):
     code = rows[1:]
     cells = draw(st.sampled_from(code))
     if draw(st.booleans()):
-        cells[12] = "T"
+        cells[9] = "T"
     else:
-        cells[11] = draw(st.sampled_from(["B", *(row[0] for row in code)]))
+        cells[8] = draw(st.sampled_from(["B", *(row[0] for row in code)]))
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
@@ -421,23 +450,23 @@ def retargeted_code_files(draw):
     for i, col in draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=2)):
         row = rows[i]
         row[col] = draw(st.sampled_from(targets))
-        kinds = row[8].split(",")
-        if kinds[col - 4] == "e":
-            kinds[col - 4] = "a"
-            row[8] = ",".join(kinds)
+        kinds = row[6].split(",")
+        if kinds[col - 2] == "e":
+            kinds[col - 2] = "a"
+            row[6] = ",".join(kinds)
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
 # the operand cells the scope, function and class tables are built from,
 # by code type: a function row's declaration, body and weight, a derive
 # marker's declaration, a class row's names and scope, a scope's kind
-_TABLE_CELLS = {"func": (5, 6, 7), "derive": (6,), "class": (5, 6), "sstart": (5,)}
+_TABLE_CELLS = {"func": (3, 4, 5), "derive": (4,), "class": (3, 4), "sstart": (3,)}
 
 
 def _table_cells(row):
     """The cells of a code row that retargeted_code_files may point elsewhere."""
-    addresses = [4 + i for i, k in enumerate(row[8].split(",")) if k == "a"]
-    return {*addresses, *_TABLE_CELLS.get(row[3], ())}
+    addresses = [2 + i for i, k in enumerate(row[6].split(",")) if k == "a"]
+    return {*addresses, *_TABLE_CELLS.get(row[1], ())}
 
 
 @st.composite
@@ -462,7 +491,7 @@ def _rename(cells, col, to):
     start with cells."""
 
     def edit(rows):
-        [row] = [row for row in rows if row[3 : 3 + len(cells)] == cells]
+        [row] = [row for row in rows if row[1 : 1 + len(cells)] == cells]
         row[col] = to
 
     return edit
@@ -478,26 +507,26 @@ def _rename(cells, col, to):
             "new: a = 1;\nnew: b = 2;",
             "new: a = 1;\nnew: a = 2;",
             DuplicateDeclaration,
-            _rename(["var", "-", "-", "-", "b"], 7, "a"),
+            _rename(["var", "-", "-", "-", "b"], 5, "a"),
         ),
         (
             "exp: @(1){ #a - #b }{ return: a; } exp: @(2){ #a + #b }{ return: b; }",
             "exp: @(1){ #a - #b }{ return: a; } exp: @(2){ #a - #b }{ return: b; }",
             DuplicateDeclaration,
-            _rename(["expr", "%2B"], 4, "-"),
+            _rename(["expr", "%2B"], 2, "-"),
         ),
         (
             "system: A { }\nsystem: Z { }",
             "system: A { }\nsystem: A { }",
             DuplicateDeclaration,
-            _rename(["class", "class", "Z"], 5, "A"),
+            _rename(["class", "class", "Z"], 3, "A"),
         ),
         (
             "system: A { }\nsystem: B << A { }\nsystem: C << B { }",
             "system: A << B { }\nsystem: B << A { }\nsystem: C { }",
             InheritanceCycle,
             # C's inherit row made to say that A inherits B
-            _rename(["class", "inherit", "C"], 5, "A"),
+            _rename(["class", "inherit", "C"], 3, "A"),
         ),
     ],
     ids=["unclosed-scope", "variable-twice", "pattern-twice", "class-twice", "cycle"],
@@ -523,20 +552,17 @@ def test_a_rule_broken_in_source_or_file_gives_one_text(good, bad, error, edit):
 @pytest.mark.parametrize(
     "name, i, j, message",
     [
-        ("class_solver", 11, 74, "code line 11 names scope 55, not the scope that holds it"),
-        (
-            "chained_derivation", 31, 64,
-            "code line 31 names scope None, not the scope that holds it",
-        ),
+        ("class_solver", 11, 74, "code line 74 reads 10, no row of its scope"),
+        ("chained_derivation", 31, 64, "code line 64 reads 30, no row of its scope"),
         ("sin_approx_exp", 28, 32, "code line 28 reads 31, no earlier row"),
-        ("sin_approx_exp", 17, 23, "code line 17 names scope 23, not the scope that holds it"),
+        ("sin_approx_exp", 17, 23, "function at 16 has no declaration scope of its own"),
     ],
 )
 def test_a_compiled_file_with_two_code_rows_swapped_is_a_format_error(name, i, j, message):
     # each raised a KeyError in preexecute: in search.rule_plan (a function's
     # return row held a function row), in Segment.children (a run whose
-    # last line is read by its first) and in match_branch (a declaration's
-    # start row with a body's flag, so preexecute bound the pattern)
+    # last line is read by its first) and in match_branch (a body's start
+    # row in a declaration's place, so preexecute bound the pattern)
     rows = _compiled_and_preexecuted(name)[0].split("\n")
     a, b = rows[i].split("\t"), rows[j].split("\t")
     a[1:], b[1:] = b[1:], a[1:]
@@ -562,8 +588,8 @@ def test_a_function_row_naming_another_declarations_scope_is_a_format_error(
     # scope that holds a member's declaration loaded and ran. A declaration
     # scope belongs to one function row, so the later of the two is refused
     rows = [row.split("\t") for row in _compiled_and_preexecuted(name)[0].splitlines()]
-    owner = [row[0] for row in rows if row[3:4] == ["func"] and row[5] == scope]
-    _row(rows, fop)[5] = scope
+    owner = [row[0] for row in rows if row[1:2] == ["func"] and row[3] == scope]
+    _row(rows, fop)[3] = scope
     table = tmp_path / "retargeted.ccode"
     table.write_text("".join("\t".join(row) + "\n" for row in rows))
     assert main(["run", str(table)]) == 1
