@@ -59,7 +59,7 @@ class Disassembly:
     return_seq: Optional[int] = None
 
 
-def decl_formals(tables: Tables, fn: FunctionInfo) -> list[tuple[str, bool]]:
+def decl_formals(fn: FunctionInfo) -> list[tuple[str, bool]]:
     """Formal names in pattern order with their pending flags.
 
     Named formals appear once (first occurrence); each anonymous formal
@@ -281,7 +281,7 @@ class _Disassembler:
 
 
 def disassemble(tables: Tables, fn: FunctionInfo, pending: list[str]) -> Disassembly:
-    return _Disassembler(tables, fn, pending, decl_formals(tables, fn)).run()
+    return _Disassembler(tables, fn, pending, decl_formals(fn)).run()
 
 
 def analyze_dependence(dis: Disassembly) -> None:
@@ -604,8 +604,8 @@ def derive_reverse_body(
     if rev.body_scope is not None:
         return rev.body_scope  # already derived
 
-    fwd_formals = decl_formals(tables, fwd)
-    rev_formals = decl_formals(tables, rev)
+    fwd_formals = decl_formals(fwd)
+    rev_formals = decl_formals(rev)
     pending = map_formals(fwd_formals, rev_formals)
     if not pending:
         raise NotInvertible("the reverse head marks nothing as pending")

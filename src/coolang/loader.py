@@ -6,11 +6,12 @@ flags, spreading each mark over its longest expression; then index.
 index is the one check and indexing pass over code rows, for loaded
 source and for a decoded `.ccode` file (serialize.deserialize) alike. It
 gives each row its scope and, in a declaration, its formal flags, which
-the order of the rows fixes; checks every link a row names; builds the
-scope, function and class tables from the rows; and refuses a scope that
-declares a variable or a pattern twice. It alone reads a declaration's
-pattern rows from the code table; later stages read them off the
-declaration's FunctionInfo.
+the order of the rows fixes; checks every link a row names, an
+expression row reading only earlier rows, so that every table runs in
+row order and holds no cycle of reads; builds the scope, function and
+class tables from the rows; and refuses a scope that declares a variable
+or a pattern twice. It alone reads a declaration's pattern rows from the
+code table; later stages read them off the declaration's FunctionInfo.
 """
 
 from __future__ import annotations
@@ -102,11 +103,12 @@ def index(tables: Tables) -> None:
     rows: source and `.ccode` obey the same rules from here (the README
     lists them per row type), so that lowering and preexecute trust every
     link. One pass over the code rows in address order gives each row its
-    scope and formal flags, checks it, fills the scope table and gathers
-    the rows each function reads; then the function and class tables are
-    built, no scope may declare one variable or one pattern twice, and
-    each bound expression's bound_reverse is set from its function.
-    Raises a LoadError."""
+    scope and formal flags, checks it (an expression row's left, right or
+    result address that is not its own names an earlier row), fills the
+    scope table and gathers the rows each function reads; then the
+    function and class tables are built, no scope may declare one
+    variable or one pattern twice, and each bound expression's
+    bound_reverse is set from its function. Raises a LoadError."""
     scopes, code = tables.scopes, tables.code
     get = code.get
     # Enum members bound once: reading one off its class costs a lookup each row
@@ -121,10 +123,9 @@ def index(tables: Tables) -> None:
     decls: dict[Address, list[ExtendedLine]] = {}  # the EXPR rows inside each declaration
     returns: dict[Address, list[Address]] = {}  # each body scope's return: rows
     patterns: list[list[ExtendedLine]] = []  # the open declarations' rows, innermost last
-    first = last = None  # the current expression run's first and last rows
+    first = None  # the current expression run's first row
     held: list[Address] = []  # the scopes that hold the row, innermost last
     in_decl = False  # the innermost of them is a declaration
-    later: list[tuple[ExtendedLine, Address]] = []  # its reads of a row not before the reader
     compiled = not tables.preexecuted  # only preexecute binds
     for ln in code.lines():
         a, t, r = ln.address, ln.ctype, ln.result.addr
@@ -135,7 +136,7 @@ def index(tables: Tables) -> None:
         if r is not None and r != a and (t is not expr or ln.op.text != "="):
             raise LoadError(f"code line {a} writes its result to {r}, not to its own row")
         if t is expr:
-            first, last = first or a, a
+            first = first or a
             for rows in patterns:
                 rows.append(ln)
             if in_decl:
@@ -162,13 +163,10 @@ def index(tables: Tables) -> None:
                 if r is None:
                     continue
                 if r >= a:
-                    later.append((ln, r))
-                elif r < first or r not in code:
+                    raise LoadError(f"code line {a} reads {r}, no earlier row")
+                if r < first or r not in code:
                     _read_outside(a, r, get)
         else:
-            if later:
-                _check_later(later, first, last, get, scopes, compiled)
-                later = []
             first = None
         r = ln.left.addr
         if t is member:
@@ -219,8 +217,6 @@ def index(tables: Tables) -> None:
             if info.kind is ScopeKind.DECL:
                 patterns.pop()
             in_decl = bool(held) and scopes[held[-1]].kind is ScopeKind.DECL
-    if later:
-        _check_later(later, first, last, get, scopes, compiled)
     if held:
         raise UnbalancedScopes(f"unclosed scope starting at code line {held[-1]}")
     build_functions(tables, funcs, decls, returns)
@@ -249,38 +245,6 @@ def _read_outside(a: Address, r: Address, get) -> None:
     read = get(r)
     if read is None or read.ctype is not CodeType.ACCESS_MEMBER:
         raise LoadError(f"code line {a} reads {r}, no row of its expression or member access")
-
-
-def _check_later(later: list, first: Address, last: Address, get, scopes, compiled: bool) -> None:
-    """The reads of run [first, last] that name a row at or after the reader.
-    Every cycle of reads has one, so only these start a walk for a cycle
-    through a row that is not user-bound. runtime._align refuses the rest.
-    Outside declarations a compiled file has none: the parser writes a line
-    after the lines it reads, and preexecute takes a run's last line for
-    its root."""
-    ahead = None  # the first such read outside a declaration
-    for ln, r in later:
-        read = get(r)
-        if r > last or read is None:
-            _read_outside(ln.address, r, get)
-            continue
-        info = scopes.get(ln.scope)
-        if info is not None and info.kind is ScopeKind.DECL:
-            continue
-        ahead = ahead or (ln.address, r)
-        # (row, path holds a row not user-bound); a result naming its own row is seen
-        stack, seen = [(read, not (ln.is_user_bound and read.is_user_bound))], set()
-        while stack:
-            x, other = stack.pop()
-            if x is ln and other:
-                raise LoadError(f"code line {ln.address} reads {r}, which reads back to it")
-            if (x.address, other) not in seen:
-                seen.add((x.address, other))
-                for y in map(get, (x.left.addr, x.right.addr, x.result.addr)):
-                    if y is not None and first <= y.address <= last:
-                        stack.append((y, other or not y.is_user_bound))
-    if compiled and ahead is not None:
-        raise LoadError(f"code line {ahead[0]} reads {ahead[1]}, no earlier row")
 
 
 def build_functions(tables: Tables, funcs: list[ExtendedLine], decls: dict, returns: dict) -> None:

@@ -3,16 +3,18 @@
 `lower` turns the bound tables into a `Program` once per interpreter: one
 flat instruction stream, indexed by integer program counter. Each longest
 expression is expanded in place into one instruction per builtin or
-forward call, children before their consumer, followed by one instruction
-per reverse call, consumer first, so a solver always finds its required
-value already written by the steps before it. Lines with nothing to do at
-run time emit no instruction, and every line of an expression maps to its
-first instruction. Jump targets, scope ranges, function bodies and class
-bodies are all program counters into the stream. Two common sequences are
-fused as they are lowered: a builtin and the `=` that stores its result,
-and a `while` or `if` test's last builtin, its `== 0` and the jump on it.
-A fused instruction sits at the pc of its first part and runs the rest;
-the parts keep their slots, so the stream keeps its length and every pc.
+forward call, in row order, which puts children before their consumer
+(loader.index lets a row read only earlier rows), followed by one
+instruction per reverse call in reverse row order, consumer first, so a
+solver always finds its required value already written by the steps
+before it. Lines with nothing to do at run time emit no instruction, and
+every line of an expression maps to its first instruction. Jump targets,
+scope ranges, function bodies and class bodies are all program counters
+into the stream. Two common sequences are fused as they are lowered: a
+builtin and the `=` that stores its result, and a `while` or `if` test's
+last builtin, its `== 0` and the jump on it. A fused instruction sits at
+the pc of its first part and runs the rest; the parts keep their slots,
+so the stream keeps its length and every pc.
 
 `Interpreter.run` walks the stream in one loop. Each region (the file, a
 scope, a function body, a class body) runs against one record. Entering a
@@ -266,43 +268,26 @@ def _lower_run(
 ) -> list[tuple]:
     """One longest expression as its instructions, in the order they run.
 
-    Forward steps follow a depth-first walk, children before their
-    consumer, since spliced lines may sit after the line that reads them;
-    each is a builtin or a _CALL. Reverse roots wait and run last, as
-    _RCALLs in the reverse of that walk: a consumer solves first and leaves
-    each producer the answer it needs.
+    Forward steps, each a builtin or a _CALL, run in row order: every row
+    reads only earlier rows (loader.index), so children come before their
+    consumer. Reverse roots wait and run last, as _RCALLs in the reverse
+    of row order: a consumer solves first and leaves each producer the
+    answer it needs.
     """
-    by_addr = {ln.address: ln for ln in run}
-    done: set[Address] = set()
     forward: list[tuple] = []
     reverse: list[tuple] = []
-    for top in run:
-        stack = [(top, False)]  # (line, its children done)
-        while stack:
-            ln, ready = stack.pop()
-            if not ready:
-                if ln.address not in done:
-                    done.add(ln.address)
-                    stack.append((ln, True))
-                    # the left operand's subtree goes first
-                    o = ln.right
-                    if o.kind is _ADDRESS and o.addr in by_addr:
-                        stack.append((by_addr[o.addr], False))
-                    o = ln.left
-                    if o.kind is _ADDRESS and o.addr in by_addr:
-                        stack.append((by_addr[o.addr], False))
-                continue
-            if ln.bound is BUILTIN:
-                ins = _builtin(ln, table, names)
-                if ins[0] == _ASSIGN and forward and forward[-1][0] == _BINARY:
-                    if ins[2] == (_TEMP, forward[-1][4]):  # x = a op b
-                        forward[-1] = (_STORE, *forward[-1][1:], ins[3])
-                forward.append(ins)
-            elif ln.root and ln.is_user_bound:
-                if ln.bound_reverse:
-                    reverse.append((_RCALL, call_site(ln)))
-                else:
-                    forward.append((_CALL, call_site(ln)))
+    for ln in run:
+        if ln.bound is BUILTIN:
+            ins = _builtin(ln, table, names)
+            if ins[0] == _ASSIGN and forward and forward[-1][0] == _BINARY:
+                if ins[2] == (_TEMP, forward[-1][4]):  # x = a op b
+                    forward[-1] = (_STORE, *forward[-1][1:], ins[3])
+            forward.append(ins)
+        elif ln.root and ln.is_user_bound:
+            if ln.bound_reverse:
+                reverse.append((_RCALL, call_site(ln)))
+            else:
+                forward.append((_CALL, call_site(ln)))
     reverse.reverse()
     return forward + reverse
 
@@ -749,8 +734,9 @@ def _align(
 ) -> tuple[dict[str, object], tuple, tuple]:
     """The site's call plan: pair declaration formals with the call's
     operands, tree against tree, depth first and left before right, on a
-    stack: patterns nest deep. A call line met twice means an operand
-    cycle, which no tree has."""
+    stack: patterns nest deep. A loaded table has no cycle of reads, but a
+    row that two of the call's slots share is no tree either: a call line
+    met twice is refused."""
     consts: dict[str, object] = {}
     formals: list[tuple[str, tuple]] = []
     solves: list[str] = []

@@ -3,9 +3,10 @@
 A segment holds working copies of one expression's lines, keyed by address,
 and nothing about where they came from. Binding work happens on segments.
 The caller writes a finished segment back over the run it was made from:
-in place when it kept the run's address set, otherwise through
-CodeTable.insert_run, which gives its lines fresh addresses in the gap the
-run leaves, as it does for the bodies that derivation assembles.
+in place when it kept the run's address set, otherwise in the order the
+runtime runs its lines, through CodeTable.insert_run, which gives them
+fresh addresses in the gap the run leaves, as it does for the bodies that
+derivation assembles.
 
 Search candidates are copy-on-write: a copy shares every line with its
 parent and copies a line only when it first mutates it, through own().
@@ -280,19 +281,34 @@ class Segment:
 
     def subtree(self, addr: Address) -> list[Address]:
         """Addresses reachable from addr, children first."""
+        return self._walk((addr,))
+
+    def run_order(self) -> list[Address]:
+        """Every line in the order the runtime runs it: depth first from
+        each line in address order, a line's children (left, right, then
+        result) before the line, so that each line reads only earlier
+        lines."""
+        return self._walk(sorted(self.lines))
+
+    def _walk(self, roots) -> list[Address]:
+        """The lines reachable from roots, each once, children first."""
         out: list[Address] = []
-        seen = {addr}
-        stack = [(addr, iter(self.children(addr)))]
-        while stack:
-            a, kids = stack[-1]
-            for c in kids:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append((c, iter(self.children(c))))
-                    break
-            else:
-                stack.pop()
-                out.append(a)
+        seen: set[Address] = set()
+        for root in roots:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, iter(self.children(root)))]
+            while stack:
+                a, kids = stack[-1]
+                for c in kids:
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append((c, iter(self.children(c))))
+                        break
+                else:
+                    stack.pop()
+                    out.append(a)
         return out
 
     # --- pending state ---
@@ -535,10 +551,11 @@ class Segment:
         """Write the segment back over the run at the original addresses.
 
         Same address set: flags copy in place. Otherwise the run is
-        removed, the lines go into the gap it leaves, and the readers of
-        removed lines take the new root: the table's jump and return rows,
-        and the rest of the run if the segment was cut from part of one.
-        Returns the old-to-new address mapping for relocated lines.
+        removed, the lines go into the gap it leaves in run_order, so that
+        each reads only earlier rows, and the readers of removed lines take
+        the new root: the table's jump and return rows, and the rest of the
+        run if the segment was cut from part of one. Returns the old-to-new
+        address mapping for relocated lines.
         """
         order = self.order()
         # the winner still shares lines with the candidates the search dropped
@@ -559,6 +576,7 @@ class Segment:
         hi = tables.code.next_after(original[-1])
         for a in original:
             tables.code.remove(a)
+        order = self.run_order()
         run = [self.lines[a] for a in order]
         for ln in run:
             ln.scope = template.scope

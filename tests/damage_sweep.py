@@ -10,8 +10,11 @@ a Python traceback or a run past the alarm is a fault.
 The files are the compiled and the preexecuted text of every corpus
 program and of MEMBER_READS. The cells are a function row's left, right
 and weight cells, a derive row's right cell, a class row's left and right
-cells and a scope start row's kind cell. Each is set to every code-row
-address of its file and to `-`; an empty cell also gets the address kind.
+cells, a scope start row's kind cell and the left and right cells of an
+expression row bound to a function, which the call plan is built from.
+Each is set to every code-row address of its file and to `-`; an empty
+cell also gets the address kind, and a bound row's cell gets the address
+kind for an address and the empty kind for `-`.
 
 It prints the number of edits, the outcome counts by class ("ran" for a
 finished run) and a SHA-256 over every edit's outcome class and message in
@@ -33,9 +36,11 @@ from coolang import build, preexecute, run_program, serialize
 from coolang.errors import CoolError
 from coolang.serialize import deserialize
 
-# code type -> the operand columns the tables are built from
-CELLS = {"func": (3, 4, 5), "derive": (4,), "class": (3, 4), "sstart": (3,)}
+# code type -> the operand columns the tables are built from; "bound"
+# stands for an expression row bound to a function
+CELLS = {"func": (3, 4, 5), "derive": (4,), "class": (3, 4), "sstart": (3,), "bound": (3, 4)}
 KINDS_COLUMN = 6
+BOUND_COLUMN = 8
 ALARM_S = 5
 
 PROGRAMS = {**corpus.ALL_PROGRAMS, "member_reads": corpus.MEMBER_READS}
@@ -63,15 +68,18 @@ def edits(text):
     rows = [row.split("\t") for row in text.splitlines()]
     targets = [row[0] for row in rows[1:]] + ["-"]
     for i, row in enumerate(rows[1:], 1):
-        for col in CELLS.get(row[1], ()):
+        bound = row[1] == "expr" and row[BOUND_COLUMN] not in ("-", "B")
+        for col in CELLS.get("bound" if bound else row[1], ()):
             for value in targets:
                 damaged = [list(r) for r in rows]
                 cell = damaged[i]
                 cell[col] = value
                 kinds = cell[KINDS_COLUMN].split(",")
-                if kinds[col - 2] == "e":
+                if bound:
+                    kinds[col - 2] = "e" if value == "-" else "a"
+                elif kinds[col - 2] == "e":
                     kinds[col - 2] = "a"
-                    cell[KINDS_COLUMN] = ",".join(kinds)
+                cell[KINDS_COLUMN] = ",".join(kinds)
                 yield "".join("\t".join(r) + "\n" for r in damaged)
 
 

@@ -3,13 +3,13 @@
 Each is the plain, slow form of a fact the toolchain computes another
 way: the class order as a depth-first walk, the whole-segment cleanups
 and arithmetic that the search's incremental repair must agree with, a
-segment digest that rebuilds every row on every call, a splice that
-walks the whole table for the rows that read a relocated run, a
-rewrite that instantiates a rule's whole body and then runs those
-cleanups, a silo search that builds every move it matches, a `.ccode`
-reader that decodes every cell of every code row afresh and inserts the
-rows one by one, and a name fuser that scans characters and recurses into
-each group after scanning it for balance.
+segment digest that rebuilds every row on every call, the run order as
+a recursive walk, a splice that walks the whole table for the rows that
+read a relocated run, a rewrite that instantiates a rule's whole body and
+then runs those cleanups, a silo search that builds every move it
+matches, a `.ccode` reader that decodes every cell of every code row
+afresh and inserts the rows one by one, and a name fuser that scans
+characters and recurses into each group after scanning it for balance.
 """
 
 from __future__ import annotations
@@ -152,9 +152,32 @@ def digest(seg: Segment) -> tuple:
     return tuple(rows)
 
 
+def run_order(seg: Segment) -> list[Address]:
+    """The segment's lines in the order the runtime runs them, recursively:
+    from each line in address order, its left, right and result children
+    first, each line once."""
+    out: list[Address] = []
+    seen: set[Address] = set()
+
+    def visit(a: Address) -> None:
+        if a in seen:
+            return
+        seen.add(a)
+        ln = seg.lines[a]
+        for o in (ln.left, ln.right, ln.result):
+            if o.kind is OperandKind.ADDRESS and o.addr in seg.lines:
+                visit(o.addr)
+        out.append(a)
+
+    for a in sorted(seg.lines):
+        visit(a)
+    return out
+
+
 def splice(seg: Segment, tables: Tables, original: list[Address]) -> dict[Address, Address]:
-    """Segment.splice with a relocated run's readers found by walking every
-    value slot of every row outside the run's new lines."""
+    """Segment.splice with a relocated run written in run_order and its
+    readers found by walking every value slot of every row outside the
+    run's new lines."""
     order = seg.order()
     for a in order:
         if a not in seg._private:
@@ -173,6 +196,7 @@ def splice(seg: Segment, tables: Tables, original: list[Address]) -> dict[Addres
     hi = tables.code.next_after(original[-1])
     for a in original:
         tables.code.remove(a)
+    order = run_order(seg)
     run = [seg.lines[a] for a in order]
     for ln in run:
         ln.scope = template.scope

@@ -556,8 +556,8 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
 @pytest.mark.parametrize(
     "source, command, row, col, was, to, message",
     [
-        (SEVEN, "preexec", "6", 3, "5", "6", "code line 6 reads 6, which reads back to it"),
-        (SEVEN, "preexec", "6", 3, "5", "7", "code line 6 reads 7, which reads back to it"),
+        (SEVEN, "preexec", "6", 3, "5", "6", "code line 6 reads 6, no earlier row"),
+        (SEVEN, "preexec", "6", 3, "5", "7", "code line 6 reads 7, no earlier row"),
         (
             corpus.QUADRATIC_CONSTRAINT,
             "compile",
@@ -565,7 +565,7 @@ SEVEN = "new: y = 2;\nnew: z = y * 3 + 1;\nz --> 0;\n"  # prints 7.0
             4,
             "15",
             "18",
-            "code line 16 reads 18, which reads back to it",
+            "code line 16 reads 18, no earlier row",
         ),
         (
             corpus.CLASS_SOLVER,
@@ -630,6 +630,27 @@ def test_a_code_table_row_reading_a_row_it_may_not_is_a_format_error(
     table.write_text("\n".join("\t".join(r) for r in rows))
     assert main(["run", str(table)]) == 1
     assert capsys.readouterr().err == f"coolc: FormatError: {message}\n"
+
+
+def test_a_read_cycle_of_user_bound_rows_is_a_format_error(tmp_path, capsys):
+    # row 39 is the call of the apple-price function and row 40 the `==`
+    # that reads it; naming row 40 in the call's right slot makes each read
+    # the other. Unchecked, the file loaded and printed 0.0, exit 0; the
+    # program prints 5.0
+    src = write(tmp_path, "apple.cool", corpus.APPLE_PRICE)
+    table = tmp_path / "apple.ccode"
+    assert main(["preexec", src, "-o", str(table)]) == 0
+
+    def edit(rows):
+        call = next(r for r in rows if r[0] == "39")
+        assert (call[4], call[6]) == ("p", "i,n,i,a")
+        call[4], call[6] = "40", "i,n,a,a"
+
+    _edit_rows(table, edit)
+    assert main(["run", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coolc: FormatError: code line 39 reads 40, no earlier row\n"
 
 
 @pytest.mark.parametrize(

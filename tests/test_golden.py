@@ -16,7 +16,10 @@ the earlier writer's file cut before its first `---` row, so the pins
 still show that no code row changed. Every pin moved again when a code
 row stopped storing its scope, exec flag and formal flags, which the
 order of the rows fixes: each was recomputed from the earlier writer's
-file with those three cells cut from every row.
+file with those three cells cut from every row. The sin_approx_exp and
+class_solver pins moved when a relocating splice began to write its run
+in the order it runs: each new file is the earlier one with each
+relocated run's rows put in run order and renumbered.
 """
 
 import hashlib
@@ -32,10 +35,10 @@ CCODE_SHA256 = {
     "quadratic_constraint": "de7958d822194a3dcf0751f506fb2ca716d87f6d1c32108a0459151673eb920b",
     "apple_price": "f40d35555347c706ba86a13fdea05d3dc4aad7e0ccffef072df0f4b365c007a0",
     "sin_approx": "6285852820058db7b5bfed1509b9eb15025cad5554e5bc58d1d848f71da687f0",
-    "sin_approx_exp": "8b771a6b7f7982cec565dd942467de9aa9e8f79587c63a0892388593e7a99f5d",
+    "sin_approx_exp": "f094738a5d0e1324185217716ceeff837c913687fb3c8785e87e47a87706d53e",
     "loop_and_branch": "a65e5b0b16afe4113fc8b002865df5ee97863a3d278eb7da0fdca0011bae3f09",
     "chained_derivation": "70084de14f6e483582387c513b77cc126c458cde403adb8f26fa1d8be3097eb2",
-    "class_solver": "3a99502d987d6613cd06ecd0283294f895fe18275b94d9bdbb91b07958af5f1d",
+    "class_solver": "158857aece2541c2228ca1ad5691bc61d09b092e68219de3010b4ce13807d4de",
 }
 
 

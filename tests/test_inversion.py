@@ -44,9 +44,9 @@ def test_formals_come_out_in_pattern_order_with_pending_flags():
         for f in t.functions.values()
         if f.name == "getresultfrom_ARG_and" and f.is_reverse
     ][0]
-    assert decl_formals(t, fwd) == [("x", False), ("y", False)]
-    assert decl_formals(t, rev) == [("x", True), ("y", False)]
-    assert map_formals(decl_formals(t, fwd), decl_formals(t, rev)) == ["x"]
+    assert decl_formals(fwd) == [("x", False), ("y", False)]
+    assert decl_formals(rev) == [("x", True), ("y", False)]
+    assert map_formals(decl_formals(fwd), decl_formals(rev)) == ["x"]
 
 
 def test_anonymous_formal_is_kept_as_its_own_slot():
@@ -56,7 +56,7 @@ def test_anonymous_formal_is_kept_as_its_own_slot():
         for f in t.functions.values()
         if f.name == "appleunitprice_ARG_canbebought_ARG_kg"
     ][0]
-    assert decl_formals(t, rev) == [("b", False), ("", True)]
+    assert decl_formals(rev) == [("b", False), ("", True)]
 
 
 def test_anonymous_formals_adopt_the_leftover_forward_names():

@@ -443,8 +443,8 @@ def test_splice_repoints_outside_references_at_the_new_root():
 
 def test_a_splice_repoints_the_rest_of_the_run_a_segment_was_cut_from():
     # the segment holds `$x + 1 == y` but not the assignment that reads it;
-    # moving the + line to a fresh address makes the == line sort first,
-    # so the new root takes the + line's old address
+    # the == line reads a copy of the + line, so three lines share the gap
+    # of two and the new root, written last, takes a fresh address
     texts = []
     for splice in (Segment.splice, reference.splice):
         t = build("new: y = 3; new: r = 0; r = $x + 1 == y;")
@@ -453,11 +453,11 @@ def test_a_splice_repoints_the_rest_of_the_run_a_segment_was_cut_from():
         seg = Segment.from_run(t, sub)
         plus = eq.left.addr
         seg.own(eq.address).left = Operand.address(seg.copy_subtree(plus))
-        seg._drop([plus])
         mapping = splice(seg, t, [el.address for el in sub])
-        assert mapping[eq.address] == plus
+        root = mapping[eq.address]
+        assert root not in (plus, eq.address) and root == max(mapping.values())
         assign = [el for el in t.code.lines() if el.op.text == "="][-1]
-        assert assign.left == Operand.address(plus)
+        assert assign.left == Operand.address(root)
         texts.append(serialize(t))
     assert texts[0] == texts[1]
 
@@ -626,6 +626,33 @@ def relocating_programs(draw):
 def test_generated_relocations_write_what_the_table_walk_writes(src):
     guarded = without_table_walks(Segment.splice)
     assert preexecuted_with(src, guarded) == preexecuted_with(src, reference.splice)
+
+
+def assert_runs_in_run_order(src):
+    """Preexecuted, every longest expression of src holds its rows in the
+    order the runtime runs them, and the written file loads."""
+    t = build(src)
+    preexecute(t)
+    run = []
+    for ln in [*t.code.lines(), None]:
+        if ln is not None and ln.ctype is CodeType.EXPR:
+            run.append(ln)
+        elif run:
+            seg = Segment({el.address: el for el in run}, run[-1].address)
+            assert reference.run_order(seg) == [el.address for el in run]
+            run = []
+    deserialize(serialize(t))
+
+
+@pytest.mark.parametrize("name", corpus.WRITTEN)
+def test_every_preexecuted_run_is_written_in_run_order(name):
+    assert_runs_in_run_order(corpus.WRITTEN[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(relocating_programs())
+def test_generated_relocations_are_written_in_run_order(src):
+    assert_runs_in_run_order(src)
 
 
 def test_evaluate_builtins_against_python():
